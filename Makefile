@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race smoke obs-smoke replay-smoke pipelines-smoke daemon-smoke fuzz bench eval eval-quick examples metrics-baseline metrics-diff clean
+.PHONY: all build vet test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench eval eval-quick examples metrics-baseline metrics-diff clean
 
 all: build vet test race smoke fuzz
 
@@ -41,8 +41,11 @@ obs-smoke:
 # Replay smoke: capture a tiny trace from one quick experiment, verify the
 # round-trip property through cmd/hpmptrace, then replay it twice through
 # cmd/hpmpsim and diff the two metric sets — a faithful, deterministic
-# replay must come out byte-identical (exit 0). Exercises the whole
-# record -> parse -> replay -> metrics -> diff pipeline end to end.
+# replay must come out byte-identical (exit 0). The same trace then replays
+# under every isolation mode, on the degenerate no-cache geometry, and
+# through the scalar entry point; a non-zero exit from any replay means the
+# machine diverged from the recording or failed to assemble. Exercises the
+# whole record -> parse -> replay -> metrics -> diff pipeline end to end.
 replay-smoke:
 	rm -rf obs-out/replay
 	$(GO) run ./cmd/hpmpsim -quick \
@@ -54,25 +57,14 @@ replay-smoke:
 	$(GO) run ./cmd/hpmpsim -metrics-dir obs-out/replay/b -id fig10 \
 		replay obs-out/replay/traces/fig10.trace.jsonl > /dev/null
 	$(GO) run ./cmd/hpmpsim diff obs-out/replay/a obs-out/replay/b
-
-# Pipelines smoke: capture one quick trace, then drive it through the
-# config-specialized access pipeline of every isolation mode (DESIGN.md
-# §6.2), including the degenerate no-cache geometry. A non-zero exit from
-# any replay means a pipeline diverged from the recording or failed to
-# assemble.
-pipelines-smoke:
-	rm -rf obs-out/pipelines
-	$(GO) run ./cmd/hpmpsim -quick \
-		-trace obs-out/pipelines/traces -trace-every 1 \
-		run fig10 > /dev/null
 	for mode in none pmp pmpt hpmp; do \
 		$(GO) run ./cmd/hpmpsim -mode $$mode -id fig10-$$mode \
-			replay obs-out/pipelines/traces/fig10.trace.jsonl > /dev/null || exit 1; \
+			replay obs-out/replay/traces/fig10.trace.jsonl > /dev/null || exit 1; \
 	done
 	$(GO) run ./cmd/hpmpsim -mode pmpt -l2tlb 0 -pwc 0 -pmptw-cache 0 \
-		-id fig10-nocache replay obs-out/pipelines/traces/fig10.trace.jsonl > /dev/null
+		-id fig10-nocache replay obs-out/replay/traces/fig10.trace.jsonl > /dev/null
 	$(GO) run ./cmd/hpmpsim -mode hpmp -scalar -id fig10-scalar \
-		replay obs-out/pipelines/traces/fig10.trace.jsonl > /dev/null
+		replay obs-out/replay/traces/fig10.trace.jsonl > /dev/null
 
 # Daemon smoke: the hermetic end-to-end test of the real hpmpsimd binary —
 # boot on an ephemeral port, submit a traced quick experiment job and a

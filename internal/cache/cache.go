@@ -8,10 +8,10 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hpmp/internal/addr"
 	"hpmp/internal/dram"
-	"hpmp/internal/fastpath"
 	"hpmp/internal/stats"
 )
 
@@ -60,6 +60,7 @@ type Cache struct {
 	cfg      Config
 	sets     uint64
 	lineBits uint
+	setBits  uint     // log2(sets): Validate guarantees a power of two
 	data     [][]line // [set][way]
 	tick     uint64   // LRU clock
 
@@ -77,7 +78,7 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	sets := cfg.Size / cfg.LineSize / uint64(cfg.Ways)
-	c := &Cache{cfg: cfg, sets: sets}
+	c := &Cache{cfg: cfg, sets: sets, setBits: uint(bits.TrailingZeros64(sets))}
 	for c.cfg.LineSize>>(c.lineBits+1) > 0 {
 		c.lineBits++
 	}
@@ -95,22 +96,15 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// bump increments a pre-resolved handle on the fast path, or performs the
-// original map-keyed, name-concatenating increment on the reference path.
-func (c *Cache) bump(h *uint64, suffix string) {
-	if fastpath.Enabled {
-		*h++
-	} else {
-		c.Counters.Inc(c.cfg.Name + suffix)
-	}
-}
-
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
+// index splits pa into set and tag with a mask and a shift rather than % and
+// / by c.sets: a 64-bit divide by a runtime value was the largest single cost
+// of a cache probe, and every simulated reference makes at least one.
 func (c *Cache) index(pa addr.PA) (set, tag uint64) {
 	lineAddr := uint64(pa) >> c.lineBits
-	return lineAddr % c.sets, lineAddr / c.sets
+	return lineAddr & (c.sets - 1), lineAddr >> c.setBits
 }
 
 // Lookup probes the cache without filling. It returns whether the line is
@@ -125,11 +119,11 @@ func (c *Cache) Lookup(pa addr.PA, write bool) bool {
 			if write {
 				l.dirty = true
 			}
-			c.bump(c.hHit, ".hit")
+			*c.hHit++
 			return true
 		}
 	}
-	c.bump(c.hMiss, ".miss")
+	*c.hMiss++
 	return false
 }
 
@@ -169,7 +163,7 @@ func (c *Cache) Fill(pa addr.PA, write bool) (victim addr.PA, dirty, ok bool) {
 	}
 	if vi < 0 {
 		// Fully locked set: bypass.
-		c.bump(c.hFillBypass, ".fill_bypass")
+		*c.hFillBypass++
 		return 0, false, false
 	}
 	{
@@ -177,14 +171,14 @@ func (c *Cache) Fill(pa addr.PA, write bool) (victim addr.PA, dirty, ok bool) {
 		victimLineAddr := (v.tag*c.sets + set) << c.lineBits
 		victim, dirty, ok = addr.PA(victimLineAddr), v.dirty, true
 		if dirty {
-			c.bump(c.hWriteback, ".writeback")
+			*c.hWriteback++
 		}
-		c.bump(c.hEvict, ".evict")
+		*c.hEvict++
 	}
 place:
 	c.tick++
 	ways[vi] = line{valid: true, dirty: write, tag: tag, lru: c.tick}
-	c.bump(c.hFill, ".fill")
+	*c.hFill++
 	return victim, dirty, ok
 }
 
@@ -207,7 +201,7 @@ func (c *Cache) Lock(pa addr.PA) bool {
 		}
 	}
 	if lockedWays >= len(ways)-1 {
-		c.bump(c.hLockReject, ".lock_reject")
+		*c.hLockReject++
 		return false
 	}
 	c.Fill(pa, false)
@@ -317,19 +311,25 @@ type hierHandles struct {
 	l1Hit, l2Hit, llcHit, dram *uint64
 }
 
-// handles resolves the hierarchy's counter handles on first use. Resolution
-// is identical on both the fast and reference paths so the registered
-// counter names (and thus snapshots) never differ between them.
+// handles returns the hierarchy's counter handles, resolving them on first
+// use. The check is kept apart from the resolution so it inlines into the
+// per-access path.
 func (h *Hierarchy) handles() *hierHandles {
 	if h.hh.l1Hit == nil {
-		h.hh = hierHandles{
-			l1Hit:  h.Counters.Handle("mem.l1_hit"),
-			l2Hit:  h.Counters.Handle("mem.l2_hit"),
-			llcHit: h.Counters.Handle("mem.llc_hit"),
-			dram:   h.Counters.Handle("mem.dram_access"),
-		}
+		h.resolveHandles()
 	}
 	return &h.hh
+}
+
+// resolveHandles resolves all four handles at once, so every snapshot of a
+// hierarchy that has run lists every mem.* counter.
+func (h *Hierarchy) resolveHandles() {
+	h.hh = hierHandles{
+		l1Hit:  h.Counters.Handle("mem.l1_hit"),
+		l2Hit:  h.Counters.Handle("mem.l2_hit"),
+		llcHit: h.Counters.Handle("mem.llc_hit"),
+		dram:   h.Counters.Handle("mem.dram_access"),
+	}
 }
 
 // Level identifies the hierarchy level that satisfied a request. The values
@@ -390,27 +390,27 @@ func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) Acce
 	hh := h.handles()
 	var lat uint64
 	if !skipL1 {
-		lat = h.L1.Config().Latency
+		lat = h.L1.cfg.Latency
 		if h.L1.Lookup(pa, write) {
-			h.bump(hh.l1Hit, "mem.l1_hit")
+			*hh.l1Hit++
 			return AccessResult{Latency: lat, Level: LvlL1}
 		}
 	}
-	lat += h.L2.Config().Latency
+	lat += h.L2.cfg.Latency
 	if h.L2.Lookup(pa, write) {
 		if !skipL1 {
 			h.L1.Fill(pa, write)
 		}
-		h.bump(hh.l2Hit, "mem.l2_hit")
+		*hh.l2Hit++
 		return AccessResult{Latency: lat, Level: LvlL2}
 	}
-	lat += h.LLC.Config().Latency
+	lat += h.LLC.cfg.Latency
 	if h.LLC.Lookup(pa, write) {
 		h.L2.Fill(pa, false)
 		if !skipL1 {
 			h.L1.Fill(pa, write)
 		}
-		h.bump(hh.llcHit, "mem.llc_hit")
+		*hh.llcHit++
 		return AccessResult{Latency: lat, Level: LvlLLC}
 	}
 	// DRAM: convert the core-cycle issue time into controller cycles, run
@@ -428,18 +428,8 @@ func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) Acce
 	if !skipL1 {
 		h.L1.Fill(pa, write)
 	}
-	h.bump(hh.dram, "mem.dram_access")
+	*hh.dram++
 	return AccessResult{Latency: lat, Level: LvlDRAM}
-}
-
-// bump increments a pre-resolved handle on the fast path, or performs the
-// original map-keyed increment on the reference path.
-func (h *Hierarchy) bump(hc *uint64, name string) {
-	if fastpath.Enabled {
-		*hc++
-	} else {
-		h.Counters.Inc(name)
-	}
 }
 
 // Warm inserts the line containing pa into every level without recording

@@ -1,19 +1,47 @@
-// Differential gate for the batched access entry point: AccessBatch must be
+// Equivalence gate for the batched access entry point: AccessBatch must be
 // observably identical — per-access Results, merged counters, cycle totals —
-// to the same reference stream issued as N sequential Access calls, on both
-// the fast path and the refpath reference build, including faults landing in
-// the middle of a batch.
+// to the same reference stream issued as N sequential Access calls,
+// including faults landing in the middle of a batch.
 package integration
 
 import (
 	"testing"
 
 	"hpmp/internal/addr"
+	"hpmp/internal/cpu"
 	"hpmp/internal/kernel"
 	"hpmp/internal/mmu"
 	"hpmp/internal/monitor"
 	"hpmp/internal/perm"
+	"hpmp/internal/stats"
 )
+
+// allCounters merges every counter the stack keeps — core, MMU, TLBs, page
+// walker, caches, DRAM, checker, permission-table walker, monitor, kernel —
+// into one deterministic "name=value" string.
+func allCounters(mach *cpu.Machine, mon *monitor.Monitor, k *kernel.Kernel) string {
+	var all stats.Counters
+	for _, c := range []*stats.Counters{
+		&mach.Core.Counters,
+		&mach.MMU.Counters,
+		&mach.MMU.ITLB.Counters,
+		&mach.MMU.DTLB.Counters,
+		&mach.MMU.STLB.Counters,
+		&mach.MMU.Walker.Counters,
+		&mach.Hier.L1.Counters,
+		&mach.Hier.L2.Counters,
+		&mach.Hier.LLC.Counters,
+		&mach.Hier.Counters,
+		&mach.Hier.Mem.Counters,
+		&mach.Checker.Counters,
+		&mach.Checker.Walker.Counters,
+		&mon.Counters,
+		&k.Counters,
+	} {
+		all.Merge(c)
+	}
+	return all.String()
+}
 
 // batchRun captures everything observable about one batch-workload run.
 type batchRun struct {
@@ -111,66 +139,43 @@ func runBatchWorkload(t *testing.T, batched bool) batchRun {
 	return batchRun{results: out, counters: allCounters(mach, mon, k), cycles: mach.Core.Now}
 }
 
-// TestAccessBatchMatchesSequential is the satellite gate: under both counter
-// paths, a batch must be byte-identical to the sequential loop — and the
-// workload must actually have faulted mid-batch and kept going.
+// TestAccessBatchMatchesSequential: a batch must be byte-identical to the
+// sequential loop — and the workload must actually have faulted mid-batch
+// and kept going.
 func TestAccessBatchMatchesSequential(t *testing.T) {
-	for _, fp := range []bool{true, false} {
-		name := "refpath"
-		if fp {
-			name = "fastpath"
-		}
-		t.Run(name, func(t *testing.T) {
-			var batch, seq batchRun
-			withFastpath(fp, func() { batch = runBatchWorkload(t, true) })
-			withFastpath(fp, func() { seq = runBatchWorkload(t, false) })
+	batch := runBatchWorkload(t, true)
+	seq := runBatchWorkload(t, false)
 
-			if len(batch.results) != len(seq.results) {
-				t.Fatalf("result counts differ: batch %d, sequential %d", len(batch.results), len(seq.results))
-			}
-			for i := range batch.results {
-				if batch.results[i] != seq.results[i] {
-					t.Fatalf("result %d differs:\n  batch: %+v\n  seq:   %+v", i, batch.results[i], seq.results[i])
-				}
-			}
-			if batch.cycles != seq.cycles {
-				t.Errorf("cycle totals differ: batch %d, sequential %d", batch.cycles, seq.cycles)
-			}
-			if batch.counters != seq.counters {
-				t.Errorf("counters differ:\nbatch: %s\nseq:   %s", batch.counters, seq.counters)
-			}
-
-			// The gate is only meaningful if faults landed mid-batch and the
-			// batch carried on: find a faulted result followed by a success.
-			var page, prot, access, faultThenOK bool
-			for i, r := range batch.results {
-				page = page || r.PageFault
-				prot = prot || r.ProtFault
-				access = access || r.AccessFault
-				if r.Faulted() && i+1 < len(batch.results) && !batch.results[i+1].Faulted() {
-					faultThenOK = true
-				}
-			}
-			if !page || !prot || !access {
-				t.Errorf("stream must include all fault flavours (page=%v prot=%v access=%v)", page, prot, access)
-			}
-			if !faultThenOK {
-				t.Error("no faulted reference was followed by a successful one — batch continuation untested")
-			}
-		})
+	if len(batch.results) != len(seq.results) {
+		t.Fatalf("result counts differ: batch %d, sequential %d", len(batch.results), len(seq.results))
 	}
-
-	// Cross-path: the batched fast path against the batched reference path.
-	var fast, ref batchRun
-	withFastpath(true, func() { fast = runBatchWorkload(t, true) })
-	withFastpath(false, func() { ref = runBatchWorkload(t, true) })
-	for i := range fast.results {
-		if fast.results[i] != ref.results[i] {
-			t.Fatalf("batched result %d differs fast vs refpath:\n  fast: %+v\n  ref:  %+v", i, fast.results[i], ref.results[i])
+	for i := range batch.results {
+		if batch.results[i] != seq.results[i] {
+			t.Fatalf("result %d differs:\n  batch: %+v\n  seq:   %+v", i, batch.results[i], seq.results[i])
 		}
 	}
-	if fast.cycles != ref.cycles || fast.counters != ref.counters {
-		t.Errorf("batched fast vs refpath diverge: cycles %d/%d\nfast: %s\nref:  %s",
-			fast.cycles, ref.cycles, fast.counters, ref.counters)
+	if batch.cycles != seq.cycles {
+		t.Errorf("cycle totals differ: batch %d, sequential %d", batch.cycles, seq.cycles)
+	}
+	if batch.counters != seq.counters {
+		t.Errorf("counters differ:\nbatch: %s\nseq:   %s", batch.counters, seq.counters)
+	}
+
+	// The gate is only meaningful if faults landed mid-batch and the batch
+	// carried on: find a faulted result followed by a success.
+	var page, prot, access, faultThenOK bool
+	for i, r := range batch.results {
+		page = page || r.PageFault
+		prot = prot || r.ProtFault
+		access = access || r.AccessFault
+		if r.Faulted() && i+1 < len(batch.results) && !batch.results[i+1].Faulted() {
+			faultThenOK = true
+		}
+	}
+	if !page || !prot || !access {
+		t.Errorf("stream must include all fault flavours (page=%v prot=%v access=%v)", page, prot, access)
+	}
+	if !faultThenOK {
+		t.Error("no faulted reference was followed by a successful one — batch continuation untested")
 	}
 }

@@ -1,9 +1,8 @@
-// Differential matrix over the compiled access pipelines (ISSUE 8): every
-// specialized pipeline variant — all isolation modes × permission-table
-// depths × degenerate cache geometries × batch and scalar entry points —
-// must replay one recorded light-experiment trace byte-identically to the
-// -tags refpath reference (fastpath.Enabled = false): 0 divergences on both
-// sides, equal machine counters, equal final clock, equal latency
+// Replay matrix over machine configurations: every isolation mode ×
+// permission-table depth × degenerate cache geometry must replay one
+// recorded light-experiment trace with 0 divergences through both the
+// batched and the scalar access entry points, and the two entry points must
+// land on equal machine counters, equal final clock and equal latency
 // histograms. The replay engine's equivalence machinery is the oracle; the
 // trace is recorded once and shared across the matrix.
 package integration
@@ -13,7 +12,6 @@ import (
 	"testing"
 
 	"hpmp/internal/bench"
-	"hpmp/internal/mmu"
 	"hpmp/internal/obs"
 	"hpmp/internal/replay"
 )
@@ -79,23 +77,6 @@ func matrixVariants() []replay.Config {
 	return out
 }
 
-// wantPipeline is the access-pipeline variant each matrix config must
-// compile on the fast path.
-func wantPipeline(c replay.Config) mmu.PipelineKind {
-	hasChecker := c.Mode != replay.ModeNone
-	hasL2 := c.L2TLBEntries >= 0
-	switch {
-	case hasChecker && hasL2:
-		return mmu.PipelineChecked
-	case hasChecker:
-		return mmu.PipelineCheckedNoL2
-	case hasL2:
-		return mmu.PipelineBare
-	default:
-		return mmu.PipelineBareNoL2
-	}
-}
-
 func replayMatrixOnce(t *testing.T, cfg replay.Config, events []obs.Event) *replay.Engine {
 	t.Helper()
 	e, err := replay.New(cfg)
@@ -113,52 +94,29 @@ func replayMatrixOnce(t *testing.T, cfg replay.Config, events []obs.Event) *repl
 
 func TestPipelineDifferentialMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("replays a recorded trace through every pipeline variant")
+		t.Skip("replays a recorded trace through every machine config")
 	}
 	events := recordMatrixTrace(t)
 	for _, cfg := range matrixVariants() {
-		for _, scalar := range []bool{false, true} {
-			cfg := cfg
-			cfg.Scalar = scalar
-			t.Run(cfg.String(), func(t *testing.T) {
-				var fast, ref *replay.Engine
-				withFastpath(true, func() { fast = replayMatrixOnce(t, cfg, events) })
-				withFastpath(false, func() { ref = replayMatrixOnce(t, cfg, events) })
-
-				if got, want := fast.Machine().MMU.Pipeline(), wantPipeline(cfg); got != want {
-					t.Errorf("compiled pipeline = %v, want %v", got, want)
-				}
-				if got := ref.Machine().MMU.Pipeline(); got != mmu.PipelineGeneric {
-					t.Errorf("reference pipeline = %v, want %v", got, mmu.PipelineGeneric)
-				}
-
-				cf, cr := machineOnly(fast.Counters()), machineOnly(ref.Counters())
-				if !reflect.DeepEqual(cf, cr) {
-					for k, v := range cf {
-						if cr[k] != v {
-							t.Errorf("counter %s: fast %d, ref %d", k, v, cr[k])
-						}
-					}
-					for k, v := range cr {
-						if _, ok := cf[k]; !ok {
-							t.Errorf("counter %s: fast absent, ref %d", k, v)
-						}
-					}
-				}
-				if fast.Now() != ref.Now() {
-					t.Errorf("final clock: fast %d, ref %d", fast.Now(), ref.Now())
-				}
-				if !reflect.DeepEqual(fast.Histograms(), ref.Histograms()) {
-					t.Error("latency histograms differ between fast and ref")
-				}
-			})
-		}
+		var batched *replay.Engine
+		t.Run(cfg.String(), func(t *testing.T) {
+			batched = replayMatrixOnce(t, cfg, events)
+		})
+		cfg.Scalar = true
+		t.Run(cfg.String(), func(t *testing.T) {
+			scalar := replayMatrixOnce(t, cfg, events)
+			if batched == nil {
+				t.Fatal("batched replay failed; no reference to compare against")
+			}
+			requireSameMachine(t, batched, scalar)
+		})
 	}
 }
 
 // TestPipelineScalarBatchEquivalence proves the two entry points identical
-// on the same compiled pipeline: the scalar drain of the same stream lands
-// on the same machine counters, clock, and histograms as the batched one.
+// on each isolation mode's default geometry, with both replays run inside
+// one subtest: the scalar drain of the same stream lands on the same machine
+// counters, clock, and histograms as the batched one.
 func TestPipelineScalarBatchEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays a recorded trace twice per isolation mode")
@@ -171,16 +129,33 @@ func TestPipelineScalarBatchEquivalence(t *testing.T) {
 		t.Run(string(mode), func(t *testing.T) {
 			batched := replayMatrixOnce(t, cfg, events)
 			cfg.Scalar = true
-			scalar := replayMatrixOnce(t, cfg, events)
-			if !reflect.DeepEqual(machineOnly(batched.Counters()), machineOnly(scalar.Counters())) {
-				t.Error("machine counters differ between batch and scalar entry points")
-			}
-			if batched.Now() != scalar.Now() {
-				t.Errorf("final clock: batch %d, scalar %d", batched.Now(), scalar.Now())
-			}
-			if !reflect.DeepEqual(batched.Histograms(), scalar.Histograms()) {
-				t.Error("latency histograms differ between batch and scalar entry points")
-			}
+			requireSameMachine(t, batched, replayMatrixOnce(t, cfg, events))
 		})
+	}
+}
+
+// requireSameMachine fails t unless the batched and scalar replays of one
+// stream end with equal machine counters, final clock and latency
+// histograms.
+func requireSameMachine(t *testing.T, batched, scalar *replay.Engine) {
+	t.Helper()
+	cb, cs := machineOnly(batched.Counters()), machineOnly(scalar.Counters())
+	if !reflect.DeepEqual(cb, cs) {
+		for k, v := range cb {
+			if cs[k] != v {
+				t.Errorf("counter %s: batch %d, scalar %d", k, v, cs[k])
+			}
+		}
+		for k, v := range cs {
+			if _, ok := cb[k]; !ok {
+				t.Errorf("counter %s: batch absent, scalar %d", k, v)
+			}
+		}
+	}
+	if batched.Now() != scalar.Now() {
+		t.Errorf("final clock: batch %d, scalar %d", batched.Now(), scalar.Now())
+	}
+	if !reflect.DeepEqual(batched.Histograms(), scalar.Histograms()) {
+		t.Error("latency histograms differ between batch and scalar entry points")
 	}
 }

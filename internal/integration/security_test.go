@@ -11,6 +11,7 @@ import (
 	"hpmp/internal/iopmp"
 	"hpmp/internal/kernel"
 	"hpmp/internal/merkle"
+	"hpmp/internal/mmu"
 	"hpmp/internal/monitor"
 	"hpmp/internal/perm"
 )
@@ -29,6 +30,14 @@ func bootStack(t *testing.T, mode monitor.Mode) (*cpu.Machine, *monitor.Monitor,
 		t.Fatal(err)
 	}
 	return mach, mon, k
+}
+
+// mmuAccess adapts the out-param MMU.Access to the value-returning shape the
+// tests were written against.
+func mmuAccess(m *mmu.MMU, va addr.VA, k perm.Access, priv perm.Priv, now uint64) (mmu.Result, error) {
+	var res mmu.Result
+	err := m.Access(va, k, priv, now, &res)
+	return res, err
 }
 
 // TestHostCannotMapEnclaveMemory: a malicious host kernel maps an enclave's

@@ -9,8 +9,8 @@ import (
 
 // These tests pin MMU.SetRoot's documented contract ("callers must flush")
 // at the kernel's call sites: after any satp switch, no TLB level and no
-// fastpath memo (L1 last-translation memo, PWC/WalkerCache hints) may serve
-// a translation from the previous address space.
+// walk cache (PWC, PMPTW cache) may serve a translation from the previous
+// address space.
 
 // TestSwitchToNeverServesStaleTranslation context-switches between two
 // address spaces that map the same VA to different PAs and asserts the

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hpmp/internal/addr"
-	"hpmp/internal/fastpath"
 	"hpmp/internal/perm"
 	"hpmp/internal/ptw"
 )
@@ -40,41 +39,28 @@ func TestAccessEventRefSaturation(t *testing.T) {
 }
 
 // TestFlushVACounter pins the FlushVA observability fix: per-address
-// shootdowns bump mmu.tlb_flush_va (on both counter paths), independent of
-// the full-flush counter.
+// shootdowns bump mmu.tlb_flush_va, independent of the full-flush counter.
 func TestFlushVACounter(t *testing.T) {
-	for _, fp := range []bool{true, false} {
-		name := "refpath"
-		if fp {
-			name = "fastpath"
-		}
-		t.Run(name, func(t *testing.T) {
-			prev := fastpath.Enabled
-			fastpath.Enabled = fp
-			defer func() { fastpath.Enabled = prev }()
-
-			r := newRig(t, isoHPMP)
-			va := addr.VA(0x4000_0000)
-			r.mapPage(t, va, perm.RW, true)
-			if _, err := r.access(va, perm.Read, perm.U, 0); err != nil {
-				t.Fatal(err)
-			}
-			if got := r.mmu.Counters.Get("mmu.tlb_flush_va"); got != 0 {
-				t.Fatalf("tlb_flush_va = %d before any flush", got)
-			}
-			r.mmu.FlushVA(va)
-			r.mmu.FlushVA(va + addr.PageSize)
-			if got := r.mmu.Counters.Get("mmu.tlb_flush_va"); got != 2 {
-				t.Errorf("tlb_flush_va = %d after 2 FlushVA calls, want 2", got)
-			}
-			r.mmu.FlushTLB()
-			if got := r.mmu.Counters.Get("mmu.tlb_flush"); got != 1 {
-				t.Errorf("tlb_flush = %d after 1 FlushTLB, want 1", got)
-			}
-			if got := r.mmu.Counters.Get("mmu.tlb_flush_va"); got != 2 {
-				t.Errorf("FlushTLB leaked into tlb_flush_va: %d", got)
-			}
-		})
+	r := newRig(t, isoHPMP)
+	va := addr.VA(0x4000_0000)
+	r.mapPage(t, va, perm.RW, true)
+	if _, err := r.access(va, perm.Read, perm.U, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.mmu.Counters.Get("mmu.tlb_flush_va"); got != 0 {
+		t.Fatalf("tlb_flush_va = %d before any flush", got)
+	}
+	r.mmu.FlushVA(va)
+	r.mmu.FlushVA(va + addr.PageSize)
+	if got := r.mmu.Counters.Get("mmu.tlb_flush_va"); got != 2 {
+		t.Errorf("tlb_flush_va = %d after 2 FlushVA calls, want 2", got)
+	}
+	r.mmu.FlushTLB()
+	if got := r.mmu.Counters.Get("mmu.tlb_flush"); got != 1 {
+		t.Errorf("tlb_flush = %d after 1 FlushTLB, want 1", got)
+	}
+	if got := r.mmu.Counters.Get("mmu.tlb_flush_va"); got != 2 {
+		t.Errorf("FlushTLB leaked into tlb_flush_va: %d", got)
 	}
 }
 

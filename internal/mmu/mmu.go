@@ -16,7 +16,6 @@ import (
 
 	"hpmp/internal/addr"
 	"hpmp/internal/cache"
-	"hpmp/internal/fastpath"
 	"hpmp/internal/hpmp"
 	"hpmp/internal/memport"
 	"hpmp/internal/obs"
@@ -88,10 +87,6 @@ type MMU struct {
 	hAccessFaultPT, hPageFault, hProtFault *uint64
 	hAccessFaultData, hAccessFaultInline   *uint64
 
-	// pipeline is the access core compiled by compilePipeline at
-	// construction (see pipeline.go); dispatch switches on it per access.
-	pipeline PipelineKind
-
 	// LatHist is the end-to-end access-latency histogram ("mmu.access_latency"
 	// in metrics snapshots): one observation per completed Access, faulted or
 	// not, covering translation plus the data reference. Allocated once in
@@ -111,9 +106,7 @@ func New(cfg Config, hier *cache.Hierarchy, mem *phys.Memory, checker ptw.Checke
 }
 
 // NewWithWalkerPort is New with an explicit memory port for the page-table
-// walker (nil selects the default hier+mem port). Supplying the port at
-// construction — rather than mutating Walker.Port afterwards — keeps every
-// structural input to the pipeline compiler in one place.
+// walker (nil selects the default hier+mem port).
 func NewWithWalkerPort(cfg Config, hier *cache.Hierarchy, mem *phys.Memory, checker ptw.Checker, walkerPort memport.Port) *MMU {
 	if walkerPort == nil {
 		walkerPort = &memport.Timed{Hier: hier, Mem: mem}
@@ -140,18 +133,7 @@ func NewWithWalkerPort(cfg Config, hier *cache.Hierarchy, mem *phys.Memory, chec
 	m.hProtFault = m.Counters.Handle("mmu.prot_fault")
 	m.hAccessFaultData = m.Counters.Handle("mmu.access_fault_data")
 	m.hAccessFaultInline = m.Counters.Handle("mmu.access_fault_inline")
-	m.pipeline = compilePipeline(checker != nil, m.STLB.Len() > 0)
 	return m
-}
-
-// bump increments a pre-resolved handle on the fast path, or performs the
-// original map-keyed increment on the reference path.
-func (m *MMU) bump(h *uint64, name string) {
-	if fastpath.Enabled {
-		*h++
-	} else {
-		m.Counters.Inc(name)
-	}
 }
 
 // Config returns the MMU's configuration.
@@ -169,7 +151,7 @@ func (m *MMU) FlushTLB() {
 	m.DTLB.FlushAll()
 	m.STLB.FlushAll()
 	m.Walker.FlushPWC()
-	m.bump(m.hTLBFlush, "mmu.tlb_flush")
+	*m.hTLBFlush++
 }
 
 // FlushVA invalidates one page's translation (sfence.vma with an address).
@@ -178,7 +160,7 @@ func (m *MMU) FlushTLB() {
 // cost matters doubly here because even the single-address form empties the
 // whole PWC.
 //
-// FlushVA deliberately does NOT touch the PMPT walker cache or its memo:
+// FlushVA deliberately does NOT touch the PMPT walker cache:
 // sfence.vma (and this per-VA form of it) orders updates to the
 // VA-translation structures — TLB entries and page-table-walk caches keyed
 // by virtual address. The pmpte caches are keyed by *physical* address and
@@ -194,7 +176,7 @@ func (m *MMU) FlushVA(va addr.VA) {
 	m.STLB.FlushVPN(vpn)
 	// The PWC is conservatively flushed, as simple hardware does.
 	m.Walker.FlushPWC()
-	m.bump(m.hTLBFlushVA, "mmu.tlb_flush_va")
+	*m.hTLBFlushVA++
 }
 
 // TLBLevel says which TLB level (if any) served an access's translation.
@@ -271,7 +253,7 @@ func (r Result) Faulted() bool { return r.PageFault || r.ProtFault || r.AccessFa
 // removes every intermediate copy.
 func (m *MMU) Access(va addr.VA, k perm.Access, priv perm.Priv, now uint64, out *Result) error {
 	*out = Result{}
-	err := m.dispatch(va, k, priv, now, out)
+	err := m.accessInner(va, k, priv, now, out)
 	if err == nil {
 		m.LatHist.Observe(out.Latency)
 		if m.Trace != nil {
@@ -300,7 +282,7 @@ type AccessReq struct {
 // faulted references record their fault in out[i] and the batch continues,
 // exactly as a caller-driven loop would. What batching buys is amortization:
 // the trace/observer pointer tests are hoisted out of the loop and the
-// per-call result zeroing and dispatch overhead collapse into one pass.
+// per-call result zeroing and call overhead collapse into one pass.
 func (m *MMU) AccessBatch(refs []AccessReq, out []Result, now uint64) (uint64, error) {
 	if len(out) < len(refs) {
 		panic("mmu: AccessBatch out slice shorter than refs")
@@ -311,7 +293,7 @@ func (m *MMU) AccessBatch(refs []AccessReq, out []Result, now uint64) (uint64, e
 		r := &refs[i]
 		res := &out[i]
 		*res = Result{}
-		if err := m.dispatch(r.VA, r.Kind, r.Priv, now, res); err != nil {
+		if err := m.accessInner(r.VA, r.Kind, r.Priv, now, res); err != nil {
 			return now, err
 		}
 		m.LatHist.Observe(res.Latency)
@@ -379,12 +361,6 @@ func AccessEvent(va addr.VA, k perm.Access, res *Result) obs.Event {
 // outcome. It never copies Result: TLB-hit completion and the data access
 // mutate res in place, and the walk sub-result is built directly in
 // res.Walk via WalkInto.
-//
-// accessInner is the reference pipeline: compilePipeline (pipeline.go)
-// selects it whenever fastpath.Enabled is false at construction, and the
-// specialized variants must stay byte-identical to it — every structural
-// branch below (L2 presence, checker presence) has a compiled twin with the
-// branch resolved.
 func (m *MMU) accessInner(va addr.VA, k perm.Access, priv perm.Priv, now uint64, res *Result) error {
 	vpn := va.Frame()
 	l1 := m.DTLB
@@ -418,18 +394,18 @@ func (m *MMU) accessInner(va addr.VA, k perm.Access, priv perm.Priv, now uint64,
 	res.Latency += res.Walk.Latency
 	if res.Walk.AccessFault {
 		res.AccessFault = true
-		m.bump(m.hAccessFaultPT, "mmu.access_fault_pt")
+		*m.hAccessFaultPT++
 		return nil
 	}
 	if res.Walk.PageFault {
 		res.PageFault = true
-		m.bump(m.hPageFault, "mmu.page_fault")
+		*m.hPageFault++
 		return nil
 	}
 	tr := res.Walk.Translation
 	if !m.pagePermOK(tr.Perm, tr.User, k, priv) {
 		res.ProtFault = true
-		m.bump(m.hProtFault, "mmu.prot_fault")
+		*m.hProtFault++
 		return nil
 	}
 
@@ -444,7 +420,7 @@ func (m *MMU) accessInner(va addr.VA, k perm.Access, priv perm.Priv, now uint64,
 		res.DataCheckRefs += chk.MemRefs
 		if !chk.Allowed {
 			res.AccessFault = true
-			m.bump(m.hAccessFaultData, "mmu.access_fault_data")
+			*m.hAccessFaultData++
 			return nil
 		}
 		physPerm = chk.PermFound
@@ -475,12 +451,12 @@ func (m *MMU) accessInner(va addr.VA, k perm.Access, priv perm.Priv, now uint64,
 func (m *MMU) finishFromTLB(res *Result, e *tlb.Entry, va addr.VA, k perm.Access, priv perm.Priv, now uint64) error {
 	if !m.pagePermOK(e.Perm, e.User, k, priv) {
 		res.ProtFault = true
-		m.bump(m.hProtFault, "mmu.prot_fault")
+		*m.hProtFault++
 		return nil
 	}
 	if !e.PhysPerm.Allows(k) {
 		res.AccessFault = true
-		m.bump(m.hAccessFaultInline, "mmu.access_fault_inline")
+		*m.hAccessFaultInline++
 		return nil
 	}
 	res.PA = addr.PA(e.PFN<<addr.PageShift) + addr.PA(va.Offset())
@@ -493,11 +469,7 @@ func (m *MMU) dataAccess(res *Result, k perm.Access, now uint64) {
 	res.Latency += r.Latency
 	res.DataLatency = r.Latency
 	res.DataRefs = 1
-	if fastpath.Enabled {
-		*m.hData[r.Level]++
-	} else {
-		m.Counters.Inc("mmu.data_" + r.Level.String())
-	}
+	*m.hData[r.Level]++
 }
 
 // pagePermOK applies the PTE permission and privilege rules: U-mode needs

@@ -354,13 +354,13 @@ func (w *Walker) walkDeepInner(rootBase addr.PA, region addr.Range, mode TableMo
 		}
 		e := RootPTE(raw)
 		if !e.Valid() {
-			w.bump(w.handles().invalid, "pmptw.invalid")
+			*w.handles().invalid++
 			return res, nil
 		}
 		if e.IsHuge() {
 			res.Valid = true
 			res.Perm = e.Perm()
-			w.bump(w.handles().huge, "pmptw.huge")
+			*w.handles().huge++
 			return res, nil
 		}
 		base = e.LeafBase()
@@ -371,6 +371,6 @@ func (w *Walker) walkDeepInner(rootBase addr.PA, region addr.Range, mode TableMo
 	}
 	res.Valid = true
 	res.Perm = LeafPTE(raw).PagePerm(int((off >> 12) & 0xf))
-	w.bump(w.handles().walk, "pmptw.walk")
+	*w.handles().walk++
 	return res, nil
 }

@@ -349,8 +349,8 @@ func TestWalkerCacheDuplicateInsertRefreshes(t *testing.T) {
 	}
 }
 
-// TestWalkerCacheInvalidateClearsMemo: Invalidate must clear the last-hit
-// memo along with the entries.
+// TestWalkerCacheInvalidateClearsMemo: an entry that hit just before
+// Invalidate must not survive it, and its slot must be reusable.
 func TestWalkerCacheInvalidateClearsMemo(t *testing.T) {
 	c := NewWalkerCache(4)
 	c.Enabled = true

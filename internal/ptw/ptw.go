@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"hpmp/internal/addr"
-	"hpmp/internal/fastpath"
 	"hpmp/internal/hpmp"
 	"hpmp/internal/memport"
 	"hpmp/internal/obs"
@@ -57,20 +56,6 @@ type Walker struct {
 	// per level — the PWC-hit zero-alloc pin covers it.
 	Trace *obs.Tracer
 
-	// fetch is the compiled PTE-fetch step: one of four variants with the
-	// per-fetch `PWC != nil` / `Checker != nil` branches resolved at
-	// construction (Recompile), or the generic fetchPTE on the reference
-	// path. levels / canonShift / canonOnes are the Sv-geometry facts the
-	// walk loop would otherwise re-derive per walk through Mode's switches.
-	// All are set by Recompile: New calls it, and WalkInto/WalkBookkeeping
-	// compile lazily for struct-literal walkers. Anyone mutating Mode,
-	// Checker, or PWC after construction must call Recompile.
-	fetch      fetchKind
-	compiled   bool
-	levels     int
-	canonShift uint8 // 0 = every VA is canonical (Bare)
-	canonOnes  uint64
-
 	// Hot-path counter handles, resolved once in New.
 	hPWCHit, hPTEFetch, hWalkOK, hPageFault, hAccessFault *uint64
 
@@ -96,95 +81,12 @@ func New(mode addr.Mode, port memport.Port, checker Checker, pwcEntries int) *Wa
 	w.hWalkOK = w.Counters.Handle("ptw.walk_ok")
 	w.hPageFault = w.Counters.Handle("ptw.page_fault")
 	w.hAccessFault = w.Counters.Handle("ptw.access_fault")
-	w.Recompile()
 	return w
 }
 
-// fetchKind names one compiled PTE-fetch variant; see Recompile. Dispatch
-// is a switch on this one-byte kind rather than a stored function pointer:
-// an indirect call would defeat escape analysis on the *Result out-param
-// and heap-allocate every Walk's local Result (the zero-alloc pins gate
-// exactly that), while direct calls behind a predictable switch keep it on
-// the stack.
-type fetchKind uint8
-
-const (
-	fetchGeneric fetchKind = iota // the reference fetchPTE, every branch live
-	fetchCheckedPWC
-	fetchChecked
-	fetchPWC
-	fetchBare
-)
-
-// Recompile re-derives the walker's compiled state from its current Mode,
-// Checker, and PWC fields: the specialized fetch variant (fast path) or the
-// generic fetchPTE (reference path), plus the geometry constants the walk
-// loop uses in place of Mode's per-call switches. New calls it; callers
-// that mutate those fields afterwards must call it again.
-func (w *Walker) Recompile() {
-	w.compiled = true
-	w.levels = w.Mode.Levels()
-	if w.Mode == addr.Bare {
-		w.canonShift = 0
-	} else {
-		bits := w.Mode.VABits()
-		w.canonShift = uint8(bits - 1)
-		w.canonOnes = uint64(1)<<(64-bits+1) - 1
-	}
-	if !fastpath.Enabled {
-		w.fetch = fetchGeneric
-		return
-	}
-	switch {
-	case w.Checker != nil && w.PWC != nil:
-		w.fetch = fetchCheckedPWC
-	case w.Checker != nil:
-		w.fetch = fetchChecked
-	case w.PWC != nil:
-		w.fetch = fetchPWC
-	default:
-		w.fetch = fetchBare
-	}
-}
-
-// fetchDispatch runs the PTE-fetch variant compiled by Recompile.
-func (w *Walker) fetchDispatch(pteAddr addr.PA, now uint64, res *Result) (uint64, bool, error) {
-	switch w.fetch {
-	case fetchCheckedPWC:
-		return w.fetchCheckedPWC(pteAddr, now, res)
-	case fetchChecked:
-		return w.fetchChecked(pteAddr, now, res)
-	case fetchPWC:
-		return w.fetchPWC(pteAddr, now, res)
-	case fetchBare:
-		return w.fetchBare(pteAddr, now, res)
-	default:
-		return w.fetchPTE(pteAddr, now, res)
-	}
-}
-
-// canonical is Mode.Canonical with the mode switch compiled away.
-func (w *Walker) canonical(va addr.VA) bool {
-	if w.canonShift == 0 {
-		return true
-	}
-	top := uint64(va) >> w.canonShift
-	return top == 0 || top == w.canonOnes
-}
-
-// bump increments a pre-resolved handle on the fast path, or performs the
-// original map-keyed increment on the reference path.
-func (w *Walker) bump(h *uint64, name string) {
-	if fastpath.Enabled {
-		*h++
-	} else {
-		w.Counters.Inc(name)
-	}
-}
-
-// traceFetch emits one KindPTEFetch event. It lives outside Walk so the
-// event construction never competes for registers with the untraced hot
-// loop; the prev* values are the counters captured before the fetch, so
+// traceFetch emits one KindPTEFetch event. It lives outside the walk loop so
+// the event construction never competes for registers with the loop body;
+// the prev* values are the counters captured before the fetch, so
 // the event carries per-fetch deltas.
 func (w *Walker) traceFetch(va addr.VA, pteAddr addr.PA, level int, hit bool, res *Result, prevLat uint64, prevPT, prevChk int) {
 	ev := obs.Event{
@@ -226,11 +128,6 @@ func leafTranslation(e pt.PTE, va addr.VA, level int) pt.Translation {
 
 // Walk translates va starting from the page table rooted at root, issuing
 // memory references at core-cycle now.
-//
-// Tracing dispatches to a separate variant up front rather than branching
-// inside the loop: the untraced walk is the simulator's second-hottest
-// path (behind the L1 TLB hit) and its loop body must not carry tracing
-// spill code. BenchmarkPTWWalkPWCHit pins the budget.
 func (w *Walker) Walk(root addr.PA, va addr.VA, now uint64) (Result, error) {
 	var res Result
 	err := w.WalkInto(root, va, now, &res)
@@ -242,18 +139,8 @@ func (w *Walker) Walk(root addr.PA, va addr.VA, now uint64) (Result, error) {
 // returning the 64-byte struct by value through Walk costs a duffcopy per
 // TLB miss that this form avoids. *out is reset before the walk.
 func (w *Walker) WalkInto(root addr.PA, va addr.VA, now uint64, out *Result) error {
-	var err error
 	*out = Result{}
-	if !w.compiled {
-		// Struct-literal walkers (tests) compile on first walk, like the
-		// pmpt walker's lazy handles.
-		w.Recompile()
-	}
-	if w.Trace != nil {
-		err = w.walkTraced(root, va, now, out)
-	} else {
-		err = w.walkFast(root, va, now, out)
-	}
+	err := w.walk(root, va, now, out)
 	if err == nil && w.Hist != nil {
 		w.Hist.Observe(out.Latency)
 	}
@@ -269,69 +156,17 @@ func (w *Walker) WalkInto(root addr.PA, va addr.VA, now uint64, out *Result) err
 // is reserved for hardware-initiated walks.
 func (w *Walker) WalkBookkeeping(root addr.PA, va addr.VA, now uint64, out *Result) error {
 	*out = Result{}
-	if !w.compiled {
-		w.Recompile()
-	}
-	if w.Trace != nil {
-		return w.walkTraced(root, va, now, out)
-	}
-	return w.walkFast(root, va, now, out)
+	return w.walk(root, va, now, out)
 }
 
-// walkFast is the untraced walk loop; Walk dispatches here when no tracer
-// is attached.
-func (w *Walker) walkFast(root addr.PA, va addr.VA, now uint64, res *Result) error {
-	if !w.canonical(va) {
-		res.PageFault = true
-		res.FaultLevel = w.levels - 1
-		w.bump(w.hPageFault, "ptw.page_fault")
-		return nil
-	}
-	base := root
-	for level := w.levels - 1; level >= 0; level-- {
-		pteAddr := base + addr.PA(w.Mode.VPN(va, level)*8)
-		raw, hit, err := w.fetchDispatch(pteAddr, now, res)
-		if err != nil {
-			return err
-		}
-		if !hit && res.AccessFault {
-			res.FaultLevel = level
-			w.bump(w.hAccessFault, "ptw.access_fault")
-			return nil
-		}
-		e := pt.PTE(raw)
-		if !e.Valid() {
-			res.PageFault = true
-			res.FaultLevel = level
-			w.bump(w.hPageFault, "ptw.page_fault")
-			return nil
-		}
-		if e.Leaf() {
-			res.Translation = leafTranslation(e, va, level)
-			w.bump(w.hWalkOK, "ptw.walk_ok")
-			return nil
-		}
-		if level == 0 {
-			// A pointer entry where only leaves are legal: malformed table.
-			res.PageFault = true
-			res.FaultLevel = 0
-			w.bump(w.hPageFault, "ptw.page_fault")
-			return nil
-		}
-		base = e.Target()
-	}
-	return fmt.Errorf("ptw: walk fell through for %v", va)
-}
-
-// walkTraced is Walk with a KindPTEFetch event emitted per PTE lookup. It
-// must stay step-for-step identical to the untraced loop — the golden
-// trace and differential tests gate that — and exists only so the
-// disabled-tracing walk pays a single pointer compare at entry.
-func (w *Walker) walkTraced(root addr.PA, va addr.VA, now uint64, res *Result) error {
+// walk is the walk loop: one PTE fetch per level, with a KindPTEFetch event
+// emitted per fetch when a tracer is attached. Tracing only observes — the
+// fetch, its counters and its latency are the same either way.
+func (w *Walker) walk(root addr.PA, va addr.VA, now uint64, res *Result) error {
 	if !w.Mode.Canonical(va) {
 		res.PageFault = true
 		res.FaultLevel = w.Mode.Levels() - 1
-		w.bump(w.hPageFault, "ptw.page_fault")
+		*w.hPageFault++
 		return nil
 	}
 	base := root
@@ -342,29 +177,31 @@ func (w *Walker) walkTraced(root addr.PA, va addr.VA, now uint64, res *Result) e
 		if err != nil {
 			return err
 		}
-		w.traceFetch(va, pteAddr, level, hit, res, prevLat, prevPT, prevChk)
+		if w.Trace != nil {
+			w.traceFetch(va, pteAddr, level, hit, res, prevLat, prevPT, prevChk)
+		}
 		if !hit && res.AccessFault {
 			res.FaultLevel = level
-			w.bump(w.hAccessFault, "ptw.access_fault")
+			*w.hAccessFault++
 			return nil
 		}
 		e := pt.PTE(raw)
 		if !e.Valid() {
 			res.PageFault = true
 			res.FaultLevel = level
-			w.bump(w.hPageFault, "ptw.page_fault")
+			*w.hPageFault++
 			return nil
 		}
 		if e.Leaf() {
 			res.Translation = leafTranslation(e, va, level)
-			w.bump(w.hWalkOK, "ptw.walk_ok")
+			*w.hWalkOK++
 			return nil
 		}
 		if level == 0 {
 			// A pointer entry where only leaves are legal: malformed table.
 			res.PageFault = true
 			res.FaultLevel = 0
-			w.bump(w.hPageFault, "ptw.page_fault")
+			*w.hPageFault++
 			return nil
 		}
 		base = e.Target()
@@ -380,7 +217,7 @@ func (w *Walker) fetchPTE(pteAddr addr.PA, now uint64, res *Result) (raw uint64,
 	if w.PWC != nil {
 		if v, ok := w.PWC.Lookup(pteAddr); ok {
 			res.PWCHits++
-			w.bump(w.hPWCHit, "ptw.pwc_hit")
+			*w.hPWCHit++
 			return v, true, nil
 		}
 	}
@@ -402,103 +239,12 @@ func (w *Walker) fetchPTE(pteAddr addr.PA, now uint64, res *Result) (raw uint64,
 	}
 	res.Latency += lat
 	res.PTRefs++
-	w.bump(w.hPTEFetch, "ptw.pte_fetch")
+	*w.hPTEFetch++
 	// Only valid entries are cached — a PWC never caches faults, or a
 	// later mapping of the page would be invisible until a flush.
 	if w.PWC != nil && pt.PTE(v).Valid() {
 		w.PWC.Insert(pteAddr, v)
 	}
-	return v, false, nil
-}
-
-// The four compiled fetch variants below are fetchPTE with the `PWC != nil`
-// and `Checker != nil` branches resolved at Recompile time. Each must stay
-// observably identical to fetchPTE under its structural assumptions —
-// counters, latency charges, PWC fills, fault behavior — and the refpath
-// differential matrix in internal/integration gates exactly that.
-
-// fetchCheckedPWC: checker and PWC both present (the isolated-machine common
-// case).
-func (w *Walker) fetchCheckedPWC(pteAddr addr.PA, now uint64, res *Result) (uint64, bool, error) {
-	if v, ok := w.PWC.Lookup(pteAddr); ok {
-		res.PWCHits++
-		w.bump(w.hPWCHit, "ptw.pwc_hit")
-		return v, true, nil
-	}
-	chk, err := w.Checker.Check(pteAddr, 8, perm.Read, w.Priv, now+res.Latency)
-	if err != nil {
-		return 0, false, err
-	}
-	res.Latency += chk.Latency
-	res.PTCheckRefs += chk.MemRefs
-	if !chk.Allowed {
-		res.AccessFault = true
-		return 0, false, nil
-	}
-	v, lat, err := w.Port.Read64(pteAddr, now+res.Latency)
-	if err != nil {
-		return 0, false, err
-	}
-	res.Latency += lat
-	res.PTRefs++
-	w.bump(w.hPTEFetch, "ptw.pte_fetch")
-	if pt.PTE(v).Valid() {
-		w.PWC.Insert(pteAddr, v)
-	}
-	return v, false, nil
-}
-
-// fetchChecked: checker present, no PWC.
-func (w *Walker) fetchChecked(pteAddr addr.PA, now uint64, res *Result) (uint64, bool, error) {
-	chk, err := w.Checker.Check(pteAddr, 8, perm.Read, w.Priv, now+res.Latency)
-	if err != nil {
-		return 0, false, err
-	}
-	res.Latency += chk.Latency
-	res.PTCheckRefs += chk.MemRefs
-	if !chk.Allowed {
-		res.AccessFault = true
-		return 0, false, nil
-	}
-	v, lat, err := w.Port.Read64(pteAddr, now+res.Latency)
-	if err != nil {
-		return 0, false, err
-	}
-	res.Latency += lat
-	res.PTRefs++
-	w.bump(w.hPTEFetch, "ptw.pte_fetch")
-	return v, false, nil
-}
-
-// fetchPWC: PWC present, no checker (Fig. 2-a machines).
-func (w *Walker) fetchPWC(pteAddr addr.PA, now uint64, res *Result) (uint64, bool, error) {
-	if v, ok := w.PWC.Lookup(pteAddr); ok {
-		res.PWCHits++
-		w.bump(w.hPWCHit, "ptw.pwc_hit")
-		return v, true, nil
-	}
-	v, lat, err := w.Port.Read64(pteAddr, now+res.Latency)
-	if err != nil {
-		return 0, false, err
-	}
-	res.Latency += lat
-	res.PTRefs++
-	w.bump(w.hPTEFetch, "ptw.pte_fetch")
-	if pt.PTE(v).Valid() {
-		w.PWC.Insert(pteAddr, v)
-	}
-	return v, false, nil
-}
-
-// fetchBare: no checker, no PWC — a raw memory fetch per PTE.
-func (w *Walker) fetchBare(pteAddr addr.PA, now uint64, res *Result) (uint64, bool, error) {
-	v, lat, err := w.Port.Read64(pteAddr, now+res.Latency)
-	if err != nil {
-		return 0, false, err
-	}
-	res.Latency += lat
-	res.PTRefs++
-	w.bump(w.hPTEFetch, "ptw.pte_fetch")
 	return v, false, nil
 }
 
@@ -515,9 +261,6 @@ func (w *Walker) FlushPWC() {
 type PWC struct {
 	entries []pwcEntry
 	tick    uint64
-	// memo is the one-entry last-hit hint in front of the associative scan,
-	// consulted only on the fast path and revalidated before use.
-	memo fastpath.Memo
 }
 
 type pwcEntry struct {
@@ -533,49 +276,8 @@ func NewPWC(n int) *PWC { return &PWC{entries: make([]pwcEntry, n)} }
 // Len returns the capacity.
 func (c *PWC) Len() int { return len(c.entries) }
 
-// Lookup probes for the PTE at pa. On the fast path the scan starts at the
-// memoized last-hit slot and wraps: a walk probes its PTE addresses in a
-// stable cycle, so the next probe's slot is usually at or just after the
-// previous hit. PAs are unique among used entries (Insert refreshes a
-// duplicate in place), so scan order cannot change which entry is found, a
-// miss still inspects every used slot, and the LRU tick on a hit is exactly
-// the one the in-order scan would apply — the hint only reorders the search.
+// Lookup probes for the PTE at pa, refreshing its LRU stamp on a hit.
 func (c *PWC) Lookup(pa addr.PA) (uint64, bool) {
-	if fastpath.Enabled {
-		start := 0
-		if i := c.memo.Index(); i >= 0 {
-			start = i
-		}
-		// Used entries always form a prefix: Insert fills the first free
-		// slot, eviction replaces in place, and Invalidate clears all — so
-		// the first unused slot ends each scan segment.
-		for i := start; i < len(c.entries); i++ {
-			e := &c.entries[i]
-			if !e.used {
-				break
-			}
-			if e.pa == pa {
-				c.tick++
-				e.lru = c.tick
-				c.memo.Remember(i)
-				return e.val, true
-			}
-		}
-		for i := 0; i < start; i++ {
-			e := &c.entries[i]
-			if !e.used {
-				break
-			}
-			if e.pa == pa {
-				c.tick++
-				e.lru = c.tick
-				c.memo.Remember(i)
-				return e.val, true
-			}
-		}
-		return 0, false
-	}
-	// Reference path: the original in-order scan.
 	for i := range c.entries {
 		e := &c.entries[i]
 		if e.used && e.pa == pa {
@@ -620,12 +322,11 @@ func (c *PWC) Insert(pa addr.PA, val uint64) {
 	c.entries[slot] = pwcEntry{pa: pa, val: val, lru: c.tick, used: true}
 }
 
-// Invalidate clears the cache and its last-hit memo.
+// Invalidate clears the cache.
 func (c *PWC) Invalidate() {
 	for i := range c.entries {
 		c.entries[i] = pwcEntry{}
 	}
-	c.memo.Clear()
 }
 
 // Warm inserts a PTE without statistics, for Table 2 state priming.

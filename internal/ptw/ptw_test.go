@@ -6,6 +6,7 @@ import (
 	"hpmp/internal/addr"
 	"hpmp/internal/hpmp"
 	"hpmp/internal/memport"
+	"hpmp/internal/obs"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
 	"hpmp/internal/pmpt"
@@ -375,9 +376,9 @@ func TestPWCDuplicateInsertRefreshes(t *testing.T) {
 	}
 }
 
-// TestPWCInvalidateClearsMemo: after a Lookup primes the last-hit memo,
-// Invalidate must clear both the entries and the memo — a memoized probe
-// of the same PA right after a flush must miss.
+// TestPWCInvalidateClearsMemo: an entry that hit just before Invalidate
+// must not survive it — a probe of the same PA right after the flush must
+// miss — and its slot must be reusable.
 func TestPWCInvalidateClearsMemo(t *testing.T) {
 	c := NewPWC(4)
 	c.Insert(0x10, 1)
@@ -411,5 +412,117 @@ func TestPWCZeroCapacity(t *testing.T) {
 	c.Warm(0x20, 2)
 	if _, ok := c.Lookup(0x20); ok {
 		t.Error("zero-capacity PWC must ignore Warm")
+	}
+}
+
+// tracedWalks runs a fixed sequence of walks through a fresh PWC-equipped,
+// permission-table-checked walker — a cold walk, a PWC-hit repeat, an
+// adjacent page, a non-canonical VA, a level-0 pointer PTE, and a walk whose
+// root PT page the checker denies — with tr attached to the walker (nil for
+// an untraced run). It returns every Result, the walker and checker counter
+// snapshots, and how many events each walk emitted.
+func tracedWalks(t *testing.T, tr *obs.Tracer) (results []Result, counters string, events []int) {
+	t.Helper()
+	e := newEnv(t)
+	chk, ptbl := buildChecker(t, e, addr.Range{Base: 0, Size: 256 * addr.MiB})
+	if err := ptbl.SetRangePerm(addr.Range{Base: 0x40_0000, Size: 4 * addr.MiB}, perm.RW); err != nil {
+		t.Fatal(err)
+	}
+	va := addr.VA(0x4000_0000)
+	for i := 0; i < 2; i++ {
+		if err := e.tbl.Map(va+addr.VA(i)*addr.PageSize, 0x800_0000+addr.PA(i)*addr.PageSize, perm.RW, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A level-0 entry that is a pointer, where only leaves are legal.
+	ptrVA := addr.VA(0x8000_0000)
+	l1page, _ := e.alloc.Alloc()
+	e.mem.ZeroPage(l1page)
+	l0page, _ := e.alloc.Alloc()
+	e.mem.ZeroPage(l0page)
+	bogus, _ := e.alloc.Alloc()
+	e.mem.Write64(e.tbl.Root()+addr.PA(addr.Sv39.VPN(ptrVA, 2)*8), uint64(pt.MakePointer(l1page)))
+	e.mem.Write64(l1page+addr.PA(addr.Sv39.VPN(ptrVA, 1)*8), uint64(pt.MakePointer(l0page)))
+	e.mem.Write64(l0page+addr.PA(addr.Sv39.VPN(ptrVA, 0)*8), uint64(pt.MakePointer(bogus)))
+	// A second page table whose pages the permission table never grants.
+	denied, err := pt.New(e.mem, phys.NewFrameAllocator(addr.Range{Base: 0x80_0000, Size: 4 * addr.MiB}, false), addr.Sv39)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := denied.Map(va, 0x800_0000, perm.RW, true); err != nil {
+		t.Fatal(err)
+	}
+
+	w := New(addr.Sv39, e.port, chk, 8)
+	w.Trace = tr
+	now := uint64(0)
+	for _, probe := range []struct {
+		root addr.PA
+		va   addr.VA
+	}{
+		{e.tbl.Root(), va},                      // cold: three fetches, three checks
+		{e.tbl.Root(), va},                      // every level a PWC hit
+		{e.tbl.Root(), va + addr.PageSize},      // two PWC hits, one fetch
+		{e.tbl.Root(), addr.VA(1) << 62},        // non-canonical: no fetch
+		{e.tbl.Root(), ptrVA},                   // pointer at level 0
+		{denied.Root(), va},                     // root PT page denied
+		{e.tbl.Root(), addr.VA(0x3f_ffff_f000)}, // invalid root entry
+	} {
+		before := 0
+		if tr != nil {
+			before = tr.Kept()
+		}
+		res, err := w.Walk(probe.root, probe.va, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now += res.Latency + 1
+		results = append(results, res)
+		if tr != nil {
+			events = append(events, tr.Kept()-before)
+		}
+	}
+	return results, w.Counters.String() + " " + chk.Counters.String() + " " + chk.Walker.Counters.String(), events
+}
+
+// TestTraceIsInert: the walk loop emits one KindPTEFetch per level visited
+// when a tracer is attached, and attaching it changes nothing else — the
+// same walks give identical Results and counters with and without it.
+func TestTraceIsInert(t *testing.T) {
+	plain, plainCounters, _ := tracedWalks(t, nil)
+	tr := obs.NewTracer(1024, 1)
+	traced, tracedCounters, events := tracedWalks(t, tr)
+
+	if len(plain) != len(traced) {
+		t.Fatalf("%d untraced results, %d traced", len(plain), len(traced))
+	}
+	for i := range plain {
+		if plain[i] != traced[i] {
+			t.Errorf("walk %d differs:\n  untraced: %+v\n  traced:   %+v", i, plain[i], traced[i])
+		}
+	}
+	if plainCounters != tracedCounters {
+		t.Errorf("counters differ:\n  untraced: %s\n  traced:   %s", plainCounters, tracedCounters)
+	}
+
+	// Levels visited per walk, and the outcome each walk must have, so the
+	// sequence really covers the shapes it names.
+	wantLevels := []int{3, 3, 3, 0, 3, 1, 1}
+	r := traced
+	if r[1].PWCHits != 3 || r[2].PWCHits != 2 || !r[3].PageFault || !r[4].PageFault || r[4].FaultLevel != 0 ||
+		!r[5].AccessFault || r[5].FaultLevel != 2 || !r[6].PageFault {
+		t.Fatalf("walk sequence lost a case: %+v", r)
+	}
+	evs := tr.Events()
+	for i, want := range wantLevels {
+		if events[i] != want {
+			t.Fatalf("walk %d emitted %d events, want %d (one per level visited)", i, events[i], want)
+		}
+		for j, ev := range evs[:want] {
+			if ev.Kind != obs.KindPTEFetch || int(ev.Level) != 2-j {
+				t.Errorf("walk %d event %d: kind %v level %d, want KindPTEFetch at level %d", i, j, ev.Kind, ev.Level, 2-j)
+			}
+		}
+		evs = evs[want:]
 	}
 }

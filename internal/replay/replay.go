@@ -194,8 +194,8 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.tbl = tbl
 	// SetRoot's flush contract is trivially met here: the machine was
-	// assembled above and has never translated, so every TLB level and
-	// fastpath memo is empty — there is no stale state a flush could clear.
+	// assembled above and has never translated, so every TLB level and the
+	// PWC are empty — there is no stale state a flush could clear.
 	mach.MMU.SetRoot(tbl.Root())
 
 	if err := e.programIsolation(ptRegion, pmptRegion); err != nil {

@@ -54,6 +54,9 @@ func TestQueueBackpressure(t *testing.T) {
 	if st := waitTerminal(t, ts, first.ID); st.State != StateDone {
 		t.Fatalf("released job: %s", st.State)
 	}
+	// The first job reaching a terminal state does not mean the worker has
+	// pulled the next one off the queue yet; only its start frees a slot.
+	<-started
 	if _, resp := postJob(t, ts, lightJob); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("post-release submit: HTTP %d", resp.StatusCode)
 	}

@@ -99,8 +99,8 @@ type Machine struct {
 	TableDepth int
 	// Scalar drains access blocks through the scalar mmu.Access entry
 	// point — one call per reference with the same per-access accounting —
-	// instead of mmu.AccessBatch. The pipeline differential matrix uses it
-	// to prove both entry points byte-identical on every compiled variant.
+	// instead of mmu.AccessBatch. The replay matrix uses it to prove both
+	// entry points byte-identical on every machine config.
 	Scalar bool
 }
 
