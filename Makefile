@@ -30,13 +30,21 @@ smoke:
 
 # Observability smoke: one quick experiment with tracing and metrics
 # export on, leaving the artifacts in obs-out/ for inspection (CI uploads
-# them). The trace must parse back through cmd/hpmptrace.
+# them). The trace must parse back through cmd/hpmptrace. Then hpmptrace's
+# own run mode: one traced workload (summary, CSV ring, JSONL trace), whose
+# trace must summarize with -stats and pass -replay-check.
 obs-smoke:
 	$(GO) run ./cmd/hpmpsim -quick -progress \
 		-trace obs-out/traces -trace-every 16 \
 		-metrics-dir obs-out/metrics \
 		run fig10 > /dev/null
 	$(GO) run ./cmd/hpmptrace -read obs-out/traces/fig10.trace.jsonl > /dev/null
+	mkdir -p obs-out/hpmptrace
+	$(GO) run ./cmd/hpmptrace -mode hpmp -workload sha512 \
+		-csv obs-out/hpmptrace/sha512.csv \
+		-trace obs-out/hpmptrace/sha512.trace.jsonl > obs-out/hpmptrace/sha512.summary.txt
+	$(GO) run ./cmd/hpmptrace -stats obs-out/hpmptrace/sha512.trace.jsonl
+	$(GO) run ./cmd/hpmptrace -replay-check obs-out/hpmptrace/sha512.trace.jsonl
 
 # Replay smoke: capture a tiny trace from one quick experiment, verify the
 # round-trip property through cmd/hpmptrace, then replay it twice through

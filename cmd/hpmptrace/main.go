@@ -31,9 +31,10 @@ import (
 	"hpmp/internal/kernel"
 	"hpmp/internal/monitor"
 	"hpmp/internal/obs"
+	"hpmp/internal/perm"
 	"hpmp/internal/replay"
 	"hpmp/internal/simcfg"
-	"hpmp/internal/trace"
+	"hpmp/internal/stats"
 	"hpmp/internal/workloads"
 )
 
@@ -52,119 +53,175 @@ func catalog() map[string]workloads.Workload {
 }
 
 func main() {
-	mf := simcfg.AddFlags(flag.CommandLine, "")
-	wlFlag := flag.String("workload", "qsort", "workload name (see -list)")
-	csvPath := flag.String("csv", "", "write the retained event ring as CSV to this file")
-	tracePath := flag.String("trace", "", "write the retained event ring as a JSONL trace (hpmp-trace/v1) to this file")
-	readPath := flag.String("read", "", "pretty-print a JSONL trace file and exit (no simulation)")
-	statsPath := flag.String("stats", "", "print a per-kind summary of a JSONL trace file and exit (no simulation)")
-	checkPath := flag.String("replay-check", "", "round-trip a JSONL trace through the replay engine twice and verify the replays agree byte-for-byte (no simulation)")
-	keep := flag.Int("keep", 4096, "events retained in the ring")
-	list := flag.Bool("list", false, "list workloads and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable CLI entry point: it parses argv, executes the
+// command, and returns the process exit code (0 ok, 1 failure, 2 usage
+// error).
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hpmptrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mf := simcfg.AddFlags(fs, "")
+	wlFlag := fs.String("workload", "qsort", "workload name (see -list)")
+	csvPath := fs.String("csv", "", "write the retained event ring as CSV to this file")
+	tracePath := fs.String("trace", "", "write the retained event ring as a JSONL trace (hpmp-trace/v1) to this file")
+	readPath := fs.String("read", "", "pretty-print a JSONL trace file and exit (no simulation)")
+	statsPath := fs.String("stats", "", "print a per-kind summary of a JSONL trace file and exit (no simulation)")
+	checkPath := fs.String("replay-check", "", "round-trip a JSONL trace through the replay engine twice and verify the replays agree byte-for-byte (no simulation)")
+	keep := fs.Int("keep", 4096, "events retained in the ring")
+	list := fs.Bool("list", false, "list workloads and exit")
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	if *keep < 1 {
+		fmt.Fprintf(stderr, "hpmptrace: -keep must be at least 1 (got %d)\n", *keep)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "hpmptrace:", err)
+		return 1
+	}
 
 	if *readPath != "" {
-		if err := readTrace(*readPath); err != nil {
-			fatal(err)
+		if err := readTrace(stdout, *readPath); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 	if *statsPath != "" {
-		if err := statsTrace(os.Stdout, *statsPath); err != nil {
-			fatal(err)
+		if err := statsTrace(stdout, *statsPath); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 	if *checkPath != "" {
-		if err := replayCheck(*checkPath); err != nil {
-			fatal(err)
+		if err := replayCheck(stdout, *checkPath); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	cat := catalog()
 	if *list {
 		for name := range cat {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
-		return
+		return 0
 	}
 	w, ok := cat[*wlFlag]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "hpmptrace: unknown workload %q (try -list)\n", *wlFlag)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "hpmptrace: unknown workload %q (try -list)\n", *wlFlag)
+		return 2
 	}
 	m := mf.Machine()
 	if err := m.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "hpmptrace: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "hpmptrace: %v\n", err)
+		return 2
 	}
 	mode, ok := m.Mode.MonitorMode()
 	if !ok {
-		fmt.Fprintf(os.Stderr, "hpmptrace: unknown mode %q\n", m.Mode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "hpmptrace: unknown mode %q\n", m.Mode)
+		return 2
 	}
 
 	mach := m.Assemble()
 	plat := mach.Plat
 	mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	k, err := kernel.New(mach, mon, kernel.DefaultConfig(m.MemSize))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	p, err := k.Spawn(kernel.Image{Name: w.Name(), TextPages: 32, DataPages: 32, HeapPages: 96 * 1024})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	env, err := k.NewEnv(p)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	rec := trace.New(*keep)
-	rec.Attach(mach.MMU)
+	// The MMU hook only, so the ring holds access events and the tracer's
+	// tally covers exactly the run's accesses.
+	tr := obs.NewTracer(*keep, 1)
+	mach.MMU.Trace = tr
 
 	start := mach.Core.Now
 	sum, err := w.Run(env)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	cycles := mach.Core.Now - start
 
-	fmt.Printf("workload %s under Penglai-%s on %s\n", w.Name(), mode, plat.Core.Name)
-	fmt.Printf("result checksum %#x, %d cycles (%.3f ms simulated)\n\n",
+	fmt.Fprintf(stdout, "workload %s under Penglai-%s on %s\n", w.Name(), mode, plat.Core.Name)
+	fmt.Fprintf(stdout, "result checksum %#x, %d cycles (%.3f ms simulated)\n\n",
 		sum, cycles, float64(cycles)/(plat.Core.ClockGHz*1e6))
-	fmt.Print(rec.Summary())
+	writeSummary(stdout, tr.Tally(), mach.MMU.LatHist)
 
 	if *csvPath != "" {
-		if err := os.WriteFile(*csvPath, []byte(rec.CSV()), 0o644); err != nil {
-			fatal(err)
+		var b bytes.Buffer
+		writeCSV(&b, tr)
+		if err := os.WriteFile(*csvPath, b.Bytes(), 0o644); err != nil {
+			return fail(err)
 		}
-		fmt.Printf("\nwrote %d events to %s\n", len(rec.Events()), *csvPath)
+		fmt.Fprintf(stdout, "\nwrote %d events to %s\n", tr.Kept(), *csvPath)
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		source := fmt.Sprintf("%s/%s/%s", w.Name(), mode, plat.Core.Name)
-		if err := obs.WriteTrace(f, source, rec.Tracer()); err != nil {
+		if err := obs.WriteTrace(f, source, tr); err != nil {
 			f.Close()
-			fatal(err)
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("\nwrote %d events to %s\n", len(rec.Events()), *tracePath)
+		fmt.Fprintf(stdout, "\nwrote %d events to %s\n", tr.Kept(), *tracePath)
 	}
+	return 0
+}
+
+// writeSummary renders the whole-run statistics: counts and references
+// from the tracer's tally, the latency distribution from the MMU's
+// access-latency histogram. Both see every completed access, faulted or
+// not, so they describe the same set.
+func writeSummary(w io.Writer, t obs.Tally, lat *stats.Histogram) {
+	fmt.Fprintf(w, "accesses: %d (reads %d, writes %d, fetches %d, faults %d)\n",
+		t.Accesses, t.ByAccess[perm.Read], t.ByAccess[perm.Write], t.ByAccess[perm.Fetch], t.Faults)
+	if t.Accesses > 0 {
+		pct := func(p obs.TLBPath) float64 { return 100 * float64(t.ByTLB[p]) / float64(t.Accesses) }
+		fmt.Fprintf(w, "TLB: L1 %.1f%%, L2 %.1f%%, miss %.1f%%\n",
+			pct(obs.TLBL1), pct(obs.TLBL2), pct(obs.TLBMiss))
+	}
+	// An event's Refs are its PTE fetches, its permission-table references
+	// (ChkRefs) and, unless it faulted, the one data reference.
+	data := t.Accesses - t.Faults
+	fmt.Fprintf(w, "memory references: %d PTE fetches, %d permission-table, %d data\n",
+		t.Refs-t.ChkRefs-data, t.ChkRefs, data)
+	fmt.Fprintf(w, "latency cycles: mean %.1f, p50 ≤%d, p99 ≤%d, max %d\n",
+		lat.Mean(), lat.Quantile(0.5), lat.Quantile(0.99), lat.Max())
+}
+
+// writeCSV renders the tracer's retained events, oldest first.
+func writeCSV(w io.Writer, tr *obs.Tracer) {
+	fmt.Fprintln(w, "seq,va,pa,access,tlb,refs,chk_refs,cycles,fault")
+	tr.Each(func(ev obs.Event) bool {
+		fmt.Fprintf(w, "%d,%#x,%#x,%s,%s,%d,%d,%d,%v\n",
+			ev.Seq, uint64(ev.VA), uint64(ev.PA), ev.Access, ev.TLB,
+			ev.Refs, ev.ChkRefs, ev.Cycles, ev.Fault != obs.FaultNone)
+		return true
+	})
 }
 
 // readTrace decodes a hpmp-trace/v1 file (from this tool or hpmpsim
 // -trace) and pretty-prints it.
-func readTrace(path string) error {
+func readTrace(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -174,10 +231,10 @@ func readTrace(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("trace %s: source=%s sample-every=%d ring=%d seen=%d sampled=%d kept=%d\n",
+	fmt.Fprintf(w, "trace %s: source=%s sample-every=%d ring=%d seen=%d sampled=%d kept=%d\n",
 		path, h.Source, h.SampleEvery, h.Ring, h.Seen, h.Sampled, h.Kept)
 	for _, ev := range events {
-		fmt.Println(obs.FormatEvent(ev))
+		fmt.Fprintln(w, obs.FormatEvent(ev))
 	}
 	return nil
 }
@@ -247,7 +304,7 @@ func statsTrace(w io.Writer, path string) error {
 // byte-for-byte (counters and Prometheus text) with zero divergences from
 // the recorded outcomes. This is the CLI form of the replay-equivalence
 // property the integration tier pins.
-func replayCheck(path string) error {
+func replayCheck(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -287,13 +344,8 @@ func replayCheck(path string) error {
 		return fmt.Errorf("replay-check %s: two replays of the same trace disagree", path)
 	}
 	s := e1.Stats
-	fmt.Printf("replay-check %s: OK\n", path)
-	fmt.Printf("  source %s, %d events; replayed %d accesses (%d skipped), %d maps, byte-identical twice\n",
+	fmt.Fprintf(w, "replay-check %s: OK\n", path)
+	fmt.Fprintf(w, "  source %s, %d events; replayed %d accesses (%d skipped), %d maps, byte-identical twice\n",
 		h.Source, s.Events, s.Accesses, s.Skipped(), s.Maps)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hpmptrace:", err)
-	os.Exit(1)
 }

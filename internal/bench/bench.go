@@ -47,10 +47,6 @@ type Config struct {
 	tracer *obs.Tracer
 }
 
-// MinMemSize is the smallest simulated DRAM size the harness accepts —
-// simcfg's floor, re-exported for call-site compatibility.
-const MinMemSize = simcfg.MinMemSize
-
 // DefaultConfig returns the full-size configuration.
 func DefaultConfig() Config {
 	return Config{Machine: simcfg.Default()}
@@ -66,9 +62,10 @@ func (c Config) Validate() error {
 	return c.Workload.Validate()
 }
 
-// observe registers a machine's cpu and mmu counters with the run's
-// observer and attaches the run's tracer (when one is configured) to the
-// machine's translation-path hooks; a no-op outside the runner.
+// observe registers a machine's counter sets and latency histograms (the
+// list cpu.Machine keeps) with the run's observer and attaches the run's
+// tracer (when one is configured) to the machine's translation-path hooks;
+// a no-op outside the runner.
 func (c Config) observe(m *cpu.Machine) {
 	if m == nil {
 		return
@@ -79,33 +76,9 @@ func (c Config) observe(m *cpu.Machine) {
 	if c.obs == nil {
 		return
 	}
-	c.obs.add(func(into *stats.Counters) {
-		into.Merge(&m.Core.Counters)
-		into.Merge(&m.MMU.Counters)
-		// The translation structures keep their own counter sets; merging
-		// them here is what makes the per-experiment metrics snapshot
-		// (hit-rate derivations in internal/obs) self-contained.
-		into.Merge(&m.MMU.Walker.Counters)
-		into.Merge(&m.MMU.ITLB.Counters)
-		into.Merge(&m.MMU.DTLB.Counters)
-		into.Merge(&m.MMU.STLB.Counters)
-		into.Merge(&m.Hier.Counters)
-		if chk, ok := m.MMU.HPMPChecker(); ok {
-			into.Merge(&chk.Counters)
-			if chk.Walker != nil {
-				into.Merge(&chk.Walker.Counters)
-			}
-		}
-	})
+	c.obs.add(m.MergeCounters)
 	c.obs.addHists(func(into map[string]*stats.Histogram) {
-		mergeHist(into, "mmu.access_latency", m.MMU.LatHist)
-		mergeHist(into, "ptw.walk_latency", m.MMU.Walker.Hist)
-		if chk, ok := m.MMU.HPMPChecker(); ok {
-			mergeHist(into, "hpmp.check_latency", chk.Hist)
-			if chk.Walker != nil {
-				mergeHist(into, "pmptw.walk_latency", chk.Walker.Hist())
-			}
-		}
+		m.EachHistogram(func(family string, h *stats.Histogram) { mergeHist(into, family, h) })
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hpmp/internal/cpu"
+	"hpmp/internal/simcfg"
 	"hpmp/internal/stats"
 )
 
@@ -272,11 +273,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("MemSize 0 must be rejected")
 	}
-	cfg.MemSize = MinMemSize - 1
+	cfg.MemSize = simcfg.MinMemSize - 1
 	if err := cfg.Validate(); err == nil {
 		t.Error("sub-minimum MemSize must be rejected")
 	}
-	cfg.MemSize = MinMemSize
+	cfg.MemSize = simcfg.MinMemSize
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("MinMemSize must validate: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"hpmp/internal/addr"
 	"hpmp/internal/mmu"
+	"hpmp/internal/obs"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
 	"hpmp/internal/pt"
@@ -113,7 +114,7 @@ func TestBOOMHidesDataLatencyOnly(t *testing.T) {
 	b0 = mB.Core.Now
 	res, _ := coreLoad(mB.Core, vaB)
 	walkStall := mB.Core.Now - b0
-	if res.TLBHit != mmu.TLBMiss {
+	if res.TLBHit != obs.TLBMiss {
 		t.Fatalf("expected a walk, got %s", res.TLBHit)
 	}
 	translation := res.Latency - res.DataLatency
@@ -138,12 +139,12 @@ func TestColdReset(t *testing.T) {
 	m, va := setup(t, RocketPlatform())
 	coreLoad(m.Core, va)
 	res, _ := coreLoad(m.Core, va)
-	if res.TLBHit != mmu.TLBHitL1 {
+	if res.TLBHit != obs.TLBL1 {
 		t.Fatal("expected warm TLB")
 	}
 	m.ColdReset()
 	res, _ = coreLoad(m.Core, va)
-	if res.TLBHit != mmu.TLBMiss {
+	if res.TLBHit != obs.TLBMiss {
 		t.Errorf("after ColdReset access must walk, got %s", res.TLBHit)
 	}
 	if res.Walk.PTRefs == 0 {
@@ -247,7 +248,7 @@ func TestFetchPath(t *testing.T) {
 	}
 	// Fetches use the ITLB: a repeat hits it.
 	res, _ = coreFetch(m.Core, code)
-	if res.TLBHit != mmu.TLBHitL1 {
+	if res.TLBHit != obs.TLBL1 {
 		t.Errorf("second fetch should hit the ITLB, got %s", res.TLBHit)
 	}
 	// Fetching a non-executable page prot-faults.

@@ -10,6 +10,7 @@ import (
 	"hpmp/internal/obs"
 	"hpmp/internal/phys"
 	"hpmp/internal/pmpt"
+	"hpmp/internal/stats"
 )
 
 // Platform bundles the full SoC configuration of one of the two evaluation
@@ -140,6 +141,38 @@ func (m *Machine) SetTracer(t *obs.Tracer) {
 		c.Trace = t
 		if c.Walker != nil {
 			c.Walker.Trace = t
+		}
+	}
+}
+
+// MergeCounters folds every counter set of the machine into into, in a
+// fixed order — the one list the experiment harness and the replay engine
+// both build their per-machine metrics from.
+func (m *Machine) MergeCounters(into *stats.Counters) {
+	into.Merge(&m.Core.Counters)
+	into.Merge(&m.MMU.Counters)
+	into.Merge(&m.MMU.Walker.Counters)
+	into.Merge(&m.MMU.ITLB.Counters)
+	into.Merge(&m.MMU.DTLB.Counters)
+	into.Merge(&m.MMU.STLB.Counters)
+	into.Merge(&m.Hier.Counters)
+	if chk, ok := m.MMU.HPMPChecker(); ok {
+		into.Merge(&chk.Counters)
+		if chk.Walker != nil {
+			into.Merge(&chk.Walker.Counters)
+		}
+	}
+}
+
+// EachHistogram calls fn with every cycle-latency histogram of the machine
+// and the metrics family it belongs to.
+func (m *Machine) EachHistogram(fn func(family string, h *stats.Histogram)) {
+	fn("mmu.access_latency", m.MMU.LatHist)
+	fn("ptw.walk_latency", m.MMU.Walker.Hist)
+	if chk, ok := m.MMU.HPMPChecker(); ok {
+		fn("hpmp.check_latency", chk.Hist)
+		if chk.Walker != nil {
+			fn("pmptw.walk_latency", chk.Walker.Hist())
 		}
 	}
 }

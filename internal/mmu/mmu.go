@@ -70,13 +70,10 @@ type MMU struct {
 	Hier    *cache.Hierarchy
 	Mem     *phys.Memory
 
-	// Observer, when set, sees every completed Access (tracing,
-	// statistics). It must not re-enter the MMU.
-	Observer func(va addr.VA, k perm.Access, res Result)
-
 	// Trace, when set, receives one obs.KindAccess event per completed
-	// access. Nil (the default) is the disabled state and costs one pointer
-	// compare per access — the hot-path zero-alloc pins cover it.
+	// access; it is the MMU's only per-access observation hook. Nil (the
+	// default) is the disabled state and costs one pointer compare per
+	// access — the hot-path zero-alloc pins cover it.
 	Trace *obs.Tracer
 
 	// Hot-path counter handles, resolved once in New. hData is indexed by
@@ -179,41 +176,15 @@ func (m *MMU) FlushVA(va addr.VA) {
 	*m.hTLBFlushVA++
 }
 
-// TLBLevel says which TLB level (if any) served an access's translation.
-// It replaces the old `TLBHit string` field: the three outcomes were
-// interned strings, but carrying a 16-byte string header through every
-// Result copy kept the struct in duffcopy territory; a one-byte enum
-// rendered back to "L1"/"L2"/"miss" at the edges (String, AccessEvent)
-// models the same fact for free. The zero value is TLBMiss, matching a
-// zeroed Result before any lookup succeeded.
-type TLBLevel uint8
-
-const (
-	// TLBMiss: both TLB levels missed and a hardware walk ran.
-	TLBMiss TLBLevel = iota
-	// TLBHitL1 / TLBHitL2: the translation came from that TLB level.
-	TLBHitL1
-	TLBHitL2
-)
-
-// String renders the level in the legacy trace vocabulary.
-func (l TLBLevel) String() string {
-	switch l {
-	case TLBHitL1:
-		return "L1"
-	case TLBHitL2:
-		return "L2"
-	default:
-		return "miss"
-	}
-}
-
 // Result describes one access through the MMU.
 type Result struct {
 	PA      addr.PA
 	Latency uint64
 
-	TLBHit    TLBLevel
+	// TLBHit says where the translation came from: obs.TLBL1, obs.TLBL2,
+	// or obs.TLBMiss when a hardware walk ran. Every completed access sets
+	// it, so the trace record carries it unchanged.
+	TLBHit    obs.TLBPath
 	Walk      ptw.Result
 	Walked    bool
 	PageFault bool
@@ -259,9 +230,6 @@ func (m *MMU) Access(va addr.VA, k perm.Access, priv perm.Priv, now uint64, out 
 		if m.Trace != nil {
 			m.Trace.Emit(AccessEvent(va, k, out))
 		}
-		if m.Observer != nil {
-			m.Observer(va, k, *out)
-		}
 	}
 	return err
 }
@@ -281,14 +249,13 @@ type AccessReq struct {
 // The batch is observably identical to len(refs) sequential Access calls —
 // faulted references record their fault in out[i] and the batch continues,
 // exactly as a caller-driven loop would. What batching buys is amortization:
-// the trace/observer pointer tests are hoisted out of the loop and the
-// per-call result zeroing and call overhead collapse into one pass.
+// the trace pointer test is hoisted out of the loop and the per-call result
+// zeroing and call overhead collapse into one pass.
 func (m *MMU) AccessBatch(refs []AccessReq, out []Result, now uint64) (uint64, error) {
 	if len(out) < len(refs) {
 		panic("mmu: AccessBatch out slice shorter than refs")
 	}
 	traced := m.Trace != nil
-	observed := m.Observer != nil
 	for i := range refs {
 		r := &refs[i]
 		res := &out[i]
@@ -299,9 +266,6 @@ func (m *MMU) AccessBatch(refs []AccessReq, out []Result, now uint64) (uint64, e
 		m.LatHist.Observe(res.Latency)
 		if traced {
 			m.Trace.Emit(AccessEvent(r.VA, r.Kind, res))
-		}
-		if observed {
-			m.Observer(r.VA, r.Kind, *res)
 		}
 		now += res.Latency
 	}
@@ -323,28 +287,21 @@ func satRefs(n int) uint16 {
 	return uint16(n)
 }
 
-// AccessEvent maps a completed access onto the shared trace record. The MMU
-// calls it only with a tracer attached, so its cost never reaches the
-// disabled hot path; internal/trace reuses it so every consumer agrees on
-// the Result → Event mapping.
+// AccessEvent maps a completed access onto the shared trace record, the
+// one Result → Event mapping every trace consumer reads. The MMU calls it
+// only with a tracer attached, so its cost never reaches the disabled hot
+// path.
 func AccessEvent(va addr.VA, k perm.Access, res *Result) obs.Event {
 	ev := obs.Event{
 		Kind:    obs.KindAccess,
 		Access:  k,
+		TLB:     res.TLBHit,
 		VA:      va,
 		PA:      res.PA,
 		Level:   -1,
 		Refs:    satRefs(res.TotalRefs()),
 		ChkRefs: satRefs(res.Walk.PTCheckRefs + res.DataCheckRefs),
 		Cycles:  res.Latency,
-	}
-	switch res.TLBHit {
-	case TLBHitL1:
-		ev.TLB = obs.TLBL1
-	case TLBHitL2:
-		ev.TLB = obs.TLBL2
-	default:
-		ev.TLB = obs.TLBMiss
 	}
 	switch {
 	case res.PageFault:
@@ -370,7 +327,7 @@ func (m *MMU) accessInner(va addr.VA, k perm.Access, priv perm.Priv, now uint64,
 
 	// 1. L1 TLB.
 	if e, ok := l1.Lookup(vpn); ok {
-		res.TLBHit = TLBHitL1
+		res.TLBHit = obs.TLBL1
 		return m.finishFromTLB(res, e, va, k, priv, now)
 	}
 	// 2. L2 TLB. An absent L2 (zero capacity) performs no probe and charges
@@ -378,12 +335,12 @@ func (m *MMU) accessInner(va addr.VA, k perm.Access, priv perm.Priv, now uint64,
 	if m.STLB.Len() > 0 {
 		res.Latency += m.STLB.Latency
 		if e, ok := m.STLB.Lookup(vpn); ok {
-			res.TLBHit = TLBHitL2
+			res.TLBHit = obs.TLBL2
 			l1.Insert(*e)
 			return m.finishFromTLB(res, e, va, k, priv, now)
 		}
 	}
-	res.TLBHit = TLBMiss
+	res.TLBHit = obs.TLBMiss
 
 	// 3. Hardware walk.
 	res.Walked = true

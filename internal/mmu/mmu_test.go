@@ -8,6 +8,7 @@ import (
 	"hpmp/internal/dram"
 	"hpmp/internal/hpmp"
 	"hpmp/internal/memport"
+	"hpmp/internal/obs"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
 	"hpmp/internal/pmpt"
@@ -179,7 +180,7 @@ func TestTLBHitSkipsChecker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.TLBHit != TLBHitL1 {
+		if res.TLBHit != obs.TLBL1 {
 			t.Fatalf("mode %d: second access should hit L1 TLB, got %s", mode, res.TLBHit)
 		}
 		if res.TotalRefs() != 1 {
@@ -207,7 +208,7 @@ func TestL2TLBPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TLBHit != TLBHitL2 {
+	if res.TLBHit != obs.TLBL2 {
 		t.Errorf("want L2 TLB hit, got %s", res.TLBHit)
 	}
 	if res.TotalRefs() != 1 {
@@ -215,7 +216,7 @@ func TestL2TLBPath(t *testing.T) {
 	}
 	// And it back-fills L1.
 	res, _ = r.access(va, perm.Read, perm.U, 600)
-	if res.TLBHit != TLBHitL1 {
+	if res.TLBHit != obs.TLBL1 {
 		t.Errorf("after L2 hit, L1 should be filled: %s", res.TLBHit)
 	}
 }
@@ -325,7 +326,7 @@ func TestInlinedPermStopsLaterKinds(t *testing.T) {
 		t.Fatalf("read should pass: %+v", res)
 	}
 	res, _ = r.access(va, perm.Write, perm.U, 100)
-	if !res.AccessFault || res.TLBHit != TLBHitL1 {
+	if !res.AccessFault || res.TLBHit != obs.TLBL1 {
 		t.Errorf("inlined phys perm must deny write on TLB hit: %+v", res)
 	}
 }
@@ -337,7 +338,7 @@ func TestFlushVA(t *testing.T) {
 	r.access(va, perm.Read, perm.U, 0)
 	r.mmu.FlushVA(va)
 	res, _ := r.access(va, perm.Read, perm.U, 100)
-	if res.TLBHit != TLBMiss {
+	if res.TLBHit != obs.TLBMiss {
 		t.Errorf("after FlushVA the access must walk, got %s", res.TLBHit)
 	}
 }
@@ -398,7 +399,7 @@ func TestZeroCapacityPipelineRoundTrip(t *testing.T) {
 			t.Fatalf("mode %v: cold access must walk", mode)
 		}
 		res, err = r.access(va, perm.Read, perm.U, 0)
-		if err != nil || res.Faulted() || res.TLBHit != TLBHitL1 {
+		if err != nil || res.Faulted() || res.TLBHit != obs.TLBL1 {
 			t.Fatalf("mode %v: warm access must hit L1: %+v, %v", mode, res, err)
 		}
 		// An absent L2 never serves hits: after an L1 flush the access walks
@@ -408,7 +409,7 @@ func TestZeroCapacityPipelineRoundTrip(t *testing.T) {
 		if err != nil || res.Faulted() {
 			t.Fatalf("mode %v: post-flush access: %+v, %v", mode, res, err)
 		}
-		if res.TLBHit != TLBMiss || !res.Walked {
+		if res.TLBHit != obs.TLBMiss || !res.Walked {
 			t.Fatalf("mode %v: post-flush access must miss and walk, got %+v", mode, res)
 		}
 	}

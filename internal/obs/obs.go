@@ -3,7 +3,9 @@
 // per-experiment metrics snapshots (JSON and Prometheus text).
 //
 // The translation-path models (mmu, ptw, pmpt, hpmp) each carry an optional
-// `Trace *obs.Tracer` hook. A nil hook is the disabled state and costs one
+// `Trace *obs.Tracer` hook, and it is their only observation hook: every
+// per-access consumer (hpmpsim -trace, the daemon, cmd/hpmptrace's summary)
+// reads a Tracer. A nil hook is the disabled state and costs one
 // pointer compare per potential event — no allocation, no call — which is
 // what keeps the pinned hot-path benchmarks (BenchmarkTLBHitAccess,
 // BenchmarkPTWWalkPWCHit) at 0 allocs/op with observability compiled in.
@@ -133,9 +135,9 @@ func TLBPathFromString(s string) (TLBPath, bool) {
 }
 
 // Event is one sampled translation-path event — the single record
-// definition shared by the live tracer, the trace-file format, the
-// internal/trace recorder, and cmd/hpmptrace's reader. It is a fixed-size
-// value so recording one never allocates.
+// definition shared by the live tracer, the trace-file format, and
+// cmd/hpmptrace's summary, CSV and reader. It is a fixed-size value so
+// recording one never allocates.
 //
 // Field meaning varies slightly by Kind:
 //

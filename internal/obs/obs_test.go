@@ -72,6 +72,39 @@ func TestTracerRingEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestTracerTallyCoversWholeRun: the tally counts every access event
+// offered, including ones sampling skipped and the ring evicted, and
+// ignores the other kinds.
+func TestTracerTallyCoversWholeRun(t *testing.T) {
+	tr := NewTracer(2, 3)
+	events := []Event{
+		{Kind: KindAccess, Access: perm.Read, TLB: TLBL1, Refs: 1},
+		{Kind: KindPTEFetch, Level: 2, Refs: 1},
+		{Kind: KindAccess, Access: perm.Write, TLB: TLBMiss, Refs: 7, ChkRefs: 3},
+		{Kind: KindAccess, Access: perm.Fetch, TLB: TLBL2, Refs: 1},
+		{Kind: KindCheck, Refs: 2, ChkRefs: 2},
+		{Kind: KindAccess, Access: perm.Read, TLB: TLBMiss, Refs: 4, ChkRefs: 1, Fault: FaultPage},
+		{Kind: KindAccess, Access: perm.Read, TLB: TLBL1, Refs: 1},
+	}
+	for _, ev := range events {
+		tr.Emit(ev)
+	}
+	want := Tally{
+		Accesses: 5,
+		ByAccess: [perm.Fetch + 1]uint64{perm.Read: 3, perm.Write: 1, perm.Fetch: 1},
+		ByTLB:    [numTLBPaths]uint64{TLBL1: 2, TLBL2: 1, TLBMiss: 2},
+		Faults:   1,
+		Refs:     14,
+		ChkRefs:  4,
+	}
+	if got := tr.Tally(); got != want {
+		t.Errorf("Tally = %+v, want %+v", got, want)
+	}
+	if tr.Kept() != 2 {
+		t.Fatalf("kept %d, want 2: the tally must not depend on the ring", tr.Kept())
+	}
+}
+
 func TestTracerEmitDoesNotAllocate(t *testing.T) {
 	tr := NewTracer(64, 2)
 	ev := Event{

@@ -10,20 +10,7 @@ import (
 // own replay.* bookkeeping, into one deterministic snapshot.
 func (e *Engine) Counters() map[string]uint64 {
 	var agg stats.Counters
-	m := e.mach
-	agg.Merge(&m.Core.Counters)
-	agg.Merge(&m.MMU.Counters)
-	agg.Merge(&m.MMU.Walker.Counters)
-	agg.Merge(&m.MMU.ITLB.Counters)
-	agg.Merge(&m.MMU.DTLB.Counters)
-	agg.Merge(&m.MMU.STLB.Counters)
-	agg.Merge(&m.Hier.Counters)
-	if chk, ok := m.MMU.HPMPChecker(); ok {
-		agg.Merge(&chk.Counters)
-		if chk.Walker != nil {
-			agg.Merge(&chk.Walker.Counters)
-		}
-	}
+	e.mach.MergeCounters(&agg)
 	snap := agg.Snapshot()
 	s := &e.Stats
 	for _, kv := range []struct {
@@ -53,16 +40,8 @@ func (e *Engine) Counters() map[string]uint64 {
 // Histograms snapshots the replay machine's translation-path latency
 // histograms, keyed by the same family names internal/bench exports.
 func (e *Engine) Histograms() map[string]stats.HistogramSnapshot {
-	out := map[string]stats.HistogramSnapshot{
-		"mmu.access_latency": e.mach.MMU.LatHist.Snapshot(),
-		"ptw.walk_latency":   e.mach.MMU.Walker.Hist.Snapshot(),
-	}
-	if chk, ok := e.mach.MMU.HPMPChecker(); ok {
-		out["hpmp.check_latency"] = chk.Hist.Snapshot()
-		if chk.Walker != nil {
-			out["pmptw.walk_latency"] = chk.Walker.Hist().Snapshot()
-		}
-	}
+	out := map[string]stats.HistogramSnapshot{}
+	e.mach.EachHistogram(func(family string, h *stats.Histogram) { out[family] = h.Snapshot() })
 	return out
 }
 

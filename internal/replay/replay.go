@@ -76,10 +76,6 @@ type Config = simcfg.Machine
 // full HPMP isolation at the evaluation's default memory size.
 func DefaultConfig() Config { return simcfg.Default() }
 
-// MinMemSize matches internal/bench's floor so a trace captured at the
-// smallest benchable machine replays at the same size.
-const MinMemSize = simcfg.MinMemSize
-
 // poolSize is the size of each of the two top-of-memory pools (page tables,
 // permission tables). simcfg.PoolAlign keeps every valid MemSize a
 // multiple of the two pools combined.

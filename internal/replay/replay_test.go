@@ -11,10 +11,12 @@ import (
 	"hpmp/internal/perm"
 )
 
-// testConfig is the smallest valid replay target.
+// testConfig is the smallest replay target every mode can program: the
+// permission tables cover DRAM as one NAPOT region, so the size must be a
+// power of two, and the smallest one above MinMemSize is 256 MiB.
 func testConfig() Config {
 	c := DefaultConfig()
-	c.MemSize = 64 * addr.MiB
+	c.MemSize = 256 * addr.MiB
 	return c
 }
 
@@ -68,7 +70,7 @@ func TestConfigValidate(t *testing.T) {
 		{"platform", func(c *Config) { c.Platform = "cva6" }},
 		{"mode", func(c *Config) { c.Mode = "tdx" }},
 		{"mem-small", func(c *Config) { c.MemSize = 16 * addr.MiB }},
-		{"mem-unaligned", func(c *Config) { c.MemSize = 96*addr.MiB + 4096 }},
+		{"mem-unaligned", func(c *Config) { c.MemSize = 192*addr.MiB + 4096 }},
 		{"depth", func(c *Config) { c.TableDepth = 5 }},
 		{"depth-mode", func(c *Config) { c.TableDepth = 3; c.Mode = ModePMP }},
 	}

@@ -68,8 +68,11 @@ func (m Mode) MonitorMode() (monitor.Mode, bool) {
 // The monitor's table pool, the kernel's page-table pool, the replay
 // engine's two 16 MiB top-of-memory pools, and the workload heaps all
 // carve fixed regions out of DRAM; below this floor machines fail deep
-// inside the allocators instead of at the config.
-const MinMemSize = 64 * addr.MiB
+// inside the allocators instead of at the config. The binding constraint
+// is kernel.DefaultConfig's compact layout, whose user region starts at
+// 128 MiB: 160 MiB is the smallest PoolAlign multiple that leaves it
+// frames to boot with (TestMinMemSizeBoots).
+const MinMemSize = 160 * addr.MiB
 
 // PoolAlign is the DRAM-size granularity: the replay engine carves two
 // 16 MiB NAPOT pools off the top of memory, so every machine size is kept

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"hpmp/internal/addr"
+	"hpmp/internal/kernel"
+	"hpmp/internal/monitor"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -21,8 +23,8 @@ func TestDefaultValidates(t *testing.T) {
 }
 
 func TestWithDefaultsKeepsExplicit(t *testing.T) {
-	m := Machine{Platform: "boom", Mode: ModePMPT, MemSize: 64 * addr.MiB, TableDepth: 3}.WithDefaults()
-	if m.Platform != "boom" || m.Mode != ModePMPT || m.MemSize != 64*addr.MiB || m.TableDepth != 3 {
+	m := Machine{Platform: "boom", Mode: ModePMPT, MemSize: MinMemSize, TableDepth: 3}.WithDefaults()
+	if m.Platform != "boom" || m.Mode != ModePMPT || m.MemSize != MinMemSize || m.TableDepth != 3 {
 		t.Fatalf("WithDefaults clobbered explicit fields: %+v", m)
 	}
 }
@@ -37,7 +39,7 @@ func TestValidateRejects(t *testing.T) {
 		{"mode", func(m *Machine) { m.Mode = "sgx" }, "mode"},
 		{"mem-zero", func(m *Machine) { m.MemSize = 0 }, "minimum"},
 		{"mem-small", func(m *Machine) { m.MemSize = 16 * addr.MiB }, "minimum"},
-		{"mem-unaligned", func(m *Machine) { m.MemSize = 96*addr.MiB + 4096 }, "multiple"},
+		{"mem-unaligned", func(m *Machine) { m.MemSize = 192*addr.MiB + 4096 }, "multiple"},
 		{"depth", func(m *Machine) { m.TableDepth = 5 }, "depth"},
 		{"depth-mode", func(m *Machine) { m.Mode = ModePMP; m.TableDepth = 3 }, "permission-table mode"},
 	}
@@ -81,9 +83,9 @@ func TestFlagRemapKeepsPR8Semantics(t *testing.T) {
 		t.Fatalf("flag-negative remap wrong: %+v", m)
 	}
 	// Positive overrides pass through; the rest of the surface too.
-	m = parse("-platform", "boom", "-mode", "pmpt", "-mem", "64",
+	m = parse("-platform", "boom", "-mode", "pmpt", "-mem", "160",
 		"-l2tlb", "128", "-pwc", "16", "-pmptw-cache", "32", "-depth", "3", "-scalar")
-	want := Machine{Platform: "boom", Mode: ModePMPT, MemSize: 64 * addr.MiB,
+	want := Machine{Platform: "boom", Mode: ModePMPT, MemSize: MinMemSize,
 		L2TLBEntries: 128, PWCEntries: 16, PMPTWCache: 32, TableDepth: 3, Scalar: true}
 	if m != want {
 		t.Fatalf("full flag surface = %+v, want %+v", m, want)
@@ -91,13 +93,13 @@ func TestFlagRemapKeepsPR8Semantics(t *testing.T) {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
-	in := Machine{Platform: "boom", Mode: ModePMPT, MemSize: 96 * addr.MiB,
+	in := Machine{Platform: "boom", Mode: ModePMPT, MemSize: 192 * addr.MiB,
 		L2TLBEntries: -1, PWCEntries: 8, PMPTWCache: 16, TableDepth: 4, Scalar: true}
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"mem_mib":96`) {
+	if !strings.Contains(string(data), `"mem_mib":192`) {
 		t.Fatalf("memory must travel in MiB: %s", data)
 	}
 	var out Machine
@@ -143,10 +145,50 @@ func TestWorkloadScaleValidate(t *testing.T) {
 	}
 }
 
+// TestMinMemSizeBoots pins the floor to a machine the kernel can actually
+// run on: at exactly MinMemSize, on both platforms and under every mode,
+// the kernel boots and a process can store to and load from its heap.
+func TestMinMemSizeBoots(t *testing.T) {
+	for _, plat := range []string{"rocket", "boom"} {
+		for _, mode := range Modes {
+			m := Machine{Platform: plat, Mode: mode, MemSize: MinMemSize}
+			if err := m.Validate(); err != nil {
+				t.Fatalf("%s/%s: %v", plat, mode, err)
+			}
+			mach := m.Assemble()
+			var mon *monitor.Monitor
+			if mm, ok := mode.MonitorMode(); ok {
+				var err error
+				if mon, err = monitor.Boot(mach, monitor.DefaultConfig(mm)); err != nil {
+					t.Fatalf("%s/%s: monitor boot: %v", plat, mode, err)
+				}
+			}
+			k, err := kernel.New(mach, mon, kernel.DefaultConfig(m.MemSize))
+			if err != nil {
+				t.Fatalf("%s/%s: kernel boot: %v", plat, mode, err)
+			}
+			p, err := k.Spawn(kernel.Image{Name: "floor", TextPages: 8, DataPages: 8, HeapPages: 64})
+			if err != nil {
+				t.Fatalf("%s/%s: spawn: %v", plat, mode, err)
+			}
+			env, err := k.NewEnv(p)
+			if err != nil {
+				t.Fatalf("%s/%s: env: %v", plat, mode, err)
+			}
+			if err := env.Store64(p.Heap(), 0x5eed); err != nil {
+				t.Fatalf("%s/%s: store: %v", plat, mode, err)
+			}
+			if v, err := env.Load64(p.Heap()); err != nil || v != 0x5eed {
+				t.Fatalf("%s/%s: load = %#x, %v; want 0x5eed", plat, mode, v, err)
+			}
+		}
+	}
+}
+
 func TestAssembleGeometry(t *testing.T) {
 	// Absent structures really come out zero-capacity; overrides stick;
 	// PMPTW cache enablement follows the tri-state.
-	m := Machine{Platform: "rocket", Mode: ModeHPMP, MemSize: 64 * addr.MiB,
+	m := Machine{Platform: "rocket", Mode: ModeHPMP, MemSize: MinMemSize,
 		L2TLBEntries: -1, PWCEntries: 3, PMPTWCache: 16}
 	plat := m.BasePlatform()
 	m.ApplyGeometry(&plat)
@@ -157,11 +199,11 @@ func TestAssembleGeometry(t *testing.T) {
 	if mach.PMPTWCache == nil || !mach.PMPTWCache.Enabled {
 		t.Fatal("PMPTWCache > 0 must enable the walker cache")
 	}
-	mach = Machine{Platform: "rocket", Mode: ModeHPMP, MemSize: 64 * addr.MiB}.Assemble()
+	mach = Machine{Platform: "rocket", Mode: ModeHPMP, MemSize: MinMemSize}.Assemble()
 	if mach.PMPTWCache != nil && mach.PMPTWCache.Enabled {
 		t.Fatal("default PMPTW cache must stay disabled (paper methodology)")
 	}
-	none := Machine{Platform: "rocket", Mode: ModeNone, MemSize: 64 * addr.MiB}.Assemble()
+	none := Machine{Platform: "rocket", Mode: ModeNone, MemSize: MinMemSize}.Assemble()
 	if none.Checker != nil {
 		t.Fatal("ModeNone machine must carry no checker")
 	}
