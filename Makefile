@@ -50,8 +50,9 @@ obs-smoke:
 # round-trip property through cmd/hpmptrace, then replay it twice through
 # cmd/hpmpsim and diff the two metric sets — a faithful, deterministic
 # replay must come out byte-identical (exit 0). The same trace then replays
-# under every isolation mode, on the degenerate no-cache geometry, and
-# through the scalar entry point; a non-zero exit from any replay means the
+# under every isolation mode, on the degenerate no-cache geometry, through
+# the scalar entry point, and at a DRAM size that is not a power of two
+# (192 MiB) under the permission-table modes; a non-zero exit from any replay means the
 # machine diverged from the recording or failed to assemble. Exercises the
 # whole record -> parse -> replay -> metrics -> diff pipeline end to end.
 replay-smoke:
@@ -72,6 +73,10 @@ replay-smoke:
 	$(GO) run ./cmd/hpmpsim -mode pmpt -l2tlb 0 -pwc 0 -pmptw-cache 0 \
 		-id fig10-nocache replay obs-out/replay/traces/fig10.trace.jsonl > /dev/null
 	$(GO) run ./cmd/hpmpsim -mode hpmp -scalar -id fig10-scalar \
+		replay obs-out/replay/traces/fig10.trace.jsonl > /dev/null
+	$(GO) run ./cmd/hpmpsim -mem 192 -mode pmpt -depth 3 -id fig10-192-depth3 \
+		replay obs-out/replay/traces/fig10.trace.jsonl > /dev/null
+	$(GO) run ./cmd/hpmpsim -mem 192 -mode hpmp -id fig10-192 \
 		replay obs-out/replay/traces/fig10.trace.jsonl > /dev/null
 
 # Daemon smoke: the hermetic end-to-end test of the real hpmpsimd binary —

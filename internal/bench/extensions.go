@@ -165,7 +165,7 @@ func runExtDeep(cfg Config) (*Result, error) {
 		cfg.observe(mach)
 		alloc := phys.NewFrameAllocator(addr.Range{Base: 0x10_0000, Size: 128 * addr.MiB}, false)
 		region := addr.Range{Base: 0, Size: 32 * addr.GiB}
-		tbl, err := pmpt.NewDeepTable(mach.Mem, alloc, region, pmpt.Mode3Level)
+		tbl, err := pmpt.NewTableMode(mach.Mem, alloc, region, pmpt.Mode3Level)
 		if err != nil {
 			return nil, err
 		}

@@ -212,42 +212,25 @@ func virtDepthRig(mode monitor.Mode, depth int, cfg Config) (*virt.Hypervisor, a
 		}
 		entry++
 	}
-	switch depth {
-	case 2:
-		ptab, err := pmpt.NewTable(mach.Mem, tblAlloc, all)
-		if err != nil {
+	// Page-granular fill: huge entries would short-circuit every check at
+	// one fetch and make the depth sweep vacuous. Depth 2 grants all of
+	// DRAM, as buildVirtRig does; deeper tables only the touched regions.
+	fill := []addr.Range{all}
+	if depth > 2 {
+		fill = []addr.Range{nptRegion, dataRegion}
+	}
+	tblMode := pmpt.ModeFor(depth)
+	ptab, err := pmpt.NewTableMode(mach.Mem, tblAlloc, all, tblMode)
+	if err != nil {
+		return nil, 0, fmt.Errorf("scen-virtdepth: depth %d: %w", depth, err)
+	}
+	for _, region := range fill {
+		if err := ptab.SetRangePermPaged(region, perm.RWX); err != nil {
 			return nil, 0, err
 		}
-		if err := ptab.SetRangePermPaged(all, perm.RWX); err != nil {
-			return nil, 0, err
-		}
-		if err := checker.SetTable(entry, all, ptab.RootBase()); err != nil {
-			return nil, 0, err
-		}
-	case 3, 4:
-		tblMode := pmpt.Mode3Level
-		if depth == 4 {
-			tblMode = pmpt.Mode4Level
-		}
-		ptab, err := pmpt.NewDeepTable(mach.Mem, tblAlloc, all, tblMode)
-		if err != nil {
-			return nil, 0, err
-		}
-		// Page-granular fill over the touched regions only: huge root
-		// entries would short-circuit every check at one fetch and make the
-		// depth sweep vacuous.
-		for _, region := range []addr.Range{nptRegion, dataRegion} {
-			for pa := region.Base; pa < region.Base+addr.PA(region.Size); pa += addr.PageSize {
-				if err := ptab.SetPagePerm(pa, perm.RWX); err != nil {
-					return nil, 0, err
-				}
-			}
-		}
-		if err := checker.SetTableMode(entry, all, ptab.RootBase(), tblMode); err != nil {
-			return nil, 0, err
-		}
-	default:
-		return nil, 0, fmt.Errorf("scen-virtdepth: unsupported depth %d", depth)
+	}
+	if err := checker.SetTableMode(entry, all, ptab.RootBase(), tblMode); err != nil {
+		return nil, 0, err
 	}
 
 	hyp := virt.NewHypervisor(mach, checker, npt, guest)

@@ -18,7 +18,7 @@ func TestDeepTableEntry(t *testing.T) {
 	alloc := phys.NewFrameAllocator(addr.Range{Base: 0x10_0000, Size: 64 * addr.MiB}, false)
 	region := addr.Range{Base: 0, Size: 32 * addr.GiB}
 
-	tbl, err := pmpt.NewDeepTable(mem, alloc, region, pmpt.Mode3Level)
+	tbl, err := pmpt.NewTableMode(mem, alloc, region, pmpt.Mode3Level)
 	if err != nil {
 		t.Fatal(err)
 	}

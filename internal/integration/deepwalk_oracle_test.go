@@ -1,7 +1,7 @@
 // Oracle test for the deep (3-level) PMPT walker: every hardware walk over
 // a mixed-granularity permission landscape, with the PMPTW cache enabled
 // and periodically invalidated, must agree with the software lookup
-// (DeepTable.LookupSW) in the style of Cheang et al., "Verifying RISC-V
+// (Table.LookupSW) in the style of Cheang et al., "Verifying RISC-V
 // Physical Memory Protection".
 package integration
 
@@ -26,7 +26,7 @@ func TestDeepWalkerOracle(t *testing.T) {
 	mem := phys.New(64 * addr.GiB) // sparse: only touched frames materialize
 	alloc := phys.NewFrameAllocator(addr.Range{Base: 0x10_0000, Size: 64 * addr.MiB}, false)
 	region := addr.Range{Base: 0, Size: 32 * addr.GiB}
-	tbl, err := pmpt.NewDeepTable(mem, alloc, region, pmpt.Mode3Level)
+	tbl, err := pmpt.NewTableMode(mem, alloc, region, pmpt.Mode3Level)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,25 @@
 // Package pmpt implements the PMP Table, the ISA extension at the heart of
-// HPMP (paper §4.3): a 2-level radix permission table addressed by the
-// *offset* of a physical address within the protected region. The formats
-// follow paper Figure 6:
+// HPMP (paper §4.3): a radix permission table addressed by the *offset* of
+// a physical address within the protected region. The Mode field of the
+// address register sets the depth: Mode 0 is the paper's 2-level table, and
+// the reserved values §4.3 names for "3-level or 4-level tables" add levels
+// of the same non-leaf format above it. The formats follow paper Figure 6:
 //
 //   - address register (T=1): Mode in bits 63..62, PPN of the root table in
 //     bits 43..0;
-//   - root pmpte: V=bit0, R/W/X=bits 1..3, next-level PPN in bits 53..10;
-//     R=W=X=0 makes the entry a pointer, otherwise the bits are the final
-//     permission for the whole 32 MiB the entry spans (the "huge page" of
-//     the permission table);
+//   - non-leaf pmpte (the root pmpte, and every level above the leaf table):
+//     V=bit0, R/W/X=bits 1..3, next-level PPN in bits 53..10; R=W=X=0 makes
+//     the entry a pointer, otherwise the bits are the final permission for
+//     the whole span the entry covers (the "huge page" of the permission
+//     table: 32 MiB one level above the leaf table, 512× more per level);
 //   - leaf pmpte: sixteen 4-bit permission nibbles, one per 4 KiB page
 //     (R=bit0, W=bit1, X=bit2 of each nibble, bit3 reserved);
-//   - offset split: OFF[1]=bits 33..25 indexes the root table, OFF[0]=bits
-//     24..16 the leaf table, PageIndex=bits 15..12 the nibble.
+//   - offset split: PageIndex=bits 15..12 selects the nibble, OFF[0]=bits
+//     24..16 indexes the leaf table, and each level above takes the next
+//     9 bits (OFF[1]=bits 33..25 indexes the 2-level root table).
 //
-// One root table (4 KiB, 512 entries × 32 MiB) therefore reaches 16 GiB.
+// One 2-level root table (4 KiB, 512 entries × 32 MiB) therefore reaches
+// 16 GiB; each extra level multiplies the reach by 512.
 package pmpt
 
 import (
@@ -28,7 +33,7 @@ import (
 	"hpmp/internal/stats"
 )
 
-// Geometry constants of the 2-level PMP Table.
+// Geometry constants of the PMP Table.
 const (
 	// PagesPerLeafEntry is how many 4 KiB pages one 64-bit leaf pmpte
 	// covers (16 nibbles).
@@ -38,12 +43,28 @@ const (
 	// EntriesPerTable is the entry count of a 4 KiB table of 64-bit
 	// entries.
 	EntriesPerTable = addr.PageSize / 8
-	// RootEntrySpan is the physical span of one root pmpte: 512 leaf
-	// entries × 64 KiB = 32 MiB (paper: "one root pmpte manages 32MB").
+	// RootEntrySpan is the physical span of one 2-level root pmpte: 512
+	// leaf entries × 64 KiB = 32 MiB (paper: "one root pmpte manages 32MB").
 	RootEntrySpan = EntriesPerTable * LeafEntrySpan
 	// MaxRegion is the reach of one 2-level table: 512 × 32 MiB = 16 GiB.
 	MaxRegion = EntriesPerTable * RootEntrySpan
 )
+
+// entrySpan returns the coverage of one entry at level, where level 0 is
+// the leaf pmpte (16 pages) and each level above multiplies by 512.
+func entrySpan(level int) uint64 { return LeafEntrySpan << (9 * level) }
+
+// indexAt extracts the level-`level` table index from a region offset
+// (level 0 is OFF[0] in Fig. 6-e).
+func indexAt(off uint64, level int) uint64 { return (off >> (16 + 9*level)) & 0x1ff }
+
+// pageIndex extracts the leaf-pmpte nibble index from a region offset.
+func pageIndex(off uint64) int { return int((off >> 12) & 0xf) }
+
+// SplitOffset decomposes a 2-level region offset per Figure 6-e.
+func SplitOffset(off uint64) (off1, off0 uint64, pageIdx int) {
+	return indexAt(off, 1), indexAt(off, 0), pageIndex(off)
+}
 
 // Address-register (T=1) field layout, Figure 6-b.
 const (
@@ -51,13 +72,44 @@ const (
 	addrModeShift = 62
 )
 
-// TableMode is the Mode field of the address register. Mode 0 selects the
-// 2-level table; all other values are reserved for deeper tables.
+// TableMode is the Mode field of the address register: the table depth.
 type TableMode uint8
 
 const (
+	// Mode2Level selects the paper's 2-level table (reach 16 GiB).
 	Mode2Level TableMode = 0
+	// Mode3Level selects a 3-level table (reach 512 × 16 GiB = 8 TiB).
+	Mode3Level TableMode = 1
+	// Mode4Level selects a 4-level table (reach 512 × 8 TiB = 4 PiB).
+	Mode4Level TableMode = 2
 )
+
+// ModeFor returns the Mode selecting a table of the given depth; depths
+// other than 2, 3 and 4 map to the reserved Mode, which NewTableMode and
+// the walker reject.
+func ModeFor(levels int) TableMode {
+	if levels < 2 || levels > 4 {
+		return Mode4Level + 1
+	}
+	return TableMode(levels - 2)
+}
+
+// Levels returns the table depth a mode encodes (0 for the reserved mode).
+func (m TableMode) Levels() int {
+	if m > Mode4Level {
+		return 0
+	}
+	return int(m) + 2
+}
+
+// Reach returns the physical span one table of this mode covers (0 for
+// the reserved mode).
+func (m TableMode) Reach() uint64 {
+	if m.Levels() == 0 {
+		return 0
+	}
+	return entrySpan(m.Levels())
+}
 
 // EncodeAddrReg builds the address-register value holding the root table's
 // PPN and the table mode.
@@ -82,16 +134,20 @@ const (
 	rootPPNMask  = (uint64(1) << 44) - 1
 )
 
-// RootPTE is a decoded root pmpte.
+// RootPTE is a decoded non-leaf pmpte: the root pmpte of a 2-level table,
+// and the entry format of every level above the leaf table in deeper ones.
 type RootPTE uint64
 
-// MakeRootPointer builds a valid root pmpte pointing at a leaf table.
+// MakeRootPointer builds a valid non-leaf pmpte pointing at the next-level
+// table.
 func MakeRootPointer(leafBase addr.PA) RootPTE {
 	return RootPTE(rootV | (leafBase.Frame()&rootPPNMask)<<rootPPNShift)
 }
 
-// MakeRootHuge builds a valid root pmpte whose R/W/X bits grant p to the
-// whole 32 MiB span — the permission table's huge page.
+// MakeRootHuge builds a valid non-leaf pmpte whose R/W/X bits grant p to
+// the whole span it covers — the permission table's huge page. p must not
+// be perm.None: with R=W=X=0 the entry is a pointer (to PA 0); revoke a
+// span with an invalid (zero) entry instead.
 func MakeRootHuge(p perm.Perm) RootPTE {
 	return RootPTE(rootV | uint64(p)<<1)
 }
@@ -105,7 +161,7 @@ func (r RootPTE) IsHuge() bool { return uint64(r)&rootPermMask != 0 }
 // Perm returns the huge-entry permission.
 func (r RootPTE) Perm() perm.Perm { return perm.Perm((uint64(r) >> 1) & 0x7) }
 
-// LeafBase returns the leaf table base a pointer entry references.
+// LeafBase returns the next-level table base a pointer entry references.
 func (r RootPTE) LeafBase() addr.PA {
 	return addr.PA(((uint64(r) >> rootPPNShift) & rootPPNMask) << addr.PageShift)
 }
@@ -134,22 +190,20 @@ func UniformLeaf(p perm.Perm) LeafPTE {
 	return l
 }
 
-// SplitOffset decomposes a region offset per Figure 6-e.
-func SplitOffset(off uint64) (off1, off0 uint64, pageIdx int) {
-	return (off >> 25) & 0x1ff, (off >> 16) & 0x1ff, int((off >> 12) & 0xf)
-}
-
 // Table is the software view of one PMP Table living in simulated physical
 // memory: the monitor builds and edits it through this type, and the
 // hardware walker reads the same bytes.
 type Table struct {
 	mem      *phys.Memory
 	alloc    *phys.FrameAllocator
+	mode     TableMode
 	rootBase addr.PA
 	region   addr.Range // physical region the table protects
-	// leafBases caches allocated leaf tables per root index to avoid
-	// re-reading memory in the builder (the walker always reads memory).
-	leafBases map[uint64]addr.PA
+	// subTables[l] memoises the materialized level-l tables (level 0 holds
+	// leaf pmptes), keyed by region offset / entrySpan(l+1), so the builder
+	// finds them without re-reading memory (the walker always reads
+	// memory). The root table, at level Levels()-1, is rootBase.
+	subTables []map[uint64]addr.PA
 	// Trace, when set, observes every pmpte word the builder reads or
 	// writes — the monitor uses it to charge table edits through the cache
 	// hierarchy.
@@ -172,11 +226,21 @@ func (t *Table) read64(pa addr.PA) (uint64, error) {
 	return t.mem.Read64(pa)
 }
 
-// NewTable allocates an empty (all-invalid) PMP Table protecting region.
-// Table pages come from alloc and live in mem.
+// NewTable allocates an empty (all-invalid) 2-level PMP Table protecting
+// region. Table pages come from alloc and live in mem.
 func NewTable(mem *phys.Memory, alloc *phys.FrameAllocator, region addr.Range) (*Table, error) {
-	if region.Size > MaxRegion {
-		return nil, fmt.Errorf("pmpt: region %v exceeds 2-level reach (16 GiB)", region)
+	return NewTableMode(mem, alloc, region, Mode2Level)
+}
+
+// NewTableMode is NewTable with an explicit table depth (the §4.3 Mode
+// extension, for regions past the 2-level reach).
+func NewTableMode(mem *phys.Memory, alloc *phys.FrameAllocator, region addr.Range, mode TableMode) (*Table, error) {
+	levels := mode.Levels()
+	if levels == 0 {
+		return nil, fmt.Errorf("pmpt: reserved table mode %d", mode)
+	}
+	if region.Size > mode.Reach() {
+		return nil, fmt.Errorf("pmpt: region %v exceeds the %d-level reach", region, levels)
 	}
 	if !addr.IsAligned(uint64(region.Base), addr.PageSize) || !addr.IsAligned(region.Size, addr.PageSize) {
 		return nil, fmt.Errorf("pmpt: region %v must be page aligned", region)
@@ -188,13 +252,11 @@ func NewTable(mem *phys.Memory, alloc *phys.FrameAllocator, region addr.Range) (
 	if err := mem.ZeroPage(root); err != nil {
 		return nil, err
 	}
-	return &Table{
-		mem:       mem,
-		alloc:     alloc,
-		rootBase:  root,
-		region:    region,
-		leafBases: make(map[uint64]addr.PA),
-	}, nil
+	subTables := make([]map[uint64]addr.PA, levels-1)
+	for l := range subTables {
+		subTables[l] = make(map[uint64]addr.PA)
+	}
+	return &Table{mem: mem, alloc: alloc, mode: mode, rootBase: root, region: region, subTables: subTables}, nil
 }
 
 // RootBase returns the root table's physical base address.
@@ -213,45 +275,72 @@ func (t *Table) offsetOf(pa addr.PA) (uint64, error) {
 	return uint64(pa - t.region.Base), nil
 }
 
-func (t *Table) rootEntryPA(off1 uint64) addr.PA { return t.rootBase + addr.PA(off1*8) }
-
-// ensureLeaf materializes the leaf table for root index off1, demoting a
-// huge root entry into a full leaf table if necessary.
-func (t *Table) ensureLeaf(off1 uint64) (addr.PA, error) {
-	if base, ok := t.leafBases[off1]; ok {
+// subTable returns the base of the level-`level` table on the path to
+// region offset off, materializing it (and any missing table above it).
+// Materializing beneath a huge entry demotes it: every entry of the new
+// table repeats the huge permission, so no page changes.
+func (t *Table) subTable(off uint64, level int) (addr.PA, error) {
+	if level == t.mode.Levels()-1 {
+		return t.rootBase, nil
+	}
+	key := off / entrySpan(level+1)
+	if base, ok := t.subTables[level][key]; ok {
 		return base, nil
 	}
-	rePA := t.rootEntryPA(off1)
-	raw, err := t.read64(rePA)
+	parent, err := t.subTable(off, level+1)
 	if err != nil {
 		return 0, err
 	}
-	re := RootPTE(raw)
-	var huge perm.Perm
-	hadHuge := false
-	if re.Valid() && re.IsHuge() {
-		huge, hadHuge = re.Perm(), true
-	}
-	leaf, err := t.alloc.Alloc()
+	ea := parent + addr.PA(indexAt(off, level+1)*8)
+	raw, err := t.read64(ea)
 	if err != nil {
-		return 0, fmt.Errorf("pmpt: allocating leaf table: %w", err)
-	}
-	if err := t.mem.ZeroPage(leaf); err != nil {
 		return 0, err
 	}
-	if hadHuge {
-		fill := UniformLeaf(huge)
+	base, err := t.alloc.Alloc()
+	if err != nil {
+		return 0, fmt.Errorf("pmpt: allocating level-%d table: %w", level, err)
+	}
+	if err := t.mem.ZeroPage(base); err != nil {
+		return 0, err
+	}
+	if e := RootPTE(raw); e.Valid() && e.IsHuge() {
+		fill := uint64(MakeRootHuge(e.Perm()))
+		if level == 0 {
+			fill = uint64(UniformLeaf(e.Perm()))
+		}
 		for i := 0; i < EntriesPerTable; i++ {
-			if err := t.write64(leaf+addr.PA(i*8), uint64(fill)); err != nil {
+			if err := t.write64(base+addr.PA(i*8), fill); err != nil {
 				return 0, err
 			}
 		}
 	}
-	if err := t.write64(rePA, uint64(MakeRootPointer(leaf))); err != nil {
+	if err := t.write64(ea, uint64(MakeRootPointer(base))); err != nil {
 		return 0, err
 	}
-	t.leafBases[off1] = leaf
-	return leaf, nil
+	t.subTables[level][key] = base
+	return base, nil
+}
+
+// freeTable returns the level-`level` table at base, which covers region
+// offsets from off, and every table beneath it to the allocator.
+func (t *Table) freeTable(base addr.PA, level int, off uint64) {
+	if level > 0 {
+		span := entrySpan(level)
+		for i := uint64(0); i < EntriesPerTable; i++ {
+			if sub, ok := t.subTables[level-1][off/span+i]; ok {
+				t.freeTable(sub, level-1, off+i*span)
+			}
+		}
+	}
+	delete(t.subTables[level], off/entrySpan(level+1))
+	t.alloc.Free(base)
+}
+
+func checkPageAligned(r addr.Range) error {
+	if !addr.IsAligned(uint64(r.Base), addr.PageSize) || !addr.IsAligned(r.Size, addr.PageSize) {
+		return fmt.Errorf("pmpt: range %v must be page aligned", r)
+	}
+	return nil
 }
 
 // SetPagePerm sets the permission of the single 4 KiB page containing pa.
@@ -260,68 +349,69 @@ func (t *Table) SetPagePerm(pa addr.PA, p perm.Perm) error {
 	if err != nil {
 		return err
 	}
-	off1, off0, pageIdx := SplitOffset(off)
-	leaf, err := t.ensureLeaf(off1)
+	leaf, err := t.subTable(off, 0)
 	if err != nil {
 		return err
 	}
-	lePA := leaf + addr.PA(off0*8)
+	lePA := leaf + addr.PA(indexAt(off, 0)*8)
 	raw, err := t.read64(lePA)
 	if err != nil {
 		return err
 	}
-	return t.write64(lePA, uint64(LeafPTE(raw).WithPagePerm(pageIdx, p)))
+	return t.write64(lePA, uint64(LeafPTE(raw).WithPagePerm(pageIndex(off), p)))
 }
 
-// SetRangePerm sets the permission for every page of [base, base+size),
-// using huge root entries for fully covered 32 MiB-aligned spans (the
-// optimization §8.7 relies on: "modification of a single entry to update
-// the permission for a 32MB region").
+// SetRangePerm sets the permission for every page of r with the fewest
+// pmpte writes: one huge entry at the highest level whose aligned span r
+// covers (the optimization §8.7 relies on: "modification of a single entry
+// to update the permission for a 32MB region"), one write per whole
+// aligned leaf pmpte, and page edits for the rest. A grant over a span that
+// already has a sub-table writes into the sub-table, keeping it in sync.
+// Revoking a whole span invalidates its entry (V=0 denies everything
+// beneath) and frees the sub-tables it cut off.
 func (t *Table) SetRangePerm(r addr.Range, p perm.Perm) error {
-	if !addr.IsAligned(uint64(r.Base), addr.PageSize) || !addr.IsAligned(r.Size, addr.PageSize) {
-		return fmt.Errorf("pmpt: range %v must be page aligned", r)
+	if err := checkPageAligned(r); err != nil {
+		return err
 	}
-	pa := r.Base
-	end := r.End()
+	pa, end := r.Base, r.End()
+next:
 	for pa < end {
 		off, err := t.offsetOf(pa)
 		if err != nil {
 			return err
 		}
-		off1, _, _ := SplitOffset(off)
-		_, hasLeaf := t.leafBases[off1]
-		fullSpan := addr.IsAligned(off, RootEntrySpan) && uint64(end-pa) >= RootEntrySpan
-		// Revoking a whole 32 MiB span: invalidate the root pmpte (V=0
-		// denies everything beneath), regardless of an existing leaf. The
-		// leaf table page is abandoned to the allocator's free list.
-		if fullSpan && p == perm.None {
-			if err := t.write64(t.rootEntryPA(off1), 0); err != nil {
-				return err
+		for level := t.mode.Levels() - 1; level >= 1; level-- {
+			span := entrySpan(level)
+			if !addr.IsAligned(off, span) || uint64(end-pa) < span {
+				continue
 			}
-			if leaf, ok := t.leafBases[off1]; ok {
-				delete(t.leafBases, off1)
-				t.alloc.Free(leaf)
+			sub, hasSub := t.subTables[level-1][off/span]
+			if hasSub && p != perm.None {
+				continue
 			}
-			pa += RootEntrySpan
-			continue
-		}
-		// Granting a whole span with no leaf to keep in sync: one huge
-		// root entry.
-		if fullSpan && !hasLeaf {
-			if err := t.write64(t.rootEntryPA(off1), uint64(MakeRootHuge(p))); err != nil {
-				return err
-			}
-			pa += RootEntrySpan
-			continue
-		}
-		// Whole aligned leaf pmpte (16 pages): one write.
-		if addr.IsAligned(off, LeafEntrySpan) && uint64(end-pa) >= LeafEntrySpan {
-			leaf, err := t.ensureLeaf(off1)
+			base, err := t.subTable(off, level)
 			if err != nil {
 				return err
 			}
-			_, off0, _ := SplitOffset(off)
-			if err := t.write64(leaf+addr.PA(off0*8), uint64(UniformLeaf(p))); err != nil {
+			entry := uint64(MakeRootHuge(p))
+			if p == perm.None {
+				entry = 0
+			}
+			if err := t.write64(base+addr.PA(indexAt(off, level)*8), entry); err != nil {
+				return err
+			}
+			if hasSub {
+				t.freeTable(sub, level-1, off)
+			}
+			pa += addr.PA(span)
+			continue next
+		}
+		if addr.IsAligned(off, LeafEntrySpan) && uint64(end-pa) >= LeafEntrySpan {
+			leaf, err := t.subTable(off, 0)
+			if err != nil {
+				return err
+			}
+			if err := t.write64(leaf+addr.PA(indexAt(off, 0)*8), uint64(UniformLeaf(p))); err != nil {
 				return err
 			}
 			pa += LeafEntrySpan
@@ -336,27 +426,27 @@ func (t *Table) SetRangePerm(r addr.Range, p perm.Perm) error {
 }
 
 // SetRangePermPaged sets the permission for every page of r strictly at
-// page granularity — leaf tables are always materialized, never huge root
+// page granularity — leaf tables are always materialized, never huge
 // entries. The monitor uses this for domain memory, where pages of
 // different domains interleave at 4 KiB granularity and a later
-// single-page update must not demote a huge entry.
+// single-page update must not demote a huge entry; depth sweeps use it so
+// every uncached check walks the full depth.
 func (t *Table) SetRangePermPaged(r addr.Range, p perm.Perm) error {
-	if !addr.IsAligned(uint64(r.Base), addr.PageSize) || !addr.IsAligned(r.Size, addr.PageSize) {
-		return fmt.Errorf("pmpt: range %v must be page aligned", r)
+	if err := checkPageAligned(r); err != nil {
+		return err
 	}
 	for pa := r.Base; pa < r.End(); pa += addr.PageSize {
 		off, err := t.offsetOf(pa)
 		if err != nil {
 			return err
 		}
-		off1, off0, _ := SplitOffset(off)
-		leaf, err := t.ensureLeaf(off1)
+		leaf, err := t.subTable(off, 0)
 		if err != nil {
 			return err
 		}
 		// Whole leaf pmpte (16 pages) covered and aligned: one write.
 		if addr.IsAligned(off, LeafEntrySpan) && uint64(r.End()-pa) >= LeafEntrySpan {
-			if err := t.write64(leaf+addr.PA(off0*8), uint64(UniformLeaf(p))); err != nil {
+			if err := t.write64(leaf+addr.PA(indexAt(off, 0)*8), uint64(UniformLeaf(p))); err != nil {
 				return err
 			}
 			pa += LeafEntrySpan - addr.PageSize
@@ -377,33 +467,42 @@ func (t *Table) LookupSW(pa addr.PA) (perm.Perm, error) {
 	if err != nil {
 		return perm.None, err
 	}
-	off1, off0, pageIdx := SplitOffset(off)
-	raw, err := t.mem.Read64(t.rootEntryPA(off1))
+	base := t.rootBase
+	for level := t.mode.Levels() - 1; level >= 1; level-- {
+		raw, err := t.mem.Read64(base + addr.PA(indexAt(off, level)*8))
+		if err != nil {
+			return perm.None, err
+		}
+		e := RootPTE(raw)
+		if !e.Valid() {
+			return perm.None, nil
+		}
+		if e.IsHuge() {
+			return e.Perm(), nil
+		}
+		base = e.LeafBase()
+	}
+	raw, err := t.mem.Read64(base + addr.PA(indexAt(off, 0)*8))
 	if err != nil {
 		return perm.None, err
 	}
-	re := RootPTE(raw)
-	if !re.Valid() {
-		return perm.None, nil
-	}
-	if re.IsHuge() {
-		return re.Perm(), nil
-	}
-	lraw, err := t.mem.Read64(re.LeafBase() + addr.PA(off0*8))
-	if err != nil {
-		return perm.None, err
-	}
-	return LeafPTE(lraw).PagePerm(pageIdx), nil
+	return LeafPTE(raw).PagePerm(pageIndex(off)), nil
 }
 
 // TablePages returns how many 4 KiB pages the table currently occupies
-// (root + leaves), for footprint reporting.
-func (t *Table) TablePages() int { return 1 + len(t.leafBases) }
+// (root + sub-tables), for footprint reporting.
+func (t *Table) TablePages() int {
+	n := 1
+	for _, m := range t.subTables {
+		n += len(m)
+	}
+	return n
+}
 
 // WalkResult reports one hardware permission-table walk.
 type WalkResult struct {
 	Perm    perm.Perm
-	Valid   bool   // V bit of the root entry
+	Valid   bool   // V bit of the last non-leaf entry fetched
 	Latency uint64 // core cycles spent on pmpte memory references
 	MemRefs int    // pmpte fetches that went to the memory system
 	Hits    int    // pmpte fetches served by the PMPTW cache
@@ -426,8 +525,8 @@ type Walker struct {
 	hh walkerHandles
 
 	// latHist is the PMPT-walk latency histogram ("pmptw.walk_latency" in
-	// metrics snapshots): one observation per completed walk, shallow or
-	// deep. Like the counter handles it is lazily allocated on first use
+	// metrics snapshots): one observation per completed walk of any
+	// depth. Like the counter handles it is lazily allocated on first use
 	// (walkers are struct literals), then written in place — the cache-hit
 	// zero-alloc pin covers the steady state.
 	latHist *stats.Histogram
@@ -468,47 +567,57 @@ func (w *Walker) hist() *stats.Histogram {
 // after the goroutine driving the walker has finished.
 func (w *Walker) Hist() *stats.Histogram { return w.hist() }
 
-// Walk resolves the permission for pa against the table rooted at rootBase
-// protecting region, issuing pmpte fetches at core-cycle now.
+// Walk resolves the permission for pa against the 2-level table rooted at
+// rootBase protecting region, issuing pmpte fetches at core-cycle now.
 func (w *Walker) Walk(rootBase addr.PA, region addr.Range, pa addr.PA, now uint64) (WalkResult, error) {
-	res, err := w.walkInner(rootBase, region, pa, now)
+	return w.WalkDeep(rootBase, region, Mode2Level, pa, now)
+}
+
+// WalkDeep is Walk for a table of any mode: the depth the address
+// register's Mode field selects.
+func (w *Walker) WalkDeep(rootBase addr.PA, region addr.Range, mode TableMode, pa addr.PA, now uint64) (WalkResult, error) {
+	res, err := w.walk(rootBase, region, mode, pa, now)
 	if err == nil {
 		w.hist().Observe(res.Latency)
 	}
 	return res, err
 }
 
-func (w *Walker) walkInner(rootBase addr.PA, region addr.Range, pa addr.PA, now uint64) (WalkResult, error) {
+func (w *Walker) walk(rootBase addr.PA, region addr.Range, mode TableMode, pa addr.PA, now uint64) (WalkResult, error) {
+	levels := mode.Levels()
+	if levels == 0 {
+		return WalkResult{}, fmt.Errorf("pmpt: walk with reserved mode %d", mode)
+	}
 	if !region.Contains(pa) {
 		return WalkResult{}, fmt.Errorf("pmpt: walk for %v outside region %v", pa, region)
 	}
 	off := uint64(pa - region.Base)
-	off1, off0, pageIdx := SplitOffset(off)
 	var res WalkResult
-
-	rootPA := rootBase + addr.PA(off1*8)
-	raw, err := w.fetch(rootPA, now, &res)
-	if err != nil {
-		return WalkResult{}, err
+	base := rootBase
+	for level := levels - 1; level >= 1; level-- {
+		raw, err := w.fetch(base+addr.PA(indexAt(off, level)*8), now+res.Latency, &res)
+		if err != nil {
+			return WalkResult{}, err
+		}
+		e := RootPTE(raw)
+		if !e.Valid() {
+			*w.handles().invalid++
+			return res, nil
+		}
+		if e.IsHuge() {
+			res.Valid = true
+			res.Perm = e.Perm()
+			*w.handles().huge++
+			return res, nil
+		}
+		base = e.LeafBase()
 	}
-	re := RootPTE(raw)
-	if !re.Valid() {
-		*w.handles().invalid++
-		return res, nil
-	}
-	if re.IsHuge() {
-		res.Valid = true
-		res.Perm = re.Perm()
-		*w.handles().huge++
-		return res, nil
-	}
-	leafPA := re.LeafBase() + addr.PA(off0*8)
-	lraw, err := w.fetch(leafPA, now+res.Latency, &res)
+	raw, err := w.fetch(base+addr.PA(indexAt(off, 0)*8), now+res.Latency, &res)
 	if err != nil {
 		return WalkResult{}, err
 	}
 	res.Valid = true
-	res.Perm = LeafPTE(lraw).PagePerm(pageIdx)
+	res.Perm = LeafPTE(raw).PagePerm(pageIndex(off))
 	*w.handles().walk++
 	return res, nil
 }

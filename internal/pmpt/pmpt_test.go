@@ -461,7 +461,7 @@ func TestTableAllocExhaustion(t *testing.T) {
 func TestDeepTableHugeConflict(t *testing.T) {
 	mem := phys.New(64 * addr.GiB)
 	alloc := phys.NewFrameAllocator(addr.Range{Base: 0x10_0000, Size: 64 * addr.MiB}, false)
-	tbl, err := NewDeepTable(mem, alloc, addr.Range{Base: 0, Size: 32 * addr.GiB}, Mode3Level)
+	tbl, err := NewTableMode(mem, alloc, addr.Range{Base: 0, Size: 32 * addr.GiB}, Mode3Level)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,7 +202,6 @@ func New(cfg Config) (*Engine, error) {
 
 // programIsolation sets up the checker for the configured mode.
 func (e *Engine) programIsolation(ptRegion, pmptRegion addr.Range) error {
-	all := addr.Range{Base: 0, Size: e.cfg.MemSize}
 	switch e.cfg.Mode {
 	case ModeNone:
 		return nil
@@ -221,34 +220,24 @@ func (e *Engine) programIsolation(ptRegion, pmptRegion addr.Range) error {
 			}
 			entry++
 		}
+		// One table per Mode reach of DRAM, each over the NAPOT ceiling of
+		// the DRAM it holds (the entry's region must be NAPOT, as the
+		// PMP-mode segment's is) with only DRAM granted. The fill is
+		// page-granular: huge entries would collapse every check to one
+		// fetch and make the depth sweep meaningless.
+		mode := pmpt.ModeFor(max(e.cfg.TableDepth, 2))
 		alloc := phys.NewFrameAllocator(pmptRegion, false)
-		if e.cfg.TableDepth > 2 {
-			tbl, err := pmpt.NewDeepTable(e.mach.Mem, alloc, all, depthMode(e.cfg.TableDepth))
+		for base := uint64(0); base < e.cfg.MemSize; base += mode.Reach() {
+			dram := addr.Range{Base: addr.PA(base), Size: min(mode.Reach(), e.cfg.MemSize-base)}
+			region := addr.Range{Base: dram.Base, Size: napotCeil(dram.Size)}
+			tbl, err := pmpt.NewTableMode(e.mach.Mem, alloc, region, mode)
 			if err != nil {
-				return fmt.Errorf("replay: building %d-level permission table: %w", e.cfg.TableDepth, err)
+				return fmt.Errorf("replay: building %d-level permission table at %v: %w", mode.Levels(), dram.Base, err)
 			}
-			// Page-granular fill (SetRangePerm would install huge root
-			// entries, collapsing every check to one fetch — which would
-			// make depth free and the depth sweep meaningless). Matches the
-			// 2-level path's SetRangePermPaged.
-			for pa := all.Base; uint64(pa) < all.Size; pa += addr.PageSize {
-				if err := tbl.SetPagePerm(pa, perm.RWX); err != nil {
-					return err
-				}
-			}
-			return e.mach.Checker.SetTableMode(entry, all, tbl.RootBase(), depthMode(e.cfg.TableDepth))
-		}
-		// 2-level tables reach 16 GiB each; cover DRAM in chunks.
-		for base := addr.PA(0); uint64(base) < e.cfg.MemSize; base += pmpt.MaxRegion {
-			region := addr.Range{Base: base, Size: min64(pmpt.MaxRegion, e.cfg.MemSize-uint64(base))}
-			tbl, err := pmpt.NewTable(e.mach.Mem, alloc, region)
-			if err != nil {
-				return fmt.Errorf("replay: building permission table at %v: %w", base, err)
-			}
-			if err := tbl.SetRangePermPaged(region, perm.RWX); err != nil {
+			if err := tbl.SetRangePermPaged(dram, perm.RWX); err != nil {
 				return err
 			}
-			if err := e.mach.Checker.SetTable(entry, region, tbl.RootBase()); err != nil {
+			if err := e.mach.Checker.SetTableMode(entry, region, tbl.RootBase(), mode); err != nil {
 				return err
 			}
 			entry++
@@ -258,26 +247,12 @@ func (e *Engine) programIsolation(ptRegion, pmptRegion addr.Range) error {
 	return fmt.Errorf("replay: unhandled mode %q", e.cfg.Mode)
 }
 
-func depthMode(depth int) pmpt.TableMode {
-	if depth == 4 {
-		return pmpt.Mode4Level
-	}
-	return pmpt.Mode3Level
-}
-
 func napotCeil(size uint64) uint64 {
 	n := uint64(1)
 	for n < size {
 		n <<= 1
 	}
 	return n
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Config returns the engine's configuration.

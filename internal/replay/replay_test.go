@@ -11,9 +11,7 @@ import (
 	"hpmp/internal/perm"
 )
 
-// testConfig is the smallest replay target every mode can program: the
-// permission tables cover DRAM as one NAPOT region, so the size must be a
-// power of two, and the smallest one above MinMemSize is 256 MiB.
+// testConfig is a small replay target every mode can program.
 func testConfig() Config {
 	c := DefaultConfig()
 	c.MemSize = 256 * addr.MiB
@@ -188,6 +186,37 @@ func TestReplayAllModes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplayAnyValidMemSize replays under the permission-table modes at
+// DRAM sizes simcfg accepts that are not powers of two: the tables cover
+// the NAPOT ceiling of DRAM and grant DRAM up to its last word.
+func TestReplayAnyValidMemSize(t *testing.T) {
+	for _, mib := range []uint64{160, 192, 320} {
+		for _, mode := range []Mode{ModePMPT, ModeHPMP} {
+			for _, depth := range []int{2, 3, 4} {
+				cfg := testConfig()
+				cfg.MemSize, cfg.Mode, cfg.TableDepth = mib*addr.MiB, mode, depth
+				t.Run(cfg.String(), func(t *testing.T) {
+					e, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					last := addr.PA(cfg.MemSize - 8)
+					evs := append(syntheticTrace(), ev(0x5000_0000+addr.VA(last.Offset()), last, perm.Read, obs.FaultNone))
+					if err := e.Run(evs); err != nil {
+						t.Fatal(err)
+					}
+					if e.Stats.Divergences != 0 {
+						t.Fatalf("diverged %d times; first: %s", e.Stats.Divergences, e.Stats.First)
+					}
+					if e.Counters()["hpmp.table_check"] == 0 {
+						t.Error("no permission-table check ran")
+					}
+				})
+			}
+		}
 	}
 }
 
