@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench eval eval-quick examples metrics-baseline metrics-diff clean
+.PHONY: all build vet test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-ab eval eval-quick examples metrics-baseline metrics-diff clean
 
 all: build vet test race smoke fuzz
 
@@ -123,6 +123,23 @@ metrics-diff:
 # One testing.B target per paper table/figure (quick sizes).
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+
+# Interleaved A/B of the end-to-end benchmark (cmd/hpmpbench) against a base
+# revision: builds hpmpbench at BASE, checked out with git worktree, and at
+# the working tree into .bench_build/, then runs `compare` over 10 pairs of
+# 20 s runs per workload, alternating which side runs first. That is about
+# 25 minutes; keep the machine otherwise idle. Exit 1 means a metric
+# regressed or the head had more incorrect runs. Usage:
+#   make bench-ab BASE=HEAD~1
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }
+	rm -rf .bench_build/base-src
+	git worktree prune
+	git worktree add --detach .bench_build/base-src $(BASE)
+	cd .bench_build/base-src/cmd/hpmpbench && $(GO) build -o ../../../base.bin .
+	git worktree remove --force .bench_build/base-src
+	cd cmd/hpmpbench && $(GO) build -o ../../.bench_build/head.bin .
+	.bench_build/head.bin compare -base .bench_build/base.bin -head .bench_build/head.bin -pairs 10 -seconds 20
 
 # The full evaluation: every table and figure at full size.
 eval:

@@ -5,7 +5,10 @@
 // Table models.
 package addr
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // PA is a physical address. The simulator models RV64, so physical addresses
 // are 64-bit values even though real implementations expose at most 56 bits.
@@ -174,13 +177,10 @@ func NAPOTEncode(base, size uint64) (uint64, error) {
 }
 
 // NAPOTDecode recovers (base, size) from a pmpaddr register value encoded in
-// NAPOT form.
+// NAPOT form. Every PMP check decodes its entries, so the trailing ones are
+// counted in one instruction rather than bit by bit.
 func NAPOTDecode(pmpaddr uint64) (base, size uint64) {
-	// Count trailing ones.
-	k := 0
-	for v := pmpaddr; v&1 == 1; v >>= 1 {
-		k++
-	}
+	k := bits.TrailingZeros64(^pmpaddr) // trailing ones of pmpaddr
 	size = uint64(8) << k
 	base = (pmpaddr &^ (uint64(1)<<k - 1)) << 2
 	return base, size

@@ -122,6 +122,39 @@ func TestNAPOTRoundTripQuick(t *testing.T) {
 	}
 }
 
+// napotDecodeLoop is the bit-by-bit decoder NAPOTDecode must agree with.
+func napotDecodeLoop(pmpaddr uint64) (base, size uint64) {
+	k := 0
+	for v := pmpaddr; v&1 == 1; v >>= 1 {
+		k++
+	}
+	return (pmpaddr &^ (uint64(1)<<k - 1)) << 2, uint64(8) << k
+}
+
+// Property: NAPOTDecode matches the trailing-ones loop on every value,
+// including 0, all-ones and every run length of trailing ones.
+func TestNAPOTDecodeMatchesLoop(t *testing.T) {
+	check := func(v uint64) bool {
+		b, s := NAPOTDecode(v)
+		wb, ws := napotDecodeLoop(v)
+		if b != wb || s != ws {
+			t.Errorf("NAPOTDecode(%#x) = (%#x, %#x), loop gives (%#x, %#x)", v, b, s, wb, ws)
+			return false
+		}
+		return true
+	}
+	check(0)
+	check(^uint64(0))
+	for k := 0; k < 64; k++ {
+		ones := uint64(1)<<k - 1
+		check(ones)
+		check(ones | 0xdead_beef_0000_0000&^(uint64(1)<<k))
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRange(t *testing.T) {
 	r := Range{Base: 0x1000, Size: 0x2000}
 	if !r.Contains(0x1000) || !r.Contains(0x2fff) || r.Contains(0x3000) || r.Contains(0xfff) {

@@ -43,26 +43,47 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// line is one cache line, packed into 16 bytes: an 8-way set spans two host
+// cache lines, and a machine boot allocates a third less than with a struct
+// of three bools beside the tag and stamp. meta holds the line's LRU stamp
+// above two state bits,
+//
+//	meta = stamp<<lineStateBits | dirty<<1 | locked
+//
+// and is 0 exactly when the line is invalid, since stamps start at 1.
+// Stamps are unique within a cache, so comparing meta orders lines by
+// recency.
 type line struct {
-	valid bool
-	dirty bool
-	// locked lines are pinned: eviction skips them (Penglai's cache-line
+	tag  uint64
+	meta uint64
+}
+
+const (
+	// lineLocked pins a line: eviction skips it (Penglai's cache-line
 	// locking, used to keep monitor-critical state resident and immune to
 	// cache-occupancy side channels).
-	locked bool
-	tag    uint64
-	// lru: larger = more recently used.
-	lru uint64
+	lineLocked uint64 = 1 << iota
+	lineDirty
+	lineStateBits = iota
+)
+
+func (l *line) valid() bool  { return l.meta != 0 }
+func (l *line) locked() bool { return l.meta&lineLocked != 0 }
+
+// touch stamps l most recently used at tick, keeping its state bits.
+func (l *line) touch(tick uint64) {
+	l.meta = tick<<lineStateBits | l.meta&(lineDirty|lineLocked)
 }
 
 // Cache is one level of the hierarchy.
 type Cache struct {
 	cfg      Config
 	sets     uint64
+	ways     uint64
 	lineBits uint
-	setBits  uint     // log2(sets): Validate guarantees a power of two
-	data     [][]line // [set][way]
-	tick     uint64   // LRU clock
+	setBits  uint   // log2(sets): Validate guarantees a power of two
+	lines    []line // set s occupies lines[s*ways : (s+1)*ways]
+	tick     uint64 // LRU clock
 
 	// Hot-path counter handles, resolved once in New so per-access bumps
 	// pay neither a map lookup nor the cfg.Name+suffix concatenation.
@@ -72,19 +93,22 @@ type Cache struct {
 }
 
 // New builds a cache level from cfg; invalid geometry panics (it is a
-// programming error in a fixed experiment configuration).
+// programming error in a fixed experiment configuration). The whole level
+// is one allocation, whatever its set count: a machine boots four levels,
+// and a slice per set made boot allocation-bound.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := cfg.Size / cfg.LineSize / uint64(cfg.Ways)
-	c := &Cache{cfg: cfg, sets: sets, setBits: uint(bits.TrailingZeros64(sets))}
-	for c.cfg.LineSize>>(c.lineBits+1) > 0 {
-		c.lineBits++
-	}
-	c.data = make([][]line, sets)
-	for i := range c.data {
-		c.data[i] = make([]line, cfg.Ways)
+	ways := uint64(cfg.Ways)
+	sets := cfg.Size / cfg.LineSize / ways
+	c := &Cache{
+		cfg:      cfg,
+		sets:     sets,
+		ways:     ways,
+		lineBits: uint(bits.TrailingZeros64(cfg.LineSize)),
+		setBits:  uint(bits.TrailingZeros64(sets)),
+		lines:    make([]line, sets*ways),
 	}
 	c.hHit = c.Counters.Handle(cfg.Name + ".hit")
 	c.hMiss = c.Counters.Handle(cfg.Name + ".miss")
@@ -107,96 +131,99 @@ func (c *Cache) index(pa addr.PA) (set, tag uint64) {
 	return lineAddr & (c.sets - 1), lineAddr >> c.setBits
 }
 
-// Lookup probes the cache without filling. It returns whether the line is
-// present and updates LRU on hit.
-func (c *Cache) Lookup(pa addr.PA, write bool) bool {
-	set, tag := c.index(pa)
-	for i := range c.data[set] {
-		l := &c.data[set][i]
-		if l.valid && l.tag == tag {
-			c.tick++
-			l.lru = c.tick
-			if write {
-				l.dirty = true
-			}
-			*c.hHit++
-			return true
+// set returns the ways of set s.
+func (c *Cache) set(s uint64) []line {
+	i := s * c.ways
+	return c.lines[i : i+c.ways : i+c.ways]
+}
+
+// lookup returns the line of a set holding tag, or nil.
+func lookup(ways []line, tag uint64) *line {
+	for i := range ways {
+		if l := &ways[i]; l.tag == tag && l.valid() {
+			return l
 		}
 	}
+	return nil
+}
+
+// victim returns the way of a set a fill takes: the first invalid way, else
+// the least recently used unlocked way, else -1 (every way is locked).
+func victim(ways []line) int {
+	w, oldest := -1, ^uint64(0)
+	for i := range ways {
+		l := &ways[i]
+		if !l.valid() {
+			return i
+		}
+		if !l.locked() && l.meta < oldest {
+			w, oldest = i, l.meta
+		}
+	}
+	return w
+}
+
+// probe is the fused lookup-or-fill, one call per level per access: a hit
+// refreshes the line's LRU stamp (and dirties it when write); a miss fills
+// the line into the way victim picks, dirty when fillDirty. It reports
+// whether the probe hit.
+//
+// A hit costs one tight tag scan, and a miss adds one victim scan. Folding
+// the victim bookkeeping into the tag scan made the far more frequent hits
+// dearer and measured slower end to end on every hpmpbench workload.
+func (c *Cache) probe(pa addr.PA, write, fillDirty bool) bool {
+	set, tag := c.index(pa)
+	ways := c.set(set)
+	if l := lookup(ways, tag); l != nil {
+		c.tick++
+		l.touch(c.tick)
+		if write {
+			l.meta |= lineDirty
+		}
+		*c.hHit++
+		return true
+	}
 	*c.hMiss++
+	c.fill(ways, victim(ways), tag, fillDirty)
 	return false
 }
 
-// Fill inserts the line containing pa, evicting the LRU unlocked way. It
-// returns the evicted line's address and whether it was dirty (so the
-// caller can model a write-back), or ok=false when no valid line was
-// evicted. When every way of the set is locked, the fill is dropped (the
-// access behaves uncached), matching lock-by-way hardware.
-func (c *Cache) Fill(pa addr.PA, write bool) (victim addr.PA, dirty, ok bool) {
-	set, tag := c.index(pa)
-	ways := c.data[set]
-	// Refresh in place if present (keeps lock state).
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			c.tick++
-			ways[i].lru = c.tick
-			ways[i].dirty = ways[i].dirty || write
-			return 0, false, false
-		}
-	}
-	// Prefer an invalid way.
-	vi := -1
-	for i := range ways {
-		if !ways[i].valid {
-			vi = i
-			goto place
-		}
-	}
-	// Evict true-LRU among unlocked ways.
-	for i := range ways {
-		if ways[i].locked {
-			continue
-		}
-		if vi < 0 || ways[i].lru < ways[vi].lru {
-			vi = i
-		}
-	}
-	if vi < 0 {
-		// Fully locked set: bypass.
+// fill places tag into way w of a set, counting the eviction (and its
+// write-back when dirty) of a valid occupant. w < 0 means every way is
+// locked: the fill is dropped and the access behaves uncached, matching
+// lock-by-way hardware.
+func (c *Cache) fill(ways []line, w int, tag uint64, dirty bool) {
+	if w < 0 {
 		*c.hFillBypass++
-		return 0, false, false
+		return
 	}
-	{
-		v := &ways[vi]
-		victimLineAddr := (v.tag*c.sets + set) << c.lineBits
-		victim, dirty, ok = addr.PA(victimLineAddr), v.dirty, true
-		if dirty {
+	if v := &ways[w]; v.valid() {
+		if v.meta&lineDirty != 0 {
 			*c.hWriteback++
 		}
 		*c.hEvict++
 	}
-place:
 	c.tick++
-	ways[vi] = line{valid: true, dirty: write, tag: tag, lru: c.tick}
+	ways[w] = line{tag: tag, meta: c.tick << lineStateBits}
+	if dirty {
+		ways[w].meta |= lineDirty
+	}
 	*c.hFill++
-	return victim, dirty, ok
 }
 
 // Lock pins the line containing pa, filling it first if absent. It reports
 // whether the pin took hold (false when the set is already fully locked).
 func (c *Cache) Lock(pa addr.PA) bool {
 	set, tag := c.index(pa)
-	ways := c.data[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].locked = true
-			return true
-		}
+	ways := c.set(set)
+	if l := lookup(ways, tag); l != nil {
+		l.meta |= lineLocked
+		return true
 	}
 	// Keep at least one unlocked way per set so the cache stays usable.
 	lockedWays := 0
 	for i := range ways {
-		if ways[i].valid && ways[i].locked {
+		if ways[i].locked() {
 			lockedWays++
 		}
 	}
@@ -204,35 +231,27 @@ func (c *Cache) Lock(pa addr.PA) bool {
 		*c.hLockReject++
 		return false
 	}
-	c.Fill(pa, false)
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].locked = true
-			return true
-		}
-	}
-	return false
+	// At least two ways are unlocked or invalid, so there is a victim.
+	w := victim(ways)
+	c.fill(ways, w, tag, false)
+	ways[w].meta |= lineLocked
+	return true
 }
 
 // Unlock releases a pinned line (no-op when absent).
 func (c *Cache) Unlock(pa addr.PA) {
 	set, tag := c.index(pa)
-	for i := range c.data[set] {
-		l := &c.data[set][i]
-		if l.valid && l.tag == tag {
-			l.locked = false
-		}
+	if l := lookup(c.set(set), tag); l != nil {
+		l.meta &^= lineLocked
 	}
 }
 
 // LockedLines counts pinned lines (for accounting).
 func (c *Cache) LockedLines() int {
 	n := 0
-	for s := range c.data {
-		for w := range c.data[s] {
-			if c.data[s][w].valid && c.data[s][w].locked {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].locked() {
+			n++
 		}
 	}
 	return n
@@ -241,50 +260,39 @@ func (c *Cache) LockedLines() int {
 // InvalidateAll flushes the cache (used to build cold-state test cases;
 // dirty data is discarded because experiment state is rebuilt afterwards).
 func (c *Cache) InvalidateAll() {
-	for s := range c.data {
-		for w := range c.data[s] {
-			c.data[s][w] = line{}
-		}
-	}
+	clear(c.lines)
 }
 
 // Contains reports presence without touching LRU or counters (for tests and
 // state priming checks).
 func (c *Cache) Contains(pa addr.PA) bool {
 	set, tag := c.index(pa)
-	for i := range c.data[set] {
-		l := c.data[set][i]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	return lookup(c.set(set), tag) != nil
 }
 
 // Touch inserts a line without counting statistics — used by experiment
-// setup code to pre-warm caches into a Table 2 state.
+// setup code to pre-warm caches into a Table 2 state. Unlike a counted
+// fill it may evict a locked line: the victim is the first invalid way,
+// else the least recently used way.
 func (c *Cache) Touch(pa addr.PA) {
 	set, tag := c.index(pa)
-	ways := c.data[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			c.tick++
-			ways[i].lru = c.tick
-			return
-		}
+	ways := c.set(set)
+	c.tick++
+	if l := lookup(ways, tag); l != nil {
+		l.touch(c.tick)
+		return
 	}
-	vi := 0
+	w := 0
 	for i := range ways {
-		if !ways[i].valid {
-			vi = i
+		if !ways[i].valid() {
+			w = i
 			break
 		}
-		if ways[i].lru < ways[vi].lru {
-			vi = i
+		if ways[i].meta < ways[w].meta {
+			w = i
 		}
 	}
-	c.tick++
-	ways[vi] = line{valid: true, tag: tag, lru: c.tick}
+	ways[w] = line{tag: tag, meta: c.tick << lineStateBits}
 }
 
 // Hierarchy composes L1 (one of the split caches), L2, LLC and DRAM into a
@@ -386,30 +394,26 @@ func (h *Hierarchy) AccessNoL1(pa addr.PA, now uint64, write bool) AccessResult 
 	return h.access(pa, now, write, true)
 }
 
+// access probes each level once, top down, until one hits. Every level
+// that misses fills the line in the same probe (inclusive fill); only the
+// L1 fill carries the store's dirty bit.
 func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) AccessResult {
 	hh := h.handles()
 	var lat uint64
 	if !skipL1 {
 		lat = h.L1.cfg.Latency
-		if h.L1.Lookup(pa, write) {
+		if h.L1.probe(pa, write, write) {
 			*hh.l1Hit++
 			return AccessResult{Latency: lat, Level: LvlL1}
 		}
 	}
 	lat += h.L2.cfg.Latency
-	if h.L2.Lookup(pa, write) {
-		if !skipL1 {
-			h.L1.Fill(pa, write)
-		}
+	if h.L2.probe(pa, write, false) {
 		*hh.l2Hit++
 		return AccessResult{Latency: lat, Level: LvlL2}
 	}
 	lat += h.LLC.cfg.Latency
-	if h.LLC.Lookup(pa, write) {
-		h.L2.Fill(pa, false)
-		if !skipL1 {
-			h.L1.Fill(pa, write)
-		}
+	if h.LLC.probe(pa, write, false) {
 		*hh.llcHit++
 		return AccessResult{Latency: lat, Level: LvlLLC}
 	}
@@ -423,11 +427,6 @@ func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) Acce
 		dramLat += uint64(16 * h.ClockRatio)
 	}
 	lat += dramLat
-	h.LLC.Fill(pa, false)
-	h.L2.Fill(pa, false)
-	if !skipL1 {
-		h.L1.Fill(pa, write)
-	}
 	*hh.dram++
 	return AccessResult{Latency: lat, Level: LvlDRAM}
 }

@@ -11,11 +11,26 @@ import (
 	"hpmp/internal/addr"
 )
 
+// leafBits is log2 of the frames one leaf of the frame table covers: 512
+// frames, 2 MiB of memory, so a leaf is itself one 4 KiB array of pointers.
+const (
+	leafBits   = 9
+	leafFrames = 1 << leafBits
+)
+
+// frameLeaf maps the frames of one 2 MiB span to their contents (nil until
+// touched).
+type frameLeaf [leafFrames]*[addr.PageSize]byte
+
 // Memory is a sparse simulated physical memory. The zero value is not usable;
 // call New.
 type Memory struct {
-	size   uint64
-	frames map[uint64]*[addr.PageSize]byte
+	size uint64
+	// dir is the root of a two-level radix frame table indexed by frame
+	// number: dir[fn>>leafBits][fn%leafFrames]. Leaves and frames are both
+	// allocated on first touch, so untouched memory costs one nil pointer
+	// per 2 MiB, and a lookup is two indexed loads with no hashing.
+	dir []*frameLeaf
 	// Touched counts frames materialized so far (for footprint reporting).
 	touched uint64
 }
@@ -23,9 +38,11 @@ type Memory struct {
 // New creates a memory of the given size in bytes (rounded up to a page).
 // Accesses beyond the size fault.
 func New(size uint64) *Memory {
+	size = addr.AlignUp(size, addr.PageSize)
+	frames := size >> addr.PageShift
 	return &Memory{
-		size:   addr.AlignUp(size, addr.PageSize),
-		frames: make(map[uint64]*[addr.PageSize]byte),
+		size: size,
+		dir:  make([]*frameLeaf, (frames+leafFrames-1)>>leafBits),
 	}
 }
 
@@ -40,15 +57,27 @@ func (m *Memory) InBounds(pa addr.PA, n uint64) bool {
 	return uint64(pa) < m.size && uint64(pa)+n <= m.size
 }
 
-func (m *Memory) frame(pa addr.PA) *[addr.PageSize]byte {
+// slot returns the frame-table entry for the frame holding pa, materializing
+// its leaf on first touch. pa must be in bounds.
+func (m *Memory) slot(pa addr.PA) **[addr.PageSize]byte {
 	fn := pa.Frame()
-	f := m.frames[fn]
-	if f == nil {
-		f = new([addr.PageSize]byte)
-		m.frames[fn] = f
+	leaf := m.dir[fn>>leafBits]
+	if leaf == nil {
+		leaf = new(frameLeaf)
+		m.dir[fn>>leafBits] = leaf
+	}
+	return &leaf[fn&(leafFrames-1)]
+}
+
+// frame returns the frame holding pa, materializing it on first touch. pa
+// must be in bounds.
+func (m *Memory) frame(pa addr.PA) *[addr.PageSize]byte {
+	s := m.slot(pa)
+	if *s == nil {
+		*s = new([addr.PageSize]byte)
 		m.touched++
 	}
-	return f
+	return *s
 }
 
 // ErrBounds is returned for accesses outside the physical address space.
@@ -172,7 +201,11 @@ func (m *Memory) ZeroPage(pa addr.PA) error {
 	if !m.InBounds(pa, addr.PageSize) {
 		return &ErrBounds{PA: pa, N: addr.PageSize}
 	}
-	*m.frame(pa) = [addr.PageSize]byte{}
+	if f := *m.slot(pa); f != nil {
+		*f = [addr.PageSize]byte{}
+	} else {
+		m.frame(pa) // a frame materializes zeroed: no second clear
+	}
 	return nil
 }
 

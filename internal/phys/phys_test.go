@@ -2,6 +2,7 @@ package phys
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +103,113 @@ func TestTouchedFrames(t *testing.T) {
 	m.Read8(0x9000)     // third frame (reads also materialize)
 	if got := m.TouchedFrames(); got != 3 {
 		t.Errorf("TouchedFrames = %d, want 3", got)
+	}
+}
+
+// A fresh frame is materialized zeroed by ZeroPage and counted once; a
+// ZeroPage of a frame already holding data clears it without counting it
+// again.
+func TestZeroPageFreshFrame(t *testing.T) {
+	m := New(64 * addr.KiB)
+	if err := m.ZeroPage(0x2000); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.TouchedFrames(); got != 1 {
+		t.Errorf("TouchedFrames after ZeroPage of a fresh frame = %d, want 1", got)
+	}
+	buf := make([]byte, addr.PageSize)
+	if err := m.Read(0x2000, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, make([]byte, addr.PageSize)) {
+		t.Error("fresh frame is not zero")
+	}
+	if err := m.Write(0x2000, bytes.Repeat([]byte{0xa5}, addr.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ZeroPage(0x2000); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Read(0x2000, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, make([]byte, addr.PageSize)) {
+		t.Error("ZeroPage left data in a touched frame")
+	}
+	if got := m.TouchedFrames(); got != 1 {
+		t.Errorf("TouchedFrames after re-zeroing = %d, want 1", got)
+	}
+}
+
+// The frame table's leaves each cover 2 MiB. Memory sizes that are not a
+// multiple of that end in a partial leaf; the last page, accesses straddling
+// a leaf boundary, and the bounds at and past Size must all behave as in a
+// flat memory.
+func TestFrameTableEdges(t *testing.T) {
+	for _, size := range []uint64{
+		addr.PageSize,                   // one page, one partial leaf
+		2*addr.MiB + addr.PageSize,      // one full leaf plus one page
+		5*addr.MiB + 3*addr.PageSize,    // partial last leaf
+		4*addr.MiB - addr.PageSize + 10, // rounded up to a page by New
+	} {
+		m := New(size)
+		end := m.Size()
+		if end%addr.PageSize != 0 || end < size {
+			t.Fatalf("New(%d).Size() = %d", size, end)
+		}
+		last := addr.PA(end - addr.PageSize)
+		if err := m.Write64(last+addr.PageSize-8, 0x1122334455667788); err != nil {
+			t.Fatalf("size %d: last word: %v", size, err)
+		}
+		if v, err := m.Read64(last + addr.PageSize - 8); err != nil || v != 0x1122334455667788 {
+			t.Errorf("size %d: last word reads %#x, %v", size, v, err)
+		}
+		if err := m.ZeroPage(last); err != nil {
+			t.Errorf("size %d: ZeroPage of the last page: %v", size, err)
+		}
+		// At and past Size: every accessor reports *ErrBounds.
+		var eb *ErrBounds
+		for _, err := range []error{
+			m.Write8(addr.PA(end), 1),
+			m.Write64(addr.PA(end), 1),
+			m.Read(addr.PA(end-4), make([]byte, 8)),
+			m.Write(addr.PA(end+addr.PageSize), []byte{1}),
+			m.ZeroPage(addr.PA(end)),
+		} {
+			if !errors.As(err, &eb) {
+				t.Errorf("size %d: out-of-bounds access returned %v, want *ErrBounds", size, err)
+			}
+		}
+		if _, err := m.Read64(addr.PA(end)); !errors.As(err, &eb) {
+			t.Errorf("size %d: Read64 at Size returned %v, want *ErrBounds", size, err)
+		}
+		if _, err := m.Read8(addr.PA(end + 2*addr.MiB)); !errors.As(err, &eb) {
+			t.Errorf("size %d: Read8 a leaf past Size returned %v, want *ErrBounds", size, err)
+		}
+	}
+
+	// A read and a write straddling the 2 MiB leaf boundary.
+	m := New(5 * addr.MiB)
+	data := make([]byte, 3*addr.PageSize)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	at := addr.PA(2*addr.MiB - addr.PageSize - 100)
+	if err := m.Write(at, data); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if err := m.Read(at, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Error("read across the leaf boundary differs from the write")
+	}
+	if b, _ := m.Read8(2 * addr.MiB); b != data[addr.PageSize+100] {
+		t.Errorf("first byte of the second leaf = %#x, want %#x", b, data[addr.PageSize+100])
+	}
+	if n := m.TouchedFrames(); n != 4 {
+		t.Errorf("TouchedFrames = %d, want 4 (the write spans four frames)", n)
 	}
 }
 

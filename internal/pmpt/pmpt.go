@@ -181,13 +181,10 @@ func (l LeafPTE) WithPagePerm(i int, p perm.Perm) LeafPTE {
 	return LeafPTE(cleared | uint64(p)<<shift)
 }
 
-// UniformLeaf builds a leaf pmpte granting p to all 16 pages.
+// UniformLeaf builds a leaf pmpte granting p to all 16 pages: p's nibble
+// replicated into every nibble by one multiply.
 func UniformLeaf(p perm.Perm) LeafPTE {
-	var l LeafPTE
-	for i := 0; i < PagesPerLeafEntry; i++ {
-		l = l.WithPagePerm(i, p)
-	}
-	return l
+	return LeafPTE(uint64(p&0xf) * 0x1111_1111_1111_1111)
 }
 
 // Table is the software view of one PMP Table living in simulated physical

@@ -56,6 +56,21 @@ func TestLeafNibbles(t *testing.T) {
 	}
 }
 
+// UniformLeaf agrees with setting all 16 nibbles one by one, for every
+// perm.Perm value (bits above the nibble included).
+func TestUniformLeafMatchesPerPage(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		p := perm.Perm(v)
+		var want LeafPTE
+		for i := 0; i < PagesPerLeafEntry; i++ {
+			want = want.WithPagePerm(i, p)
+		}
+		if got := UniformLeaf(p); got != want {
+			t.Errorf("UniformLeaf(%#x) = %#x, per-page loop gives %#x", v, uint64(got), uint64(want))
+		}
+	}
+}
+
 // Property: WithPagePerm(i, p) sets nibble i and leaves all others alone.
 func TestLeafNibbleIsolationQuick(t *testing.T) {
 	f := func(raw uint64, idx uint8, pbits uint8) bool {
