@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-ab eval eval-quick examples metrics-baseline metrics-diff clean
+.PHONY: all build vet test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-ab bench-full-ab eval eval-quick examples metrics-baseline metrics-diff clean
 
 all: build vet test race smoke fuzz
 
@@ -133,13 +133,49 @@ bench:
 #   make bench-ab BASE=HEAD~1
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }
+	$(call base-build,cd cmd/hpmpbench && $(GO) build -o ../../../base.bin .)
+	cd cmd/hpmpbench && $(GO) build -o ../../.bench_build/head.bin .
+	.bench_build/head.bin compare -base .bench_build/base.bin -head .bench_build/head.bin -pairs 10 -seconds 20
+
+# Interleaved A/B of the full-size evaluation's wall time against a base
+# revision: builds hpmpsim at BASE (same temporary worktree as bench-ab) and
+# at the working tree, runs `hpmpsim -parallel 1 run all` PAIRS times per
+# side, alternating which side runs first, and prints every wall time and
+# each side's median. About 25 s per pair on a 2-vCPU host; keep the
+# machine otherwise idle. Also reports whether the two sides' stdout
+# matched. Usage:
+#   make bench-full-ab BASE=HEAD~1 [PAIRS=3]
+PAIRS ?= 3
+bench-full-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-full-ab BASE=<rev> [PAIRS=n]" >&2; exit 2; }
+	@test "$(PAIRS)" -ge 3 || { echo "bench-full-ab: PAIRS must be at least 3" >&2; exit 2; }
+	$(call base-build,$(GO) build -o ../hpmpsim-base ./cmd/hpmpsim)
+	$(GO) build -o .bench_build/hpmpsim-head ./cmd/hpmpsim
+	@rm -f .bench_build/full-walls.txt; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		order="base head"; [ $$((i % 2)) -eq 0 ] && order="head base"; \
+		for side in $$order; do \
+			start=$$(date +%s.%N); \
+			.bench_build/hpmpsim-$$side -parallel 1 run all > .bench_build/full-$$side.out 2>/dev/null || exit 1; \
+			wall=$$(awk -v s=$$start -v e=$$(date +%s.%N) 'BEGIN { printf "%.2f", e - s }'); \
+			echo "pair $$i $$side $$wall s"; echo "$$side $$wall" >> .bench_build/full-walls.txt; \
+		done; \
+	done; \
+	for side in base head; do \
+		grep "^$$side " .bench_build/full-walls.txt | sort -n -k2 | \
+			awk -v side=$$side '{ w[NR] = $$2 } END { m = NR % 2 ? w[(NR + 1) / 2] : (w[NR / 2] + w[NR / 2 + 1]) / 2; printf "%s median %.2f s over %d runs\n", side, m, NR }'; \
+	done; \
+	if cmp -s .bench_build/full-base.out .bench_build/full-head.out; then echo "stdout: identical"; else echo "stdout: differs"; fi
+
+# base-build checks BASE out into a temporary git worktree, runs $(1) at its
+# root, and removes the worktree again (bench-ab, bench-full-ab).
+define base-build
 	rm -rf .bench_build/base-src
 	git worktree prune
 	git worktree add --detach .bench_build/base-src $(BASE)
-	cd .bench_build/base-src/cmd/hpmpbench && $(GO) build -o ../../../base.bin .
+	cd .bench_build/base-src && $(1)
 	git worktree remove --force .bench_build/base-src
-	cd cmd/hpmpbench && $(GO) build -o ../../.bench_build/head.bin .
-	.bench_build/head.bin compare -base .bench_build/base.bin -head .bench_build/head.bin -pairs 10 -seconds 20
+endef
 
 # The full evaluation: every table and figure at full size.
 eval:

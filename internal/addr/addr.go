@@ -186,6 +186,16 @@ func NAPOTDecode(pmpaddr uint64) (base, size uint64) {
 	return base, size
 }
 
+// NAPOTCeil returns the smallest power of two that is at least size (1 for
+// size 0): the size of the one NAPOT region that covers [0, size). Defined
+// for size <= 1<<63.
+func NAPOTCeil(size uint64) uint64 {
+	if size <= 1 {
+		return 1
+	}
+	return 1 << bits.Len64(size-1)
+}
+
 // Range is a half-open physical address range [Base, Base+Size).
 type Range struct {
 	Base PA

@@ -226,3 +226,32 @@ func TestGPAAndLineHelpers(t *testing.T) {
 		t.Error("VA.PageBase wrong")
 	}
 }
+
+// napotCeilLoop is the doubling loop NAPOTCeil must agree with. It never
+// terminates above 1<<63, where NAPOTCeil's domain ends too.
+func napotCeilLoop(size uint64) uint64 {
+	n := uint64(1)
+	for n < size {
+		n <<= 1
+	}
+	return n
+}
+
+func TestNAPOTCeilMatchesLoop(t *testing.T) {
+	sizes := []uint64{0, 1, 160 * MiB, 192 * MiB, 320 * MiB}
+	for k := 0; k < 64; k++ {
+		p := uint64(1) << k
+		sizes = append(sizes, p-1, p)
+		if k < 63 {
+			sizes = append(sizes, p+1)
+		}
+	}
+	for _, size := range sizes {
+		if got, want := NAPOTCeil(size), napotCeilLoop(size); got != want {
+			t.Errorf("NAPOTCeil(%#x) = %#x, loop gives %#x", size, got, want)
+		}
+	}
+	if got := NAPOTCeil(192 * MiB); got != 256*MiB {
+		t.Errorf("NAPOTCeil(192 MiB) = %d MiB, want 256", got/MiB)
+	}
+}

@@ -26,20 +26,18 @@ import (
 type Config struct {
 	// Quick shrinks workload sizes for CI and `go test -bench`.
 	Quick bool
-	// Machine is the unified machine configuration (internal/simcfg).
-	// Experiments pick their own platform and isolation mode per paper
-	// figure, so only MemSize and the cache-geometry overrides apply to
-	// the systems they boot; Platform/Mode carry the canonical defaults.
-	// Embedded, so the historical cfg.MemSize spelling keeps working.
-	simcfg.Machine
+	// MemSize is the DRAM size, in bytes, of every system the experiments
+	// boot. It is the one machine parameter experiments read: each picks
+	// its own platform, isolation mode and cache geometry per paper figure.
+	MemSize uint64
 	// Workload scales the traffic-side workloads beyond the paper's
 	// defaults (miniredis keyspace/request count, serverless invocation
 	// reps, cold-start flood size). Zero value = tier defaults.
 	Workload simcfg.WorkloadScale
 
-	// obs, when set by the runner, collects counters from every System and
-	// machine the experiment boots. Config is passed by value, so the
-	// pointer is shared across the copies one experiment makes.
+	// obs, when set by the runner, collects every System the experiment
+	// boots. Config is passed by value, so the pointer is shared across the
+	// copies one experiment makes.
 	obs *observer
 	// tracer, when set by the runner, is attached to every machine the
 	// experiment boots via cpu.Machine.SetTracer, so the translation-path
@@ -49,68 +47,33 @@ type Config struct {
 
 // DefaultConfig returns the full-size configuration.
 func DefaultConfig() Config {
-	return Config{Machine: simcfg.Default()}
+	return Config{MemSize: simcfg.Default().MemSize}
 }
 
 // Validate rejects configurations that would only fail later, deep inside
-// an experiment. The machine checks live in simcfg — the one validation
+// an experiment. The memory-size rule lives in simcfg — the one validation
 // path shared with replay and the daemon.
 func (c Config) Validate() error {
-	if err := c.Machine.Validate(); err != nil {
+	m := simcfg.Default()
+	m.MemSize = c.MemSize
+	if err := m.Validate(); err != nil {
 		return err
 	}
 	return c.Workload.Validate()
 }
 
-// observe registers a machine's counter sets and latency histograms (the
-// list cpu.Machine keeps) with the run's observer and attaches the run's
-// tracer (when one is configured) to the machine's translation-path hooks;
-// a no-op outside the runner.
-func (c Config) observe(m *cpu.Machine) {
-	if m == nil {
-		return
-	}
+// watch registers one booted system with the run: the runner's observer
+// snapshots its counters and histograms when the experiment finishes, and
+// the run's tracer (when one is configured) is attached to its machine's
+// translation-path hooks. Every machine, kernel and monitor an experiment
+// boots goes through here exactly once — after boot for monitor/kernel
+// systems, so boot itself is never traced, and right after
+// cpu.NewMachine for bare rigs. A no-op outside the runner.
+func (c Config) watch(s *System) {
 	if c.tracer != nil {
-		m.SetTracer(c.tracer)
+		s.Mach.SetTracer(c.tracer)
 	}
-	if c.obs == nil {
-		return
-	}
-	c.obs.add(m.MergeCounters)
-	c.obs.addHists(func(into map[string]*stats.Histogram) {
-		m.EachHistogram(func(family string, h *stats.Histogram) { mergeHist(into, family, h) })
-	})
-}
-
-// mergeHist folds one machine's latency histogram into the experiment-wide
-// family map, creating the family on first sight. Nil sources (a machine
-// assembled without the structure) are skipped.
-func mergeHist(into map[string]*stats.Histogram, name string, src *stats.Histogram) {
-	if src == nil {
-		return
-	}
-	dst, ok := into[name]
-	if !ok {
-		dst = stats.DefaultLatencyHistogram()
-		into[name] = dst
-	}
-	dst.Merge(src)
-}
-
-// observeKernel registers a kernel's counters with the run's observer.
-func (c Config) observeKernel(k *kernel.Kernel) {
-	if c.obs == nil || k == nil {
-		return
-	}
-	c.obs.add(func(into *stats.Counters) { into.Merge(&k.Counters) })
-}
-
-// observeMonitor registers a monitor's counters with the run's observer.
-func (c Config) observeMonitor(m *monitor.Monitor) {
-	if c.obs == nil || m == nil {
-		return
-	}
-	c.obs.add(func(into *stats.Counters) { into.Merge(&m.Counters) })
+	c.obs.add(s)
 }
 
 // Result is one experiment's output.
@@ -166,11 +129,10 @@ const (
 	CostHeavy CostClass = "heavy"
 )
 
-// ExperimentSpec is one registered experiment: the run function plus the
+// Experiment is one registered experiment: the run function plus the
 // metadata the CLI (`list`, `describe`), the metrics exporter, and the
-// spec-conformance test are driven by. It replaces the bare (id, title,
-// func) registry.
-type ExperimentSpec struct {
+// spec-conformance test are driven by.
+type Experiment struct {
 	ID    string
 	Title string
 	// Figure names the paper figure or table the experiment regenerates
@@ -184,13 +146,9 @@ type ExperimentSpec struct {
 	Run  func(cfg Config) (*Result, error)
 }
 
-// Experiment aliases ExperimentSpec — the pre-redesign name, kept so call
-// sites read naturally where the metadata is irrelevant.
-type Experiment = ExperimentSpec
-
 var (
 	regMu    sync.Mutex
-	registry []ExperimentSpec
+	registry []Experiment
 )
 
 // idPattern constrains experiment IDs to lowercase alphanumerics with
@@ -200,7 +158,7 @@ var idPattern = regexp.MustCompile(`^[a-z0-9]+(-[a-z0-9]+)*$`)
 // Register adds an experiment to the registry. It panics on a duplicate or
 // malformed ID: both are programming errors that would otherwise surface
 // as an ambiguous ByID much later. An empty Cost defaults to CostMedium.
-func Register(e ExperimentSpec) {
+func Register(e Experiment) {
 	if !idPattern.MatchString(e.ID) {
 		panic(fmt.Sprintf("bench: malformed experiment id %q", e.ID))
 	}
@@ -223,8 +181,6 @@ func Register(e ExperimentSpec) {
 	}
 	registry = append(registry, e)
 }
-
-func register(spec ExperimentSpec) { Register(spec) }
 
 // All returns every experiment in natural ID order: digit runs compare
 // numerically, so fig3a–fig3d precede fig10 and table3 precedes table4.
@@ -250,7 +206,9 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// System is a fully booted stack: machine + monitor + kernel.
+// System is a booted stack: machine + monitor + kernel. It is also the
+// unit the runner observes, so experiments that boot less register
+// partial systems: a bare monitor has no Kern, a hand-built rig only Mach.
 type System struct {
 	Mach *cpu.Machine
 	Mon  *monitor.Monitor // nil for the Host-PMP (no TEE) baseline
@@ -260,46 +218,55 @@ type System struct {
 
 // NewSystem boots a machine of the given platform under the given
 // isolation mode and starts the kernel. The machine's DRAM size comes from
-// cfg.MemSize; under the runner the system's counters are observed for the
+// cfg.MemSize; under the runner the system is observed for the
 // experiment's Result snapshot.
 func NewSystem(plat cpu.Platform, mode monitor.Mode, cfg Config) (*System, error) {
+	kcfg := kernel.DefaultConfig(cfg.MemSize)
+	return bootSystem(plat, monitor.DefaultConfig(mode), &kcfg, cfg)
+}
+
+// bootSystem is NewSystem over explicit monitor and kernel configurations,
+// for experiments that vary one of their fields. A nil kcfg boots the
+// monitor alone (TEE-operation timing needs no kernel).
+func bootSystem(plat cpu.Platform, mcfg monitor.Config, kcfg *kernel.Config, cfg Config) (*System, error) {
 	mach := cpu.NewMachine(plat, cfg.MemSize)
-	mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
+	mon, err := monitor.Boot(mach, mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: booting monitor: %w", err)
 	}
-	k, err := kernel.New(mach, mon, kernel.DefaultConfig(cfg.MemSize))
-	if err != nil {
-		return nil, fmt.Errorf("bench: booting kernel: %w", err)
+	s := &System{Mach: mach, Mon: mon, Mode: mcfg.Mode}
+	if kcfg != nil {
+		if s.Kern, err = kernel.New(mach, mon, *kcfg); err != nil {
+			return nil, fmt.Errorf("bench: booting kernel: %w", err)
+		}
 	}
-	cfg.observe(mach)
-	cfg.observeKernel(k)
-	cfg.observeMonitor(mon)
-	return &System{Mach: mach, Mon: mon, Kern: k, Mode: mode}, nil
+	cfg.watch(s)
+	return s, nil
 }
 
 // NewHostSystem boots the non-secure baseline ("Host-PMP" in Fig. 12): no
 // TEE deployed, but PMP is implemented — one RWX segment covers DRAM.
 func NewHostSystem(plat cpu.Platform, cfg Config) (*System, error) {
 	mach := cpu.NewMachine(plat, cfg.MemSize)
-	if err := mach.Checker.SetSegment(0, addr.Range{Base: 0, Size: napotCeil(cfg.MemSize)}, perm.RWX, false); err != nil {
+	if err := mach.Checker.SetSegment(0, addr.Range{Base: 0, Size: addr.NAPOTCeil(cfg.MemSize)}, perm.RWX, false); err != nil {
 		return nil, err
 	}
 	k, err := kernel.New(mach, nil, kernel.DefaultConfig(cfg.MemSize))
 	if err != nil {
 		return nil, err
 	}
-	cfg.observe(mach)
-	cfg.observeKernel(k)
-	return &System{Mach: mach, Mon: nil, Kern: k, Mode: monitor.ModePMP}, nil
+	s := &System{Mach: mach, Kern: k, Mode: monitor.ModePMP}
+	cfg.watch(s)
+	return s, nil
 }
 
-func napotCeil(size uint64) uint64 {
-	n := uint64(1)
-	for n < size {
-		n <<= 1
-	}
-	return n
+// bareRig registers a machine an experiment assembles by hand (raw
+// walkers, nested tables, monitor-less checkers) before anything runs on
+// it, and returns it.
+func bareRig(plat cpu.Platform, memSize uint64, cfg Config) *cpu.Machine {
+	mach := cpu.NewMachine(plat, memSize)
+	cfg.watch(&System{Mach: mach})
+	return mach
 }
 
 // NewEnv spawns a fresh process and returns its environment.

@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "ext-enclave",
 		Title:    "Enclave-hosted vs host-hosted serverless invocations",
 		Figure:   "extension (§6 deployment models)",

@@ -20,7 +20,7 @@ import (
 // calls out.
 
 func init() {
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "ext-svx",
 		Title:    "Deeper page tables: Sv39/Sv48/Sv57 reference counts",
 		Figure:   "extension (§2.1 walk depth)",
@@ -28,7 +28,7 @@ func init() {
 		Cost:     CostLight,
 		Run:      runExtSvx,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "ext-hints",
 		Title:    "Hot-region ioctl hints: data-page checks become free",
 		Figure:   "extension (§4.2 segment fast path)",
@@ -36,7 +36,7 @@ func init() {
 		Cost:     CostLight,
 		Run:      runExtHints,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "ext-deep",
 		Title:    "3-level PMP Tables (reserved Mode values): entries vs refs",
 		Figure:   "extension (§4.3 Mode field)",
@@ -44,7 +44,7 @@ func init() {
 		Cost:     CostLight,
 		Run:      runExtDeep,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "ext-epmp",
 		Title:    "ePMP (64 entries): PMP-mode capacity and HPMP fast slots",
 		Figure:   "extension (§4.3 ePMP)",
@@ -67,17 +67,14 @@ func runExtEPMP(cfg Config) (*Result, error) {
 
 		// (a) PMP-mode capacity: grant 64 KiB regions until the entries run
 		// out.
-		machA := cpu.NewMachine(plat, cfg.MemSize)
-		monA, err := monitor.Boot(machA, monitor.DefaultConfig(monitor.ModePMP))
+		sysA, err := bootSystem(plat, monitor.DefaultConfig(monitor.ModePMP), nil, cfg)
 		if err != nil {
 			return nil, err
 		}
-		cfg.observe(machA)
-		cfg.observeMonitor(monA)
 		capacity := 0
 		for i := 0; ; i++ {
 			region := addr.Range{Base: addr.PA(0x1000_0000 + i*addr.MiB), Size: 64 * addr.KiB}
-			if _, _, err := monA.AddRegion(monitor.HostDomain, region, perm.RW, monitor.LabelSlow); err != nil {
+			if _, _, err := sysA.Mon.AddRegion(monitor.HostDomain, region, perm.RW, monitor.LabelSlow); err != nil {
 				break
 			}
 			capacity++
@@ -88,13 +85,11 @@ func runExtEPMP(cfg Config) (*Result, error) {
 
 		// (b) HPMP fast slots: label fast GMSs until they stop landing in
 		// segments.
-		machB := cpu.NewMachine(plat, cfg.MemSize)
-		monB, err := monitor.Boot(machB, monitor.DefaultConfig(monitor.ModeHPMP))
+		sysB, err := bootSystem(plat, monitor.DefaultConfig(monitor.ModeHPMP), nil, cfg)
 		if err != nil {
 			return nil, err
 		}
-		cfg.observe(machB)
-		cfg.observeMonitor(monB)
+		machB, monB := sysB.Mach, sysB.Mon
 		fast := 0
 		for i := 0; i < 128; i++ {
 			region := addr.Range{Base: addr.PA(0x1000_0000 + i*256*addr.KiB), Size: 256 * addr.KiB}
@@ -133,8 +128,7 @@ func runExtDeep(cfg Config) (*Result, error) {
 
 	// (a) Two 2-level tables, 16 GiB each.
 	{
-		mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
-		cfg.observe(mach)
+		mach := bareRig(cpu.RocketPlatform(), memSize, cfg)
 		alloc := phys.NewFrameAllocator(addr.Range{Base: 0x10_0000, Size: 128 * addr.MiB}, false)
 		entries := 0
 		for i := 0; i < 2; i++ {
@@ -161,8 +155,7 @@ func runExtDeep(cfg Config) (*Result, error) {
 
 	// (b) One 3-level table.
 	{
-		mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
-		cfg.observe(mach)
+		mach := bareRig(cpu.RocketPlatform(), memSize, cfg)
 		alloc := phys.NewFrameAllocator(addr.Range{Base: 0x10_0000, Size: 128 * addr.MiB}, false)
 		region := addr.Range{Base: 0, Size: 32 * addr.GiB}
 		tbl, err := pmpt.NewTableMode(mach.Mem, alloc, region, pmpt.Mode3Level)
@@ -230,8 +223,7 @@ func countRefs(mode addr.Mode, iso string, cfg Config) (int, error) {
 	mcfg.Mode = mode
 	mcfg.PWCEntries = 0
 	plat.MMU = mcfg
-	mach := cpu.NewMachine(plat, memSize)
-	cfg.observe(mach)
+	mach := bareRig(plat, memSize, cfg)
 
 	ptRegion := addr.Range{Base: 0x40_0000, Size: 4 * addr.MiB}
 	ptAlloc := phys.NewFrameAllocator(ptRegion, false)

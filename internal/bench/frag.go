@@ -13,7 +13,7 @@ import (
 )
 
 func init() {
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig15",
 		Title:    "Memory fragmentation (VA × PA layouts)",
 		Figure:   "Fig. 15",
@@ -21,7 +21,7 @@ func init() {
 		Cost:     CostMedium,
 		Run:      runFig15,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig16",
 		Title:    "Caching for the permission table (PMPTW-Cache)",
 		Figure:   "Fig. 16",
@@ -40,20 +40,13 @@ func init() {
 //   - fragPA: the kernel's frame allocator hands out scattered frames.
 //   - pmptwCache: enables the PMPTW-Cache (Fig. 16).
 func fragProbe(mode monitor.Mode, fragVA, fragPA, pmptwCache bool, nPages int, cfg Config) (uint64, error) {
-	mach := cpu.NewMachine(cpu.RocketPlatform(), cfg.MemSize)
-	mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
-	if err != nil {
-		return 0, err
-	}
 	kcfg := kernel.DefaultConfig(cfg.MemSize)
 	kcfg.ScatterFrames = fragPA
-	k, err := kernel.New(mach, mon, kcfg)
+	sys, err := bootSystem(cpu.RocketPlatform(), monitor.DefaultConfig(mode), &kcfg, cfg)
 	if err != nil {
 		return 0, err
 	}
-	cfg.observe(mach)
-	cfg.observeKernel(k)
-	cfg.observeMonitor(mon)
+	mach, k := sys.Mach, sys.Kern
 	p, err := k.Spawn(kernel.Image{Name: "frag", TextPages: 8, DataPages: 8})
 	if err != nil {
 		return 0, err

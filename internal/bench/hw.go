@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:     "table4",
 		Title:  "Hardware resource costs of the top module",
 		Figure: "Table 4",

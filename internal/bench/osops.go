@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "table3",
 		Title:    "Costs of OS operations (LMBench, BOOM)",
 		Figure:   "Table 3",
@@ -72,21 +72,12 @@ func measureLMBench(mode monitor.Mode, cfg Config) (map[string]float64, error) {
 	// Steady-state host: physical memory is fragmented (long uptime), so
 	// kernel-structure frames — and with them the permission-table entries
 	// covering them — are spread across DRAM, as on the paper's testbed.
-	mach := cpu.NewMachine(cpu.BOOMPlatform(), cfg.MemSize)
-	mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
-	if err != nil {
-		return nil, err
-	}
 	kcfg := kernel.DefaultConfig(cfg.MemSize)
 	kcfg.ScatterFrames = true
-	kern, err := kernel.New(mach, mon, kcfg)
+	sys, err := bootSystem(cpu.BOOMPlatform(), monitor.DefaultConfig(mode), &kcfg, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg.observe(mach)
-	cfg.observeKernel(kern)
-	cfg.observeMonitor(mon)
-	sys := &System{Mach: mach, Mon: mon, Kern: kern, Mode: mode}
 	e, err := sys.NewEnv("lmbench", 8192)
 	if err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig12de",
 		Title:    "Redis benchmark RPS (Rocket + BOOM)",
 		Figure:   "Fig. 12-d/e",
@@ -19,7 +19,7 @@ func init() {
 		Cost:     CostHeavy,
 		Run:      runFig12de,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig3d",
 		Title:    "Preview: Redis RPS, Table vs Segment (BOOM)",
 		Figure:   "Fig. 3-d",
@@ -133,18 +133,8 @@ func runFig3d(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	var ratios []float64
-	worst := 100.0
 	for _, cmd := range miniredis.Commands {
-		r := stats.Ratio(data[cmd]["PL-PMPT"], data[cmd]["PL-PMP"])
-		ratios = append(ratios, r)
-		if r < worst {
-			worst = r
-		}
+		ratios = append(ratios, stats.Ratio(data[cmd]["PL-PMPT"], data[cmd]["PL-PMP"]))
 	}
-	res := &Result{ID: "fig3d", Title: "Redis RPS normalized to Segment (BOOM, higher is better)"}
-	t := stats.NewTable("Fig 3-d", "Case", "Segment", "Table")
-	t.AddRow("Avg", "100.0", fmt.Sprintf("%.1f", stats.Mean(ratios)))
-	t.AddRow("Worst", "100.0", fmt.Sprintf("%.1f", worst))
-	res.Tables = append(res.Tables, t)
-	return res, nil
+	return fig3Preview("fig3d", "Redis RPS normalized to Segment (BOOM, higher is better)", ratios, true), nil
 }

@@ -219,9 +219,8 @@ func runOne(ctx context.Context, cfg Config, exp Experiment, opts RunOptions) Ou
 			out.Status = StatusOK
 			out.Result = r.res
 			r.res.Wall = out.Wall
-			ob.snapshot(&r.res.Counters)
 			r.res.Hists = make(map[string]*stats.Histogram)
-			ob.snapshotHists(r.res.Hists)
+			ob.snapshot(&r.res.Counters, r.res.Hists)
 			out.Trace = cfg.tracer
 		}
 	case <-timer:
@@ -236,54 +235,57 @@ func runOne(ctx context.Context, cfg Config, exp Experiment, opts RunOptions) Ou
 	return out
 }
 
-// observer collects counter sources from every System/machine an experiment
-// boots, so the runner can snapshot them into Result.Counters when the
-// experiment finishes. Safe for concurrent use; a nil observer is a no-op
-// (experiments run outside the runner skip observation entirely).
+// observer collects every System an experiment boots, in boot order, so
+// the runner can snapshot their counters and histograms into the Result
+// when the experiment finishes. Safe for concurrent use; a nil observer is
+// a no-op (experiments run outside the runner skip observation entirely).
 type observer struct {
-	mu        sync.Mutex
-	snaps     []func(into *stats.Counters)
-	histSnaps []func(into map[string]*stats.Histogram)
+	mu      sync.Mutex
+	systems []*System
 }
 
-func (o *observer) add(f func(into *stats.Counters)) {
+func (o *observer) add(s *System) {
 	if o == nil {
 		return
 	}
 	o.mu.Lock()
-	o.snaps = append(o.snaps, f)
+	o.systems = append(o.systems, s)
 	o.mu.Unlock()
 }
 
-// addHists registers a histogram collector alongside the counter snapshots.
-func (o *observer) addHists(f func(into map[string]*stats.Histogram)) {
-	if o == nil {
+// snapshot merges every observed system into one counter set and one
+// histogram family map: per system, the machine's counters, then the
+// kernel's, then the monitor's, then the machine's histograms. Boot order
+// fixes the counters' first-use order. Called only after the experiment's
+// goroutine has finished, so the systems are quiescent.
+func (o *observer) snapshot(into *stats.Counters, hists map[string]*stats.Histogram) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, s := range o.systems {
+		s.Mach.MergeCounters(into)
+		if s.Kern != nil {
+			into.Merge(&s.Kern.Counters)
+		}
+		if s.Mon != nil {
+			into.Merge(&s.Mon.Counters)
+		}
+		s.Mach.EachHistogram(func(family string, h *stats.Histogram) { mergeHist(hists, family, h) })
+	}
+}
+
+// mergeHist folds one machine's latency histogram into the experiment-wide
+// family map, creating the family on first sight. Nil sources (a machine
+// assembled without the structure) are skipped.
+func mergeHist(into map[string]*stats.Histogram, name string, src *stats.Histogram) {
+	if src == nil {
 		return
 	}
-	o.mu.Lock()
-	o.histSnaps = append(o.histSnaps, f)
-	o.mu.Unlock()
-}
-
-// snapshot merges every observed counter set into one aggregate. Called
-// only after the experiment's goroutine has finished, so the counters are
-// quiescent.
-func (o *observer) snapshot(into *stats.Counters) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, f := range o.snaps {
-		f(into)
+	dst, ok := into[name]
+	if !ok {
+		dst = stats.DefaultLatencyHistogram()
+		into[name] = dst
 	}
-}
-
-// snapshotHists merges every observed latency histogram into one family
-// map. Same quiescence contract as snapshot.
-func (o *observer) snapshotHists(into map[string]*stats.Histogram) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, f := range o.histSnaps {
-		f(into)
-	}
+	dst.Merge(src)
 }
 
 // Summary renders the end-of-run report: one row per experiment in input

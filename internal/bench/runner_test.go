@@ -4,11 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"hpmp/internal/addr"
 	"hpmp/internal/cpu"
+	"hpmp/internal/monitor"
+	"hpmp/internal/obs"
+	"hpmp/internal/perm"
 	"hpmp/internal/simcfg"
 	"hpmp/internal/stats"
 )
@@ -280,5 +285,102 @@ func TestConfigValidate(t *testing.T) {
 	cfg.MemSize = simcfg.MinMemSize
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("MinMemSize must validate: %v", err)
+	}
+}
+
+// TestObserverMergesSystemsInBootOrder pins the one registration point:
+// every booted system — a TEE system, a Host-PMP system and a bare rig —
+// lands in the observer once, and the snapshot merges them in boot order,
+// each as machine, kernel, monitor counters and then histograms. The
+// rendered counters keep first-use order, so the comparison is by string.
+func TestObserverMergesSystemsInBootOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots simulated systems")
+	}
+	cfg := DefaultConfig()
+	cfg.obs = &observer{}
+	tee, err := NewSystem(cpu.RocketPlatform(), monitor.ModeHPMP, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := NewHostSystem(cpu.BOOMPlatform(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := bareRig(cpu.RocketPlatform(), cfg.MemSize, cfg)
+	for _, s := range []*System{tee, host} {
+		e, err := s.NewEnv("obs", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Touch(e.P.Heap(), 4*addr.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := addr.Range{Base: 0, Size: cfg.MemSize}
+	if err := rig.Checker.SetSegment(0, all, perm.RWX, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rig.Checker.Check(0x8000, 8, perm.Read, perm.S, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	var got stats.Counters
+	gotHists := map[string]*stats.Histogram{}
+	cfg.obs.snapshot(&got, gotHists)
+
+	var want stats.Counters
+	tee.Mach.MergeCounters(&want)
+	want.Merge(&tee.Kern.Counters)
+	want.Merge(&tee.Mon.Counters)
+	host.Mach.MergeCounters(&want)
+	want.Merge(&host.Kern.Counters)
+	rig.MergeCounters(&want)
+	if got.String() != want.String() {
+		t.Errorf("snapshot counters differ from the boot-order hand merge:\n got %s\nwant %s", got.String(), want.String())
+	}
+	if got.Get("kernel.spawn") != 2 || got.Get("monitor.boot") != 1 {
+		t.Errorf("snapshot missed a kernel or monitor: %s", got.String())
+	}
+
+	wantHists := map[string]*stats.Histogram{}
+	for _, m := range []*cpu.Machine{tee.Mach, host.Mach, rig} {
+		m.EachHistogram(func(family string, h *stats.Histogram) { mergeHist(wantHists, family, h) })
+	}
+	if len(gotHists) != len(wantHists) {
+		t.Fatalf("snapshot has %d histogram families, hand merge %d", len(gotHists), len(wantHists))
+	}
+	for family, w := range wantHists {
+		if g, ok := gotHists[family]; !ok || !reflect.DeepEqual(g.Snapshot(), w.Snapshot()) {
+			t.Errorf("histogram %s differs from the hand merge", family)
+		}
+	}
+}
+
+// TestBootIsNotTraced pins where the tracer attaches: after boot, so a
+// traced run's events are the experiment's own accesses, never the
+// monitor's or kernel's boot-time setup.
+func TestBootIsNotTraced(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a simulated system")
+	}
+	cfg := DefaultConfig()
+	cfg.tracer = obs.NewTracer(0, 1)
+	sys, err := NewSystem(cpu.RocketPlatform(), monitor.ModeHPMP, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cfg.tracer.Seen(); n != 0 {
+		t.Fatalf("tracer saw %d events during boot, want 0", n)
+	}
+	e, err := sys.NewEnv("traced", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Store64(e.P.Heap(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.tracer.Seen() == 0 {
+		t.Fatal("tracer not attached: the first access emitted nothing")
 	}
 }

@@ -25,7 +25,7 @@ import (
 // equivalence gate covers their traces too.
 
 func init() {
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "scen-shootdown",
 		Title:    "TLB-shootdown storm: remap churn vs working-set re-touch cost",
 		Figure:   "scenario (§8 extrapolation)",
@@ -33,7 +33,7 @@ func init() {
 		Cost:     CostLight,
 		Run:      runScenShootdown,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "scen-virtdepth",
 		Title:    "Nested virtualization with deeper permission tables (depth sweep)",
 		Figure:   "scenario (§4.3 Mode field × §8.6 virtualization)",
@@ -41,7 +41,7 @@ func init() {
 		Cost:     CostLight,
 		Run:      runScenVirtDepth,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "scen-aging",
 		Title:    "Memory-fragmentation aging: translation cost vs allocator churn",
 		Figure:   "scenario (§8.8 extrapolation)",
@@ -49,7 +49,7 @@ func init() {
 		Cost:     CostLight,
 		Run:      runScenAging,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "scen-coldflood",
 		Title:    "Serverless cold-start flood: back-to-back fresh invocations",
 		Figure:   "scenario (§8.7 extrapolation)",
@@ -184,8 +184,7 @@ func runScenShootdown(cfg Config) (*Result, error) {
 // full depth.
 func virtDepthRig(mode monitor.Mode, depth int, cfg Config) (*virt.Hypervisor, addr.VA, error) {
 	memSize := cfg.MemSize
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
-	cfg.observe(mach)
+	mach := bareRig(cpu.RocketPlatform(), memSize, cfg)
 	nptRegion := addr.Range{Base: 0x0100_0000, Size: 4 * addr.MiB}
 	tblRegion := addr.Range{Base: 0x0400_0000, Size: 16 * addr.MiB}
 	dataRegion := addr.Range{Base: 0x0800_0000, Size: 64 * addr.MiB}

@@ -12,7 +12,7 @@ import (
 )
 
 func init() {
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig12ab",
 		Title:    "FunctionBench (Rocket + BOOM, normalized latency)",
 		Figure:   "Fig. 12-a/b",
@@ -20,7 +20,7 @@ func init() {
 		Cost:     CostHeavy,
 		Run:      runFig12ab,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig12c",
 		Title:    "Serverless image-processing chain (image size sweep)",
 		Figure:   "Fig. 12-c",
@@ -28,7 +28,7 @@ func init() {
 		Cost:     CostMedium,
 		Run:      runFig12c,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig17",
 		Title:    "FunctionBench with 8- vs 32-entry PWC (Rocket)",
 		Figure:   "Fig. 17",
@@ -36,7 +36,7 @@ func init() {
 		Cost:     CostHeavy,
 		Run:      runFig17,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig3c",
 		Title:    "Preview: serverless latency, Table vs Segment (BOOM)",
 		Figure:   "Fig. 3-c",
@@ -288,18 +288,8 @@ func runFig3c(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	var ratios []float64
-	worst := 0.0
 	for _, n := range names {
-		r := stats.Ratio(float64(data[n]["PL-PMPT"]), float64(data[n]["PL-PMP"]))
-		ratios = append(ratios, r)
-		if r > worst {
-			worst = r
-		}
+		ratios = append(ratios, stats.Ratio(float64(data[n]["PL-PMPT"]), float64(data[n]["PL-PMP"])))
 	}
-	res := &Result{ID: "fig3c", Title: "Serverless latency normalized to Segment (BOOM)"}
-	t := stats.NewTable("Fig 3-c", "Case", "Segment", "Table")
-	t.AddRow("Avg", "100.0", fmt.Sprintf("%.1f", stats.Mean(ratios)))
-	t.AddRow("Worst", "100.0", fmt.Sprintf("%.1f", worst))
-	res.Tables = append(res.Tables, t)
-	return res, nil
+	return fig3Preview("fig3c", "Serverless latency normalized to Segment (BOOM)", ratios, false), nil
 }

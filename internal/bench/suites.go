@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig11a",
 		Title:    "RV8 benchmark (Rocket, execution time)",
 		Figure:   "Fig. 11-a",
@@ -18,7 +18,7 @@ func init() {
 		Cost:     CostHeavy,
 		Run:      runFig11a,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig11bc",
 		Title:    "GAP benchmark (Rocket + BOOM, normalized latency)",
 		Figure:   "Fig. 11-b/c",
@@ -26,7 +26,7 @@ func init() {
 		Cost:     CostHeavy,
 		Run:      runFig11bc,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig3b",
 		Title:    "Preview: GAP latency, Table vs Segment (BOOM)",
 		Figure:   "Fig. 3-b",
@@ -167,18 +167,8 @@ func runFig3b(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	var ratios []float64
-	worst := 0.0
 	for _, n := range names {
-		r := norm[n][monitor.ModePMPT]
-		ratios = append(ratios, r)
-		if r > worst {
-			worst = r
-		}
+		ratios = append(ratios, norm[n][monitor.ModePMPT])
 	}
-	res := &Result{ID: "fig3b", Title: "GAP latency normalized to Segment (BOOM)"}
-	t := stats.NewTable("Fig 3-b", "Case", "Segment", "Table")
-	t.AddRow("Avg", "100.0", fmt.Sprintf("%.1f", stats.Mean(ratios)))
-	t.AddRow("Worst", "100.0", fmt.Sprintf("%.1f", worst))
-	res.Tables = append(res.Tables, t)
-	return res, nil
+	return fig3Preview("fig3b", "GAP latency normalized to Segment (BOOM)", ratios, false), nil
 }

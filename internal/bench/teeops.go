@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig14a",
 		Title:    "Domain switch cost vs domain count",
 		Figure:   "Fig. 14-a",
@@ -19,7 +19,7 @@ func init() {
 		Cost:     CostLight,
 		Run:      runFig14a,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig14bc",
 		Title:    "Physical-memory region allocation/release",
 		Figure:   "Fig. 14-b/c",
@@ -27,7 +27,7 @@ func init() {
 		Cost:     CostLight,
 		Run:      runFig14bc,
 	})
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig14d",
 		Title:    "Region allocation with different sizes",
 		Figure:   "Fig. 14-d",
@@ -39,14 +39,11 @@ func init() {
 
 // bootMon boots a bare monitor (no kernel) for TEE-operation timing.
 func bootMon(mode monitor.Mode, cfg Config) (*monitor.Monitor, error) {
-	mach := cpu.NewMachine(cpu.RocketPlatform(), cfg.MemSize)
-	mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
+	sys, err := bootSystem(cpu.RocketPlatform(), monitor.DefaultConfig(mode), nil, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg.observe(mach)
-	cfg.observeMonitor(mon)
-	return mon, nil
+	return sys.Mon, nil
 }
 
 // buildDomains creates n-1 enclaves (the host is domain 0), each with one
@@ -188,15 +185,13 @@ func runFig14d(cfg Config) (*Result, error) {
 	for _, mib := range sizes {
 		row := []string{fmt.Sprintf("%d", mib)}
 		for _, huge := range []bool{false, true} {
-			mach := cpu.NewMachine(cpu.RocketPlatform(), cfg.MemSize)
 			mcfg := monitor.DefaultConfig(monitor.ModeHPMP)
 			mcfg.HugeTableRanges = huge
-			mon, err := monitor.Boot(mach, mcfg)
+			sys, err := bootSystem(cpu.RocketPlatform(), mcfg, nil, cfg)
 			if err != nil {
 				return nil, err
 			}
-			cfg.observe(mach)
-			cfg.observeMonitor(mon)
+			mon := sys.Mon
 			enc, _, err := mon.CreateEnclave("sized")
 			if err != nil {
 				return nil, err

@@ -13,7 +13,7 @@ import (
 )
 
 func init() {
-	register(ExperimentSpec{
+	Register(Experiment{
 		ID:       "fig13",
 		Title:    "Memory access latency in a virtualized environment (Rocket)",
 		Figure:   "Fig. 13",
@@ -44,8 +44,7 @@ var virtCases = []string{"TC1", "After hfence.v", "After hfence.g", "TC3", "TC4"
 // adjacent guest data pages.
 func buildVirtRig(method virtMethod, cfg Config) (*virt.Hypervisor, addr.VA, error) {
 	memSize := cfg.MemSize
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
-	cfg.observe(mach)
+	mach := bareRig(cpu.RocketPlatform(), memSize, cfg)
 	nptRegion := addr.Range{Base: 0x0100_0000, Size: 4 * addr.MiB}
 	gptRegion := addr.Range{Base: 0x0180_0000, Size: 4 * addr.MiB}
 	tblRegion := addr.Range{Base: 0x0400_0000, Size: 16 * addr.MiB}

@@ -220,7 +220,7 @@ func Boot(mach *cpu.Machine, cfg Config) (*Monitor, error) {
 			size = pmpt.MaxRegion
 		}
 		// Table regions must be NAPOT for the entry's addr register.
-		size = napotCeil(size)
+		size = addr.NAPOTCeil(size)
 		m.chunks = append(m.chunks, addr.Range{Base: addr.PA(base), Size: size})
 	}
 
@@ -274,7 +274,7 @@ func Boot(mach *cpu.Machine, cfg Config) (*Monitor, error) {
 		m.nextGMS++
 		g := &GMS{
 			ID: hostID, Owner: HostDomain,
-			Region:   addr.Range{Base: 0, Size: napotCeil(memSize)},
+			Region:   addr.Range{Base: 0, Size: addr.NAPOTCeil(memSize)},
 			Perm:     perm.RWX,
 			segEntry: hostEntry,
 		}
@@ -288,14 +288,6 @@ func Boot(mach *cpu.Machine, cfg Config) (*Monitor, error) {
 	m.flushAfterUpdate()
 	m.Counters.Inc("monitor.boot")
 	return m, nil
-}
-
-func napotCeil(size uint64) uint64 {
-	n := uint64(1)
-	for n < size {
-		n <<= 1
-	}
-	return n
 }
 
 func (m *Monitor) tableMode() bool { return m.cfg.Mode != ModePMP }

@@ -146,18 +146,15 @@ func ReadMetrics(r io.Reader) (*Metrics, error) {
 	return &m, nil
 }
 
-// promEscape escapes a string for use inside a Prometheus label value.
+// PromEscape escapes a string for use inside a Prometheus label value.
 // Counter names ride in labels under fixed metric families, so scrape
-// configs need no per-counter rules.
-func promEscape(s string) string {
+// configs need no per-counter rules. Exported for callers that aggregate
+// many Metrics into one exposition (a scrape page may carry each
+// # HELP/# TYPE header only once, so the daemon cannot simply concatenate
+// WritePrometheus outputs and must write labels itself).
+func PromEscape(s string) string {
 	return strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(s)
 }
-
-// PromEscape is the exported form of the label-value escaper, for callers
-// that aggregate many Metrics into one exposition (a scrape page may carry
-// each # HELP/# TYPE header only once, so the daemon cannot simply
-// concatenate WritePrometheus outputs and must write labels itself).
-func PromEscape(s string) string { return promEscape(s) }
 
 // promName sanitizes a histogram family key into a legal Prometheus metric
 // name: every character outside [a-zA-Z0-9_] becomes '_' (dots and dashes
@@ -208,7 +205,7 @@ func writePromHistogram(b *strings.Builder, exp, key string, h stats.HistogramSn
 // format (one gauge family per section, the experiment and counter names as
 // labels), sorted so output is deterministic.
 func (m *Metrics) WritePrometheus(w io.Writer) error {
-	exp := promEscape(m.Experiment)
+	exp := PromEscape(m.Experiment)
 	var b strings.Builder
 	b.WriteString("# HELP hpmp_experiment_wall_seconds Experiment wall-clock duration.\n")
 	b.WriteString("# TYPE hpmp_experiment_wall_seconds gauge\n")
@@ -222,7 +219,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	b.WriteString("# HELP hpmp_counter Simulator counter at end of experiment.\n")
 	b.WriteString("# TYPE hpmp_counter gauge\n")
 	for _, k := range names {
-		fmt.Fprintf(&b, "hpmp_counter{experiment=%q,counter=%q} %d\n", exp, promEscape(k), m.Counters[k])
+		fmt.Fprintf(&b, "hpmp_counter{experiment=%q,counter=%q} %d\n", exp, PromEscape(k), m.Counters[k])
 	}
 
 	derived := make([]string, 0, len(m.Derived))
@@ -233,7 +230,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	b.WriteString("# HELP hpmp_derived Derived rate computed from simulator counters.\n")
 	b.WriteString("# TYPE hpmp_derived gauge\n")
 	for _, k := range derived {
-		fmt.Fprintf(&b, "hpmp_derived{experiment=%q,metric=%q} %g\n", exp, promEscape(k), m.Derived[k])
+		fmt.Fprintf(&b, "hpmp_derived{experiment=%q,metric=%q} %g\n", exp, PromEscape(k), m.Derived[k])
 	}
 
 	hists := make([]string, 0, len(m.Histograms))

@@ -281,8 +281,8 @@ func TestMetricsPrometheusShape(t *testing.T) {
 }
 
 func TestPromEscape(t *testing.T) {
-	if got := promEscape(`a"b\c` + "\n"); got != `a\"b\\c\n` {
-		t.Errorf("promEscape = %q", got)
+	if got := PromEscape(`a"b\c` + "\n"); got != `a\"b\\c\n` {
+		t.Errorf("PromEscape = %q", got)
 	}
 }
 

@@ -207,7 +207,7 @@ func (e *Engine) programIsolation(ptRegion, pmptRegion addr.Range) error {
 		return nil
 	case ModePMP:
 		// One RWX segment over DRAM — checks are free (Fig. 2-b).
-		return e.mach.Checker.SetSegment(0, addr.Range{Base: 0, Size: napotCeil(e.cfg.MemSize)}, perm.RWX, false)
+		return e.mach.Checker.SetSegment(0, addr.Range{Base: 0, Size: addr.NAPOTCeil(e.cfg.MemSize)}, perm.RWX, false)
 	case ModePMPT, ModeHPMP:
 		entry := 0
 		if e.cfg.Mode == ModeHPMP {
@@ -229,7 +229,7 @@ func (e *Engine) programIsolation(ptRegion, pmptRegion addr.Range) error {
 		alloc := phys.NewFrameAllocator(pmptRegion, false)
 		for base := uint64(0); base < e.cfg.MemSize; base += mode.Reach() {
 			dram := addr.Range{Base: addr.PA(base), Size: min(mode.Reach(), e.cfg.MemSize-base)}
-			region := addr.Range{Base: dram.Base, Size: napotCeil(dram.Size)}
+			region := addr.Range{Base: dram.Base, Size: addr.NAPOTCeil(dram.Size)}
 			tbl, err := pmpt.NewTableMode(e.mach.Mem, alloc, region, mode)
 			if err != nil {
 				return fmt.Errorf("replay: building %d-level permission table at %v: %w", mode.Levels(), dram.Base, err)
@@ -245,14 +245,6 @@ func (e *Engine) programIsolation(ptRegion, pmptRegion addr.Range) error {
 		return nil
 	}
 	return fmt.Errorf("replay: unhandled mode %q", e.cfg.Mode)
-}
-
-func napotCeil(size uint64) uint64 {
-	n := uint64(1)
-	for n < size {
-		n <<= 1
-	}
-	return n
 }
 
 // Config returns the engine's configuration.

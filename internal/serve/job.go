@@ -19,7 +19,9 @@ import (
 // unified machine-config API. Exactly two kinds exist — "run" executes
 // registered experiments on the fault-isolated bench runner, "replay"
 // re-executes an inline hpmp-trace/v1 stream on the replay engine. Both
-// kinds share the simcfg.Machine config and its single validation path.
+// kinds share the simcfg.Machine config and its single validation path;
+// a run job's experiments pick their own platform, mode and geometry per
+// paper figure, so it may set only the memory size.
 type Request struct {
 	// Kind selects the job type: "run" or "replay".
 	Kind string `json:"kind"`
@@ -29,7 +31,8 @@ type Request struct {
 	// Quick selects the scaled-down experiment sizes (CI tier).
 	Quick bool `json:"quick,omitempty"`
 	// Machine is the unified machine config; omitted fields take the
-	// canonical defaults (rocket/hpmp/512MiB).
+	// canonical defaults (rocket/hpmp/512MiB). Run jobs accept only
+	// mem_mib.
 	Machine *simcfg.Machine `json:"machine,omitempty"`
 	// Workload scales the traffic workloads (run jobs only).
 	Workload *simcfg.WorkloadScale `json:"workload,omitempty"`
@@ -168,6 +171,9 @@ func (j *Job) resolve() error {
 
 	switch req.Kind {
 	case "run":
+		if req.Machine != nil && *req.Machine != (simcfg.Machine{MemSize: req.Machine.MemSize}) {
+			return fmt.Errorf("serve: run jobs take only machine.mem_mib (experiments pick their own platform, mode and geometry)")
+		}
 		if len(req.Experiments) == 0 {
 			return fmt.Errorf("serve: run job needs experiments (registry ids, or [\"all\"])")
 		}
@@ -217,7 +223,7 @@ func (j *Job) execute(ctx context.Context) error {
 func (j *Job) executeRun(ctx context.Context) error {
 	cfg := bench.DefaultConfig()
 	cfg.Quick = j.Request.Quick
-	cfg.Machine = j.machine
+	cfg.MemSize = j.machine.MemSize
 	if j.Request.Workload != nil {
 		cfg.Workload = *j.Request.Workload
 	}

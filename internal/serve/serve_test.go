@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"hpmp/internal/addr"
 	"hpmp/internal/bench"
 	"hpmp/internal/obs"
 )
@@ -178,6 +179,24 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 	st, resp := postJob(t, ts, lightJob)
 	if resp.StatusCode != http.StatusAccepted || st.ID != "job-1" {
 		t.Fatalf("first valid job got %q (HTTP %d), want job-1", st.ID, resp.StatusCode)
+	}
+}
+
+// A run job's experiments pick their own platform, mode and geometry, so a
+// machine field other than mem_mib would be validated, echoed back, and
+// ignored. The daemon refuses it instead; memory alone is still accepted.
+func TestRunJobRejectsIgnoredMachineFields(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1, QueueDepth: 2})
+	body := `{"kind":"run","experiments":["scen-shootdown"],"quick":true,"machine":{"mode":"pmp","pwc":32}}`
+	if _, resp := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("run job with machine.mode/pwc: HTTP %d, want 400", resp.StatusCode)
+	}
+	st, resp := postJob(t, ts, `{"kind":"run","experiments":["scen-shootdown"],"quick":true,"machine":{"mem_mib":256}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("run job with machine.mem_mib: HTTP %d, want 202", resp.StatusCode)
+	}
+	if st = waitTerminal(t, ts, st.ID); st.State != StateDone || st.Machine.MemSize != 256*addr.MiB {
+		t.Fatalf("mem_mib run job: state %s (%s), machine %v", st.State, st.Error, st.Machine)
 	}
 }
 

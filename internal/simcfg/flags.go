@@ -7,11 +7,12 @@ import (
 )
 
 // Flags is the one registration of the machine-config flag set shared by
-// `hpmpsim replay`, cmd/hpmptrace, and cmd/hpmpsimd. The flag surface
-// keeps the PR 8 CLI convention for cache geometry — 0 = the structure is
-// absent, < 0 = platform default — which Machine() remaps onto the
-// tri-state internal encoding (and leaves -pmptw-cache raw: its flag and
-// internal encodings coincide, 0 meaning the disabled paper default).
+// cmd/hpmpsim and cmd/hpmptrace (cmd/hpmpsimd takes machine configs as job
+// JSON, never as flags). The flag surface keeps the historical CLI
+// convention for cache geometry — 0 = the structure is absent, < 0 =
+// platform default — which Machine() remaps onto the tri-state internal
+// encoding (and leaves -pmptw-cache raw: its flag and internal encodings
+// coincide, 0 meaning the disabled paper default).
 type Flags struct {
 	Platform   *string
 	Mode       *string

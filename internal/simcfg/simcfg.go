@@ -1,8 +1,9 @@
 // Package simcfg is the single machine-configuration definition shared by
-// every entry point that assembles a simulated machine: the replay engine
-// (internal/replay), the experiment harness (internal/bench), the three
-// CLIs (cmd/hpmpsim, cmd/hpmptrace, cmd/hpmpsimd), and the HTTP job API
-// (internal/serve). Before this package each of those hand-rolled its own
+// every entry point that assembles or validates a simulated machine: the
+// replay engine (internal/replay), the experiment harness (internal/bench,
+// which takes only the memory size from it), the three CLIs (cmd/hpmpsim,
+// cmd/hpmptrace, cmd/hpmpsimd), and the HTTP job API (internal/serve).
+// Before this package each of those hand-rolled its own
 // platform/mode/capacity struct and validation; now there is exactly one
 // validated type a service endpoint can accept.
 //
@@ -181,50 +182,31 @@ func (m Machine) String() string {
 	return s
 }
 
-// ApplyGeometry folds the tri-state cache-geometry overrides into a
-// platform description. Idempotent, so callers may apply it to an
-// already-adjusted platform.
-func (m Machine) ApplyGeometry(p *cpu.Platform) {
+// Assemble builds the machine this config describes: named platform,
+// tri-state cache-geometry overrides, checker presence (ModeNone machines
+// carry no isolation hardware), and PMPTW-cache enablement. Isolation
+// *state* (segments, permission tables) is the caller's job — the monitor
+// programs it on live systems, the replay engine on replays.
+func (m Machine) Assemble() *cpu.Machine {
+	plat := cpu.RocketPlatform()
+	if m.Platform == "boom" {
+		plat = cpu.BOOMPlatform()
+	}
 	if m.L2TLBEntries > 0 {
-		p.MMU.L2TLBEntries = m.L2TLBEntries
+		plat.MMU.L2TLBEntries = m.L2TLBEntries
 	} else if m.L2TLBEntries < 0 {
-		p.MMU.L2TLBEntries = 0
+		plat.MMU.L2TLBEntries = 0
 	}
 	if m.PWCEntries > 0 {
-		p.MMU.PWCEntries = m.PWCEntries
+		plat.MMU.PWCEntries = m.PWCEntries
 	} else if m.PWCEntries < 0 {
-		p.MMU.PWCEntries = 0
+		plat.MMU.PWCEntries = 0
 	}
 	if m.PMPTWCache > 0 {
-		p.PMPTWCacheEntries = m.PMPTWCache
+		plat.PMPTWCacheEntries = m.PMPTWCache
 	} else if m.PMPTWCache < 0 {
-		p.PMPTWCacheEntries = 0
+		plat.PMPTWCacheEntries = 0
 	}
-}
-
-// BasePlatform returns the named platform description before geometry
-// overrides.
-func (m Machine) BasePlatform() cpu.Platform {
-	if m.Platform == "boom" {
-		return cpu.BOOMPlatform()
-	}
-	return cpu.RocketPlatform()
-}
-
-// Assemble builds the machine this config describes: named platform,
-// geometry overrides, checker presence (ModeNone machines carry no
-// isolation hardware), and PMPTW-cache enablement. Isolation *state*
-// (segments, permission tables) is the caller's job — the monitor programs
-// it on live systems, the replay engine on replays.
-func (m Machine) Assemble() *cpu.Machine {
-	return m.AssembleOn(m.BasePlatform())
-}
-
-// AssembleOn is Assemble over a caller-chosen platform base — the
-// experiment harness picks Rocket or BOOM per experiment but still wants
-// this config's geometry overrides and cache enablement applied.
-func (m Machine) AssembleOn(plat cpu.Platform) *cpu.Machine {
-	m.ApplyGeometry(&plat)
 	if m.Mode == ModeNone {
 		return cpu.NewMachineNoIsolation(plat, m.MemSize)
 	}

@@ -190,12 +190,10 @@ func TestAssembleGeometry(t *testing.T) {
 	// PMPTW cache enablement follows the tri-state.
 	m := Machine{Platform: "rocket", Mode: ModeHPMP, MemSize: MinMemSize,
 		L2TLBEntries: -1, PWCEntries: 3, PMPTWCache: 16}
-	plat := m.BasePlatform()
-	m.ApplyGeometry(&plat)
-	if plat.MMU.L2TLBEntries != 0 || plat.MMU.PWCEntries != 3 || plat.PMPTWCacheEntries != 16 {
+	mach := m.Assemble()
+	if plat := mach.Plat; plat.MMU.L2TLBEntries != 0 || plat.MMU.PWCEntries != 3 || plat.PMPTWCacheEntries != 16 {
 		t.Fatalf("geometry overrides not applied: %+v", plat)
 	}
-	mach := m.Assemble()
 	if mach.PMPTWCache == nil || !mach.PMPTWCache.Enabled {
 		t.Fatal("PMPTWCache > 0 must enable the walker cache")
 	}
