@@ -50,9 +50,9 @@ obs-smoke:
 # round-trip property through cmd/hpmptrace, then replay it twice through
 # cmd/hpmpsim and diff the two metric sets — a faithful, deterministic
 # replay must come out byte-identical (exit 0). The same trace then replays
-# under every isolation mode, on the degenerate no-cache geometry, through
-# the scalar entry point, and at a DRAM size that is not a power of two
-# (192 MiB) under the permission-table modes; a non-zero exit from any replay means the
+# under every isolation mode, on the degenerate no-cache geometry, and at a
+# DRAM size that is not a power of two (192 MiB) under the permission-table
+# modes; a non-zero exit from any replay means the
 # machine diverged from the recording or failed to assemble. Exercises the
 # whole record -> parse -> replay -> metrics -> diff pipeline end to end.
 replay-smoke:
@@ -72,8 +72,6 @@ replay-smoke:
 	done
 	$(GO) run ./cmd/hpmpsim -mode pmpt -l2tlb 0 -pwc 0 -pmptw-cache 0 \
 		-id fig10-nocache replay obs-out/replay/traces/fig10.trace.jsonl > /dev/null
-	$(GO) run ./cmd/hpmpsim -mode hpmp -scalar -id fig10-scalar \
-		replay obs-out/replay/traces/fig10.trace.jsonl > /dev/null
 	$(GO) run ./cmd/hpmpsim -mem 192 -mode pmpt -depth 3 -id fig10-192-depth3 \
 		replay obs-out/replay/traces/fig10.trace.jsonl > /dev/null
 	$(GO) run ./cmd/hpmpsim -mem 192 -mode hpmp -id fig10-192 \
@@ -87,14 +85,16 @@ replay-smoke:
 daemon-smoke:
 	$(GO) test -run TestDaemonSmoke -count=1 -v ./cmd/hpmpsimd
 
-# Short fuzz pass over the register-format round trips and the PMPTW
-# walker-vs-oracle cross-check (go test -fuzz takes one target at a time).
+# Short fuzz pass over the register-format round trips, the PMPTW
+# walker-vs-oracle cross-check, the trace reader and the shared LRU array
+# against its reference scan (go test -fuzz takes one target at a time).
 # The weekly fuzz workflow overrides FUZZTIME for a longer soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/pmp -run '^$$' -fuzz FuzzPMPEncodeDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pmpt -run '^$$' -fuzz FuzzPMPTWalk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/assoc -run '^$$' -fuzz FuzzCache -fuzztime $(FUZZTIME)
 
 # Refresh the committed cross-commit metrics baseline (quick sizes, JSON
 # only — the Prometheus text is derived output). Run this when an

@@ -29,9 +29,6 @@ const (
 	PageSize  = 1 << PageShift
 	PageMask  = PageSize - 1
 
-	MegaPageShift = 21 // Sv39 level-1 superpage (2 MiB)
-	GigaPageShift = 30 // Sv39 level-2 superpage (1 GiB)
-
 	KiB = 1 << 10
 	MiB = 1 << 20
 	GiB = 1 << 30

@@ -93,7 +93,7 @@ func fragProbe(mode monitor.Mode, fragVA, fragPA, pmptwCache bool, nPages int, c
 	// Cold translation state, warm-ish caches: flush TLB+PWC only.
 	mach.MMU.FlushTLB()
 	if mach.PMPTWCache != nil {
-		mach.PMPTWCache.Invalidate()
+		mach.PMPTWCache.FlushAll()
 	}
 
 	// The measurement loop is a pure serial reference stream — exactly the

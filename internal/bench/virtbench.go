@@ -33,10 +33,6 @@ const (
 	vmHPMPGPT
 )
 
-var virtMethodNames = map[virtMethod]string{
-	vmPMP: "PMP", vmPMPT: "PMPT", vmHPMP: "HPMP", vmHPMPGPT: "HPMP-GPT",
-}
-
 // virtCase labels the five Fig. 13 states.
 var virtCases = []string{"TC1", "After hfence.v", "After hfence.g", "TC3", "TC4"}
 

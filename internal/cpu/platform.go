@@ -193,7 +193,7 @@ func (m *Machine) ColdReset() {
 	m.Hier.InvalidateAll()
 	m.MMU.FlushTLB()
 	if m.PMPTWCache != nil {
-		m.PMPTWCache.Invalidate()
+		m.PMPTWCache.FlushAll()
 	}
 	m.Hier.Mem.Reset()
 }

@@ -236,6 +236,6 @@ func (c *Checker) checkInner(pa addr.PA, size uint64, k perm.Access, priv perm.P
 // (together with a TLB flush) whenever it edits HPMP registers or tables.
 func (c *Checker) FlushWalkerCache() {
 	if c.Walker != nil && c.Walker.Cache != nil {
-		c.Walker.Cache.Invalidate()
+		c.Walker.Cache.FlushAll()
 	}
 }

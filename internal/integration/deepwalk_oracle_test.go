@@ -119,9 +119,9 @@ func TestDeepWalkerOracle(t *testing.T) {
 			if err := tbl.SetPagePerm(pg, p); err != nil {
 				t.Fatal(err)
 			}
-			cache.Invalidate()
+			cache.FlushAll()
 		default:
-			cache.Invalidate()
+			cache.FlushAll()
 		}
 	}
 

@@ -1,10 +1,10 @@
 // Replay matrix over machine configurations: every isolation mode ×
 // permission-table depth × degenerate cache geometry must replay one
-// recorded light-experiment trace with 0 divergences through both the
-// batched and the scalar access entry points, and the two entry points must
-// land on equal machine counters, equal final clock and equal latency
-// histograms. The replay engine's equivalence machinery is the oracle; the
-// trace is recorded once and shared across the matrix.
+// recorded light-experiment trace with 0 divergences, both in the engine's
+// blocks of mmu.AccessBatch and one mmu.Access at a time, and the two
+// drains must land on equal machine counters, equal final clock and equal
+// latency histograms. The replay engine's equivalence machinery is the
+// oracle; the trace is recorded once and shared across the matrix.
 package integration
 
 import (
@@ -16,10 +16,12 @@ import (
 	"hpmp/internal/replay"
 )
 
-// recordMatrixTrace records the first light experiment that actually drives
-// the traced translation path, at quick sizes. The recorded stream is a set
-// of mapping proofs, so it replays with 0 divergences on any machine
-// config — exactly what lets one trace sweep the whole matrix.
+// recordMatrixTrace records the first light experiment whose trace holds
+// access events, at quick sizes. Walk-only events (PTE and pmpte fetches)
+// are regenerated, not replayed, so a trace without accesses would make
+// every replay below vacuous. The recorded stream is a set of mapping
+// proofs, so it replays with 0 divergences on any machine config — exactly
+// what lets one trace sweep the whole matrix.
 func recordMatrixTrace(t *testing.T) []obs.Event {
 	t.Helper()
 	for _, exp := range bench.All() {
@@ -34,11 +36,17 @@ func recordMatrixTrace(t *testing.T) []obs.Event {
 		if !o.OK() {
 			t.Fatalf("%s: %v", exp.ID, o.Err)
 		}
-		if o.Trace != nil && o.Trace.Kept() > 0 {
-			return o.Trace.Events()
+		if o.Trace == nil {
+			continue
+		}
+		events := o.Trace.Events()
+		for _, ev := range events {
+			if ev.Kind == obs.KindAccess {
+				return events
+			}
 		}
 	}
-	t.Fatal("no light-tier experiment produced translation events")
+	t.Fatal("no light-tier experiment produced access events")
 	return nil
 }
 
@@ -77,14 +85,34 @@ func matrixVariants() []replay.Config {
 	return out
 }
 
-func replayMatrixOnce(t *testing.T, cfg replay.Config, events []obs.Event) *replay.Engine {
+// replayMatrixOnce replays events on a fresh engine for cfg. Batched, the
+// engine drains its queue through mmu.AccessBatch in blocks of up to
+// replay.BlockMax; otherwise every event is flushed as soon as it is
+// queued, so each access runs alone through one mmu.Access call before the
+// next event is even mapped.
+func replayMatrixOnce(t *testing.T, cfg replay.Config, events []obs.Event, batched bool) *replay.Engine {
 	t.Helper()
 	e, err := replay.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(events); err != nil {
+	if batched {
+		err = e.Run(events)
+	} else {
+		for i := 0; i < len(events) && err == nil; i++ {
+			if err = e.Step(events[i]); err == nil {
+				err = e.Flush()
+			}
+		}
+	}
+	if err != nil {
 		t.Fatal(err)
+	}
+	if e.Stats.Accesses == 0 {
+		t.Fatalf("config %s replayed no accesses (%d events)", cfg, e.Stats.Events)
+	}
+	if !batched && e.Stats.Blocks != e.Stats.Accesses {
+		t.Fatalf("sequential replay ran %d blocks for %d accesses", e.Stats.Blocks, e.Stats.Accesses)
 	}
 	if e.Stats.Divergences != 0 {
 		t.Fatalf("config %s diverged %d times; first: %s", cfg, e.Stats.Divergences, e.Stats.First)
@@ -100,11 +128,10 @@ func TestPipelineDifferentialMatrix(t *testing.T) {
 	for _, cfg := range matrixVariants() {
 		var batched *replay.Engine
 		t.Run(cfg.String(), func(t *testing.T) {
-			batched = replayMatrixOnce(t, cfg, events)
+			batched = replayMatrixOnce(t, cfg, events, true)
 		})
-		cfg.Scalar = true
-		t.Run(cfg.String(), func(t *testing.T) {
-			scalar := replayMatrixOnce(t, cfg, events)
+		t.Run(cfg.String()+" scalar", func(t *testing.T) {
+			scalar := replayMatrixOnce(t, cfg, events, false)
 			if batched == nil {
 				t.Fatal("batched replay failed; no reference to compare against")
 			}
@@ -113,10 +140,10 @@ func TestPipelineDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestPipelineScalarBatchEquivalence proves the two entry points identical
-// on each isolation mode's default geometry, with both replays run inside
-// one subtest: the scalar drain of the same stream lands on the same machine
-// counters, clock, and histograms as the batched one.
+// TestPipelineScalarBatchEquivalence proves the two drains identical on
+// each isolation mode's default geometry, with both replays run inside one
+// subtest: one mmu.Access at a time, the same stream lands on the same
+// machine counters, clock, and histograms as in AccessBatch blocks.
 func TestPipelineScalarBatchEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays a recorded trace twice per isolation mode")
@@ -127,15 +154,14 @@ func TestPipelineScalarBatchEquivalence(t *testing.T) {
 		cfg := base
 		cfg.Mode = mode
 		t.Run(string(mode), func(t *testing.T) {
-			batched := replayMatrixOnce(t, cfg, events)
-			cfg.Scalar = true
-			requireSameMachine(t, batched, replayMatrixOnce(t, cfg, events))
+			batched := replayMatrixOnce(t, cfg, events, true)
+			requireSameMachine(t, batched, replayMatrixOnce(t, cfg, events, false))
 		})
 	}
 }
 
-// requireSameMachine fails t unless the batched and scalar replays of one
-// stream end with equal machine counters, final clock and latency
+// requireSameMachine fails t unless the batched and one-at-a-time
+// replays of one stream end with equal machine counters, final clock and latency
 // histograms.
 func requireSameMachine(t *testing.T, batched, scalar *replay.Engine) {
 	t.Helper()

@@ -93,7 +93,6 @@ type Kernel struct {
 
 	ptAlloc   *phys.FrameAllocator
 	userAlloc *phys.FrameAllocator
-	ptGMS     monitor.GMSID
 
 	// kernelPT is the master table holding the kernel half; its top-level
 	// kernel entries are copied into every process root (as Linux does).
@@ -150,11 +149,9 @@ func New(mach *cpu.Machine, mon *monitor.Monitor, cfg Config) (*Kernel, error) {
 		// Register the PT pool as a fast GMS — the hint Penglai-HPMP turns
 		// into a segment entry. Under PMP/PMPT modes the label is accepted
 		// but has no fast path.
-		id, _, err := mon.AddRegion(monitor.HostDomain, cfg.PTPoolRegion, perm.RW, monitor.LabelFast)
-		if err != nil {
+		if _, _, err := mon.AddRegion(monitor.HostDomain, cfg.PTPoolRegion, perm.RW, monitor.LabelFast); err != nil {
 			return nil, fmt.Errorf("kernel: registering PT pool GMS: %w", err)
 		}
-		k.ptGMS = id
 	}
 
 	// Build the kernel master table and its VMAs.
@@ -179,18 +176,6 @@ func New(mach *cpu.Machine, mon *monitor.Monitor, cfg Config) (*Kernel, error) {
 		}
 	}
 	return k, nil
-}
-
-// PTPoolGMS returns the GMS id of the contiguous PT pool (valid when a
-// monitor is attached and ContiguousPT is set).
-func (k *Kernel) PTPoolGMS() monitor.GMSID { return k.ptGMS }
-
-// KernelText returns the base VA of kernel code.
-func (k *Kernel) KernelText() addr.VA { return KernelBase }
-
-// KernelData returns the base VA of kernel static data.
-func (k *Kernel) KernelData() addr.VA {
-	return KernelBase + addr.VA(kernelTextPages*addr.PageSize)
 }
 
 // KernelHeap returns the base VA of the kernel heap.

@@ -246,28 +246,19 @@ type AccessReq struct {
 // loops in internal/bench use), and returns the cycle after the last one.
 // out[i] receives refs[i]'s result; out must be at least as long as refs.
 //
-// The batch is observably identical to len(refs) sequential Access calls —
-// faulted references record their fault in out[i] and the batch continues,
-// exactly as a caller-driven loop would. What batching buys is amortization:
-// the trace pointer test is hoisted out of the loop and the per-call result
-// zeroing and call overhead collapse into one pass.
+// It is a loop over Access, so the batch is the same len(refs) sequential
+// calls a caller would make: faulted references record their fault in
+// out[i] and the batch continues.
 func (m *MMU) AccessBatch(refs []AccessReq, out []Result, now uint64) (uint64, error) {
 	if len(out) < len(refs) {
 		panic("mmu: AccessBatch out slice shorter than refs")
 	}
-	traced := m.Trace != nil
 	for i := range refs {
 		r := &refs[i]
-		res := &out[i]
-		*res = Result{}
-		if err := m.accessInner(r.VA, r.Kind, r.Priv, now, res); err != nil {
+		if err := m.Access(r.VA, r.Kind, r.Priv, now, &out[i]); err != nil {
 			return now, err
 		}
-		m.LatHist.Observe(res.Latency)
-		if traced {
-			m.Trace.Emit(AccessEvent(r.VA, r.Kind, res))
-		}
-		now += res.Latency
+		now += out[i].Latency
 	}
 	return now, nil
 }
@@ -336,7 +327,7 @@ func (m *MMU) accessInner(va addr.VA, k perm.Access, priv perm.Priv, now uint64,
 		res.Latency += m.STLB.Latency
 		if e, ok := m.STLB.Lookup(vpn); ok {
 			res.TLBHit = obs.TLBL2
-			l1.Insert(*e)
+			l1.Insert(vpn, *e)
 			return m.finishFromTLB(res, e, va, k, priv, now)
 		}
 	}
@@ -386,14 +377,13 @@ func (m *MMU) accessInner(va addr.VA, k perm.Access, priv perm.Priv, now uint64,
 	// 5. Fill TLBs with the translation and the inlined physical
 	// permission.
 	entry := tlb.Entry{
-		VPN:      vpn,
 		PFN:      tr.PA.Frame(),
 		Perm:     tr.Perm,
 		User:     tr.User,
 		PhysPerm: physPerm,
 	}
-	l1.Insert(entry)
-	m.STLB.Insert(entry)
+	l1.Insert(vpn, entry)
+	m.STLB.Insert(vpn, entry)
 
 	// 6. The data reference (tr.PA already includes the page offset).
 	res.PA = tr.PA

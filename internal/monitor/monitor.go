@@ -435,7 +435,7 @@ func (m *Monitor) programTables(d *Domain) uint64 {
 func (m *Monitor) flushAfterUpdate() uint64 {
 	m.Mach.MMU.FlushTLB()
 	if m.Mach.PMPTWCache != nil {
-		m.Mach.PMPTWCache.Invalidate()
+		m.Mach.PMPTWCache.FlushAll()
 	}
 	m.Counters.Inc("monitor.flush")
 	return m.cfg.TLBFlushCycles

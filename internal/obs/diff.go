@@ -44,11 +44,6 @@ type DiffOptions struct {
 	// wall time depends on the machine, so the committed baseline's values
 	// are not comparable across hosts by default.
 	WallTol float64
-	// DerivedTol is the relative tolerance for derived rates. Derived
-	// values are computed deterministically from counters, so the default
-	// (0) demands an exact match after the JSON round trip; a small
-	// fraction here loosens the gate for float-formatting churn.
-	DerivedTol float64
 }
 
 // Finding is one observed difference.
@@ -225,7 +220,9 @@ func DiffMetrics(base, cur *Metrics, opt DiffOptions) []Finding {
 	for _, k := range dkeys {
 		bv, bok := base.Derived[k]
 		cv, cok := cur.Derived[k]
-		if bok != cok || !withinRel(bv, cv, opt.DerivedTol) {
+		// Derived values are computed deterministically from counters, so
+		// they must match exactly after the JSON round trip.
+		if bok != cok || bv != cv {
 			out = append(out, Finding{Family: "derived", Key: k,
 				Base: derivedStr(bv, bok), Current: derivedStr(cv, cok), Severity: SevRegression})
 		}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"hpmp/internal/addr"
+	"hpmp/internal/assoc"
 	"hpmp/internal/memport"
 	"hpmp/internal/obs"
 	"hpmp/internal/perm"
@@ -622,7 +623,7 @@ func (w *Walker) walk(rootBase addr.PA, region addr.Range, mode TableMode, pa ad
 // fetch reads one pmpte, consulting the PMPTW cache first.
 func (w *Walker) fetch(pa addr.PA, now uint64, res *WalkResult) (uint64, error) {
 	if w.Cache != nil && w.Cache.Enabled {
-		if v, ok := w.Cache.Lookup(pa); ok {
+		if v, ok := w.Cache.Lookup(uint64(pa)); ok {
 			res.Hits++
 			*w.handles().cacheHit++
 			if w.Trace != nil {
@@ -642,87 +643,23 @@ func (w *Walker) fetch(pa addr.PA, now uint64, res *WalkResult) (uint64, error) 
 		w.Trace.Emit(obs.Event{Kind: obs.KindPMPTFetch, Access: perm.Read, PA: pa, Level: -1, Refs: 1, ChkRefs: 1, Cycles: lat})
 	}
 	if w.Cache != nil && w.Cache.Enabled {
-		w.Cache.Insert(pa, v)
+		w.Cache.Insert(uint64(pa), v)
 	}
 	return v, nil
 }
 
-// WalkerCache is the PMPTW-Cache: a small fully-associative cache of pmpte
-// words, with the same replacement rule as the PWC (true LRU). The paper's
-// prototype uses 8 entries and disables it by default (§7). A
-// zero-capacity cache is legal and stores nothing.
+// WalkerCache is the PMPTW-Cache: a small fully-associative true-LRU cache
+// of pmpte words keyed by physical address, the same structure as the PWC.
+// The paper's prototype uses 8 entries and disables it by default (§7);
+// fig16 enables it after boot. A zero-capacity cache is legal and stores
+// nothing.
 type WalkerCache struct {
 	Enabled bool
-	entries []wcEntry
-	tick    uint64
-}
-
-type wcEntry struct {
-	pa   addr.PA
-	val  uint64
-	lru  uint64
-	used bool
+	assoc.Cache
 }
 
 // NewWalkerCache builds a cache with n entries (disabled until Enabled is
 // set).
 func NewWalkerCache(n int) *WalkerCache {
-	return &WalkerCache{entries: make([]wcEntry, n)}
-}
-
-// Len returns the capacity.
-func (c *WalkerCache) Len() int { return len(c.entries) }
-
-// Lookup probes for the pmpte at pa, refreshing its LRU stamp on a hit.
-func (c *WalkerCache) Lookup(pa addr.PA) (uint64, bool) {
-	for i := range c.entries {
-		e := &c.entries[i]
-		if e.used && e.pa == pa {
-			c.tick++
-			e.lru = c.tick
-			return e.val, true
-		}
-	}
-	return 0, false
-}
-
-// Insert adds or refreshes the pmpte at pa, evicting true-LRU. One pass
-// finds the duplicate, the first free slot, and the LRU victim together;
-// a duplicate always wins over placement, so a second copy of pa can
-// never be stored. A zero-capacity cache no-ops.
-func (c *WalkerCache) Insert(pa addr.PA, val uint64) {
-	if len(c.entries) == 0 {
-		return
-	}
-	c.tick++
-	free, victim := -1, -1
-	for i := range c.entries {
-		e := &c.entries[i]
-		if !e.used {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
-		if e.pa == pa {
-			e.val, e.lru = val, c.tick
-			return
-		}
-		if victim < 0 || e.lru < c.entries[victim].lru {
-			victim = i
-		}
-	}
-	slot := free
-	if slot < 0 {
-		slot = victim
-	}
-	c.entries[slot] = wcEntry{pa: pa, val: val, lru: c.tick, used: true}
-}
-
-// Invalidate clears the cache; the monitor calls it whenever it edits a
-// table (mirroring the TLB flush requirement in §5).
-func (c *WalkerCache) Invalidate() {
-	for i := range c.entries {
-		c.entries[i] = wcEntry{}
-	}
+	return &WalkerCache{Cache: *assoc.NewCache(n)}
 }

@@ -290,10 +290,10 @@ func TestWalkerCache(t *testing.T) {
 	if r2.Perm != perm.RW {
 		t.Errorf("cached walk perm = %v", r2.Perm)
 	}
-	c.Invalidate()
+	c.FlushAll()
 	r3, _ := w.Walk(tbl.RootBase(), tbl.Region(), base, 200)
 	if r3.MemRefs != 2 {
-		t.Errorf("after invalidate, walk must re-fetch: refs=%d", r3.MemRefs)
+		t.Errorf("after FlushAll, walk must re-fetch: refs=%d", r3.MemRefs)
 	}
 }
 
@@ -335,7 +335,7 @@ func TestWalkerCacheEvictionOrder(t *testing.T) {
 		t.Fatal("0x300 should have been evicted second")
 	}
 	for _, pa := range []addr.PA{0x100, 0x400, 0x500} {
-		if _, ok := c.Lookup(pa); !ok {
+		if _, ok := c.Lookup(uint64(pa)); !ok {
 			t.Errorf("%#x should still be cached", uint64(pa))
 		}
 	}
@@ -365,7 +365,7 @@ func TestWalkerCacheDuplicateInsertRefreshes(t *testing.T) {
 }
 
 // TestWalkerCacheInvalidateClearsMemo: an entry that hit just before
-// Invalidate must not survive it, and its slot must be reusable.
+// FlushAll must not survive it, and its slot must be reusable.
 func TestWalkerCacheInvalidateClearsMemo(t *testing.T) {
 	c := NewWalkerCache(4)
 	c.Enabled = true
@@ -373,9 +373,9 @@ func TestWalkerCacheInvalidateClearsMemo(t *testing.T) {
 	if _, ok := c.Lookup(0x100); !ok {
 		t.Fatal("prime lookup should hit")
 	}
-	c.Invalidate()
+	c.FlushAll()
 	if _, ok := c.Lookup(0x100); ok {
-		t.Fatal("lookup after Invalidate must miss")
+		t.Fatal("lookup after FlushAll must miss")
 	}
 	c.Insert(0x100, 2)
 	if v, ok := c.Lookup(0x100); !ok || v != 2 {
@@ -385,7 +385,7 @@ func TestWalkerCacheInvalidateClearsMemo(t *testing.T) {
 
 // TestWalkerCacheZeroCapacity: NewWalkerCache(plat.PMPTWCacheEntries) makes
 // 0 reachable from platform configuration; Insert/Lookup must no-op rather
-// than panic on entries[0].
+// than panic.
 func TestWalkerCacheZeroCapacity(t *testing.T) {
 	c := NewWalkerCache(0)
 	c.Enabled = true
@@ -393,7 +393,7 @@ func TestWalkerCacheZeroCapacity(t *testing.T) {
 	if _, ok := c.Lookup(0x100); ok {
 		t.Error("zero-capacity cache must never hit")
 	}
-	c.Invalidate() // must not panic
+	c.FlushAll() // must not panic
 	if c.Len() != 0 {
 		t.Errorf("Len = %d, want 0", c.Len())
 	}
@@ -409,7 +409,7 @@ func TestWalkerCacheZeroCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.MemRefs != 2 || res.Hits != 0 || res.Perm != perm.RW {
-			t.Errorf("walk %d: refs=%d hits=%d perm=%v, want 2/0/RW", i, res.MemRefs, res.Hits, res.Perm)
+			t.Errorf("zero-capacity walk %d: refs=%d hits=%d perm=%v, want 2/0/RW", i, res.MemRefs, res.Hits, res.Perm)
 		}
 	}
 }

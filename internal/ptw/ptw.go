@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"hpmp/internal/addr"
+	"hpmp/internal/assoc"
 	"hpmp/internal/hpmp"
 	"hpmp/internal/memport"
 	"hpmp/internal/obs"
@@ -46,7 +47,10 @@ type Walker struct {
 	Mode    addr.Mode
 	Port    memport.Port
 	Checker Checker // may be nil
-	PWC     *PWC    // may be nil
+	// PWC is the page walk cache: PTE words keyed by PTE physical address,
+	// true LRU. Table 1's "PTECache" is 8 entries; Fig. 17 grows it to 32.
+	// Nil when the walker has none.
+	PWC *assoc.Cache
 	// Priv is the privilege the walker's own PT accesses are checked at.
 	// Page tables are kernel data structures, so S.
 	Priv perm.Priv
@@ -74,7 +78,7 @@ func New(mode addr.Mode, port memport.Port, checker Checker, pwcEntries int) *Wa
 	w := &Walker{Mode: mode, Port: port, Checker: checker, Priv: perm.S,
 		Hist: stats.DefaultLatencyHistogram()}
 	if pwcEntries > 0 {
-		w.PWC = NewPWC(pwcEntries)
+		w.PWC = assoc.NewCache(pwcEntries)
 	}
 	w.hPWCHit = w.Counters.Handle("ptw.pwc_hit")
 	w.hPTEFetch = w.Counters.Handle("ptw.pte_fetch")
@@ -215,7 +219,7 @@ func (w *Walker) walk(root addr.PA, va addr.VA, now uint64, res *Result) error {
 // res.AccessFault is set when the check denies.
 func (w *Walker) fetchPTE(pteAddr addr.PA, now uint64, res *Result) (raw uint64, pwcHit bool, err error) {
 	if w.PWC != nil {
-		if v, ok := w.PWC.Lookup(pteAddr); ok {
+		if v, ok := w.PWC.Lookup(uint64(pteAddr)); ok {
 			res.PWCHits++
 			*w.hPWCHit++
 			return v, true, nil
@@ -243,7 +247,7 @@ func (w *Walker) fetchPTE(pteAddr addr.PA, now uint64, res *Result) (raw uint64,
 	// Only valid entries are cached — a PWC never caches faults, or a
 	// later mapping of the page would be invisible until a flush.
 	if w.PWC != nil && pt.PTE(v).Valid() {
-		w.PWC.Insert(pteAddr, v)
+		w.PWC.Insert(uint64(pteAddr), v)
 	}
 	return v, false, nil
 }
@@ -251,83 +255,6 @@ func (w *Walker) fetchPTE(pteAddr addr.PA, now uint64, res *Result) (raw uint64,
 // FlushPWC empties the page walk cache (sfence.vma side effect).
 func (w *Walker) FlushPWC() {
 	if w.PWC != nil {
-		w.PWC.Invalidate()
+		w.PWC.FlushAll()
 	}
 }
-
-// PWC is the page walk cache: a small fully-associative LRU cache of PTE
-// words keyed by PTE physical address. Table 1's "PTECache" is 8 entries;
-// Fig. 17 grows it to 32. A zero-capacity PWC is legal and stores nothing.
-type PWC struct {
-	entries []pwcEntry
-	tick    uint64
-}
-
-type pwcEntry struct {
-	pa   addr.PA
-	val  uint64
-	lru  uint64
-	used bool
-}
-
-// NewPWC builds a PWC with n entries.
-func NewPWC(n int) *PWC { return &PWC{entries: make([]pwcEntry, n)} }
-
-// Len returns the capacity.
-func (c *PWC) Len() int { return len(c.entries) }
-
-// Lookup probes for the PTE at pa, refreshing its LRU stamp on a hit.
-func (c *PWC) Lookup(pa addr.PA) (uint64, bool) {
-	for i := range c.entries {
-		e := &c.entries[i]
-		if e.used && e.pa == pa {
-			c.tick++
-			e.lru = c.tick
-			return e.val, true
-		}
-	}
-	return 0, false
-}
-
-// Insert adds or refreshes the PTE at pa, evicting true-LRU. One pass
-// finds the duplicate, the first free slot, and the LRU victim together;
-// a duplicate always wins over placement, so a second copy of pa can
-// never be stored. A zero-capacity cache no-ops.
-func (c *PWC) Insert(pa addr.PA, val uint64) {
-	if len(c.entries) == 0 {
-		return
-	}
-	c.tick++
-	free, victim := -1, -1
-	for i := range c.entries {
-		e := &c.entries[i]
-		if !e.used {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
-		if e.pa == pa {
-			e.val, e.lru = val, c.tick
-			return
-		}
-		if victim < 0 || e.lru < c.entries[victim].lru {
-			victim = i
-		}
-	}
-	slot := free
-	if slot < 0 {
-		slot = victim
-	}
-	c.entries[slot] = pwcEntry{pa: pa, val: val, lru: c.tick, used: true}
-}
-
-// Invalidate clears the cache.
-func (c *PWC) Invalidate() {
-	for i := range c.entries {
-		c.entries[i] = pwcEntry{}
-	}
-}
-
-// Warm inserts a PTE without statistics, for Table 2 state priming.
-func (c *PWC) Warm(pa addr.PA, val uint64) { c.Insert(pa, val) }

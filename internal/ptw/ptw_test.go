@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hpmp/internal/addr"
+	"hpmp/internal/assoc"
 	"hpmp/internal/hpmp"
 	"hpmp/internal/memport"
 	"hpmp/internal/obs"
@@ -102,6 +103,129 @@ func TestPWCSkipsLevels(t *testing.T) {
 	r4, _ := w.Walk(e.tbl.Root(), va, 300)
 	if r4.PTRefs != 3 {
 		t.Errorf("after flush: %+v", r4)
+	}
+}
+
+// TestPWCLRU: the walker's PWC evicts the least recently used PTE word and
+// refreshes a re-inserted one in place.
+func TestPWCLRU(t *testing.T) {
+	c := New(addr.Sv39, nil, nil, 2).PWC
+	c.Insert(0x10, 1)
+	c.Insert(0x20, 2)
+	c.Lookup(0x10)
+	c.Insert(0x30, 3) // evict 0x20
+	if _, ok := c.Lookup(0x20); ok {
+		t.Error("LRU victim should be gone")
+	}
+	if v, ok := c.Lookup(0x10); !ok || v != 1 {
+		t.Error("MRU should survive")
+	}
+	c.Insert(0x10, 99)
+	if v, _ := c.Lookup(0x10); v != 99 {
+		t.Error("reinsert must update in place")
+	}
+}
+
+// TestPWCEvictionOrder fills the cache, touches entries in a known order,
+// and asserts that successive inserts evict exactly in LRU order.
+func TestPWCEvictionOrder(t *testing.T) {
+	c := New(addr.Sv39, nil, nil, 3).PWC
+	c.Insert(0x10, 1)
+	c.Insert(0x20, 2)
+	c.Insert(0x30, 3)
+	// Recency order (old→new): 0x10, 0x20, 0x30. Touch 0x10: now 0x20 is LRU.
+	c.Lookup(0x10)
+	c.Insert(0x40, 4) // evicts 0x20
+	if _, ok := c.Lookup(0x20); ok {
+		t.Fatal("0x20 should have been evicted first")
+	}
+	// Recency: 0x30, 0x10, 0x40 (lookup misses don't touch).
+	c.Insert(0x50, 5) // evicts 0x30
+	if _, ok := c.Lookup(0x30); ok {
+		t.Fatal("0x30 should have been evicted second")
+	}
+	for _, pa := range []addr.PA{0x10, 0x40, 0x50} {
+		if _, ok := c.Lookup(uint64(pa)); !ok {
+			t.Errorf("%#x should still be cached", uint64(pa))
+		}
+	}
+}
+
+// TestPWCDuplicateInsertRefreshes: re-inserting a present PA must refresh
+// its value and recency in place — never store a second copy whose later
+// eviction would resurrect a stale value.
+func TestPWCDuplicateInsertRefreshes(t *testing.T) {
+	c := New(addr.Sv39, nil, nil, 2).PWC
+	c.Insert(0x10, 1)
+	c.Insert(0x20, 2)
+	c.Insert(0x10, 11) // refresh: 0x20 becomes LRU
+	c.Insert(0x30, 3)  // must evict 0x20, not a duplicate slot of 0x10
+	if _, ok := c.Lookup(0x20); ok {
+		t.Fatal("0x20 should have been the eviction victim")
+	}
+	if v, ok := c.Lookup(0x10); !ok || v != 11 {
+		t.Errorf("0x10 = %d,%v; want refreshed value 11", v, ok)
+	}
+	// Evict 0x10 and make sure no shadow copy with the old value remains.
+	c.Lookup(0x30)
+	c.Insert(0x40, 4)
+	if v, ok := c.Lookup(0x10); ok {
+		t.Errorf("0x10 resurrected with value %d: duplicate slot was stored", v)
+	}
+}
+
+// TestPWCInvalidateClearsMemo: an entry that hit just before FlushPWC must
+// not survive it — a probe of the same PA right after the flush must miss —
+// and its slot must be reusable.
+func TestPWCInvalidateClearsMemo(t *testing.T) {
+	w := New(addr.Sv39, nil, nil, 4)
+	c := w.PWC
+	c.Insert(0x10, 1)
+	if _, ok := c.Lookup(0x10); !ok {
+		t.Fatal("prime lookup should hit")
+	}
+	w.FlushPWC()
+	if _, ok := c.Lookup(0x10); ok {
+		t.Fatal("lookup after FlushPWC must miss")
+	}
+	// And the slot is genuinely reusable.
+	c.Insert(0x10, 2)
+	if v, ok := c.Lookup(0x10); !ok || v != 2 {
+		t.Errorf("refill = %d,%v; want 2", v, ok)
+	}
+}
+
+// TestPWCZeroCapacity: a 0-entry PWC is reachable from configuration
+// (-pwc 0). The cache itself must no-op on Insert/Lookup instead of
+// panicking, and a walker built with it walks every level from memory.
+func TestPWCZeroCapacity(t *testing.T) {
+	c := assoc.NewCache(0)
+	c.Insert(0x10, 1) // must not panic
+	if _, ok := c.Lookup(0x10); ok {
+		t.Error("zero-capacity PWC must never hit")
+	}
+	c.FlushAll() // must not panic
+	if c.Len() != 0 {
+		t.Errorf("Len = %d, want 0", c.Len())
+	}
+	c.Insert(0x20, 2)
+	if _, ok := c.Lookup(0x20); ok {
+		t.Error("zero-capacity PWC must ignore a second Insert")
+	}
+
+	e := newEnv(t)
+	va := addr.VA(0x4000_0000)
+	e.tbl.Map(va, 0x800_0000, perm.RW, true)
+	w := New(addr.Sv39, e.port, nil, 0)
+	w.FlushPWC() // must not panic
+	for i, now := range []uint64{0, 100} {
+		res, err := w.Walk(e.tbl.Root(), va, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PTRefs != 3 || res.PWCHits != 0 {
+			t.Errorf("walk %d: refs=%d pwcHits=%d, want 3/0", i, res.PTRefs, res.PWCHits)
+		}
 	}
 }
 
@@ -307,111 +431,6 @@ func TestPageFaultCounterMatchesResults(t *testing.T) {
 	}
 	if got := w.Counters.Get("ptw.page_fault"); got != uint64(faults) {
 		t.Errorf("ptw.page_fault = %d, want %d (one per PageFault result)", got, faults)
-	}
-}
-
-func TestPWCLRU(t *testing.T) {
-	c := NewPWC(2)
-	c.Insert(0x10, 1)
-	c.Insert(0x20, 2)
-	c.Lookup(0x10)
-	c.Insert(0x30, 3) // evict 0x20
-	if _, ok := c.Lookup(0x20); ok {
-		t.Error("LRU victim should be gone")
-	}
-	if v, ok := c.Lookup(0x10); !ok || v != 1 {
-		t.Error("MRU should survive")
-	}
-	c.Insert(0x10, 99)
-	if v, _ := c.Lookup(0x10); v != 99 {
-		t.Error("reinsert must update in place")
-	}
-}
-
-// TestPWCEvictionOrder fills the cache, touches entries in a known order,
-// and asserts that successive inserts evict exactly in LRU order.
-func TestPWCEvictionOrder(t *testing.T) {
-	c := NewPWC(3)
-	c.Insert(0x10, 1)
-	c.Insert(0x20, 2)
-	c.Insert(0x30, 3)
-	// Recency order (old→new): 0x10, 0x20, 0x30. Touch 0x10: now 0x20 is LRU.
-	c.Lookup(0x10)
-	c.Insert(0x40, 4) // evicts 0x20
-	if _, ok := c.Lookup(0x20); ok {
-		t.Fatal("0x20 should have been evicted first")
-	}
-	// Recency: 0x30, 0x10, 0x40 (lookup misses don't touch).
-	c.Insert(0x50, 5) // evicts 0x30
-	if _, ok := c.Lookup(0x30); ok {
-		t.Fatal("0x30 should have been evicted second")
-	}
-	for _, pa := range []addr.PA{0x10, 0x40, 0x50} {
-		if _, ok := c.Lookup(pa); !ok {
-			t.Errorf("%#x should still be cached", uint64(pa))
-		}
-	}
-}
-
-// TestPWCDuplicateInsertRefreshes: re-inserting a present PA must refresh
-// its value and recency in place — never store a second copy whose later
-// eviction would resurrect a stale value.
-func TestPWCDuplicateInsertRefreshes(t *testing.T) {
-	c := NewPWC(2)
-	c.Insert(0x10, 1)
-	c.Insert(0x20, 2)
-	c.Insert(0x10, 11) // refresh: 0x20 becomes LRU
-	c.Insert(0x30, 3)  // must evict 0x20, not a duplicate slot of 0x10
-	if _, ok := c.Lookup(0x20); ok {
-		t.Fatal("0x20 should have been the eviction victim")
-	}
-	if v, ok := c.Lookup(0x10); !ok || v != 11 {
-		t.Errorf("0x10 = %d,%v; want refreshed value 11", v, ok)
-	}
-	// Evict 0x10 and make sure no shadow copy with the old value remains.
-	c.Lookup(0x30)
-	c.Insert(0x40, 4)
-	if v, ok := c.Lookup(0x10); ok {
-		t.Errorf("0x10 resurrected with value %d: duplicate slot was stored", v)
-	}
-}
-
-// TestPWCInvalidateClearsMemo: an entry that hit just before Invalidate
-// must not survive it — a probe of the same PA right after the flush must
-// miss — and its slot must be reusable.
-func TestPWCInvalidateClearsMemo(t *testing.T) {
-	c := NewPWC(4)
-	c.Insert(0x10, 1)
-	if _, ok := c.Lookup(0x10); !ok {
-		t.Fatal("prime lookup should hit")
-	}
-	c.Invalidate()
-	if _, ok := c.Lookup(0x10); ok {
-		t.Fatal("lookup after Invalidate must miss")
-	}
-	// And the slot is genuinely reusable.
-	c.Insert(0x10, 2)
-	if v, ok := c.Lookup(0x10); !ok || v != 2 {
-		t.Errorf("refill = %d,%v; want 2", v, ok)
-	}
-}
-
-// TestPWCZeroCapacity: a 0-entry PWC is reachable from configuration and
-// must no-op on Insert/Lookup instead of panicking (entries[0] on an empty
-// slice, the pre-PR-3 behaviour).
-func TestPWCZeroCapacity(t *testing.T) {
-	c := NewPWC(0)
-	c.Insert(0x10, 1) // must not panic
-	if _, ok := c.Lookup(0x10); ok {
-		t.Error("zero-capacity PWC must never hit")
-	}
-	c.Invalidate() // must not panic
-	if c.Len() != 0 {
-		t.Errorf("Len = %d, want 0", c.Len())
-	}
-	c.Warm(0x20, 2)
-	if _, ok := c.Lookup(0x20); ok {
-		t.Error("zero-capacity PWC must ignore Warm")
 	}
 }
 

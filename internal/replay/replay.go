@@ -383,15 +383,7 @@ func (e *Engine) Flush() error {
 		return nil
 	}
 	n := e.n
-	var (
-		now uint64
-		err error
-	)
-	if e.cfg.Scalar {
-		now, err = e.drainScalar(n)
-	} else {
-		now, err = e.mach.MMU.AccessBatch(e.reqs[:n], e.out[:n], e.now)
-	}
+	now, err := e.mach.MMU.AccessBatch(e.reqs[:n], e.out[:n], e.now)
 	if err != nil {
 		return fmt.Errorf("replay: batch at event %d: %w", e.Stats.Events, err)
 	}
@@ -422,20 +414,6 @@ func (e *Engine) Flush() error {
 
 // diverge records one replayed-vs-recorded mismatch. Only the first gets
 // the (allocating) human rendering.
-// drainScalar issues the queued block one mmu.Access at a time, advancing
-// the clock per reference exactly as AccessBatch does.
-func (e *Engine) drainScalar(n int) (uint64, error) {
-	now := e.now
-	for i := 0; i < n; i++ {
-		r := &e.reqs[i]
-		if err := e.mach.MMU.Access(r.VA, r.Kind, r.Priv, now, &e.out[i]); err != nil {
-			return now, err
-		}
-		now += e.out[i].Latency
-	}
-	return now, nil
-}
-
 func (e *Engine) diverge(i int, why string) {
 	e.Stats.Divergences++
 	if e.Stats.First == "" {

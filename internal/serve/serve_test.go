@@ -200,6 +200,34 @@ func TestRunJobRejectsIgnoredMachineFields(t *testing.T) {
 	}
 }
 
+// The scalar replay drain is gone: a machine config that still asks for it
+// is an unknown field, rejected at submit time like any other, while the
+// same replay job without it is accepted.
+func TestReplayJobRejectsScalar(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1, QueueDepth: 2})
+	tr := obs.NewTracer(4, 1)
+	tr.Emit(obs.Event{Kind: obs.KindAccess, VA: 0x1000_0000, PA: 0x80_0000})
+	var trace bytes.Buffer
+	if err := obs.WriteTrace(&trace, "scalar", tr); err != nil {
+		t.Fatal(err)
+	}
+	job := func(machine string) string {
+		body, _ := json.Marshal(map[string]any{"kind": "replay", "trace_jsonl": trace.String(),
+			"machine": json.RawMessage(machine)})
+		return string(body)
+	}
+	if _, resp := postJob(t, ts, job(`{"mode":"pmp","scalar":true}`)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("replay job with machine.scalar: HTTP %d, want 400", resp.StatusCode)
+	}
+	st, resp := postJob(t, ts, job(`{"mode":"pmp"}`))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("replay job without machine.scalar: HTTP %d, want 202", resp.StatusCode)
+	}
+	if st = waitTerminal(t, ts, st.ID); st.State != StateDone {
+		t.Fatalf("replay job: %s (%s)", st.State, st.Error)
+	}
+}
+
 func TestUnknownJobIs404(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1, QueueDepth: 1})
 	for _, path := range []string{"/v1/jobs/job-9", "/v1/jobs/job-9/metrics", "/v1/jobs/job-9/trace"} {

@@ -21,7 +21,6 @@ type Flags struct {
 	PWC        *int
 	PMPTWCache *int
 	Depth      *int
-	Scalar     *bool
 }
 
 // AddFlags registers the shared machine flags on fs. prefix is prepended
@@ -37,7 +36,6 @@ func AddFlags(fs *flag.FlagSet, prefix string) *Flags {
 		PWC:        fs.Int("pwc", -1, prefix+"page-walk cache entries (0 = no PWC, <0 = platform default)"),
 		PMPTWCache: fs.Int("pmptw-cache", 0, prefix+"PMPT walker cache entries (0 = disabled, the paper default)"),
 		Depth:      fs.Int("depth", 0, prefix+"permission-table depth (0 = default, 2, 3, or 4)"),
-		Scalar:     fs.Bool("scalar", false, prefix+"drain accesses one mmu.Access at a time instead of AccessBatch"),
 	}
 }
 
@@ -65,6 +63,5 @@ func (f *Flags) Machine() Machine {
 		PWCEntries:   triFromFlag(*f.PWC),
 		PMPTWCache:   *f.PMPTWCache,
 		TableDepth:   *f.Depth,
-		Scalar:       *f.Scalar,
 	}
 }

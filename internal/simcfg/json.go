@@ -20,7 +20,6 @@ type machineJSON struct {
 	PWC        int    `json:"pwc,omitempty"`
 	PMPTWCache int    `json:"pmptw_cache,omitempty"`
 	TableDepth int    `json:"table_depth,omitempty"`
-	Scalar     bool   `json:"scalar,omitempty"`
 }
 
 // MarshalJSON emits the wire form (mem in MiB). A MemSize that is not a
@@ -38,7 +37,6 @@ func (m Machine) MarshalJSON() ([]byte, error) {
 		PWC:        m.PWCEntries,
 		PMPTWCache: m.PMPTWCache,
 		TableDepth: m.TableDepth,
-		Scalar:     m.Scalar,
 	})
 }
 
@@ -60,7 +58,6 @@ func (m *Machine) UnmarshalJSON(data []byte) error {
 		PWCEntries:   w.PWC,
 		PMPTWCache:   w.PMPTWCache,
 		TableDepth:   w.TableDepth,
-		Scalar:       w.Scalar,
 	}
 	return nil
 }

@@ -101,11 +101,6 @@ type Machine struct {
 	// TableDepth is the permission-table depth for ModePMPT/ModeHPMP:
 	// 0 or 2 = the base 2-level table, 3/4 = the §4.3 Mode-field extension.
 	TableDepth int
-	// Scalar drains access blocks through the scalar mmu.Access entry
-	// point — one call per reference with the same per-access accounting —
-	// instead of mmu.AccessBatch. The replay matrix uses it to prove both
-	// entry points byte-identical on every machine config.
-	Scalar bool
 }
 
 // Default is the canonical machine: the in-order platform under full HPMP
@@ -175,9 +170,6 @@ func (m Machine) String() string {
 	}
 	if m.PMPTWCache != 0 {
 		s += fmt.Sprintf(" pmptw-cache=%d", m.PMPTWCache)
-	}
-	if m.Scalar {
-		s += " scalar"
 	}
 	return s
 }

@@ -84,9 +84,9 @@ func TestFlagRemapKeepsPR8Semantics(t *testing.T) {
 	}
 	// Positive overrides pass through; the rest of the surface too.
 	m = parse("-platform", "boom", "-mode", "pmpt", "-mem", "160",
-		"-l2tlb", "128", "-pwc", "16", "-pmptw-cache", "32", "-depth", "3", "-scalar")
+		"-l2tlb", "128", "-pwc", "16", "-pmptw-cache", "32", "-depth", "3")
 	want := Machine{Platform: "boom", Mode: ModePMPT, MemSize: MinMemSize,
-		L2TLBEntries: 128, PWCEntries: 16, PMPTWCache: 32, TableDepth: 3, Scalar: true}
+		L2TLBEntries: 128, PWCEntries: 16, PMPTWCache: 32, TableDepth: 3}
 	if m != want {
 		t.Fatalf("full flag surface = %+v, want %+v", m, want)
 	}
@@ -94,7 +94,7 @@ func TestFlagRemapKeepsPR8Semantics(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	in := Machine{Platform: "boom", Mode: ModePMPT, MemSize: 192 * addr.MiB,
-		L2TLBEntries: -1, PWCEntries: 8, PMPTWCache: 16, TableDepth: 4, Scalar: true}
+		L2TLBEntries: -1, PWCEntries: 8, PMPTWCache: 16, TableDepth: 4}
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)

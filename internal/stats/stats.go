@@ -74,15 +74,6 @@ func (c *Counters) Names() []string {
 	return out
 }
 
-// Visit calls fn for every counter in first-use order. It is the ordered
-// bulk-read primitive: renderers that need a different order sort the
-// snapshot instead.
-func (c *Counters) Visit(fn func(name string, value uint64)) {
-	for _, name := range c.order {
-		fn(name, *c.vals[name])
-	}
-}
-
 // Snapshot copies every counter into a fresh map. The map is independent of
 // the live counters, so it can cross goroutines freely — the export path
 // (metrics JSON, Prometheus text) is built on it.

@@ -15,27 +15,27 @@ package tlb
 
 import (
 	"hpmp/internal/addr"
+	"hpmp/internal/assoc"
 	"hpmp/internal/perm"
 	"hpmp/internal/stats"
 )
 
-// Entry is one cached translation.
+// Entry is one cached translation: the payload a TLB keeps for a virtual
+// page number, which the TLB holds as the entry's tag.
 type Entry struct {
-	VPN  uint64    // virtual page number
 	PFN  uint64    // physical frame number
 	Perm perm.Perm // page-table permission (R/W/X of the leaf PTE)
 	User bool      // PTE U bit
 	// PhysPerm is the inlined physical-memory-isolation permission fetched
 	// from HPMP at fill time.
 	PhysPerm perm.Perm
-	valid    bool
-	lru      uint64
 }
 
-// L1 is a fully-associative TLB with true-LRU replacement.
+// L1 is a fully-associative TLB with true-LRU replacement: an assoc.Array
+// of VPNs, scanned on every lookup, beside the entries it indexes.
 type L1 struct {
+	tags    assoc.Array
 	entries []Entry
-	tick    uint64
 
 	hHit, hMiss *uint64
 
@@ -44,7 +44,7 @@ type L1 struct {
 
 // NewL1 builds a fully-associative TLB with n entries.
 func NewL1(name string, n int) *L1 {
-	t := &L1{entries: make([]Entry, n)}
+	t := &L1{tags: assoc.NewArray(n), entries: make([]Entry, n)}
 	t.hHit = t.Counters.Handle(name + ".hit")
 	t.hMiss = t.Counters.Handle(name + ".miss")
 	return t
@@ -53,78 +53,39 @@ func NewL1(name string, n int) *L1 {
 // Lookup returns the entry translating vpn. The returned pointer aliases
 // the TLB's backing store — callers must treat it as read-only and must not
 // hold it across an Insert or Flush (the MMU copies what it needs before
-// filling). Returning a pointer instead of an Entry value keeps the 48-byte
-// struct copy off the L1-hit path, the simulator's hottest.
+// filling). Returning a pointer instead of an Entry value keeps the struct
+// copy off the L1-hit path, the simulator's hottest.
 func (t *L1) Lookup(vpn uint64) (*Entry, bool) {
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.VPN == vpn {
-			t.tick++
-			e.lru = t.tick
-			*t.hHit++
-			return e, true
-		}
+	if i, ok := t.tags.Lookup(vpn); ok {
+		*t.hHit++
+		return &t.entries[i], true
 	}
 	*t.hMiss++
 	return nil, false
 }
 
-// Insert fills an entry, evicting true-LRU. One pass finds the duplicate,
-// the first free slot, and the LRU victim together (same scan as
-// PWC.Insert / WalkerCache.Insert); a zero-capacity TLB no-ops.
-func (t *L1) Insert(e Entry) {
-	if len(t.entries) == 0 {
-		return
+// Insert fills the entry for vpn, refreshing a present VPN in place or
+// evicting true-LRU; a zero-capacity TLB no-ops.
+func (t *L1) Insert(vpn uint64, e Entry) {
+	if i := t.tags.Insert(vpn); i >= 0 {
+		t.entries[i] = e
 	}
-	t.tick++
-	e.valid = true
-	e.lru = t.tick
-	free, victim := -1, -1
-	for i := range t.entries {
-		cur := &t.entries[i]
-		if !cur.valid {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
-		if cur.VPN == e.VPN {
-			*cur = e
-			return
-		}
-		if victim < 0 || cur.lru < t.entries[victim].lru {
-			victim = i
-		}
-	}
-	slot := free
-	if slot < 0 {
-		slot = victim
-	}
-	t.entries[slot] = e
 }
 
 // FlushAll invalidates every entry (sfence.vma with no arguments, and the
 // monitor's mandatory flush after HPMP updates, §5).
-func (t *L1) FlushAll() {
-	for i := range t.entries {
-		t.entries[i] = Entry{}
-	}
-}
+func (t *L1) FlushAll() { t.tags.FlushAll() }
 
 // FlushVPN invalidates the entry for one page (sfence.vma with an address).
-func (t *L1) FlushVPN(vpn uint64) {
-	for i := range t.entries {
-		if t.entries[i].valid && t.entries[i].VPN == vpn {
-			t.entries[i] = Entry{}
-		}
-	}
-}
+func (t *L1) FlushVPN(vpn uint64) { t.tags.Flush(vpn) }
 
 // Len returns the capacity.
-func (t *L1) Len() int { return len(t.entries) }
+func (t *L1) Len() int { return t.tags.Len() }
 
-// L2 is a direct-mapped second-level TLB.
+// L2 is a direct-mapped second-level TLB. Like assoc.Array it tags each
+// slot with VPN+1, 0 marking an empty slot.
 type L2 struct {
+	tags    []uint64
 	entries []Entry
 	Latency uint64 // extra cycles to consult the L2 TLB
 
@@ -141,13 +102,13 @@ func NewL2(name string, n int, latency uint64) *L2 {
 	if n != 0 && !addr.IsPow2(uint64(n)) {
 		panic("tlb: L2 size must be a power of two")
 	}
-	t := &L2{entries: make([]Entry, n), Latency: latency}
+	t := &L2{tags: make([]uint64, n), entries: make([]Entry, n), Latency: latency}
 	t.hHit = t.Counters.Handle(name + ".hit")
 	t.hMiss = t.Counters.Handle(name + ".miss")
 	return t
 }
 
-func (t *L2) slot(vpn uint64) *Entry { return &t.entries[vpn%uint64(len(t.entries))] }
+func (t *L2) slot(vpn uint64) int { return int(vpn % uint64(len(t.tags))) }
 
 // Lookup probes the direct-mapped array. As with L1.Lookup, the returned
 // pointer aliases the slot and is read-only for the caller. A zero-capacity
@@ -155,45 +116,40 @@ func (t *L2) slot(vpn uint64) *Entry { return &t.entries[vpn%uint64(len(t.entrie
 // and the MMU never calls Lookup on one — the guard here keeps a
 // direct caller from dividing by zero in slot().
 func (t *L2) Lookup(vpn uint64) (*Entry, bool) {
-	if len(t.entries) == 0 {
+	if len(t.tags) == 0 {
 		return nil, false
 	}
-	e := t.slot(vpn)
-	if e.valid && e.VPN == vpn {
+	if i := t.slot(vpn); t.tags[i] == vpn+1 {
 		*t.hHit++
-		return e, true
+		return &t.entries[i], true
 	}
 	*t.hMiss++
 	return nil, false
 }
 
-// Insert fills the slot for e.VPN (direct-mapped: unconditional replace).
+// Insert fills the slot for vpn (direct-mapped: unconditional replace).
 // A zero-capacity L2 no-ops, like L1.Insert.
-func (t *L2) Insert(e Entry) {
-	if len(t.entries) == 0 {
+func (t *L2) Insert(vpn uint64, e Entry) {
+	if len(t.tags) == 0 {
 		return
 	}
-	e.valid = true
-	*t.slot(e.VPN) = e
+	i := t.slot(vpn)
+	t.tags[i] = vpn + 1
+	t.entries[i] = e
 }
 
 // FlushAll invalidates every entry.
-func (t *L2) FlushAll() {
-	for i := range t.entries {
-		t.entries[i] = Entry{}
-	}
-}
+func (t *L2) FlushAll() { clear(t.tags) }
 
 // FlushVPN invalidates the slot if it holds vpn.
 func (t *L2) FlushVPN(vpn uint64) {
-	if len(t.entries) == 0 {
+	if len(t.tags) == 0 {
 		return
 	}
-	e := t.slot(vpn)
-	if e.valid && e.VPN == vpn {
-		*e = Entry{}
+	if i := t.slot(vpn); t.tags[i] == vpn+1 {
+		t.tags[i] = 0
 	}
 }
 
 // Len returns the capacity.
-func (t *L2) Len() int { return len(t.entries) }
+func (t *L2) Len() int { return len(t.tags) }

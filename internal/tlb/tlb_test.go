@@ -12,7 +12,7 @@ func TestL1HitMiss(t *testing.T) {
 	if _, ok := l.Lookup(42); ok {
 		t.Fatal("cold TLB must miss")
 	}
-	l.Insert(Entry{VPN: 42, PFN: 7, Perm: perm.RW, PhysPerm: perm.RWX, User: true})
+	l.Insert(42, Entry{PFN: 7, Perm: perm.RW, PhysPerm: perm.RWX, User: true})
 	e, ok := l.Lookup(42)
 	if !ok || e.PFN != 7 || e.Perm != perm.RW || e.PhysPerm != perm.RWX || !e.User {
 		t.Errorf("lookup = %+v, %v", e, ok)
@@ -24,10 +24,10 @@ func TestL1HitMiss(t *testing.T) {
 
 func TestL1LRU(t *testing.T) {
 	l := NewL1("t", 2)
-	l.Insert(Entry{VPN: 1, PFN: 1})
-	l.Insert(Entry{VPN: 2, PFN: 2})
-	l.Lookup(1)                     // 1 becomes MRU
-	l.Insert(Entry{VPN: 3, PFN: 3}) // evicts 2
+	l.Insert(1, Entry{PFN: 1})
+	l.Insert(2, Entry{PFN: 2})
+	l.Lookup(1)                // 1 becomes MRU
+	l.Insert(3, Entry{PFN: 3}) // evicts 2
 	if _, ok := l.Lookup(2); ok {
 		t.Error("LRU entry must be evicted")
 	}
@@ -41,14 +41,14 @@ func TestL1LRU(t *testing.T) {
 
 func TestL1InsertUpdatesInPlace(t *testing.T) {
 	l := NewL1("t", 2)
-	l.Insert(Entry{VPN: 5, PFN: 1})
-	l.Insert(Entry{VPN: 5, PFN: 9})
+	l.Insert(5, Entry{PFN: 1})
+	l.Insert(5, Entry{PFN: 9})
 	e, ok := l.Lookup(5)
 	if !ok || e.PFN != 9 {
 		t.Errorf("duplicate insert must update: %+v", e)
 	}
 	// Capacity must not be consumed by the duplicate.
-	l.Insert(Entry{VPN: 6, PFN: 2})
+	l.Insert(6, Entry{PFN: 2})
 	if _, ok := l.Lookup(5); !ok {
 		t.Error("entry 5 evicted prematurely — duplicate insert took a slot")
 	}
@@ -56,8 +56,8 @@ func TestL1InsertUpdatesInPlace(t *testing.T) {
 
 func TestFlush(t *testing.T) {
 	l := NewL1("t", 4)
-	l.Insert(Entry{VPN: 1})
-	l.Insert(Entry{VPN: 2})
+	l.Insert(1, Entry{})
+	l.Insert(2, Entry{})
 	l.FlushVPN(1)
 	if _, ok := l.Lookup(1); ok {
 		t.Error("FlushVPN must remove the entry")
@@ -75,7 +75,7 @@ func TestFlush(t *testing.T) {
 // matching the zero-capacity contract of the PWC and PMPTW cache.
 func TestL1ZeroCapacity(t *testing.T) {
 	l := NewL1("z", 0)
-	l.Insert(Entry{VPN: 1, PFN: 1}) // must not panic
+	l.Insert(1, Entry{PFN: 1}) // must not panic
 	if _, ok := l.Lookup(1); ok {
 		t.Error("zero-capacity TLB must never hit")
 	}
@@ -88,12 +88,12 @@ func TestL1ZeroCapacity(t *testing.T) {
 
 func TestL2DirectMapped(t *testing.T) {
 	l := NewL2("stlb", 16, 3)
-	l.Insert(Entry{VPN: 5, PFN: 50})
+	l.Insert(5, Entry{PFN: 50})
 	if e, ok := l.Lookup(5); !ok || e.PFN != 50 {
 		t.Errorf("L2 lookup: %+v %v", e, ok)
 	}
 	// Conflicting VPN (5+16) evicts VPN 5 in a direct-mapped array.
-	l.Insert(Entry{VPN: 21, PFN: 210})
+	l.Insert(21, Entry{PFN: 210})
 	if _, ok := l.Lookup(5); ok {
 		t.Error("direct-mapped conflict must evict")
 	}
@@ -115,7 +115,7 @@ func TestL2SizeMustBePow2(t *testing.T) {
 	NewL2("x", 100, 1)
 }
 
-// Property: after Insert(e), Lookup(e.VPN) returns e until an eviction or
+// Property: after Insert(vpn, e), Lookup(vpn) returns e until an eviction or
 // flush; with capacity ≥ distinct VPNs inserted, nothing is lost.
 func TestL1NoLossUnderCapacityQuick(t *testing.T) {
 	f := func(vpnsRaw []uint16) bool {
@@ -128,7 +128,7 @@ func TestL1NoLossUnderCapacityQuick(t *testing.T) {
 		}
 		l := NewL1("q", 32)
 		for v := range vpns {
-			l.Insert(Entry{VPN: v, PFN: v * 2})
+			l.Insert(v, Entry{PFN: v * 2})
 		}
 		for v := range vpns {
 			e, ok := l.Lookup(v)

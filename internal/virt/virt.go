@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"hpmp/internal/addr"
+	"hpmp/internal/assoc"
 	"hpmp/internal/cpu"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
@@ -217,9 +218,6 @@ func (g *GuestTable) allocPTPage() (addr.GPA, error) {
 	return gpa, nil
 }
 
-// RootGPA returns the guest-physical root (vsatp target).
-func (g *GuestTable) RootGPA() addr.GPA { return g.rootGPA }
-
 // PTHostPages returns the host frames backing the guest PT pages.
 func (g *GuestTable) PTHostPages() ([]addr.PA, error) {
 	var out []addr.PA
@@ -300,7 +298,7 @@ type Hypervisor struct {
 	NPTLB *tlb.L1
 	// PWC caches PTE words (guest and nested) by host PA; flushed by both
 	// hfences.
-	PWC *ptw.PWC
+	PWC *assoc.Cache
 
 	Counters stats.Counters
 }
@@ -321,7 +319,7 @@ func NewHypervisor(mach *cpu.Machine, checker ptw.Checker, npt *NestedTable, gue
 		Guest:   guest,
 		GTLB:    tlb.NewL1("gtlb", 32),
 		NPTLB:   tlb.NewL1("nptlb", 64),
-		PWC:     ptw.NewPWC(16),
+		PWC:     assoc.NewCache(16),
 	}
 }
 
@@ -330,7 +328,7 @@ func NewHypervisor(mach *cpu.Machine, checker ptw.Checker, npt *NestedTable, gue
 func (h *Hypervisor) HFenceVVMA() {
 	h.GTLB.FlushAll()
 	if h.PWC != nil {
-		h.PWC.Invalidate()
+		h.PWC.FlushAll()
 	}
 	h.Counters.Inc("virt.hfence_vvma")
 }
@@ -343,7 +341,7 @@ func (h *Hypervisor) HFenceGVMA() {
 		h.NPTLB.FlushAll()
 	}
 	if h.PWC != nil {
-		h.PWC.Invalidate()
+		h.PWC.FlushAll()
 	}
 	h.Counters.Inc("virt.hfence_gvma")
 }
@@ -383,7 +381,7 @@ func (h *Hypervisor) checkPA(pa addr.PA, k perm.Access, now uint64, res *Result)
 // fetchPTE fetches one PTE word at host PA through PWC → checker → caches.
 func (h *Hypervisor) fetchPTE(pa addr.PA, now uint64, res *Result, nested bool) (uint64, error) {
 	if h.PWC != nil {
-		if v, ok := h.PWC.Lookup(pa); ok {
+		if v, ok := h.PWC.Lookup(uint64(pa)); ok {
 			return v, nil
 		}
 	}
@@ -406,7 +404,7 @@ func (h *Hypervisor) fetchPTE(pa addr.PA, now uint64, res *Result, nested bool) 
 		res.GPTRefs++
 	}
 	if h.PWC != nil && pt.PTE(v).Valid() {
-		h.PWC.Insert(pa, v)
+		h.PWC.Insert(uint64(pa), v)
 	}
 	return v, nil
 }
@@ -433,7 +431,7 @@ func (h *Hypervisor) nptWalk(gpa addr.GPA, now uint64, res *Result) (addr.PA, bo
 		}
 		if e.Leaf() {
 			if h.NPTLB != nil {
-				h.NPTLB.Insert(tlb.Entry{VPN: gpa.Frame(), PFN: e.Target().Frame()})
+				h.NPTLB.Insert(gpa.Frame(), tlb.Entry{PFN: e.Target().Frame()})
 			}
 			return e.Target() + addr.PA(gpa.Offset()), true, nil
 		}
@@ -507,9 +505,8 @@ func (h *Hypervisor) AccessGuest(gva addr.VA, k perm.Access, now uint64) (Result
 		res.AccessFault = true
 		return res, nil
 	}
-	h.GTLB.Insert(tlb.Entry{
-		VPN: gva.Frame(), PFN: dataPA.Frame(),
-		Perm: leaf.Perm(), PhysPerm: physPerm, User: true,
+	h.GTLB.Insert(gva.Frame(), tlb.Entry{
+		PFN: dataPA.Frame(), Perm: leaf.Perm(), PhysPerm: physPerm, User: true,
 	})
 	res.PA = dataPA
 	r := h.Mach.Hier.Access(dataPA, now+res.Latency, k == perm.Write)
