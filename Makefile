@@ -142,8 +142,12 @@ bench-ab:
 # at the working tree, runs `hpmpsim -parallel 1 run all` PAIRS times per
 # side, alternating which side runs first, and prints every wall time and
 # each side's median. About 25 s per pair on a 2-vCPU host; keep the
-# machine otherwise idle. Also reports whether the two sides' stdout
-# matched. Usage:
+# machine otherwise idle. It reports whether the two sides' stdout matched,
+# and it proves they simulate the same machines at full size, which the
+# committed metrics baseline (quick size) does not cover: every run writes
+# -metrics-dir (each side keeps its last run's), and `hpmpsim diff` between
+# the two sides fails the target on any status, counter, derived-rate or
+# histogram difference (wall time is reported, never fatal). Usage:
 #   make bench-full-ab BASE=HEAD~1 [PAIRS=3]
 PAIRS ?= 3
 bench-full-ab:
@@ -151,12 +155,13 @@ bench-full-ab:
 	@test "$(PAIRS)" -ge 3 || { echo "bench-full-ab: PAIRS must be at least 3" >&2; exit 2; }
 	$(call base-build,$(GO) build -o ../hpmpsim-base ./cmd/hpmpsim)
 	$(GO) build -o .bench_build/hpmpsim-head ./cmd/hpmpsim
-	@rm -f .bench_build/full-walls.txt; \
+	@rm -rf .bench_build/full-walls.txt .bench_build/full-metrics-base .bench_build/full-metrics-head; \
 	for i in $$(seq 1 $(PAIRS)); do \
 		order="base head"; [ $$((i % 2)) -eq 0 ] && order="head base"; \
 		for side in $$order; do \
+			rm -rf .bench_build/full-metrics-$$side; \
 			start=$$(date +%s.%N); \
-			.bench_build/hpmpsim-$$side -parallel 1 run all > .bench_build/full-$$side.out 2>/dev/null || exit 1; \
+			.bench_build/hpmpsim-$$side -parallel 1 -metrics-dir .bench_build/full-metrics-$$side run all > .bench_build/full-$$side.out 2>/dev/null || exit 1; \
 			wall=$$(awk -v s=$$start -v e=$$(date +%s.%N) 'BEGIN { printf "%.2f", e - s }'); \
 			echo "pair $$i $$side $$wall s"; echo "$$side $$wall" >> .bench_build/full-walls.txt; \
 		done; \
@@ -165,7 +170,10 @@ bench-full-ab:
 		grep "^$$side " .bench_build/full-walls.txt | sort -n -k2 | \
 			awk -v side=$$side '{ w[NR] = $$2 } END { m = NR % 2 ? w[(NR + 1) / 2] : (w[NR / 2] + w[NR / 2 + 1]) / 2; printf "%s median %.2f s over %d runs\n", side, m, NR }'; \
 	done; \
-	if cmp -s .bench_build/full-base.out .bench_build/full-head.out; then echo "stdout: identical"; else echo "stdout: differs"; fi
+	if cmp -s .bench_build/full-base.out .bench_build/full-head.out; then echo "stdout: identical"; else echo "stdout: differs"; fi; \
+	.bench_build/hpmpsim-head diff .bench_build/full-metrics-base .bench_build/full-metrics-head > .bench_build/full-metrics-diff.txt; \
+	status=$$?; head -1 .bench_build/full-metrics-diff.txt; \
+	[ $$status -eq 0 ] || { cat .bench_build/full-metrics-diff.txt; exit 1; }
 
 # base-build checks BASE out into a temporary git worktree, runs $(1) at its
 # root, and removes the worktree again (bench-ab, bench-full-ab).

@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"sort"
@@ -43,6 +44,12 @@ type Config struct {
 	// experiment boots via cpu.Machine.SetTracer, so the translation-path
 	// event trace covers the whole experiment.
 	tracer *obs.Tracer
+	// memo, set by the runner, shares simulated units across the
+	// experiments of one RunAll call (see shared).
+	memo *runMemo
+	// ctx, set by the runner, is the run's context carrying the
+	// experiment's pprof labels; memo waits return when it is canceled.
+	ctx context.Context
 }
 
 // DefaultConfig returns the full-size configuration.
@@ -280,6 +287,13 @@ func (s *System) NewEnv(name string, heapPages int) (*kernel.Env, error) {
 	}
 	return s.Kern.NewEnv(p)
 }
+
+// paperPlatforms is the paper's two SoCs in the order every two-platform
+// figure renders and simulates them: Rocket, then BOOM.
+var paperPlatforms = []struct {
+	name string
+	plat cpu.Platform
+}{{"Rocket", cpu.RocketPlatform()}, {"BOOM", cpu.BOOMPlatform()}}
 
 // ModeNames maps the three isolation modes to the paper's labels.
 var ModeNames = map[monitor.Mode]string{

@@ -124,30 +124,42 @@ type Fig10Data struct {
 	Lat map[string]map[string]map[monitor.Mode]map[TestCase]uint64
 }
 
-// CollectFig10 measures every (platform, op, mode, test-case) combination.
+// CollectFig10 measures every (platform, op, mode, test-case) combination,
+// Rocket first then BOOM, so a traced run's event order is fixed. Each
+// platform's half is one run-memo unit, shared by fig10 and fig3a.
 func CollectFig10(cfg Config) (*Fig10Data, error) {
 	d := &Fig10Data{Lat: map[string]map[string]map[monitor.Mode]map[TestCase]uint64{}}
-	plats := map[string]cpu.Platform{
-		"Rocket": cpu.RocketPlatform(),
-		"BOOM":   cpu.BOOMPlatform(),
+	for _, p := range paperPlatforms {
+		lat, err := shared(cfg, memoKey{collector: "fig10", plat: p.plat},
+			func(cfg Config) (map[string]map[monitor.Mode]map[TestCase]uint64, error) {
+				return collectFig10Platform(p.plat, cfg)
+			})
+		if err != nil {
+			return nil, err
+		}
+		d.Lat[p.name] = lat
 	}
-	for pname, plat := range plats {
-		d.Lat[pname] = map[string]map[monitor.Mode]map[TestCase]uint64{}
-		for _, op := range []string{"ld", "sd"} {
-			d.Lat[pname][op] = map[monitor.Mode]map[TestCase]uint64{}
-			for _, mode := range AllModes {
-				d.Lat[pname][op][mode] = map[TestCase]uint64{}
-				for _, tc := range []TestCase{TC1, TC2, TC3, TC4} {
-					lat, err := latencyProbe(plat, mode, tc, op == "sd", cfg)
-					if err != nil {
-						return nil, err
-					}
-					d.Lat[pname][op][mode][tc] = lat
+	return d, nil
+}
+
+// collectFig10Platform measures one platform's half of the matrix:
+// lat[op][mode][tc] in cycles.
+func collectFig10Platform(plat cpu.Platform, cfg Config) (map[string]map[monitor.Mode]map[TestCase]uint64, error) {
+	lat := map[string]map[monitor.Mode]map[TestCase]uint64{}
+	for _, op := range []string{"ld", "sd"} {
+		lat[op] = map[monitor.Mode]map[TestCase]uint64{}
+		for _, mode := range AllModes {
+			lat[op][mode] = map[TestCase]uint64{}
+			for _, tc := range []TestCase{TC1, TC2, TC3, TC4} {
+				v, err := latencyProbe(plat, mode, tc, op == "sd", cfg)
+				if err != nil {
+					return nil, err
 				}
+				lat[op][mode][tc] = v
 			}
 		}
 	}
-	return d, nil
+	return lat, nil
 }
 
 func runFig10(cfg Config) (*Result, error) {

@@ -38,52 +38,67 @@ func redisRequests(cfg Config) int {
 }
 
 // collectRedis runs the full command sweep on one platform/label and
-// returns rps[command][label].
+// returns rps[command][label]. Each label's system is one run-memo unit:
+// fig3d's three PL systems are fig12de's BOOM ones.
 func collectRedis(plat cpu.Platform, cfg Config, withHost bool) (map[string]map[string]float64, error) {
 	out := map[string]map[string]float64{}
 	for _, cmd := range miniredis.Commands {
 		out[cmd] = map[string]float64{}
 	}
-	run := func(label string, sysFn func() (*System, error)) error {
-		sys, err := sysFn()
+	run := func(label string, boot func(Config) (*System, error)) error {
+		rps, err := shared(cfg, memoKey{collector: "redis", plat: plat, label: label},
+			func(cfg Config) (map[string]float64, error) { return redisSweep(label, boot, cfg) })
 		if err != nil {
 			return err
 		}
-		e, err := sys.NewEnv("redis-server", 96*1024)
-		if err != nil {
-			return err
-		}
-		srv, err := miniredis.NewServer(e, 48*addr.MiB, 4096)
-		if err != nil {
-			return err
-		}
-		b := miniredis.NewBenchmark(srv, e)
-		if ks := cfg.Workload.RedisKeyspace; ks > 0 {
-			b.Keyspace = ks
-		}
-		if err := b.Prepare(); err != nil {
-			return err
-		}
-		n := redisRequests(cfg)
-		for _, cmd := range miniredis.Commands {
-			rps, err := b.RunCommand(cmd, n)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", label, cmd, err)
-			}
-			out[cmd][label] = rps
+		for cmd, v := range rps {
+			out[cmd][label] = v
 		}
 		return nil
 	}
 	if withHost {
-		if err := run("Host-PMP", func() (*System, error) { return NewHostSystem(plat, cfg) }); err != nil {
+		if err := run("Host-PMP", func(cfg Config) (*System, error) { return NewHostSystem(plat, cfg) }); err != nil {
 			return nil, err
 		}
 	}
 	for _, mode := range AllModes {
-		mode := mode
-		if err := run("PL-"+ModeNames[mode], func() (*System, error) { return NewSystem(plat, mode, cfg) }); err != nil {
+		if err := run("PL-"+ModeNames[mode], func(cfg Config) (*System, error) { return NewSystem(plat, mode, cfg) }); err != nil {
 			return nil, err
 		}
+	}
+	return out, nil
+}
+
+// redisSweep boots one system, starts a miniredis server on it and runs
+// every command, returning rps[command].
+func redisSweep(label string, boot func(Config) (*System, error), cfg Config) (map[string]float64, error) {
+	sys, err := boot(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e, err := sys.NewEnv("redis-server", 96*1024)
+	if err != nil {
+		return nil, err
+	}
+	srv, err := miniredis.NewServer(e, 48*addr.MiB, 4096)
+	if err != nil {
+		return nil, err
+	}
+	b := miniredis.NewBenchmark(srv, e)
+	if ks := cfg.Workload.RedisKeyspace; ks > 0 {
+		b.Keyspace = ks
+	}
+	if err := b.Prepare(); err != nil {
+		return nil, err
+	}
+	n := redisRequests(cfg)
+	out := map[string]float64{}
+	for _, cmd := range miniredis.Commands {
+		rps, err := b.RunCommand(cmd, n)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", label, cmd, err)
+		}
+		out[cmd] = rps
 	}
 	return out, nil
 }

@@ -2,9 +2,11 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -16,12 +18,13 @@ import (
 
 // This file is the experiment runner: a worker-pool scheduler that executes
 // registered experiments concurrently while keeping the output stream
-// deterministic. Each experiment builds its own simulated machine, so runs
-// are independent; the runner adds fault isolation (a panicking or failing
-// experiment never aborts the others), per-experiment timeouts, context
-// cancellation, and a per-experiment observability snapshot (wall time plus
-// the cpu/mmu/kernel/monitor counters of every System the experiment
-// booted).
+// deterministic. Each experiment builds its own simulated machines, except
+// for the units several experiments share through the run memo (memo.go),
+// which one run computes once. The runner adds fault isolation (a
+// panicking or failing experiment never aborts the others), per-experiment
+// timeouts, context cancellation, and a per-experiment observability
+// snapshot (wall time plus the cpu/mmu/kernel/monitor counters of every
+// System the experiment booted or consumed).
 
 // Status classifies one experiment attempt.
 type Status string
@@ -112,6 +115,10 @@ func RunAll(ctx context.Context, cfg Config, exps []Experiment, opts RunOptions,
 	for i := range outs {
 		outs[i] = make(chan Outcome, 1)
 	}
+	// One memo per call: experiments of this run share simulated units,
+	// and nothing outlives the call.
+	cfg.memo = newRunMemo()
+
 	jobs := make(chan int, n)
 	for i := 0; i < n; i++ {
 		jobs <- i
@@ -190,8 +197,14 @@ func runOne(ctx context.Context, cfg Config, exp Experiment, opts RunOptions) Ou
 				done <- reply{nil, &panicError{val: p, stack: debug.Stack()}}
 			}
 		}()
-		res, err := exp.Run(cfg)
-		done <- reply{res, err}
+		// The experiment label splits host profiles by experiment; memo
+		// units add their own label on top (see shared).
+		pprof.Do(ctx, pprof.Labels("experiment", exp.ID), func(ctx context.Context) {
+			c := cfg
+			c.ctx = ctx
+			res, err := exp.Run(c)
+			done <- reply{res, err}
+		})
 	}()
 
 	var timer <-chan time.Time
@@ -206,7 +219,7 @@ func runOne(ctx context.Context, cfg Config, exp Experiment, opts RunOptions) Ou
 		out.Wall = time.Since(start)
 		switch {
 		case r.err != nil:
-			if _, ok := r.err.(*panicError); ok {
+			if errors.As(r.err, new(*panicError)) {
 				out.Status = StatusPanic
 			} else {
 				out.Status = StatusError
@@ -235,41 +248,64 @@ func runOne(ctx context.Context, cfg Config, exp Experiment, opts RunOptions) Ou
 	return out
 }
 
-// observer collects every System an experiment boots, in boot order, so
-// the runner can snapshot their counters and histograms into the Result
-// when the experiment finishes. Safe for concurrent use; a nil observer is
-// a no-op (experiments run outside the runner skip observation entirely).
+// observer collects, in registration order, every System an experiment
+// boots and the frozen snapshot of every memo unit it consumes, so the
+// runner can snapshot their counters and histograms into the Result when
+// the experiment finishes. Safe for concurrent use; a nil observer is a
+// no-op (experiments run outside the runner skip observation entirely).
 type observer struct {
-	mu      sync.Mutex
-	systems []*System
+	mu    sync.Mutex
+	parts []observed
 }
 
-func (o *observer) add(s *System) {
+// observed is one registration: anything that merges its counters and
+// histograms into an experiment's snapshot.
+type observed interface {
+	mergeInto(into *stats.Counters, hists map[string]*stats.Histogram)
+}
+
+func (o *observer) add(p observed) {
 	if o == nil {
 		return
 	}
 	o.mu.Lock()
-	o.systems = append(o.systems, s)
+	o.parts = append(o.parts, p)
 	o.mu.Unlock()
 }
 
-// snapshot merges every observed system into one counter set and one
-// histogram family map: per system, the machine's counters, then the
-// kernel's, then the monitor's, then the machine's histograms. Boot order
-// fixes the counters' first-use order. Called only after the experiment's
-// goroutine has finished, so the systems are quiescent.
+// snapshot merges every registration, in order, into one counter set and
+// one histogram family map. Registration order fixes the counters'
+// first-use order. Called only after the experiment's goroutine has
+// finished, so the systems are quiescent.
 func (o *observer) snapshot(into *stats.Counters, hists map[string]*stats.Histogram) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for _, s := range o.systems {
-		s.Mach.MergeCounters(into)
-		if s.Kern != nil {
-			into.Merge(&s.Kern.Counters)
-		}
-		if s.Mon != nil {
-			into.Merge(&s.Mon.Counters)
-		}
-		s.Mach.EachHistogram(func(family string, h *stats.Histogram) { mergeHist(hists, family, h) })
+	for _, p := range o.parts {
+		p.mergeInto(into, hists)
+	}
+}
+
+// mergeInto merges one system: the machine's counters, then the kernel's,
+// then the monitor's, then the machine's histograms.
+func (s *System) mergeInto(into *stats.Counters, hists map[string]*stats.Histogram) {
+	s.Mach.MergeCounters(into)
+	if s.Kern != nil {
+		into.Merge(&s.Kern.Counters)
+	}
+	if s.Mon != nil {
+		into.Merge(&s.Mon.Counters)
+	}
+	s.Mach.EachHistogram(func(family string, h *stats.Histogram) { mergeHist(hists, family, h) })
+}
+
+// mergeInto merges a unit's snapshot. Merging the pre-merged counters
+// appends names in the same first-use order as merging its systems one by
+// one, and histogram merges are sums, so a consumer's snapshot is the one
+// it would have taken of the live systems.
+func (f *frozen) mergeInto(into *stats.Counters, hists map[string]*stats.Histogram) {
+	into.Merge(&f.counters)
+	for family, h := range f.hists {
+		mergeHist(hists, family, h)
 	}
 }
 

@@ -88,7 +88,9 @@ func runServerless(sys *System, w workloads.Workload) (uint64, error) {
 }
 
 // collectServerless measures all functions under the given platform for
-// the three TEE modes plus the non-secure Host-PMP baseline.
+// the three TEE modes plus the non-secure Host-PMP baseline. Each label's
+// system is one run-memo unit, keyed by the effective platform: fig12ab,
+// fig3c and fig17's 8-entry-PWC half share them.
 func collectServerless(plat cpu.Platform, cfg Config, pwcEntries int) (map[string]map[string]uint64, []string, error) {
 	if pwcEntries > 0 {
 		plat.MMU.PWCEntries = pwcEntries
@@ -101,52 +103,63 @@ func collectServerless(plat cpu.Platform, cfg Config, pwcEntries int) (map[strin
 		out[w.Name()] = map[string]uint64{}
 	}
 
-	run := func(label string, sysFn func() (*System, error)) error {
-		sys, err := sysFn()
+	run := func(label string, boot func(Config) (*System, error)) error {
+		cycles, err := shared(cfg, memoKey{collector: "serverless", plat: plat, label: label},
+			func(cfg Config) (map[string]uint64, error) { return invokeSuite(label, boot, suite, cfg) })
 		if err != nil {
 			return err
 		}
-		// A warm host process exists (the invoker); functions spawn fresh.
-		if _, err := sys.NewEnv("invoker", 1024); err != nil {
-			return err
-		}
-		// Two invocations per function, averaged: serverless platforms
-		// report mean latency, and the second run damps DRAM/cache layout
-		// noise between isolation modes. Workload.ServerlessReps scales
-		// the invocation count for churn studies.
-		reps := simcfg.Or(cfg.Workload.ServerlessReps, 2)
-		for _, w := range suite {
-			var total uint64
-			for rep := 0; rep < reps; rep++ {
-				cycles, err := runServerless(sys, w)
-				if err != nil {
-					return fmt.Errorf("%s/%s: %w", label, w.Name(), err)
-				}
-				total += cycles
-			}
-			out[w.Name()][label] = total / uint64(reps)
+		for name, c := range cycles {
+			out[name][label] = c
 		}
 		return nil
 	}
 
-	if err := run("Host-PMP", func() (*System, error) { return NewHostSystem(plat, cfg) }); err != nil {
+	if err := run("Host-PMP", func(cfg Config) (*System, error) { return NewHostSystem(plat, cfg) }); err != nil {
 		return nil, nil, err
 	}
 	for _, mode := range AllModes {
-		mode := mode
-		if err := run("PL-"+ModeNames[mode], func() (*System, error) { return NewSystem(plat, mode, cfg) }); err != nil {
+		if err := run("PL-"+ModeNames[mode], func(cfg Config) (*System, error) { return NewSystem(plat, mode, cfg) }); err != nil {
 			return nil, nil, err
 		}
 	}
 	return out, names, nil
 }
 
+// invokeSuite boots one system and invokes every function of the suite on
+// it, returning each function's mean invocation latency in cycles.
+func invokeSuite(label string, boot func(Config) (*System, error), suite []workloads.Workload, cfg Config) (map[string]uint64, error) {
+	sys, err := boot(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// A warm host process exists (the invoker); functions spawn fresh.
+	if _, err := sys.NewEnv("invoker", 1024); err != nil {
+		return nil, err
+	}
+	// Two invocations per function, averaged: serverless platforms report
+	// mean latency, and the second run damps DRAM/cache layout noise
+	// between isolation modes. Workload.ServerlessReps scales the
+	// invocation count for churn studies.
+	reps := simcfg.Or(cfg.Workload.ServerlessReps, 2)
+	out := map[string]uint64{}
+	for _, w := range suite {
+		var total uint64
+		for rep := 0; rep < reps; rep++ {
+			cycles, err := runServerless(sys, w)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", label, w.Name(), err)
+			}
+			total += cycles
+		}
+		out[w.Name()] = total / uint64(reps)
+	}
+	return out, nil
+}
+
 func runFig12ab(cfg Config) (*Result, error) {
 	res := &Result{ID: "fig12ab", Title: "FunctionBench latency normalized to Penglai-PMP"}
-	for _, p := range []struct {
-		name string
-		plat cpu.Platform
-	}{{"Rocket", cpu.RocketPlatform()}, {"BOOM", cpu.BOOMPlatform()}} {
+	for _, p := range paperPlatforms {
 		data, names, err := collectServerless(p.plat, cfg, 0)
 		if err != nil {
 			return nil, err

@@ -42,22 +42,32 @@ func init() {
 func runSuite(plat cpu.Platform, suite []workloads.Workload, cfg Config) (map[monitor.Mode]map[string]uint64, error) {
 	out := map[monitor.Mode]map[string]uint64{}
 	for _, mode := range AllModes {
-		out[mode] = map[string]uint64{}
-		for _, w := range suite {
-			sys, err := NewSystem(plat, mode, cfg)
-			if err != nil {
-				return nil, err
-			}
-			e, err := sys.NewEnv(w.Name(), 96*1024)
-			if err != nil {
-				return nil, err
-			}
-			start := sys.Mach.Core.Now
-			if _, err := w.Run(e); err != nil {
-				return nil, fmt.Errorf("%s under %v: %w", w.Name(), mode, err)
-			}
-			out[mode][w.Name()] = sys.Mach.Core.Now - start
+		cycles, err := runSuiteMode(plat, mode, suite, cfg)
+		if err != nil {
+			return nil, err
 		}
+		out[mode] = cycles
+	}
+	return out, nil
+}
+
+// runSuiteMode is runSuite under one mode: cycles[workload].
+func runSuiteMode(plat cpu.Platform, mode monitor.Mode, suite []workloads.Workload, cfg Config) (map[string]uint64, error) {
+	out := map[string]uint64{}
+	for _, w := range suite {
+		sys, err := NewSystem(plat, mode, cfg)
+		if err != nil {
+			return nil, err
+		}
+		e, err := sys.NewEnv(w.Name(), 96*1024)
+		if err != nil {
+			return nil, err
+		}
+		start := sys.Mach.Core.Now
+		if _, err := w.Run(e); err != nil {
+			return nil, fmt.Errorf("%s under %v: %w", w.Name(), mode, err)
+		}
+		out[w.Name()] = sys.Mach.Core.Now - start
 	}
 	return out, nil
 }
@@ -115,12 +125,18 @@ func runFig11a(cfg Config) (*Result, error) {
 }
 
 // CollectGAP runs the GAP suite on one platform, returning normalized
-// latencies (% of PMP).
+// latencies (% of PMP). Each mode's run is one run-memo unit, shared by
+// fig11bc and fig3b.
 func CollectGAP(plat cpu.Platform, cfg Config) (map[string]map[monitor.Mode]float64, []string, error) {
 	suite := workloads.GAPSuite(gapScale(cfg))
-	data, err := runSuite(plat, suite, cfg)
-	if err != nil {
-		return nil, nil, err
+	data := map[monitor.Mode]map[string]uint64{}
+	for _, mode := range AllModes {
+		cycles, err := shared(cfg, memoKey{collector: "gap", plat: plat, label: ModeNames[mode]},
+			func(cfg Config) (map[string]uint64, error) { return runSuiteMode(plat, mode, suite, cfg) })
+		if err != nil {
+			return nil, nil, err
+		}
+		data[mode] = cycles
 	}
 	out := map[string]map[monitor.Mode]float64{}
 	var names []string
@@ -138,10 +154,7 @@ func CollectGAP(plat cpu.Platform, cfg Config) (map[string]map[monitor.Mode]floa
 
 func runFig11bc(cfg Config) (*Result, error) {
 	res := &Result{ID: "fig11bc", Title: "GAP normalized latency (PMP = 100%)"}
-	for _, p := range []struct {
-		name string
-		plat cpu.Platform
-	}{{"Rocket", cpu.RocketPlatform()}, {"BOOM", cpu.BOOMPlatform()}} {
+	for _, p := range paperPlatforms {
 		norm, names, err := CollectGAP(p.plat, cfg)
 		if err != nil {
 			return nil, err

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -279,6 +280,43 @@ func TestConcurrentJobsIsolated(t *testing.T) {
 		if !reflect.DeepEqual(st.Results[0].Counters, ref.Results[0].Counters) {
 			t.Errorf("job %d (%s): counters differ from the solo run — stats interleaved", i, id)
 		}
+	}
+}
+
+// TestJobsNeverShareSimulations: the bench run memo lives for one job, so
+// a job running fig3b alone simulates its own machines even after other
+// jobs simulated the same ones — fig11bc's BOOM GAP systems, and an
+// earlier fig3b job's. It allocates about what the first fig3b job did
+// (a shared simulation would allocate almost nothing) and reports the same
+// counters.
+func TestJobsNeverShareSimulations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs GAP at quick size")
+	}
+	_, ts := testServer(t, Options{Workers: 1, QueueDepth: 4})
+	run := func(body string) (Status, uint64) {
+		t.Helper()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		st, _ := postJob(t, ts, body)
+		fin := waitTerminal(t, ts, st.ID)
+		runtime.ReadMemStats(&m1)
+		if fin.State != StateDone {
+			t.Fatalf("%s: %s (%s)", body, fin.State, fin.Error)
+		}
+		return fin, m1.TotalAlloc - m0.TotalAlloc
+	}
+	const fig3b = `{"kind":"run","experiments":["fig3b"],"quick":true}`
+	first, firstAlloc := run(fig3b)
+	run(`{"kind":"run","experiments":["fig11bc"],"quick":true}`)
+	second, secondAlloc := run(fig3b)
+	t.Logf("fig3b jobs allocated %d and %d KiB", firstAlloc>>10, secondAlloc>>10)
+	if secondAlloc < firstAlloc/2 {
+		t.Errorf("the second fig3b job allocated %d KiB, the first %d KiB: it reused another job's simulation",
+			secondAlloc>>10, firstAlloc>>10)
+	}
+	if !reflect.DeepEqual(first.Results[0].Counters, second.Results[0].Counters) {
+		t.Error("the two fig3b jobs report different counters")
 	}
 }
 
