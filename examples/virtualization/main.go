@@ -14,6 +14,7 @@ import (
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
 	"hpmp/internal/pmpt"
+	"hpmp/internal/pt"
 	"hpmp/internal/virt"
 )
 
@@ -46,7 +47,7 @@ func main() {
 			gptAlloc = phys.NewFrameAllocator(gptRegion, false)
 		}
 
-		npt, err := virt.NewNestedTable(mach.Mem, nptAlloc)
+		npt, err := pt.New(mach.Mem, nptAlloc, addr.Sv39x4)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -85,10 +86,10 @@ func main() {
 
 		gva, gpa := addr.VA(0x1000_0000), addr.GPA(0x8000_0000)
 		dataPA, _ := dataAlloc.Alloc()
-		if err := npt.Map(gpa, dataPA, perm.RW); err != nil {
+		if err := npt.Map(addr.VA(gpa), dataPA, perm.RW, true); err != nil {
 			log.Fatal(err)
 		}
-		if err := guest.Map(gva, gpa, perm.RW); err != nil {
+		if err := guest.Map(gva, addr.PA(gpa), perm.RW, true); err != nil {
 			log.Fatal(err)
 		}
 

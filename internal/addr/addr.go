@@ -1,8 +1,8 @@
 // Package addr defines the address arithmetic shared by every layer of the
 // simulator: physical and virtual address types, page-size constants, the
 // Sv39/Sv48/Sv57 virtual-address splits from the RISC-V privileged
-// specification, and the NAPOT/alignment helpers used by the PMP and PMP
-// Table models.
+// specification (with Sv39x4, the hypervisor's G-stage scheme), and the
+// NAPOT/alignment helpers used by the PMP and PMP Table models.
 package addr
 
 import (
@@ -79,6 +79,11 @@ const (
 	Sv48
 	// Sv57 is the 5-level, 57-bit scheme.
 	Sv57
+	// Sv39x4 is the G-stage (hgatp) scheme that translates guest-physical
+	// addresses: Sv39 with two more root-index bits, so the root indexes 11
+	// bits of GPA and spans four contiguous pages. GPA bits 63:41 must be
+	// zero rather than sign-extended.
+	Sv39x4
 )
 
 func (m Mode) String() string {
@@ -91,6 +96,8 @@ func (m Mode) String() string {
 		return "Sv48"
 	case Sv57:
 		return "Sv57"
+	case Sv39x4:
+		return "Sv39x4"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -99,7 +106,7 @@ func (m Mode) String() string {
 // Levels returns the number of page-table levels for the mode. Bare has none.
 func (m Mode) Levels() int {
 	switch m {
-	case Sv39:
+	case Sv39, Sv39x4:
 		return 3
 	case Sv48:
 		return 4
@@ -119,6 +126,8 @@ func (m Mode) VABits() int {
 		return 48
 	case Sv57:
 		return 57
+	case Sv39x4:
+		return 41
 	default:
 		return 64
 	}
@@ -126,17 +135,26 @@ func (m Mode) VABits() int {
 
 // VPN extracts the level-th virtual page number field of va under mode m.
 // Level 0 is the leaf (lowest 9 bits above the page offset), matching the
-// RISC-V specification's VPN[0].
+// RISC-V specification's VPN[0]. Sv39x4's root field (level 2) is 11 bits
+// wide.
 func (m Mode) VPN(va VA, level int) uint64 {
-	return (uint64(va) >> (PageShift + 9*level)) & 0x1ff
+	mask := uint64(0x1ff)
+	if m == Sv39x4 && level == 2 {
+		mask = 0x7ff
+	}
+	return (uint64(va) >> (PageShift + 9*level)) & mask
 }
 
 // Canonical reports whether va is a canonical address for the mode: bits
 // above the VA width must equal the sign bit (RISC-V requires bits 63..N-1 to
-// match bit N-1).
+// match bit N-1). A Sv39x4 guest-physical address must instead have bits
+// 63:41 zero.
 func (m Mode) Canonical(va VA) bool {
 	if m == Bare {
 		return true
+	}
+	if m == Sv39x4 {
+		return uint64(va)>>41 == 0
 	}
 	bits := m.VABits()
 	top := uint64(va) >> (bits - 1)

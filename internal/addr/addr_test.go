@@ -32,6 +32,7 @@ func TestModeLevels(t *testing.T) {
 		{Sv39, 3, 39},
 		{Sv48, 4, 48},
 		{Sv57, 5, 57},
+		{Sv39x4, 3, 41},
 	}
 	for _, c := range cases {
 		if got := c.m.Levels(); got != c.levels {
@@ -54,6 +55,37 @@ func TestVPNSplit(t *testing.T) {
 	}
 	if got := Sv39.VPN(va, 0); got != 7 {
 		t.Errorf("VPN[0] = %d, want 7", got)
+	}
+}
+
+func TestSv39x4Geometry(t *testing.T) {
+	// 600 GiB lies past Sv39's reach; Sv39x4's 11-bit root field holds it.
+	gpa := VA(uint64(600)*GiB | 3<<21 | 7<<12)
+	if got := Sv39x4.VPN(gpa, 2); got != 600 {
+		t.Errorf("Sv39x4 VPN[2] = %d, want 600", got)
+	}
+	if got := Sv39.VPN(gpa, 2); got != 600&0x1ff {
+		t.Errorf("Sv39 VPN[2] = %d, want %d", got, 600&0x1ff)
+	}
+	if got := Sv39x4.VPN(gpa, 1); got != 3 {
+		t.Errorf("Sv39x4 VPN[1] = %d, want 3", got)
+	}
+	if got := Sv39x4.VPN(gpa, 0); got != 7 {
+		t.Errorf("Sv39x4 VPN[0] = %d, want 7", got)
+	}
+	// GPA bits 63:41 must be zero: no sign extension.
+	for _, c := range []struct {
+		gpa  VA
+		want bool
+	}{
+		{0, true},
+		{1<<41 - 1, true},
+		{1 << 41, false},
+		{^VA(0), false},
+	} {
+		if got := Sv39x4.Canonical(c.gpa); got != c.want {
+			t.Errorf("Sv39x4.Canonical(%#x) = %v, want %v", uint64(c.gpa), got, c.want)
+		}
 	}
 }
 
@@ -203,7 +235,7 @@ func TestStringers(t *testing.T) {
 	if GPA(0x99).String() != "GPA(0x99)" {
 		t.Errorf("GPA.String = %s", GPA(0x99))
 	}
-	for m, want := range map[Mode]string{Bare: "Bare", Sv39: "Sv39", Sv48: "Sv48", Sv57: "Sv57", Mode(9): "Mode(9)"} {
+	for m, want := range map[Mode]string{Bare: "Bare", Sv39: "Sv39", Sv48: "Sv48", Sv57: "Sv57", Sv39x4: "Sv39x4", Mode(9): "Mode(9)"} {
 		if m.String() != want {
 			t.Errorf("%d.String = %s, want %s", int(m), m, want)
 		}

@@ -9,8 +9,6 @@ import (
 	"hpmp/internal/mmu"
 	"hpmp/internal/monitor"
 	"hpmp/internal/perm"
-	"hpmp/internal/phys"
-	"hpmp/internal/pmpt"
 	"hpmp/internal/simcfg"
 	"hpmp/internal/stats"
 	"hpmp/internal/virt"
@@ -177,82 +175,9 @@ func runScenShootdown(cfg Config) (*Result, error) {
 
 // --- scen-virtdepth ---------------------------------------------------
 
-// virtDepthRig is buildVirtRig generalized over permission-table depth:
-// depth 2 uses the standard 2-level table, depths 3 and 4 the reserved
-// Mode-field encodings (ext-deep), filled page-granular over the regions
-// the guest access path actually touches so every uncached check walks the
-// full depth.
-func virtDepthRig(mode monitor.Mode, depth int, cfg Config) (*virt.Hypervisor, addr.VA, error) {
-	memSize := cfg.MemSize
-	mach := bareRig(cpu.RocketPlatform(), memSize, cfg)
-	nptRegion := addr.Range{Base: 0x0100_0000, Size: 4 * addr.MiB}
-	tblRegion := addr.Range{Base: 0x0400_0000, Size: 16 * addr.MiB}
-	dataRegion := addr.Range{Base: 0x0800_0000, Size: 64 * addr.MiB}
-
-	nptAlloc := phys.NewFrameAllocator(nptRegion, false)
-	dataAlloc := phys.NewFrameAllocator(dataRegion, false)
-	tblAlloc := phys.NewFrameAllocator(tblRegion, false)
-
-	npt, err := virt.NewNestedTable(mach.Mem, nptAlloc)
-	if err != nil {
-		return nil, 0, err
-	}
-	guest, err := virt.NewGuestTable(mach.Mem, npt, 0x4000_0000, 256, dataAlloc)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	checker := mach.Checker
-	all := addr.Range{Base: 0, Size: memSize}
-	entry := 0
-	if mode == monitor.ModeHPMP {
-		if err := checker.SetSegment(entry, nptRegion, perm.RW, false); err != nil {
-			return nil, 0, err
-		}
-		entry++
-	}
-	// Page-granular fill: huge entries would short-circuit every check at
-	// one fetch and make the depth sweep vacuous. Depth 2 grants all of
-	// DRAM, as buildVirtRig does; deeper tables only the touched regions.
-	fill := []addr.Range{all}
-	if depth > 2 {
-		fill = []addr.Range{nptRegion, dataRegion}
-	}
-	tblMode := pmpt.ModeFor(depth)
-	ptab, err := pmpt.NewTableMode(mach.Mem, tblAlloc, all, tblMode)
-	if err != nil {
-		return nil, 0, fmt.Errorf("scen-virtdepth: depth %d: %w", depth, err)
-	}
-	for _, region := range fill {
-		if err := ptab.SetRangePermPaged(region, perm.RWX); err != nil {
-			return nil, 0, err
-		}
-	}
-	if err := checker.SetTableMode(entry, all, ptab.RootBase(), tblMode); err != nil {
-		return nil, 0, err
-	}
-
-	hyp := virt.NewHypervisor(mach, checker, npt, guest)
-	gva := addr.VA(0x1000_0000)
-	for i := 0; i < 2; i++ {
-		gpa := addr.GPA(0x8000_0000 + i*addr.PageSize)
-		pa, err := dataAlloc.Alloc()
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := npt.Map(gpa, pa, perm.RW); err != nil {
-			return nil, 0, err
-		}
-		if err := guest.Map(gva+addr.VA(i*addr.PageSize), gpa, perm.RW); err != nil {
-			return nil, 0, err
-		}
-	}
-	return hyp, gva, nil
-}
-
 // virtDepthProbe measures the cold and post-hfence.gvma hlv.d latency.
-func virtDepthProbe(mode monitor.Mode, depth int, cfg Config) (cold, hfence uint64, err error) {
-	hyp, gva, err := virtDepthRig(mode, depth, cfg)
+func virtDepthProbe(method virtMethod, depth int, cfg Config) (cold, hfence uint64, err error) {
+	hyp, gva, err := virtRig(method, depth, cfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -265,7 +190,7 @@ func virtDepthProbe(mode monitor.Mode, depth int, cfg Config) (cold, hfence uint
 		return 0, 0, err
 	}
 	if r.PageFault || r.AccessFault {
-		return 0, 0, fmt.Errorf("scen-virtdepth %v depth %d: fault %+v", mode, depth, r)
+		return 0, 0, fmt.Errorf("scen-virtdepth %v depth %d: fault %+v", method, depth, r)
 	}
 	cold = r.Latency
 	hyp.HFenceGVMA()
@@ -286,11 +211,11 @@ func runScenVirtDepth(cfg Config) (*Result, error) {
 	t := stats.NewTable("scen-virtdepth", "Depth",
 		"PMPT cold", "PMPT hfence.g", "HPMP cold", "HPMP hfence.g")
 	for _, depth := range []int{2, 3, 4} {
-		pc, pf, err := virtDepthProbe(monitor.ModePMPT, depth, cfg)
+		pc, pf, err := virtDepthProbe(vmPMPT, depth, cfg)
 		if err != nil {
 			return nil, err
 		}
-		hc, hf, err := virtDepthProbe(monitor.ModeHPMP, depth, cfg)
+		hc, hf, err := virtDepthProbe(vmHPMP, depth, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
 	"hpmp/internal/pmpt"
+	"hpmp/internal/pt"
 	"hpmp/internal/stats"
 	"hpmp/internal/virt"
 )
@@ -36,9 +37,14 @@ const (
 // virtCase labels the five Fig. 13 states.
 var virtCases = []string{"TC1", "After hfence.v", "After hfence.g", "TC3", "TC4"}
 
-// buildVirtRig assembles a guest under the given method and maps two
-// adjacent guest data pages.
-func buildVirtRig(method virtMethod, cfg Config) (*virt.Hypervisor, addr.VA, error) {
+// virtRig assembles a guest under the given method and maps two adjacent
+// guest data pages. depth is the permission-table depth of the table
+// methods: 2 is the standard 2-level table granting all of DRAM (fig13);
+// 3 and 4 are the reserved Mode-field encodings (ext-deep), filled over
+// only the regions the guest access path touches. Every fill is
+// page-granular: huge entries would end each check at one fetch and make
+// a depth sweep vacuous.
+func virtRig(method virtMethod, depth int, cfg Config) (*virt.Hypervisor, addr.VA, error) {
 	memSize := cfg.MemSize
 	mach := bareRig(cpu.RocketPlatform(), memSize, cfg)
 	nptRegion := addr.Range{Base: 0x0100_0000, Size: 4 * addr.MiB}
@@ -57,7 +63,7 @@ func buildVirtRig(method virtMethod, cfg Config) (*virt.Hypervisor, addr.VA, err
 		gptAlloc = phys.NewFrameAllocator(gptRegion, false)
 	}
 
-	npt, err := virt.NewNestedTable(mach.Mem, nptAlloc)
+	npt, err := pt.New(mach.Mem, nptAlloc, addr.Sv39x4)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -68,33 +74,38 @@ func buildVirtRig(method virtMethod, cfg Config) (*virt.Hypervisor, addr.VA, err
 
 	checker := mach.Checker
 	all := addr.Range{Base: 0, Size: memSize}
-	switch method {
-	case vmPMP:
+	if method == vmPMP {
 		if err := checker.SetSegment(0, all, perm.RWX, false); err != nil {
 			return nil, 0, err
 		}
-	default:
-		ptab, err := pmpt.NewTable(mach.Mem, tblAlloc, all)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := ptab.SetRangePermPaged(all, perm.RWX); err != nil {
-			return nil, 0, err
-		}
-		entry := 0
+	} else {
+		var segments []addr.Range
 		if method == vmHPMP || method == vmHPMPGPT {
-			if err := checker.SetSegment(entry, nptRegion, perm.RW, false); err != nil {
-				return nil, 0, err
-			}
-			entry++
+			segments = append(segments, nptRegion)
 		}
 		if method == vmHPMPGPT {
-			if err := checker.SetSegment(entry, gptRegion, perm.RW, false); err != nil {
+			segments = append(segments, gptRegion)
+		}
+		for i, seg := range segments {
+			if err := checker.SetSegment(i, seg, perm.RW, false); err != nil {
 				return nil, 0, err
 			}
-			entry++
 		}
-		if err := checker.SetTable(entry, all, ptab.RootBase()); err != nil {
+		fill := []addr.Range{all}
+		if depth > 2 {
+			fill = []addr.Range{nptRegion, dataRegion}
+		}
+		tblMode := pmpt.ModeFor(depth)
+		ptab, err := pmpt.NewTableMode(mach.Mem, tblAlloc, all, tblMode)
+		if err != nil {
+			return nil, 0, fmt.Errorf("virt rig: depth %d: %w", depth, err)
+		}
+		for _, region := range fill {
+			if err := ptab.SetRangePermPaged(region, perm.RWX); err != nil {
+				return nil, 0, err
+			}
+		}
+		if err := checker.SetTableMode(len(segments), all, ptab.RootBase(), tblMode); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -107,10 +118,10 @@ func buildVirtRig(method virtMethod, cfg Config) (*virt.Hypervisor, addr.VA, err
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := npt.Map(gpa, pa, perm.RW); err != nil {
+		if err := npt.Map(addr.VA(gpa), pa, perm.RW, true); err != nil {
 			return nil, 0, err
 		}
-		if err := guest.Map(gva+addr.VA(i*addr.PageSize), gpa, perm.RW); err != nil {
+		if err := guest.Map(gva+addr.VA(i*addr.PageSize), addr.PA(gpa), perm.RW, true); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -119,7 +130,7 @@ func buildVirtRig(method virtMethod, cfg Config) (*virt.Hypervisor, addr.VA, err
 
 // virtProbe measures the hlv.d latency under one state recipe.
 func virtProbe(method virtMethod, vcase string, cfg Config) (uint64, error) {
-	hyp, gva, err := buildVirtRig(method, cfg)
+	hyp, gva, err := virtRig(method, 2, cfg)
 	if err != nil {
 		return 0, err
 	}

@@ -182,7 +182,7 @@ func (c *Checker) Check(pa addr.PA, size uint64, k perm.Access, priv perm.Priv, 
 func (c *Checker) checkInner(pa addr.PA, size uint64, k perm.Access, priv perm.Priv, now uint64) (Result, error) {
 	i := c.PMP.Match(pa, size)
 	if i < 0 {
-		if priv == perm.M && c.PMP.MModeDefaultAllow {
+		if priv == perm.M {
 			return Result{Allowed: true, Entry: -1, PermFound: perm.RWX}, nil
 		}
 		*c.hDenyNoMatch++

@@ -99,12 +99,11 @@ func MakeCfg(p perm.Perm, a AddrMode, locked, table bool) uint8 {
 }
 
 // Unit is the bank of PMP entries plus the matching logic. It is embedded by
-// the HPMP checker, which layers table mode on top.
+// the HPMP checker, which layers table mode on top. Per the privileged
+// spec, M-mode accesses that match no entry succeed; S/U accesses that
+// match no entry fail.
 type Unit struct {
 	Entries []Entry
-	// MModeDefaultAllow: per the privileged spec, M-mode accesses that match
-	// no entry succeed. S/U accesses that match no entry fail.
-	MModeDefaultAllow bool
 }
 
 // New returns a 16-entry PMP unit with all entries off and the standard
@@ -114,7 +113,7 @@ func New() *Unit { return NewSized(NumEntries) }
 // NewSized returns a PMP unit with n entries (16 for the base ISA, 64 for
 // ePMP).
 func NewSized(n int) *Unit {
-	return &Unit{Entries: make([]Entry, n), MModeDefaultAllow: true}
+	return &Unit{Entries: make([]Entry, n)}
 }
 
 // NumEntries returns the bank size.
@@ -216,12 +215,11 @@ type Result struct {
 
 // Check validates an access of the given size at pa from privilege mode
 // priv. Base PMP semantics: the matching entry's config permission decides;
-// no match denies S/U and allows M (when MModeDefaultAllow); locked entries
-// also bind M-mode.
+// no match denies S/U and allows M; locked entries also bind M-mode.
 func (u *Unit) Check(pa addr.PA, size uint64, k perm.Access, priv perm.Priv) Result {
 	i := u.Match(pa, size)
 	if i < 0 {
-		if priv == perm.M && u.MModeDefaultAllow {
+		if priv == perm.M {
 			return Result{Allowed: true, Entry: -1}
 		}
 		return Result{Allowed: false, Entry: -1}

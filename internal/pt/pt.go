@@ -1,7 +1,7 @@
-// Package pt implements RISC-V page tables (Sv39/Sv48/Sv57) living in
-// simulated physical memory: PTE encode/decode, software construction
-// (map/unmap/protect), and a software translation oracle against which the
-// hardware walker (package ptw) is verified.
+// Package pt implements RISC-V page tables (Sv39/Sv48/Sv57, and the
+// hypervisor's Sv39x4) living in simulated memory: PTE encode/decode,
+// software construction (map/unmap/protect), and a software translation
+// oracle against which the hardware walker (package ptw) is verified.
 //
 // The package also exposes WalkPath, the exact sequence of PTE addresses a
 // hardware walker must touch for a VA — this is what the experiment code
@@ -14,7 +14,6 @@ import (
 
 	"hpmp/internal/addr"
 	"hpmp/internal/perm"
-	"hpmp/internal/phys"
 )
 
 // PTE bit layout per the privileged spec.
@@ -81,34 +80,72 @@ func (p PTE) String() string {
 	return fmt.Sprintf("PTE(%#x %v u=%v)", uint64(p.Target()), p.Perm(), p.User())
 }
 
-// Table is a software-managed page table of a given mode rooted in
-// simulated physical memory. PT pages are drawn from PTAlloc — the paper's
-// key software lever: Penglai-HPMP points PTAlloc at a contiguous "fast"
-// GMS so every PT page lands inside one segment.
+// Store is the memory a table's pages live in. *phys.Memory is the store
+// of native and nested tables; a guest table's store is guest-physical
+// memory, reached through the nested table.
+type Store interface {
+	Read64(pa addr.PA) (uint64, error)
+	Write64(pa addr.PA, v uint64) error
+	ZeroPage(pa addr.PA) error
+}
+
+// FrameSource hands out page-table frames in the store's address space.
+// *phys.FrameAllocator is one.
+type FrameSource interface {
+	Alloc() (addr.PA, error)
+}
+
+// Table is a software-managed page table of a given mode rooted in a
+// Store. PT pages are drawn from a FrameSource — the paper's key software
+// lever: Penglai-HPMP points it at a contiguous "fast" GMS so every PT
+// page lands inside one segment. The same builder makes native
+// (Sv39/Sv48/Sv57), nested (Sv39x4) and guest tables.
 type Table struct {
 	Mode    addr.Mode
-	mem     *phys.Memory
-	PTAlloc *phys.FrameAllocator
+	mem     Store
+	alloc   FrameSource
 	root    addr.PA
 	ptPages []addr.PA // every PT page allocated (root first)
 }
 
-// New allocates an empty page table of the given mode.
-func New(mem *phys.Memory, ptAlloc *phys.FrameAllocator, mode addr.Mode) (*Table, error) {
+// New allocates an empty page table of the given mode. A Sv39x4 root spans
+// four pages, which must come from alloc contiguously.
+func New(mem Store, alloc FrameSource, mode addr.Mode) (*Table, error) {
 	if mode.Levels() == 0 {
 		return nil, fmt.Errorf("pt: mode %v has no page table", mode)
 	}
-	root, err := ptAlloc.Alloc()
-	if err != nil {
-		return nil, fmt.Errorf("pt: allocating root: %w", err)
+	rootPages := 1
+	if mode == addr.Sv39x4 {
+		rootPages = 4
 	}
-	if err := mem.ZeroPage(root); err != nil {
-		return nil, err
+	t := &Table{Mode: mode, mem: mem, alloc: alloc}
+	for i := 0; i < rootPages; i++ {
+		pa, err := t.newPage()
+		if err != nil {
+			return nil, fmt.Errorf("pt: allocating %v root: %w", mode, err)
+		}
+		if pa != t.ptPages[0]+addr.PA(i*addr.PageSize) {
+			return nil, fmt.Errorf("pt: %v root pages not contiguous", mode)
+		}
 	}
-	return &Table{Mode: mode, mem: mem, PTAlloc: ptAlloc, root: root, ptPages: []addr.PA{root}}, nil
+	t.root = t.ptPages[0]
+	return t, nil
 }
 
-// Root returns the root PT page (the satp PPN target).
+// newPage allocates and zeroes one PT page.
+func (t *Table) newPage() (addr.PA, error) {
+	pa, err := t.alloc.Alloc()
+	if err != nil {
+		return 0, err
+	}
+	if err := t.mem.ZeroPage(pa); err != nil {
+		return 0, err
+	}
+	t.ptPages = append(t.ptPages, pa)
+	return pa, nil
+}
+
+// Root returns the root PT page (the satp/hgatp PPN target).
 func (t *Table) Root() addr.PA { return t.root }
 
 // PTPages returns every page-table page in allocation order.
@@ -127,38 +164,11 @@ func (t *Table) pteAddr(base addr.PA, va addr.VA, level int) addr.PA {
 // Map installs a 4 KiB mapping va→pa with permission p. Intermediate PT
 // pages are created as needed. Remapping an existing leaf overwrites it.
 func (t *Table) Map(va addr.VA, pa addr.PA, p perm.Perm, user bool) error {
-	if !t.Mode.Canonical(va) {
-		return fmt.Errorf("pt: non-canonical %v for %v", va, t.Mode)
+	ea, err := t.descend(va, 0)
+	if err != nil {
+		return err
 	}
-	base := t.root
-	for level := t.Mode.Levels() - 1; level > 0; level-- {
-		ea := t.pteAddr(base, va, level)
-		raw, err := t.mem.Read64(ea)
-		if err != nil {
-			return err
-		}
-		e := PTE(raw)
-		switch {
-		case !e.Valid():
-			next, err := t.PTAlloc.Alloc()
-			if err != nil {
-				return fmt.Errorf("pt: allocating level-%d table: %w", level-1, err)
-			}
-			if err := t.mem.ZeroPage(next); err != nil {
-				return err
-			}
-			t.ptPages = append(t.ptPages, next)
-			if err := t.mem.Write64(ea, uint64(MakePointer(next))); err != nil {
-				return err
-			}
-			base = next
-		case e.Leaf():
-			return fmt.Errorf("pt: %v already mapped by a level-%d superpage", va, level)
-		default:
-			base = e.Target()
-		}
-	}
-	return t.mem.Write64(t.pteAddr(base, va, 0), uint64(MakeLeaf(pa, p, user)))
+	return t.mem.Write64(ea, uint64(MakeLeaf(pa, p, user)))
 }
 
 // MapSuper installs a superpage leaf at the given level (1 = 2 MiB,
@@ -171,38 +181,45 @@ func (t *Table) MapSuper(va addr.VA, pa addr.PA, level int, p perm.Perm, user bo
 	if !addr.IsAligned(uint64(va), span) || !addr.IsAligned(uint64(pa), span) {
 		return fmt.Errorf("pt: superpage at %v→%v not %d-aligned", va, pa, span)
 	}
+	ea, err := t.descend(va, level)
+	if err != nil {
+		return err
+	}
+	return t.mem.Write64(ea, uint64(MakeLeaf(pa, p, user)))
+}
+
+// descend walks from the root to the table page that holds va's
+// level-`level` PTE, allocating missing intermediate pages, and returns
+// that PTE's address. A superpage leaf above `level` is an error.
+func (t *Table) descend(va addr.VA, level int) (addr.PA, error) {
 	if !t.Mode.Canonical(va) {
-		return fmt.Errorf("pt: non-canonical %v", va)
+		return 0, fmt.Errorf("pt: non-canonical %v for %v", va, t.Mode)
 	}
 	base := t.root
 	for l := t.Mode.Levels() - 1; l > level; l-- {
 		ea := t.pteAddr(base, va, l)
 		raw, err := t.mem.Read64(ea)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		e := PTE(raw)
 		switch {
 		case !e.Valid():
-			next, err := t.PTAlloc.Alloc()
+			next, err := t.newPage()
 			if err != nil {
-				return err
+				return 0, fmt.Errorf("pt: allocating level-%d table: %w", l-1, err)
 			}
-			if err := t.mem.ZeroPage(next); err != nil {
-				return err
-			}
-			t.ptPages = append(t.ptPages, next)
 			if err := t.mem.Write64(ea, uint64(MakePointer(next))); err != nil {
-				return err
+				return 0, err
 			}
 			base = next
 		case e.Leaf():
-			return fmt.Errorf("pt: %v already covered by a level-%d superpage", va, l)
+			return 0, fmt.Errorf("pt: %v already covered by a level-%d superpage", va, l)
 		default:
 			base = e.Target()
 		}
 	}
-	return t.mem.Write64(t.pteAddr(base, va, level), uint64(MakeLeaf(pa, p, user)))
+	return t.pteAddr(base, va, level), nil
 }
 
 // MapRange maps n consecutive pages starting at va to the frames returned

@@ -297,3 +297,74 @@ func TestFaultErrorMessage(t *testing.T) {
 		t.Error("FaultError must render")
 	}
 }
+
+// listFrames is a FrameSource over a fixed list of frames.
+type listFrames []addr.PA
+
+func (l *listFrames) Alloc() (addr.PA, error) {
+	if len(*l) == 0 {
+		return 0, errors.New("out of frames")
+	}
+	pa := (*l)[0]
+	*l = (*l)[1:]
+	return pa, nil
+}
+
+func TestSv39x4Root(t *testing.T) {
+	mem := phys.New(256 * addr.MiB)
+	tbl, err := New(mem, &listFrames{0x10000, 0x11000, 0x12000, 0x13000, 0x20000, 0x21000}, addr.Sv39x4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Root() != 0x10000 || len(tbl.PTPages()) != 4 {
+		t.Fatalf("root %v, pages %v; want a 4-page root at 0x10000", tbl.Root(), tbl.PTPages())
+	}
+	// GPA 600 GiB indexes root entry 600, in the root's third page.
+	gpa := addr.VA(600 * addr.GiB)
+	if err := tbl.Map(gpa, 0x900_0000, perm.RW, true); err != nil {
+		t.Fatal(err)
+	}
+	path, err := tbl.WalkPath(gpa)
+	if err != nil || len(path) != 3 || path[0].PTEAddr != 0x10000+600*8 {
+		t.Errorf("walk path %+v, %v", path, err)
+	}
+	if err := tbl.Map(1<<41, 0x900_0000, perm.RW, true); err == nil {
+		t.Error("a GPA with bit 41 set must be rejected")
+	}
+	// The four root pages must be contiguous.
+	if _, err := New(mem, &listFrames{0x10000, 0x11000, 0x13000, 0x14000}, addr.Sv39x4); err == nil {
+		t.Error("a non-contiguous Sv39x4 root must be rejected")
+	}
+}
+
+// offsetStore is a Store whose addresses are shifted by a fixed base, as a
+// guest table's guest-physical store is translated to host memory.
+type offsetStore struct {
+	mem  *phys.Memory
+	base addr.PA
+}
+
+func (s offsetStore) Read64(pa addr.PA) (uint64, error)  { return s.mem.Read64(s.base + pa) }
+func (s offsetStore) Write64(pa addr.PA, v uint64) error { return s.mem.Write64(s.base+pa, v) }
+func (s offsetStore) ZeroPage(pa addr.PA) error          { return s.mem.ZeroPage(s.base + pa) }
+
+func TestTableOverTranslatedStore(t *testing.T) {
+	mem := phys.New(256 * addr.MiB)
+	const base = 0x100_0000
+	tbl, err := New(offsetStore{mem, base}, &listFrames{0x1000, 0x2000, 0x3000}, addr.Sv39)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Map(0x4000_0000, 0x8000_0000, perm.R, true); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tbl.TranslateSW(0x4000_0123)
+	if err != nil || tr.PA != 0x8000_0123 || tr.Perm != perm.R {
+		t.Errorf("translate = %+v, %v", tr, err)
+	}
+	// The root PTE was written through the store, at base + root.
+	raw, err := mem.Read64(base + 0x1000 + addr.PA(addr.Sv39.VPN(0x4000_0000, 2)*8))
+	if err != nil || PTE(raw).Target() != 0x2000 {
+		t.Errorf("root PTE in host memory = %v, %v; want a pointer to store page 0x2000", PTE(raw), err)
+	}
+}

@@ -4,7 +4,8 @@
 // the attached physical-memory checker — this is precisely the "extra
 // dimension" the paper measures: with a permission table, each of the three
 // Sv39 PT-page references costs two additional pmpte references (Fig. 2-c),
-// while HPMP's segment mode validates them for free (Fig. 4).
+// while HPMP's segment mode validates them for free (Fig. 4). A walker in
+// Sv39x4 mode performs the nested (G-stage) walks of a 3-D walk (Fig. 8).
 package ptw
 
 import (
@@ -177,7 +178,7 @@ func (w *Walker) walk(root addr.PA, va addr.VA, now uint64, res *Result) error {
 	for level := w.Mode.Levels() - 1; level >= 0; level-- {
 		pteAddr := base + addr.PA(w.Mode.VPN(va, level)*8)
 		prevLat, prevPT, prevChk := res.Latency, res.PTRefs, res.PTCheckRefs
-		raw, hit, err := w.fetchPTE(pteAddr, now, res)
+		raw, hit, err := w.FetchPTE(pteAddr, now, res)
 		if err != nil {
 			return err
 		}
@@ -213,11 +214,12 @@ func (w *Walker) walk(root addr.PA, va addr.VA, now uint64, res *Result) error {
 	return fmt.Errorf("ptw: walk fell through for %v", va)
 }
 
-// fetchPTE returns the PTE word at pteAddr. PWC hits cost nothing and skip
+// FetchPTE returns the PTE word at pteAddr. PWC hits cost nothing and skip
 // the physical check (the entry was validated at fill time). On a PWC miss
 // the PT-page address is validated through the checker before the fetch;
-// res.AccessFault is set when the check denies.
-func (w *Walker) fetchPTE(pteAddr addr.PA, now uint64, res *Result) (raw uint64, pwcHit bool, err error) {
+// res.AccessFault is set when the check denies. Besides the walk loop, the
+// hypervisor's guest-dimension loop fetches each guest PTE through it.
+func (w *Walker) FetchPTE(pteAddr addr.PA, now uint64, res *Result) (raw uint64, pwcHit bool, err error) {
 	if w.PWC != nil {
 		if v, ok := w.PWC.Lookup(uint64(pteAddr)); ok {
 			res.PWCHits++

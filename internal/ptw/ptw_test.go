@@ -33,6 +33,34 @@ func newEnv(t *testing.T) *env {
 	return &env{mem: mem, alloc: ptAlloc, tbl: tbl, port: &memport.Flat{Mem: mem, Latency: 10}}
 }
 
+// TestNestedWalkSv39x4: a walker in Sv39x4 mode walks a nested table,
+// using the 11-bit root index past Sv39's reach, and rejects GPAs with bits
+// 63:41 set without touching memory.
+func TestNestedWalkSv39x4(t *testing.T) {
+	mem := phys.New(512 * addr.MiB)
+	npt, err := pt.New(mem, phys.NewFrameAllocator(addr.Range{Base: 0x40_0000, Size: 4 * addr.MiB}, false), addr.Sv39x4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpa := addr.VA(600*addr.GiB + 0x3000)
+	if err := npt.Map(gpa, 0x800_0000, perm.R, true); err != nil {
+		t.Fatal(err)
+	}
+	w := New(addr.Sv39x4, &memport.Flat{Mem: mem, Latency: 10}, nil, 0)
+	res, err := w.Walk(npt.Root(), gpa+0x18, 0)
+	if err != nil || res.PageFault || res.AccessFault {
+		t.Fatalf("nested walk: %+v, %v", res, err)
+	}
+	want, _ := npt.TranslateSW(gpa + 0x18)
+	if res.Translation != want || res.PTRefs != 3 {
+		t.Errorf("walk = %+v (%d refs), oracle = %+v", res.Translation, res.PTRefs, want)
+	}
+	res, err = w.Walk(npt.Root(), 1<<41, 0)
+	if err != nil || !res.PageFault || res.PTRefs != 0 {
+		t.Errorf("GPA with bit 41 set: %+v, %v; want a page fault with no fetch", res, err)
+	}
+}
+
 func TestWalkMatchesOracle(t *testing.T) {
 	e := newEnv(t)
 	va, pa := addr.VA(0x4000_0000), addr.PA(0x800_0000)

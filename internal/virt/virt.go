@@ -3,6 +3,9 @@
 // addresses are translated by an Sv39x4 nested page table (hgatp), with a
 // permission table as the third dimension (Fig. 8).
 //
+// Both tables are pt.Tables and the nested walks and PTE fetches are
+// ptw's; this package keeps only the guest-dimension loop of the 3-D walk.
+//
 // Reference arithmetic this package reproduces (asserted by tests):
 //
 //	3-D walk, no isolation:           16 refs  (12 NPT + 3 gPT + 1 data)
@@ -15,322 +18,148 @@ import (
 	"fmt"
 
 	"hpmp/internal/addr"
-	"hpmp/internal/assoc"
 	"hpmp/internal/cpu"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
 	"hpmp/internal/pt"
 	"hpmp/internal/ptw"
-	"hpmp/internal/stats"
 	"hpmp/internal/tlb"
 )
 
-// NestedTable is the Sv39x4 second-stage table: like Sv39 but the root
-// level indexes 11 bits of GPA (a 16 KiB root spanning four contiguous
-// pages), supporting a 41-bit guest-physical space.
-type NestedTable struct {
-	mem   *phys.Memory
-	alloc *phys.FrameAllocator
-	root  addr.PA // base of the 4-page root
-	pages []addr.PA
-}
-
-// NewNestedTable allocates an empty Sv39x4 table; the 4 root pages are
-// taken contiguously from alloc.
-func NewNestedTable(mem *phys.Memory, alloc *phys.FrameAllocator) (*NestedTable, error) {
-	var root addr.PA
-	for i := 0; i < 4; i++ {
-		pa, err := alloc.Alloc()
-		if err != nil {
-			return nil, fmt.Errorf("virt: allocating NPT root: %w", err)
-		}
-		if i == 0 {
-			root = pa
-		} else if pa != root+addr.PA(i*addr.PageSize) {
-			return nil, fmt.Errorf("virt: NPT root pages not contiguous (allocator must be sequential)")
-		}
-		if err := mem.ZeroPage(pa); err != nil {
-			return nil, err
-		}
-	}
-	nt := &NestedTable{mem: mem, alloc: alloc, root: root}
-	nt.pages = append(nt.pages, root, root+addr.PageSize, root+2*addr.PageSize, root+3*addr.PageSize)
-	return nt, nil
-}
-
-// Root returns the root base (hgatp target).
-func (n *NestedTable) Root() addr.PA { return n.root }
-
-// PTPages returns every NPT page.
-func (n *NestedTable) PTPages() []addr.PA {
-	out := make([]addr.PA, len(n.pages))
-	copy(out, n.pages)
-	return out
-}
-
-// idx computes the per-level index of a GPA: level 2 uses 11 bits.
-func (n *NestedTable) idx(gpa addr.GPA, level int) uint64 {
-	shift := addr.PageShift + 9*level
-	if level == 2 {
-		return (uint64(gpa) >> shift) & 0x7ff
-	}
-	return (uint64(gpa) >> shift) & 0x1ff
-}
-
-// Map installs a 4 KiB GPA→PA mapping.
-func (n *NestedTable) Map(gpa addr.GPA, pa addr.PA, p perm.Perm) error {
-	base := n.root
-	for level := 2; level > 0; level-- {
-		ea := base + addr.PA(n.idx(gpa, level)*8)
-		raw, err := n.mem.Read64(ea)
-		if err != nil {
-			return err
-		}
-		e := pt.PTE(raw)
-		switch {
-		case !e.Valid():
-			next, err := n.alloc.Alloc()
-			if err != nil {
-				return err
-			}
-			if err := n.mem.ZeroPage(next); err != nil {
-				return err
-			}
-			n.pages = append(n.pages, next)
-			if err := n.mem.Write64(ea, uint64(pt.MakePointer(next))); err != nil {
-				return err
-			}
-			base = next
-		case e.Leaf():
-			return fmt.Errorf("virt: GPA %v already mapped by superpage", gpa)
-		default:
-			base = e.Target()
-		}
-	}
-	return n.mem.Write64(base+addr.PA(n.idx(gpa, 0)*8), uint64(pt.MakeLeaf(pa, p, true)))
-}
-
-// TranslateSW is the untimed software GPA→PA oracle.
-func (n *NestedTable) TranslateSW(gpa addr.GPA) (addr.PA, error) {
-	base := n.root
-	for level := 2; level >= 0; level-- {
-		raw, err := n.mem.Read64(base + addr.PA(n.idx(gpa, level)*8))
-		if err != nil {
-			return 0, err
-		}
-		e := pt.PTE(raw)
-		if !e.Valid() {
-			return 0, fmt.Errorf("virt: GPA %v unmapped at level %d", gpa, level)
-		}
-		if e.Leaf() {
-			return e.Target() + addr.PA(gpa.Offset()), nil
-		}
-		base = e.Target()
-	}
-	return 0, fmt.Errorf("virt: walk fell through for %v", gpa)
-}
-
-// WalkPath returns the host-physical PTE addresses of the nested walk.
-func (n *NestedTable) WalkPath(gpa addr.GPA) ([]addr.PA, error) {
-	var out []addr.PA
-	base := n.root
-	for level := 2; level >= 0; level-- {
-		ea := base + addr.PA(n.idx(gpa, level)*8)
-		out = append(out, ea)
-		raw, err := n.mem.Read64(ea)
-		if err != nil {
-			return out, err
-		}
-		e := pt.PTE(raw)
-		if !e.Valid() || e.Leaf() {
-			return out, nil
-		}
-		base = e.Target()
-	}
-	return out, nil
-}
-
-// GuestTable is the guest's Sv39 page table: its PT pages live in
-// guest-physical space and its leaf PTEs hold GPAs.
+// GuestTable is the guest's Sv39 page table: a pt.Table over guest-physical
+// memory, so its PT page addresses and leaf targets are GPAs.
 type GuestTable struct {
-	mem *phys.Memory
-	npt *NestedTable
-	// gpaAlloc hands out guest-physical PT frames; hostAlloc provides the
-	// backing host frames (contiguous for HPMP-GPT).
-	gpaAlloc  *gpaAllocator
-	hostAlloc *phys.FrameAllocator
-	rootGPA   addr.GPA
-	ptGPAs    []addr.GPA
+	*pt.Table
+	frames *guestFrames
 }
 
-// gpaAllocator hands out guest-physical frames from a range.
-type gpaAllocator struct {
-	base addr.GPA
-	next uint64
-	max  uint64
-}
-
-func (a *gpaAllocator) alloc() (addr.GPA, error) {
-	if a.next >= a.max {
-		return 0, fmt.Errorf("virt: guest-physical allocator exhausted")
-	}
-	g := a.base + addr.GPA(a.next*addr.PageSize)
-	a.next++
-	return g, nil
-}
-
-// NewGuestTable builds an empty guest Sv39 table. PT pages are allocated
-// in guest-physical space starting at gpaBase and backed by host frames
-// from hostAlloc (NPT mappings are created as needed).
-func NewGuestTable(mem *phys.Memory, npt *NestedTable, gpaBase addr.GPA, maxPTPages int, hostAlloc *phys.FrameAllocator) (*GuestTable, error) {
-	g := &GuestTable{
-		mem:       mem,
-		npt:       npt,
-		gpaAlloc:  &gpaAllocator{base: gpaBase, max: uint64(maxPTPages)},
-		hostAlloc: hostAlloc,
-	}
-	root, err := g.allocPTPage()
+// NewGuestTable builds an empty guest Sv39 table. PT pages take up to
+// maxPTPages guest-physical frames from gpaBase up, each backed by a host
+// frame from hostAlloc (contiguous for HPMP-GPT) and mapped RW in npt.
+func NewGuestTable(mem *phys.Memory, npt *pt.Table, gpaBase addr.GPA, maxPTPages int, hostAlloc pt.FrameSource) (*GuestTable, error) {
+	frames := &guestFrames{npt: npt, hostAlloc: hostAlloc, base: gpaBase, max: uint64(maxPTPages)}
+	t, err := pt.New(guestMem{mem: mem, npt: npt}, frames, addr.Sv39)
 	if err != nil {
 		return nil, err
 	}
-	g.rootGPA = root
-	return g, nil
+	return &GuestTable{Table: t, frames: frames}, nil
 }
 
-// allocPTPage allocates a guest PT page: a GPA frame, a backing host
-// frame, and the NPT mapping between them.
-func (g *GuestTable) allocPTPage() (addr.GPA, error) {
-	gpa, err := g.gpaAlloc.alloc()
-	if err != nil {
-		return 0, err
-	}
-	pa, err := g.hostAlloc.Alloc()
-	if err != nil {
-		return 0, err
-	}
-	if err := g.mem.ZeroPage(pa); err != nil {
-		return 0, err
-	}
-	if err := g.npt.Map(gpa, pa, perm.RW); err != nil {
-		return 0, err
-	}
-	g.ptGPAs = append(g.ptGPAs, gpa)
-	return gpa, nil
+// PTHostPages returns the host frames backing the guest PT pages, in
+// allocation order.
+func (g *GuestTable) PTHostPages() []addr.PA {
+	return append([]addr.PA(nil), g.frames.host...)
 }
 
-// PTHostPages returns the host frames backing the guest PT pages.
-func (g *GuestTable) PTHostPages() ([]addr.PA, error) {
-	var out []addr.PA
-	for _, gpa := range g.ptGPAs {
-		pa, err := g.npt.TranslateSW(gpa)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pa)
-	}
-	return out, nil
+// guestMem is guest-physical memory as the guest table's builder sees it:
+// every address is a GPA, translated through the nested table in software.
+type guestMem struct {
+	mem *phys.Memory
+	npt *pt.Table
 }
 
-// read64/write64 access guest-physical addresses through the NPT (software,
-// untimed — builder side).
-func (g *GuestTable) read64(gpa addr.GPA) (uint64, error) {
-	pa, err := g.npt.TranslateSW(gpa)
+func (g guestMem) hostPA(gpa addr.PA) (addr.PA, error) {
+	tr, err := g.npt.TranslateSW(addr.VA(gpa))
+	return tr.PA, err
+}
+
+func (g guestMem) Read64(gpa addr.PA) (uint64, error) {
+	pa, err := g.hostPA(gpa)
 	if err != nil {
 		return 0, err
 	}
 	return g.mem.Read64(pa)
 }
 
-func (g *GuestTable) write64(gpa addr.GPA, v uint64) error {
-	pa, err := g.npt.TranslateSW(gpa)
+func (g guestMem) Write64(gpa addr.PA, v uint64) error {
+	pa, err := g.hostPA(gpa)
 	if err != nil {
 		return err
 	}
 	return g.mem.Write64(pa, v)
 }
 
-// Map installs a guest mapping gva→gpa with permission p.
-func (g *GuestTable) Map(gva addr.VA, target addr.GPA, p perm.Perm) error {
-	if !addr.Sv39.Canonical(gva) {
-		return fmt.Errorf("virt: non-canonical guest VA %v", gva)
+func (g guestMem) ZeroPage(gpa addr.PA) error {
+	pa, err := g.hostPA(gpa)
+	if err != nil {
+		return err
 	}
-	base := g.rootGPA
-	for level := 2; level > 0; level-- {
-		ea := base + addr.GPA(addr.Sv39.VPN(gva, level)*8)
-		raw, err := g.read64(ea)
-		if err != nil {
-			return err
-		}
-		e := pt.PTE(raw)
-		switch {
-		case !e.Valid():
-			next, err := g.allocPTPage()
-			if err != nil {
-				return err
-			}
-			// Guest PTEs hold GPA frame numbers.
-			if err := g.write64(ea, uint64(pt.MakePointer(addr.PA(next)))); err != nil {
-				return err
-			}
-			base = next
-		case e.Leaf():
-			return fmt.Errorf("virt: guest VA %v already mapped by superpage", gva)
-		default:
-			base = addr.GPA(e.Target())
-		}
-	}
-	ea := base + addr.GPA(addr.Sv39.VPN(gva, 0)*8)
-	return g.write64(ea, uint64(pt.MakeLeaf(addr.PA(target), p, true)))
+	return g.mem.ZeroPage(pa)
 }
 
-// Hypervisor ties a guest onto a machine: nested walker state, guest TLB,
+// guestFrames hands out guest PT frames: the next GPA frame of the PT
+// window, backed by the next host frame and mapped RW in the nested table.
+type guestFrames struct {
+	npt       *pt.Table
+	hostAlloc pt.FrameSource
+	base      addr.GPA
+	next, max uint64
+	host      []addr.PA // backing host frame of each PT page
+}
+
+func (f *guestFrames) Alloc() (addr.PA, error) {
+	if f.next >= f.max {
+		return 0, fmt.Errorf("virt: guest-physical allocator exhausted")
+	}
+	gpa := f.base + addr.GPA(f.next*addr.PageSize)
+	f.next++
+	pa, err := f.hostAlloc.Alloc()
+	if err != nil {
+		return 0, err
+	}
+	if err := f.npt.Map(addr.VA(gpa), pa, perm.RW, true); err != nil {
+		return 0, err
+	}
+	f.host = append(f.host, pa)
+	return addr.PA(gpa), nil
+}
+
+// Hypervisor ties a guest onto a machine: the G-stage walker, the guest TLB
 // and the NPT-translation cache.
 type Hypervisor struct {
-	Mach    *cpu.Machine
-	Checker ptw.Checker // physical-memory checker, nil = none
-	NPT     *NestedTable
-	Guest   *GuestTable
+	Mach  *cpu.Machine
+	NPT   *pt.Table // Sv39x4 nested table (hgatp)
+	Guest *GuestTable
 
-	// GTLB caches gva→host-pa with inlined physical permission.
+	// GTLB caches gva→host-pa with the guest permission (intersected with
+	// the G-stage one) and the inlined physical permission.
 	GTLB *tlb.L1
-	// NPTLB caches gpa→pa (the partial-walk cache real H-extension
-	// hardware keeps; flushed by hfence.gvma).
+	// NPTLB caches gpa→pa with the NPT leaf permission (the partial-walk
+	// cache real H-extension hardware keeps; flushed by hfence.gvma).
 	NPTLB *tlb.L1
-	// PWC caches PTE words (guest and nested) by host PA; flushed by both
-	// hfences.
-	PWC *assoc.Cache
 
-	Counters stats.Counters
+	// walker does the nested walks and the guest-PTE fetches, checking PT
+	// pages through the machine's checker. Its PWC caches PTE words, guest
+	// and nested, by host PA and is flushed by both hfences. It is never
+	// registered with a runner, so its counters are not reported.
+	walker *ptw.Walker
+}
+
+// NewHypervisor wires a hypervisor for a guest on a machine. checker
+// validates host physical addresses; nil disables isolation.
+func NewHypervisor(mach *cpu.Machine, checker ptw.Checker, npt *pt.Table, guest *GuestTable) *Hypervisor {
+	return &Hypervisor{
+		Mach:   mach,
+		NPT:    npt,
+		Guest:  guest,
+		GTLB:   tlb.NewL1("gtlb", 32),
+		NPTLB:  tlb.NewL1("nptlb", 64),
+		walker: ptw.New(addr.Sv39x4, mach.Port, checker, 16),
+	}
 }
 
 // DisableWalkCaches removes the PWC and NPTLB so that reference counts
 // follow the raw ISA arithmetic (the paper's footnote-1 accounting).
 func (h *Hypervisor) DisableWalkCaches() {
-	h.PWC = nil
+	h.walker.PWC = nil
 	h.NPTLB = nil
-}
-
-// NewHypervisor wires a hypervisor for a guest on a machine.
-func NewHypervisor(mach *cpu.Machine, checker ptw.Checker, npt *NestedTable, guest *GuestTable) *Hypervisor {
-	return &Hypervisor{
-		Mach:    mach,
-		Checker: checker,
-		NPT:     npt,
-		Guest:   guest,
-		GTLB:    tlb.NewL1("gtlb", 32),
-		NPTLB:   tlb.NewL1("nptlb", 64),
-		PWC:     assoc.NewCache(16),
-	}
 }
 
 // HFenceVVMA models hfence.vvma: guest-VA translations die, GPA→PA state
 // survives.
 func (h *Hypervisor) HFenceVVMA() {
 	h.GTLB.FlushAll()
-	if h.PWC != nil {
-		h.PWC.FlushAll()
-	}
-	h.Counters.Inc("virt.hfence_vvma")
+	h.walker.FlushPWC()
 }
 
 // HFenceGVMA models hfence.gvma: all second-stage state dies (and with it
@@ -340,10 +169,7 @@ func (h *Hypervisor) HFenceGVMA() {
 	if h.NPTLB != nil {
 		h.NPTLB.FlushAll()
 	}
-	if h.PWC != nil {
-		h.PWC.FlushAll()
-	}
-	h.Counters.Inc("virt.hfence_gvma")
+	h.walker.FlushPWC()
 }
 
 // Result describes one guest access (hlv.d-style).
@@ -362,14 +188,24 @@ type Result struct {
 // TotalRefs returns every memory reference of the access.
 func (r Result) TotalRefs() int { return r.NPTRefs + r.GPTRefs + r.CheckRefs + r.DataRefs }
 
+// charge adds one walker sub-result (a nested walk or a guest-PTE fetch) to
+// r; ptRefs is the count its PTE fetches go to.
+func (r *Result) charge(w *ptw.Result, ptRefs *int) {
+	r.Latency += w.Latency
+	*ptRefs += w.PTRefs
+	r.CheckRefs += w.PTCheckRefs
+	r.PageFault = r.PageFault || w.PageFault
+	r.AccessFault = r.AccessFault || w.AccessFault
+}
+
 // checkPA validates a host physical address, charging table-walk refs. It
 // returns the full permission found (for TLB inlining) and whether the
 // access kind is allowed.
 func (h *Hypervisor) checkPA(pa addr.PA, k perm.Access, now uint64, res *Result) (perm.Perm, bool, error) {
-	if h.Checker == nil {
+	if h.walker.Checker == nil {
 		return perm.RWX, true, nil
 	}
-	chk, err := h.Checker.Check(pa.PageBase(), addr.PageSize, k, perm.S, now)
+	chk, err := h.walker.Checker.Check(pa.PageBase(), addr.PageSize, k, perm.S, now)
 	if err != nil {
 		return perm.None, false, err
 	}
@@ -378,122 +214,104 @@ func (h *Hypervisor) checkPA(pa addr.PA, k perm.Access, now uint64, res *Result)
 	return chk.PermFound, chk.Allowed, nil
 }
 
-// fetchPTE fetches one PTE word at host PA through PWC → checker → caches.
-func (h *Hypervisor) fetchPTE(pa addr.PA, now uint64, res *Result, nested bool) (uint64, error) {
-	if h.PWC != nil {
-		if v, ok := h.PWC.Lookup(uint64(pa)); ok {
-			return v, nil
+// translateGPA is the G-stage translation of gpa for an access of kind k:
+// the NPTLB, else a nested walk. It returns the host PA and the NPT leaf
+// permission. An unmapped GPA, or a leaf that does not allow k, sets
+// res.PageFault; a denied nested PT-page check sets res.AccessFault.
+func (h *Hypervisor) translateGPA(gpa addr.GPA, k perm.Access, now uint64, res *Result) (addr.PA, perm.Perm, error) {
+	var e tlb.Entry
+	hit := false
+	if h.NPTLB != nil {
+		var p *tlb.Entry
+		if p, hit = h.NPTLB.Lookup(gpa.Frame()); hit {
+			e = *p
 		}
 	}
-	_, ok, err := h.checkPA(pa, perm.Read, now+res.Latency, res)
-	if err != nil {
-		return 0, err
+	if !hit {
+		var w ptw.Result
+		err := h.walker.WalkInto(h.NPT.Root(), addr.VA(gpa), now+res.Latency, &w)
+		res.charge(&w, &res.NPTRefs)
+		if err != nil || res.PageFault || res.AccessFault {
+			return 0, perm.None, err
+		}
+		e = tlb.Entry{PFN: w.Translation.PA.Frame(), Perm: w.Translation.Perm}
+		if h.NPTLB != nil {
+			h.NPTLB.Insert(gpa.Frame(), e)
+		}
 	}
-	if !ok {
-		res.AccessFault = true
-		return 0, nil
+	if !e.Perm.Allows(k) {
+		res.PageFault = true
+		return 0, perm.None, nil
 	}
-	v, lat, err := h.Mach.Port.Read64(pa, now+res.Latency)
-	if err != nil {
-		return 0, err
-	}
-	res.Latency += lat
-	if nested {
-		res.NPTRefs++
-	} else {
-		res.GPTRefs++
-	}
-	if h.PWC != nil && pt.PTE(v).Valid() {
-		h.PWC.Insert(uint64(pa), v)
-	}
-	return v, nil
+	return addr.PA(e.PFN<<addr.PageShift) + addr.PA(gpa.Offset()), e.Perm, nil
 }
 
-// nptWalk translates a GPA to host PA with hardware semantics, consulting
-// the NPTLB.
-func (h *Hypervisor) nptWalk(gpa addr.GPA, now uint64, res *Result) (addr.PA, bool, error) {
-	if h.NPTLB != nil {
-		if e, ok := h.NPTLB.Lookup(gpa.Frame()); ok {
-			return addr.PA(e.PFN<<addr.PageShift) + addr.PA(gpa.Offset()), true, nil
-		}
-	}
-	base := h.NPT.root
-	for level := 2; level >= 0; level-- {
-		ea := base + addr.PA(h.NPT.idx(gpa, level)*8)
-		raw, err := h.fetchPTE(ea, now, res, true)
-		if err != nil || res.AccessFault {
-			return 0, false, err
-		}
-		e := pt.PTE(raw)
-		if !e.Valid() {
-			res.PageFault = true
-			return 0, false, nil
-		}
-		if e.Leaf() {
-			if h.NPTLB != nil {
-				h.NPTLB.Insert(gpa.Frame(), tlb.Entry{PFN: e.Target().Frame()})
-			}
-			return e.Target() + addr.PA(gpa.Offset()), true, nil
-		}
-		base = e.Target()
-	}
-	return 0, false, fmt.Errorf("virt: nested walk fell through for %v", gpa)
+// dataAccess performs the data reference at pa.
+func (h *Hypervisor) dataAccess(res *Result, pa addr.PA, k perm.Access, now uint64) {
+	res.PA = pa
+	r := h.Mach.Hier.Access(pa, now+res.Latency, k == perm.Write)
+	res.Latency += r.Latency
+	res.DataRefs = 1
 }
 
 // AccessGuest performs one guest data access at gva (the experiment's
-// hlv.d), returning the full 3-D walk accounting.
+// hlv.d), returning the full 3-D walk accounting. A guest-TLB hit checks the
+// cached guest permission, then the inlined physical one, as the MMU does.
 func (h *Hypervisor) AccessGuest(gva addr.VA, k perm.Access, now uint64) (Result, error) {
 	var res Result
 	if e, ok := h.GTLB.Lookup(gva.Frame()); ok {
 		res.TLBHit = true
-		if !e.PhysPerm.Allows(k) {
+		switch {
+		case !e.Perm.Allows(k):
+			res.PageFault = true
+		case !e.PhysPerm.Allows(k):
 			res.AccessFault = true
-			return res, nil
+		default:
+			h.dataAccess(&res, addr.PA(e.PFN<<addr.PageShift)+addr.PA(gva.Offset()), k, now)
 		}
-		res.PA = addr.PA(e.PFN<<addr.PageShift) + addr.PA(gva.Offset())
-		r := h.Mach.Hier.Access(res.PA, now, k == perm.Write)
-		res.Latency += r.Latency
-		res.DataRefs = 1
 		return res, nil
 	}
 
 	// Guest page-table walk: each gPTE address is a GPA needing a nested
-	// walk, then the gPTE fetch itself.
-	base := h.Guest.rootGPA
+	// walk (its NPT leaf must allow reads), then the gPTE fetch itself. It
+	// ends at a leaf; a level-0 pointer faults.
+	mode := h.Guest.Mode
+	base := addr.GPA(h.Guest.Root())
 	var leaf pt.PTE
-	for level := 2; level >= 0; level-- {
-		gpteGPA := base + addr.GPA(addr.Sv39.VPN(gva, level)*8)
-		gptePA, _, err := h.nptWalk(gpteGPA, now, &res)
+	level := mode.Levels() - 1
+	for {
+		gptePA, _, err := h.translateGPA(base+addr.GPA(mode.VPN(gva, level)*8), perm.Read, now, &res)
 		if err != nil || res.PageFault || res.AccessFault {
 			return res, err
 		}
-		raw, err := h.fetchPTE(gptePA, now, &res, false)
+		var w ptw.Result
+		raw, _, err := h.walker.FetchPTE(gptePA, now+res.Latency, &w)
+		res.charge(&w, &res.GPTRefs)
 		if err != nil || res.AccessFault {
 			return res, err
 		}
 		e := pt.PTE(raw)
-		if !e.Valid() {
+		if !e.Valid() || (level == 0 && !e.Leaf()) {
 			res.PageFault = true
 			return res, nil
 		}
 		if e.Leaf() {
-			if !e.Perm().Allows(k) {
-				res.PageFault = true
-				return res, nil
-			}
 			leaf = e
 			break
 		}
-		if level == 0 {
-			res.PageFault = true
-			return res, nil
-		}
 		base = addr.GPA(e.Target())
+		level--
+	}
+	if !leaf.Perm().Allows(k) {
+		res.PageFault = true
+		return res, nil
 	}
 
-	// Final GPA → PA, then the data reference.
-	dataGPA := addr.GPA(leaf.Target()) + addr.GPA(gva.Offset())
-	dataPA, _, err := h.nptWalk(dataGPA, now, &res)
+	// Final GPA → PA (the NPT leaf must allow k), the data-page check, then
+	// the data reference.
+	span := uint64(1) << (addr.PageShift + 9*level)
+	dataGPA := addr.GPA(uint64(leaf.Target())&^(span-1) | uint64(gva)&(span-1))
+	dataPA, gPerm, err := h.translateGPA(dataGPA, k, now, &res)
 	if err != nil || res.PageFault || res.AccessFault {
 		return res, err
 	}
@@ -506,12 +324,8 @@ func (h *Hypervisor) AccessGuest(gva addr.VA, k perm.Access, now uint64) (Result
 		return res, nil
 	}
 	h.GTLB.Insert(gva.Frame(), tlb.Entry{
-		PFN: dataPA.Frame(), Perm: leaf.Perm(), PhysPerm: physPerm, User: true,
+		PFN: dataPA.Frame(), Perm: leaf.Perm() & gPerm, PhysPerm: physPerm, User: true,
 	})
-	res.PA = dataPA
-	r := h.Mach.Hier.Access(dataPA, now+res.Latency, k == perm.Write)
-	res.Latency += r.Latency
-	res.DataRefs = 1
-	h.Counters.Inc("virt.guest_access")
+	h.dataAccess(&res, dataPA, k, now)
 	return res, nil
 }

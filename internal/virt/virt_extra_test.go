@@ -18,7 +18,7 @@ func TestGuestTableExhaustion(t *testing.T) {
 		if !addr.Sv39.Canonical(gva) {
 			break
 		}
-		err = r.hyp.Guest.Map(gva, addr.GPA(0x9000_0000+uint64(i)*addr.PageSize), perm.R)
+		err = r.hyp.Guest.Map(gva, addr.PA(0x9000_0000+uint64(i)*addr.PageSize), perm.R, true)
 		if err != nil {
 			break
 		}
@@ -59,7 +59,7 @@ func TestDisableWalkCachesIdempotent(t *testing.T) {
 
 func TestNPTWalkPath(t *testing.T) {
 	r := newRig(t, vNone)
-	path, err := r.hyp.NPT.WalkPath(addr.GPA(0x8000_0000))
+	path, err := r.hyp.NPT.WalkPath(0x8000_0000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestNPTWalkPath(t *testing.T) {
 		t.Errorf("nested walk path = %d steps, want 3", len(path))
 	}
 	// An unmapped GPA truncates at the first invalid level.
-	path, _ = r.hyp.NPT.WalkPath(addr.GPA(600 * addr.GiB))
+	path, _ = r.hyp.NPT.WalkPath(600 * addr.GiB)
 	if len(path) != 1 {
 		t.Errorf("unmapped GPA path = %d steps, want 1", len(path))
 	}
@@ -77,11 +77,11 @@ func TestNPTRemapOverwrites(t *testing.T) {
 	// Leaf remap follows pt.Map semantics: the newest mapping wins (the
 	// hypervisor moves guest pages during ballooning/migration).
 	r := newRig(t, vNone)
-	if err := r.hyp.NPT.Map(addr.GPA(0x8000_0000), 0x900_0000, perm.RW); err != nil {
+	if err := r.hyp.NPT.Map(0x8000_0000, 0x900_0000, perm.RW, true); err != nil {
 		t.Fatal(err)
 	}
-	pa, err := r.hyp.NPT.TranslateSW(addr.GPA(0x8000_0000))
-	if err != nil || pa != 0x900_0000 {
-		t.Errorf("after remap, GPA → %v, %v", pa, err)
+	tr, err := r.hyp.NPT.TranslateSW(0x8000_0000)
+	if err != nil || tr.PA != 0x900_0000 {
+		t.Errorf("after remap, GPA → %v, %v", tr.PA, err)
 	}
 }

@@ -5,10 +5,11 @@ import (
 
 	"hpmp/internal/addr"
 	"hpmp/internal/cpu"
-	"hpmp/internal/hpmp"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
 	"hpmp/internal/pmpt"
+	"hpmp/internal/pt"
+	"hpmp/internal/ptw"
 )
 
 type vmode int
@@ -37,79 +38,87 @@ var (
 	tblRegion  = addr.Range{Base: 0x0400_0000, Size: 16 * addr.MiB} // permission-table pages
 )
 
-func newRig(t *testing.T, mode vmode) *rig {
+// newMachine boots a machine whose checker isolates memory by mode; depth is
+// the permission-table depth of the table modes. Depth 2 grants all of DRAM;
+// deeper tables grant only the host regions a guest access touches, so every
+// uncached check walks the full depth.
+func newMachine(t testing.TB, mode vmode, depth int) *cpu.Machine {
 	t.Helper()
 	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
-
-	nptAlloc := phys.NewFrameAllocator(nptRegion, false)
-	gptAlloc := phys.NewFrameAllocator(gptRegion, false)
-	dataAlloc := phys.NewFrameAllocator(dataRegion, false)
-	tblAlloc := phys.NewFrameAllocator(tblRegion, false)
-
-	npt, err := NewNestedTable(mach.Mem, nptAlloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	guest, err := NewGuestTable(mach.Mem, npt, 0x4000_0000, 256, gptAlloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var checker *hpmp.Checker
-	if mode != vNone {
-		checker = mach.Checker
-		all := addr.Range{Base: 0, Size: memSize}
-		switch mode {
-		case vPMP:
-			if err := checker.SetSegment(0, all, perm.RWX, false); err != nil {
-				t.Fatal(err)
-			}
-		case vPMPT, vHPMP, vHPMPGPT:
-			ptab, err := pmpt.NewTable(mach.Mem, tblAlloc, all)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ptab.SetRangePermPaged(all, perm.RWX); err != nil {
-				t.Fatal(err)
-			}
-			entry := 0
-			if mode == vHPMP || mode == vHPMPGPT {
-				if err := checker.SetSegment(0, nptRegion, perm.RW, false); err != nil {
-					t.Fatal(err)
-				}
-				entry = 1
-			}
-			if mode == vHPMPGPT {
-				if err := checker.SetSegment(1, gptRegion, perm.RW, false); err != nil {
-					t.Fatal(err)
-				}
-				entry = 2
-			}
-			if err := checker.SetTable(entry, all, ptab.RootBase()); err != nil {
+	checker := mach.Checker
+	all := addr.Range{Base: 0, Size: memSize}
+	switch mode {
+	case vPMP:
+		if err := checker.SetSegment(0, all, perm.RWX, false); err != nil {
+			t.Fatal(err)
+		}
+	case vPMPT, vHPMP, vHPMPGPT:
+		tblMode := pmpt.ModeFor(depth)
+		ptab, err := pmpt.NewTableMode(mach.Mem, phys.NewFrameAllocator(tblRegion, false), all, tblMode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill := []addr.Range{all}
+		if depth > 2 {
+			fill = []addr.Range{nptRegion, gptRegion, dataRegion}
+		}
+		for _, region := range fill {
+			if err := ptab.SetRangePermPaged(region, perm.RWX); err != nil {
 				t.Fatal(err)
 			}
 		}
+		entry := 0
+		if mode == vHPMP || mode == vHPMPGPT {
+			if err := checker.SetSegment(0, nptRegion, perm.RW, false); err != nil {
+				t.Fatal(err)
+			}
+			entry = 1
+		}
+		if mode == vHPMPGPT {
+			if err := checker.SetSegment(1, gptRegion, perm.RW, false); err != nil {
+				t.Fatal(err)
+			}
+			entry = 2
+		}
+		if err := checker.SetTableMode(entry, all, ptab.RootBase(), tblMode); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return mach
+}
 
-	var chk *hpmp.Checker = checker
-	var hyp *Hypervisor
-	if chk == nil {
-		hyp = NewHypervisor(mach, nil, npt, guest)
-	} else {
-		hyp = NewHypervisor(mach, chk, npt, guest)
+// checkerFor is the checker a hypervisor under mode gets: none (a nil
+// interface, not a nil *hpmp.Checker) for vNone.
+func checkerFor(mach *cpu.Machine, mode vmode) ptw.Checker {
+	if mode == vNone {
+		return nil
 	}
+	return mach.Checker
+}
 
-	// One guest data page.
-	gva := addr.VA(0x1000_0000)
-	dataGPA := addr.GPA(0x8000_0000)
-	dataPA, err := dataAlloc.Alloc()
+func newRig(t *testing.T, mode vmode) *rig {
+	t.Helper()
+	mach := newMachine(t, mode, 2)
+	npt, err := pt.New(mach.Mem, phys.NewFrameAllocator(nptRegion, false), addr.Sv39x4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := npt.Map(dataGPA, dataPA, perm.RW); err != nil {
+	guest, err := NewGuestTable(mach.Mem, npt, 0x4000_0000, 256, phys.NewFrameAllocator(gptRegion, false))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := guest.Map(gva, dataGPA, perm.RW); err != nil {
+	hyp := NewHypervisor(mach, checkerFor(mach, mode), npt, guest)
+
+	// One guest data page.
+	gva := addr.VA(0x1000_0000)
+	dataPA, err := phys.NewFrameAllocator(dataRegion, false).Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := npt.Map(addr.VA(0x8000_0000), dataPA, perm.RW, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := guest.Map(gva, 0x8000_0000, perm.RW, true); err != nil {
 		t.Fatal(err)
 	}
 	return &rig{mach: mach, hyp: hyp, gva: gva}
@@ -158,12 +167,16 @@ func TestGuestTranslationCorrect(t *testing.T) {
 		t.Fatalf("%+v %v", res, err)
 	}
 	// Oracle: gva → gpa → pa.
-	wantPA, err := r.hyp.NPT.TranslateSW(addr.GPA(0x8000_0000) + 0x1a8)
+	gpa, err := r.hyp.Guest.TranslateSW(r.gva + 0x1a8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PA != wantPA {
-		t.Errorf("PA = %v, want %v", res.PA, wantPA)
+	want, err := r.hyp.NPT.TranslateSW(addr.VA(gpa.PA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gpa.PA != 0x8000_01a8 || res.PA != want.PA {
+		t.Errorf("gva → %v → %v, want GPA 0x800001a8 → %v", gpa.PA, res.PA, want.PA)
 	}
 }
 
@@ -232,24 +245,32 @@ func TestVirtLatencyOrdering(t *testing.T) {
 func TestNestedTableX4Root(t *testing.T) {
 	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
 	alloc := phys.NewFrameAllocator(nptRegion, false)
-	npt, err := NewNestedTable(mach.Mem, alloc)
+	npt, err := pt.New(mach.Mem, alloc, addr.Sv39x4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The Sv39x4 root is four contiguous pages at the start of the pool.
+	if got := npt.PTPages(); len(got) != 4 || got[0] != nptRegion.Base || got[3] != nptRegion.Base+3*addr.PageSize {
+		t.Errorf("root pages = %v, want 4 contiguous from %v", got, nptRegion.Base)
+	}
 	// A GPA above 512 GiB-of-Sv39 reach but within Sv39x4's 41 bits uses
 	// the extended root index.
-	bigGPA := addr.GPA(uint64(600) * addr.GiB)
-	if err := npt.Map(bigGPA, 0x900_0000, perm.RW); err != nil {
+	bigGPA := addr.VA(uint64(600) * addr.GiB)
+	if err := npt.Map(bigGPA, 0x900_0000, perm.RW, true); err != nil {
 		t.Fatal(err)
 	}
-	pa, err := npt.TranslateSW(bigGPA + 0x10)
-	if err != nil || pa != 0x900_0010 {
-		t.Errorf("x4 translation = %v, %v", pa, err)
+	tr, err := npt.TranslateSW(bigGPA + 0x10)
+	if err != nil || tr.PA != 0x900_0010 {
+		t.Errorf("x4 translation = %v, %v", tr.PA, err)
 	}
 	// Root index for 600 GiB is 600 (> 511): only representable with the
-	// 11-bit root.
-	if idx := npt.idx(bigGPA, 2); idx != 600 {
+	// 11-bit root, whose PTE lies in the root's third page.
+	if idx := addr.Sv39x4.VPN(bigGPA, 2); idx != 600 {
 		t.Errorf("root index = %d, want 600", idx)
+	}
+	path, err := npt.WalkPath(bigGPA)
+	if err != nil || len(path) != 3 || path[0].PTEAddr != npt.Root()+600*8 {
+		t.Errorf("walk path = %+v, %v; want 3 steps from root PTE %v", path, err, npt.Root()+600*8)
 	}
 }
 
@@ -277,10 +298,7 @@ func TestGuestPTHostPagesContiguity(t *testing.T) {
 	// For HPMP-GPT the host frames backing guest PT pages must land in the
 	// contiguous gpt region (what the guest-notify extension buys).
 	r := newRig(t, vHPMPGPT)
-	pages, err := r.hyp.Guest.PTHostPages()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pages := r.hyp.Guest.PTHostPages()
 	if len(pages) < 3 {
 		t.Fatalf("guest table should have ≥3 PT pages, got %d", len(pages))
 	}
@@ -288,5 +306,100 @@ func TestGuestPTHostPagesContiguity(t *testing.T) {
 		if !gptRegion.Contains(pa) {
 			t.Errorf("guest PT host page %v outside %v", pa, gptRegion)
 		}
+	}
+}
+
+// mapGuestPage maps gva→gpa in the guest table with guestPerm and gpa→pa
+// in the nested table with nptPerm.
+func mapGuestPage(t *testing.T, r *rig, gva addr.VA, gpa addr.GPA, pa addr.PA, guestPerm, nptPerm perm.Perm) {
+	t.Helper()
+	if err := r.hyp.NPT.Map(addr.VA(gpa), pa, nptPerm, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.hyp.Guest.Map(gva, addr.PA(gpa), guestPerm, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func accessGuest(t *testing.T, r *rig, gva addr.VA, k perm.Access) Result {
+	t.Helper()
+	res, err := r.hyp.AccessGuest(gva, k, r.mach.Core.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.mach.Core.Now += res.Latency
+	return res
+}
+
+// TestGTLBHitChecksGuestPermission: a guest-TLB hit applies the cached guest
+// PTE permission, as the MMU's TLB hit does, not only the inlined physical
+// one.
+func TestGTLBHitChecksGuestPermission(t *testing.T) {
+	r := newRig(t, vPMPT)
+	gva, gpa := r.gva+addr.PageSize, addr.GPA(0x8000_1000)
+	mapGuestPage(t, r, gva, gpa, dataRegion.Base+addr.MiB, perm.R, perm.RW)
+	if res := accessGuest(t, r, gva, perm.Write); !res.PageFault || res.TLBHit {
+		t.Fatalf("cold write to a read-only guest page: %+v, want a walk that page-faults", res)
+	}
+	if res := accessGuest(t, r, gva, perm.Read); res.PageFault || res.AccessFault {
+		t.Fatalf("read of a read-only guest page: %+v", res)
+	}
+	if res := accessGuest(t, r, gva, perm.Write); !res.PageFault || !res.TLBHit {
+		t.Errorf("write after a read: %+v, want a guest-TLB hit that page-faults", res)
+	}
+}
+
+// TestGStagePermissions: the NPT leaf of the data GPA must allow the access
+// kind, the NPT leaf of every guest PTE must allow reads, and the guest-TLB
+// and NPTLB entries carry those G-stage permissions.
+func TestGStagePermissions(t *testing.T) {
+	r := newRig(t, vPMPT)
+	gva, gpa := r.gva+addr.PageSize, addr.GPA(0x8000_1000)
+	mapGuestPage(t, r, gva, gpa, dataRegion.Base+addr.MiB, perm.RW, perm.R)
+	if res := accessGuest(t, r, gva, perm.Write); !res.PageFault || res.TLBHit {
+		t.Fatalf("cold write to a GPA the NPT maps read-only: %+v, want a page fault", res)
+	}
+	if res := accessGuest(t, r, gva, perm.Read); res.PageFault || res.AccessFault {
+		t.Fatalf("read of a GPA the NPT maps read-only: %+v", res)
+	}
+	if res := accessGuest(t, r, gva, perm.Write); !res.PageFault || !res.TLBHit {
+		t.Errorf("write after a read: %+v, want a guest-TLB hit that page-faults", res)
+	}
+	// hfence.vvma keeps the NPTLB: the data GPA now translates from it.
+	r.hyp.HFenceVVMA()
+	if res := accessGuest(t, r, gva, perm.Write); !res.PageFault || res.NPTRefs != 0 {
+		t.Errorf("write through the NPTLB: %+v, want a page fault with no nested fetches", res)
+	}
+
+	// The guest root's GPA, remapped execute-only in the NPT, can no longer
+	// be read by the guest walk.
+	if res := accessGuest(t, r, r.gva, perm.Read); res.PageFault || res.AccessFault {
+		t.Fatalf("read before the remap: %+v", res)
+	}
+	root := r.hyp.Guest.Root()
+	if err := r.hyp.NPT.Map(addr.VA(root), r.hyp.Guest.PTHostPages()[0], perm.X, true); err != nil {
+		t.Fatal(err)
+	}
+	r.hyp.HFenceGVMA()
+	if res := accessGuest(t, r, r.gva, perm.Read); !res.PageFault || res.GPTRefs != 0 {
+		t.Errorf("walk through an execute-only guest PT page: %+v, want a page fault before any gPTE fetch", res)
+	}
+}
+
+// TestGuestSuperpage: a guest 2 MiB leaf translates the GVA's offset within
+// the superpage, not only its page offset.
+func TestGuestSuperpage(t *testing.T) {
+	r := newRig(t, vNone)
+	gva, gpa := addr.VA(0x2000_0000), addr.GPA(0xa000_0000)
+	if err := r.hyp.Guest.MapSuper(gva, addr.PA(gpa), 1, perm.RW, true); err != nil {
+		t.Fatal(err)
+	}
+	host := dataRegion.Base + addr.MiB
+	if err := r.hyp.NPT.Map(addr.VA(gpa+0x5000), host, perm.RW, true); err != nil {
+		t.Fatal(err)
+	}
+	res := accessGuest(t, r, gva+0x5008, perm.Read)
+	if res.PageFault || res.AccessFault || res.PA != host+8 || res.GPTRefs != 2 {
+		t.Errorf("superpage access: %+v, want PA %v after 2 gPTE fetches", res, host+8)
 	}
 }
