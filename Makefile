@@ -3,15 +3,20 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-ab bench-full-ab eval eval-quick examples metrics-baseline metrics-diff clean
+.PHONY: all build vet fmt-check test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-ab bench-full-ab eval eval-quick examples metrics-baseline metrics-diff clean
 
-all: build vet test race smoke fuzz
+all: build vet fmt-check test race smoke fuzz
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing the files, when any Go file is not
+# gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...

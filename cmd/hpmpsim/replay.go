@@ -9,6 +9,7 @@ import (
 
 	"hpmp/internal/obs"
 	"hpmp/internal/replay"
+	"hpmp/internal/simcfg"
 )
 
 // runReplay re-executes a recorded hpmp-trace/v1 stream against the
@@ -17,7 +18,7 @@ import (
 // metricsDir as <id>.json + <id>.prom, ready for `hpmpsim diff` against any
 // other replay of the same trace. Exit 0 on a faithful replay, 1 when the
 // replayed machine diverged from the recording, 2 on usage or I/O errors.
-func runReplay(tracePath string, cfg replay.Config, id, metricsDir, outTrace string, stdout, stderr io.Writer) int {
+func runReplay(tracePath string, cfg simcfg.Machine, id, metricsDir, outTrace string, stdout, stderr io.Writer) int {
 	f, err := os.Open(tracePath)
 	if err != nil {
 		fmt.Fprintf(stderr, "hpmpsim: replay: %v\n", err)

@@ -315,7 +315,7 @@ func replayCheck(w io.Writer, path string) error {
 		return err
 	}
 	run := func() (*replay.Engine, []byte, error) {
-		e, err := replay.New(replay.DefaultConfig())
+		e, err := replay.New(simcfg.Default())
 		if err != nil {
 			return nil, nil, err
 		}

@@ -103,7 +103,7 @@ func (c *Core) Stall(n uint64) { c.Now += n }
 // HideCycles only shave the data-side latency. The out-parameter mirrors
 // mmu.Access: the Result is built once in caller storage instead of being
 // copied up through every return.
-func (c *Core) Access(va addr.VA, k perm.Access, size uint64, out *mmu.Result) error {
+func (c *Core) Access(va addr.VA, k perm.Access, out *mmu.Result) error {
 	if err := c.MMU.Access(va, k, c.Priv, c.Now, out); err != nil {
 		return err
 	}
@@ -111,12 +111,11 @@ func (c *Core) Access(va addr.VA, k perm.Access, size uint64, out *mmu.Result) e
 	c.Now += stall
 	*c.hMemOps++
 	*c.hMemStall += stall
-	_ = size
 	return nil
 }
 
-// BlockRef is one operation of a batched block: an optional run of ALU
-// instructions retired before one memory access. The Compute field lets a
+// BlockRef is one operation of a batched block (kernel.Env.RunBlock): an
+// optional run of ALU instructions retired before one memory access. The Compute field lets a
 // converted workload loop keep its exact per-element instruction stream
 // (e.g. U64Array.Set retires 2 instructions before each store), so cycle
 // accounting is bit-identical to the scalar path.
@@ -124,55 +123,6 @@ type BlockRef struct {
 	VA      addr.VA
 	Kind    perm.Access
 	Compute uint64
-}
-
-// RunBlock executes ops back to back at the core's current privilege,
-// writing per-op MMU results into out (len(out) must be >= len(ops)). It
-// returns the number of ops that completed without a fault. When n <
-// len(ops), out[n] holds the faulted result — its time and counters are
-// already applied, exactly as a scalar Access would have — and the caller
-// (normally the kernel's fault handler) decides how to resume.
-//
-// The batch is observably identical to the equivalent Compute/Access call
-// sequence; what it amortizes is per-call dispatch and the mem_ops /
-// mem_stall counter updates, which accumulate locally and post once.
-func (c *Core) RunBlock(ops []BlockRef, out []mmu.Result) (int, error) {
-	if len(out) < len(ops) {
-		panic("cpu: RunBlock out slice shorter than ops")
-	}
-	var memOps, memStall uint64
-	for i := range ops {
-		op := &ops[i]
-		if op.Compute > 0 {
-			c.Compute(op.Compute)
-		}
-		res := &out[i]
-		if err := c.MMU.Access(op.VA, op.Kind, c.Priv, c.Now, res); err != nil {
-			c.addMem(memOps, memStall)
-			return i, err
-		}
-		stall := c.exposedLatency(res)
-		c.Now += stall
-		memOps++
-		memStall += stall
-		if res.Faulted() {
-			c.addMem(memOps, memStall)
-			return i, nil
-		}
-	}
-	c.addMem(memOps, memStall)
-	return len(ops), nil
-}
-
-// addMem posts a block's accumulated memory-op counters. Counter values are
-// order-insensitive sums, so one Add per block is indistinguishable from
-// per-access increments in any snapshot taken between blocks.
-func (c *Core) addMem(ops, stall uint64) {
-	if ops == 0 {
-		return
-	}
-	*c.hMemOps += ops
-	*c.hMemStall += stall
 }
 
 // exposedLatency splits an MMU result into translation (exposed) and data
@@ -187,15 +137,6 @@ func (c *Core) exposedLatency(res *mmu.Result) uint64 {
 	}
 	return translation + data
 }
-
-// Load performs a read at va.
-func (c *Core) Load(va addr.VA, out *mmu.Result) error { return c.Access(va, perm.Read, 8, out) }
-
-// Store performs a write at va.
-func (c *Core) Store(va addr.VA, out *mmu.Result) error { return c.Access(va, perm.Write, 8, out) }
-
-// Fetch performs an instruction fetch at va.
-func (c *Core) Fetch(va addr.VA, out *mmu.Result) error { return c.Access(va, perm.Fetch, 4, out) }
 
 // Seconds converts the accumulated cycles to seconds at the core clock.
 func (c *Core) Seconds() float64 {

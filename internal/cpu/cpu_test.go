@@ -11,23 +11,15 @@ import (
 	"hpmp/internal/pt"
 )
 
-// coreLoad/coreStore/coreFetch adapt the out-param Core helpers to the
+// coreLoad/coreStore/coreFetch adapt the out-param Core.Access to the
 // value-returning shape the assertions below read naturally.
-func coreLoad(c *Core, va addr.VA) (mmu.Result, error) {
-	var res mmu.Result
-	err := c.Load(va, &res)
-	return res, err
-}
+func coreLoad(c *Core, va addr.VA) (mmu.Result, error)  { return coreAccess(c, va, perm.Read) }
+func coreStore(c *Core, va addr.VA) (mmu.Result, error) { return coreAccess(c, va, perm.Write) }
+func coreFetch(c *Core, va addr.VA) (mmu.Result, error) { return coreAccess(c, va, perm.Fetch) }
 
-func coreStore(c *Core, va addr.VA) (mmu.Result, error) {
+func coreAccess(c *Core, va addr.VA, k perm.Access) (mmu.Result, error) {
 	var res mmu.Result
-	err := c.Store(va, &res)
-	return res, err
-}
-
-func coreFetch(c *Core, va addr.VA) (mmu.Result, error) {
-	var res mmu.Result
-	err := c.Fetch(va, &res)
+	err := c.Access(va, k, &res)
 	return res, err
 }
 

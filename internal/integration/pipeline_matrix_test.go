@@ -13,7 +13,9 @@ import (
 
 	"hpmp/internal/bench"
 	"hpmp/internal/obs"
+	"hpmp/internal/perm"
 	"hpmp/internal/replay"
+	"hpmp/internal/simcfg"
 )
 
 // recordMatrixTrace records the first light experiment whose trace holds
@@ -50,18 +52,13 @@ func recordMatrixTrace(t *testing.T) []obs.Event {
 	return nil
 }
 
-func matrixVariants() []replay.Config {
-	base := replay.DefaultConfig()
-	var out []replay.Config
+func matrixVariants() []simcfg.Machine {
+	base := simcfg.Default()
 	// Every isolation mode on the default geometry (depth 2 where a table
 	// exists).
-	for _, mode := range []replay.Mode{replay.ModeNone, replay.ModePMP, replay.ModePMPT, replay.ModeHPMP} {
-		c := base
-		c.Mode = mode
-		out = append(out, c)
-	}
+	out := modeVariants()
 	// Deep permission tables: depths 3 and 4 for both table-walking modes.
-	for _, mode := range []replay.Mode{replay.ModePMPT, replay.ModeHPMP} {
+	for _, mode := range []simcfg.Mode{simcfg.ModePMPT, simcfg.ModeHPMP} {
 		for _, depth := range []int{3, 4} {
 			c := base
 			c.Mode = mode
@@ -72,14 +69,14 @@ func matrixVariants() []replay.Config {
 	// Degenerate geometry: every cache structure absent (no L2 TLB, no PWC,
 	// zero-capacity PMPTW cache) on a table-walking mode.
 	deg := base
-	deg.Mode = replay.ModePMPT
+	deg.Mode = simcfg.ModePMPT
 	deg.L2TLBEntries = -1
 	deg.PWCEntries = -1
 	deg.PMPTWCache = -1
 	out = append(out, deg)
 	// PMPTW cache enabled (the §7 sensitivity config).
 	wc := base
-	wc.Mode = replay.ModeHPMP
+	wc.Mode = simcfg.ModeHPMP
 	wc.PMPTWCache = 8
 	out = append(out, wc)
 	return out
@@ -90,7 +87,7 @@ func matrixVariants() []replay.Config {
 // replay.BlockMax; otherwise every event is flushed as soon as it is
 // queued, so each access runs alone through one mmu.Access call before the
 // next event is even mapped.
-func replayMatrixOnce(t *testing.T, cfg replay.Config, events []obs.Event, batched bool) *replay.Engine {
+func replayMatrixOnce(t *testing.T, cfg simcfg.Machine, events []obs.Event, batched bool) *replay.Engine {
 	t.Helper()
 	e, err := replay.New(cfg)
 	if err != nil {
@@ -143,21 +140,47 @@ func TestPipelineDifferentialMatrix(t *testing.T) {
 // TestPipelineScalarBatchEquivalence proves the two drains identical on
 // each isolation mode's default geometry, with both replays run inside one
 // subtest: one mmu.Access at a time, the same stream lands on the same
-// machine counters, clock, and histograms as in AccessBatch blocks.
+// machine counters, clock, and histograms as in AccessBatch blocks. Besides
+// the recorded trace it replays faultThenFreshMap.
 func TestPipelineScalarBatchEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays a recorded trace twice per isolation mode")
 	}
 	events := recordMatrixTrace(t)
-	base := replay.DefaultConfig()
-	for _, mode := range []replay.Mode{replay.ModeNone, replay.ModePMP, replay.ModePMPT, replay.ModeHPMP} {
-		cfg := base
-		cfg.Mode = mode
-		t.Run(string(mode), func(t *testing.T) {
+	for _, cfg := range modeVariants() {
+		t.Run(string(cfg.Mode), func(t *testing.T) {
 			batched := replayMatrixOnce(t, cfg, events, true)
 			requireSameMachine(t, batched, replayMatrixOnce(t, cfg, events, false))
 		})
 	}
+	t.Run("fault-then-fresh-map", func(t *testing.T) {
+		for _, cfg := range modeVariants() {
+			t.Run(string(cfg.Mode), func(t *testing.T) {
+				batched := replayMatrixOnce(t, cfg, faultThenFreshMap, true)
+				requireSameMachine(t, batched, replayMatrixOnce(t, cfg, faultThenFreshMap, false))
+			})
+		}
+	})
+}
+
+// faultThenFreshMap queues an expected page fault on one page, then the
+// first successful access to a neighbour in the same leaf table region. The
+// fault's walk must run before the neighbour's mapping builds the
+// intermediate tables, in a block exactly as alone.
+var faultThenFreshMap = []obs.Event{
+	{Kind: obs.KindAccess, Access: perm.Read, Fault: obs.FaultPage, VA: 0x10_0000_1000},
+	{Kind: obs.KindAccess, Access: perm.Read, VA: 0x10_0000_0000, PA: 0x200_0000},
+}
+
+// modeVariants is every isolation mode on the default geometry.
+func modeVariants() []simcfg.Machine {
+	var out []simcfg.Machine
+	for _, mode := range simcfg.Modes {
+		c := simcfg.Default()
+		c.Mode = mode
+		out = append(out, c)
+	}
+	return out
 }
 
 // requireSameMachine fails t unless the batched and one-at-a-time

@@ -17,6 +17,7 @@ import (
 	"hpmp/internal/bench"
 	"hpmp/internal/obs"
 	"hpmp/internal/replay"
+	"hpmp/internal/simcfg"
 )
 
 // recordExperiment runs one experiment at quick sizes with unsampled
@@ -56,7 +57,7 @@ func recordExperiment(t *testing.T, exp bench.Experiment) []obs.Event {
 // optionally capturing the replay's own unsampled trace.
 func replayOnce(t *testing.T, events []obs.Event, tr *obs.Tracer) *replay.Engine {
 	t.Helper()
-	e, err := replay.New(replay.DefaultConfig())
+	e, err := replay.New(simcfg.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,42 +255,16 @@ func (k *Kernel) access(va addr.VA, kind perm.Access, priv perm.Priv) (addr.PA, 
 	k.Mach.Core.Priv = priv
 	defer func() { k.Mach.Core.Priv = savedPriv }()
 	var res mmu.Result
-	for attempt := 0; attempt < 3; attempt++ {
-		if err := k.Mach.Core.Access(va, kind, 8, &res); err != nil {
-			return 0, err
-		}
-		if res.PageFault {
-			if err := k.HandleFault(k.Current(), va, kind); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		if res.ProtFault || res.AccessFault {
-			if kind == perm.Write {
-				// Possible copy-on-write page.
-				handled, err := k.handleCoW(k.Current(), va)
-				if err != nil {
-					return 0, err
-				}
-				if handled {
-					continue
-				}
-			}
-			return 0, fmt.Errorf("kernel: fault at %v (%v, prot=%v access=%v)",
-				va, kind, res.ProtFault, res.AccessFault)
-		}
-		return res.PA, nil
+	if err := k.settle(va, kind, &res); err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("kernel: access at %v did not settle after fault handling", va)
+	return res.PA, nil
 }
 
-// accessBlock runs ops as one batched block at the given privilege, with
-// the same demand-paging fault handling access applies per reference: a
-// page fault is resolved and the block resumes at the faulted op, a write
-// denied by protection or isolation gets one copy-on-write attempt, and an
-// op that still faults after three tries aborts. On resume the faulted
-// op's Compute count is zeroed — those instructions retired before the
-// faulting access and must not retire twice.
+// accessBlock runs ops back to back at the given privilege, writing each
+// op's settled result into out (len(out) must be >= len(ops)): an op's
+// Compute instructions retire once, then its access settles exactly as a
+// scalar access does.
 //
 // Ordering caveat (why this stays internal plus the Env wrappers): the
 // functional effect of each op is applied by the caller after the block
@@ -301,48 +275,49 @@ func (k *Kernel) accessBlock(ops []cpu.BlockRef, out []mmu.Result, priv perm.Pri
 	savedPriv := k.Mach.Core.Priv
 	k.Mach.Core.Priv = priv
 	defer func() { k.Mach.Core.Priv = savedPriv }()
-	i := 0
-	faultAt, attempts := -1, 0
-	for i < len(ops) {
-		n, err := k.Mach.Core.RunBlock(ops[i:], out[i:])
-		if err != nil {
+	for i := range ops {
+		op := &ops[i]
+		if op.Compute > 0 {
+			k.Mach.Core.Compute(op.Compute)
+		}
+		if err := k.settle(op.VA, op.Kind, &out[i]); err != nil {
 			return err
 		}
-		i += n
-		if i == len(ops) {
-			return nil
+	}
+	return nil
+}
+
+// settle is the one demand-paging step behind every simulated access: it
+// runs the access on the core at its current privilege into *res and
+// handles what faults — a page fault is resolved and the access retried, a
+// write denied by protection or isolation gets a copy-on-write attempt,
+// and anything else is an error, as is an access still faulting after
+// three tries.
+func (k *Kernel) settle(va addr.VA, kind perm.Access, res *mmu.Result) error {
+	for attempt := 0; attempt < 3; attempt++ {
+		if err := k.Mach.Core.Access(va, kind, res); err != nil {
+			return err
 		}
-		// ops[i] faulted; out[i] holds the faulted result.
-		if i == faultAt {
-			attempts++
-		} else {
-			faultAt, attempts = i, 1
-		}
-		op := &ops[i]
-		res := &out[i]
 		switch {
 		case res.PageFault:
-			if err := k.HandleFault(k.Current(), op.VA, op.Kind); err != nil {
+			if err := k.HandleFault(k.Current(), va, kind); err != nil {
 				return err
 			}
-		case op.Kind == perm.Write:
+			continue
+		case !res.ProtFault && !res.AccessFault:
+			return nil
+		case kind == perm.Write:
 			// Possible copy-on-write page.
-			handled, err := k.handleCoW(k.Current(), op.VA)
+			handled, err := k.handleCoW(k.Current(), va)
 			if err != nil {
 				return err
 			}
-			if !handled {
-				return fmt.Errorf("kernel: fault at %v (%v, prot=%v access=%v)",
-					op.VA, op.Kind, res.ProtFault, res.AccessFault)
+			if handled {
+				continue
 			}
-		default:
-			return fmt.Errorf("kernel: fault at %v (%v, prot=%v access=%v)",
-				op.VA, op.Kind, res.ProtFault, res.AccessFault)
 		}
-		if attempts >= 3 {
-			return fmt.Errorf("kernel: access at %v did not settle after fault handling", op.VA)
-		}
-		op.Compute = 0
+		return fmt.Errorf("kernel: fault at %v (%v, prot=%v access=%v)",
+			va, kind, res.ProtFault, res.AccessFault)
 	}
-	return nil
+	return fmt.Errorf("kernel: access at %v did not settle after fault handling", va)
 }

@@ -29,11 +29,11 @@
 //
 // Equivalence guarantees (enforced by internal/integration's
 // replay-equivalence gate): replaying the same trace twice on the same
-// Config produces byte-identical counter snapshots and Prometheus text, and
-// replaying the trace a replay itself captured (TraceEvery=1) reproduces
-// the first replay's counters exactly — the fixpoint property. A different
-// Config (isolation mode, PMPT depth, cache sizes) produces a comparable
-// hpmp-metrics/v1 snapshot for `hpmpsim diff`.
+// simcfg.Machine produces byte-identical counter snapshots and Prometheus
+// text, and replaying the trace a replay itself captured (TraceEvery=1)
+// reproduces the first replay's counters exactly — the fixpoint property.
+// A different machine (isolation mode, PMPT depth, cache sizes) produces a
+// comparable hpmp-metrics/v1 snapshot for `hpmpsim diff`.
 package replay
 
 import (
@@ -49,32 +49,6 @@ import (
 	"hpmp/internal/pt"
 	"hpmp/internal/simcfg"
 )
-
-// Mode aliases the unified isolation-mode enum (internal/simcfg); the
-// replay-local names predate the extraction and every call site keeps
-// compiling against them.
-type Mode = simcfg.Mode
-
-const (
-	ModeNone = simcfg.ModeNone
-	ModePMP  = simcfg.ModePMP
-	ModePMPT = simcfg.ModePMPT
-	ModeHPMP = simcfg.ModeHPMP
-)
-
-// Modes lists every valid Mode, in comparison order.
-var Modes = simcfg.Modes
-
-// Config is the unified machine configuration (internal/simcfg.Machine):
-// the replay engine was its first consumer and keeps the historical name.
-// Validation, defaults, String rendering, and machine assembly all live in
-// simcfg — one definition for the replay engine, the experiment harness,
-// the CLIs, and the daemon's job API.
-type Config = simcfg.Machine
-
-// DefaultConfig is the canonical replay target: the in-order platform under
-// full HPMP isolation at the evaluation's default memory size.
-func DefaultConfig() Config { return simcfg.Default() }
 
 // poolSize is the size of each of the two top-of-memory pools (page tables,
 // permission tables). simcfg.PoolAlign keeps every valid MemSize a
@@ -129,7 +103,7 @@ func (s *Stats) Skipped() uint64 {
 // Engine replays one trace onto one machine. It is single-goroutine, like
 // the simulator it drives.
 type Engine struct {
-	cfg  Config
+	cfg  simcfg.Machine
 	mach *cpu.Machine
 	tbl  *pt.Table
 
@@ -143,12 +117,12 @@ type Engine struct {
 	expPA    [BlockMax]addr.PA
 	expFault [BlockMax]obs.Fault
 	n        int
-	// pendingVPNs marks vpns with a queued expected-page-fault access: a
-	// fresh Map of such a vpn must drain the queue first or the queued
-	// access would wrongly succeed. (Remap/Unmap drain unconditionally —
-	// their sfence.vma empties the PWC, which would perturb every queued
-	// walk's timing if reordered.)
-	pendingVPNs map[uint64]struct{}
+	// pendingFault marks a queued expected-page-fault access: a fresh Map
+	// must drain the queue first, or the queued access would walk (or even
+	// succeed) through page-table state installed after it. (Remap/Unmap
+	// drain unconditionally — their sfence.vma empties the PWC, which would
+	// perturb every queued walk's timing if reordered.)
+	pendingFault bool
 
 	now uint64
 	// flushErr stashes an infrastructure error raised at a batch boundary
@@ -164,7 +138,7 @@ type Engine struct {
 // table whose pages come from a pool at the top of DRAM. Recorded data PAs
 // may collide with the pools; that is harmless because replayed data
 // references are timing-only.
-func New(cfg Config) (*Engine, error) {
+func New(cfg simcfg.Machine) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -177,10 +151,9 @@ func New(cfg Config) (*Engine, error) {
 	pmptRegion := addr.Range{Base: addr.PA(cfg.MemSize - poolSize), Size: poolSize}
 
 	e := &Engine{
-		cfg:         cfg,
-		mach:        mach,
-		mapping:     make(map[uint64]uint64),
-		pendingVPNs: make(map[uint64]struct{}),
+		cfg:     cfg,
+		mach:    mach,
+		mapping: make(map[uint64]uint64),
 	}
 
 	ptAlloc := phys.NewFrameAllocator(ptRegion, false)
@@ -203,14 +176,14 @@ func New(cfg Config) (*Engine, error) {
 // programIsolation sets up the checker for the configured mode.
 func (e *Engine) programIsolation(ptRegion, pmptRegion addr.Range) error {
 	switch e.cfg.Mode {
-	case ModeNone:
+	case simcfg.ModeNone:
 		return nil
-	case ModePMP:
+	case simcfg.ModePMP:
 		// One RWX segment over DRAM — checks are free (Fig. 2-b).
 		return e.mach.Checker.SetSegment(0, addr.Range{Base: 0, Size: addr.NAPOTCeil(e.cfg.MemSize)}, perm.RWX, false)
-	case ModePMPT, ModeHPMP:
+	case simcfg.ModePMPT, simcfg.ModeHPMP:
 		entry := 0
-		if e.cfg.Mode == ModeHPMP {
+		if e.cfg.Mode == simcfg.ModeHPMP {
 			// HPMP's trick: the page-table pool rides a segment, so PT
 			// fetches skip the permission-table walk (Fig. 4). RWX rather
 			// than RW so a recorded fetch PA that happens to land in the
@@ -248,7 +221,7 @@ func (e *Engine) programIsolation(ptRegion, pmptRegion addr.Range) error {
 }
 
 // Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
+func (e *Engine) Config() simcfg.Machine { return e.cfg }
 
 // Machine exposes the replay machine (metrics collection, tracer
 // attachment).
@@ -297,7 +270,7 @@ func (e *Engine) Step(ev obs.Event) error {
 			e.mach.MMU.FlushVA(ev.VA)
 			e.Stats.Unmaps++
 		}
-		e.enqueue(ev, vpn, true)
+		e.enqueue(ev, true)
 		return nil
 	}
 	// FaultNone: a successful access with its translation recorded.
@@ -313,10 +286,11 @@ func (e *Engine) Step(ev obs.Event) error {
 	cur, mapped := e.mapping[vpn]
 	switch {
 	case !mapped:
-		// First sight of this page. A fresh Map touches only this vpn's
-		// walk path, so the queue needs draining only when it holds an
-		// expected-page-fault access for the same vpn.
-		if _, pending := e.pendingVPNs[vpn]; pending {
+		// First sight of this page. A fresh Map flushes nothing, so queued
+		// successful accesses may still run after it; a queued expected
+		// page fault may not — its walk would find the new intermediate
+		// tables — so drain when one is queued.
+		if e.pendingFault {
 			if err := e.Flush(); err != nil {
 				return err
 			}
@@ -341,7 +315,7 @@ func (e *Engine) Step(ev obs.Event) error {
 		e.mach.MMU.FlushVA(ev.VA)
 		e.Stats.Remaps++
 	}
-	e.enqueue(ev, vpn, false)
+	e.enqueue(ev, false)
 	return nil
 }
 
@@ -349,13 +323,13 @@ func (e *Engine) Step(ev obs.Event) error {
 func pageVA(vpn uint64) addr.VA { return addr.VA(vpn << addr.PageShift) }
 
 // enqueue adds one access to the pending batch, flushing when full.
-func (e *Engine) enqueue(ev obs.Event, vpn uint64, expectFault bool) {
+func (e *Engine) enqueue(ev obs.Event, expectFault bool) {
 	i := e.n
 	e.reqs[i] = mmu.AccessReq{VA: ev.VA, Kind: ev.Access, Priv: perm.U}
 	e.expPA[i] = ev.PA
 	if expectFault {
 		e.expFault[i] = obs.FaultPage
-		e.pendingVPNs[vpn] = struct{}{}
+		e.pendingFault = true
 	} else {
 		e.expFault[i] = obs.FaultNone
 	}
@@ -408,7 +382,7 @@ func (e *Engine) Flush() error {
 		}
 	}
 	e.n = 0
-	clear(e.pendingVPNs)
+	e.pendingFault = false
 	return nil
 }
 

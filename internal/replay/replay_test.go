@@ -9,11 +9,12 @@ import (
 	"hpmp/internal/addr"
 	"hpmp/internal/obs"
 	"hpmp/internal/perm"
+	"hpmp/internal/simcfg"
 )
 
 // testConfig is a small replay target every mode can program.
-func testConfig() Config {
-	c := DefaultConfig()
+func testConfig() simcfg.Machine {
+	c := simcfg.Default()
 	c.MemSize = 256 * addr.MiB
 	return c
 }
@@ -63,14 +64,14 @@ func TestConfigValidate(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		mut  func(*Config)
+		mut  func(*simcfg.Machine)
 	}{
-		{"platform", func(c *Config) { c.Platform = "cva6" }},
-		{"mode", func(c *Config) { c.Mode = "tdx" }},
-		{"mem-small", func(c *Config) { c.MemSize = 16 * addr.MiB }},
-		{"mem-unaligned", func(c *Config) { c.MemSize = 192*addr.MiB + 4096 }},
-		{"depth", func(c *Config) { c.TableDepth = 5 }},
-		{"depth-mode", func(c *Config) { c.TableDepth = 3; c.Mode = ModePMP }},
+		{"platform", func(c *simcfg.Machine) { c.Platform = "cva6" }},
+		{"mode", func(c *simcfg.Machine) { c.Mode = "tdx" }},
+		{"mem-small", func(c *simcfg.Machine) { c.MemSize = 16 * addr.MiB }},
+		{"mem-unaligned", func(c *simcfg.Machine) { c.MemSize = 192*addr.MiB + 4096 }},
+		{"depth", func(c *simcfg.Machine) { c.TableDepth = 5 }},
+		{"depth-mode", func(c *simcfg.Machine) { c.TableDepth = 3; c.Mode = simcfg.ModePMP }},
 	}
 	for _, tc := range cases {
 		c := testConfig()
@@ -143,22 +144,22 @@ func TestReplayRemap(t *testing.T) {
 func TestReplayAllModes(t *testing.T) {
 	type variant struct {
 		name  string
-		mut   func(*Config)
+		mut   func(*simcfg.Machine)
 		wants []string // counter keys that must be nonzero
 	}
 	variants := []variant{
-		{"none", func(c *Config) { c.Mode = ModeNone }, []string{"ptw.walk_ok"}},
-		{"pmp", func(c *Config) { c.Mode = ModePMP }, []string{"hpmp.segment_check"}},
-		{"pmpt", func(c *Config) { c.Mode = ModePMPT }, []string{"hpmp.table_check", "pmptw.walk"}},
-		{"hpmp", func(c *Config) { c.Mode = ModeHPMP }, []string{"hpmp.segment_check", "hpmp.table_check"}},
-		{"pmpt-depth3", func(c *Config) { c.Mode = ModePMPT; c.TableDepth = 3 }, []string{"pmptw.walk"}},
-		{"hpmp-depth4", func(c *Config) { c.Mode = ModeHPMP; c.TableDepth = 4 }, []string{"pmptw.walk"}},
-		{"boom-pmptw-cache", func(c *Config) { c.Platform = "boom"; c.Mode = ModePMPT; c.PMPTWCache = 8 }, []string{"pmptw.cache_hit"}},
-		{"tiny-tlb", func(c *Config) { c.L2TLBEntries = 4; c.PWCEntries = -1 }, []string{"stlb.miss"}},
+		{"none", func(c *simcfg.Machine) { c.Mode = simcfg.ModeNone }, []string{"ptw.walk_ok"}},
+		{"pmp", func(c *simcfg.Machine) { c.Mode = simcfg.ModePMP }, []string{"hpmp.segment_check"}},
+		{"pmpt", func(c *simcfg.Machine) { c.Mode = simcfg.ModePMPT }, []string{"hpmp.table_check", "pmptw.walk"}},
+		{"hpmp", func(c *simcfg.Machine) { c.Mode = simcfg.ModeHPMP }, []string{"hpmp.segment_check", "hpmp.table_check"}},
+		{"pmpt-depth3", func(c *simcfg.Machine) { c.Mode = simcfg.ModePMPT; c.TableDepth = 3 }, []string{"pmptw.walk"}},
+		{"hpmp-depth4", func(c *simcfg.Machine) { c.Mode = simcfg.ModeHPMP; c.TableDepth = 4 }, []string{"pmptw.walk"}},
+		{"boom-pmptw-cache", func(c *simcfg.Machine) { c.Platform = "boom"; c.Mode = simcfg.ModePMPT; c.PMPTWCache = 8 }, []string{"pmptw.cache_hit"}},
+		{"tiny-tlb", func(c *simcfg.Machine) { c.L2TLBEntries = 4; c.PWCEntries = -1 }, []string{"stlb.miss"}},
 		// Every cache structure explicitly absent: the result must be a
 		// legal no-op-cache machine.
-		{"no-caches", func(c *Config) {
-			c.Mode = ModePMPT
+		{"no-caches", func(c *simcfg.Machine) {
+			c.Mode = simcfg.ModePMPT
 			c.L2TLBEntries = -1
 			c.PWCEntries = -1
 			c.PMPTWCache = -1
@@ -194,7 +195,7 @@ func TestReplayAllModes(t *testing.T) {
 // the NAPOT ceiling of DRAM and grant DRAM up to its last word.
 func TestReplayAnyValidMemSize(t *testing.T) {
 	for _, mib := range []uint64{160, 192, 320} {
-		for _, mode := range []Mode{ModePMPT, ModeHPMP} {
+		for _, mode := range []simcfg.Mode{simcfg.ModePMPT, simcfg.ModeHPMP} {
 			for _, depth := range []int{2, 3, 4} {
 				cfg := testConfig()
 				cfg.MemSize, cfg.Mode, cfg.TableDepth = mib*addr.MiB, mode, depth

@@ -63,56 +63,18 @@ func (a *U64Array) Set(i int, v uint64) error {
 }
 
 // SetRange stores vals into elements [lo, lo+len(vals)) as batched blocks
-// of timed stores. Each element costs exactly what Set charges (2 compute
-// instructions plus one timed store, in the same order), so the batch is
-// observably identical to the scalar loop — it only amortizes simulator
-// dispatch. Elements are disjoint, satisfying the block-ordering contract.
+// (see storeEach).
 func (a *U64Array) SetRange(lo int, vals []uint64) error {
-	for len(vals) > 0 {
-		n := len(vals)
-		if n > kernel.BlockMax {
-			n = kernel.BlockMax
-		}
-		ops, out := a.e.Block(n)
-		for i := 0; i < n; i++ {
-			ops[i] = cpu.BlockRef{VA: a.addr(lo + i), Kind: perm.Write, Compute: 2}
-		}
-		if err := a.e.RunBlock(ops, out); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if err := a.e.K.Mach.Mem.Write64(out[i].PA, vals[i]); err != nil {
-				return err
-			}
-		}
-		lo += n
-		vals = vals[n:]
-	}
-	return nil
+	return storeEach(a.e, a.addr, lo, len(vals), func(i int, pa addr.PA) error {
+		return a.e.K.Mach.Mem.Write64(pa, vals[i-lo])
+	})
 }
 
 // Fill stores v into every element, in index order, via batched blocks.
 func (a *U64Array) Fill(v uint64) error {
-	for lo := 0; lo < a.n; {
-		n := a.n - lo
-		if n > kernel.BlockMax {
-			n = kernel.BlockMax
-		}
-		ops, out := a.e.Block(n)
-		for i := 0; i < n; i++ {
-			ops[i] = cpu.BlockRef{VA: a.addr(lo + i), Kind: perm.Write, Compute: 2}
-		}
-		if err := a.e.RunBlock(ops, out); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if err := a.e.K.Mach.Mem.Write64(out[i].PA, v); err != nil {
-				return err
-			}
-		}
-		lo += n
-	}
-	return nil
+	return storeEach(a.e, a.addr, 0, a.n, func(_ int, pa addr.PA) error {
+		return a.e.K.Mach.Mem.Write64(pa, v)
+	})
 }
 
 // U32Array is a uint32 array in simulated memory.
@@ -149,52 +111,45 @@ func (a *U32Array) Set(i int, v uint32) error {
 	return a.e.Store32(a.addr(i), v)
 }
 
-// SetRange stores vals into elements [lo, lo+len(vals)) as batched blocks;
-// see U64Array.SetRange for the equivalence argument.
+// SetRange stores vals into elements [lo, lo+len(vals)) as batched blocks
+// (see storeEach).
 func (a *U32Array) SetRange(lo int, vals []uint32) error {
-	for len(vals) > 0 {
-		n := len(vals)
-		if n > kernel.BlockMax {
-			n = kernel.BlockMax
-		}
-		ops, out := a.e.Block(n)
-		for i := 0; i < n; i++ {
-			ops[i] = cpu.BlockRef{VA: a.addr(lo + i), Kind: perm.Write, Compute: 2}
-		}
-		if err := a.e.RunBlock(ops, out); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if err := a.e.K.Mach.Mem.Write32(out[i].PA, vals[i]); err != nil {
-				return err
-			}
-		}
-		lo += n
-		vals = vals[n:]
-	}
-	return nil
+	return storeEach(a.e, a.addr, lo, len(vals), func(i int, pa addr.PA) error {
+		return a.e.K.Mach.Mem.Write32(pa, vals[i-lo])
+	})
 }
 
 // Fill stores v into every element, in index order, via batched blocks.
 func (a *U32Array) Fill(v uint32) error {
-	for lo := 0; lo < a.n; {
-		n := a.n - lo
-		if n > kernel.BlockMax {
-			n = kernel.BlockMax
+	return storeEach(a.e, a.addr, 0, a.n, func(_ int, pa addr.PA) error {
+		return a.e.K.Mach.Mem.Write32(pa, v)
+	})
+}
+
+// storeEach stores elements [lo, lo+n) in index order as batched blocks of
+// timed stores: elem gives element i's VA and put writes element i's value
+// at its translated PA. Each element costs exactly what Set charges (2
+// compute instructions plus one timed store, in the same order), so the
+// batch is observably identical to the scalar loop — it only amortizes
+// simulator dispatch. Elements are disjoint, satisfying the block-ordering
+// contract of kernel.Env.RunBlock.
+func storeEach(e *kernel.Env, elem func(i int) addr.VA, lo, n int, put func(i int, pa addr.PA) error) error {
+	for n > 0 {
+		m := min(n, kernel.BlockMax)
+		ops, out := e.Block(m)
+		for j := range ops {
+			ops[j] = cpu.BlockRef{VA: elem(lo + j), Kind: perm.Write, Compute: 2}
 		}
-		ops, out := a.e.Block(n)
-		for i := 0; i < n; i++ {
-			ops[i] = cpu.BlockRef{VA: a.addr(lo + i), Kind: perm.Write, Compute: 2}
-		}
-		if err := a.e.RunBlock(ops, out); err != nil {
+		if err := e.RunBlock(ops, out); err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			if err := a.e.K.Mach.Mem.Write32(out[i].PA, v); err != nil {
+		for j := range out {
+			if err := put(lo+j, out[j].PA); err != nil {
 				return err
 			}
 		}
-		lo += n
+		lo += m
+		n -= m
 	}
 	return nil
 }
