@@ -18,8 +18,9 @@
 //	hpmpsim replay t.trace.jsonl      # re-execute a recorded trace
 //	hpmpsim -mode pmpt -depth 3 -metrics-dir m replay t.trace.jsonl  # cross-config
 //
-// Experiments run on a worker pool (`-parallel`, default NumCPU; 1 is
-// strictly sequential). Failures are isolated: a failing, panicking, or
+// Experiments run on a worker pool (`-parallel`, default NumCPU; 1 runs
+// one experiment at a time, though each experiment still simulates its
+// independent machine configurations concurrently). Failures are isolated: a failing, panicking, or
 // timed-out experiment never aborts the rest — every experiment is
 // attempted, an end-of-run summary on stderr names anything that failed,
 // and only then does the process exit nonzero. Experiment tables go to
@@ -66,7 +67,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "run scaled-down experiment sizes")
 	csv := fs.Bool("csv", false, "emit CSV tables (plus per-experiment counter snapshots)")
-	parallel := fs.Int("parallel", runtime.NumCPU(), "concurrent experiments for 'run' (1 = sequential)")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "concurrent experiments for 'run' (1 = one at a time; an experiment's independent machines still run concurrently)")
 	timeout := fs.Duration("timeout", 0, "per-experiment wall-time limit (0 = none)")
 	metricsDir := fs.String("metrics-dir", "", "write per-experiment metrics (<id>.json + <id>.prom) into this directory")
 	traceDir := fs.String("trace", "", "enable event tracing and write per-experiment JSONL traces (<id>.trace.jsonl) into this directory")

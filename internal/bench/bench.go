@@ -45,7 +45,7 @@ type Config struct {
 	// event trace covers the whole experiment.
 	tracer *obs.Tracer
 	// memo, set by the runner, shares simulated units across the
-	// experiments of one RunAll call (see shared).
+	// experiments of one RunAll call (see sharedUnits).
 	memo *runMemo
 	// ctx, set by the runner, is the run's context carrying the
 	// experiment's pprof labels; memo waits return when it is canceled.

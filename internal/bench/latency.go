@@ -128,24 +128,29 @@ type Fig10Data struct {
 // Rocket first then BOOM, so a traced run's event order is fixed. Each
 // platform's half is one run-memo unit, shared by fig10 and fig3a.
 func CollectFig10(cfg Config) (*Fig10Data, error) {
-	d := &Fig10Data{Lat: map[string]map[string]map[monitor.Mode]map[TestCase]uint64{}}
+	var units []unit[platformLat]
 	for _, p := range paperPlatforms {
-		lat, err := shared(cfg, memoKey{collector: "fig10", plat: p.plat},
-			func(cfg Config) (map[string]map[monitor.Mode]map[TestCase]uint64, error) {
-				return collectFig10Platform(p.plat, cfg)
-			})
-		if err != nil {
-			return nil, err
-		}
-		d.Lat[p.name] = lat
+		units = append(units, unit[platformLat]{memoKey{collector: "fig10", plat: p.plat},
+			func(cfg Config) (platformLat, error) { return collectFig10Platform(p.plat, cfg) }})
+	}
+	lats, err := sharedUnits(cfg, units)
+	if err != nil {
+		return nil, err
+	}
+	d := &Fig10Data{Lat: map[string]platformLat{}}
+	for i, p := range paperPlatforms {
+		d.Lat[p.name] = lats[i]
 	}
 	return d, nil
 }
 
-// collectFig10Platform measures one platform's half of the matrix:
+// platformLat is one platform's half of the Fig10Data matrix:
 // lat[op][mode][tc] in cycles.
-func collectFig10Platform(plat cpu.Platform, cfg Config) (map[string]map[monitor.Mode]map[TestCase]uint64, error) {
-	lat := map[string]map[monitor.Mode]map[TestCase]uint64{}
+type platformLat = map[string]map[monitor.Mode]map[TestCase]uint64
+
+// collectFig10Platform measures one platform's half of the matrix.
+func collectFig10Platform(plat cpu.Platform, cfg Config) (platformLat, error) {
+	lat := platformLat{}
 	for _, op := range []string{"ld", "sd"} {
 		lat[op] = map[monitor.Mode]map[TestCase]uint64{}
 		for _, mode := range AllModes {

@@ -77,45 +77,83 @@ func newRunMemo() *runMemo {
 	return &runMemo{entries: make(map[memoKey]*memoEntry)}
 }
 
-// shared returns the value of the unit key names, computing it with
-// compute at most once per run. The first caller computes it, under a
-// fresh observer and a memo=<key> pprof label; later callers, concurrent
-// or not, wait for that computation and get the same value and error.
-// Either way the unit's frozen snapshot joins the caller's observer where
-// its systems would have registered, so each experiment's counters and
-// histograms are the ones it would have collected alone. Callers must
-// treat the value as read-only.
+// unit is one run-memo unit a collector needs: the key that names it and
+// the computation that produces it.
+type unit[T any] struct {
+	key     memoKey
+	compute func(Config) (T, error)
+}
+
+// sharedUnits returns the values of a collector's units, in order,
+// computing each unit at most once per run. Under the memo lock it claims
+// the units no other caller has claimed yet; it computes all but the last
+// of those on goroutines of their own and the last on the caller's, each
+// under a fresh observer and a memo=<key> pprof label. Units another caller
+// claimed are that caller's to compute. It then waits for the units in
+// collector order, merging each unit's frozen snapshot into the caller's
+// observer where its systems would have registered and stopping at the
+// first unit that failed. So the values, the counters (values and
+// first-use order), the histograms and the error are the ones the
+// collector would get computing its units one after another. Callers must
+// treat the values as read-only. A unit's goroutine ends with its
+// computation, which the entry's waiters wait for; like a timed-out
+// experiment's goroutine, it is abandoned, not interrupted, when the run is
+// canceled.
 //
-// A traced run bypasses the memo: an experiment's trace must hold its own
-// accesses, so it simulates everything it consumes.
-func shared[T any](cfg Config, key memoKey, compute func(Config) (T, error)) (T, error) {
+// A traced run, and a run without a memo, computes the units in place and
+// in order: an experiment's trace must hold its own accesses, in the order
+// a sequential run makes them.
+func sharedUnits[T any](cfg Config, units []unit[T]) ([]T, error) {
+	vals := make([]T, len(units))
 	m := cfg.memo
 	if m == nil || cfg.tracer != nil {
-		return compute(cfg)
+		for i, u := range units {
+			v, err := u.compute(cfg)
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = v
+		}
+		return vals, nil
 	}
-	key.quick, key.memSize, key.workload = cfg.Quick, cfg.MemSize, cfg.Workload
+	entries := make([]*memoEntry, len(units))
+	var claimed []int
 	m.mu.Lock()
-	e, found := m.entries[key]
-	if !found {
-		e = &memoEntry{done: make(chan struct{})}
-		m.entries[key] = e
+	for i, u := range units {
+		key := u.key
+		key.quick, key.memSize, key.workload = cfg.Quick, cfg.MemSize, cfg.Workload
+		e, found := m.entries[key]
+		if !found {
+			e = &memoEntry{done: make(chan struct{})}
+			m.entries[key] = e
+			claimed = append(claimed, i)
+		}
+		entries[i] = e
 	}
 	m.mu.Unlock()
 
-	var zero T
-	if !found {
-		e.fill(cfg, key, func(c Config) (any, error) { return compute(c) })
+	for n, i := range claimed {
+		u, e := units[i], entries[i]
+		fill := func() { e.fill(cfg, u.key, func(c Config) (any, error) { return u.compute(c) }) }
+		if n < len(claimed)-1 {
+			go fill()
+		} else {
+			fill()
+		}
 	}
-	select {
-	case <-e.done:
-	case <-cfg.ctx.Done():
-		return zero, cfg.ctx.Err()
+	for i, e := range entries {
+		select {
+		case <-e.done:
+		case <-cfg.ctx.Done():
+			return nil, cfg.ctx.Err()
+		}
+		cfg.obs.add(&e.frozen)
+		if e.err != nil {
+			return nil, e.err
+		}
+		vals[i] = e.val.(T)
 	}
-	cfg.obs.add(&e.frozen)
-	if e.err != nil {
-		return zero, e.err
-	}
-	return e.val.(T), nil
+	return vals, nil
 }
 
 // fill computes the entry and closes done, whatever compute does: a panic

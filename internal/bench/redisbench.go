@@ -45,25 +45,24 @@ func collectRedis(plat cpu.Platform, cfg Config, withHost bool) (map[string]map[
 	for _, cmd := range miniredis.Commands {
 		out[cmd] = map[string]float64{}
 	}
-	run := func(label string, boot func(Config) (*System, error)) error {
-		rps, err := shared(cfg, memoKey{collector: "redis", plat: plat, label: label},
-			func(cfg Config) (map[string]float64, error) { return redisSweep(label, boot, cfg) })
-		if err != nil {
-			return err
-		}
-		for cmd, v := range rps {
-			out[cmd][label] = v
-		}
-		return nil
+	var units []unit[map[string]float64]
+	add := func(label string, boot func(Config) (*System, error)) {
+		units = append(units, unit[map[string]float64]{memoKey{collector: "redis", plat: plat, label: label},
+			func(cfg Config) (map[string]float64, error) { return redisSweep(label, boot, cfg) }})
 	}
 	if withHost {
-		if err := run("Host-PMP", func(cfg Config) (*System, error) { return NewHostSystem(plat, cfg) }); err != nil {
-			return nil, err
-		}
+		add("Host-PMP", func(cfg Config) (*System, error) { return NewHostSystem(plat, cfg) })
 	}
 	for _, mode := range AllModes {
-		if err := run("PL-"+ModeNames[mode], func(cfg Config) (*System, error) { return NewSystem(plat, mode, cfg) }); err != nil {
-			return nil, err
+		add("PL-"+ModeNames[mode], func(cfg Config) (*System, error) { return NewSystem(plat, mode, cfg) })
+	}
+	rps, err := sharedUnits(cfg, units)
+	if err != nil {
+		return nil, err
+	}
+	for i, u := range units {
+		for cmd, v := range rps[i] {
+			out[cmd][u.key.label] = v
 		}
 	}
 	return out, nil

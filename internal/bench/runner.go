@@ -64,9 +64,11 @@ func (o Outcome) OK() bool { return o.Status == StatusOK }
 
 // RunOptions tunes the runner.
 type RunOptions struct {
-	// Parallel is the worker count; <= 0 means runtime.NumCPU().
-	// Parallel == 1 runs experiments strictly sequentially in input order,
-	// matching the historical CLI behaviour.
+	// Parallel is the worker count, that is how many experiments run at
+	// once; <= 0 means runtime.NumCPU(). Parallel == 1 starts experiments
+	// one after another in input order. It does not make the run
+	// single-threaded: an experiment still computes its run-memo units
+	// concurrently (see sharedUnits), and GOMAXPROCS bounds the CPU used.
 	Parallel int
 	// Timeout bounds each experiment's wall time; 0 means no limit. The
 	// simulator is not preemptible, so a timed-out experiment's goroutine
@@ -198,7 +200,7 @@ func runOne(ctx context.Context, cfg Config, exp Experiment, opts RunOptions) Ou
 			}
 		}()
 		// The experiment label splits host profiles by experiment; memo
-		// units add their own label on top (see shared).
+		// units add their own label on top (see sharedUnits).
 		pprof.Do(ctx, pprof.Labels("experiment", exp.ID), func(ctx context.Context) {
 			c := cfg
 			c.ctx = ctx

@@ -103,24 +103,22 @@ func collectServerless(plat cpu.Platform, cfg Config, pwcEntries int) (map[strin
 		out[w.Name()] = map[string]uint64{}
 	}
 
-	run := func(label string, boot func(Config) (*System, error)) error {
-		cycles, err := shared(cfg, memoKey{collector: "serverless", plat: plat, label: label},
-			func(cfg Config) (map[string]uint64, error) { return invokeSuite(label, boot, suite, cfg) })
-		if err != nil {
-			return err
-		}
-		for name, c := range cycles {
-			out[name][label] = c
-		}
-		return nil
+	var units []unit[map[string]uint64]
+	add := func(label string, boot func(Config) (*System, error)) {
+		units = append(units, unit[map[string]uint64]{memoKey{collector: "serverless", plat: plat, label: label},
+			func(cfg Config) (map[string]uint64, error) { return invokeSuite(label, boot, suite, cfg) }})
 	}
-
-	if err := run("Host-PMP", func(cfg Config) (*System, error) { return NewHostSystem(plat, cfg) }); err != nil {
+	add("Host-PMP", func(cfg Config) (*System, error) { return NewHostSystem(plat, cfg) })
+	for _, mode := range AllModes {
+		add("PL-"+ModeNames[mode], func(cfg Config) (*System, error) { return NewSystem(plat, mode, cfg) })
+	}
+	cycles, err := sharedUnits(cfg, units)
+	if err != nil {
 		return nil, nil, err
 	}
-	for _, mode := range AllModes {
-		if err := run("PL-"+ModeNames[mode], func(cfg Config) (*System, error) { return NewSystem(plat, mode, cfg) }); err != nil {
-			return nil, nil, err
+	for i, u := range units {
+		for name, c := range cycles[i] {
+			out[name][u.key.label] = c
 		}
 	}
 	return out, names, nil

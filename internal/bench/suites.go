@@ -129,14 +129,18 @@ func runFig11a(cfg Config) (*Result, error) {
 // fig11bc and fig3b.
 func CollectGAP(plat cpu.Platform, cfg Config) (map[string]map[monitor.Mode]float64, []string, error) {
 	suite := workloads.GAPSuite(gapScale(cfg))
-	data := map[monitor.Mode]map[string]uint64{}
+	var units []unit[map[string]uint64]
 	for _, mode := range AllModes {
-		cycles, err := shared(cfg, memoKey{collector: "gap", plat: plat, label: ModeNames[mode]},
-			func(cfg Config) (map[string]uint64, error) { return runSuiteMode(plat, mode, suite, cfg) })
-		if err != nil {
-			return nil, nil, err
-		}
-		data[mode] = cycles
+		units = append(units, unit[map[string]uint64]{memoKey{collector: "gap", plat: plat, label: ModeNames[mode]},
+			func(cfg Config) (map[string]uint64, error) { return runSuiteMode(plat, mode, suite, cfg) }})
+	}
+	cycles, err := sharedUnits(cfg, units)
+	if err != nil {
+		return nil, nil, err
+	}
+	data := map[monitor.Mode]map[string]uint64{}
+	for i, mode := range AllModes {
+		data[mode] = cycles[i]
 	}
 	out := map[string]map[monitor.Mode]float64{}
 	var names []string

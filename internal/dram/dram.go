@@ -48,18 +48,28 @@ type DRAM struct {
 	cfg     Config
 	openRow []int64  // per bank: open row id, -1 if closed
 	busy    []uint64 // per bank: cycle at which the bank becomes free
-	queue   []uint64 // completion times of in-flight requests (controller queue)
+	// queue holds the completion times of in-flight requests (the
+	// controller queue), oldest first. It is compacted in place, so with a
+	// QueueDepth it never outgrows its first allocation.
+	queue []uint64
 
 	Counters stats.Counters
+	// Pre-resolved handles into Counters for the per-access path.
+	cQueueStall, cBankConflict, cRowHit, cRowEmpty, cRowConflict, cRead, cWrite *uint64
 }
 
 // New builds a DRAM model from cfg.
 func New(cfg Config) *DRAM {
 	n := cfg.Ranks * cfg.BanksPerRank
-	d := &DRAM{cfg: cfg, openRow: make([]int64, n), busy: make([]uint64, n)}
+	d := &DRAM{cfg: cfg, openRow: make([]int64, n), busy: make([]uint64, n),
+		queue: make([]uint64, 0, cfg.QueueDepth)}
 	for i := range d.openRow {
 		d.openRow[i] = -1
 	}
+	c := &d.Counters
+	d.cQueueStall, d.cBankConflict = c.Handle("dram.queue_stall"), c.Handle("dram.bank_conflict")
+	d.cRowHit, d.cRowEmpty, d.cRowConflict = c.Handle("dram.row_hit"), c.Handle("dram.row_empty"), c.Handle("dram.row_conflict")
+	d.cRead, d.cWrite = c.Handle("dram.read"), c.Handle("dram.write")
 	return d
 }
 
@@ -92,28 +102,28 @@ func (d *DRAM) Access(pa addr.PA, now uint64, write bool) (done uint64) {
 		oldest := d.queue[0]
 		if oldest > start {
 			start = oldest
-			d.Counters.Inc("dram.queue_stall")
+			*d.cQueueStall++
 		}
-		d.queue = d.queue[1:]
+		d.dropQueued(1)
 	}
 
 	// Bank availability.
 	if d.busy[bank] > start {
 		start = d.busy[bank]
-		d.Counters.Inc("dram.bank_conflict")
+		*d.cBankConflict++
 	}
 
 	var lat uint64
 	switch {
 	case d.openRow[bank] == row:
 		lat = d.cfg.TCAS
-		d.Counters.Inc("dram.row_hit")
+		*d.cRowHit++
 	case d.openRow[bank] == -1:
 		lat = d.cfg.TRCD + d.cfg.TCAS
-		d.Counters.Inc("dram.row_empty")
+		*d.cRowEmpty++
 	default:
 		lat = d.cfg.TRP + d.cfg.TRCD + d.cfg.TCAS
-		d.Counters.Inc("dram.row_conflict")
+		*d.cRowConflict++
 	}
 	lat += d.cfg.TBurst + d.cfg.TController
 
@@ -122,9 +132,9 @@ func (d *DRAM) Access(pa addr.PA, now uint64, write bool) (done uint64) {
 	d.busy[bank] = done
 	d.queue = append(d.queue, done)
 	if write {
-		d.Counters.Inc("dram.write")
+		*d.cWrite++
 	} else {
-		d.Counters.Inc("dram.read")
+		*d.cRead++
 	}
 	return done
 }
@@ -136,8 +146,14 @@ func (d *DRAM) compactQueue(now uint64) {
 		i++
 	}
 	if i > 0 {
-		d.queue = d.queue[i:]
+		d.dropQueued(i)
 	}
+}
+
+// dropQueued removes the n oldest requests from the controller queue,
+// shifting the rest down in place.
+func (d *DRAM) dropQueued(n int) {
+	d.queue = d.queue[:copy(d.queue, d.queue[n:])]
 }
 
 // Reset closes all rows and clears queue state (used between experiment
@@ -147,5 +163,5 @@ func (d *DRAM) Reset() {
 		d.openRow[i] = -1
 		d.busy[i] = 0
 	}
-	d.queue = nil
+	d.queue = d.queue[:0]
 }

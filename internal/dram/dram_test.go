@@ -108,3 +108,27 @@ func TestStreamingRotatesBanks(t *testing.T) {
 			len(seen), cfg.Ranks*cfg.BanksPerRank)
 	}
 }
+
+// TestAccessDoesNotAllocate pins Access at zero allocations: its counters
+// are pre-resolved handles and the controller queue is compacted in place.
+// Each run is a burst that fills the queue, stalls on it and then drains
+// it, so every queue path runs.
+func TestAccessDoesNotAllocate(t *testing.T) {
+	d := New(Default())
+	cfg := d.Config()
+	var now uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			d.Access(addr.PA(uint64(i)*cfg.RowBytes*5), now, i%3 == 0)
+			if i%16 == 15 {
+				now += 500
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Access allocates: %v allocations per 64-access burst, want 0", allocs)
+	}
+	if d.Counters.Get("dram.queue_stall") == 0 || d.Counters.Get("dram.row_conflict") == 0 {
+		t.Errorf("the bursts missed a path: %s", d.Counters.String())
+	}
+}

@@ -236,3 +236,37 @@ func TestCacheLineLocking(t *testing.T) {
 		t.Errorf("after unlock, %d lines still pinned", got)
 	}
 }
+
+// TestScrubLeavesUntouchedFramesUnallocated: ReleaseRegion scrubs the
+// region, but an untouched frame already reads as zero, so scrubbing an
+// untouched 32 MiB enclave region materializes no frame, while a frame
+// that held data reads back as zero.
+func TestScrubLeavesUntouchedFramesUnallocated(t *testing.T) {
+	for _, mode := range []Mode{ModePMP, ModePMPT, ModeHPMP} {
+		mon := boot(t, mode)
+		mem := mon.Mach.Mem
+		enc, _, err := mon.CreateEnclave("scrub")
+		if err != nil {
+			t.Fatal(err)
+		}
+		region := addr.Range{Base: 0x1000_0000, Size: 32 * addr.MiB}
+		id, _, err := mon.AddRegion(enc, region, perm.RWX, LabelSlow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := region.Base + 5*addr.PageSize + 0x40
+		if err := mem.Write64(dirty, 0xdead_beef); err != nil {
+			t.Fatal(err)
+		}
+		before := mem.TouchedFrames()
+		if _, err := mon.ReleaseRegion(id); err != nil {
+			t.Fatal(err)
+		}
+		if got := mem.TouchedFrames() - before; got != 0 {
+			t.Errorf("%v: scrubbing an untouched 32 MiB region materialized %d frames, want 0", mode, got)
+		}
+		if v, err := mem.Read64(dirty); err != nil || v != 0 {
+			t.Errorf("%v: scrubbed frame reads %#x (err %v), want 0", mode, v, err)
+		}
+	}
+}

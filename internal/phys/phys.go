@@ -1,5 +1,5 @@
 // Package phys implements the simulated physical memory: a sparse store of
-// 4 KiB frames allocated on first touch. Page tables, permission tables, and
+// 4 KiB frames allocated on first write. Page tables, permission tables, and
 // all workload data live here, so a "memory reference" in the simulator is a
 // read or write of this store (timed separately by the cache/DRAM models).
 package phys
@@ -19,7 +19,7 @@ const (
 )
 
 // frameLeaf maps the frames of one 2 MiB span to their contents (nil until
-// touched).
+// first written).
 type frameLeaf [leafFrames]*[addr.PageSize]byte
 
 // Memory is a sparse simulated physical memory. The zero value is not usable;
@@ -28,7 +28,7 @@ type Memory struct {
 	size uint64
 	// dir is the root of a two-level radix frame table indexed by frame
 	// number: dir[fn>>leafBits][fn%leafFrames]. Leaves and frames are both
-	// allocated on first touch, so untouched memory costs one nil pointer
+	// allocated on first write, so untouched memory costs one nil pointer
 	// per 2 MiB, and a lookup is two indexed loads with no hashing.
 	dir []*frameLeaf
 	// Touched counts frames materialized so far (for footprint reporting).
@@ -50,6 +50,8 @@ func New(size uint64) *Memory {
 func (m *Memory) Size() uint64 { return m.size }
 
 // TouchedFrames returns how many distinct frames have been materialized.
+// Only writes materialize a frame: reads and ZeroPage of an untouched frame
+// leave it untouched.
 func (m *Memory) TouchedFrames() uint64 { return m.touched }
 
 // InBounds reports whether the n-byte access at pa stays inside memory.
@@ -57,27 +59,37 @@ func (m *Memory) InBounds(pa addr.PA, n uint64) bool {
 	return uint64(pa) < m.size && uint64(pa)+n <= m.size
 }
 
-// slot returns the frame-table entry for the frame holding pa, materializing
-// its leaf on first touch. pa must be in bounds.
-func (m *Memory) slot(pa addr.PA) **[addr.PageSize]byte {
+// frame returns the frame holding pa for writing, materializing it and its
+// leaf on first write. pa must be in bounds.
+func (m *Memory) frame(pa addr.PA) *[addr.PageSize]byte {
 	fn := pa.Frame()
 	leaf := m.dir[fn>>leafBits]
 	if leaf == nil {
 		leaf = new(frameLeaf)
 		m.dir[fn>>leafBits] = leaf
 	}
-	return &leaf[fn&(leafFrames-1)]
-}
-
-// frame returns the frame holding pa, materializing it on first touch. pa
-// must be in bounds.
-func (m *Memory) frame(pa addr.PA) *[addr.PageSize]byte {
-	s := m.slot(pa)
+	s := &leaf[fn&(leafFrames-1)]
 	if *s == nil {
 		*s = new([addr.PageSize]byte)
 		m.touched++
 	}
 	return *s
+}
+
+// zeroFrame is what every untouched frame reads as. Nothing writes it.
+var zeroFrame [addr.PageSize]byte
+
+// peek returns the frame holding pa for reading: the frame itself, or the
+// shared zero frame while it is untouched. It allocates neither the frame
+// nor its leaf. pa must be in bounds.
+func (m *Memory) peek(pa addr.PA) *[addr.PageSize]byte {
+	fn := pa.Frame()
+	if leaf := m.dir[fn>>leafBits]; leaf != nil {
+		if f := leaf[fn&(leafFrames-1)]; f != nil {
+			return f
+		}
+	}
+	return &zeroFrame
 }
 
 // ErrBounds is returned for accesses outside the physical address space.
@@ -96,7 +108,7 @@ func (m *Memory) Read(pa addr.PA, dst []byte) error {
 		return &ErrBounds{PA: pa, N: uint64(len(dst))}
 	}
 	for len(dst) > 0 {
-		f := m.frame(pa)
+		f := m.peek(pa)
 		off := pa.Offset()
 		n := copy(dst, f[off:])
 		dst = dst[n:]
@@ -129,7 +141,7 @@ func (m *Memory) Read64(pa addr.PA) (uint64, error) {
 	if !m.InBounds(pa, 8) {
 		return 0, &ErrBounds{PA: pa, N: 8}
 	}
-	f := m.frame(pa)
+	f := m.peek(pa)
 	off := pa.Offset()
 	return binary.LittleEndian.Uint64(f[off : off+8]), nil
 }
@@ -156,7 +168,7 @@ func (m *Memory) Read32(pa addr.PA) (uint32, error) {
 	if !m.InBounds(pa, 4) {
 		return 0, &ErrBounds{PA: pa, N: 4}
 	}
-	f := m.frame(pa)
+	f := m.peek(pa)
 	off := pa.Offset()
 	return binary.LittleEndian.Uint32(f[off : off+4]), nil
 }
@@ -180,7 +192,7 @@ func (m *Memory) Read8(pa addr.PA) (byte, error) {
 	if !m.InBounds(pa, 1) {
 		return 0, &ErrBounds{PA: pa, N: 1}
 	}
-	return m.frame(pa)[pa.Offset()], nil
+	return m.peek(pa)[pa.Offset()], nil
 }
 
 // Write8 stores one byte.
@@ -193,7 +205,9 @@ func (m *Memory) Write8(pa addr.PA, v byte) error {
 }
 
 // ZeroPage clears the 4 KiB page containing pa (pa must be page aligned).
-// The kernel model uses it when handing out fresh frames.
+// The kernel model uses it when handing out fresh frames, and the monitor
+// when it scrubs a released region. An untouched frame already reads as
+// zero, so it stays untouched.
 func (m *Memory) ZeroPage(pa addr.PA) error {
 	if !addr.IsAligned(uint64(pa), addr.PageSize) {
 		return fmt.Errorf("phys: ZeroPage at unaligned %v", pa)
@@ -201,10 +215,8 @@ func (m *Memory) ZeroPage(pa addr.PA) error {
 	if !m.InBounds(pa, addr.PageSize) {
 		return &ErrBounds{PA: pa, N: addr.PageSize}
 	}
-	if f := *m.slot(pa); f != nil {
+	if f := m.peek(pa); f != &zeroFrame {
 		*f = [addr.PageSize]byte{}
-	} else {
-		m.frame(pa) // a frame materializes zeroed: no second clear
 	}
 	return nil
 }

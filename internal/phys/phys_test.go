@@ -100,13 +100,13 @@ func TestTouchedFrames(t *testing.T) {
 	m.Write8(0x0, 1)
 	m.Write8(0x10, 1)   // same frame
 	m.Write8(0x5000, 1) // second frame
-	m.Read8(0x9000)     // third frame (reads also materialize)
-	if got := m.TouchedFrames(); got != 3 {
-		t.Errorf("TouchedFrames = %d, want 3", got)
+	m.Read8(0x9000)     // reads an untouched frame as zero, no third frame
+	if got := m.TouchedFrames(); got != 2 {
+		t.Errorf("TouchedFrames = %d, want 2", got)
 	}
 }
 
-// A fresh frame is materialized zeroed by ZeroPage and counted once; a
+// A fresh frame already reads as zero, so ZeroPage leaves it untouched; a
 // ZeroPage of a frame already holding data clears it without counting it
 // again.
 func TestZeroPageFreshFrame(t *testing.T) {
@@ -114,8 +114,8 @@ func TestZeroPageFreshFrame(t *testing.T) {
 	if err := m.ZeroPage(0x2000); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.TouchedFrames(); got != 1 {
-		t.Errorf("TouchedFrames after ZeroPage of a fresh frame = %d, want 1", got)
+	if got := m.TouchedFrames(); got != 0 {
+		t.Errorf("TouchedFrames after ZeroPage of a fresh frame = %d, want 0", got)
 	}
 	buf := make([]byte, addr.PageSize)
 	if err := m.Read(0x2000, buf); err != nil {

@@ -217,9 +217,10 @@ func (j *Job) execute(ctx context.Context) error {
 }
 
 // executeRun drives the bench worker pool. Experiments inside one job run
-// sequentially (Parallel: 1): tenant-level concurrency comes from the
-// daemon's own workers, and a deterministic per-job schedule keeps
-// identical submissions byte-identical.
+// one at a time (Parallel: 1): tenant-level concurrency comes from the
+// daemon's own workers. An experiment's run-memo units still compute
+// concurrently, with results identical to computing them in order, so
+// identical submissions stay byte-identical.
 func (j *Job) executeRun(ctx context.Context) error {
 	cfg := bench.DefaultConfig()
 	cfg.Quick = j.Request.Quick

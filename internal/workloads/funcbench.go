@@ -165,8 +165,7 @@ func (g *GzipFunc) Run(e *kernel.Env) (uint64, error) {
 // N×N fixed-point matrix in simulated memory; FunctionBench's linpack is
 // pure-Python loops, so interpreter ops are interleaved.
 type Linpack struct {
-	N  int
-	ip *interp
+	N int
 }
 
 // Name implements Workload.
@@ -174,8 +173,7 @@ func (l *Linpack) Name() string { return "linpack" }
 
 // Run implements Workload.
 func (l *Linpack) Run(e *kernel.Env) (uint64, error) {
-	var err error
-	l.ip, err = newInterp(e, defaultInterpPages)
+	ip, err := newInterp(e, defaultInterpPages)
 	if err != nil {
 		return 0, err
 	}
@@ -237,7 +235,7 @@ func (l *Linpack) Run(e *kernel.Env) (uint64, error) {
 			aik, _ := get(i, k)
 			factor := (aik << 16) / akk
 			set(i, k, factor)
-			if err := l.ip.op(); err != nil { // row-loop bytecode
+			if err := ip.op(); err != nil { // row-loop bytecode
 				return 0, err
 			}
 			for j := k + 1; j < n; j++ {
@@ -245,7 +243,7 @@ func (l *Linpack) Run(e *kernel.Env) (uint64, error) {
 				aij, _ := get(i, j)
 				set(i, j, aij-(factor*akj>>16))
 				if j%8 == 0 {
-					if err := l.ip.op(); err != nil {
+					if err := ip.op(); err != nil {
 						return 0, err
 					}
 				}
