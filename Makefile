@@ -91,13 +91,16 @@ daemon-smoke:
 	$(GO) test -run TestDaemonSmoke -count=1 -v ./cmd/hpmpsimd
 
 # Short fuzz pass over the register-format round trips, the PMPTW
-# walker-vs-oracle cross-check, the trace reader and the shared LRU array
-# against its reference scan (go test -fuzz takes one target at a time).
+# walker-vs-oracle cross-check, the leaf-table-at-a-time table builder
+# against its page-by-page reference, the trace reader and the shared LRU
+# array against its reference scan (go test -fuzz takes one target at a
+# time).
 # The weekly fuzz workflow overrides FUZZTIME for a longer soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/pmp -run '^$$' -fuzz FuzzPMPEncodeDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pmpt -run '^$$' -fuzz FuzzPMPTWalk -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pmpt -run '^$$' -fuzz FuzzSetRangePermPaged -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/assoc -run '^$$' -fuzz FuzzCache -fuzztime $(FUZZTIME)
 

@@ -11,10 +11,12 @@ import (
 	"hpmp/internal/addr"
 	"hpmp/internal/bench"
 	"hpmp/internal/cache"
+	"hpmp/internal/cpu"
 	"hpmp/internal/dram"
 	"hpmp/internal/hpmp"
 	"hpmp/internal/memport"
 	"hpmp/internal/mmu"
+	"hpmp/internal/monitor"
 	"hpmp/internal/obs"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
@@ -115,6 +117,60 @@ func BenchmarkFig17(b *testing.B) { runExperiment(b, "fig17") }
 
 // BenchmarkTable4 regenerates Table 4: the hardware resource cost model.
 func BenchmarkTable4(b *testing.B) { runExperiment(b, "table4") }
+
+// bootConfig is the quick experiment configuration every boot benchmark
+// and pin below uses.
+func bootConfig() bench.Config {
+	cfg := bench.DefaultConfig()
+	cfg.Quick = true
+	return cfg
+}
+
+// BenchmarkNewSystem measures one machine boot — monitor, permission
+// tables and kernel map — on Rocket under each isolation mode. Every
+// Table 2 latency probe boots a fresh system, so boot is most of the
+// daemon-mix job time. It regresses without the leaf-table-at-a-time
+// builders (pmpt.Table.SetRangePermPaged's one fill per leaf table,
+// pt.Table.MapRange's one descent per 2 MiB).
+func BenchmarkNewSystem(b *testing.B) {
+	cfg := bootConfig()
+	for _, mode := range bench.AllModes {
+		b.Run(bench.ModeNames[mode], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bench.NewSystem(cpu.RocketPlatform(), mode, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestNewSystemAllocs pins the heap objects one quick Rocket boot makes
+// under each mode, so a per-call buffer in the table fill path (or any
+// other per-boot allocation) fails here rather than as drift in
+// alloc_mib.
+func TestNewSystemAllocs(t *testing.T) {
+	cfg := bootConfig()
+	for _, c := range []struct {
+		mode monitor.Mode
+		max  float64
+	}{
+		{monitor.ModePMP, 240},
+		{monitor.ModePMPT, 279},
+		{monitor.ModeHPMP, 281},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := bench.NewSystem(cpu.RocketPlatform(), c.mode, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s boot: %.0f allocs", bench.ModeNames[c.mode], allocs)
+		if allocs > c.max {
+			t.Errorf("%s boot allocates %.0f objects, want at most %.0f", bench.ModeNames[c.mode], allocs, c.max)
+		}
+	}
+}
 
 // benchRig builds a minimal one-hart stack (cache hierarchy + HPMP checker
 // + MMU) and returns an MMU with one user page mapped, so a benchmark can

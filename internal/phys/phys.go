@@ -7,6 +7,7 @@ package phys
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"hpmp/internal/addr"
 )
@@ -160,6 +161,31 @@ func (m *Memory) Write64(pa addr.PA, v uint64) error {
 	return nil
 }
 
+// Fill64 stores v into n consecutive little-endian 64-bit words starting
+// at an 8-byte-aligned pa. The words must lie in one 4 KiB frame, which is
+// looked up once; table builders use it to write a run of identical
+// entries.
+func (m *Memory) Fill64(pa addr.PA, v uint64, n int) error {
+	if !addr.IsAligned(uint64(pa), 8) {
+		return fmt.Errorf("phys: misaligned 8-byte fill at %v", pa)
+	}
+	size := uint64(n) * 8
+	if n < 0 || pa.Offset()+size > addr.PageSize {
+		return fmt.Errorf("phys: fill of %d words at %v crosses a frame", n, pa)
+	}
+	if !m.InBounds(pa, size) {
+		return &ErrBounds{PA: pa, N: size}
+	}
+	if n == 0 {
+		return nil
+	}
+	w := m.frame(pa)[pa.Offset() : pa.Offset()+size]
+	for i := 0; i < len(w); i += 8 {
+		binary.LittleEndian.PutUint64(w[i:], v)
+	}
+	return nil
+}
+
 // Read32 loads a little-endian 32-bit word (4-byte aligned).
 func (m *Memory) Read32(pa addr.PA) (uint32, error) {
 	if !addr.IsAligned(uint64(pa), 4) {
@@ -228,7 +254,7 @@ type FrameAllocator struct {
 	region    addr.Range
 	next      uint64 // frame index within region
 	scatter   bool
-	order     []uint64 // precomputed permutation for scattered mode
+	order     []uint64 // scattered mode's permutation, shared read-only
 	allocated uint64
 	freeList  []addr.PA
 	// freeSet guards against double frees, a classic allocator corruption.
@@ -241,22 +267,46 @@ type FrameAllocator struct {
 func NewFrameAllocator(region addr.Range, scatter bool) *FrameAllocator {
 	a := &FrameAllocator{region: region, scatter: scatter}
 	if scatter {
-		n := region.Size / addr.PageSize
-		a.order = make([]uint64, n)
-		for i := range a.order {
-			a.order[i] = uint64(i)
-		}
-		// Deterministic Fisher-Yates with an xorshift generator.
-		s := uint64(0x9e3779b97f4a7c15)
-		for i := n - 1; i > 0; i-- {
-			s ^= s << 13
-			s ^= s >> 7
-			s ^= s << 17
-			j := s % (i + 1)
-			a.order[i], a.order[j] = a.order[j], a.order[i]
-		}
+		a.order = scatterOrder(region.Size / addr.PageSize)
 	}
 	return a
+}
+
+// scatterMemo holds the last scattered permutation built. A permutation
+// depends only on its frame count, and every boot of one machine size asks
+// for the same one. Keeping one entry bounds what a long-running daemon
+// holds across machine sizes. The slice is shared and never written after
+// it is built.
+var scatterMemo struct {
+	sync.Mutex
+	order []uint64
+}
+
+// scatterOrder returns the deterministic permutation of n frames.
+func scatterOrder(n uint64) []uint64 {
+	scatterMemo.Lock()
+	order := scatterMemo.order
+	scatterMemo.Unlock()
+	if uint64(len(order)) == n {
+		return order
+	}
+	order = make([]uint64, n)
+	for i := range order {
+		order[i] = uint64(i)
+	}
+	// Deterministic Fisher-Yates with an xorshift generator.
+	s := uint64(0x9e3779b97f4a7c15)
+	for i := n - 1; i > 0; i-- {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		j := s % (i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	scatterMemo.Lock()
+	scatterMemo.order = order
+	scatterMemo.Unlock()
+	return order
 }
 
 // Region returns the range the allocator draws from.

@@ -3,6 +3,8 @@ package phys
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -38,6 +40,42 @@ func TestWord64(t *testing.T) {
 	}
 	if err := m.Write64(0x103, 1); err == nil {
 		t.Error("misaligned Write64 must fail")
+	}
+}
+
+func TestFill64(t *testing.T) {
+	m := New(64 * addr.KiB)
+	if err := m.Fill64(0x1000, 0x1111, addr.PageSize/8); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Fill64(0x2010, 0xabcd, 3); err != nil {
+		t.Fatal(err)
+	}
+	for pa := addr.PA(0x1000); pa < 0x2000; pa += 8 {
+		if v, _ := m.Read64(pa); v != 0x1111 {
+			t.Fatalf("whole-frame fill: %v reads %#x", pa, v)
+		}
+	}
+	for pa, want := range map[addr.PA]uint64{0x2008: 0, 0x2010: 0xabcd, 0x2020: 0xabcd, 0x2028: 0} {
+		if v, _ := m.Read64(pa); v != want {
+			t.Errorf("partial fill: %v reads %#x, want %#x", pa, v, want)
+		}
+	}
+	if err := m.Fill64(0x3000, 1, 0); err != nil || m.TouchedFrames() != 2 {
+		t.Errorf("empty fill: %v, %d frames touched, want nil and 2", err, m.TouchedFrames())
+	}
+	for _, c := range []struct {
+		pa addr.PA
+		n  int
+	}{
+		{0x1004, 1},        // misaligned
+		{0x1ff8, 2},        // crosses into the next frame
+		{0x1000, -1},       // negative count
+		{64 * addr.KiB, 1}, // out of bounds
+	} {
+		if err := m.Fill64(c.pa, 1, c.n); err == nil {
+			t.Errorf("Fill64(%v, n=%d) must fail", c.pa, c.n)
+		}
 	}
 }
 
@@ -281,6 +319,53 @@ func TestFrameAllocatorScatter(t *testing.T) {
 	}
 	if adjacent > 32 {
 		t.Errorf("scattered allocator produced %d adjacent pairs; want few", adjacent)
+	}
+}
+
+// drain allocates every frame of a and returns them in order.
+func drain(a *FrameAllocator) []addr.PA {
+	var out []addr.PA
+	for {
+		pa, err := a.Alloc()
+		if err != nil {
+			return out
+		}
+		out = append(out, pa)
+	}
+}
+
+// Scattered allocators of one frame count hand out the same sequence of
+// frame offsets, whatever their base. Building them concurrently, two sizes
+// at once through the shared permutation memo, neither races (run under
+// -race) nor changes a sequence.
+func TestFrameAllocatorScatterShared(t *testing.T) {
+	sizes := []uint64{777 * addr.PageSize, 778 * addr.PageSize}
+	var wg sync.WaitGroup
+	got := make([][][]addr.PA, 8)
+	for g := range got {
+		got[g] = make([][]addr.PA, len(sizes))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, size := range sizes {
+				a := NewFrameAllocator(addr.Range{Base: addr.PA(g) * addr.MiB, Size: size}, true)
+				for _, pa := range drain(a) {
+					got[g][i] = append(got[g][i], pa-addr.PA(g)*addr.MiB)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i, size := range sizes {
+		want := drain(NewFrameAllocator(addr.Range{Base: 0, Size: size}, true))
+		if uint64(len(want))*addr.PageSize != size {
+			t.Fatalf("size %d: drained %d frames", size, len(want))
+		}
+		for g := range got {
+			if !slices.Equal(got[g][i], want) {
+				t.Fatalf("size %d: allocator %d handed out a different sequence", size, g)
+			}
+		}
 	}
 }
 

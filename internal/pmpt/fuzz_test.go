@@ -137,3 +137,64 @@ func FuzzPMPTWalk(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSetRangePermPaged drives a Table and the page-by-page reference
+// builder (refTable) through the same fuzz-chosen sequence of grants and
+// revokes, at a fuzz-chosen depth, and requires identical table memory,
+// table pages, allocator state and traced words after every step. Paged
+// ranges land anywhere in the first 256 MiB or across the 16 GiB level-2
+// boundary, at page, 64 KiB or 32 MiB scale; huge grants and revokes of
+// whole aligned spans in between give the paged ranges huge entries to
+// demote and freed sub-tables to rebuild.
+func FuzzSetRangePermPaged(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(8))
+	f.Add(uint64(0xfeed), uint8(1), uint8(12))
+	f.Add(uint64(77), uint8(2), uint8(16))
+	f.Fuzz(func(t *testing.T, seed uint64, depth, steps uint8) {
+		mode := ModeFor(2 + int(depth%3))
+		size := uint64(16 * addr.GiB)
+		if mode != Mode2Level {
+			size = 32 * addr.GiB // room for level-2 huge entries
+		}
+		region := addr.Range{Base: 0x40_0000_0000 + 4*addr.MiB + 12*addr.KiB, Size: size}
+		p := newTablePair(t, region, mode)
+
+		lcg := seed | 1
+		next := func(n uint64) uint64 {
+			lcg = lcg*6364136223846793005 + 1442695040888963407
+			return (lcg >> 33) % n
+		}
+		perms := []perm.Perm{perm.None, perm.R, perm.RW, perm.RX, perm.RWX, perm.X}
+		for i := 0; i < int(steps%24); i++ {
+			pm := perms[next(uint64(len(perms)))]
+			traced := next(2) == 0
+			if next(5) == 0 {
+				// A whole aligned span at a level the region can hold.
+				level := 1 + int(next(uint64(min(mode.Levels()-1, 2))))
+				s := entrySpan(level)
+				span := addr.Range{Base: region.Base + addr.PA(next(size/s)*s), Size: s}
+				p.do(t, "range", span, pm, traced)
+				continue
+			}
+			off := next(256 * addr.MiB)
+			if mode != Mode2Level && next(4) == 0 {
+				off += 16*addr.GiB - 128*addr.MiB
+			}
+			off = addr.AlignDown(off, addr.PageSize)
+			var n uint64
+			switch next(3) {
+			case 0:
+				n = (1 + next(40)) * addr.PageSize
+			case 1:
+				n = (1 + next(1100)) * LeafEntrySpan
+			default:
+				n = (1 + next(3)) * RootEntrySpan
+			}
+			if next(2) == 0 {
+				off = addr.AlignDown(off, LeafEntrySpan)
+			}
+			n = min(n, size-off)
+			p.do(t, "paged", addr.Range{Base: region.Base + addr.PA(off), Size: n}, pm, traced)
+		}
+	})
+}

@@ -198,10 +198,12 @@ type Table struct {
 	rootBase addr.PA
 	region   addr.Range // physical region the table protects
 	// subTables[l] memoises the materialized level-l tables (level 0 holds
-	// leaf pmptes), keyed by region offset / entrySpan(l+1), so the builder
-	// finds them without re-reading memory (the walker always reads
-	// memory). The root table, at level Levels()-1, is rootBase.
-	subTables []map[uint64]addr.PA
+	// leaf pmptes), indexed by region offset / entrySpan(l+1): each slot
+	// holds the pointer pmpte installed for its table, or zero (invalid)
+	// while there is none. The builder finds tables there without
+	// re-reading memory (the walker always reads memory). The root table,
+	// at level Levels()-1, is rootBase.
+	subTables [][]RootPTE
 	// Trace, when set, observes every pmpte word the builder reads or
 	// writes — the monitor uses it to charge table edits through the cache
 	// hierarchy.
@@ -214,6 +216,18 @@ func (t *Table) write64(pa addr.PA, v uint64) error {
 		t.Trace(pa, true)
 	}
 	return t.mem.Write64(pa, v)
+}
+
+// fill64 stores v into n consecutive pmpte words from pa with one memory
+// fill, notifying the tracer of each word in address order, as n write64
+// calls would.
+func (t *Table) fill64(pa addr.PA, v uint64, n int) error {
+	if t.Trace != nil {
+		for i := 0; i < n; i++ {
+			t.Trace(pa+addr.PA(8*i), true)
+		}
+	}
+	return t.mem.Fill64(pa, v, n)
 }
 
 // read64 loads a pmpte word, notifying the tracer.
@@ -250,9 +264,10 @@ func NewTableMode(mem *phys.Memory, alloc *phys.FrameAllocator, region addr.Rang
 	if err := mem.ZeroPage(root); err != nil {
 		return nil, err
 	}
-	subTables := make([]map[uint64]addr.PA, levels-1)
+	subTables := make([][]RootPTE, levels-1)
 	for l := range subTables {
-		subTables[l] = make(map[uint64]addr.PA)
+		span := entrySpan(l + 1)
+		subTables[l] = make([]RootPTE, (region.Size+span-1)/span)
 	}
 	return &Table{mem: mem, alloc: alloc, mode: mode, rootBase: root, region: region, subTables: subTables}, nil
 }
@@ -282,8 +297,8 @@ func (t *Table) subTable(off uint64, level int) (addr.PA, error) {
 		return t.rootBase, nil
 	}
 	key := off / entrySpan(level+1)
-	if base, ok := t.subTables[level][key]; ok {
-		return base, nil
+	if e := t.subTables[level][key]; e.Valid() {
+		return e.LeafBase(), nil
 	}
 	parent, err := t.subTable(off, level+1)
 	if err != nil {
@@ -306,16 +321,15 @@ func (t *Table) subTable(off uint64, level int) (addr.PA, error) {
 		if level == 0 {
 			fill = uint64(UniformLeaf(e.Perm()))
 		}
-		for i := 0; i < EntriesPerTable; i++ {
-			if err := t.write64(base+addr.PA(i*8), fill); err != nil {
-				return 0, err
-			}
+		if err := t.fill64(base, fill, EntriesPerTable); err != nil {
+			return 0, err
 		}
 	}
-	if err := t.write64(ea, uint64(MakeRootPointer(base))); err != nil {
+	ptr := MakeRootPointer(base)
+	if err := t.write64(ea, uint64(ptr)); err != nil {
 		return 0, err
 	}
-	t.subTables[level][key] = base
+	t.subTables[level][key] = ptr
 	return base, nil
 }
 
@@ -324,13 +338,14 @@ func (t *Table) subTable(off uint64, level int) (addr.PA, error) {
 func (t *Table) freeTable(base addr.PA, level int, off uint64) {
 	if level > 0 {
 		span := entrySpan(level)
-		for i := uint64(0); i < EntriesPerTable; i++ {
-			if sub, ok := t.subTables[level-1][off/span+i]; ok {
-				t.freeTable(sub, level-1, off+i*span)
+		subs := t.subTables[level-1]
+		for i := off / span; i < off/span+EntriesPerTable && i < uint64(len(subs)); i++ {
+			if e := subs[i]; e.Valid() {
+				t.freeTable(e.LeafBase(), level-1, i*span)
 			}
 		}
 	}
-	delete(t.subTables[level], off/entrySpan(level+1))
+	t.subTables[level][off/entrySpan(level+1)] = 0
 	t.alloc.Free(base)
 }
 
@@ -351,6 +366,12 @@ func (t *Table) SetPagePerm(pa addr.PA, p perm.Perm) error {
 	if err != nil {
 		return err
 	}
+	return t.setPage(leaf, off, p)
+}
+
+// setPage rewrites the nibble of the page at region offset off in the leaf
+// table at leaf.
+func (t *Table) setPage(leaf addr.PA, off uint64, p perm.Perm) error {
 	lePA := leaf + addr.PA(indexAt(off, 0)*8)
 	raw, err := t.read64(lePA)
 	if err != nil {
@@ -383,8 +404,8 @@ next:
 			if !addr.IsAligned(off, span) || uint64(end-pa) < span {
 				continue
 			}
-			sub, hasSub := t.subTables[level-1][off/span]
-			if hasSub && p != perm.None {
+			sub := t.subTables[level-1][off/span]
+			if sub.Valid() && p != perm.None {
 				continue
 			}
 			base, err := t.subTable(off, level)
@@ -398,8 +419,8 @@ next:
 			if err := t.write64(base+addr.PA(indexAt(off, level)*8), entry); err != nil {
 				return err
 			}
-			if hasSub {
-				t.freeTable(sub, level-1, off)
+			if sub.Valid() {
+				t.freeTable(sub.LeafBase(), level-1, off)
 			}
 			pa += addr.PA(span)
 			continue next
@@ -429,29 +450,42 @@ next:
 // different domains interleave at 4 KiB granularity and a later
 // single-page update must not demote a huge entry; depth sweeps use it so
 // every uncached check walks the full depth.
+//
+// r must lie inside the region; otherwise nothing is written. The range
+// is built one leaf table (32 MiB) at a time: the table is resolved once,
+// the whole leaf pmptes it covers are written with one fill, and only the
+// loose pages at either end are edited one at a time. The words written,
+// and the order the tracer sees them in, are those of a page-by-page loop.
 func (t *Table) SetRangePermPaged(r addr.Range, p perm.Perm) error {
 	if err := checkPageAligned(r); err != nil {
 		return err
 	}
-	for pa := r.Base; pa < r.End(); pa += addr.PageSize {
-		off, err := t.offsetOf(pa)
-		if err != nil {
-			return err
-		}
+	if r.Size > 0 && !t.region.ContainsRange(r) {
+		return fmt.Errorf("pmpt: range %v outside protected region %v", r, t.region)
+	}
+	leafPerm := uint64(UniformLeaf(p))
+	for off, end := uint64(r.Base-t.region.Base), uint64(r.End()-t.region.Base); off < end; {
 		leaf, err := t.subTable(off, 0)
 		if err != nil {
 			return err
 		}
-		// Whole leaf pmpte (16 pages) covered and aligned: one write.
-		if addr.IsAligned(off, LeafEntrySpan) && uint64(r.End()-pa) >= LeafEntrySpan {
-			if err := t.write64(leaf+addr.PA(indexAt(off, 0)*8), uint64(UniformLeaf(p))); err != nil {
+		// [off, stop) lies under this leaf table: loose pages up to head,
+		// whole leaf pmptes up to tail, loose pages again up to stop.
+		stop := min(end, addr.AlignUp(off+1, RootEntrySpan))
+		head := min(stop, addr.AlignUp(off, LeafEntrySpan))
+		tail := head + addr.AlignDown(stop-head, LeafEntrySpan)
+		for ; off < head; off += addr.PageSize {
+			if err := t.setPage(leaf, off, p); err != nil {
 				return err
 			}
-			pa += LeafEntrySpan - addr.PageSize
-			continue
 		}
-		if err := t.SetPagePerm(pa, p); err != nil {
+		if err := t.fill64(leaf+addr.PA(indexAt(head, 0)*8), leafPerm, int((tail-head)/LeafEntrySpan)); err != nil {
 			return err
+		}
+		for off = tail; off < stop; off += addr.PageSize {
+			if err := t.setPage(leaf, off, p); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -491,8 +525,12 @@ func (t *Table) LookupSW(pa addr.PA) (perm.Perm, error) {
 // (root + sub-tables), for footprint reporting.
 func (t *Table) TablePages() int {
 	n := 1
-	for _, m := range t.subTables {
-		n += len(m)
+	for _, level := range t.subTables {
+		for _, e := range level {
+			if e.Valid() {
+				n++
+			}
+		}
 	}
 	return n
 }

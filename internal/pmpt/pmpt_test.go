@@ -450,6 +450,14 @@ func TestSetRangePermValidation(t *testing.T) {
 	if err := tbl.SetPagePerm(0x4000_0000, perm.R); err == nil {
 		t.Error("out-of-region page must fail")
 	}
+	// A paged range that runs past the region writes nothing.
+	over := addr.Range{Base: tbl.Region().End() - 40*addr.MiB, Size: 41 * addr.MiB}
+	if err := tbl.SetRangePermPaged(over, perm.R); err == nil {
+		t.Error("paged range past the region must fail")
+	}
+	if tbl.TablePages() != 1 {
+		t.Errorf("failed paged range left %d table pages, want 1", tbl.TablePages())
+	}
 }
 
 func TestTableAllocExhaustion(t *testing.T) {

@@ -223,16 +223,27 @@ func (t *Table) descend(va addr.VA, level int) (addr.PA, error) {
 }
 
 // MapRange maps n consecutive pages starting at va to the frames returned
-// by nextFrame (called once per page).
+// by nextFrame (called once per page), as n Map calls would: frames are
+// drawn, tables allocated and errors returned in the same order. It
+// descends once per leaf table (2 MiB of VA) and writes that table's PTEs
+// in turn.
 func (t *Table) MapRange(va addr.VA, pages int, p perm.Perm, user bool, nextFrame func() (addr.PA, error)) error {
+	var ea addr.PA
 	for i := 0; i < pages; i++ {
 		pa, err := nextFrame()
 		if err != nil {
 			return err
 		}
-		if err := t.Map(va+addr.VA(i*addr.PageSize), pa, p, user); err != nil {
+		v := va + addr.VA(i*addr.PageSize)
+		if i == 0 || t.Mode.VPN(v, 0) == 0 {
+			if ea, err = t.descend(v, 0); err != nil {
+				return err
+			}
+		}
+		if err := t.mem.Write64(ea, uint64(MakeLeaf(pa, p, user))); err != nil {
 			return err
 		}
+		ea += 8
 	}
 	return nil
 }

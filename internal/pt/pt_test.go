@@ -2,6 +2,8 @@ package pt
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -366,5 +368,91 @@ func TestTableOverTranslatedStore(t *testing.T) {
 	raw, err := mem.Read64(base + 0x1000 + addr.PA(addr.Sv39.VPN(0x4000_0000, 2)*8))
 	if err != nil || PTE(raw).Target() != 0x2000 {
 		t.Errorf("root PTE in host memory = %v, %v; want a pointer to store page 0x2000", PTE(raw), err)
+	}
+}
+
+// MapRange matches the per-page Map loop it replaced: with page-table
+// pages and data frames drawn from one allocator (as the kernel does when
+// its PT pool is not separate), the same frames are drawn in the same
+// order, the same tables are built, the same error ends a range that runs
+// into a superpage, out of frames or out of the canonical space, and the
+// pages mapped before it are left the same.
+func TestMapRangeMatchesPerPageMap(t *testing.T) {
+	const k4 = addr.PageSize
+	type pre struct {
+		va    addr.VA
+		level int // 0: Map, else MapSuper at this level
+	}
+	cases := []struct {
+		name   string
+		mode   addr.Mode
+		va     addr.VA
+		pages  int
+		frames uint64 // allocator size in frames
+		pre    []pre
+		fails  bool
+	}{
+		{"crosses 2 MiB", addr.Sv39, 0x4000_0000 + 2*addr.MiB - 3*k4, 10, 512, nil, false},
+		{"starts mid-table", addr.Sv39, 0x4000_0000 + 100*k4, 1300, 2048, nil, false},
+		{"crosses 1 GiB", addr.Sv48, addr.GiB - 5*k4, 12, 512, nil, false},
+		{"over existing pages", addr.Sv39, 0x4000_0000, 600, 1024, []pre{{0x4000_0000 + 3*k4, 0}, {0x4020_0000, 0}}, false},
+		{"into a superpage", addr.Sv39, 0x4020_0000 - 5*k4, 10, 512, []pre{{0x4020_0000, 1}}, true},
+		{"out of frames", addr.Sv39, 0x4000_0000 + 2*addr.MiB - 8*k4, 40, 24, nil, true},
+		{"out of canonical space", addr.Sv39, 0x40_0000_0000 - 2*k4, 4, 512, nil, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			frames := addr.Range{Base: 0x10_0000, Size: c.frames * k4}
+			build := func(mapRange bool) (*Table, *phys.Memory, *phys.FrameAllocator, error) {
+				mem := phys.New(64 * addr.MiB)
+				alloc := phys.NewFrameAllocator(frames, false)
+				tbl, err := New(mem, alloc, c.mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range c.pre {
+					var err error
+					if p.level == 0 {
+						err = tbl.Map(p.va, 0x300_0000, perm.R, true)
+					} else {
+						err = tbl.MapSuper(p.va, 0x400_0000, p.level, perm.R, true)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if mapRange {
+					return tbl, mem, alloc, tbl.MapRange(c.va, c.pages, perm.RW, false, alloc.Alloc)
+				}
+				for i := 0; i < c.pages; i++ {
+					pa, err := alloc.Alloc()
+					if err != nil {
+						return tbl, mem, alloc, err
+					}
+					if err := tbl.Map(c.va+addr.VA(i*addr.PageSize), pa, perm.RW, false); err != nil {
+						return tbl, mem, alloc, err
+					}
+				}
+				return tbl, mem, alloc, nil
+			}
+			got, gotMem, gotAlloc, gotErr := build(true)
+			want, wantMem, wantAlloc, wantErr := build(false)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || (gotErr != nil) != c.fails {
+				t.Fatalf("MapRange error %v, per-page Map %v, want failure %v", gotErr, wantErr, c.fails)
+			}
+			if gotAlloc.Allocated() != wantAlloc.Allocated() {
+				t.Errorf("MapRange drew %d frames, per-page Map %d", gotAlloc.Allocated(), wantAlloc.Allocated())
+			}
+			if g, w := got.PTPages(), want.PTPages(); !slices.Equal(g, w) {
+				t.Errorf("PT pages %v, per-page Map %v", g, w)
+			}
+			for pa := frames.Base; pa < frames.End(); pa += 8 {
+				g, _ := gotMem.Read64(pa)
+				w, _ := wantMem.Read64(pa)
+				if g != w {
+					t.Fatalf("word at %v = %#x, per-page Map wrote %#x", pa, g, w)
+				}
+			}
+		})
 	}
 }
