@@ -43,9 +43,6 @@ func (p PA) Offset() uint64 { return uint64(p) & PageMask }
 // PageBase returns the address of the first byte of the page containing p.
 func (p PA) PageBase() PA { return p &^ PageMask }
 
-// Line returns the cache-line index of the address for the given line size.
-func (p PA) Line(lineSize uint64) uint64 { return uint64(p) / lineSize }
-
 func (p PA) String() string { return fmt.Sprintf("PA(%#x)", uint64(p)) }
 
 // Frame returns the virtual page number of the address.

@@ -251,9 +251,6 @@ func TestGPAAndLineHelpers(t *testing.T) {
 	if g.Frame() != 0x12 || g.Offset() != 0x345 {
 		t.Errorf("GPA frame/offset: %#x %#x", g.Frame(), g.Offset())
 	}
-	if PA(0x1000).Line(64) != 0x40 {
-		t.Errorf("Line = %#x", PA(0x1000).Line(64))
-	}
 	if VA(0x2fff).PageBase() != 0x2000 {
 		t.Error("VA.PageBase wrong")
 	}

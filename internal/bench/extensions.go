@@ -327,7 +327,7 @@ func hintChase(mode monitor.Mode, hint bool, iters int, cfg Config) (uint64, err
 		return 0, err
 	}
 	if hint {
-		if _, err := sys.Kern.IoctlCreateHint(e, buf, pages*addr.PageSize); err != nil {
+		if err := sys.Kern.IoctlCreateHint(e, buf, pages*addr.PageSize); err != nil {
 			return 0, err
 		}
 	}

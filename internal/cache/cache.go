@@ -44,11 +44,11 @@ func (c Config) Validate() error {
 }
 
 // line is one cache line, packed into 16 bytes: an 8-way set spans two host
-// cache lines, and a machine boot allocates a third less than with a struct
-// of three bools beside the tag and stamp. meta holds the line's LRU stamp
-// above two state bits,
+// cache lines, and a machine boot allocates a third less than with a bool
+// beside the tag and stamp. meta holds the line's LRU stamp above the dirty
+// bit,
 //
-//	meta = stamp<<lineStateBits | dirty<<1 | locked
+//	meta = stamp<<lineStateBits | dirty
 //
 // and is 0 exactly when the line is invalid, since stamps start at 1.
 // Stamps are unique within a cache, so comparing meta orders lines by
@@ -59,20 +59,15 @@ type line struct {
 }
 
 const (
-	// lineLocked pins a line: eviction skips it (Penglai's cache-line
-	// locking, used to keep monitor-critical state resident and immune to
-	// cache-occupancy side channels).
-	lineLocked uint64 = 1 << iota
-	lineDirty
-	lineStateBits = iota
+	lineDirty     uint64 = 1
+	lineStateBits        = 1
 )
 
-func (l *line) valid() bool  { return l.meta != 0 }
-func (l *line) locked() bool { return l.meta&lineLocked != 0 }
+func (l *line) valid() bool { return l.meta != 0 }
 
-// touch stamps l most recently used at tick, keeping its state bits.
+// touch stamps l most recently used at tick, keeping its dirty bit.
 func (l *line) touch(tick uint64) {
-	l.meta = tick<<lineStateBits | l.meta&(lineDirty|lineLocked)
+	l.meta = tick<<lineStateBits | l.meta&lineDirty
 }
 
 // Cache is one level of the hierarchy.
@@ -87,7 +82,7 @@ type Cache struct {
 
 	// Hot-path counter handles, resolved once in New so per-access bumps
 	// pay neither a map lookup nor the cfg.Name+suffix concatenation.
-	hHit, hMiss, hFill, hEvict, hWriteback, hFillBypass, hLockReject *uint64
+	hHit, hMiss, hFill, hEvict, hWriteback *uint64
 
 	Counters stats.Counters
 }
@@ -115,8 +110,6 @@ func New(cfg Config) *Cache {
 	c.hFill = c.Counters.Handle(cfg.Name + ".fill")
 	c.hEvict = c.Counters.Handle(cfg.Name + ".evict")
 	c.hWriteback = c.Counters.Handle(cfg.Name + ".writeback")
-	c.hFillBypass = c.Counters.Handle(cfg.Name + ".fill_bypass")
-	c.hLockReject = c.Counters.Handle(cfg.Name + ".lock_reject")
 	return c
 }
 
@@ -148,15 +141,15 @@ func lookup(ways []line, tag uint64) *line {
 }
 
 // victim returns the way of a set a fill takes: the first invalid way, else
-// the least recently used unlocked way, else -1 (every way is locked).
+// the least recently used way.
 func victim(ways []line) int {
-	w, oldest := -1, ^uint64(0)
+	w, oldest := 0, ^uint64(0)
 	for i := range ways {
 		l := &ways[i]
 		if !l.valid() {
 			return i
 		}
-		if !l.locked() && l.meta < oldest {
+		if l.meta < oldest {
 			w, oldest = i, l.meta
 		}
 	}
@@ -189,14 +182,8 @@ func (c *Cache) probe(pa addr.PA, write, fillDirty bool) bool {
 }
 
 // fill places tag into way w of a set, counting the eviction (and its
-// write-back when dirty) of a valid occupant. w < 0 means every way is
-// locked: the fill is dropped and the access behaves uncached, matching
-// lock-by-way hardware.
+// write-back when dirty) of a valid occupant.
 func (c *Cache) fill(ways []line, w int, tag uint64, dirty bool) {
-	if w < 0 {
-		*c.hFillBypass++
-		return
-	}
 	if v := &ways[w]; v.valid() {
 		if v.meta&lineDirty != 0 {
 			*c.hWriteback++
@@ -211,52 +198,6 @@ func (c *Cache) fill(ways []line, w int, tag uint64, dirty bool) {
 	*c.hFill++
 }
 
-// Lock pins the line containing pa, filling it first if absent. It reports
-// whether the pin took hold (false when the set is already fully locked).
-func (c *Cache) Lock(pa addr.PA) bool {
-	set, tag := c.index(pa)
-	ways := c.set(set)
-	if l := lookup(ways, tag); l != nil {
-		l.meta |= lineLocked
-		return true
-	}
-	// Keep at least one unlocked way per set so the cache stays usable.
-	lockedWays := 0
-	for i := range ways {
-		if ways[i].locked() {
-			lockedWays++
-		}
-	}
-	if lockedWays >= len(ways)-1 {
-		*c.hLockReject++
-		return false
-	}
-	// At least two ways are unlocked or invalid, so there is a victim.
-	w := victim(ways)
-	c.fill(ways, w, tag, false)
-	ways[w].meta |= lineLocked
-	return true
-}
-
-// Unlock releases a pinned line (no-op when absent).
-func (c *Cache) Unlock(pa addr.PA) {
-	set, tag := c.index(pa)
-	if l := lookup(c.set(set), tag); l != nil {
-		l.meta &^= lineLocked
-	}
-}
-
-// LockedLines counts pinned lines (for accounting).
-func (c *Cache) LockedLines() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].locked() {
-			n++
-		}
-	}
-	return n
-}
-
 // InvalidateAll flushes the cache (used to build cold-state test cases;
 // dirty data is discarded because experiment state is rebuilt afterwards).
 func (c *Cache) InvalidateAll() {
@@ -268,31 +209,6 @@ func (c *Cache) InvalidateAll() {
 func (c *Cache) Contains(pa addr.PA) bool {
 	set, tag := c.index(pa)
 	return lookup(c.set(set), tag) != nil
-}
-
-// Touch inserts a line without counting statistics — used by experiment
-// setup code to pre-warm caches into a Table 2 state. Unlike a counted
-// fill it may evict a locked line: the victim is the first invalid way,
-// else the least recently used way.
-func (c *Cache) Touch(pa addr.PA) {
-	set, tag := c.index(pa)
-	ways := c.set(set)
-	c.tick++
-	if l := lookup(ways, tag); l != nil {
-		l.touch(c.tick)
-		return
-	}
-	w := 0
-	for i := range ways {
-		if !ways[i].valid() {
-			w = i
-			break
-		}
-		if ways[i].meta < ways[w].meta {
-			w = i
-		}
-	}
-	ways[w] = line{tag: tag, meta: c.tick << lineStateBits}
 }
 
 // Hierarchy composes L1 (one of the split caches), L2, LLC and DRAM into a
@@ -429,22 +345,6 @@ func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) Acce
 	lat += dramLat
 	*hh.dram++
 	return AccessResult{Latency: lat, Level: LvlDRAM}
-}
-
-// Warm inserts the line containing pa into every level without recording
-// statistics, for experiment state priming.
-func (h *Hierarchy) Warm(pa addr.PA) {
-	h.L1.Touch(pa)
-	h.L2.Touch(pa)
-	h.LLC.Touch(pa)
-}
-
-// WarmShared inserts the line into the shared levels (L2, LLC) only, leaving
-// the private L1 cold — the state after another core or the prefetcher
-// brought data near.
-func (h *Hierarchy) WarmShared(pa addr.PA) {
-	h.L2.Touch(pa)
-	h.LLC.Touch(pa)
 }
 
 // InvalidateAll flushes every level.

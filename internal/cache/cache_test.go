@@ -190,22 +190,6 @@ func TestHierarchyLevels(t *testing.T) {
 	}
 }
 
-func TestWarm(t *testing.T) {
-	h := newHierarchy()
-	pa := addr.PA(0x40_0000)
-	h.Warm(pa)
-	r := h.Access(pa, 0, false)
-	if r.Level != LvlL1 {
-		t.Errorf("warmed line should hit L1, got %s", r.Level)
-	}
-	pa2 := addr.PA(0x50_0000)
-	h.WarmShared(pa2)
-	r = h.Access(pa2, 0, false)
-	if r.Level != LvlL2 {
-		t.Errorf("shared-warmed line should hit L2, got %s", r.Level)
-	}
-}
-
 func TestClockRatioScalesDRAM(t *testing.T) {
 	h1 := newHierarchy()
 	h3 := newHierarchy()
@@ -216,40 +200,6 @@ func TestClockRatioScalesDRAM(t *testing.T) {
 	if r3.Latency <= r1.Latency {
 		t.Errorf("faster core clock must see more core cycles of DRAM latency: %d vs %d",
 			r3.Latency, r1.Latency)
-	}
-}
-
-func TestLineLocking(t *testing.T) {
-	// Direct-mapped-ish: 2 ways, force conflicts against a locked line.
-	cfg := Config{Name: "c", Size: 2 * 64 * 2, Ways: 2, LineSize: 64, Latency: 1}
-	c := New(cfg) // 2 sets
-	setStride := uint64(2 * 64)
-	a := addr.PA(0)
-	if !c.Lock(a) {
-		t.Fatal("lock of a fresh line must succeed")
-	}
-	// Storm the set with conflicting fills: the locked line survives.
-	for i := uint64(1); i <= 8; i++ {
-		c.probe(addr.PA(i*setStride), false, false)
-	}
-	if !c.Contains(a) {
-		t.Error("locked line was evicted")
-	}
-	if c.LockedLines() != 1 {
-		t.Errorf("LockedLines = %d", c.LockedLines())
-	}
-	// Locking the second way of the set is rejected (one way must stay
-	// evictable).
-	if c.Lock(addr.PA(setStride)) {
-		t.Error("locking the last way of a set must be rejected")
-	}
-	// After unlock the line becomes evictable again.
-	c.Unlock(a)
-	for i := uint64(1); i <= 4; i++ {
-		c.probe(addr.PA(i*setStride), false, false)
-	}
-	if c.Contains(a) {
-		t.Error("unlocked line should eventually be evicted")
 	}
 }
 

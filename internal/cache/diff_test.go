@@ -13,14 +13,14 @@ import (
 
 // refLine is one line of the reference model, in the plain layout.
 type refLine struct {
-	valid, dirty, locked bool
-	tag, lru             uint64
+	valid, dirty bool
+	tag, lru     uint64
 }
 
 // refCache is the reference model for the fused probe: a slice-per-set cache
 // with the Lookup-then-Fill semantics the hierarchy is specified by. Lookup
 // probes (counting a hit or a miss); on a miss a separate Fill scans the set
-// again to refresh, then for a free way, then for the LRU unlocked way.
+// again to refresh, then for a free way, then for the LRU way.
 type refCache struct {
 	name     string
 	latency  uint64
@@ -41,7 +41,7 @@ func newRefCache(cfg Config) *refCache {
 		r.data[i] = make([]refLine, cfg.Ways)
 	}
 	// Same registration order as New, so the snapshots compare whole.
-	for _, s := range []string{"hit", "miss", "fill", "evict", "writeback", "fill_bypass", "lock_reject"} {
+	for _, s := range []string{"hit", "miss", "fill", "evict", "writeback"} {
 		r.counters.Handle(cfg.Name + "." + s)
 	}
 	return r
@@ -87,14 +87,11 @@ func (r *refCache) fill(pa addr.PA, write bool) {
 		}
 	}
 	if vi < 0 {
+		vi = 0
 		for i := range ways {
-			if !ways[i].locked && (vi < 0 || ways[i].lru < ways[vi].lru) {
+			if ways[i].lru < ways[vi].lru {
 				vi = i
 			}
-		}
-		if vi < 0 {
-			r.counters.Inc(r.name + ".fill_bypass")
-			return
 		}
 		if ways[vi].dirty {
 			r.counters.Inc(r.name + ".writeback")
@@ -104,68 +101,6 @@ func (r *refCache) fill(pa addr.PA, write bool) {
 	r.tick++
 	ways[vi] = refLine{valid: true, dirty: write, tag: tag, lru: r.tick}
 	r.counters.Inc(r.name + ".fill")
-}
-
-func (r *refCache) lock(pa addr.PA) bool {
-	set, tag := r.index(pa)
-	ways := r.data[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].locked = true
-			return true
-		}
-	}
-	n := 0
-	for i := range ways {
-		if ways[i].valid && ways[i].locked {
-			n++
-		}
-	}
-	if n >= len(ways)-1 {
-		r.counters.Inc(r.name + ".lock_reject")
-		return false
-	}
-	r.fill(pa, false)
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].locked = true
-			return true
-		}
-	}
-	return false
-}
-
-func (r *refCache) unlock(pa addr.PA) {
-	set, tag := r.index(pa)
-	for i := range r.data[set] {
-		if l := &r.data[set][i]; l.valid && l.tag == tag {
-			l.locked = false
-		}
-	}
-}
-
-func (r *refCache) touch(pa addr.PA) {
-	set, tag := r.index(pa)
-	ways := r.data[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			r.tick++
-			ways[i].lru = r.tick
-			return
-		}
-	}
-	vi := 0
-	for i := range ways {
-		if !ways[i].valid {
-			vi = i
-			break
-		}
-		if ways[i].lru < ways[vi].lru {
-			vi = i
-		}
-	}
-	r.tick++
-	ways[vi] = refLine{valid: true, tag: tag, lru: r.tick}
 }
 
 func (r *refCache) invalidateAll() {
@@ -182,18 +117,6 @@ func (r *refCache) contains(pa addr.PA) bool {
 		}
 	}
 	return false
-}
-
-func (r *refCache) lockedLines() int {
-	n := 0
-	for s := range r.data {
-		for _, l := range r.data[s] {
-			if l.valid && l.locked {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // refHierarchy is the reference hierarchy: Lookup down the levels, then Fill
@@ -249,11 +172,9 @@ func (h *refHierarchy) access(pa addr.PA, now uint64, write, skipL1 bool) Access
 
 // TestProbeMatchesTwoScanReference drives random operation sequences through
 // the flat, fused-probe hierarchy and through the Lookup-then-Fill reference,
-// and requires identical results, counters, presence and lock accounting
-// after every step. The geometries are tiny and the address pool small, so
-// conflicts, evictions of dirty and locked lines, and fully locked sets
-// (locking lines that are already resident bypasses the one-free-way rule)
-// all occur often.
+// and requires identical results, counters and presence after every step.
+// The geometries are tiny and the address pool small, so conflicts and
+// evictions of dirty lines occur often.
 func TestProbeMatchesTwoScanReference(t *testing.T) {
 	cfgs := []Config{
 		{Name: "l1d", Size: 4 * 64 * 2, Ways: 2, LineSize: 64, Latency: 2},
@@ -261,7 +182,8 @@ func TestProbeMatchesTwoScanReference(t *testing.T) {
 		{Name: "llc", Size: 8 * 64 * 4, Ways: 4, LineSize: 64, Latency: 26},
 	}
 	const lines = 40 // distinct lines in the address pool: 5 per LLC set
-	var bypasses, writebacks [3]uint64
+	counters := []string{"hit", "miss", "fill", "evict", "writeback"}
+	var moved [3][5]uint64
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := &Hierarchy{L1: New(cfgs[0]), L2: New(cfgs[1]), LLC: New(cfgs[2]),
@@ -271,60 +193,24 @@ func TestProbeMatchesTwoScanReference(t *testing.T) {
 		levels := []*Cache{h.L1, h.L2, h.LLC}
 		refLevels := []*refCache{ref.l1, ref.l2, ref.llc}
 		var now uint64
-		access := func(seed int64, step int, pa addr.PA, write, skip bool) {
-			t.Helper()
-			var got AccessResult
-			if skip {
-				got = h.AccessNoL1(pa, now, write)
-			} else {
-				got = h.Access(pa, now, write)
-			}
-			if want := ref.access(pa, now, write, skip); got != want {
-				t.Fatalf("seed %d step %d: access(%v, write=%v, skipL1=%v) = %+v, reference %+v",
-					seed, step, pa, write, skip, got, want)
-			}
-			now += got.Latency
-		}
 		for step := 0; step < 2500; step++ {
 			pa := addr.PA(uint64(rng.Intn(lines))*64 + uint64(rng.Intn(64)))
 			lv := rng.Intn(3)
 			var op string
 			switch k := rng.Intn(200); {
-			case k < 100:
+			case k < 196:
 				write, skip := rng.Intn(3) == 0, rng.Intn(3) == 0
 				op = fmt.Sprintf("access(%v, write=%v, skipL1=%v)", pa, write, skip)
-				access(seed, step, pa, write, skip)
-			case k < 140:
-				op = fmt.Sprintf("lock(%s, %v)", levels[lv].cfg.Name, pa)
-				// Half the locks land on a line an access just made resident:
-				// locking a resident line skips the one-free-way rule, which
-				// is how sets become fully locked.
-				if rng.Intn(2) == 0 {
-					op = "access, then " + op
-					access(seed, step, pa, false, false)
+				var got AccessResult
+				if skip {
+					got = h.AccessNoL1(pa, now, write)
+				} else {
+					got = h.Access(pa, now, write)
 				}
-				if got, want := levels[lv].Lock(pa), refLevels[lv].lock(pa); got != want {
-					t.Fatalf("seed %d step %d %s = %v, reference %v", seed, step, op, got, want)
+				if want := ref.access(pa, now, write, skip); got != want {
+					t.Fatalf("seed %d step %d: %s = %+v, reference %+v", seed, step, op, got, want)
 				}
-			case k < 150:
-				op = fmt.Sprintf("unlock(%s, %v)", levels[lv].cfg.Name, pa)
-				levels[lv].Unlock(pa)
-				refLevels[lv].unlock(pa)
-			case k < 165:
-				op = fmt.Sprintf("touch(%s, %v)", levels[lv].cfg.Name, pa)
-				levels[lv].Touch(pa)
-				refLevels[lv].touch(pa)
-			case k < 177:
-				op = fmt.Sprintf("warm(%v)", pa)
-				h.Warm(pa)
-				ref.l1.touch(pa)
-				ref.l2.touch(pa)
-				ref.llc.touch(pa)
-			case k < 196:
-				op = fmt.Sprintf("warmShared(%v)", pa)
-				h.WarmShared(pa)
-				ref.l2.touch(pa)
-				ref.llc.touch(pa)
+				now += got.Latency
 			case k < 199:
 				op = fmt.Sprintf("invalidateAll(%s)", levels[lv].cfg.Name)
 				levels[lv].InvalidateAll()
@@ -346,9 +232,6 @@ func TestProbeMatchesTwoScanReference(t *testing.T) {
 				if got, want := c.Counters.Snapshot(), r.counters.Snapshot(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d after %s: %s counters %v, reference %v", seed, step, op, c.cfg.Name, got, want)
 				}
-				if got, want := c.LockedLines(), r.lockedLines(); got != want {
-					t.Fatalf("seed %d step %d after %s: %s LockedLines %d, reference %d", seed, step, op, c.cfg.Name, got, want)
-				}
 				for l := 0; l < lines; l++ {
 					a := addr.PA(l * 64)
 					if got, want := c.Contains(a), r.contains(a); got != want {
@@ -358,17 +241,18 @@ func TestProbeMatchesTwoScanReference(t *testing.T) {
 			}
 		}
 		for i, c := range levels {
-			bypasses[i] += c.Counters.Get(c.cfg.Name + ".fill_bypass")
-			writebacks[i] += c.Counters.Get(c.cfg.Name + ".writeback")
+			for j, name := range counters {
+				moved[i][j] += c.Counters.Get(c.cfg.Name + "." + name)
+			}
 		}
 	}
-	// The sequences must have reached the corner cases the test exists for.
+	// The sequences must have reached the cases the test exists for: on
+	// every level, hits, misses, fills, evictions and dirty write-backs.
 	for i, cfg := range cfgs {
-		if bypasses[i] == 0 {
-			t.Errorf("%s never filled into a fully locked set", cfg.Name)
-		}
-		if writebacks[i] == 0 {
-			t.Errorf("%s never wrote back a dirty line", cfg.Name)
+		for j, name := range counters {
+			if moved[i][j] == 0 {
+				t.Errorf("%s.%s never moved", cfg.Name, name)
+			}
 		}
 	}
 }

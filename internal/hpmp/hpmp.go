@@ -231,11 +231,3 @@ func (c *Checker) checkInner(pa addr.PA, size uint64, k perm.Access, priv perm.P
 	res.Allowed = w.Perm.Allows(k)
 	return res, nil
 }
-
-// FlushWalkerCache invalidates the PMPTW cache; the monitor must call this
-// (together with a TLB flush) whenever it edits HPMP registers or tables.
-func (c *Checker) FlushWalkerCache() {
-	if c.Walker != nil && c.Walker.Cache != nil {
-		c.Walker.Cache.FlushAll()
-	}
-}

@@ -252,7 +252,9 @@ func TestFlushWalkerCache(t *testing.T) {
 	if r2.CacheHits != 2 || r2.MemRefs != 0 {
 		t.Errorf("warm: %+v", r2)
 	}
-	e.chk.FlushWalkerCache()
+	// The flush the monitor issues on every HPMP edit: FlushAll on the
+	// machine's PMPTW cache, the cache this checker's walker holds.
+	cache.FlushAll()
 	r3, _ := e.chk.Check(region.Base, 8, perm.Read, perm.S, 0)
 	if r3.MemRefs != 2 {
 		t.Errorf("after flush: %+v", r3)

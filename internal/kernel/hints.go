@@ -9,24 +9,12 @@ import (
 )
 
 // This file implements the TEE-driver extension from the paper's
-// discussion (§9, "Efficient isolation through new abstractions"): three
-// ioctls that let an application mark a virtual range as hot, remove the
-// hint, and query it. The driver migrates hinted pages into a contiguous
-// physical window registered with the secure monitor as a GMS, and flips
-// its label to "fast" — so Penglai-HPMP mirrors it into a segment entry
-// and *data-page* permission checks for the hot range become free, on top
-// of the already-free PT-page checks.
-
-// HintID identifies one active memory-range hint.
-type HintID int
-
-// hint records one migrated range.
-type hint struct {
-	id    HintID
-	pid   PID
-	base  addr.VA
-	pages int
-}
+// discussion (§9, "Efficient isolation through new abstractions"): an ioctl
+// that lets an application mark a virtual range as hot. The driver migrates
+// hinted pages into a contiguous physical window registered with the secure
+// monitor as a GMS, and flips its label to "fast" — so Penglai-HPMP mirrors
+// it into a segment entry and *data-page* permission checks for the hot
+// range become free, on top of the already-free PT-page checks.
 
 // HintRegion returns the contiguous physical window used for hinted pages
 // (NAPOT, so it can ride a segment entry).
@@ -34,7 +22,7 @@ func (k *Kernel) HintRegion() addr.Range { return k.hintRegion }
 
 // initHints sets the hint machinery up on first use.
 func (k *Kernel) initHints() error {
-	if k.hints != nil {
+	if k.hintsReady {
 		return nil
 	}
 	if k.Mon == nil {
@@ -45,19 +33,19 @@ func (k *Kernel) initHints() error {
 		return fmt.Errorf("kernel: registering hint GMS: %w", err)
 	}
 	k.hintGMS = id
-	k.hints = make(map[HintID]*hint)
+	k.hintsReady = true
 	return nil
 }
 
 // IoctlCreateHint marks [va, va+bytes) of the current process as hot: the
 // pages are pre-faulted, migrated into the contiguous hint window, and the
-// window's GMS is labelled "fast". It returns the hint id.
-func (k *Kernel) IoctlCreateHint(e *Env, va addr.VA, bytes uint64) (HintID, error) {
+// window's GMS is labelled "fast".
+func (k *Kernel) IoctlCreateHint(e *Env, va addr.VA, bytes uint64) error {
 	if err := k.initHints(); err != nil {
-		return 0, err
+		return err
 	}
 	if e.P == nil {
-		return 0, fmt.Errorf("kernel: no process for hint")
+		return fmt.Errorf("kernel: no process for hint")
 	}
 	k.enterSyscall()
 	defer k.exitSyscall()
@@ -70,7 +58,7 @@ func (k *Kernel) IoctlCreateHint(e *Env, va addr.VA, bytes uint64) (HintID, erro
 		page := base + addr.VA(i*addr.PageSize)
 		if _, ok := e.P.pages[page]; !ok {
 			if err := k.HandleFault(e.P, page, perm.Write); err != nil {
-				return 0, err
+				return err
 			}
 		}
 		mp := e.P.pages[page]
@@ -79,21 +67,21 @@ func (k *Kernel) IoctlCreateHint(e *Env, va addr.VA, bytes uint64) (HintID, erro
 		}
 		newPA, err := k.hintAlloc.Alloc()
 		if err != nil {
-			return 0, fmt.Errorf("kernel: hint window exhausted: %w", err)
+			return fmt.Errorf("kernel: hint window exhausted: %w", err)
 		}
 		buf := make([]byte, addr.PageSize)
 		if err := k.Mach.Mem.Read(mp.pa, buf); err != nil {
-			return 0, err
+			return err
 		}
 		if err := k.Mach.Mem.Write(newPA, buf); err != nil {
-			return 0, err
+			return err
 		}
 		vma, ok := e.P.vmaFor(page)
 		if !ok {
-			return 0, fmt.Errorf("kernel: hinted page %v has no VMA", page)
+			return fmt.Errorf("kernel: hinted page %v has no VMA", page)
 		}
 		if err := e.P.Table.Map(page, newPA, vma.Perm, true); err != nil {
-			return 0, err
+			return err
 		}
 		k.userAlloc.Free(mp.pa)
 		mp.pa = newPA
@@ -102,54 +90,13 @@ func (k *Kernel) IoctlCreateHint(e *Env, va addr.VA, bytes uint64) (HintID, erro
 	}
 	k.Mach.MMU.FlushTLB()
 
-	h := &hint{id: k.nextHintID, pid: e.P.PID, base: base, pages: pages}
-	k.nextHintID++
-	k.hints[h.id] = h
-	k.activeHints++
-	if k.activeHints == 1 {
-		if _, err := k.Mon.SetLabel(k.hintGMS, monitor.LabelFast); err != nil {
-			return 0, err
-		}
+	// Only the first hint relabels the window: SetLabel to the label a GMS
+	// already has costs nothing and counts nothing.
+	if _, err := k.Mon.SetLabel(k.hintGMS, monitor.LabelFast); err != nil {
+		return err
 	}
 	k.Counters.Inc("kernel.hint_create")
-	return h.id, nil
-}
-
-// IoctlDeleteHint removes a hint. The pages stay where they are (migration
-// back is pointless), but when no hints remain the window's label drops to
-// "slow", releasing the segment entry for other fast GMSs.
-func (k *Kernel) IoctlDeleteHint(id HintID) error {
-	if k.hints == nil {
-		return fmt.Errorf("kernel: no hints active")
-	}
-	h, ok := k.hints[id]
-	if !ok {
-		return fmt.Errorf("kernel: no hint %d", id)
-	}
-	k.enterSyscall()
-	defer k.exitSyscall()
-	delete(k.hints, h.id)
-	k.activeHints--
-	if k.activeHints == 0 {
-		if _, err := k.Mon.SetLabel(k.hintGMS, monitor.LabelSlow); err != nil {
-			return err
-		}
-	}
-	k.Counters.Inc("kernel.hint_delete")
 	return nil
-}
-
-// IoctlQueryHint reports a hint's range, or ok=false.
-func (k *Kernel) IoctlQueryHint(id HintID) (base addr.VA, bytes uint64, ok bool) {
-	if k.hints == nil {
-		return 0, 0, false
-	}
-	h, found := k.hints[id]
-	if !found {
-		return 0, 0, false
-	}
-	k.Counters.Inc("kernel.hint_query")
-	return h.base, uint64(h.pages) * addr.PageSize, true
 }
 
 func (k *Kernel) hintRegionContains(pa addr.PA) bool {

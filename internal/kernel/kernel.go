@@ -107,13 +107,11 @@ type Kernel struct {
 	// handed to enclaves (see enclave.go).
 	enclaveCarved uint64
 
-	// Hot/cold memory-range hints (§9 ioctls).
-	hintRegion  addr.Range
-	hintAlloc   *phys.FrameAllocator
-	hintGMS     monitor.GMSID
-	hints       map[HintID]*hint
-	nextHintID  HintID
-	activeHints int
+	// Hot memory-range hints (the §9 hint ioctl).
+	hintRegion addr.Range
+	hintAlloc  *phys.FrameAllocator
+	hintGMS    monitor.GMSID
+	hintsReady bool // hintGMS is registered
 
 	rng uint64
 

@@ -254,3 +254,31 @@ func TestArenaExhaustion(t *testing.T) {
 		t.Error("tiny arena must eventually exhaust")
 	}
 }
+
+func TestLargeValueAllocation(t *testing.T) {
+	// Values beyond one page exercise the contiguous-run allocator path.
+	s, _ := newServer(t, monitor.ModeHPMP)
+	big := make([]byte, 3*4096+100)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	if err := s.Set("blob", big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get("blob")
+	if err != nil || len(got) != len(big) {
+		t.Fatalf("Get blob: %d bytes, %v", len(got), err)
+	}
+	for i := range got {
+		if got[i] != big[i] {
+			t.Fatalf("byte %d corrupted", i)
+		}
+	}
+	// Small allocations continue to work around the large run.
+	if err := s.Set("small", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := s.Get("small"); string(v) != "x" {
+		t.Error("small value after large alloc")
+	}
+}

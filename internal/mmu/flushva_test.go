@@ -17,11 +17,11 @@ import (
 // TestFlushVADoesNotScopePMPTWalkerCache pins the fence-scoping decision
 // documented on FlushVA: sfence.vma (including the per-VA form) orders only
 // the VA-translation structures. The PA-keyed pmpte walker cache belongs to
-// the physical-isolation dimension and has its own fence —
-// Checker.FlushWalkerCache, which the monitor issues on every table edit.
-// The test shows both halves: after a pmpte downgrade, FlushVA alone still
-// serves the stale (cached) physical permission, and the monitor's fence
-// pair makes the downgrade visible.
+// the physical-isolation dimension and has its own fence — a FlushAll of the
+// walker cache, which the monitor issues with a full TLB flush on every
+// table edit. The test shows both halves: after a pmpte downgrade, FlushVA
+// alone still serves the stale (cached) physical permission, and the
+// monitor's fence pair makes the downgrade visible.
 func TestFlushVADoesNotScopePMPTWalkerCache(t *testing.T) {
 	mem := phys.New(memSize)
 	hier := &cache.Hierarchy{
@@ -87,10 +87,11 @@ func TestFlushVADoesNotScopePMPTWalkerCache(t *testing.T) {
 		t.Fatalf("FlushVA must not scope the pmpte walker cache: the stale RWX pmpte is still legal to serve, got %+v", res)
 	}
 
-	// The correct fence: the monitor's FlushWalkerCache + full TLB flush
-	// (monitor.flushAfterUpdate). Now the downgrade must be visible.
-	checker.FlushWalkerCache()
+	// The correct fence, as monitor.flushAfterUpdate issues it: a full TLB
+	// flush and a FlushAll of the walker cache. Now the downgrade must be
+	// visible.
 	m.FlushTLB()
+	wcache.FlushAll()
 	if err := m.Access(va, perm.Write, perm.U, 0, &res); err != nil {
 		t.Fatal(err)
 	}

@@ -163,8 +163,8 @@ func (m *MMU) FlushTLB() {
 // by virtual address. The pmpte caches are keyed by *physical* address and
 // belong to the physical-isolation dimension, whose fence is separate
 // (mirroring how HFENCE.GVMA, not sfence.vma, orders G-stage structures):
-// the monitor invokes Checker.FlushWalkerCache together with a full TLB
-// flush on every HPMP register or table edit (monitor.flushAfterUpdate, §5).
+// on every HPMP register or table edit the monitor flushes the whole TLB and
+// the machine's PMPTW cache (monitor.flushAfterUpdate, §5).
 // TestFlushVADoesNotScopePMPTWalkerCache pins exactly this split.
 func (m *MMU) FlushVA(va addr.VA) {
 	vpn := va.Frame()

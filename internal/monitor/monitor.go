@@ -113,7 +113,6 @@ type Domain struct {
 	gmss   map[GMSID]*GMS
 	// Measurement is the SHA-256 of the domain's initial memory content.
 	Measurement [sha256.Size]byte
-	measured    bool
 	// mailbox backs monitor-mediated inter-domain messaging.
 	mailbox [][]byte
 }

@@ -221,22 +221,6 @@ func TestManyEnclavesStress(t *testing.T) {
 	}
 }
 
-func TestCacheLineLocking(t *testing.T) {
-	mon := boot(t, ModeHPMP)
-	region := addr.Range{Base: 0x2000_0000, Size: 4 * addr.KiB}
-	locked, cycles := mon.LockCacheLines(region)
-	if locked == 0 || cycles == 0 {
-		t.Fatalf("LockCacheLines = %d lines, %d cycles", locked, cycles)
-	}
-	if got := mon.Mach.Hier.LLC.LockedLines(); got != locked {
-		t.Errorf("LLC reports %d locked lines, want %d", got, locked)
-	}
-	mon.UnlockCacheLines(region)
-	if got := mon.Mach.Hier.LLC.LockedLines(); got != 0 {
-		t.Errorf("after unlock, %d lines still pinned", got)
-	}
-}
-
 // TestScrubLeavesUntouchedFramesUnallocated: ReleaseRegion scrubs the
 // region, but an untouched frame already reads as zero, so scrubbing an
 // untouched 32 MiB enclave region materializes no frame, while a frame

@@ -374,36 +374,6 @@ func (m *Monitor) ReceiveMessage(id DomainID) ([]byte, uint64, error) {
 	return msg, m.charge(300 + lines*8), nil
 }
 
-// LockCacheLines pins a monitor-chosen physical range into the LLC
-// (Penglai's cache-line locking, Fig. 7): the lines survive eviction, which
-// keeps monitor-critical state (e.g. HPMP table roots) resident and
-// removes it from cache-occupancy side channels. Returns how many lines
-// were pinned (sets that are already one-away from fully locked are
-// skipped).
-func (m *Monitor) LockCacheLines(r addr.Range) (int, uint64) {
-	locked := 0
-	line := m.Mach.Hier.LLC.Config().LineSize
-	for pa := r.Base; pa < r.End(); pa += addr.PA(line) {
-		if m.Mach.Hier.LLC.Lock(pa) {
-			locked++
-		}
-	}
-	m.Counters.Add("monitor.lock_lines", uint64(locked))
-	return locked, m.charge(uint64(locked) * 4)
-}
-
-// UnlockCacheLines releases pinned lines in the range.
-func (m *Monitor) UnlockCacheLines(r addr.Range) uint64 {
-	line := m.Mach.Hier.LLC.Config().LineSize
-	n := uint64(0)
-	for pa := r.Base; pa < r.End(); pa += addr.PA(line) {
-		m.Mach.Hier.LLC.Unlock(pa)
-		n++
-	}
-	m.Counters.Inc("monitor.unlock_lines")
-	return m.charge(n * 2)
-}
-
 // Measure computes (and records) the SHA-256 measurement of a domain's
 // current memory content, GMS by GMS in region order — the attestation
 // anchor.
@@ -428,20 +398,6 @@ func (m *Monitor) Measure(id DomainID) ([sha256.Size]byte, error) {
 		}
 	}
 	copy(d.Measurement[:], h.Sum(nil))
-	d.measured = true
 	m.Counters.Inc("monitor.measure")
-	return d.Measurement, nil
-}
-
-// Attest returns the recorded measurement; it fails when the domain was
-// never measured (no TOCTOU-friendly lazy hashing).
-func (m *Monitor) Attest(id DomainID) ([sha256.Size]byte, error) {
-	d, ok := m.domains[id]
-	if !ok {
-		return [sha256.Size]byte{}, fmt.Errorf("monitor: no domain %d", id)
-	}
-	if !d.measured {
-		return [sha256.Size]byte{}, fmt.Errorf("monitor: domain %d was never measured", id)
-	}
 	return d.Measurement, nil
 }

@@ -27,7 +27,7 @@ func TestOwnershipConcurrency(t *testing.T) {
 				c.Inc(fmt.Sprintf("worker.%d", w))
 				h.Observe(uint64(i%4096 + 1))
 				if i%100 == 0 {
-					tb.AddRowf(i, float64(i)/3)
+					tb.AddRow(fmt.Sprint(i), FormatFloat(float64(i)/3))
 				}
 			}
 			if h.Count() != 1000 || tb.NumRows() != 10 {

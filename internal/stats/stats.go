@@ -58,20 +58,13 @@ func (c *Counters) Inc(name string) { *c.Handle(name)++ }
 
 // Get returns the counter's value (zero if it was never touched). It is a
 // cold-path lookup: it pays a map access per call, so readers that walk the
-// whole set should use Visit or Snapshot, and per-access hot paths must use
+// whole set should use Snapshot or String, and per-access hot paths must use
 // Handle.
 func (c *Counters) Get(name string) uint64 {
 	if p, ok := c.vals[name]; ok {
 		return *p
 	}
 	return 0
-}
-
-// Names returns the counter names in first-use order.
-func (c *Counters) Names() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
 }
 
 // Snapshot copies every counter into a fresh map. The map is independent of
@@ -296,29 +289,6 @@ func Reduction(slow, mid, base float64) float64 {
 		return 0
 	}
 	return 100 * (slow - mid) / (slow - base)
-}
-
-// GeoMean returns the geometric mean of positive values (arithmetic mean of
-// logs); non-positive entries are skipped.
-func GeoMean(vals []float64) float64 {
-	prod := 1.0
-	n := 0
-	for _, v := range vals {
-		if v > 0 {
-			prod *= v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return pow(prod, 1/float64(n))
-}
-
-func pow(x, y float64) float64 {
-	// Tiny stdlib-free approximation via exp/log would drag in math anyway;
-	// use math. (Kept in a helper so GeoMean reads cleanly.)
-	return mathPow(x, y)
 }
 
 // Mean returns the arithmetic mean of the values (0 if empty).

@@ -16,9 +16,9 @@ func TestCounters(t *testing.T) {
 	if c.Get("a") != 2 || c.Get("b") != 5 || c.Get("missing") != 0 {
 		t.Errorf("counter values wrong: %v", c.String())
 	}
-	names := c.Names()
+	names := c.order
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names order wrong: %v", names)
+		t.Errorf("first-use order wrong: %v", names)
 	}
 	var d Counters
 	d.Add("b", 1)
@@ -28,7 +28,7 @@ func TestCounters(t *testing.T) {
 		t.Errorf("Merge wrong: %v", c.String())
 	}
 	c.Reset()
-	if c.Get("a") != 0 || len(c.Names()) != 3 {
+	if c.Get("a") != 0 || len(c.order) != 3 {
 		t.Error("Reset must zero values but keep names")
 	}
 }
@@ -83,14 +83,11 @@ func TestAggregates(t *testing.T) {
 	if Mean(vals) != 7.0/3 {
 		t.Error("Mean wrong")
 	}
-	if g := GeoMean(vals); math.Abs(g-2) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 2", g)
-	}
 	min, max := MinMax(vals)
 	if min != 1 || max != 4 {
 		t.Error("MinMax wrong")
 	}
-	if Mean(nil) != 0 || GeoMean(nil) != 0 {
+	if Mean(nil) != 0 {
 		t.Error("empty aggregates must be 0")
 	}
 }
@@ -115,7 +112,7 @@ func TestHistogramMeanBoundsQuick(t *testing.T) {
 func TestTableRender(t *testing.T) {
 	tb := NewTable("Demo", "Name", "Value")
 	tb.AddRow("alpha", "1")
-	tb.AddRowf("beta", 2.5)
+	tb.AddRow("beta", FormatFloat(2.5))
 	out := tb.Render()
 	if !strings.Contains(out, "== Demo ==") {
 		t.Error("missing title")
@@ -151,7 +148,7 @@ func TestCounterHandles(t *testing.T) {
 	if got := c.Get("hits"); got != 0 {
 		t.Errorf("fresh handle value = %d, want 0", got)
 	}
-	if names := c.Names(); len(names) != 1 || names[0] != "hits" {
+	if names := c.order; len(names) != 1 || names[0] != "hits" {
 		t.Errorf("Handle must register the name: %v", names)
 	}
 	*h += 3
@@ -211,8 +208,8 @@ func TestEmptyRendering(t *testing.T) {
 	if c.String() != "" {
 		t.Errorf("empty Counters String() = %q, want \"\"", c.String())
 	}
-	if len(c.Names()) != 0 {
-		t.Errorf("empty Counters Names() = %v", c.Names())
+	if len(c.order) != 0 {
+		t.Errorf("empty Counters order = %v", c.order)
 	}
 	c.Reset()            // must not panic on nil map
 	c.Merge(&Counters{}) // merging empty into empty is a no-op

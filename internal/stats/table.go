@@ -6,8 +6,6 @@ import (
 	"strings"
 )
 
-func mathPow(x, y float64) float64 { return math.Pow(x, y) }
-
 // Table accumulates rows of strings and renders them with aligned columns,
 // in the style of the paper's result tables.
 type Table struct {
@@ -24,21 +22,6 @@ func NewTable(title string, header ...string) *Table {
 
 // AddRow appends a row; cells beyond the header width are kept as-is.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-// AddRowf appends a row, formatting each value for the caller: float64
-// cells go through FormatFloat, everything else through fmt.Sprintf("%v").
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = FormatFloat(v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
 
 // FormatFloat renders a float with two decimals, trimming trailing zeros for
 // whole numbers ≥ 100 for compactness.
