@@ -196,7 +196,7 @@ func benchRig(b testing.TB) (*mmu.MMU, addr.VA) {
 	if err := checker.SetSegment(0, addr.Range{Base: 0, Size: memSize}, perm.RWX, false); err != nil {
 		b.Fatal(err)
 	}
-	m := mmu.New(mmu.DefaultConfig(addr.Sv39), hier, mem, checker)
+	m := mmu.New(mmu.DefaultConfig(addr.Sv39), hier, mem, checker, port)
 	m.SetRoot(tbl.Root())
 	va := addr.VA(0x1000_0000)
 	if err := tbl.Map(va, 0x800_0000, perm.RW, true); err != nil {

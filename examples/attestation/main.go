@@ -19,7 +19,7 @@ import (
 
 func main() {
 	const memSize = 512 * addr.MiB
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 	mon, err := monitor.Boot(mach, monitor.DefaultConfig(monitor.ModeHPMP))
 	if err != nil {
 		log.Fatal(err)

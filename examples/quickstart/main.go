@@ -25,7 +25,7 @@ func main() {
 	for _, mode := range []monitor.Mode{monitor.ModePMP, monitor.ModePMPT, monitor.ModeHPMP} {
 		// 1. Assemble the hardware: Rocket-like core, caches, DRAM, HPMP
 		//    checker.
-		mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+		mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 
 		// 2. Boot the Penglai-HPMP secure monitor in the chosen mode. It
 		//    locks its own memory, builds the host domain, and programs the
@@ -53,7 +53,8 @@ func main() {
 			log.Fatalf("env: %v", err)
 		}
 		va := p.Heap()
-		if err := env.Store64(va, 0x1234); err != nil {
+		env.Store64(va, 0x1234)
+		if err := env.Err(); err != nil {
 			log.Fatalf("store: %v", err)
 		}
 

@@ -27,7 +27,7 @@ func main() {
 		results[cmd] = map[monitor.Mode]float64{}
 	}
 	for _, mode := range []monitor.Mode{monitor.ModePMP, monitor.ModePMPT, monitor.ModeHPMP} {
-		mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+		mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 		mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
 		if err != nil {
 			log.Fatal(err)

@@ -32,7 +32,7 @@ func main() {
 	for _, fn := range functions {
 		fmt.Printf("%-12s", fn.Name())
 		for _, mode := range []monitor.Mode{monitor.ModePMP, monitor.ModePMPT, monitor.ModeHPMP} {
-			mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+			mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 			mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
 			if err != nil {
 				log.Fatal(err)
@@ -53,9 +53,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := env.FetchAt(p.Code()); err != nil {
-				log.Fatal(err)
-			}
+			env.FetchAt(p.Code())
 			if _, err := fn.Run(env); err != nil {
 				log.Fatal(err)
 			}

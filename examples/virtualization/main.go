@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("%-9s  %5s  %5s  %5s  %5s  %7s\n",
 		"method", "NPT", "gPT", "check", "total", "cycles")
 	for _, m := range methods {
-		mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+		mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 		nptAlloc := phys.NewFrameAllocator(nptRegion, false)
 		dataAlloc := phys.NewFrameAllocator(addr.Range{Base: 0x0800_0000, Size: 64 * addr.MiB}, false)
 		tblAlloc := phys.NewFrameAllocator(addr.Range{Base: 0x0400_0000, Size: 16 * addr.MiB}, false)

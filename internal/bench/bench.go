@@ -236,7 +236,7 @@ func NewSystem(plat cpu.Platform, mode monitor.Mode, cfg Config) (*System, error
 // for experiments that vary one of their fields. A nil kcfg boots the
 // monitor alone (TEE-operation timing needs no kernel).
 func bootSystem(plat cpu.Platform, mcfg monitor.Config, kcfg *kernel.Config, cfg Config) (*System, error) {
-	mach := cpu.NewMachine(plat, cfg.MemSize)
+	mach := cpu.NewMachine(plat, cfg.MemSize, true)
 	mon, err := monitor.Boot(mach, mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: booting monitor: %w", err)
@@ -254,7 +254,7 @@ func bootSystem(plat cpu.Platform, mcfg monitor.Config, kcfg *kernel.Config, cfg
 // NewHostSystem boots the non-secure baseline ("Host-PMP" in Fig. 12): no
 // TEE deployed, but PMP is implemented — one RWX segment covers DRAM.
 func NewHostSystem(plat cpu.Platform, cfg Config) (*System, error) {
-	mach := cpu.NewMachine(plat, cfg.MemSize)
+	mach := cpu.NewMachine(plat, cfg.MemSize, true)
 	if err := mach.Checker.SetSegment(0, addr.Range{Base: 0, Size: addr.NAPOTCeil(cfg.MemSize)}, perm.RWX, false); err != nil {
 		return nil, err
 	}
@@ -271,7 +271,7 @@ func NewHostSystem(plat cpu.Platform, cfg Config) (*System, error) {
 // walkers, nested tables, monitor-less checkers) before anything runs on
 // it, and returns it.
 func bareRig(plat cpu.Platform, memSize uint64, cfg Config) *cpu.Machine {
-	mach := cpu.NewMachine(plat, memSize)
+	mach := cpu.NewMachine(plat, memSize, true)
 	cfg.watch(&System{Mach: mach})
 	return mach
 }

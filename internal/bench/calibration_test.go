@@ -116,7 +116,8 @@ func TestHostSystemMatchesPMPBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	va := e.P.Heap()
-	if err := e.Store64(va, 1); err != nil {
+	e.Store64(va, 1)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	sys.Mach.MMU.FlushTLB()

@@ -377,7 +377,8 @@ func TestBootIsNotTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Store64(e.P.Heap(), 1); err != nil {
+	e.Store64(e.P.Heap(), 1)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.tracer.Seen() == 0 {

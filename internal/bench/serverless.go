@@ -74,10 +74,9 @@ func runServerless(sys *System, w workloads.Workload) (uint64, error) {
 		return 0, err
 	}
 	e := &kernel.Env{K: sys.Kern, P: p}
-	// Cold start: the function's entry code pages fault in.
-	if err := e.FetchAt(p.Code()); err != nil {
-		return 0, err
-	}
+	// Cold start: the function's entry code pages fault in; a failure
+	// there is Run's error.
+	e.FetchAt(p.Code())
 	if _, err := w.Run(e); err != nil {
 		return 0, err
 	}
@@ -205,9 +204,7 @@ func runChain(sys *System, size int) (uint64, error) {
 			return 0, err
 		}
 		e := &kernel.Env{K: sys.Kern, P: p}
-		if err := e.FetchAt(p.Code()); err != nil {
-			return 0, err
-		}
+		e.FetchAt(p.Code()) // a failure here is RunStage's error
 		payload, err = chain.RunStage(e, stage, payload)
 		if err != nil {
 			return 0, err

@@ -211,9 +211,9 @@ func (c *Cache) Contains(pa addr.PA) bool {
 	return lookup(c.set(set), tag) != nil
 }
 
-// Hierarchy composes L1 (one of the split caches), L2, LLC and DRAM into a
-// single access path. The same L2/LLC/DRAM are shared by instruction and
-// data sides; each side owns its L1.
+// Hierarchy composes L1, L2, LLC and DRAM into a single access path.
+// Instruction fetches and data accesses share every level, the L1
+// included.
 type Hierarchy struct {
 	L1  *Cache
 	L2  *Cache

@@ -27,7 +27,7 @@ func coreAccess(c *Core, va addr.VA, k perm.Access) (mmu.Result, error) {
 // over everything (the non-secure baseline).
 func setup(t *testing.T, plat Platform) (*Machine, addr.VA) {
 	t.Helper()
-	m := NewMachine(plat, 64*addr.MiB)
+	m := NewMachine(plat, 64*addr.MiB, true)
 	if err := m.Checker.SetSegment(0, addr.Range{Base: 0, Size: 64 * addr.MiB}, perm.RWX, false); err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +145,19 @@ func TestColdReset(t *testing.T) {
 }
 
 func TestNoIsolationMachine(t *testing.T) {
-	m := NewMachineNoIsolation(RocketPlatform(), 64*addr.MiB)
+	m := NewMachine(RocketPlatform(), 64*addr.MiB, false)
+	if m.Checker != nil || m.PMPTWCache != nil {
+		t.Fatal("a machine without isolation has no checker and no PMPTW cache")
+	}
 	ptAlloc := phys.NewFrameAllocator(addr.Range{Base: 0x40_0000, Size: 2 * addr.MiB}, false)
 	tbl, err := pt.New(m.Mem, ptAlloc, addr.Sv39)
 	if err != nil {
 		t.Fatal(err)
 	}
 	va := addr.VA(0x1000_0000)
-	tbl.Map(va, 0x80_0000, perm.RW, true)
+	if err := tbl.Map(va, 0x80_0000, perm.RW, true); err != nil {
+		t.Fatal(err)
+	}
 	m.MMU.SetRoot(tbl.Root())
 	res, err := coreLoad(m.Core, va)
 	if err != nil || res.Faulted() {
@@ -160,6 +165,11 @@ func TestNoIsolationMachine(t *testing.T) {
 	}
 	if res.TotalRefs() != 4 {
 		t.Errorf("no-isolation cold access = %d refs, want 4", res.TotalRefs())
+	}
+	// The walker's three PTE fetches skip the L1D, as on every other
+	// machine: only the data line fills it.
+	if fills := m.Hier.L1.Counters.Get("l1d.fill"); fills != 1 {
+		t.Errorf("cold TLB-miss load filled %d L1D lines, want 1 (the data line)", fills)
 	}
 }
 
@@ -173,7 +183,7 @@ func TestSecondsConversion(t *testing.T) {
 
 func TestDefaultSecureBootPosture(t *testing.T) {
 	// A fresh machine denies S-mode before the monitor programs HPMP.
-	m := NewMachine(RocketPlatform(), 64*addr.MiB)
+	m := NewMachine(RocketPlatform(), 64*addr.MiB, true)
 	ptAlloc := phys.NewFrameAllocator(addr.Range{Base: 0x40_0000, Size: 2 * addr.MiB}, false)
 	tbl, _ := pt.New(m.Mem, ptAlloc, addr.Sv39)
 	va := addr.VA(0x1000_0000)
@@ -213,7 +223,7 @@ func TestPlatformGeometry(t *testing.T) {
 		for _, c := range []struct {
 			name string
 			v    interface{ Validate() error }
-		}{{"l1i", plat.L1I}, {"l1d", plat.L1D}, {"l2", plat.L2}, {"llc", plat.LLC}} {
+		}{{"l1d", plat.L1D}, {"l2", plat.L2}, {"llc", plat.LLC}} {
 			if err := c.v.Validate(); err != nil {
 				t.Errorf("%s: %v", c.name, err)
 			}
@@ -255,7 +265,7 @@ func TestFetchPath(t *testing.T) {
 func TestEPMPMachine(t *testing.T) {
 	plat := RocketPlatform()
 	plat.PMPEntries = 64
-	m := NewMachine(plat, 64*addr.MiB)
+	m := NewMachine(plat, 64*addr.MiB, true)
 	if m.Checker.PMP.NumEntries() != 64 {
 		t.Errorf("bank size = %d, want 64", m.Checker.PMP.NumEntries())
 	}

@@ -10,6 +10,7 @@ import (
 	"hpmp/internal/obs"
 	"hpmp/internal/phys"
 	"hpmp/internal/pmpt"
+	"hpmp/internal/ptw"
 	"hpmp/internal/stats"
 )
 
@@ -17,7 +18,7 @@ import (
 // targets (Table 1).
 type Platform struct {
 	Core Config
-	L1I  cache.Config
+	// L1D is the one L1: instruction fetches and data share it.
 	L1D  cache.Config
 	L2   cache.Config
 	LLC  cache.Config
@@ -40,7 +41,6 @@ type Platform struct {
 func RocketPlatform() Platform {
 	return Platform{
 		Core: Rocket(),
-		L1I:  cache.Config{Name: "l1i", Size: 8 * addr.KiB, Ways: 4, LineSize: 64, Latency: 2},
 		L1D:  cache.Config{Name: "l1d", Size: 8 * addr.KiB, Ways: 4, LineSize: 64, Latency: 2},
 		L2:   cache.Config{Name: "l2", Size: 128 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12},
 		LLC:  cache.Config{Name: "llc", Size: 1 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26},
@@ -68,7 +68,6 @@ func boomMMU() mmu.Config {
 func BOOMPlatform() Platform {
 	return Platform{
 		Core: BOOM(),
-		L1I:  cache.Config{Name: "l1i", Size: 16 * addr.KiB, Ways: 8, LineSize: 64, Latency: 4},
 		L1D:  cache.Config{Name: "l1d", Size: 16 * addr.KiB, Ways: 8, LineSize: 64, Latency: 4},
 		L2:   cache.Config{Name: "l2", Size: 128 * addr.KiB, Ways: 8, LineSize: 64, Latency: 21},
 		LLC:  cache.Config{Name: "llc", Size: 1 * addr.MiB, Ways: 8, LineSize: 64, Latency: 42},
@@ -90,14 +89,18 @@ type Machine struct {
 	Checker *hpmp.Checker
 	MMU     *mmu.MMU
 	Core    *Core
-	// PMPTWCache is the walker cache instance (disabled by default).
+	// PMPTWCache is the walker cache instance (disabled by default; nil
+	// without isolation).
 	PMPTWCache *pmpt.WalkerCache
 }
 
 // NewMachine assembles a machine with memSize bytes of physical memory.
-// The HPMP checker starts with every entry off: until the monitor programs
-// it, S/U accesses are denied — exactly the secure-boot posture.
-func NewMachine(plat Platform, memSize uint64) *Machine {
+// An isolated machine has an HPMP checker that starts with every entry
+// off: until the monitor programs it, S/U accesses are denied — exactly
+// the secure-boot posture. A machine that is not isolated has no checker
+// and no PMPTW cache (Fig. 2-a). Either way the page-table and
+// permission-table walkers fetch through a port that skips the L1D.
+func NewMachine(plat Platform, memSize uint64, isolated bool) *Machine {
 	mem := phys.New(memSize)
 	hier := &cache.Hierarchy{
 		L1:         cache.New(plat.L1D),
@@ -106,26 +109,21 @@ func NewMachine(plat Platform, memSize uint64) *Machine {
 		Mem:        dram.New(plat.DRAM),
 		ClockRatio: plat.Core.MemClockRatio,
 	}
-	port := &memport.Timed{Hier: hier, Mem: mem}
+	m := &Machine{Plat: plat, Mem: mem, Hier: hier, Port: &memport.Timed{Hier: hier, Mem: mem}}
 	walkerPort := &memport.Timed{Hier: hier, Mem: mem, SkipL1: true}
-	wcache := pmpt.NewWalkerCache(plat.PMPTWCacheEntries)
-	nEntries := plat.PMPEntries
-	if nEntries == 0 {
-		nEntries = 16
+	var checker ptw.Checker // a nil *hpmp.Checker must not reach the interface
+	if isolated {
+		nEntries := plat.PMPEntries
+		if nEntries == 0 {
+			nEntries = 16
+		}
+		m.PMPTWCache = pmpt.NewWalkerCache(plat.PMPTWCacheEntries)
+		m.Checker = hpmp.NewSized(&pmpt.Walker{Port: walkerPort, Cache: m.PMPTWCache}, nEntries)
+		checker = m.Checker
 	}
-	checker := hpmp.NewSized(&pmpt.Walker{Port: walkerPort, Cache: wcache}, nEntries)
-	m := mmu.NewWithWalkerPort(plat.MMU, hier, mem, checker, walkerPort)
-	core := NewCore(plat.Core, m)
-	return &Machine{
-		Plat:       plat,
-		Mem:        mem,
-		Hier:       hier,
-		Port:       port,
-		Checker:    checker,
-		MMU:        m,
-		Core:       core,
-		PMPTWCache: wcache,
-	}
+	m.MMU = mmu.New(plat.MMU, hier, mem, checker, walkerPort)
+	m.Core = NewCore(plat.Core, m.MMU)
+	return m
 }
 
 // SetTracer attaches (or, with nil, detaches) an observability tracer to
@@ -175,16 +173,6 @@ func (m *Machine) EachHistogram(fn func(family string, h *stats.Histogram)) {
 			fn("pmptw.walk_latency", chk.Walker.Hist())
 		}
 	}
-}
-
-// NewMachineNoIsolation assembles a machine with physical memory isolation
-// disabled entirely (Fig. 2-a): the MMU has no checker.
-func NewMachineNoIsolation(plat Platform, memSize uint64) *Machine {
-	mach := NewMachine(plat, memSize)
-	mach.MMU = mmu.New(plat.MMU, mach.Hier, mach.Mem, nil)
-	mach.Core = NewCore(plat.Core, mach.MMU)
-	mach.Checker = nil
-	return mach
 }
 
 // ColdReset flushes all caches, TLBs, PWC, PMPTW cache and DRAM row state,

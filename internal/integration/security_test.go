@@ -19,7 +19,7 @@ const memSize = 512 * addr.MiB
 
 func bootStack(t *testing.T, mode monitor.Mode) (*cpu.Machine, *monitor.Monitor, *kernel.Kernel) {
 	t.Helper()
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 	mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,8 @@ func TestInlinedPermRevokedByFlush(t *testing.T) {
 	p, _ := k.Spawn(kernel.Image{Name: "app", TextPages: 4, DataPages: 4})
 	e, _ := k.NewEnv(p)
 	va := e.P.Heap()
-	if err := e.Store64(va, 42); err != nil {
+	e.Store64(va, 42)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	pa, err := mach.MMU.Translate(va)
@@ -154,7 +155,7 @@ func TestInlinedPermRevokedByFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm TLB carries the inlined permission.
-	if _, err := e.Load64(va); err != nil {
+	if _, err := e.Load64(va), e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	// The monitor hands that very frame to a fresh enclave (revoking the
@@ -206,7 +207,8 @@ func TestMerkleProtectsSwappedMemory(t *testing.T) {
 	p, _ := k.Spawn(kernel.Image{Name: "swap", TextPages: 4, DataPages: 4})
 	e, _ := k.NewEnv(p)
 	va := e.P.Heap()
-	if err := e.StoreBytes(va, []byte("enclave page content")); err != nil {
+	e.StoreBytes(va, []byte("enclave page content"))
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	pa, _ := mach.MMU.Translate(va)

@@ -44,17 +44,19 @@ func traceWorkload(t *testing.T) *obs.Tracer {
 	heap := p.Heap()
 	for i := 0; i < 8; i++ {
 		va := heap + addr.VA(i*addr.PageSize/2)
-		if err := e.Store64(va, uint64(i)); err != nil {
+		e.Store64(va, uint64(i))
+		if err := e.Err(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 8; i++ {
 		va := heap + addr.VA(i*addr.PageSize/2)
-		if _, err := e.Load64(va); err != nil {
+		if _, err := e.Load64(va), e.Err(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.FetchAt(p.Code()); err != nil {
+	e.FetchAt(p.Code())
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	// A store into an enclave's region: translation succeeds if mapped, the

@@ -32,10 +32,11 @@ func TestSpawnEnclaveLifecycle(t *testing.T) {
 	}
 	// The enclave workload runs: loads, stores, demand paging — entirely
 	// out of enclave memory.
-	if err := e.Store64(p.Heap(), 0xe0c1a5e); err != nil {
+	e.Store64(p.Heap(), 0xe0c1a5e)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
-	v, err := e.Load64(p.Heap())
+	v, err := e.Load64(p.Heap()), e.Err()
 	if err != nil || v != 0xe0c1a5e {
 		t.Fatalf("enclave load = %#x, %v", v, err)
 	}
@@ -86,7 +87,8 @@ func TestEnclaveIsolationFromHostProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := k.NewEnv(p)
-	if err := e.Store64(p.Heap(), 0x5ec); err != nil {
+	e.Store64(p.Heap(), 0x5ec)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	secretPA, _ := k.Mach.MMU.Translate(p.Heap())
@@ -126,13 +128,13 @@ func TestEnclaveSwitchRoundTrip(t *testing.T) {
 		if err := k.SwitchTo(host.P.PID); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := host.Load64(host.P.Heap()); err != nil {
+		if _, err := host.Load64(host.P.Heap()), host.Err(); err != nil {
 			t.Fatal(err)
 		}
 		if err := k.SwitchTo(encP.PID); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := encE.Load64(encP.Heap()); err != nil {
+		if _, err := encE.Load64(encP.Heap()), encE.Err(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +167,8 @@ func TestEnclaveLifecycleAllModes(t *testing.T) {
 		}
 		buf := e.Alloc(64 * addr.PageSize)
 		for i := 0; i < 64; i++ {
-			if err := e.Store64(buf+addr.VA(i*addr.PageSize), uint64(i)); err != nil {
+			e.Store64(buf+addr.VA(i*addr.PageSize), uint64(i))
+			if err := e.Err(); err != nil {
 				t.Fatalf("%v: page %d: %v", mode, i, err)
 			}
 		}
@@ -195,7 +198,7 @@ func TestEnclaveProcessGuards(t *testing.T) {
 
 func TestEnclaveCarveGuards(t *testing.T) {
 	// Scattered host pool: enclave blocks are refused outright.
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 	mon, _ := monitor.Boot(mach, monitor.DefaultConfig(monitor.ModeHPMP))
 	cfg := DefaultConfig(memSize)
 	cfg.ScatterFrames = true

@@ -13,7 +13,7 @@ import (
 // monitor (the Host-PMP posture).
 func newBareMachine(t *testing.T) *cpu.Machine {
 	t.Helper()
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 	if err := mach.Checker.SetSegment(0, addr.Range{Base: 0, Size: memSize}, perm.RWX, false); err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,8 @@ func TestHintLifecycle(t *testing.T) {
 	e := spawnEnv(t, k)
 	buf := e.Alloc(8 * addr.PageSize)
 	// Write recognizable data pre-migration.
-	if err := e.Store64(buf, 0xfeed); err != nil {
+	e.Store64(buf, 0xfeed)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -33,7 +34,7 @@ func TestHintLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Data survived the migration.
-	v, err := e.Load64(buf)
+	v, err := e.Load64(buf), e.Err()
 	if err != nil || v != 0xfeed {
 		t.Fatalf("post-migration load = %#x, %v", v, err)
 	}
@@ -132,7 +133,7 @@ func TestHintReducesOverheadEndToEnd(t *testing.T) {
 			rng ^= rng >> 7
 			rng ^= rng << 17
 			off := (rng % (pages * addr.PageSize / 8)) * 8
-			if _, err := e.Load64(buf + addr.VA(off)); err != nil {
+			if _, err := e.Load64(buf+addr.VA(off)), e.Err(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"hpmp/internal/addr"
@@ -22,7 +24,7 @@ const memSize = 512 * addr.MiB
 
 func bootKernel(t *testing.T, mode monitor.Mode) *Kernel {
 	t.Helper()
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 	mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +54,11 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 		k := bootKernel(t, mode)
 		e := spawnEnv(t, k)
 		va := e.P.Heap()
-		if err := e.Store64(va, 0xfeedface); err != nil {
+		e.Store64(va, 0xfeedface)
+		if err := e.Err(); err != nil {
 			t.Fatalf("%v: store: %v", mode, err)
 		}
-		v, err := e.Load64(va)
+		v, err := e.Load64(va), e.Err()
 		if err != nil || v != 0xfeedface {
 			t.Fatalf("%v: load = %#x, %v", mode, v, err)
 		}
@@ -73,10 +76,11 @@ func TestBytesAcrossPages(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	if err := e.StoreBytes(va, data); err != nil {
+	e.StoreBytes(va, data)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.LoadBytes(va, 300)
+	got, err := e.LoadBytes(va, 300), e.Err()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,8 @@ func TestDemandPagingCounts(t *testing.T) {
 	e := spawnEnv(t, k)
 	va := e.Alloc(10 * addr.PageSize)
 	for i := 0; i < 10; i++ {
-		if err := e.Store8(va+addr.VA(i*addr.PageSize), 1); err != nil {
+		e.Store8(va+addr.VA(i*addr.PageSize), 1)
+		if err := e.Err(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,8 +117,65 @@ func TestDemandPagingCounts(t *testing.T) {
 func TestSegfault(t *testing.T) {
 	k := bootKernel(t, monitor.ModeHPMP)
 	e := spawnEnv(t, k)
-	if _, err := e.Load64(0x30_0000_0000); err == nil {
+	if _, err := e.Load64(0x30_0000_0000), e.Err(); err == nil {
 		t.Error("access outside every VMA must fail")
+	}
+}
+
+// TestFailedAccessIsSticky: a segfault is kept as the Env's error, its
+// load reads zero, and every later access of that Env is a free no-op.
+func TestFailedAccessIsSticky(t *testing.T) {
+	k := bootKernel(t, monitor.ModeHPMP)
+	e := spawnEnv(t, k)
+	heap := e.P.Heap()
+	e.Store64(heap, 7) // map a page the no-ops below would hit
+	if v := e.Load64(0x30_0000_0000); v != 0 {
+		t.Errorf("failed load = %#x, want 0", v)
+	}
+	segv := e.Err()
+	if segv == nil || !strings.Contains(segv.Error(), "segfault") {
+		t.Fatalf("Err() = %v, want the segfault", segv)
+	}
+	w := &twin{k: k, cur: e.P}
+	now, mach, kern, mon, hists := w.state()
+	if v := e.Load64(heap); v != 0 {
+		t.Errorf("load after the failure = %#x, want 0", v)
+	}
+	e.Load32(heap)
+	e.Load8(heap)
+	e.Store64(heap, 1)
+	e.Store32(heap, 1)
+	e.Store8(heap, 1)
+	e.StoreBytes(heap, []byte("after"))
+	if got := e.LoadBytes(heap, 100); len(got) != 100 || string(got[:8]) != "\x00\x00\x00\x00\x00\x00\x00\x00" {
+		t.Errorf("LoadBytes after the failure = %q", got[:8])
+	}
+	e.FetchAt(e.P.Code())
+	ops, out := e.Block(2)
+	ops[0] = cpu.BlockRef{VA: heap, Kind: perm.Read, Compute: 5}
+	ops[1] = cpu.BlockRef{VA: heap + 8, Kind: perm.Write}
+	if err := e.RunBlock(ops, out); err != segv {
+		t.Errorf("RunBlock = %v, want the recorded %v", err, segv)
+	}
+	if err := e.Touch(heap+addr.PageSize, addr.PageSize); err != segv {
+		t.Errorf("Touch = %v, want the recorded %v", err, segv)
+	}
+	now2, mach2, kern2, mon2, hists2 := w.state()
+	if now2 != now {
+		t.Errorf("core clock moved after the failure: %d -> %d", now, now2)
+	}
+	if !reflect.DeepEqual(mach2, mach) || !reflect.DeepEqual(kern2, kern) || !reflect.DeepEqual(mon2, mon) || !reflect.DeepEqual(hists2, hists) {
+		t.Error("counters or histograms moved after the failure")
+	}
+	if e.Err() != segv {
+		t.Errorf("Err() = %v, want the first failure %v", e.Err(), segv)
+	}
+	pa, err := k.Mach.MMU.Translate(heap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := k.Mach.Mem.Read64(pa); err != nil || got != 7 {
+		t.Errorf("store after the failure reached memory: %#x, %v", got, err)
 	}
 }
 
@@ -148,7 +210,8 @@ func TestWalkRefsMatchModeThroughKernel(t *testing.T) {
 		k := bootKernel(t, mode)
 		e := spawnEnv(t, k)
 		va := e.P.Heap()
-		if err := e.Store64(va, 1); err != nil { // materialize the page
+		e.Store64(va, 1) // materialize the page
+		if err := e.Err(); err != nil {
 			t.Fatal(err)
 		}
 		k.Mach.MMU.FlushTLB()
@@ -169,7 +232,8 @@ func TestForkCoW(t *testing.T) {
 	k := bootKernel(t, monitor.ModeHPMP)
 	e := spawnEnv(t, k)
 	va := e.P.Heap()
-	if err := e.Store64(va, 0x1111); err != nil {
+	e.Store64(va, 0x1111)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 	child, err := k.Fork(e.P)
@@ -181,21 +245,23 @@ func TestForkCoW(t *testing.T) {
 		t.Fatal(err)
 	}
 	ce := &Env{K: k, P: child}
-	v, err := ce.Load64(va)
+	v, err := ce.Load64(va), ce.Err()
 	if err != nil || v != 0x1111 {
 		t.Fatalf("child read = %#x, %v", v, err)
 	}
 	// ...and writes diverge.
-	if err := ce.Store64(va, 0x2222); err != nil {
+	ce.Store64(va, 0x2222)
+	if err := ce.Err(); err != nil {
 		t.Fatal(err)
 	}
 	k.SwitchTo(e.P.PID)
-	v, err = e.Load64(va)
+	v, err = e.Load64(va), e.Err()
 	if err != nil || v != 0x1111 {
 		t.Errorf("parent must keep its copy: %#x, %v", v, err)
 	}
 	// Parent write also works (its mapping was downgraded for CoW).
-	if err := e.Store64(va, 0x3333); err != nil {
+	e.Store64(va, 0x3333)
+	if err := e.Err(); err != nil {
 		t.Fatalf("parent CoW write: %v", err)
 	}
 	if k.Counters.Get("kernel.cow_fault") == 0 {
@@ -295,7 +361,7 @@ func TestScatteredVsContiguousPT(t *testing.T) {
 	// The non-HPMP-aware kernel (ContiguousPT=false) spreads PT pages
 	// around; with a fast segment over the pool region they would not be
 	// covered. Verify the layout difference materializes.
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 	mon, _ := monitor.Boot(mach, monitor.DefaultConfig(monitor.ModeHPMP))
 	cfg := DefaultConfig(memSize)
 	cfg.ContiguousPT = false
@@ -324,7 +390,8 @@ func TestMUnmap(t *testing.T) {
 	e := spawnEnv(t, k)
 	base := e.Alloc(4 * addr.PageSize)
 	for i := 0; i < 4; i++ {
-		if err := e.Store64(base+addr.VA(i*addr.PageSize), uint64(i)); err != nil {
+		e.Store64(base+addr.VA(i*addr.PageSize), uint64(i))
+		if err := e.Err(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,8 +402,10 @@ func TestMUnmap(t *testing.T) {
 	if e.P.MappedPages() != mapped-4 {
 		t.Errorf("MappedPages = %d, want %d", e.P.MappedPages(), mapped-4)
 	}
-	// Access after munmap segfaults (no VMA).
-	if _, err := e.Load64(base); err == nil {
+	// Access after munmap segfaults (no VMA). A failed access is final
+	// for its Env, so probe through a second one.
+	probe := &Env{K: k, P: e.P}
+	if _, err := probe.Load64(base), probe.Err(); err == nil {
 		t.Error("access after munmap must fail")
 	}
 	// Unmapping twice fails.
@@ -345,7 +414,8 @@ func TestMUnmap(t *testing.T) {
 	}
 	// The freed frames are reusable.
 	next := e.Alloc(4 * addr.PageSize)
-	if err := e.Store64(next, 99); err != nil {
+	e.Store64(next, 99)
+	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -367,7 +437,7 @@ func TestMUnmapSharedCoWFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	ce := &Env{K: k, P: child}
-	v, err := ce.Load64(base)
+	v, err := ce.Load64(base), ce.Err()
 	if err != nil || v != 0x11 {
 		t.Errorf("child lost its CoW frame: %#x %v", v, err)
 	}

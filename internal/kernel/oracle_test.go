@@ -139,7 +139,8 @@ type twin struct {
 
 func (w *twin) load64(va addr.VA) (uint64, error) {
 	if !w.ref {
-		return (&Env{K: w.k, P: w.cur}).Load64(va)
+		e := &Env{K: w.k, P: w.cur}
+		return e.Load64(va), e.Err()
 	}
 	pa, err := refAccess(w.k, va, perm.Read, perm.U)
 	if err != nil {
@@ -150,7 +151,9 @@ func (w *twin) load64(va addr.VA) (uint64, error) {
 
 func (w *twin) store64(va addr.VA, v uint64) error {
 	if !w.ref {
-		return (&Env{K: w.k, P: w.cur}).Store64(va, v)
+		e := &Env{K: w.k, P: w.cur}
+		e.Store64(va, v)
+		return e.Err()
 	}
 	pa, err := refAccess(w.k, va, perm.Write, perm.U)
 	if err != nil {
@@ -161,7 +164,9 @@ func (w *twin) store64(va addr.VA, v uint64) error {
 
 func (w *twin) fetch(va addr.VA) error {
 	if !w.ref {
-		return (&Env{K: w.k, P: w.cur}).FetchAt(va)
+		e := &Env{K: w.k, P: w.cur}
+		e.FetchAt(va)
+		return e.Err()
 	}
 	_, err := refAccess(w.k, va, perm.Fetch, perm.U)
 	return err
@@ -222,7 +227,7 @@ func TestSettleDifferential(t *testing.T) {
 
 func runSettleDifferential(t *testing.T, plat cpu.Platform, mode monitor.Mode, seed uint64) {
 	boot := func(ref bool) *twin {
-		mach := cpu.NewMachine(plat, memSize)
+		mach := cpu.NewMachine(plat, memSize, true)
 		mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
 		if err != nil {
 			t.Fatal(err)

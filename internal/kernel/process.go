@@ -204,7 +204,9 @@ func (k *Kernel) MUnmap(p *Process, base addr.VA) error {
 			ref.n--
 			if ref.n > 0 {
 				delete(p.pages, page)
-				p.Table.Unmap(page)
+				if _, err := p.Table.Unmap(page); err != nil {
+					return err
+				}
 				continue
 			}
 			delete(k.frameRefs, mp.pa)
@@ -463,7 +465,9 @@ func (k *Kernel) Exec(p *Process, img Image) error {
 		} else {
 			k.freeFrame(mp.pa)
 		}
-		p.Table.Unmap(va)
+		if _, err := p.Table.Unmap(va); err != nil {
+			return err
+		}
 		delete(p.pages, va)
 	}
 	if img.HeapPages == 0 {

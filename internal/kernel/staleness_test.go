@@ -19,7 +19,8 @@ func TestSwitchToNeverServesStaleTranslation(t *testing.T) {
 	k := bootKernel(t, monitor.ModeHPMP)
 	ea := spawnEnv(t, k)
 	va := ea.P.Heap()
-	if err := ea.Store64(va, 0xaaaa); err != nil {
+	ea.Store64(va, 0xaaaa)
+	if err := ea.Err(); err != nil {
 		t.Fatal(err)
 	}
 	resA, err := mmuAccess(k.Mach.MMU, va, perm.Read, perm.U, k.Mach.Core.Now)
@@ -28,7 +29,8 @@ func TestSwitchToNeverServesStaleTranslation(t *testing.T) {
 	}
 
 	eb := spawnEnv(t, k) // NewEnv switches to B
-	if err := eb.Store64(va, 0xbbbb); err != nil {
+	eb.Store64(va, 0xbbbb)
+	if err := eb.Err(); err != nil {
 		t.Fatal(err)
 	}
 	resB, err := mmuAccess(k.Mach.MMU, va, perm.Read, perm.U, k.Mach.Core.Now)
@@ -74,7 +76,8 @@ func TestSpawnAfterExitNeverServesStaleTranslation(t *testing.T) {
 	k := bootKernel(t, monitor.ModeHPMP)
 	ea := spawnEnv(t, k)
 	va := ea.P.Heap()
-	if err := ea.Store64(va, 0xdead); err != nil {
+	ea.Store64(va, 0xdead)
+	if err := ea.Err(); err != nil {
 		t.Fatal(err)
 	}
 	stale, err := mmuAccess(k.Mach.MMU, va, perm.Read, perm.U, k.Mach.Core.Now)

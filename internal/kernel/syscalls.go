@@ -134,9 +134,10 @@ func (k *Kernel) ForkExit(e *Env) error {
 	cEnv := &Env{K: k, P: child}
 	// The child writes its stack before exiting (CoW copies).
 	for i := 0; i < 4; i++ {
-		if err := cEnv.Store64(child.Stack()+addr.VA(i*addr.PageSize), uint64(i)); err != nil {
-			return fmt.Errorf("child stack touch: %w", err)
-		}
+		cEnv.Store64(child.Stack()+addr.VA(i*addr.PageSize), uint64(i))
+	}
+	if err := cEnv.Err(); err != nil {
+		return fmt.Errorf("child stack touch: %w", err)
 	}
 	k.enterSyscall()
 	err = k.Exit(child.PID)
@@ -167,10 +168,9 @@ func (k *Kernel) ForkExec(e *Env, img Image) error {
 	}
 	cEnv := &Env{K: k, P: child}
 	// The fresh image faults in its entry code page and initial stack.
-	if err := cEnv.FetchAt(child.Code()); err != nil {
-		return err
-	}
-	if err := cEnv.Store64(child.Stack(), 0); err != nil {
+	cEnv.FetchAt(child.Code())
+	cEnv.Store64(child.Stack(), 0)
+	if err := cEnv.Err(); err != nil {
 		return err
 	}
 	k.enterSyscall()

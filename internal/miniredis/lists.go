@@ -21,39 +21,6 @@ const (
 	nodeWords = 3
 )
 
-// listObj returns the list object VA for key, creating it when asked.
-func (s *Server) listObj(key string, create bool) (addr.VA, error) {
-	if !create {
-		eva, err := s.findEntry(key)
-		if err != nil || eva == 0 {
-			return 0, err
-		}
-		vp, err := s.word(eva, entVal)
-		return addr.VA(vp), err
-	}
-	eva, created, err := s.lookupOrCreate(key, typeList)
-	if err != nil {
-		return 0, err
-	}
-	if created {
-		obj, err := s.alloc(listWords * 8)
-		if err != nil {
-			return 0, err
-		}
-		for i := 0; i < listWords; i++ {
-			if err := s.setWord(obj, i, 0); err != nil {
-				return 0, err
-			}
-		}
-		if err := s.setWord(eva, entVal, uint64(obj)); err != nil {
-			return 0, err
-		}
-		return obj, nil
-	}
-	vp, err := s.word(eva, entVal)
-	return addr.VA(vp), err
-}
-
 // LPush prepends a value and returns the new length.
 func (s *Server) LPush(key string, val []byte) (uint64, error) {
 	return s.push(key, val, true)
@@ -65,7 +32,7 @@ func (s *Server) RPush(key string, val []byte) (uint64, error) {
 }
 
 func (s *Server) push(key string, val []byte, left bool) (uint64, error) {
-	obj, err := s.listObj(key, true)
+	obj, err := s.object(key, typeList, listWords)
 	if err != nil {
 		return 0, err
 	}
@@ -77,17 +44,9 @@ func (s *Server) push(key string, val []byte, left bool) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := s.setWord(node, nodeVal, uint64(blob)); err != nil {
-		return 0, err
-	}
-	head, err := s.word(obj, listHead)
-	if err != nil {
-		return 0, err
-	}
-	tail, err := s.word(obj, listTail)
-	if err != nil {
-		return 0, err
-	}
+	s.setWord(node, nodeVal, uint64(blob))
+	head := s.word(obj, listHead)
+	tail := s.word(obj, listTail)
 	if left {
 		s.setWord(node, nodeNext, head)
 		s.setWord(node, nodePrev, 0)
@@ -109,12 +68,9 @@ func (s *Server) push(key string, val []byte, left bool) (uint64, error) {
 			s.setWord(obj, listHead, uint64(node))
 		}
 	}
-	n, err := s.word(obj, listLen)
-	if err != nil {
-		return 0, err
-	}
-	n++
-	return n, s.setWord(obj, listLen, n)
+	n := s.word(obj, listLen) + 1
+	s.setWord(obj, listLen, n)
+	return n, s.e.Err()
 }
 
 // LPop removes and returns the head value (nil on empty).
@@ -124,26 +80,21 @@ func (s *Server) LPop(key string) ([]byte, error) { return s.pop(key, true) }
 func (s *Server) RPop(key string) ([]byte, error) { return s.pop(key, false) }
 
 func (s *Server) pop(key string, left bool) ([]byte, error) {
-	obj, err := s.listObj(key, false)
-	if err != nil || obj == 0 {
-		return nil, err
+	obj := s.value(key)
+	if obj == 0 {
+		return nil, s.e.Err()
 	}
-	var nodeRaw uint64
+	end := listTail
 	if left {
-		nodeRaw, err = s.word(obj, listHead)
-	} else {
-		nodeRaw, err = s.word(obj, listTail)
+		end = listHead
 	}
-	if err != nil || nodeRaw == 0 {
-		return nil, err
+	node := addr.VA(s.word(obj, end))
+	if node == 0 {
+		return nil, s.e.Err()
 	}
-	node := addr.VA(nodeRaw)
-	valPtr, err := s.word(node, nodeVal)
-	if err != nil {
-		return nil, err
-	}
-	next, _ := s.word(node, nodeNext)
-	prev, _ := s.word(node, nodePrev)
+	valPtr := s.word(node, nodeVal)
+	next := s.word(node, nodeNext)
+	prev := s.word(node, nodePrev)
 	if left {
 		s.setWord(obj, listHead, next)
 		if next != 0 {
@@ -159,20 +110,19 @@ func (s *Server) pop(key string, left bool) ([]byte, error) {
 			s.setWord(obj, listHead, 0)
 		}
 	}
-	n, _ := s.word(obj, listLen)
-	if n > 0 {
+	if n := s.word(obj, listLen); n > 0 {
 		s.setWord(obj, listLen, n-1)
 	}
-	return s.loadBlob(addr.VA(valPtr))
+	return s.loadBlob(addr.VA(valPtr)), s.e.Err()
 }
 
 // LLen returns the list length.
 func (s *Server) LLen(key string) (uint64, error) {
-	obj, err := s.listObj(key, false)
-	if err != nil || obj == 0 {
-		return 0, err
+	obj := s.value(key)
+	if obj == 0 {
+		return 0, s.e.Err()
 	}
-	return s.word(obj, listLen)
+	return s.word(obj, listLen), s.e.Err()
 }
 
 // LRange returns elements [start, stop] walking the linked list — the
@@ -183,32 +133,18 @@ func (s *Server) LRange(key string, start, stop int) ([][]byte, error) {
 	if start < 0 || stop < start {
 		return nil, fmt.Errorf("miniredis: bad range [%d,%d]", start, stop)
 	}
-	obj, err := s.listObj(key, false)
-	if err != nil || obj == 0 {
-		return nil, err
-	}
-	cur, err := s.word(obj, listHead)
-	if err != nil {
-		return nil, err
+	obj := s.value(key)
+	if obj == 0 {
+		return nil, s.e.Err()
 	}
 	var out [][]byte
+	cur := s.word(obj, listHead)
 	for i := 0; cur != 0 && i <= stop; i++ {
 		node := addr.VA(cur)
 		if i >= start {
-			vp, err := s.word(node, nodeVal)
-			if err != nil {
-				return nil, err
-			}
-			val, err := s.loadBlob(addr.VA(vp))
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, val)
+			out = append(out, s.loadBlob(addr.VA(s.word(node, nodeVal))))
 		}
-		cur, err = s.word(node, nodeNext)
-		if err != nil {
-			return nil, err
-		}
+		cur = s.word(node, nodeNext)
 	}
-	return out, nil
+	return out, s.e.Err()
 }

@@ -136,49 +136,28 @@ func (s *Server) bucketVA(h uint64) addr.VA {
 }
 
 // word reads entry word i of the record at va.
-func (s *Server) word(va addr.VA, i int) (uint64, error) {
+func (s *Server) word(va addr.VA, i int) uint64 {
 	return s.e.Load64(va + addr.VA(i*8))
 }
 
-func (s *Server) setWord(va addr.VA, i int, v uint64) error {
-	return s.e.Store64(va+addr.VA(i*8), v)
+func (s *Server) setWord(va addr.VA, i int, v uint64) {
+	s.e.Store64(va+addr.VA(i*8), v)
 }
 
 // findEntry walks the bucket chain for key. Returns the entry VA or 0.
-func (s *Server) findEntry(key string) (addr.VA, error) {
+func (s *Server) findEntry(key string) addr.VA {
 	h := hashKey(key)
-	cur, err := s.e.Load64(s.bucketVA(h))
-	if err != nil {
-		return 0, err
-	}
-	for cur != 0 {
+	for cur := s.e.Load64(s.bucketVA(h)); cur != 0; cur = s.word(addr.VA(cur), entNext) {
 		eva := addr.VA(cur)
-		eh, err := s.word(eva, entHash)
-		if err != nil {
-			return 0, err
+		if s.word(eva, entHash) != h {
+			continue
 		}
-		if eh == h {
-			klen, err := s.word(eva, entKLen)
-			if err != nil {
-				return 0, err
-			}
-			if int(klen) == len(key) {
-				kb, err := s.e.LoadBytes(eva+addr.VA(entHeaderWords*8), klen)
-				if err != nil {
-					return 0, err
-				}
-				if string(kb) == key {
-					return eva, nil
-				}
-			}
+		if klen := s.word(eva, entKLen); int(klen) == len(key) &&
+			string(s.e.LoadBytes(eva+addr.VA(entHeaderWords*8), klen)) == key {
+			return eva
 		}
-		nxt, err := s.word(eva, entNext)
-		if err != nil {
-			return 0, err
-		}
-		cur = nxt
 	}
-	return 0, nil
+	return 0
 }
 
 // createEntry inserts a fresh entry for key with the given type, returning
@@ -190,31 +169,14 @@ func (s *Server) createEntry(key string, typ uint64) (addr.VA, error) {
 		return 0, err
 	}
 	bva := s.bucketVA(h)
-	head, err := s.e.Load64(bva)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.setWord(eva, entHash, h); err != nil {
-		return 0, err
-	}
-	if err := s.setWord(eva, entNext, head); err != nil {
-		return 0, err
-	}
-	if err := s.setWord(eva, entType, typ); err != nil {
-		return 0, err
-	}
-	if err := s.setWord(eva, entKLen, uint64(len(key))); err != nil {
-		return 0, err
-	}
-	if err := s.setWord(eva, entVal, 0); err != nil {
-		return 0, err
-	}
-	if err := s.e.StoreBytes(eva+addr.VA(entHeaderWords*8), []byte(key)); err != nil {
-		return 0, err
-	}
-	if err := s.e.Store64(bva, uint64(eva)); err != nil {
-		return 0, err
-	}
+	head := s.e.Load64(bva)
+	s.setWord(eva, entHash, h)
+	s.setWord(eva, entNext, head)
+	s.setWord(eva, entType, typ)
+	s.setWord(eva, entKLen, uint64(len(key)))
+	s.setWord(eva, entVal, 0)
+	s.e.StoreBytes(eva+addr.VA(entHeaderWords*8), []byte(key))
+	s.e.Store64(bva, uint64(eva))
 	s.Keys++
 	return eva, nil
 }
@@ -222,22 +184,44 @@ func (s *Server) createEntry(key string, typ uint64) (addr.VA, error) {
 // lookupOrCreate returns the entry for key, creating it with typ when
 // absent. It errors when the existing type conflicts.
 func (s *Server) lookupOrCreate(key string, typ uint64) (addr.VA, bool, error) {
-	eva, err := s.findEntry(key)
-	if err != nil {
-		return 0, false, err
-	}
-	if eva != 0 {
-		et, err := s.word(eva, entType)
-		if err != nil {
-			return 0, false, err
-		}
-		if et != typ {
-			return 0, false, fmt.Errorf("miniredis: WRONGTYPE for key %q", key)
+	if eva := s.findEntry(key); eva != 0 {
+		if s.word(eva, entType) != typ {
+			return 0, false, s.e.ErrOr(fmt.Errorf("miniredis: WRONGTYPE for key %q", key))
 		}
 		return eva, false, nil
 	}
-	eva, err = s.createEntry(key, typ)
+	eva, err := s.createEntry(key, typ)
 	return eva, true, err
+}
+
+// object returns the value object of key, creating the entry and a
+// zeroed object of the given words when key is absent.
+func (s *Server) object(key string, typ uint64, words int) (addr.VA, error) {
+	eva, created, err := s.lookupOrCreate(key, typ)
+	if err != nil {
+		return 0, err
+	}
+	if !created {
+		return addr.VA(s.word(eva, entVal)), nil
+	}
+	obj, err := s.alloc(uint64(words) * 8)
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < words; i++ {
+		s.setWord(obj, i, 0)
+	}
+	s.setWord(eva, entVal, uint64(obj))
+	return obj, nil
+}
+
+// value returns the value pointer of key's entry, or 0 when key is absent
+// or has no value.
+func (s *Server) value(key string) addr.VA {
+	if eva := s.findEntry(key); eva != 0 {
+		return addr.VA(s.word(eva, entVal))
+	}
+	return 0
 }
 
 // storeBlob writes a {len, bytes} blob into the arena, returning its VA.
@@ -246,23 +230,18 @@ func (s *Server) storeBlob(data []byte) (addr.VA, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := s.e.Store64(va, uint64(len(data))); err != nil {
-		return 0, err
-	}
-	if err := s.e.StoreBytes(va+8, data); err != nil {
-		return 0, err
-	}
+	s.e.Store64(va, uint64(len(data)))
+	s.e.StoreBytes(va+8, data)
 	return va, nil
 }
 
 // loadBlob reads a {len, bytes} blob.
-func (s *Server) loadBlob(va addr.VA) ([]byte, error) {
-	n, err := s.e.Load64(va)
-	if err != nil {
-		return nil, err
-	}
-	return s.e.LoadBytes(va+8, n)
+func (s *Server) loadBlob(va addr.VA) []byte {
+	return s.e.LoadBytes(va+8, s.e.Load64(va))
 }
+
+// Each command below returns the environment's Err() when it finishes, so
+// a command whose access failed reports that failure.
 
 // Ping answers PING (protocol-only command).
 func (s *Server) Ping() string {
@@ -280,20 +259,17 @@ func (s *Server) Set(key string, val []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.setWord(eva, entVal, uint64(blob))
+	s.setWord(eva, entVal, uint64(blob))
+	return s.e.Err()
 }
 
 // Get fetches a string value (nil when absent).
 func (s *Server) Get(key string) ([]byte, error) {
-	eva, err := s.findEntry(key)
-	if err != nil || eva == 0 {
-		return nil, err
+	vp := s.value(key)
+	if vp == 0 {
+		return nil, s.e.Err()
 	}
-	vp, err := s.word(eva, entVal)
-	if err != nil || vp == 0 {
-		return nil, err
-	}
-	return s.loadBlob(addr.VA(vp))
+	return s.loadBlob(vp), s.e.Err()
 }
 
 // Incr parses the stored decimal value, adds one, stores it back, and
@@ -305,18 +281,10 @@ func (s *Server) Incr(key string) (int64, error) {
 	}
 	var cur int64
 	if !created {
-		vp, err := s.word(eva, entVal)
-		if err != nil {
-			return 0, err
-		}
-		if vp != 0 {
-			raw, err := s.loadBlob(addr.VA(vp))
-			if err != nil {
-				return 0, err
-			}
-			for _, c := range raw {
+		if vp := s.word(eva, entVal); vp != 0 {
+			for _, c := range s.loadBlob(addr.VA(vp)) {
 				if c < '0' || c > '9' {
-					return 0, fmt.Errorf("miniredis: value not an integer")
+					return 0, s.e.ErrOr(fmt.Errorf("miniredis: value not an integer"))
 				}
 				cur = cur*10 + int64(c-'0')
 			}
@@ -327,7 +295,8 @@ func (s *Server) Incr(key string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cur, s.setWord(eva, entVal, uint64(blob))
+	s.setWord(eva, entVal, uint64(blob))
+	return cur, s.e.Err()
 }
 
 // MSet stores several key/value pairs. Keys are applied in sorted order so

@@ -13,7 +13,7 @@ import (
 
 func newServer(t *testing.T, mode monitor.Mode) (*Server, *kernel.Env) {
 	t.Helper()
-	mach := cpu.NewMachine(cpu.RocketPlatform(), 512*addr.MiB)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), 512*addr.MiB, true)
 	mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestLRangeCostGrowsWithLength(t *testing.T) {
 }
 
 func TestArenaExhaustion(t *testing.T) {
-	mach := cpu.NewMachine(cpu.RocketPlatform(), 512*addr.MiB)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), 512*addr.MiB, true)
 	mon, _ := monitor.Boot(mach, monitor.DefaultConfig(monitor.ModeHPMP))
 	k, _ := kernel.New(mach, mon, kernel.DefaultConfig(512*addr.MiB))
 	p, _ := k.Spawn(kernel.Image{Name: "tiny", TextPages: 4, DataPages: 4})

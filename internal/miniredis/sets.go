@@ -21,71 +21,16 @@ const (
 	memWords = 4
 )
 
-// collObj returns (creating if asked) the set/hash object VA for key.
-func (s *Server) collObj(key string, typ uint64, create bool) (addr.VA, error) {
-	if !create {
-		eva, err := s.findEntry(key)
-		if err != nil || eva == 0 {
-			return 0, err
-		}
-		vp, err := s.word(eva, entVal)
-		return addr.VA(vp), err
-	}
-	eva, created, err := s.lookupOrCreate(key, typ)
-	if err != nil {
-		return 0, err
-	}
-	if created {
-		obj, err := s.alloc(setWords * 8)
-		if err != nil {
-			return 0, err
-		}
-		for i := 0; i < setWords; i++ {
-			if err := s.setWord(obj, i, 0); err != nil {
-				return 0, err
-			}
-		}
-		if err := s.setWord(eva, entVal, uint64(obj)); err != nil {
-			return 0, err
-		}
-		return obj, nil
-	}
-	vp, err := s.word(eva, entVal)
-	return addr.VA(vp), err
-}
-
 // findMember walks a collection bucket chain for member.
-func (s *Server) findMember(obj addr.VA, member string) (addr.VA, error) {
+func (s *Server) findMember(obj addr.VA, member string) addr.VA {
 	h := hashKey(member)
-	cur, err := s.word(obj, int(h%setBuckets))
-	if err != nil {
-		return 0, err
-	}
-	for cur != 0 {
+	for cur := s.word(obj, int(h%setBuckets)); cur != 0; cur = s.word(addr.VA(cur), memNext) {
 		node := addr.VA(cur)
-		mh, err := s.word(node, memHash)
-		if err != nil {
-			return 0, err
-		}
-		if mh == h {
-			kp, err := s.word(node, memKey)
-			if err != nil {
-				return 0, err
-			}
-			kb, err := s.loadBlob(addr.VA(kp))
-			if err != nil {
-				return 0, err
-			}
-			if string(kb) == member {
-				return node, nil
-			}
-		}
-		cur, err = s.word(node, memNext)
-		if err != nil {
-			return 0, err
+		if s.word(node, memHash) == h && string(s.loadBlob(addr.VA(s.word(node, memKey)))) == member {
+			return node
 		}
 	}
-	return 0, nil
+	return 0
 }
 
 // addMember inserts a member node (no duplicate check).
@@ -100,89 +45,64 @@ func (s *Server) addMember(obj addr.VA, member string, valBlob addr.VA) error {
 		return err
 	}
 	bslot := int(h % setBuckets)
-	head, err := s.word(obj, bslot)
-	if err != nil {
-		return err
-	}
+	head := s.word(obj, bslot)
 	s.setWord(node, memNext, head)
 	s.setWord(node, memHash, h)
 	s.setWord(node, memKey, uint64(kb))
 	s.setWord(node, memVal, uint64(valBlob))
-	if err := s.setWord(obj, bslot, uint64(node)); err != nil {
-		return err
-	}
-	n, err := s.word(obj, setCount)
-	if err != nil {
-		return err
-	}
-	return s.setWord(obj, setCount, n+1)
+	s.setWord(obj, bslot, uint64(node))
+	s.setWord(obj, setCount, s.word(obj, setCount)+1)
+	return nil
 }
 
 // SAdd adds a member to a set; returns true when newly added.
 func (s *Server) SAdd(key, member string) (bool, error) {
-	obj, err := s.collObj(key, typeSet, true)
+	obj, err := s.object(key, typeSet, setWords)
 	if err != nil {
 		return false, err
 	}
-	node, err := s.findMember(obj, member)
-	if err != nil {
-		return false, err
+	if s.findMember(obj, member) != 0 {
+		return false, s.e.Err()
 	}
-	if node != 0 {
-		return false, nil
-	}
-	return true, s.addMember(obj, member, 0)
+	return true, s.e.ErrOr(s.addMember(obj, member, 0))
 }
 
 // SCard returns the set cardinality.
 func (s *Server) SCard(key string) (uint64, error) {
-	obj, err := s.collObj(key, typeSet, false)
-	if err != nil || obj == 0 {
-		return 0, err
+	obj := s.value(key)
+	if obj == 0 {
+		return 0, s.e.Err()
 	}
-	return s.word(obj, setCount)
+	return s.word(obj, setCount), s.e.Err()
 }
 
 // SPop removes and returns an arbitrary member (first found), or "" when
 // empty.
 func (s *Server) SPop(key string) (string, error) {
-	obj, err := s.collObj(key, typeSet, false)
-	if err != nil || obj == 0 {
-		return "", err
+	obj := s.value(key)
+	if obj == 0 {
+		return "", s.e.Err()
 	}
 	for b := 0; b < setBuckets; b++ {
-		head, err := s.word(obj, b)
-		if err != nil {
-			return "", err
-		}
+		head := s.word(obj, b)
 		if head == 0 {
 			continue
 		}
 		node := addr.VA(head)
-		next, _ := s.word(node, memNext)
-		kp, err := s.word(node, memKey)
-		if err != nil {
-			return "", err
-		}
-		kb, err := s.loadBlob(addr.VA(kp))
-		if err != nil {
-			return "", err
-		}
-		if err := s.setWord(obj, b, next); err != nil {
-			return "", err
-		}
-		n, _ := s.word(obj, setCount)
-		if n > 0 {
+		next := s.word(node, memNext)
+		kb := s.loadBlob(addr.VA(s.word(node, memKey)))
+		s.setWord(obj, b, next)
+		if n := s.word(obj, setCount); n > 0 {
 			s.setWord(obj, setCount, n-1)
 		}
-		return string(kb), nil
+		return string(kb), s.e.Err()
 	}
-	return "", nil
+	return "", s.e.Err()
 }
 
 // HSet sets field=val in a hash; returns true when the field is new.
 func (s *Server) HSet(key, field string, val []byte) (bool, error) {
-	obj, err := s.collObj(key, typeHash, true)
+	obj, err := s.object(key, typeHash, setWords)
 	if err != nil {
 		return false, err
 	}
@@ -190,29 +110,26 @@ func (s *Server) HSet(key, field string, val []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	node, err := s.findMember(obj, field)
-	if err != nil {
-		return false, err
+	if node := s.findMember(obj, field); node != 0 {
+		s.setWord(node, memVal, uint64(blob))
+		return false, s.e.Err()
 	}
-	if node != 0 {
-		return false, s.setWord(node, memVal, uint64(blob))
-	}
-	return true, s.addMember(obj, field, blob)
+	return true, s.e.ErrOr(s.addMember(obj, field, blob))
 }
 
 // HGet fetches a hash field (nil when absent).
 func (s *Server) HGet(key, field string) ([]byte, error) {
-	obj, err := s.collObj(key, typeHash, false)
-	if err != nil || obj == 0 {
-		return nil, err
+	obj := s.value(key)
+	if obj == 0 {
+		return nil, s.e.Err()
 	}
-	node, err := s.findMember(obj, field)
-	if err != nil || node == 0 {
-		return nil, err
+	node := s.findMember(obj, field)
+	if node == 0 {
+		return nil, s.e.Err()
 	}
-	vp, err := s.word(node, memVal)
-	if err != nil || vp == 0 {
-		return nil, err
+	vp := s.word(node, memVal)
+	if vp == 0 {
+		return nil, s.e.Err()
 	}
-	return s.loadBlob(addr.VA(vp))
+	return s.loadBlob(addr.VA(vp)), s.e.Err()
 }

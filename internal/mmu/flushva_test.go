@@ -56,7 +56,7 @@ func TestFlushVADoesNotScopePMPTWalkerCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := New(DefaultConfig(addr.Sv39), hier, mem, checker)
+	m := New(DefaultConfig(addr.Sv39), hier, mem, checker, port)
 	m.SetRoot(tbl.Root())
 
 	va := addr.VA(0x4000_0000)

@@ -94,27 +94,17 @@ type MMU struct {
 	Counters stats.Counters
 }
 
-// New builds an MMU. checker may be nil (no isolation, Fig. 2-a). The
-// page-table walker fetches PTEs through a default port over hier+mem;
-// machines that route walker traffic differently (cpu.NewMachine skips the
-// L1D, as Rocket does) use NewWithWalkerPort.
-func New(cfg Config, hier *cache.Hierarchy, mem *phys.Memory, checker ptw.Checker) *MMU {
-	return NewWithWalkerPort(cfg, hier, mem, checker, nil)
-}
-
-// NewWithWalkerPort is New with an explicit memory port for the page-table
-// walker (nil selects the default hier+mem port).
-func NewWithWalkerPort(cfg Config, hier *cache.Hierarchy, mem *phys.Memory, checker ptw.Checker, walkerPort memport.Port) *MMU {
-	if walkerPort == nil {
-		walkerPort = &memport.Timed{Hier: hier, Mem: mem}
-	}
-	port := walkerPort
+// New builds an MMU whose data accesses go through hier and mem and whose
+// page-table walker fetches PTEs through walkerPort (cpu.NewMachine's port
+// skips the L1D, as Rocket does). checker may be nil (no isolation, Fig.
+// 2-a).
+func New(cfg Config, hier *cache.Hierarchy, mem *phys.Memory, checker ptw.Checker, walkerPort memport.Port) *MMU {
 	m := &MMU{
 		cfg:     cfg,
 		ITLB:    tlb.NewL1("itlb", cfg.ITLBEntries),
 		DTLB:    tlb.NewL1("dtlb", cfg.DTLBEntries),
 		STLB:    tlb.NewL2("stlb", cfg.L2TLBEntries, cfg.L2TLBLatency),
-		Walker:  ptw.New(cfg.Mode, port, checker, cfg.PWCEntries),
+		Walker:  ptw.New(cfg.Mode, walkerPort, checker, cfg.PWCEntries),
 		Checker: checker,
 		Hier:    hier,
 		Mem:     mem,

@@ -102,9 +102,9 @@ func newRigL2(t *testing.T, mode isoMode, l2Entries int) *rig {
 	cfg.L2TLBEntries = l2Entries
 	var m *MMU
 	if checker == nil {
-		m = New(cfg, hier, mem, nil) // typed nil must not reach the interface
+		m = New(cfg, hier, mem, nil, port) // typed nil must not reach the interface
 	} else {
-		m = New(cfg, hier, mem, checker)
+		m = New(cfg, hier, mem, checker, port)
 	}
 	m.SetRoot(tbl.Root())
 	return &rig{mem: mem, hier: hier, mmu: m, tbl: tbl, ptRegion: ptRegion, dataAlloc: dataAlloc}

@@ -13,7 +13,7 @@ import (
 // create an enclave, donate memory (revoking the host), switch in, and
 // tear down (scrubbing).
 func Example() {
-	mach := cpu.NewMachine(cpu.RocketPlatform(), 512*addr.MiB)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), 512*addr.MiB, true)
 	mon, err := monitor.Boot(mach, monitor.DefaultConfig(monitor.ModeHPMP))
 	if err != nil {
 		panic(err)

@@ -10,7 +10,7 @@ import (
 )
 
 func TestBootValidation(t *testing.T) {
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 	cfg := DefaultConfig(ModeHPMP)
 	cfg.MonitorRegion = addr.Range{Base: 0x1000, Size: 3 * addr.MiB} // not NAPOT
 	if _, err := Boot(mach, cfg); err == nil {
@@ -18,14 +18,14 @@ func TestBootValidation(t *testing.T) {
 	}
 	// A machine without a checker (no-isolation build) cannot host a
 	// monitor.
-	bare := cpu.NewMachineNoIsolation(cpu.RocketPlatform(), memSize)
+	bare := cpu.NewMachine(cpu.RocketPlatform(), memSize, false)
 	if _, err := Boot(bare, DefaultConfig(ModeHPMP)); err == nil {
 		t.Error("machine without HPMP checker must be rejected")
 	}
 }
 
 func TestFastSlotExhaustion(t *testing.T) {
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 	cfg := DefaultConfig(ModeHPMP)
 	cfg.FastEntries = 2 // only two fast slots
 	mon, err := Boot(mach, cfg)
@@ -96,7 +96,7 @@ func TestNonNAPOTFastGMSStaysInTable(t *testing.T) {
 func TestMultiChunkMemory(t *testing.T) {
 	// 32 GiB of (sparse) memory needs two 16 GiB permission-table chunks:
 	// two entry pairs, leaving fewer fast slots.
-	mach := cpu.NewMachine(cpu.RocketPlatform(), 32*addr.GiB)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), 32*addr.GiB, true)
 	mon, err := Boot(mach, DefaultConfig(ModeHPMP))
 	if err != nil {
 		t.Fatal(err)

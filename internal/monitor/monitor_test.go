@@ -15,7 +15,7 @@ const memSize = 512 * addr.MiB
 
 func boot(t *testing.T, mode Mode) *Monitor {
 	t.Helper()
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 	mon, err := Boot(mach, DefaultConfig(mode))
 	if err != nil {
 		t.Fatal(err)

@@ -199,10 +199,7 @@ func (m Machine) Assemble() *cpu.Machine {
 	} else if m.PMPTWCache < 0 {
 		plat.PMPTWCacheEntries = 0
 	}
-	if m.Mode == ModeNone {
-		return cpu.NewMachineNoIsolation(plat, m.MemSize)
-	}
-	mach := cpu.NewMachine(plat, m.MemSize)
+	mach := cpu.NewMachine(plat, m.MemSize, m.Mode != ModeNone)
 	if m.PMPTWCache > 0 && mach.PMPTWCache != nil {
 		mach.PMPTWCache.Enabled = true
 	}

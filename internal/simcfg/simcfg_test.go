@@ -175,10 +175,11 @@ func TestMinMemSizeBoots(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: env: %v", plat, mode, err)
 			}
-			if err := env.Store64(p.Heap(), 0x5eed); err != nil {
+			env.Store64(p.Heap(), 0x5eed)
+			if err := env.Err(); err != nil {
 				t.Fatalf("%s/%s: store: %v", plat, mode, err)
 			}
-			if v, err := env.Load64(p.Heap()); err != nil || v != 0x5eed {
+			if v, err := env.Load64(p.Heap()), env.Err(); err != nil || v != 0x5eed {
 				t.Fatalf("%s/%s: load = %#x, %v; want 0x5eed", plat, mode, v, err)
 			}
 		}

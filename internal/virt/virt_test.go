@@ -44,7 +44,7 @@ var (
 // uncached check walks the full depth.
 func newMachine(t testing.TB, mode vmode, depth int) *cpu.Machine {
 	t.Helper()
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 	checker := mach.Checker
 	all := addr.Range{Base: 0, Size: memSize}
 	switch mode {
@@ -243,7 +243,7 @@ func TestVirtLatencyOrdering(t *testing.T) {
 }
 
 func TestNestedTableX4Root(t *testing.T) {
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize)
+	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 	alloc := phys.NewFrameAllocator(nptRegion, false)
 	npt, err := pt.New(mach.Mem, alloc, addr.Sv39x4)
 	if err != nil {

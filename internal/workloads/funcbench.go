@@ -40,50 +40,30 @@ func (c *Chameleon) Run(e *kernel.Env) (uint64, error) {
 	out := NewByteArray(e, c.Rows*c.Cols*32+1024)
 	pos := 0
 	emits := 0
-	emit := func(s string) error {
+	emit := func(s string) {
 		emits++
 		if emits%2 == 0 {
-			if err := ip.op(); err != nil { // template engine bytecode
-				return err
-			}
+			ip.op() // template engine bytecode
 		}
-		if err := out.Fill(pos, []byte(s)); err != nil {
-			return err
-		}
+		out.Fill(pos, []byte(s))
 		pos += len(s)
 		e.Compute(uint64(4 * len(s)))
-		return nil
 	}
-	if err := emit("<table>\n"); err != nil {
-		return 0, err
-	}
+	emit("<table>\n")
 	for r := 0; r < c.Rows; r++ {
-		if err := emit("<tr>"); err != nil {
-			return 0, err
-		}
+		emit("<tr>")
 		for col := 0; col < c.Cols; col++ {
-			cell := "<td>" + itoa(r*c.Cols+col) + "</td>"
-			if err := emit(cell); err != nil {
-				return 0, err
-			}
+			emit("<td>" + itoa(r*c.Cols+col) + "</td>")
 		}
-		if err := emit("</tr>\n"); err != nil {
-			return 0, err
-		}
+		emit("</tr>\n")
 	}
-	if err := emit("</table>\n"); err != nil {
-		return 0, err
-	}
+	emit("</table>\n")
 	// Checksum the rendered document.
 	var sum uint64
-	doc, err := out.Read(0, pos)
-	if err != nil {
-		return 0, err
-	}
-	for _, b := range doc {
+	for _, b := range out.Read(0, pos) {
 		sum = sum*131 + uint64(b)
 	}
-	return sum, nil
+	return sum, e.Err()
 }
 
 func itoa(v int) string {
@@ -117,9 +97,7 @@ func (d *DD) Run(e *kernel.Env) (uint64, error) {
 		seed[i] = byte(r.next())
 	}
 	for b := 0; b < d.Blocks; b++ {
-		if err := src.Fill(b*d.BlockSize, seed); err != nil {
-			return 0, err
-		}
+		src.Fill(b*d.BlockSize, seed)
 	}
 	var sum uint64
 	for b := 0; b < d.Blocks; b++ {
@@ -127,20 +105,15 @@ func (d *DD) Run(e *kernel.Env) (uint64, error) {
 		if err := e.K.SyscallRead(e, src.Base()+addr.VA(b*d.BlockSize), uint64(d.BlockSize)); err != nil {
 			return 0, err
 		}
-		blk, err := src.Read(b*d.BlockSize, d.BlockSize)
-		if err != nil {
-			return 0, err
-		}
-		if err := dst.Fill(b*d.BlockSize, blk); err != nil {
-			return 0, err
-		}
+		blk := src.Read(b*d.BlockSize, d.BlockSize)
+		dst.Fill(b*d.BlockSize, blk)
 		if err := e.K.SyscallWrite(e, dst.Base()+addr.VA(b*d.BlockSize), uint64(d.BlockSize)); err != nil {
 			return 0, err
 		}
 		sum += uint64(blk[0]) + uint64(blk[len(blk)-1])
 		e.Compute(64)
 	}
-	return sum, nil
+	return sum, e.Err()
 }
 
 // GzipFunc compresses N bytes (reuses the miniz LZ engine with gzip-like
@@ -183,96 +156,83 @@ func (l *Linpack) Run(e *kernel.Env) (uint64, error) {
 	b := NewU64Array(e, n)
 	r := newRNG(17)
 	const one = int64(1) << 16
-	get := func(i, j int) (int64, error) {
-		v, err := a.Get(i*n + j)
-		return int64(v), err
-	}
-	set := func(i, j int, v int64) error { return a.Set(i*n+j, uint64(v)) }
+	get := func(i, j int) int64 { return int64(a.Get(i*n + j)) }
+	set := func(i, j int, v int64) { a.Set(i*n+j, uint64(v)) }
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			v := int64(r.intn(200)-100) * one / 16
 			if i == j {
 				v += one * int64(n) // diagonally dominant
 			}
-			if err := set(i, j, v); err != nil {
-				return 0, err
-			}
+			set(i, j, v)
 		}
-		if err := b.Set(i, uint64(int64(r.intn(100))*one/8)); err != nil {
-			return 0, err
-		}
+		b.Set(i, uint64(int64(r.intn(100))*one/8))
 	}
-	// LU with partial pivoting.
+	// LU with partial pivoting. A failed access zeroes the loads, so the
+	// divisions below stop at the failure rather than divide by zero.
 	for k := 0; k < n; k++ {
 		// Pivot search.
 		piv, pivVal := k, int64(0)
 		for i := k; i < n; i++ {
-			v, err := get(i, k)
-			if err != nil {
-				return 0, err
-			}
-			if abs64(v) > abs64(pivVal) {
+			if v := get(i, k); abs64(v) > abs64(pivVal) {
 				piv, pivVal = i, v
 			}
 		}
 		if pivVal == 0 {
-			return 0, errString("linpack: singular matrix")
+			return 0, e.ErrOr(errString("linpack: singular matrix"))
 		}
 		if piv != k {
 			for j := 0; j < n; j++ {
-				vk, _ := get(k, j)
-				vp, _ := get(piv, j)
+				vk := get(k, j)
+				vp := get(piv, j)
 				set(k, j, vp)
 				set(piv, j, vk)
 			}
-			bk, _ := b.Get(k)
-			bp, _ := b.Get(piv)
+			bk := b.Get(k)
+			bp := b.Get(piv)
 			b.Set(k, bp)
 			b.Set(piv, bk)
 		}
-		akk, _ := get(k, k)
+		akk := get(k, k)
+		if e.Err() != nil {
+			return 0, e.Err()
+		}
 		for i := k + 1; i < n; i++ {
-			aik, _ := get(i, k)
-			factor := (aik << 16) / akk
+			factor := (get(i, k) << 16) / akk
 			set(i, k, factor)
-			if err := ip.op(); err != nil { // row-loop bytecode
-				return 0, err
-			}
+			ip.op() // row-loop bytecode
 			for j := k + 1; j < n; j++ {
-				akj, _ := get(k, j)
-				aij, _ := get(i, j)
-				set(i, j, aij-(factor*akj>>16))
+				akj := get(k, j)
+				set(i, j, get(i, j)-(factor*akj>>16))
 				if j%8 == 0 {
-					if err := ip.op(); err != nil {
-						return 0, err
-					}
+					ip.op()
 				}
 				e.Compute(6)
 			}
-			bi, _ := b.Get(i)
-			bk, _ := b.Get(k)
+			bi := b.Get(i)
+			bk := b.Get(k)
 			b.Set(i, uint64(int64(bi)-(factor*int64(bk)>>16)))
 		}
 	}
 	// Back substitution.
 	x := NewU64Array(e, n)
 	for i := n - 1; i >= 0; i-- {
-		bi, _ := b.Get(i)
-		acc := int64(bi)
+		acc := int64(b.Get(i))
 		for j := i + 1; j < n; j++ {
-			aij, _ := get(i, j)
-			xj, _ := x.Get(j)
-			acc -= aij * int64(xj) >> 16
+			aij := get(i, j)
+			acc -= aij * int64(x.Get(j)) >> 16
 		}
-		aii, _ := get(i, i)
+		aii := get(i, i)
+		if e.Err() != nil {
+			return 0, e.Err()
+		}
 		x.Set(i, uint64((acc<<16)/aii))
 	}
 	var sum uint64
 	for i := 0; i < n; i++ {
-		v, _ := x.Get(i)
-		sum += v & 0xffffffff
+		sum += x.Get(i) & 0xffffffff
 	}
-	return sum, nil
+	return sum, e.Err()
 }
 
 func abs64(v int64) int64 {
@@ -302,24 +262,19 @@ func (m *Matmul) Run(e *kernel.Env) (uint64, error) {
 	}
 	for i := 0; i < n; i++ {
 		for k := 0; k < n; k++ {
-			aik, err := a.Get(i*n + k)
-			if err != nil {
-				return 0, err
-			}
+			aik := a.Get(i*n + k)
 			for j := 0; j < n; j++ {
-				bkj, _ := b.Get(k*n + j)
-				cij, _ := c.Get(i*n + j)
-				c.Set(i*n+j, cij+aik*bkj)
+				bkj := b.Get(k*n + j)
+				c.Set(i*n+j, c.Get(i*n+j)+aik*bkj)
 				e.Compute(3)
 			}
 		}
 	}
 	var sum uint64
 	for i := 0; i < n*n; i++ {
-		v, _ := c.Get(i)
-		sum ^= v + uint64(i)
+		sum ^= c.Get(i) + uint64(i)
 	}
-	return sum, nil
+	return sum, e.Err()
 }
 
 // PyAES is AES implemented in an interpreter: the S-box walk of AES with a
@@ -343,58 +298,40 @@ func (p *PyAES) Run(e *kernel.Env) (uint64, error) {
 		v = v<<1 | v>>7
 		box[i] = v ^ 0x63 ^ byte(i*7)
 	}
-	if err := sbox.Fill(0, box); err != nil {
-		return 0, err
-	}
+	sbox.Fill(0, box)
 	buf := NewByteArray(e, p.Blocks*16)
 	r := newRNG(42)
 	init := make([]byte, p.Blocks*16)
 	for i := range init {
 		init[i] = byte(r.next())
 	}
-	if err := buf.Fill(0, init); err != nil {
-		return 0, err
-	}
+	buf.Fill(0, init)
 	var sum uint64
 	for b := 0; b < p.Blocks; b++ {
 		var state [16]byte
 		for i := 0; i < 16; i++ {
-			v, err := buf.Get(b*16 + i)
-			if err != nil {
-				return 0, err
-			}
-			state[i] = v
+			state[i] = buf.Get(b*16 + i)
 		}
 		for round := 0; round < 10; round++ {
 			for i := 0; i < 16; i++ {
 				if i%4 == 0 {
-					if err := ip.op(); err != nil { // bytecode dispatch
-						return 0, err
-					}
+					ip.op() // bytecode dispatch
 				}
-				v, err := sbox.Get(int(state[i]))
-				if err != nil {
-					return 0, err
-				}
-				state[i] = v
+				state[i] = sbox.Get(int(state[i]))
 			}
 			var next [16]byte
 			for i := 0; i < 16; i++ {
 				next[i] = state[(i*5)%16] ^ state[(i+4)%16] ^ byte(round)
 			}
 			state = next
-			if err := ip.ops(4); err != nil {
-				return 0, err
-			}
+			ip.ops(4)
 		}
 		for i := 0; i < 16; i++ {
-			if err := buf.Set(b*16+i, state[i]); err != nil {
-				return 0, err
-			}
+			buf.Set(b*16+i, state[i])
 			sum += uint64(state[i])
 		}
 	}
-	return sum, nil
+	return sum, e.Err()
 }
 
 // ImageFunc resizes a Width×Height grayscale image to half size and runs a
@@ -422,29 +359,20 @@ func (im *ImageFunc) Run(e *kernel.Env) (uint64, error) {
 		for x := range row {
 			row[x] = byte((x*y)/3 + r.intn(16))
 		}
-		if err := img.Fill(y*w, row); err != nil {
-			return 0, err
-		}
+		img.Fill(y*w, row)
 	}
 	// Bilinear downscale to (w/2, h/2).
 	ow, oh := w/2, h/2
 	small := NewByteArray(e, ow*oh)
 	for y := 0; y < oh; y++ {
-		if err := ip.ops(2); err != nil { // per-row PIL call overhead
-			return 0, err
-		}
+		ip.ops(2) // per-row PIL call overhead
 		for x := 0; x < ow; x++ {
-			p00, err := img.Get((2*y)*w + 2*x)
-			if err != nil {
-				return 0, err
-			}
-			p01, _ := img.Get((2*y)*w + 2*x + 1)
-			p10, _ := img.Get((2*y+1)*w + 2*x)
-			p11, _ := img.Get((2*y+1)*w + 2*x + 1)
+			p00 := img.Get((2*y)*w + 2*x)
+			p01 := img.Get((2*y)*w + 2*x + 1)
+			p10 := img.Get((2*y+1)*w + 2*x)
+			p11 := img.Get((2*y+1)*w + 2*x + 1)
 			avg := (uint32(p00) + uint32(p01) + uint32(p10) + uint32(p11)) / 4
-			if err := small.Set(y*ow+x, byte(avg)); err != nil {
-				return 0, err
-			}
+			small.Set(y*ow+x, byte(avg))
 			e.Compute(8)
 		}
 	}
@@ -452,24 +380,16 @@ func (im *ImageFunc) Run(e *kernel.Env) (uint64, error) {
 	out := NewByteArray(e, ow*oh)
 	var sum uint64
 	for y := 1; y < oh-1; y++ {
-		if err := ip.ops(2); err != nil {
-			return 0, err
-		}
+		ip.ops(2)
 		for x := 1; x < ow-1; x++ {
 			var acc uint32
 			for dy := -1; dy <= 1; dy++ {
 				for dx := -1; dx <= 1; dx++ {
-					p, err := small.Get((y+dy)*ow + (x + dx))
-					if err != nil {
-						return 0, err
-					}
-					acc += uint32(p)
+					acc += uint32(small.Get((y+dy)*ow + (x + dx)))
 				}
 			}
 			v := byte(acc / 9)
-			if err := out.Set(y*ow+x, v); err != nil {
-				return 0, err
-			}
+			out.Set(y*ow+x, v)
 			sum += uint64(v)
 			e.Compute(12)
 		}
@@ -478,5 +398,5 @@ func (im *ImageFunc) Run(e *kernel.Env) (uint64, error) {
 	if err := e.K.SyscallWrite(e, out.Base(), uint64(ow*oh)); err != nil {
 		return 0, err
 	}
-	return sum, nil
+	return sum, e.Err()
 }

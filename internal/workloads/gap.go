@@ -18,13 +18,12 @@ type Graph struct {
 	M      int
 	rowPtr *U32Array // N+1
 	colIdx *U32Array // M
-	e      *kernel.Env
 }
 
 // GenKronecker builds a Kronecker graph with 2^scale vertices and
 // edgeFactor edges per vertex (undirected: each edge stored both ways),
 // using the graph500 R-MAT parameters (A=0.57, B=0.19, C=0.19).
-func GenKronecker(e *kernel.Env, scale, edgeFactor int, seed uint64) (*Graph, error) {
+func GenKronecker(e *kernel.Env, scale, edgeFactor int, seed uint64) *Graph {
 	n := 1 << scale
 	mDirected := n * edgeFactor
 	r := newRNG(seed)
@@ -72,51 +71,27 @@ func GenKronecker(e *kernel.Env, scale, edgeFactor int, seed uint64) (*Graph, er
 		cursor[ed.u]++
 	}
 
-	g := &Graph{N: n, M: len(edges), e: e}
+	g := &Graph{N: n, M: len(edges)}
 	g.rowPtr = NewU32Array(e, n+1)
 	g.colIdx = NewU32Array(e, len(edges))
-	if err := g.rowPtr.SetRange(0, rowHost); err != nil {
-		return nil, err
-	}
-	if err := g.colIdx.SetRange(0, colHost); err != nil {
-		return nil, err
-	}
-	return g, nil
+	g.rowPtr.SetRange(0, rowHost)
+	g.colIdx.SetRange(0, colHost)
+	return g
 }
 
 // Neighbors iterates the out-neighbours of u through simulated memory.
-func (g *Graph) Neighbors(u int, f func(v int) error) error {
-	lo, err := g.rowPtr.Get(u)
-	if err != nil {
-		return err
-	}
-	hi, err := g.rowPtr.Get(u + 1)
-	if err != nil {
-		return err
-	}
+func (g *Graph) Neighbors(u int, f func(v int)) {
+	lo := g.rowPtr.Get(u)
+	hi := g.rowPtr.Get(u + 1)
 	for i := lo; i < hi; i++ {
-		v, err := g.colIdx.Get(int(i))
-		if err != nil {
-			return err
-		}
-		if err := f(int(v)); err != nil {
-			return err
-		}
+		f(int(g.colIdx.Get(int(i))))
 	}
-	return nil
 }
 
 // Degree returns the out-degree of u.
-func (g *Graph) Degree(u int) (int, error) {
-	lo, err := g.rowPtr.Get(u)
-	if err != nil {
-		return 0, err
-	}
-	hi, err := g.rowPtr.Get(u + 1)
-	if err != nil {
-		return 0, err
-	}
-	return int(hi - lo), nil
+func (g *Graph) Degree(u int) int {
+	lo := g.rowPtr.Get(u)
+	return int(g.rowPtr.Get(u+1) - lo)
 }
 
 // GAPWorkload wraps one kernel with its graph parameters.
@@ -144,115 +119,81 @@ func (w *GAPWorkload) Name() string { return w.Kernel + "-kron" }
 
 // Run implements Workload.
 func (w *GAPWorkload) Run(e *kernel.Env) (uint64, error) {
-	g, err := GenKronecker(e, w.Scale, w.EdgeFactor, 0x5eed)
-	if err != nil {
-		return 0, err
-	}
+	g := GenKronecker(e, w.Scale, w.EdgeFactor, 0x5eed)
+	var sum uint64
 	switch w.Kernel {
 	case "bfs":
-		return bfs(e, g, 1)
+		sum = bfs(e, g, 1)
 	case "cc":
-		return connectedComponents(e, g)
+		sum = connectedComponents(e, g)
 	case "pr":
-		return pageRank(e, g, 10)
+		sum = pageRank(e, g, 10)
 	case "sssp":
-		return sssp(e, g, 1)
+		sum = sssp(e, g, 1)
 	case "tc":
-		return triangleCount(e, g)
+		sum = triangleCount(g)
 	case "bc":
-		return betweenness(e, g, 2)
+		sum = betweenness(e, g, 2)
 	default:
 		return 0, fmt.Errorf("gap: unknown kernel %q", w.Kernel)
 	}
+	return sum, e.Err()
 }
 
 // bfs runs a top-down breadth-first search and returns the sum of depths.
-func bfs(e *kernel.Env, g *Graph, src int) (uint64, error) {
+func bfs(e *kernel.Env, g *Graph, src int) uint64 {
 	depth := NewU32Array(e, g.N)
-	if err := depth.Fill(0xffffffff); err != nil {
-		return 0, err
-	}
+	depth.Fill(0xffffffff)
 	queue := NewU32Array(e, g.N)
 	head, tail := 0, 0
 	depth.Set(src, 0)
 	queue.Set(tail, uint32(src))
 	tail++
 	for head < tail {
-		uv, err := queue.Get(head)
-		if err != nil {
-			return 0, err
-		}
+		u := int(queue.Get(head))
 		head++
-		u := int(uv)
-		du, _ := depth.Get(u)
-		err = g.Neighbors(u, func(v int) error {
-			dv, err := depth.Get(v)
-			if err != nil {
-				return err
-			}
-			if dv == 0xffffffff {
-				if err := depth.Set(v, du+1); err != nil {
-					return err
-				}
-				if err := queue.Set(tail, uint32(v)); err != nil {
-					return err
-				}
+		du := depth.Get(u)
+		g.Neighbors(u, func(v int) {
+			if depth.Get(v) == 0xffffffff {
+				depth.Set(v, du+1)
+				queue.Set(tail, uint32(v))
 				tail++
 			}
-			return nil
 		})
-		if err != nil {
-			return 0, err
-		}
 	}
 	var sum uint64
 	for i := 0; i < g.N; i++ {
-		d, _ := depth.Get(i)
-		if d != 0xffffffff {
+		if d := depth.Get(i); d != 0xffffffff {
 			sum += uint64(d)
 		}
 	}
-	return sum, nil
+	return sum
 }
 
 // connectedComponents is the Shiloach-Vishkin style label-propagation CC.
-func connectedComponents(e *kernel.Env, g *Graph) (uint64, error) {
+func connectedComponents(e *kernel.Env, g *Graph) uint64 {
 	comp := NewU32Array(e, g.N)
 	ident := make([]uint32, g.N)
 	for i := range ident {
 		ident[i] = uint32(i)
 	}
-	if err := comp.SetRange(0, ident); err != nil {
-		return 0, err
-	}
+	comp.SetRange(0, ident)
 	for changed := true; changed; {
 		changed = false
 		for u := 0; u < g.N; u++ {
-			cu, err := comp.Get(u)
-			if err != nil {
-				return 0, err
-			}
-			err = g.Neighbors(u, func(v int) error {
-				cv, err := comp.Get(v)
-				if err != nil {
-					return err
-				}
-				if cv < cu {
+			cu := comp.Get(u)
+			g.Neighbors(u, func(v int) {
+				if cv := comp.Get(v); cv < cu {
 					cu = cv
 					changed = true
-					return comp.Set(u, cu)
+					comp.Set(u, cu)
 				}
-				return nil
 			})
-			if err != nil {
-				return 0, err
-			}
 		}
 		// Pointer jumping.
 		for u := 0; u < g.N; u++ {
-			cu, _ := comp.Get(u)
-			ccu, _ := comp.Get(int(cu))
-			if ccu != cu {
+			cu := comp.Get(u)
+			if ccu := comp.Get(int(cu)); ccu != cu {
 				comp.Set(u, ccu)
 			}
 		}
@@ -260,16 +201,15 @@ func connectedComponents(e *kernel.Env, g *Graph) (uint64, error) {
 	// Count distinct roots.
 	var roots uint64
 	for u := 0; u < g.N; u++ {
-		cu, _ := comp.Get(u)
-		if int(cu) == u {
+		if int(comp.Get(u)) == u {
 			roots++
 		}
 	}
-	return roots, nil
+	return roots
 }
 
 // pageRank runs iters power iterations with fixed-point ranks (Q32.32).
-func pageRank(e *kernel.Env, g *Graph, iters int) (uint64, error) {
+func pageRank(e *kernel.Env, g *Graph, iters int) uint64 {
 	const one = uint64(1) << 32
 	rank := NewU64Array(e, g.N)
 	next := NewU64Array(e, g.N)
@@ -283,39 +223,28 @@ func pageRank(e *kernel.Env, g *Graph, iters int) (uint64, error) {
 			next.Set(i, base)
 		}
 		for u := 0; u < g.N; u++ {
-			ru, err := rank.Get(u)
-			if err != nil {
-				return 0, err
-			}
-			d, _ := g.Degree(u)
+			ru := rank.Get(u)
+			d := g.Degree(u)
 			if d == 0 {
 				continue
 			}
 			share := (ru * 85 / 100) / uint64(d)
-			err = g.Neighbors(u, func(v int) error {
-				nv, err := next.Get(v)
-				if err != nil {
-					return err
-				}
-				return next.Set(v, nv+share)
+			g.Neighbors(u, func(v int) {
+				next.Set(v, next.Get(v)+share)
 			})
-			if err != nil {
-				return 0, err
-			}
 		}
 		rank, next = next, rank
 	}
 	var sum uint64
 	for i := 0; i < g.N; i++ {
-		v, _ := rank.Get(i)
-		sum += v
+		sum += rank.Get(i)
 	}
-	return sum, nil
+	return sum
 }
 
 // sssp runs Bellman-Ford-flavoured single-source shortest paths with
 // deterministic per-edge weights derived from the endpoints.
-func sssp(e *kernel.Env, g *Graph, src int) (uint64, error) {
+func sssp(e *kernel.Env, g *Graph, src int) uint64 {
 	const inf = uint32(0x3fffffff)
 	dist := NewU32Array(e, g.N)
 	for i := 0; i < g.N; i++ {
@@ -326,28 +255,16 @@ func sssp(e *kernel.Env, g *Graph, src int) (uint64, error) {
 	for round := 0; round < 16; round++ {
 		changed := false
 		for u := 0; u < g.N; u++ {
-			du, err := dist.Get(u)
-			if err != nil {
-				return 0, err
-			}
+			du := dist.Get(u)
 			if du == inf {
 				continue
 			}
-			err = g.Neighbors(u, func(v int) error {
-				nd := du + weight(u, v)
-				dv, err := dist.Get(v)
-				if err != nil {
-					return err
-				}
-				if nd < dv {
+			g.Neighbors(u, func(v int) {
+				if nd := du + weight(u, v); nd < dist.Get(v) {
 					changed = true
-					return dist.Set(v, nd)
+					dist.Set(v, nd)
 				}
-				return nil
 			})
-			if err != nil {
-				return 0, err
-			}
 		}
 		if !changed {
 			break
@@ -355,36 +272,31 @@ func sssp(e *kernel.Env, g *Graph, src int) (uint64, error) {
 	}
 	var sum uint64
 	for i := 0; i < g.N; i++ {
-		d, _ := dist.Get(i)
-		if d != inf {
+		if d := dist.Get(i); d != inf {
 			sum += uint64(d)
 		}
 	}
-	return sum, nil
+	return sum
 }
 
 // triangleCount counts triangles with the ordered-intersection method on a
 // bounded per-vertex neighbour window (keeps simulation time sane on
 // high-degree Kron vertices).
-func triangleCount(e *kernel.Env, g *Graph) (uint64, error) {
+func triangleCount(g *Graph) uint64 {
 	const window = 32
 	var triangles uint64
 	for u := 0; u < g.N; u++ {
 		var nu []int
-		err := g.Neighbors(u, func(v int) error {
+		g.Neighbors(u, func(v int) {
 			if v > u && len(nu) < window {
 				nu = append(nu, v)
 			}
-			return nil
 		})
-		if err != nil {
-			return 0, err
-		}
 		for _, v := range nu {
 			// Intersect N(v) with nu (both > u ordering avoids recounts).
-			err := g.Neighbors(v, func(w int) error {
+			g.Neighbors(v, func(w int) {
 				if w <= v {
-					return nil
+					return
 				}
 				for _, x := range nu {
 					if x == w {
@@ -392,19 +304,15 @@ func triangleCount(e *kernel.Env, g *Graph) (uint64, error) {
 						break
 					}
 				}
-				return nil
 			})
-			if err != nil {
-				return 0, err
-			}
 		}
 	}
-	return triangles, nil
+	return triangles
 }
 
 // betweenness runs Brandes' algorithm from nSources sampled sources
 // (GAP's bc also samples) with unit weights.
-func betweenness(e *kernel.Env, g *Graph, nSources int) (uint64, error) {
+func betweenness(e *kernel.Env, g *Graph, nSources int) uint64 {
 	centrality := NewU64Array(e, g.N)
 	sigma := NewU64Array(e, g.N)
 	depth := NewU32Array(e, g.N)
@@ -423,16 +331,12 @@ func betweenness(e *kernel.Env, g *Graph, nSources int) (uint64, error) {
 		order.Set(tail, uint32(src))
 		tail++
 		for head < tail {
-			uv, _ := order.Get(head)
+			u := int(order.Get(head))
 			head++
-			u := int(uv)
-			du, _ := depth.Get(u)
-			su, _ := sigma.Get(u)
-			err := g.Neighbors(u, func(v int) error {
-				dv, err := depth.Get(v)
-				if err != nil {
-					return err
-				}
+			du := depth.Get(u)
+			su := sigma.Get(u)
+			g.Neighbors(u, func(v int) {
+				dv := depth.Get(v)
 				if dv == 0xffffffff {
 					depth.Set(v, du+1)
 					order.Set(tail, uint32(v))
@@ -440,50 +344,35 @@ func betweenness(e *kernel.Env, g *Graph, nSources int) (uint64, error) {
 					dv = du + 1
 				}
 				if dv == du+1 {
-					sv, _ := sigma.Get(v)
-					return sigma.Set(v, sv+su)
+					sigma.Set(v, sigma.Get(v)+su)
 				}
-				return nil
 			})
-			if err != nil {
-				return 0, err
-			}
 		}
 		// Dependency accumulation in reverse BFS order (Q32.32 fixed
 		// point).
 		for i := tail - 1; i > 0; i-- {
-			wv, _ := order.Get(i)
-			w := int(wv)
-			dw, _ := depth.Get(w)
-			sw, _ := sigma.Get(w)
-			deltaW, _ := delta.Get(w)
+			w := int(order.Get(i))
+			dw := depth.Get(w)
+			sw := sigma.Get(w)
+			deltaW := delta.Get(w)
 			if sw == 0 {
 				continue
 			}
-			err := g.Neighbors(w, func(v int) error {
-				dv, err := depth.Get(v)
-				if err != nil {
-					return err
+			g.Neighbors(w, func(v int) {
+				if depth.Get(v)+1 != dw {
+					return
 				}
-				if dv+1 != dw {
-					return nil
-				}
-				sv, _ := sigma.Get(v)
-				dl, _ := delta.Get(v)
+				sv := sigma.Get(v)
+				dl := delta.Get(v)
 				contrib := (sv << 16) / sw * ((1 << 16) + (deltaW >> 16))
-				return delta.Set(v, dl+contrib>>16<<16)
+				delta.Set(v, dl+contrib>>16<<16)
 			})
-			if err != nil {
-				return 0, err
-			}
-			cw, _ := centrality.Get(w)
-			centrality.Set(w, cw+deltaW)
+			centrality.Set(w, centrality.Get(w)+deltaW)
 		}
 	}
 	var sum uint64
 	for i := 0; i < g.N; i++ {
-		v, _ := centrality.Get(i)
-		sum += v >> 16
+		sum += centrality.Get(i) >> 16
 	}
-	return sum, nil
+	return sum
 }

@@ -38,21 +38,24 @@ func (c *ImageChain) RunStage(e *kernel.Env, stage int, input []byte) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	if err := ip.ops(250); err != nil { // handler import + event decode + routing
-		return nil, err
-	}
+	ip.ops(250) // handler import + event decode + routing
+	var out []byte
 	switch stage {
 	case 0:
-		return c.generateAndValidate(e)
+		out, err = c.generateAndValidate(e)
 	case 1:
-		return c.resize(e, input)
+		out = c.resize(e, input)
 	case 2:
-		return c.filter(e, input)
+		out = c.filter(e, input)
 	case 3:
-		return c.encode(e, input)
+		out = c.encode(e, input)
 	default:
 		return nil, fmt.Errorf("imagechain: no stage %d", stage)
 	}
+	if err := e.ErrOr(err); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Run implements Workload: all four stages in one process.
@@ -77,57 +80,38 @@ func (c *ImageChain) Run(e *kernel.Env) (uint64, error) {
 func (c *ImageChain) generateAndValidate(e *kernel.Env) ([]byte, error) {
 	n := c.Size * c.Size
 	img := NewByteArray(e, n+8)
-	hdr := []byte{'I', 'M', 'G', '1', byte(c.Size), byte(c.Size >> 8), 0, 0}
-	if err := img.Fill(0, hdr); err != nil {
-		return nil, err
-	}
+	img.Fill(0, []byte{'I', 'M', 'G', '1', byte(c.Size), byte(c.Size >> 8), 0, 0})
 	r := newRNG(uint64(c.Size))
 	row := make([]byte, c.Size)
 	for y := 0; y < c.Size; y++ {
 		for x := range row {
 			row[x] = byte(x ^ y + r.intn(8))
 		}
-		if err := img.Fill(8+y*c.Size, row); err != nil {
-			return nil, err
-		}
+		img.Fill(8+y*c.Size, row)
 	}
 	// Validate: re-read the header and a sample of pixels.
-	h, err := img.Read(0, 8)
-	if err != nil {
-		return nil, err
-	}
-	if string(h[:4]) != "IMG1" {
+	if string(img.Read(0, 8)[:4]) != "IMG1" {
 		return nil, fmt.Errorf("imagechain: bad header")
 	}
 	e.Compute(2000)
-	return img.Read(0, n+8)
+	return img.Read(0, n+8), nil
 }
 
 // resize halves the image (bilinear), returning a new payload.
-func (c *ImageChain) resize(e *kernel.Env, input []byte) ([]byte, error) {
+func (c *ImageChain) resize(e *kernel.Env, input []byte) []byte {
 	size := int(input[4]) | int(input[5])<<8
 	src := NewByteArray(e, len(input))
-	if err := src.Fill(0, input); err != nil {
-		return nil, err
-	}
+	src.Fill(0, input)
 	out := size / 2
 	dst := NewByteArray(e, out*out+8)
-	hdr := []byte{'I', 'M', 'G', '1', byte(out), byte(out >> 8), 0, 0}
-	if err := dst.Fill(0, hdr); err != nil {
-		return nil, err
-	}
+	dst.Fill(0, []byte{'I', 'M', 'G', '1', byte(out), byte(out >> 8), 0, 0})
 	for y := 0; y < out; y++ {
 		for x := 0; x < out; x++ {
-			p00, err := src.Get(8 + (2*y)*size + 2*x)
-			if err != nil {
-				return nil, err
-			}
-			p01, _ := src.Get(8 + (2*y)*size + 2*x + 1)
-			p10, _ := src.Get(8 + (2*y+1)*size + 2*x)
-			p11, _ := src.Get(8 + (2*y+1)*size + 2*x + 1)
-			if err := dst.Set(8+y*out+x, byte((int(p00)+int(p01)+int(p10)+int(p11))/4)); err != nil {
-				return nil, err
-			}
+			p00 := src.Get(8 + (2*y)*size + 2*x)
+			p01 := src.Get(8 + (2*y)*size + 2*x + 1)
+			p10 := src.Get(8 + (2*y+1)*size + 2*x)
+			p11 := src.Get(8 + (2*y+1)*size + 2*x + 1)
+			dst.Set(8+y*out+x, byte((int(p00)+int(p01)+int(p10)+int(p11))/4))
 			e.Compute(10)
 		}
 	}
@@ -135,26 +119,19 @@ func (c *ImageChain) resize(e *kernel.Env, input []byte) ([]byte, error) {
 }
 
 // filter sharpens with a 3×3 kernel.
-func (c *ImageChain) filter(e *kernel.Env, input []byte) ([]byte, error) {
+func (c *ImageChain) filter(e *kernel.Env, input []byte) []byte {
 	size := int(input[4]) | int(input[5])<<8
 	src := NewByteArray(e, len(input))
-	if err := src.Fill(0, input); err != nil {
-		return nil, err
-	}
+	src.Fill(0, input)
 	dst := NewByteArray(e, len(input))
-	if err := dst.Fill(0, input[:8]); err != nil {
-		return nil, err
-	}
+	dst.Fill(0, input[:8])
 	for y := 1; y < size-1; y++ {
 		for x := 1; x < size-1; x++ {
-			center, err := src.Get(8 + y*size + x)
-			if err != nil {
-				return nil, err
-			}
-			up, _ := src.Get(8 + (y-1)*size + x)
-			down, _ := src.Get(8 + (y+1)*size + x)
-			left, _ := src.Get(8 + y*size + x - 1)
-			right, _ := src.Get(8 + y*size + x + 1)
+			center := src.Get(8 + y*size + x)
+			up := src.Get(8 + (y-1)*size + x)
+			down := src.Get(8 + (y+1)*size + x)
+			left := src.Get(8 + y*size + x - 1)
+			right := src.Get(8 + y*size + x + 1)
 			v := 5*int(center) - int(up) - int(down) - int(left) - int(right)
 			if v < 0 {
 				v = 0
@@ -162,9 +139,7 @@ func (c *ImageChain) filter(e *kernel.Env, input []byte) ([]byte, error) {
 			if v > 255 {
 				v = 255
 			}
-			if err := dst.Set(8+y*size+x, byte(v)); err != nil {
-				return nil, err
-			}
+			dst.Set(8+y*size+x, byte(v))
 			e.Compute(10)
 		}
 	}
@@ -173,36 +148,20 @@ func (c *ImageChain) filter(e *kernel.Env, input []byte) ([]byte, error) {
 
 // encode run-length encodes the final image (the "return a new image"
 // step).
-func (c *ImageChain) encode(e *kernel.Env, input []byte) ([]byte, error) {
+func (c *ImageChain) encode(e *kernel.Env, input []byte) []byte {
 	src := NewByteArray(e, len(input))
-	if err := src.Fill(0, input); err != nil {
-		return nil, err
-	}
+	src.Fill(0, input)
 	dst := NewByteArray(e, 2*len(input)+16)
 	out := 0
 	i := 8
 	for i < len(input) {
-		b, err := src.Get(i)
-		if err != nil {
-			return nil, err
-		}
+		b := src.Get(i)
 		run := 1
-		for i+run < len(input) && run < 255 {
-			nb, err := src.Get(i + run)
-			if err != nil {
-				return nil, err
-			}
-			if nb != b {
-				break
-			}
+		for i+run < len(input) && run < 255 && src.Get(i+run) == b {
 			run++
 		}
-		if err := dst.Set(out, byte(run)); err != nil {
-			return nil, err
-		}
-		if err := dst.Set(out+1, b); err != nil {
-			return nil, err
-		}
+		dst.Set(out, byte(run))
+		dst.Set(out+1, b)
 		out += 2
 		i += run
 		e.Compute(6)

@@ -43,36 +43,24 @@ func (a *AES) Run(e *kernel.Env) (uint64, error) {
 		v = v<<1 | v>>7
 		box[i] = v ^ 0x63 ^ byte(i*7)
 	}
-	if err := sbox.Fill(0, box); err != nil {
-		return 0, err
-	}
+	sbox.Fill(0, box)
 	buf := NewByteArray(e, a.Blocks*16)
 	r := newRNG(42)
 	init := make([]byte, a.Blocks*16)
 	for i := range init {
 		init[i] = byte(r.next())
 	}
-	if err := buf.Fill(0, init); err != nil {
-		return 0, err
-	}
+	buf.Fill(0, init)
 	var sum uint64
 	for b := 0; b < a.Blocks; b++ {
 		var state [16]byte
 		for i := 0; i < 16; i++ {
-			v, err := buf.Get(b*16 + i)
-			if err != nil {
-				return 0, err
-			}
-			state[i] = v
+			state[i] = buf.Get(b*16 + i)
 		}
 		for round := 0; round < 10; round++ {
 			// SubBytes through the in-memory S-box.
 			for i := 0; i < 16; i++ {
-				v, err := sbox.Get(int(state[i]))
-				if err != nil {
-					return 0, err
-				}
-				state[i] = v
+				state[i] = sbox.Get(int(state[i]))
 			}
 			// ShiftRows + a MixColumns-flavoured diffusion (pure compute).
 			e.Compute(60)
@@ -83,13 +71,11 @@ func (a *AES) Run(e *kernel.Env) (uint64, error) {
 			state = next
 		}
 		for i := 0; i < 16; i++ {
-			if err := buf.Set(b*16+i, state[i]); err != nil {
-				return 0, err
-			}
+			buf.Set(b*16+i, state[i])
 			sum += uint64(state[i])
 		}
 	}
-	return sum, nil
+	return sum, e.Err()
 }
 
 // Norx runs a NORX-flavoured 64-bit ARX permutation over in-memory state
@@ -103,16 +89,12 @@ func (n *Norx) Name() string { return "norx" }
 func (n *Norx) Run(e *kernel.Env) (uint64, error) {
 	state := NewU64Array(e, 16)
 	for i := 0; i < 16; i++ {
-		if err := state.Set(i, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
-			return 0, err
-		}
+		state.Set(i, uint64(i)*0x9e3779b97f4a7c15+1)
 	}
 	msg := NewU64Array(e, n.Blocks*4)
 	r := newRNG(7)
 	for i := 0; i < msg.Len(); i++ {
-		if err := msg.Set(i, r.next()); err != nil {
-			return 0, err
-		}
+		msg.Set(i, r.next())
 	}
 	g := func(a, b uint64) uint64 {
 		h := (a ^ b) ^ ((a & b) << 1)
@@ -121,25 +103,16 @@ func (n *Norx) Run(e *kernel.Env) (uint64, error) {
 	for blk := 0; blk < n.Blocks; blk++ {
 		// Absorb four message words.
 		for i := 0; i < 4; i++ {
-			m, err := msg.Get(blk*4 + i)
-			if err != nil {
-				return 0, err
-			}
-			s, err := state.Get(i)
-			if err != nil {
-				return 0, err
-			}
-			if err := state.Set(i, s^m); err != nil {
-				return 0, err
-			}
+			m := msg.Get(blk*4 + i)
+			state.Set(i, state.Get(i)^m)
 		}
 		// Column/diagonal rounds.
 		for round := 0; round < 4; round++ {
 			for c := 0; c < 4; c++ {
-				a, _ := state.Get(c)
-				b, _ := state.Get(c + 4)
-				cc, _ := state.Get(c + 8)
-				d, _ := state.Get(c + 12)
+				a := state.Get(c)
+				b := state.Get(c + 4)
+				cc := state.Get(c + 8)
+				d := state.Get(c + 12)
 				a = g(a, b)
 				cc = g(cc, d)
 				b = g(b, cc)
@@ -154,13 +127,9 @@ func (n *Norx) Run(e *kernel.Env) (uint64, error) {
 	}
 	var sum uint64
 	for i := 0; i < 16; i++ {
-		v, err := state.Get(i)
-		if err != nil {
-			return 0, err
-		}
-		sum ^= v
+		sum ^= state.Get(i)
 	}
-	return sum, nil
+	return sum, e.Err()
 }
 
 // Primes sieves primes below Limit with an in-memory bit-per-byte sieve.
@@ -177,21 +146,15 @@ func (p *Primes) Run(e *kernel.Env) (uint64, error) {
 	}
 	count := uint64(0)
 	for i := 2; i < p.Limit; i++ {
-		v, err := sieve.Get(i)
-		if err != nil {
-			return 0, err
-		}
-		if v != 0 {
+		if sieve.Get(i) != 0 {
 			continue
 		}
 		count++
 		for j := i * i; j < p.Limit; j += i {
-			if err := sieve.Set(j, 1); err != nil {
-				return 0, err
-			}
+			sieve.Set(j, 1)
 		}
 	}
-	return count, nil
+	return count, e.Err()
 }
 
 // SHA512 hashes Chunks 128-byte chunks read from simulated memory (the
@@ -210,20 +173,14 @@ func (s *SHA512) Run(e *kernel.Env) (uint64, error) {
 	for i := range buf {
 		buf[i] = byte(r.next())
 	}
-	if err := data.Fill(0, buf); err != nil {
-		return 0, err
-	}
-	h := sha512.New()
+	data.Fill(0, buf)
+	msg := make([]byte, 0, len(buf))
 	for c := 0; c < s.Chunks; c++ {
-		chunk, err := data.Read(c*128, 128)
-		if err != nil {
-			return 0, err
-		}
-		h.Write(chunk)
-		e.Compute(1600) // the 80-round compression function
+		msg = append(msg, data.Read(c*128, 128)...)
+		e.Compute(1600) // the chunk's 80-round compression function
 	}
-	sum := h.Sum(nil)
-	return binary.LittleEndian.Uint64(sum), nil
+	sum := sha512.Sum512(msg)
+	return binary.LittleEndian.Uint64(sum[:]), e.Err()
 }
 
 // QSort sorts N uint64s in simulated memory with in-place quicksort
@@ -241,26 +198,19 @@ func (q *QSort) Run(e *kernel.Env) (uint64, error) {
 	for i := range vals {
 		vals[i] = r.next()
 	}
-	if err := a.SetRange(0, vals); err != nil {
-		return 0, err
-	}
-	if err := quicksort(a, 0, q.N-1); err != nil {
-		return 0, err
-	}
+	a.SetRange(0, vals)
+	quicksort(a, 0, q.N-1)
 	// Verify sortedness and fold a checksum.
 	var sum, prev uint64
 	for i := 0; i < q.N; i++ {
-		v, err := a.Get(i)
-		if err != nil {
-			return 0, err
-		}
+		v := a.Get(i)
 		if v < prev {
-			return 0, errNotSorted
+			return 0, e.ErrOr(errNotSorted)
 		}
 		prev = v
 		sum += v * uint64(i+1)
 	}
-	return sum, nil
+	return sum, e.Err()
 }
 
 var errNotSorted = errString("qsort: output not sorted")
@@ -269,16 +219,13 @@ type errString string
 
 func (e errString) Error() string { return string(e) }
 
-func quicksort(a *U64Array, lo, hi int) error {
+func quicksort(a *U64Array, lo, hi int) {
 	for hi-lo > 16 {
 		// Median of three.
 		mid := (lo + hi) / 2
-		vl, err := a.Get(lo)
-		if err != nil {
-			return err
-		}
-		vm, _ := a.Get(mid)
-		vh, _ := a.Get(hi)
+		vl := a.Get(lo)
+		vm := a.Get(mid)
+		vh := a.Get(hi)
 		pivot := vm
 		if (vl <= vm) != (vl <= vh) {
 			pivot = vl
@@ -289,29 +236,17 @@ func quicksort(a *U64Array, lo, hi int) error {
 		}
 		i, j := lo, hi
 		for i <= j {
-			for {
-				v, err := a.Get(i)
-				if err != nil {
-					return err
-				}
-				if v >= pivot {
-					break
-				}
+			// The pivot stops this scan; after a failed access the loads
+			// read zero, so the failure has to stop it.
+			for a.Get(i) < pivot && a.e.Err() == nil {
 				i++
 			}
-			for {
-				v, err := a.Get(j)
-				if err != nil {
-					return err
-				}
-				if v <= pivot {
-					break
-				}
+			for a.Get(j) > pivot {
 				j--
 			}
 			if i <= j {
-				vi, _ := a.Get(i)
-				vj, _ := a.Get(j)
+				vi := a.Get(i)
+				vj := a.Get(j)
 				a.Set(i, vj)
 				a.Set(j, vi)
 				i++
@@ -320,29 +255,19 @@ func quicksort(a *U64Array, lo, hi int) error {
 		}
 		// Recurse on the smaller half, loop on the larger.
 		if j-lo < hi-i {
-			if err := quicksort(a, lo, j); err != nil {
-				return err
-			}
+			quicksort(a, lo, j)
 			lo = i
 		} else {
-			if err := quicksort(a, i, hi); err != nil {
-				return err
-			}
+			quicksort(a, i, hi)
 			hi = j
 		}
 	}
 	// Insertion sort the remainder.
 	for i := lo + 1; i <= hi; i++ {
-		v, err := a.Get(i)
-		if err != nil {
-			return err
-		}
+		v := a.Get(i)
 		j := i - 1
 		for j >= lo {
-			w, err := a.Get(j)
-			if err != nil {
-				return err
-			}
+			w := a.Get(j)
 			if w <= v {
 				break
 			}
@@ -351,7 +276,6 @@ func quicksort(a *U64Array, lo, hi int) error {
 		}
 		a.Set(j+1, v)
 	}
-	return nil
 }
 
 // Dhrystone runs the classic integer/string synthetic loop: record
@@ -367,39 +291,26 @@ func (d *Dhrystone) Run(e *kernel.Env) (uint64, error) {
 	records := NewU64Array(e, 64) // two 32-word records
 	strings := NewByteArray(e, 64)
 	for i := 0; i < 30; i++ {
-		if err := strings.Set(i, byte('A'+i%26)); err != nil {
-			return 0, err
-		}
+		strings.Set(i, byte('A'+i%26))
 	}
 	var checksum uint64
 	for it := 0; it < d.Iterations; it++ {
 		// Proc1-ish: copy record 1 into record 2 and tweak fields.
 		for w := 0; w < 8; w++ {
-			v, err := records.Get(w)
-			if err != nil {
-				return 0, err
-			}
-			if err := records.Set(32+w, v+uint64(it)); err != nil {
-				return 0, err
-			}
+			records.Set(32+w, records.Get(w)+uint64(it))
 		}
 		// Func2-ish: compare two strings byte by byte.
 		for i := 0; i < 8; i++ {
-			c1, err := strings.Get(i)
-			if err != nil {
-				return 0, err
-			}
-			c2, _ := strings.Get(i + 16)
-			if c1 == c2 {
+			if strings.Get(i) == strings.Get(i+16) {
 				checksum++
 			}
 		}
 		e.Compute(90) // the arithmetic-only procedures
-		v, _ := records.Get(32)
+		v := records.Get(32)
 		records.Set(0, v%1009)
 		checksum += v
 	}
-	return checksum, nil
+	return checksum, e.Err()
 }
 
 // Miniz runs an LZ77-style compressor over N bytes of moderately
@@ -424,64 +335,43 @@ func (m *Miniz) Run(e *kernel.Env) (uint64, error) {
 			buf[i] = phrase[i%len(phrase)]
 		}
 	}
-	if err := src.Fill(0, buf); err != nil {
-		return 0, err
-	}
+	src.Fill(0, buf)
 	heads := NewU32Array(e, 4096) // hash → last position
 	dst := NewByteArray(e, m.N+m.N/8+64)
 	out := 0
-	emit := func(b byte) error {
-		err := dst.Set(out, b)
+	emit := func(b byte) {
+		dst.Set(out, b)
 		out++
-		return err
 	}
 	i := 0
 	var literals, matches uint64
 	for i+3 < m.N {
-		b0, err := src.Get(i)
-		if err != nil {
-			return 0, err
-		}
-		b1, _ := src.Get(i + 1)
-		b2, _ := src.Get(i + 2)
+		b0 := src.Get(i)
+		b1 := src.Get(i + 1)
+		b2 := src.Get(i + 2)
 		h := (uint32(b0)<<16 | uint32(b1)<<8 | uint32(b2)) * 2654435761 >> 20
-		cand, err := heads.Get(int(h % 4096))
-		if err != nil {
-			return 0, err
-		}
+		cand := heads.Get(int(h % 4096))
 		heads.Set(int(h%4096), uint32(i)+1)
 		matched := 0
 		if cand > 0 && int(cand-1) < i {
 			j := int(cand - 1)
-			for matched < 255 && i+matched < m.N {
-				a, err := src.Get(j + matched)
-				if err != nil {
-					return 0, err
-				}
-				b, _ := src.Get(i + matched)
-				if a != b {
-					break
-				}
+			for matched < 255 && i+matched < m.N && src.Get(j+matched) == src.Get(i+matched) {
 				matched++
 			}
 		}
 		if matched >= 4 {
-			if err := emit(0xff); err != nil {
-				return 0, err
-			}
+			emit(0xff)
 			emit(byte(matched))
 			emit(byte(i - int(cand-1)))
 			i += matched
 			matches++
 		} else {
-			if err := emit(b0); err != nil {
-				return 0, err
-			}
+			emit(b0)
 			i++
 			literals++
 		}
 	}
-	return uint64(out)<<32 | matches<<16 | literals&0xffff, nil
+	return uint64(out)<<32 | matches<<16 | literals&0xffff, e.Err()
 }
 
 // BigInt multiplies two Words-word big integers Rounds times (schoolbook
@@ -506,18 +396,13 @@ func (b *BigInt) Run(e *kernel.Env) (uint64, error) {
 	}
 	var check uint64
 	for round := 0; round < b.Rounds; round++ {
-		if err := z.Fill(0); err != nil {
-			return 0, err
-		}
+		z.Fill(0)
 		for i := 0; i < b.Words; i++ {
-			xi, err := x.Get(i)
-			if err != nil {
-				return 0, err
-			}
+			xi := x.Get(i)
 			var carry uint64
 			for j := 0; j < b.Words; j++ {
-				yj, _ := y.Get(j)
-				zij, _ := z.Get(i + j)
+				yj := y.Get(j)
+				zij := z.Get(i + j)
 				// 64×64→64 truncated product (the memory pattern is what
 				// matters, not 128-bit arithmetic).
 				p := xi*yj + zij + carry
@@ -525,16 +410,13 @@ func (b *BigInt) Run(e *kernel.Env) (uint64, error) {
 				z.Set(i+j, p)
 				e.Compute(4)
 			}
-			hz, _ := z.Get(i + b.Words)
-			z.Set(i+b.Words, hz+carry)
+			z.Set(i+b.Words, z.Get(i+b.Words)+carry)
 		}
 		// Feed back: x = low half of z.
 		for i := 0; i < b.Words; i++ {
-			v, _ := z.Get(i)
-			x.Set(i, v|1)
+			x.Set(i, z.Get(i)|1)
 		}
-		v, _ := z.Get(b.Words)
-		check ^= v
+		check ^= z.Get(b.Words)
 	}
-	return check, nil
+	return check, e.Err()
 }

@@ -24,9 +24,15 @@ import (
 type Workload interface {
 	Name() string
 	// Run executes the workload in the environment and returns an
-	// application-specific checksum for functional verification.
+	// application-specific checksum for functional verification, and the
+	// environment's Err(): a checksum computed after a failed access is
+	// not one.
 	Run(e *kernel.Env) (uint64, error)
 }
+
+// The arrays below live in simulated memory. Their accesses go through
+// kernel.Env, which keeps the first failed access (kernel.Env.Err); an
+// out-of-range index is a program bug and panics.
 
 // U64Array is a uint64 array in simulated memory.
 type U64Array struct {
@@ -44,35 +50,33 @@ func NewU64Array(e *kernel.Env, n int) *U64Array {
 func (a *U64Array) Len() int { return a.n }
 
 func (a *U64Array) addr(i int) addr.VA {
-	if i < 0 || i >= a.n {
-		panic(fmt.Sprintf("workloads: index %d out of [0,%d)", i, a.n))
-	}
+	checkIndex(i, a.n)
 	return a.base + addr.VA(i*8)
 }
 
 // Get loads element i (one timed memory access plus index arithmetic).
-func (a *U64Array) Get(i int) (uint64, error) {
+func (a *U64Array) Get(i int) uint64 {
 	a.e.Compute(2)
 	return a.e.Load64(a.addr(i))
 }
 
 // Set stores element i.
-func (a *U64Array) Set(i int, v uint64) error {
+func (a *U64Array) Set(i int, v uint64) {
 	a.e.Compute(2)
-	return a.e.Store64(a.addr(i), v)
+	a.e.Store64(a.addr(i), v)
 }
 
 // SetRange stores vals into elements [lo, lo+len(vals)) as batched blocks
 // (see storeEach).
-func (a *U64Array) SetRange(lo int, vals []uint64) error {
-	return storeEach(a.e, a.addr, lo, len(vals), func(i int, pa addr.PA) error {
+func (a *U64Array) SetRange(lo int, vals []uint64) {
+	storeEach(a.e, a.addr, lo, len(vals), func(i int, pa addr.PA) error {
 		return a.e.K.Mach.Mem.Write64(pa, vals[i-lo])
 	})
 }
 
 // Fill stores v into every element, in index order, via batched blocks.
-func (a *U64Array) Fill(v uint64) error {
-	return storeEach(a.e, a.addr, 0, a.n, func(_ int, pa addr.PA) error {
+func (a *U64Array) Fill(v uint64) {
+	storeEach(a.e, a.addr, 0, a.n, func(_ int, pa addr.PA) error {
 		return a.e.K.Mach.Mem.Write64(pa, v)
 	})
 }
@@ -93,35 +97,33 @@ func NewU32Array(e *kernel.Env, n int) *U32Array {
 func (a *U32Array) Len() int { return a.n }
 
 func (a *U32Array) addr(i int) addr.VA {
-	if i < 0 || i >= a.n {
-		panic(fmt.Sprintf("workloads: index %d out of [0,%d)", i, a.n))
-	}
+	checkIndex(i, a.n)
 	return a.base + addr.VA(i*4)
 }
 
 // Get loads element i.
-func (a *U32Array) Get(i int) (uint32, error) {
+func (a *U32Array) Get(i int) uint32 {
 	a.e.Compute(2)
 	return a.e.Load32(a.addr(i))
 }
 
 // Set stores element i.
-func (a *U32Array) Set(i int, v uint32) error {
+func (a *U32Array) Set(i int, v uint32) {
 	a.e.Compute(2)
-	return a.e.Store32(a.addr(i), v)
+	a.e.Store32(a.addr(i), v)
 }
 
 // SetRange stores vals into elements [lo, lo+len(vals)) as batched blocks
 // (see storeEach).
-func (a *U32Array) SetRange(lo int, vals []uint32) error {
-	return storeEach(a.e, a.addr, lo, len(vals), func(i int, pa addr.PA) error {
+func (a *U32Array) SetRange(lo int, vals []uint32) {
+	storeEach(a.e, a.addr, lo, len(vals), func(i int, pa addr.PA) error {
 		return a.e.K.Mach.Mem.Write32(pa, vals[i-lo])
 	})
 }
 
 // Fill stores v into every element, in index order, via batched blocks.
-func (a *U32Array) Fill(v uint32) error {
-	return storeEach(a.e, a.addr, 0, a.n, func(_ int, pa addr.PA) error {
+func (a *U32Array) Fill(v uint32) {
+	storeEach(a.e, a.addr, 0, a.n, func(_ int, pa addr.PA) error {
 		return a.e.K.Mach.Mem.Write32(pa, v)
 	})
 }
@@ -132,26 +134,26 @@ func (a *U32Array) Fill(v uint32) error {
 // compute instructions plus one timed store, in the same order), so the
 // batch is observably identical to the scalar loop — it only amortizes
 // simulator dispatch. Elements are disjoint, satisfying the block-ordering
-// contract of kernel.Env.RunBlock.
-func storeEach(e *kernel.Env, elem func(i int) addr.VA, lo, n int, put func(i int, pa addr.PA) error) error {
+// contract of kernel.Env.RunBlock. It stops at the environment's first
+// failure.
+func storeEach(e *kernel.Env, elem func(i int) addr.VA, lo, n int, put func(i int, pa addr.PA) error) {
 	for n > 0 {
 		m := min(n, kernel.BlockMax)
 		ops, out := e.Block(m)
 		for j := range ops {
 			ops[j] = cpu.BlockRef{VA: elem(lo + j), Kind: perm.Write, Compute: 2}
 		}
-		if err := e.RunBlock(ops, out); err != nil {
-			return err
+		if e.RunBlock(ops, out) != nil {
+			return
 		}
 		for j := range out {
-			if err := put(lo+j, out[j].PA); err != nil {
-				return err
+			if e.Fail(put(lo+j, out[j].PA)) {
+				return
 			}
 		}
 		lo += m
 		n -= m
 	}
-	return nil
 }
 
 // ByteArray is a byte buffer in simulated memory.
@@ -173,38 +175,44 @@ func (b *ByteArray) Len() int { return b.n }
 func (b *ByteArray) Base() addr.VA { return b.base }
 
 // Get loads byte i.
-func (b *ByteArray) Get(i int) (byte, error) {
-	if i < 0 || i >= b.n {
-		return 0, fmt.Errorf("workloads: byte index %d out of [0,%d)", i, b.n)
-	}
+func (b *ByteArray) Get(i int) byte {
+	checkIndex(i, b.n)
 	b.e.Compute(2)
 	return b.e.Load8(b.base + addr.VA(i))
 }
 
 // Set stores byte i.
-func (b *ByteArray) Set(i int, v byte) error {
-	if i < 0 || i >= b.n {
-		return fmt.Errorf("workloads: byte index %d out of [0,%d)", i, b.n)
-	}
+func (b *ByteArray) Set(i int, v byte) {
+	checkIndex(i, b.n)
 	b.e.Compute(2)
-	return b.e.Store8(b.base+addr.VA(i), v)
+	b.e.Store8(b.base+addr.VA(i), v)
 }
 
 // Fill writes data into the buffer starting at off (bulk, line-at-a-time
 // timed accesses).
-func (b *ByteArray) Fill(off int, data []byte) error {
-	if off+len(data) > b.n {
-		return fmt.Errorf("workloads: fill past end")
-	}
-	return b.e.StoreBytes(b.base+addr.VA(off), data)
+func (b *ByteArray) Fill(off int, data []byte) {
+	checkSpan(off, len(data), b.n)
+	b.e.StoreBytes(b.base+addr.VA(off), data)
 }
 
 // Read copies n bytes starting at off out of the buffer.
-func (b *ByteArray) Read(off, n int) ([]byte, error) {
-	if off+n > b.n {
-		return nil, fmt.Errorf("workloads: read past end")
-	}
+func (b *ByteArray) Read(off, n int) []byte {
+	checkSpan(off, n, b.n)
 	return b.e.LoadBytes(b.base+addr.VA(off), uint64(n))
+}
+
+// checkIndex panics unless 0 <= i < n.
+func checkIndex(i, n int) {
+	if i < 0 || i >= n {
+		panic(fmt.Sprintf("workloads: index %d out of [0,%d)", i, n))
+	}
+}
+
+// checkSpan panics unless [off, off+size) lies within [0, n).
+func checkSpan(off, size, n int) {
+	if off < 0 || size < 0 || off+size > n {
+		panic(fmt.Sprintf("workloads: span [%d,%d) out of [0,%d)", off, off+size, n))
+	}
 }
 
 // rng is a small deterministic xorshift64* generator for workload inputs.

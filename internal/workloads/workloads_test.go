@@ -11,61 +11,83 @@ import (
 
 func newEnv(t *testing.T, mode monitor.Mode) *kernel.Env {
 	t.Helper()
-	mach := cpu.NewMachine(cpu.RocketPlatform(), 512*addr.MiB)
-	mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := kernel.New(mach, mon, kernel.DefaultConfig(512*addr.MiB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := k.Spawn(kernel.Image{Name: "bench", TextPages: 32, DataPages: 32, HeapPages: 64 * 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := k.NewEnv(p)
+	e, err := bootEnv(mode, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
+// bootEnv boots a Rocket system under mode whose user frame pool holds
+// pages frames (0 keeps the default pool) and spawns one process on it.
+func bootEnv(mode monitor.Mode, pages int) (*kernel.Env, error) {
+	const mem = 512 * addr.MiB
+	mach := cpu.NewMachine(cpu.RocketPlatform(), mem, true)
+	mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
+	if err != nil {
+		return nil, err
+	}
+	cfg := kernel.DefaultConfig(mem)
+	if pages > 0 {
+		cfg.UserRegion.Size = uint64(pages) * addr.PageSize
+	}
+	k, err := kernel.New(mach, mon, cfg)
+	if err != nil {
+		return nil, err
+	}
+	p, err := k.Spawn(kernel.Image{Name: "bench", TextPages: 32, DataPages: 32, HeapPages: 64 * 1024})
+	if err != nil {
+		return nil, err
+	}
+	return k.NewEnv(p)
+}
+
 func TestArrays(t *testing.T) {
 	e := newEnv(t, monitor.ModeHPMP)
 	a := NewU64Array(e, 100)
-	if err := a.Set(42, 0xabcdef); err != nil {
-		t.Fatal(err)
-	}
-	v, err := a.Get(42)
-	if err != nil || v != 0xabcdef {
-		t.Errorf("u64: %#x %v", v, err)
+	a.Set(42, 0xabcdef)
+	if v := a.Get(42); v != 0xabcdef {
+		t.Errorf("u64: %#x", v)
 	}
 	b := NewU32Array(e, 10)
 	b.Set(3, 77)
-	if v, _ := b.Get(3); v != 77 {
+	if v := b.Get(3); v != 77 {
 		t.Error("u32 roundtrip failed")
 	}
 	c := NewByteArray(e, 256)
 	c.Fill(10, []byte("hello"))
-	got, err := c.Read(10, 5)
-	if err != nil || string(got) != "hello" {
-		t.Errorf("bytes: %q %v", got, err)
+	if got := c.Read(10, 5); string(got) != "hello" {
+		t.Errorf("bytes: %q", got)
 	}
-	if _, err := c.Read(250, 10); err == nil {
-		t.Error("read past end must fail")
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestArrayBoundsPanic(t *testing.T) {
 	e := newEnv(t, monitor.ModeHPMP)
-	a := NewU64Array(e, 4)
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range Get must panic")
-		}
-	}()
-	a.Get(4)
+	u64, u32, bytes := NewU64Array(e, 4), NewU32Array(e, 4), NewByteArray(e, 256)
+	for name, f := range map[string]func(){
+		"u64 Get":        func() { u64.Get(4) },
+		"u32 Set":        func() { u32.Set(-1, 0) },
+		"byte Get":       func() { bytes.Get(256) },
+		"byte Set":       func() { bytes.Set(-1, 0) },
+		"Read past end":  func() { bytes.Read(250, 10) },
+		"Fill past end":  func() { bytes.Fill(250, make([]byte, 10)) },
+		"negative range": func() { bytes.Read(-1, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s out of range must panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	if err := e.Err(); err != nil {
+		t.Errorf("a range check is not an access failure: %v", err)
+	}
 }
 
 // runBoth runs a workload under PMP and returns (checksum, cycles).
@@ -120,7 +142,7 @@ func TestPrimesCount(t *testing.T) {
 
 func TestKroneckerGraphWellFormed(t *testing.T) {
 	e := newEnv(t, monitor.ModeHPMP)
-	g, err := GenKronecker(e, 7, 4, 1)
+	g, err := GenKronecker(e, 7, 4, 1), e.Err()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,21 +153,18 @@ func TestKroneckerGraphWellFormed(t *testing.T) {
 	// matches.
 	prev := uint32(0)
 	for i := 0; i <= g.N; i++ {
-		v, err := g.rowPtr.Get(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := g.rowPtr.Get(i)
 		if v < prev {
 			t.Fatalf("rowPtr not monotone at %d", i)
 		}
 		prev = v
 	}
-	last, _ := g.rowPtr.Get(g.N)
+	last := g.rowPtr.Get(g.N)
 	if int(last) != g.M {
 		t.Errorf("rowPtr[N] = %d, M = %d", last, g.M)
 	}
 	for i := 0; i < g.M; i += 7 {
-		v, _ := g.colIdx.Get(i)
+		v := g.colIdx.Get(i)
 		if int(v) >= g.N {
 			t.Fatalf("colIdx[%d] = %d out of range", i, v)
 		}
@@ -170,11 +189,11 @@ func TestGAPKernelsRun(t *testing.T) {
 
 func TestBFSDepthsSane(t *testing.T) {
 	e := newEnv(t, monitor.ModeHPMP)
-	g, err := GenKronecker(e, 6, 8, 3)
+	g, err := GenKronecker(e, 6, 8, 3), e.Err()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := bfs(e, g, 1)
+	sum, err := bfs(e, g, 1), e.Err()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +205,11 @@ func TestBFSDepthsSane(t *testing.T) {
 
 func TestCCFindsComponents(t *testing.T) {
 	e := newEnv(t, monitor.ModeHPMP)
-	g, err := GenKronecker(e, 6, 8, 3)
+	g, err := GenKronecker(e, 6, 8, 3), e.Err()
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots, err := connectedComponents(e, g)
+	roots, err := connectedComponents(e, g), e.Err()
 	if err != nil {
 		t.Fatal(err)
 	}
