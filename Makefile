@@ -92,8 +92,9 @@ daemon-smoke:
 
 # Short fuzz pass over the register-format round trips, the PMPTW
 # walker-vs-oracle cross-check, the leaf-table-at-a-time table builder
-# against its page-by-page reference, the trace reader and the shared LRU
-# array against its reference scan (go test -fuzz takes one target at a
+# against its page-by-page reference, the trace reader, the shared LRU
+# array against its reference scan and the kernel's process lifecycle
+# against its value-and-pool model (go test -fuzz takes one target at a
 # time).
 # The weekly fuzz workflow overrides FUZZTIME for a longer soak.
 FUZZTIME ?= 30s
@@ -103,6 +104,7 @@ fuzz:
 	$(GO) test ./internal/pmpt -run '^$$' -fuzz FuzzSetRangePermPaged -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/assoc -run '^$$' -fuzz FuzzCache -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kernel -run '^$$' -fuzz FuzzProcessLifecycle -fuzztime $(FUZZTIME)
 
 # Refresh the committed cross-commit metrics baseline (quick sizes, JSON
 # only — the Prometheus text is derived output). Run this when an
@@ -116,7 +118,9 @@ metrics-baseline:
 	rm -f $(METRICS_BASELINE)/*.prom
 
 # Diff a fresh quick run against the committed baseline, like CI does.
-# WALL_TOL: wall-time rows fail the gate beyond this relative drift.
+# WALL_TOL: wall-time rows fail the gate beyond this relative drift, and
+# only when the run is also more than 50 ms slower (a fixed slack in
+# obs.DiffMetrics: table4's 38 µs baseline reads 1 ms under load, 26x).
 # Measured across 5 quick `run all` passes on one host, per-experiment wall
 # spread reaches ~15x on millisecond-scale experiments (scheduler noise
 # dominates; see EXPERIMENTS.md), so 20 is the tightest bound that does not

@@ -46,36 +46,23 @@ func runExtEnclave(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			start := sys.Mach.Core.Now
+			var p *kernel.Process
 			if variant == 0 {
-				p, err := sys.Kern.Spawn(kernel.Image{Name: fn.Name(), TextPages: 32, DataPages: 16, HeapPages: 32 * 1024})
-				if err != nil {
-					return nil, err
-				}
-				if err := sys.Kern.SwitchTo(p.PID); err != nil {
-					return nil, err
-				}
-				e := &kernel.Env{K: sys.Kern, P: p}
-				if _, err := fn.Run(e); err != nil {
-					return nil, err
-				}
-				if err := sys.Kern.Exit(p.PID); err != nil {
-					return nil, err
-				}
+				p, err = sys.Kern.Spawn(kernel.Image{Name: fn.Name(), TextPages: 32, DataPages: 16, HeapPages: 32 * 1024})
 			} else {
-				p, err := sys.Kern.SpawnEnclave(kernel.Image{Name: fn.Name(), TextPages: 32, DataPages: 16}, 32*addr.MiB)
-				if err != nil {
-					return nil, err
-				}
-				if err := sys.Kern.SwitchTo(p.PID); err != nil {
-					return nil, err
-				}
-				e := &kernel.Env{K: sys.Kern, P: p}
-				if _, err := fn.Run(e); err != nil {
-					return nil, err
-				}
-				if err := sys.Kern.ExitEnclave(p.PID); err != nil {
-					return nil, err
-				}
+				p, err = sys.Kern.SpawnEnclave(kernel.Image{Name: fn.Name(), TextPages: 32, DataPages: 16}, 32*addr.MiB)
+			}
+			if err != nil {
+				return nil, err
+			}
+			if err := sys.Kern.SwitchTo(p.PID); err != nil {
+				return nil, err
+			}
+			if _, err := fn.Run(&kernel.Env{K: sys.Kern, P: p}); err != nil {
+				return nil, err
+			}
+			if err := sys.Kern.Exit(p.PID); err != nil {
+				return nil, err
 			}
 			lat[variant] = sys.Mach.Core.Now - start
 		}

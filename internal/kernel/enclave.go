@@ -7,7 +7,6 @@ import (
 	"hpmp/internal/monitor"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
-	"hpmp/internal/pt"
 )
 
 // Enclave-hosted processes: the deployment model of the paper's case
@@ -16,7 +15,7 @@ import (
 // two regions to it — a small NAPOT page-table pool labelled "fast" (the
 // enclave-side §5 OS change) and a data region — and builds the process
 // entirely out of enclave-owned memory. Scheduling such a process switches
-// the domain as well as satp.
+// the domain as well as satp, and Exit destroys the domain.
 
 // enclaveInfo is the per-process enclave state.
 type enclaveInfo struct {
@@ -74,36 +73,12 @@ func (k *Kernel) SpawnEnclave(img Image, memBytes uint64) (*Process, error) {
 		region:    block,
 	}
 
-	// Build the process out of enclave memory. The kernel half is NOT
-	// shared into an enclave table: the enclave runtime owns its whole
-	// address space (Penglai enclaves run their own runtime).
-	tbl, err := pt.New(k.Mach.Mem, enc.ptAlloc, addr.Sv39)
+	// Build the process out of enclave memory.
+	p, err := k.newProcess(img.Name, userLayout(img, int(memBytes/addr.PageSize/2)), enc)
 	if err != nil {
 		return nil, err
 	}
-	pid := k.nextPID
-	k.nextPID++
-	p := &Process{
-		PID:        pid,
-		Name:       img.Name,
-		Table:      tbl,
-		pages:      make(map[addr.VA]*mapping),
-		mmapCursor: userMmapBase,
-		enclave:    enc,
-	}
-	if img.HeapPages == 0 {
-		img.HeapPages = int(memBytes / addr.PageSize / 2)
-	}
-	p.vmas = []VMA{
-		{Base: userCodeBase, Pages: img.TextPages, Perm: perm.RX},
-		{Base: userCodeBase + addr.VA(img.TextPages*addr.PageSize), Pages: img.DataPages, Perm: perm.RW},
-		{Base: userHeapBase, Pages: img.HeapPages, Perm: perm.RW},
-		{Base: userStackTop - addr.VA(defaultStackPages*addr.PageSize), Pages: defaultStackPages, Perm: perm.RW},
-	}
-	k.procs[pid] = p
-	k.Mach.Core.Priv = perm.S
 	k.Mach.Core.Compute(2500) // enclave loader: copy image, set up runtime
-	k.Mach.Core.Priv = perm.U
 	k.Counters.Inc("kernel.spawn_enclave")
 	return p, nil
 }
@@ -137,33 +112,3 @@ func (p *Process) Domain() monitor.DomainID {
 
 // IsEnclave reports whether the process runs inside an enclave.
 func (p *Process) IsEnclave() bool { return p.enclave != nil }
-
-// ExitEnclave tears an enclave process down: the process exits and the
-// whole domain is destroyed (scrubbing its memory).
-func (k *Kernel) ExitEnclave(pid PID) error {
-	p, ok := k.procs[pid]
-	if !ok {
-		return fmt.Errorf("kernel: no process %d", pid)
-	}
-	if p.enclave == nil {
-		return fmt.Errorf("kernel: process %d is not enclave-hosted", pid)
-	}
-	// Leave the enclave before destroying it.
-	if k.Mon.Current() == p.enclave.domain {
-		if _, err := k.Mon.Switch(monitor.HostDomain); err != nil {
-			return err
-		}
-	}
-	k.Mach.Core.Priv = perm.S
-	k.Mach.Core.Compute(2000)
-	k.Mach.Core.Priv = perm.U
-	delete(k.procs, pid)
-	if k.current == pid {
-		k.current = -1
-	}
-	if _, err := k.Mon.DestroyDomain(p.enclave.domain); err != nil {
-		return err
-	}
-	k.Counters.Inc("kernel.exit_enclave")
-	return nil
-}

@@ -67,7 +67,7 @@ func TestSpawnEnclaveLifecycle(t *testing.T) {
 
 	// Teardown destroys the domain and scrubs memory.
 	secretPA := pa
-	if err := k.ExitEnclave(p.PID); err != nil {
+	if err := k.Exit(p.PID); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := k.Mach.Mem.Read64(secretPA); v != 0 {
@@ -140,14 +140,11 @@ func TestEnclaveSwitchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExitEnclaveValidation(t *testing.T) {
+func TestExitValidation(t *testing.T) {
 	k := bootKernel(t, monitor.ModeHPMP)
-	host := spawnEnv(t, k)
-	if err := k.ExitEnclave(host.P.PID); err == nil {
-		t.Error("ExitEnclave of a host process must fail")
-	}
-	if err := k.ExitEnclave(12345); err == nil {
-		t.Error("ExitEnclave of a missing pid must fail")
+	spawnEnv(t, k)
+	if err := k.Exit(12345); err == nil {
+		t.Error("Exit of a missing pid must fail")
 	}
 }
 
@@ -172,7 +169,7 @@ func TestEnclaveLifecycleAllModes(t *testing.T) {
 				t.Fatalf("%v: page %d: %v", mode, i, err)
 			}
 		}
-		if err := k.ExitEnclave(p.PID); err != nil {
+		if err := k.Exit(p.PID); err != nil {
 			t.Fatalf("%v: exit: %v", mode, err)
 		}
 	}
@@ -188,11 +185,15 @@ func TestEnclaveProcessGuards(t *testing.T) {
 	if _, err := k.Fork(p); err == nil {
 		t.Error("forking an enclave process must fail")
 	}
-	if err := k.Exit(p.PID); err == nil {
-		t.Error("Exit of an enclave process must redirect to ExitEnclave")
-	}
-	if err := k.ExitEnclave(p.PID); err != nil {
+	domains := k.Mon.NumDomains()
+	if err := k.Exit(p.PID); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := k.Mon.Domain(p.Domain()); ok || k.Mon.NumDomains() != domains-1 {
+		t.Error("Exit of an enclave process must destroy its domain")
+	}
+	if k.Counters.Get("kernel.exit_enclave") != 1 || k.Counters.Get("kernel.exit") != 0 {
+		t.Error("an enclave exit counts as kernel.exit_enclave only")
 	}
 }
 

@@ -41,11 +41,15 @@ func (k *Kernel) initHints() error {
 // pages are pre-faulted, migrated into the contiguous hint window, and the
 // window's GMS is labelled "fast".
 func (k *Kernel) IoctlCreateHint(e *Env, va addr.VA, bytes uint64) error {
-	if err := k.initHints(); err != nil {
-		return err
-	}
 	if e.P == nil {
 		return fmt.Errorf("kernel: no process for hint")
+	}
+	if e.P.enclave != nil {
+		// The hint window is a host GMS: enclave pages cannot move there.
+		return fmt.Errorf("kernel: enclave process %d cannot take hints", e.P.PID)
+	}
+	if err := k.initHints(); err != nil {
+		return err
 	}
 	k.enterSyscall()
 	defer k.exitSyscall()
@@ -62,29 +66,16 @@ func (k *Kernel) IoctlCreateHint(e *Env, va addr.VA, bytes uint64) error {
 			}
 		}
 		mp := e.P.pages[page]
-		if k.hintRegionContains(mp.pa) {
+		if k.hintRegion.Contains(mp.pa) {
 			continue // already inside the window
-		}
-		newPA, err := k.hintAlloc.Alloc()
-		if err != nil {
-			return fmt.Errorf("kernel: hint window exhausted: %w", err)
-		}
-		buf := make([]byte, addr.PageSize)
-		if err := k.Mach.Mem.Read(mp.pa, buf); err != nil {
-			return err
-		}
-		if err := k.Mach.Mem.Write(newPA, buf); err != nil {
-			return err
 		}
 		vma, ok := e.P.vmaFor(page)
 		if !ok {
 			return fmt.Errorf("kernel: hinted page %v has no VMA", page)
 		}
-		if err := e.P.Table.Map(page, newPA, vma.Perm, true); err != nil {
-			return err
+		if err := k.movePage(e.P, page, mp, k.hintAlloc, vma.Perm); err != nil {
+			return fmt.Errorf("kernel: migrating hinted page %v: %w", page, err)
 		}
-		k.userAlloc.Free(mp.pa)
-		mp.pa = newPA
 		// Copy cost + the PTE store.
 		k.Mach.Core.Stall(380)
 	}
@@ -97,8 +88,4 @@ func (k *Kernel) IoctlCreateHint(e *Env, va addr.VA, bytes uint64) error {
 	}
 	k.Counters.Inc("kernel.hint_create")
 	return nil
-}
-
-func (k *Kernel) hintRegionContains(pa addr.PA) bool {
-	return k.hintRegion.Contains(pa)
 }

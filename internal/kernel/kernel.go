@@ -98,10 +98,12 @@ type Kernel struct {
 	// kernel entries are copied into every process root (as Linux does).
 	kernelPT *pt.Table
 
-	procs     map[PID]*Process
-	nextPID   PID
-	current   PID
-	frameRefs map[addr.PA]*frameRef
+	procs   map[PID]*Process
+	nextPID PID
+	current PID
+	// shares counts, per copy-on-write shared frame, its owners beyond the
+	// first; an absent entry means one owner (see releaseFrame).
+	shares map[addr.PA]int
 
 	// enclaveCarved tracks how much of the user-region tail has been
 	// handed to enclaves (see enclave.go).
@@ -123,13 +125,13 @@ type Kernel struct {
 // to the host domain already.
 func New(mach *cpu.Machine, mon *monitor.Monitor, cfg Config) (*Kernel, error) {
 	k := &Kernel{
-		Mach:      mach,
-		Mon:       mon,
-		cfg:       cfg,
-		procs:     make(map[PID]*Process),
-		frameRefs: make(map[addr.PA]*frameRef),
-		current:   -1,
-		rng:       0x243f6a8885a308d3,
+		Mach:    mach,
+		Mon:     mon,
+		cfg:     cfg,
+		procs:   make(map[PID]*Process),
+		shares:  make(map[addr.PA]int),
+		current: -1,
+		rng:     0x243f6a8885a308d3,
 	}
 	if cfg.ContiguousPT {
 		k.ptAlloc = phys.NewFrameAllocator(cfg.PTPoolRegion, false)
@@ -179,16 +181,6 @@ func New(mach *cpu.Machine, mon *monitor.Monitor, cfg Config) (*Kernel, error) {
 // KernelHeap returns the base VA of the kernel heap.
 func (k *Kernel) KernelHeap() addr.VA {
 	return KernelBase + addr.VA((kernelTextPages+kernelDataPages)*addr.PageSize)
-}
-
-// freeFrame returns a data frame to whichever pool owns it (the general
-// user pool or the hint window).
-func (k *Kernel) freeFrame(pa addr.PA) {
-	if k.hintAlloc != nil && k.hintRegion.Contains(pa) {
-		k.hintAlloc.Free(pa)
-		return
-	}
-	k.userAlloc.Free(pa)
 }
 
 // rand returns a deterministic pseudo-random number (xorshift64*).

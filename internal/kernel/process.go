@@ -5,7 +5,9 @@ import (
 	"sort"
 
 	"hpmp/internal/addr"
+	"hpmp/internal/monitor"
 	"hpmp/internal/perm"
+	"hpmp/internal/phys"
 	"hpmp/internal/pt"
 )
 
@@ -82,45 +84,134 @@ type Image struct {
 	HeapPages int
 }
 
-// frameRefs tracks CoW sharing; it lives on the kernel because frames are a
-// global resource.
-type frameRef struct{ n int }
+// defaultHeapPages is the heap a host image reserves when it names none.
+const defaultHeapPages = 4096
+
+// userLayout returns the standard VMAs of img: text, data, heap (heapPages
+// when the image reserves none) and stack.
+func userLayout(img Image, heapPages int) []VMA {
+	if img.HeapPages != 0 {
+		heapPages = img.HeapPages
+	}
+	return []VMA{
+		{Base: userCodeBase, Pages: img.TextPages, Perm: perm.RX},
+		{Base: userCodeBase + addr.VA(img.TextPages*addr.PageSize), Pages: img.DataPages, Perm: perm.RW},
+		{Base: userHeapBase, Pages: heapPages, Perm: perm.RW},
+		{Base: userStackTop - addr.VA(defaultStackPages*addr.PageSize), Pages: defaultStackPages, Perm: perm.RW},
+	}
+}
+
+// newProcess registers a process with an empty table. A host process's
+// table comes from the kernel PT pool and shares the kernel half; an
+// enclave's (enc non-nil) comes from the enclave's own PT pool and holds
+// no kernel half, because the enclave runtime owns its whole address space.
+func (k *Kernel) newProcess(name string, vmas []VMA, enc *enclaveInfo) (*Process, error) {
+	ptPool := k.ptAlloc
+	if enc != nil {
+		ptPool = enc.ptAlloc
+	}
+	tbl, err := pt.New(k.Mach.Mem, ptPool, addr.Sv39)
+	if err != nil {
+		return nil, fmt.Errorf("kernel: new process %s: %w", name, err)
+	}
+	if enc == nil {
+		if err := k.shareKernelHalf(tbl.Root()); err != nil {
+			return nil, err
+		}
+	}
+	p := &Process{
+		PID:        k.nextPID,
+		Name:       name,
+		Table:      tbl,
+		vmas:       vmas,
+		pages:      make(map[addr.VA]*mapping),
+		mmapCursor: userMmapBase,
+		enclave:    enc,
+	}
+	k.nextPID++
+	k.procs[p.PID] = p
+	return p, nil
+}
+
+// dataPool returns the pool p's demand-paged frames come from: its
+// enclave's data pool, or the host pool.
+func (k *Kernel) dataPool(p *Process) *phys.FrameAllocator {
+	if p.enclave != nil {
+		return p.enclave.userAlloc
+	}
+	return k.userAlloc
+}
+
+// releaseFrame drops p's share of the data frame at pa. The last share
+// returns the frame to the pool that owns it: the hint window, or p's data
+// pool.
+func (k *Kernel) releaseFrame(p *Process, pa addr.PA) {
+	switch n := k.shares[pa]; {
+	case n > 1:
+		k.shares[pa] = n - 1
+	case n == 1:
+		delete(k.shares, pa)
+	case k.hintAlloc != nil && k.hintRegion.Contains(pa):
+		k.hintAlloc.Free(pa)
+	default:
+		k.dataPool(p).Free(pa)
+	}
+}
+
+// unmapPage drops p's materialized page at va: the PTE is cleared, the page
+// forgotten and its frame released. The caller flushes the translation.
+func (k *Kernel) unmapPage(p *Process, va addr.VA) error {
+	k.releaseFrame(p, p.pages[va].pa)
+	delete(p.pages, va)
+	_, err := p.Table.Unmap(va)
+	return err
+}
+
+// movePage copies p's page at va (mapped by mp) into a fresh frame from
+// pool, maps it there with permission pm, releases the old frame and ends
+// any copy-on-write sharing of the page. The caller charges the copy and
+// flushes the translation.
+func (k *Kernel) movePage(p *Process, va addr.VA, mp *mapping, pool *phys.FrameAllocator, pm perm.Perm) error {
+	newPA, err := pool.Alloc()
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, addr.PageSize)
+	if err := k.Mach.Mem.Read(mp.pa, buf); err != nil {
+		return err
+	}
+	if err := k.Mach.Mem.Write(newPA, buf); err != nil {
+		return err
+	}
+	if err := p.Table.Map(va, newPA, pm, true); err != nil {
+		return err
+	}
+	k.releaseFrame(p, mp.pa)
+	mp.pa, mp.cow = newPA, false
+	return nil
+}
+
+// storeLeafPTE charges the timed store of va's leaf PTE in tbl through the
+// cache hierarchy.
+func (k *Kernel) storeLeafPTE(tbl *pt.Table, va addr.VA) {
+	steps, err := tbl.WalkPath(va)
+	if err == nil && len(steps) > 0 {
+		r := k.Mach.Hier.Access(steps[len(steps)-1].PTEAddr, k.Mach.Core.Now, true)
+		k.Mach.Core.Stall(r.Latency)
+	}
+}
 
 // Spawn creates a new process from an image. Segments are lazily faulted —
 // the short-lived serverless cost the paper measures comes from exactly
 // these cold-start faults and walks.
 func (k *Kernel) Spawn(img Image) (*Process, error) {
-	tbl, err := pt.New(k.Mach.Mem, k.ptAlloc, addr.Sv39)
+	p, err := k.newProcess(img.Name, userLayout(img, defaultHeapPages), nil)
 	if err != nil {
-		return nil, fmt.Errorf("kernel: spawn %s: %w", img.Name, err)
-	}
-	if err := k.shareKernelHalf(tbl.Root()); err != nil {
 		return nil, err
 	}
-	pid := k.nextPID
-	k.nextPID++
-	p := &Process{
-		PID:        pid,
-		Name:       img.Name,
-		Table:      tbl,
-		pages:      make(map[addr.VA]*mapping),
-		mmapCursor: userMmapBase,
-	}
-	if img.HeapPages == 0 {
-		img.HeapPages = 4096
-	}
-	p.vmas = []VMA{
-		{Base: userCodeBase, Pages: img.TextPages, Perm: perm.RX},
-		{Base: userCodeBase + addr.VA(img.TextPages*addr.PageSize), Pages: img.DataPages, Perm: perm.RW},
-		{Base: userHeapBase, Pages: img.HeapPages, Perm: perm.RW},
-		{Base: userStackTop - addr.VA(defaultStackPages*addr.PageSize), Pages: defaultStackPages, Perm: perm.RW},
-	}
-	k.procs[pid] = p
 	k.Counters.Inc("kernel.spawn")
 	// Creating a process costs kernel work: PCB setup plus the PT root.
-	k.Mach.Core.Priv = perm.S
 	k.Mach.Core.Compute(1500)
-	k.Mach.Core.Priv = perm.U
 	if k.current < 0 {
 		// Adopting a root on an idle machine is still a satp write and owes
 		// SetRoot's flush contract: after an Exit the TLBs may still hold the
@@ -129,7 +220,7 @@ func (k *Kernel) Spawn(img Image) (*Process, error) {
 		// Only the true first adoption (Root == 0: no translation has ever
 		// run) skips the flush cost, keeping boot-time behavior unchanged.
 		prev := k.Mach.MMU.Root
-		k.current = pid
+		k.current = p.PID
 		k.Mach.MMU.SetRoot(p.Table.Root())
 		if prev != 0 {
 			k.Mach.MMU.FlushTLB()
@@ -196,24 +287,10 @@ func (k *Kernel) MUnmap(p *Process, base addr.VA) error {
 	vma := p.vmas[idx]
 	for i := 0; i < vma.Pages; i++ {
 		page := vma.Base + addr.VA(i*addr.PageSize)
-		mp, ok := p.pages[page]
-		if !ok {
+		if _, ok := p.pages[page]; !ok {
 			continue
 		}
-		if ref := k.frameRefs[mp.pa]; ref != nil {
-			ref.n--
-			if ref.n > 0 {
-				delete(p.pages, page)
-				if _, err := p.Table.Unmap(page); err != nil {
-					return err
-				}
-				continue
-			}
-			delete(k.frameRefs, mp.pa)
-		}
-		k.freeFrame(mp.pa)
-		delete(p.pages, page)
-		if _, err := p.Table.Unmap(page); err != nil {
+		if err := k.unmapPage(p, page); err != nil {
 			return err
 		}
 		k.Mach.MMU.FlushVA(page)
@@ -261,11 +338,7 @@ func (k *Kernel) HandleFault(p *Process, va addr.VA, kind perm.Access) error {
 	if _, mapped := p.pages[page]; mapped {
 		return fmt.Errorf("kernel: fault on already-mapped page %v", page)
 	}
-	alloc := k.userAlloc
-	if p.enclave != nil {
-		alloc = p.enclave.userAlloc
-	}
-	pa, err := alloc.Alloc()
+	pa, err := k.dataPool(p).Alloc()
 	if err != nil {
 		return fmt.Errorf("kernel: out of memory faulting %v: %w", va, err)
 	}
@@ -282,12 +355,7 @@ func (k *Kernel) HandleFault(p *Process, va addr.VA, kind perm.Access) error {
 	// Costs: trap + handler compute + the PTE store (timed through the
 	// hierarchy) + zeroing the new frame (streamed stores).
 	k.Mach.Core.Stall(k.cfg.FaultTrapCycles)
-	steps, err := p.Table.WalkPath(page)
-	if err == nil && len(steps) > 0 {
-		last := steps[len(steps)-1]
-		r := k.Mach.Hier.Access(last.PTEAddr, k.Mach.Core.Now, true)
-		k.Mach.Core.Stall(r.Latency)
-	}
+	k.storeLeafPTE(p.Table, page)
 	k.Mach.Core.Stall(180) // page zeroing with cache-bypassing stores
 	return nil
 }
@@ -307,29 +375,19 @@ func (k *Kernel) handleCoW(p *Process, va addr.VA) (bool, error) {
 	if !ok || !vma.Perm.Has(perm.W) {
 		return false, nil
 	}
-	ref := k.frameRefs[mp.pa]
-	if ref != nil && ref.n > 1 {
-		// Copy the page into a fresh frame.
-		newPA, err := k.userAlloc.Alloc()
-		if err != nil {
+	if k.shares[mp.pa] > 0 {
+		// Still shared: copy the page into a fresh frame.
+		if err := k.movePage(p, page, mp, k.dataPool(p), vma.Perm); err != nil {
 			return false, err
 		}
-		buf := make([]byte, addr.PageSize)
-		if err := k.Mach.Mem.Read(mp.pa, buf); err != nil {
-			return false, err
-		}
-		if err := k.Mach.Mem.Write(newPA, buf); err != nil {
-			return false, err
-		}
-		ref.n--
-		mp.pa = newPA
 		k.Mach.Core.Stall(k.cfg.FaultTrapCycles + 350) // trap + page copy
 	} else {
+		// The last owner: writable again in place.
+		mp.cow = false
+		if err := p.Table.Map(page, mp.pa, vma.Perm, true); err != nil {
+			return false, err
+		}
 		k.Mach.Core.Stall(k.cfg.FaultTrapCycles)
-	}
-	mp.cow = false
-	if err := p.Table.Map(page, mp.pa, vma.Perm, true); err != nil {
-		return false, err
 	}
 	k.Mach.MMU.FlushVA(page)
 	k.Counters.Inc("kernel.cow_fault")
@@ -346,24 +404,11 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 		// frames.
 		return nil, fmt.Errorf("kernel: enclave process %d cannot fork", parent.PID)
 	}
-	tbl, err := pt.New(k.Mach.Mem, k.ptAlloc, addr.Sv39)
+	child, err := k.newProcess(parent.Name+"+", append([]VMA(nil), parent.vmas...), nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := k.shareKernelHalf(tbl.Root()); err != nil {
-		return nil, err
-	}
-	pid := k.nextPID
-	k.nextPID++
-	child := &Process{
-		PID:        pid,
-		Name:       parent.Name + "+",
-		Table:      tbl,
-		vmas:       append([]VMA(nil), parent.vmas...),
-		pages:      make(map[addr.VA]*mapping),
-		mmapCursor: parent.mmapCursor,
-	}
-	k.Mach.Core.Priv = perm.S
+	child.mmapCursor = parent.mmapCursor
 	k.Mach.Core.Compute(4000) // task_struct, mm_struct, fd table, ...
 	for _, pe := range parent.sortedPages() {
 		va, mp := pe.va, pe.mp
@@ -386,100 +431,72 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 			return nil, err
 		}
 		child.pages[va] = &mapping{pa: mp.pa, cow: mp.cow}
-		ref := k.frameRefs[mp.pa]
-		if ref == nil {
-			ref = &frameRef{n: 1}
-			k.frameRefs[mp.pa] = ref
-		}
-		ref.n++
-		// Timed PT touches: read the parent PTE, write the child PTE.
-		steps, err := child.Table.WalkPath(va)
-		if err == nil && len(steps) > 0 {
-			r := k.Mach.Hier.Access(steps[len(steps)-1].PTEAddr, k.Mach.Core.Now, true)
-			k.Mach.Core.Stall(r.Latency)
-		}
+		k.shares[mp.pa]++
+		// Timed PT touch: the child PTE store.
+		k.storeLeafPTE(child.Table, va)
 		// Per-page mm bookkeeping (vma/rmap/page structs) in kernel
 		// memory — mode-sensitive kernel accesses, as in real fork.
 		if err := k.touchKernel(2); err != nil {
 			return nil, err
 		}
 	}
-	k.Mach.Core.Priv = perm.U
 	// The parent's downgraded mappings require a TLB flush.
 	k.Mach.MMU.FlushTLB()
-	k.procs[pid] = child
 	k.Counters.Inc("kernel.fork")
 	return child, nil
 }
 
-// Exit tears a process down, returning frames and PT pages. Enclave
-// processes must use ExitEnclave (their frames belong to the enclave's
-// donated block, not the kernel pools).
+// Exit tears a process down. A host process returns its frames and PT
+// pages to their pools; an enclave process leaves its enclave and destroys
+// it, which scrubs the whole donated block.
 func (k *Kernel) Exit(pid PID) error {
 	p, ok := k.procs[pid]
 	if !ok {
 		return fmt.Errorf("kernel: no process %d", pid)
 	}
 	if p.enclave != nil {
-		return fmt.Errorf("kernel: process %d is enclave-hosted; use ExitEnclave", pid)
-	}
-	k.Mach.Core.Priv = perm.S
-	k.Mach.Core.Compute(2500)
-	k.Mach.Core.Priv = perm.U
-	for _, pe := range p.sortedPages() {
-		mp := pe.mp
-		if ref := k.frameRefs[mp.pa]; ref != nil {
-			ref.n--
-			if ref.n > 0 {
-				continue
+		// Leave the enclave before destroying it.
+		if k.Mon.Current() == p.enclave.domain {
+			if _, err := k.Mon.Switch(monitor.HostDomain); err != nil {
+				return err
 			}
-			delete(k.frameRefs, mp.pa)
 		}
-		k.freeFrame(mp.pa)
-	}
-	for _, ptPage := range p.Table.PTPages() {
-		k.ptAlloc.Free(ptPage)
+		k.Mach.Core.Compute(2000)
+	} else {
+		k.Mach.Core.Compute(2500)
+		for _, pe := range p.sortedPages() {
+			k.releaseFrame(p, pe.mp.pa)
+		}
+		for _, ptPage := range p.Table.PTPages() {
+			k.ptAlloc.Free(ptPage)
+		}
 	}
 	delete(k.procs, pid)
 	if k.current == pid {
 		k.current = -1
 	}
-	k.Counters.Inc("kernel.exit")
+	if p.enclave == nil {
+		k.Counters.Inc("kernel.exit")
+		return nil
+	}
+	if _, err := k.Mon.DestroyDomain(p.enclave.domain); err != nil {
+		return err
+	}
+	k.Counters.Inc("kernel.exit_enclave")
 	return nil
 }
 
 // Exec replaces the current process image (fork+exec pattern): the old
 // user mappings are dropped and fresh VMAs installed.
 func (k *Kernel) Exec(p *Process, img Image) error {
-	k.Mach.Core.Priv = perm.S
 	k.Mach.Core.Compute(6000) // ELF load path
-	k.Mach.Core.Priv = perm.U
 	for _, pe := range p.sortedPages() {
-		va, mp := pe.va, pe.mp
-		if ref := k.frameRefs[mp.pa]; ref != nil {
-			ref.n--
-			if ref.n == 0 {
-				delete(k.frameRefs, mp.pa)
-				k.freeFrame(mp.pa)
-			}
-		} else {
-			k.freeFrame(mp.pa)
-		}
-		if _, err := p.Table.Unmap(va); err != nil {
+		if err := k.unmapPage(p, pe.va); err != nil {
 			return err
 		}
-		delete(p.pages, va)
-	}
-	if img.HeapPages == 0 {
-		img.HeapPages = 4096
 	}
 	p.Name = img.Name
-	p.vmas = []VMA{
-		{Base: userCodeBase, Pages: img.TextPages, Perm: perm.RX},
-		{Base: userCodeBase + addr.VA(img.TextPages*addr.PageSize), Pages: img.DataPages, Perm: perm.RW},
-		{Base: userHeapBase, Pages: img.HeapPages, Perm: perm.RW},
-		{Base: userStackTop - addr.VA(defaultStackPages*addr.PageSize), Pages: defaultStackPages, Perm: perm.RW},
-	}
+	p.vmas = userLayout(img, defaultHeapPages)
 	k.Mach.MMU.FlushTLB()
 	k.Counters.Inc("kernel.exec")
 	return nil

@@ -40,11 +40,17 @@ const (
 // never fails the gate.
 type DiffOptions struct {
 	// WallTol, when > 0, turns wall-time drift beyond the fraction
-	// |cur-base|/base into a regression. <= 0 reports drift as info only —
-	// wall time depends on the machine, so the committed baseline's values
-	// are not comparable across hosts by default.
+	// |cur-base|/base into a regression, if the run is also more than
+	// wallSlack slower. <= 0 reports drift as info only — wall time depends
+	// on the machine, so the committed baseline's values are not comparable
+	// across hosts by default.
 	WallTol float64
 }
+
+// wallSlack is the absolute slowdown, in seconds, a wall row must also
+// exceed to regress: scheduler noise alone moves a microsecond-scale
+// experiment by far more than any relative band, but never by this much.
+const wallSlack = 0.05
 
 // Finding is one observed difference.
 type Finding struct {
@@ -256,7 +262,8 @@ func DiffMetrics(base, cur *Metrics, opt DiffOptions) []Finding {
 
 	if base.WallSeconds != cur.WallSeconds {
 		sev := SevInfo
-		if opt.WallTol > 0 && !withinRel(base.WallSeconds, cur.WallSeconds, opt.WallTol) {
+		if opt.WallTol > 0 && !withinRel(base.WallSeconds, cur.WallSeconds, opt.WallTol) &&
+			cur.WallSeconds-base.WallSeconds > wallSlack {
 			sev = SevRegression
 		}
 		out = append(out, Finding{Family: "wall",

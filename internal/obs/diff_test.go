@@ -141,6 +141,30 @@ func TestDiffWallTolerance(t *testing.T) {
 	}
 }
 
+// TestDiffWallSlack: beyond WallTol, a wall row regresses only when the run
+// is also more than wallSlack slower, so scheduler noise on a microsecond
+// experiment stays info while an order-of-magnitude blowup still fails.
+func TestDiffWallSlack(t *testing.T) {
+	cases := []struct {
+		base, cur float64
+		want      Severity
+	}{
+		{0.000038, 0.001, SevInfo}, // table4: 26x, but under 1 ms
+		{0.3, 7, SevRegression},    // 23x and 6.7 s slower
+		{7, 0.3, SevInfo},          // faster is never a regression
+		{0.01, 0.3, SevRegression}, // 30x and 290 ms slower
+		{0.001, 0.04, SevInfo},     // 40x, but only 39 ms slower
+	}
+	for _, c := range cases {
+		b, cur := sampleMetrics("table4"), sampleMetrics("table4")
+		b.WallSeconds, cur.WallSeconds = c.base, c.cur
+		fs := DiffMetrics(b, cur, DiffOptions{WallTol: 20})
+		if len(fs) != 1 || fs[0].Family != "wall" || fs[0].Severity != c.want {
+			t.Errorf("wall %gs -> %gs under WallTol 20: %+v, want %v", c.base, c.cur, fs, c.want)
+		}
+	}
+}
+
 // TestDiffDirsMissingExperiment: an experiment present on only one side is
 // a regression in both directions.
 func TestDiffDirsMissingExperiment(t *testing.T) {
