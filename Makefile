@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-ab bench-full-ab eval eval-quick examples metrics-baseline metrics-diff clean
+.PHONY: all build vet fmt-check test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-smoke bench-ab bench-full-ab eval eval-quick examples metrics-baseline metrics-diff clean
 
 all: build vet fmt-check test race smoke fuzz
 
@@ -135,6 +135,11 @@ metrics-diff:
 # One testing.B target per paper table/figure (quick sizes).
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+
+# Every root benchmark run once (about 2 s), so a benchmark that no longer
+# runs fails CI rather than the next measurement.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Interleaved A/B of the end-to-end benchmark (cmd/hpmpbench) against a base
 # revision: builds hpmpbench at BASE, checked out with git worktree, and at

@@ -6,6 +6,7 @@
 package main_test
 
 import (
+	"runtime"
 	"testing"
 
 	"hpmp/internal/addr"
@@ -14,6 +15,7 @@ import (
 	"hpmp/internal/cpu"
 	"hpmp/internal/dram"
 	"hpmp/internal/hpmp"
+	"hpmp/internal/kernel"
 	"hpmp/internal/memport"
 	"hpmp/internal/mmu"
 	"hpmp/internal/monitor"
@@ -131,7 +133,8 @@ func bootConfig() bench.Config {
 // Table 2 latency probe boots a fresh system, so boot is most of the
 // daemon-mix job time. It regresses without the leaf-table-at-a-time
 // builders (pmpt.Table.SetRangePermPaged's one fill per leaf table,
-// pt.Table.MapRange's one descent per 2 MiB).
+// pt.Table.MapRange's one descent per 2 MiB) and without cache levels that
+// allocate their lines a chunk at a time on first probe.
 func BenchmarkNewSystem(b *testing.B) {
 	cfg := bootConfig()
 	for _, mode := range bench.AllModes {
@@ -168,6 +171,108 @@ func TestNewSystemAllocs(t *testing.T) {
 		t.Logf("%s boot: %.0f allocs", bench.ModeNames[c.mode], allocs)
 		if allocs > c.max {
 			t.Errorf("%s boot allocates %.0f objects, want at most %.0f", bench.ModeNames[c.mode], allocs, c.max)
+		}
+	}
+}
+
+// allocBytes returns the heap bytes one call of f allocates, averaged over
+// runs calls after a warm-up call, on one OS thread as testing.AllocsPerRun
+// does.
+func allocBytes(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.TotalAlloc - m0.TotalAlloc) / uint64(runs)
+}
+
+// TestNewSystemBytes pins the heap bytes one quick Rocket boot allocates
+// under each mode. Cache lines are allocated a 4 KiB chunk at a time on
+// first probe, so a boot pays only for the lines its table builds touch;
+// allocating every level whole costs ~300 KiB more per boot.
+func TestNewSystemBytes(t *testing.T) {
+	cfg := bootConfig()
+	for _, c := range []struct {
+		mode monitor.Mode
+		max  uint64
+	}{
+		{monitor.ModePMP, 64 * addr.KiB},
+		{monitor.ModePMPT, 160 * addr.KiB},
+		{monitor.ModeHPMP, 160 * addr.KiB},
+	} {
+		b := allocBytes(10, func() {
+			if _, err := bench.NewSystem(cpu.RocketPlatform(), c.mode, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s boot: %d bytes", bench.ModeNames[c.mode], b)
+		if b > c.max {
+			t.Errorf("%s boot allocates %d bytes, want at most %d", bench.ModeNames[c.mode], b, c.max)
+		}
+	}
+}
+
+// envLoadRig boots a quick Rocket system under mode, spawns one process
+// and stores to its first heap page, so that every later Env.Load32 of
+// that page hits the L1 TLB and the L1 cache: the workload-facing layer
+// above the MMU (Env, the kernel's demand-paging step, the core).
+func envLoadRig(tb testing.TB, mode monitor.Mode) (*kernel.Env, addr.VA) {
+	sys, err := bench.NewSystem(cpu.RocketPlatform(), mode, bootConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := sys.Kern.Spawn(kernel.Image{Name: "load", TextPages: 4, DataPages: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := sys.Kern.NewEnv(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	va := p.Heap()
+	e.Store32(va, 1)
+	if err := e.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	return e, va
+}
+
+// BenchmarkEnvLoadHit measures the simulator's own cost of one
+// steady-state workload load, Env.Load32 of a mapped heap page, under each
+// isolation mode. Against BenchmarkTLBHitAccess (the MMU alone) it shows
+// what the layers above the MMU add to every GAP scalar load.
+func BenchmarkEnvLoadHit(b *testing.B) {
+	for _, mode := range bench.AllModes {
+		b.Run(bench.ModeNames[mode], func(b *testing.B) {
+			e, va := envLoadRig(b, mode)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sum uint32
+			for i := 0; i < b.N; i++ {
+				sum += e.Load32(va)
+			}
+			if err := e.Err(); err != nil || sum != uint32(b.N) {
+				b.Fatalf("sum %d over %d loads, err %v", sum, b.N, err)
+			}
+		})
+	}
+}
+
+// TestEnvLoadHitZeroAllocs pins BenchmarkEnvLoadHit's loop at zero
+// allocations per load under every mode.
+func TestEnvLoadHitZeroAllocs(t *testing.T) {
+	for _, mode := range bench.AllModes {
+		e, va := envLoadRig(t, mode)
+		allocs := testing.AllocsPerRun(1000, func() { e.Load32(va) })
+		if err := e.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: Env.Load32 hit allocates %.1f times per op, want 0", bench.ModeNames[mode], allocs)
 		}
 	}
 }

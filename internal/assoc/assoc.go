@@ -58,7 +58,11 @@ func (a *Array) Insert(key uint64) int {
 	}
 	a.tick++
 	tag := key + 1
-	free, victim := -1, -1
+	// The oldest stamp rides in a local: stamps start at 1, so the first
+	// occupied slot always beats ^0, and a strict < keeps the first slot
+	// of the minimal stamp as the victim.
+	stamp := a.stamp[:len(a.keys)]
+	free, victim, oldest := -1, -1, ^uint64(0)
 	for i, k := range a.keys {
 		if k == 0 {
 			if free < 0 {
@@ -67,11 +71,11 @@ func (a *Array) Insert(key uint64) int {
 			continue
 		}
 		if k == tag {
-			a.stamp[i] = a.tick
+			stamp[i] = a.tick
 			return i
 		}
-		if victim < 0 || a.stamp[i] < a.stamp[victim] {
-			victim = i
+		if st := stamp[i]; st < oldest {
+			victim, oldest = i, st
 		}
 	}
 	slot := free

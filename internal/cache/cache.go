@@ -9,6 +9,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"hpmp/internal/addr"
 	"hpmp/internal/dram"
@@ -44,9 +45,8 @@ func (c Config) Validate() error {
 }
 
 // line is one cache line, packed into 16 bytes: an 8-way set spans two host
-// cache lines, and a machine boot allocates a third less than with a bool
-// beside the tag and stamp. meta holds the line's LRU stamp above the dirty
-// bit,
+// cache lines, where a bool beside the tag and stamp would make it three.
+// meta holds the line's LRU stamp above the dirty bit,
 //
 //	meta = stamp<<lineStateBits | dirty
 //
@@ -70,15 +70,25 @@ func (l *line) touch(tick uint64) {
 	l.meta = tick<<lineStateBits | l.meta&lineDirty
 }
 
-// Cache is one level of the hierarchy.
+// chunkLines is the number of lines that fill one chunk: 4 KiB of host
+// memory.
+const chunkLines = 4096 / int(unsafe.Sizeof(line{}))
+
+// Cache is one level of the hierarchy. Its lines are stored in chunks of
+// consecutive sets, each chunk allocated the first time one of its sets is
+// probed: a machine boots about 290 KiB of lines over its three levels, and
+// a light job (one Table 2 probe, one daemon job) touches a few of them. A
+// chunk holds the sets whose lines fill chunkLines, rounded down to a power
+// of two, and at least one set; a level smaller than a chunk is one chunk.
 type Cache struct {
-	cfg      Config
-	sets     uint64
-	ways     uint64
-	lineBits uint
-	setBits  uint   // log2(sets): Validate guarantees a power of two
-	lines    []line // set s occupies lines[s*ways : (s+1)*ways]
-	tick     uint64 // LRU clock
+	cfg       Config
+	sets      uint64
+	ways      uint64
+	lineBits  uint
+	setBits   uint     // log2(sets): Validate guarantees a power of two
+	chunkBits uint     // log2(sets per chunk)
+	chunks    [][]line // set s is ways (s mod sets per chunk)*ways on of chunks[s>>chunkBits]; nil until probed
+	tick      uint64   // LRU clock
 
 	// Hot-path counter handles, resolved once in New so per-access bumps
 	// pay neither a map lookup nor the cfg.Name+suffix concatenation.
@@ -88,22 +98,25 @@ type Cache struct {
 }
 
 // New builds a cache level from cfg; invalid geometry panics (it is a
-// programming error in a fixed experiment configuration). The whole level
-// is one allocation, whatever its set count: a machine boots four levels,
-// and a slice per set made boot allocation-bound.
+// programming error in a fixed experiment configuration). It allocates only
+// the chunk table, whatever the set count; set allocates each chunk of
+// lines on its first probe.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	ways := uint64(cfg.Ways)
 	sets := cfg.Size / cfg.LineSize / ways
+	perChunk := max(uint64(chunkLines)/ways, 1)
+	chunkBits := min(uint(bits.Len64(perChunk)-1), uint(bits.TrailingZeros64(sets)))
 	c := &Cache{
-		cfg:      cfg,
-		sets:     sets,
-		ways:     ways,
-		lineBits: uint(bits.TrailingZeros64(cfg.LineSize)),
-		setBits:  uint(bits.TrailingZeros64(sets)),
-		lines:    make([]line, sets*ways),
+		cfg:       cfg,
+		sets:      sets,
+		ways:      ways,
+		lineBits:  uint(bits.TrailingZeros64(cfg.LineSize)),
+		setBits:   uint(bits.TrailingZeros64(sets)),
+		chunkBits: chunkBits,
+		chunks:    make([][]line, sets>>chunkBits),
 	}
 	c.hHit = c.Counters.Handle(cfg.Name + ".hit")
 	c.hMiss = c.Counters.Handle(cfg.Name + ".miss")
@@ -113,9 +126,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the level's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // index splits pa into set and tag with a mask and a shift rather than % and
 // / by c.sets: a 64-bit divide by a runtime value was the largest single cost
 // of a cache probe, and every simulated reference makes at least one.
@@ -124,10 +134,16 @@ func (c *Cache) index(pa addr.PA) (set, tag uint64) {
 	return lineAddr & (c.sets - 1), lineAddr >> c.setBits
 }
 
-// set returns the ways of set s.
+// set returns the ways of set s, allocating its chunk on the first probe
+// of any set in it. It is the only place that allocates after New.
 func (c *Cache) set(s uint64) []line {
-	i := s * c.ways
-	return c.lines[i : i+c.ways : i+c.ways]
+	ch := c.chunks[s>>c.chunkBits]
+	if ch == nil {
+		ch = make([]line, c.ways<<c.chunkBits)
+		c.chunks[s>>c.chunkBits] = ch
+	}
+	i := (s & (1<<c.chunkBits - 1)) * c.ways
+	return ch[i : i+c.ways : i+c.ways]
 }
 
 // lookup returns the line of a set holding tag, or nil.
@@ -200,15 +216,11 @@ func (c *Cache) fill(ways []line, w int, tag uint64, dirty bool) {
 
 // InvalidateAll flushes the cache (used to build cold-state test cases;
 // dirty data is discarded because experiment state is rebuilt afterwards).
+// Only chunks that exist hold lines, so only they are cleared.
 func (c *Cache) InvalidateAll() {
-	clear(c.lines)
-}
-
-// Contains reports presence without touching LRU or counters (for tests and
-// state priming checks).
-func (c *Cache) Contains(pa addr.PA) bool {
-	set, tag := c.index(pa)
-	return lookup(c.set(set), tag) != nil
+	for _, ch := range c.chunks {
+		clear(ch)
+	}
 }
 
 // Hierarchy composes L1, L2, LLC and DRAM into a single access path.

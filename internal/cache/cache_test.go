@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,116 @@ import (
 
 func smallCfg(name string, size uint64, ways int) Config {
 	return Config{Name: name, Size: size, Ways: ways, LineSize: 64, Latency: 2}
+}
+
+// contains reports whether pa's line is present without touching LRU,
+// counters or storage: a chunk never probed holds no line and stays
+// unallocated.
+func (c *Cache) contains(pa addr.PA) bool {
+	set, tag := c.index(pa)
+	ch := c.chunks[set>>c.chunkBits]
+	if ch == nil {
+		return false
+	}
+	i := (set & (1<<c.chunkBits - 1)) * c.ways
+	return lookup(ch[i:i+c.ways], tag) != nil
+}
+
+// materialized returns the number of chunks of c that hold lines.
+func (c *Cache) materialized() int {
+	n := 0
+	for _, ch := range c.chunks {
+		if ch != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// allocBytes returns the heap bytes one call of f allocates, averaged over
+// runs calls after a warm-up call.
+func allocBytes(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.TotalAlloc - m0.TotalAlloc) / uint64(runs)
+}
+
+// rocketLLC is the largest level a machine boots: 1 MiB, 8-way, 16384
+// lines.
+var rocketLLC = Config{Name: "llc", Size: addr.MiB, Ways: 8, LineSize: 64, Latency: 26}
+
+// TestNewAllocatesNoLines pins the lazy layout: building the largest level
+// allocates its chunk table and no lines.
+func TestNewAllocatesNoLines(t *testing.T) {
+	if b := allocBytes(20, func() { New(rocketLLC) }); b >= 4096 {
+		t.Errorf("New(%s) allocates %d bytes, want under 4096", rocketLLC.Name, b)
+	}
+}
+
+// TestProbeMaterializesOneChunk: the first probe of a set allocates the one
+// chunk holding it, a probe of another set in that chunk allocates nothing,
+// and a probe of a set in another chunk allocates that chunk.
+func TestProbeMaterializesOneChunk(t *testing.T) {
+	c := New(rocketLLC)
+	c.probe(0, false, false)
+	if n := c.materialized(); n != 1 {
+		t.Fatalf("one probe materialized %d chunks, want 1", n)
+	}
+	if got := len(c.chunks[0]); got != chunkLines {
+		t.Errorf("an 8-way chunk holds %d lines, want %d", got, chunkLines)
+	}
+	perChunk := uint64(1) << c.chunkBits
+	if b := allocBytes(10, func() { c.probe(addr.PA((perChunk-1)*64), false, false) }); b != 0 {
+		t.Errorf("a probe inside a materialized chunk allocates %d bytes, want 0", b)
+	}
+	c.probe(addr.PA(perChunk*64), false, false)
+	if n := c.materialized(); n != 2 {
+		t.Errorf("a probe of the next chunk left %d chunks, want 2", n)
+	}
+}
+
+// TestUnprobedLevelAllocatesNothing: flushing or querying a level that was
+// never probed allocates no chunk.
+func TestUnprobedLevelAllocatesNothing(t *testing.T) {
+	c := New(rocketLLC)
+	allocs := testing.AllocsPerRun(10, func() {
+		c.InvalidateAll()
+		c.contains(0x1234_5678)
+	})
+	if allocs != 0 || c.materialized() != 0 {
+		t.Errorf("InvalidateAll and contains allocate %v times and leave %d chunks, want 0 and 0", allocs, c.materialized())
+	}
+}
+
+// TestChunkGeometry: a chunk holds the power-of-two number of sets whose
+// lines fill at most chunkLines, at least one set, and at most the level.
+func TestChunkGeometry(t *testing.T) {
+	for _, g := range []struct {
+		ways, sets     uint64
+		setsPerChunk   uint64
+		wantChunks     int
+		wantChunkLines int
+	}{
+		{ways: 8, sets: 2048, setsPerChunk: 32, wantChunks: 64, wantChunkLines: 256},
+		{ways: 4, sets: 32, setsPerChunk: 32, wantChunks: 1, wantChunkLines: 128}, // smaller than a chunk
+		{ways: 3, sets: 512, setsPerChunk: 64, wantChunks: 8, wantChunkLines: 192},
+		{ways: 512, sets: 4, setsPerChunk: 1, wantChunks: 4, wantChunkLines: 512}, // a set larger than a chunk
+	} {
+		c := New(Config{Name: "c", Size: g.ways * g.sets * 64, Ways: int(g.ways), LineSize: 64, Latency: 1})
+		for s := uint64(0); s < g.sets; s++ {
+			c.probe(addr.PA(s*64), false, false)
+		}
+		if got := uint64(1) << c.chunkBits; got != g.setsPerChunk || len(c.chunks) != g.wantChunks || len(c.chunks[0]) != g.wantChunkLines {
+			t.Errorf("%d ways x %d sets: %d sets x %d chunks of %d lines, want %d x %d of %d",
+				g.ways, g.sets, got, len(c.chunks), len(c.chunks[0]), g.setsPerChunk, g.wantChunks, g.wantChunkLines)
+		}
+	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -36,7 +147,7 @@ func TestHitAfterFill(t *testing.T) {
 	if c.probe(pa, false, false) {
 		t.Fatal("cold cache must miss")
 	}
-	if !c.Contains(pa) {
+	if !c.contains(pa) {
 		t.Fatal("a missing probe must fill the line")
 	}
 	if !c.probe(pa, false, false) {
@@ -65,13 +176,13 @@ func TestLRUEviction(t *testing.T) {
 	c.probe(b, false, false)
 	c.probe(a, false, false) // make a MRU
 	c.probe(d, false, false) // must evict b (LRU)
-	if !c.Contains(a) {
+	if !c.contains(a) {
 		t.Error("MRU line evicted")
 	}
-	if c.Contains(b) {
+	if c.contains(b) {
 		t.Error("LRU line survived")
 	}
-	if !c.Contains(d) {
+	if !c.contains(d) {
 		t.Error("new line missing")
 	}
 }
@@ -83,7 +194,7 @@ func TestDirtyWriteback(t *testing.T) {
 	c.probe(pa, true, true) // filled dirty
 	// Conflict: same set (stride = sets*line = 128).
 	c.probe(pa+128, false, false)
-	if c.Contains(pa) || !c.Contains(pa+128) {
+	if c.contains(pa) || !c.contains(pa+128) {
 		t.Error("conflicting fill must replace the line")
 	}
 	if c.Counters.Get("c.evict") != 1 || c.Counters.Get("c.writeback") != 1 {
@@ -114,19 +225,19 @@ func TestInvalidateAll(t *testing.T) {
 	c := New(smallCfg("c", 4*addr.KiB, 4))
 	c.probe(0x100, false, false)
 	c.InvalidateAll()
-	if c.Contains(0x100) {
+	if c.contains(0x100) {
 		t.Error("InvalidateAll left a line")
 	}
 }
 
-// Property: after a probe of pa, Contains(pa) always holds, and a probe of
+// Property: after a probe of pa, contains(pa) always holds, and a probe of
 // any address in the same 64-byte line hits.
 func TestFillThenHitQuick(t *testing.T) {
 	c := New(smallCfg("c", 8*addr.KiB, 8))
 	f := func(raw uint32, off uint8) bool {
 		pa := addr.PA(raw)
 		c.probe(pa, false, false)
-		if !c.Contains(pa) {
+		if !c.contains(pa) {
 			return false
 		}
 		same := addr.PA(uint64(pa) &^ 63)
@@ -159,8 +270,8 @@ func TestHierarchyLatencyOrdering(t *testing.T) {
 	if warm.Level != LvlL1 {
 		t.Fatalf("second access should hit L1, got %s", warm.Level)
 	}
-	if warm.Latency != h.L1.Config().Latency {
-		t.Errorf("L1 hit latency = %d, want %d", warm.Latency, h.L1.Config().Latency)
+	if warm.Latency != h.L1.cfg.Latency {
+		t.Errorf("L1 hit latency = %d, want %d", warm.Latency, h.L1.cfg.Latency)
 	}
 	if cold.Latency <= warm.Latency {
 		t.Error("DRAM access must cost more than an L1 hit")
@@ -182,7 +293,7 @@ func TestHierarchyLevels(t *testing.T) {
 	if r.Level != LvlLLC {
 		t.Errorf("after L1+L2 flush, expect LLC hit, got %s", r.Level)
 	}
-	wantL2 := h.L1.Config().Latency + h.L2.Config().Latency
+	wantL2 := h.L1.cfg.Latency + h.L2.cfg.Latency
 	h.L1.InvalidateAll()
 	r = h.Access(pa, 300, false)
 	if r.Level != LvlL2 || r.Latency != wantL2 {
@@ -220,7 +331,7 @@ func TestFillRefreshInPlace(t *testing.T) {
 	for i := uint64(1); i <= 4; i++ {
 		c.probe(addr.PA(0x40+i*64), false, false)
 	}
-	if c.Contains(0x40) {
+	if c.contains(0x40) {
 		t.Error("LRU line must be evicted once the set overflows")
 	}
 	if wb := c.Counters.Get("c.writeback"); wb != 1 {

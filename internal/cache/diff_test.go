@@ -171,19 +171,47 @@ func (h *refHierarchy) access(pa addr.PA, now uint64, write, skipL1 bool) Access
 }
 
 // TestProbeMatchesTwoScanReference drives random operation sequences through
-// the flat, fused-probe hierarchy and through the Lookup-then-Fill reference,
-// and requires identical results, counters and presence after every step.
-// The geometries are tiny and the address pool small, so conflicts and
-// evictions of dirty lines occur often.
+// the chunked, fused-probe hierarchy and through the Lookup-then-Fill
+// reference, and requires identical results, counters and presence after
+// every step. The address pool is small and every line of it shares its set
+// with four others, so conflicts and evictions of dirty lines occur often.
+// It runs on levels smaller than one chunk and on levels that span many
+// chunks, with the pool's sets spread over them.
 func TestProbeMatchesTwoScanReference(t *testing.T) {
-	cfgs := []Config{
-		{Name: "l1d", Size: 4 * 64 * 2, Ways: 2, LineSize: 64, Latency: 2},
-		{Name: "l2", Size: 8 * 64 * 3, Ways: 3, LineSize: 64, Latency: 12},
-		{Name: "llc", Size: 8 * 64 * 4, Ways: 4, LineSize: 64, Latency: 26},
-	}
 	const lines = 40 // distinct lines in the address pool: 5 per LLC set
+	oneChunk := make([]addr.PA, lines)
+	manyChunks := make([]addr.PA, lines)
+	for i := range oneChunk {
+		oneChunk[i] = addr.PA(i * 64)
+		// Eight set groups 97 sets apart, each holding five tags 2^16 lines
+		// apart (a multiple of every level's set count).
+		manyChunks[i] = addr.PA((uint64(i%8)*97 + uint64(i/8)<<16) * 64)
+	}
+	for _, g := range []struct {
+		name   string
+		cfgs   [3]Config
+		pool   []addr.PA
+		chunks int // chunks every level must reach
+	}{
+		{"within-one-chunk", [3]Config{
+			{Name: "l1d", Size: 4 * 64 * 2, Ways: 2, LineSize: 64, Latency: 2},
+			{Name: "l2", Size: 8 * 64 * 3, Ways: 3, LineSize: 64, Latency: 12},
+			{Name: "llc", Size: 8 * 64 * 4, Ways: 4, LineSize: 64, Latency: 26},
+		}, oneChunk, 1},
+		{"many-chunks", [3]Config{
+			{Name: "l1d", Size: 256 * 64 * 2, Ways: 2, LineSize: 64, Latency: 2},
+			{Name: "l2", Size: 512 * 64 * 3, Ways: 3, LineSize: 64, Latency: 12},
+			{Name: "llc", Size: 1024 * 64 * 4, Ways: 4, LineSize: 64, Latency: 26},
+		}, manyChunks, 2},
+	} {
+		t.Run(g.name, func(t *testing.T) { probeMatchesReference(t, g.cfgs, g.pool, g.chunks) })
+	}
+}
+
+func probeMatchesReference(t *testing.T, cfgs [3]Config, pool []addr.PA, minChunks int) {
 	counters := []string{"hit", "miss", "fill", "evict", "writeback"}
 	var moved [3][5]uint64
+	chunks := [3]int{}
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := &Hierarchy{L1: New(cfgs[0]), L2: New(cfgs[1]), LLC: New(cfgs[2]),
@@ -194,7 +222,7 @@ func TestProbeMatchesTwoScanReference(t *testing.T) {
 		refLevels := []*refCache{ref.l1, ref.l2, ref.llc}
 		var now uint64
 		for step := 0; step < 2500; step++ {
-			pa := addr.PA(uint64(rng.Intn(lines))*64 + uint64(rng.Intn(64)))
+			pa := pool[rng.Intn(len(pool))] + addr.PA(rng.Intn(64))
 			lv := rng.Intn(3)
 			var op string
 			switch k := rng.Intn(200); {
@@ -232,10 +260,9 @@ func TestProbeMatchesTwoScanReference(t *testing.T) {
 				if got, want := c.Counters.Snapshot(), r.counters.Snapshot(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d after %s: %s counters %v, reference %v", seed, step, op, c.cfg.Name, got, want)
 				}
-				for l := 0; l < lines; l++ {
-					a := addr.PA(l * 64)
-					if got, want := c.Contains(a), r.contains(a); got != want {
-						t.Fatalf("seed %d step %d after %s: %s Contains(%v) = %v, reference %v", seed, step, op, c.cfg.Name, a, got, want)
+				for _, a := range pool {
+					if got, want := c.contains(a), r.contains(a); got != want {
+						t.Fatalf("seed %d step %d after %s: %s contains(%v) = %v, reference %v", seed, step, op, c.cfg.Name, a, got, want)
 					}
 				}
 			}
@@ -244,15 +271,20 @@ func TestProbeMatchesTwoScanReference(t *testing.T) {
 			for j, name := range counters {
 				moved[i][j] += c.Counters.Get(c.cfg.Name + "." + name)
 			}
+			chunks[i] = max(chunks[i], c.materialized())
 		}
 	}
 	// The sequences must have reached the cases the test exists for: on
-	// every level, hits, misses, fills, evictions and dirty write-backs.
+	// every level, hits, misses, fills, evictions, dirty write-backs and
+	// the geometry's chunk count.
 	for i, cfg := range cfgs {
 		for j, name := range counters {
 			if moved[i][j] == 0 {
 				t.Errorf("%s.%s never moved", cfg.Name, name)
 			}
+		}
+		if chunks[i] < minChunks {
+			t.Errorf("%s materialized %d chunks, want at least %d", cfg.Name, chunks[i], minChunks)
 		}
 	}
 }

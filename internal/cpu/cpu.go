@@ -62,8 +62,6 @@ type Core struct {
 	MMU *mmu.MMU
 	// Now is the current core cycle.
 	Now uint64
-	// Priv is the privilege level subsequent accesses run at.
-	Priv perm.Priv
 
 	// instrCarry accumulates fractional instruction cycles so that many
 	// small Compute calls do not round away time.
@@ -75,9 +73,9 @@ type Core struct {
 	Counters stats.Counters
 }
 
-// NewCore builds a core over an MMU, starting in U-mode at cycle 0.
+// NewCore builds a core over an MMU, starting at cycle 0.
 func NewCore(cfg Config, m *mmu.MMU) *Core {
-	c := &Core{Cfg: cfg, MMU: m, Priv: perm.U}
+	c := &Core{Cfg: cfg, MMU: m}
 	c.hInstructions = c.Counters.Handle("cpu.instructions")
 	c.hMemOps = c.Counters.Handle("cpu.mem_ops")
 	c.hMemStall = c.Counters.Handle("cpu.mem_stall")
@@ -97,14 +95,14 @@ func (c *Core) Compute(n uint64) {
 // sequencing costs).
 func (c *Core) Stall(n uint64) { c.Now += n }
 
-// Access runs one memory access, writing the MMU outcome into *out, and
-// advances time by the exposed stall. The translation portion (L2-TLB
-// probe, page walk, permission-table walk) is always fully exposed;
-// HideCycles only shave the data-side latency. The out-parameter mirrors
-// mmu.Access: the Result is built once in caller storage instead of being
-// copied up through every return.
-func (c *Core) Access(va addr.VA, k perm.Access, out *mmu.Result) error {
-	if err := c.MMU.Access(va, k, c.Priv, c.Now, out); err != nil {
+// Access runs one memory access at privilege priv, writing the MMU outcome
+// into *out, and advances time by the exposed stall. The translation
+// portion (L2-TLB probe, page walk, permission-table walk) is always fully
+// exposed; HideCycles only shave the data-side latency. The out-parameter
+// mirrors mmu.Access: the Result is built once in caller storage instead
+// of being copied up through every return.
+func (c *Core) Access(va addr.VA, k perm.Access, priv perm.Priv, out *mmu.Result) error {
+	if err := c.MMU.Access(va, k, priv, c.Now, out); err != nil {
 		return err
 	}
 	stall := c.exposedLatency(out)

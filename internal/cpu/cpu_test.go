@@ -19,7 +19,7 @@ func coreFetch(c *Core, va addr.VA) (mmu.Result, error) { return coreAccess(c, v
 
 func coreAccess(c *Core, va addr.VA, k perm.Access) (mmu.Result, error) {
 	var res mmu.Result
-	err := c.Access(va, k, &res)
+	err := c.Access(va, k, perm.U, &res)
 	return res, err
 }
 

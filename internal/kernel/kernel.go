@@ -241,11 +241,8 @@ func (k *Kernel) touchKernel(n int) error {
 // access runs one access on the core at the given privilege, handling page
 // faults for the current process transparently (demand paging).
 func (k *Kernel) access(va addr.VA, kind perm.Access, priv perm.Priv) (addr.PA, error) {
-	savedPriv := k.Mach.Core.Priv
-	k.Mach.Core.Priv = priv
-	defer func() { k.Mach.Core.Priv = savedPriv }()
 	var res mmu.Result
-	if err := k.settle(va, kind, &res); err != nil {
+	if err := k.settle(va, kind, priv, &res); err != nil {
 		return 0, err
 	}
 	return res.PA, nil
@@ -262,15 +259,12 @@ func (k *Kernel) access(va addr.VA, kind perm.Access, priv perm.Priv) (addr.PA, 
 // earlier op of the same block. Every converted loop (array fills, line
 // chunk copies) touches disjoint locations per op.
 func (k *Kernel) accessBlock(ops []cpu.BlockRef, out []mmu.Result, priv perm.Priv) error {
-	savedPriv := k.Mach.Core.Priv
-	k.Mach.Core.Priv = priv
-	defer func() { k.Mach.Core.Priv = savedPriv }()
 	for i := range ops {
 		op := &ops[i]
 		if op.Compute > 0 {
 			k.Mach.Core.Compute(op.Compute)
 		}
-		if err := k.settle(op.VA, op.Kind, &out[i]); err != nil {
+		if err := k.settle(op.VA, op.Kind, priv, &out[i]); err != nil {
 			return err
 		}
 	}
@@ -278,14 +272,14 @@ func (k *Kernel) accessBlock(ops []cpu.BlockRef, out []mmu.Result, priv perm.Pri
 }
 
 // settle is the one demand-paging step behind every simulated access: it
-// runs the access on the core at its current privilege into *res and
+// runs the access on the core at privilege priv into *res and
 // handles what faults — a page fault is resolved and the access retried, a
 // write denied by protection or isolation gets a copy-on-write attempt,
 // and anything else is an error, as is an access still faulting after
 // three tries.
-func (k *Kernel) settle(va addr.VA, kind perm.Access, res *mmu.Result) error {
+func (k *Kernel) settle(va addr.VA, kind perm.Access, priv perm.Priv, res *mmu.Result) error {
 	for attempt := 0; attempt < 3; attempt++ {
-		if err := k.Mach.Core.Access(va, kind, res); err != nil {
+		if err := k.Mach.Core.Access(va, kind, priv, res); err != nil {
 			return err
 		}
 		switch {

@@ -215,7 +215,6 @@ func TestWalkRefsMatchModeThroughKernel(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.Mach.MMU.FlushTLB()
-		k.Mach.Core.Priv = perm.U
 		res, err := mmuAccess(k.Mach.MMU, va, perm.Read, perm.U, k.Mach.Core.Now)
 		if err != nil || res.Faulted() {
 			t.Fatalf("%v: %+v %v", mode, res, err)
@@ -324,9 +323,6 @@ func TestSyscallsRun(t *testing.T) {
 		prev = cost
 	}
 	_ = prev
-	if k.Mach.Core.Priv != perm.U {
-		t.Error("syscalls must return to U-mode")
-	}
 }
 
 func TestNullCheapestStatExpensive(t *testing.T) {

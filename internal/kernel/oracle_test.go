@@ -1,7 +1,8 @@
 package kernel
 
 // Differential test for the demand-paging step. The reference below is the
-// earlier pair of fault loops, kept verbatim: refAccess is the scalar retry
+// earlier pair of fault loops, kept as they were except that the privilege
+// is an argument rather than core state: refAccess is the scalar retry
 // loop and refAccessBlock the block path, which ran the block on the core
 // until an op faulted (refRunBlock), handled the fault, and resumed at the
 // faulted op with its Compute count zeroed. TestSettleDifferential drives
@@ -24,12 +25,9 @@ import (
 
 // refAccess is the reference scalar access.
 func refAccess(k *Kernel, va addr.VA, kind perm.Access, priv perm.Priv) (addr.PA, error) {
-	savedPriv := k.Mach.Core.Priv
-	k.Mach.Core.Priv = priv
-	defer func() { k.Mach.Core.Priv = savedPriv }()
 	var res mmu.Result
 	for attempt := 0; attempt < 3; attempt++ {
-		if err := k.Mach.Core.Access(va, kind, &res); err != nil {
+		if err := k.Mach.Core.Access(va, kind, priv, &res); err != nil {
 			return 0, err
 		}
 		if res.PageFault {
@@ -57,16 +55,16 @@ func refAccess(k *Kernel, va addr.VA, kind perm.Access, priv perm.Priv) (addr.PA
 	return 0, fmt.Errorf("kernel: access at %v did not settle after fault handling", va)
 }
 
-// refRunBlock is the reference core block: ops back to back at the core's
-// privilege, stopping at the first faulted op. It returns the number of ops
+// refRunBlock is the reference core block: ops back to back at privilege
+// priv, stopping at the first faulted op. It returns the number of ops
 // that completed without a fault; out[n] then holds the faulted result.
-func refRunBlock(c *cpu.Core, ops []cpu.BlockRef, out []mmu.Result) (int, error) {
+func refRunBlock(c *cpu.Core, ops []cpu.BlockRef, out []mmu.Result, priv perm.Priv) (int, error) {
 	for i := range ops {
 		op := &ops[i]
 		if op.Compute > 0 {
 			c.Compute(op.Compute)
 		}
-		if err := c.Access(op.VA, op.Kind, &out[i]); err != nil {
+		if err := c.Access(op.VA, op.Kind, priv, &out[i]); err != nil {
 			return i, err
 		}
 		if out[i].Faulted() {
@@ -80,13 +78,10 @@ func refRunBlock(c *cpu.Core, ops []cpu.BlockRef, out []mmu.Result) (int, error)
 // after handling its fault, zeroing its Compute so those instructions do
 // not retire twice.
 func refAccessBlock(k *Kernel, ops []cpu.BlockRef, out []mmu.Result, priv perm.Priv) error {
-	savedPriv := k.Mach.Core.Priv
-	k.Mach.Core.Priv = priv
-	defer func() { k.Mach.Core.Priv = savedPriv }()
 	i := 0
 	faultAt, attempts := -1, 0
 	for i < len(ops) {
-		n, err := refRunBlock(k.Mach.Core, ops[i:], out[i:])
+		n, err := refRunBlock(k.Mach.Core, ops[i:], out[i:], priv)
 		if err != nil {
 			return err
 		}

@@ -13,14 +13,14 @@ import (
 // core — so its cost responds to the isolation mode through the TLB misses
 // and page walks the kernel's own memory accesses take.
 
-// enterSyscall/exitSyscall model the user↔kernel crossing.
+// enterSyscall/exitSyscall model the user↔kernel crossing's trap cost.
+// Every access names its own privilege, so the crossing changes no core
+// state.
 func (k *Kernel) enterSyscall() {
 	k.Mach.Core.Stall(k.cfg.SyscallTrapCycles)
-	k.Mach.Core.Priv = perm.S
 }
 
 func (k *Kernel) exitSyscall() {
-	k.Mach.Core.Priv = perm.U
 	k.Mach.Core.Stall(k.cfg.SyscallTrapCycles / 2)
 }
 

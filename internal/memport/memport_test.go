@@ -9,10 +9,13 @@ import (
 	"hpmp/internal/phys"
 )
 
+// Hit latencies of newHier's L1 and L2.
+const l1Latency, l2Latency = 2, 12
+
 func newHier() *cache.Hierarchy {
 	return &cache.Hierarchy{
-		L1:         cache.New(cache.Config{Name: "l1", Size: 8 * addr.KiB, Ways: 4, LineSize: 64, Latency: 2}),
-		L2:         cache.New(cache.Config{Name: "l2", Size: 64 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12}),
+		L1:         cache.New(cache.Config{Name: "l1", Size: 8 * addr.KiB, Ways: 4, LineSize: 64, Latency: l1Latency}),
+		L2:         cache.New(cache.Config{Name: "l2", Size: 64 * addr.KiB, Ways: 8, LineSize: 64, Latency: l2Latency}),
 		LLC:        cache.New(cache.Config{Name: "llc", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 26}),
 		Mem:        dram.New(dram.Default()),
 		ClockRatio: 1.0,
@@ -53,13 +56,13 @@ func TestTimedSkipL1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lat < hier.L2.Config().Latency {
+	if lat < l2Latency {
 		t.Errorf("walker port latency %d below L2 latency — it must bypass L1", lat)
 	}
 	// And the normal port still enjoys its L1 hit.
 	_, lat2, _ := normal.Read64(0x2000, 200)
-	if lat2 != hier.L1.Config().Latency {
-		t.Errorf("normal port should hit L1 (%d), got %d", hier.L1.Config().Latency, lat2)
+	if lat2 != l1Latency {
+		t.Errorf("normal port should hit L1 (%d), got %d", l1Latency, lat2)
 	}
 }
 

@@ -27,7 +27,6 @@ var keptUnreached = map[string]string{
 	"HGet":          "miniredis: reads back HSET",
 	"LLen":          "miniredis: reads back RPUSH/LPUSH",
 	"SCard":         "miniredis: reads back SADD",
-	"Contains":      "cache: Cache.Contains, line presence without touching LRU or counters",
 
 	// Oracles and fixtures the tests check live code against.
 	"LookupSW":    "pmpt: software walk the hardware walker is checked against",
@@ -112,7 +111,7 @@ func TestExportedAPIsAreReached(t *testing.T) {
 		if declared[name] == nil {
 			t.Errorf("allowlisted %s is no longer declared under internal/: drop it from keptUnreached", name)
 		} else if used[name] && len(declared[name]) == 1 {
-			// A name declared more than once (Contains) is reached through
+			// A name declared more than once is reached through
 			// any of its declarations; its entry speaks for the one its
 			// reason names.
 			t.Errorf("allowlisted %s is now reached from production code: drop it from keptUnreached", name)
