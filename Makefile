@@ -90,8 +90,9 @@ replay-smoke:
 daemon-smoke:
 	$(GO) test -run TestDaemonSmoke -count=1 -v ./cmd/hpmpsimd
 
-# Short fuzz pass over the register-format round trips, the PMPTW
-# walker-vs-oracle cross-check, the leaf-table-at-a-time table builder
+# Short fuzz pass over the register-format round trips, the decoded PMP
+# entries against the per-check decode, the PMPTW walker-vs-oracle
+# cross-check, the leaf-table-at-a-time table builder
 # against its page-by-page reference, the trace reader, the shared LRU
 # array against its reference scan and the kernel's process lifecycle
 # against its value-and-pool model (go test -fuzz takes one target at a
@@ -100,6 +101,7 @@ daemon-smoke:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/pmp -run '^$$' -fuzz FuzzPMPEncodeDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hpmp -run '^$$' -fuzz FuzzPMPProgram -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pmpt -run '^$$' -fuzz FuzzPMPTWalk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pmpt -run '^$$' -fuzz FuzzSetRangePermPaged -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)

@@ -6,7 +6,9 @@
 package main_test
 
 import (
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hpmp/internal/addr"
@@ -25,6 +27,8 @@ import (
 	"hpmp/internal/pmpt"
 	"hpmp/internal/pt"
 	"hpmp/internal/ptw"
+	"hpmp/internal/replay"
+	"hpmp/internal/simcfg"
 )
 
 // runExperiment drives one experiment b.N times and reports rows/op so the
@@ -191,7 +195,7 @@ func allocBytes(runs int, f func()) uint64 {
 }
 
 // TestNewSystemBytes pins the heap bytes one quick Rocket boot allocates
-// under each mode. Cache lines are allocated a 4 KiB chunk at a time on
+// under each mode. Cache lines are allocated a 2 KiB chunk at a time on
 // first probe, so a boot pays only for the lines its table builds touch;
 // allocating every level whole costs ~300 KiB more per boot.
 func TestNewSystemBytes(t *testing.T) {
@@ -273,6 +277,101 @@ func TestEnvLoadHitZeroAllocs(t *testing.T) {
 		}
 		if allocs != 0 {
 			t.Errorf("%s: Env.Load32 hit allocates %.1f times per op, want 0", bench.ModeNames[mode], allocs)
+		}
+	}
+}
+
+// The walk-miss rig's mapping: 64 MiB of 4 KiB pages, far beyond the
+// TLBs' reach, visited walkMissStride pages apart.
+const (
+	walkMissPages  = 16384
+	walkMissStride = 7919 // odd, so the visit order covers every page
+	walkMissBase   = addr.VA(0x10_0000_0000)
+)
+
+// walkMissModes are the isolation modes BenchmarkWalkMissAccess runs.
+var walkMissModes = []simcfg.Mode{simcfg.ModePMP, simcfg.ModePMPT, simcfg.ModeHPMP}
+
+// walkMissRig assembles the default replay machine under mode, maps
+// walkMissPages pages on frames scattered over DRAM and reads every page
+// once in visit order, which also allocates every cache chunk a later
+// visit probes. It returns the machine's MMU, the pages' VAs in visit
+// order and the clock after the reads. Consecutive pages are walkMissStride
+// pages apart, so every access misses both TLBs and walks, and its leaf
+// PTE fetch misses the PWC: under PMPT and HPMP the walk's PT fetches and
+// the data reference are checked against the permission table.
+func walkMissRig(tb testing.TB, mode simcfg.Mode) (*mmu.MMU, []addr.VA, uint64) {
+	cfg := simcfg.Default()
+	cfg.Mode = mode
+	eng, err := replay.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Data frames avoid the first MiB and the replay engine's two 16 MiB
+	// pools at the top of DRAM.
+	first := addr.MiB >> addr.PageShift
+	frames := rand.New(rand.NewSource(1)).Perm(int((cfg.MemSize-32*addr.MiB)>>addr.PageShift) - first)
+	vas := make([]addr.VA, walkMissPages)
+	events := make([]obs.Event, walkMissPages)
+	for i := range vas {
+		page := i * walkMissStride % walkMissPages
+		vas[i] = walkMissBase + addr.VA(page*addr.PageSize)
+		events[i] = obs.Event{Seq: uint64(i + 1), Kind: obs.KindAccess, Access: perm.Read,
+			VA: vas[i], PA: addr.PA((first + frames[page]) * addr.PageSize)}
+	}
+	if err := eng.Run(events); err != nil {
+		tb.Fatal(err)
+	}
+	if st := eng.Stats; st.Accesses != walkMissPages || st.Divergences != 0 {
+		tb.Fatalf("rig replayed %d of %d pages, %d divergences: %s", st.Accesses, walkMissPages, st.Divergences, st.First)
+	}
+	return eng.Machine().MMU, vas, eng.Now()
+}
+
+// BenchmarkWalkMissAccess measures the simulator's own cost of one data
+// access that misses the TLBs and walks, under each isolation mode: the
+// paper's extra dimension, where every PT fetch and the data reference
+// probe the cache hierarchy and, under PMPT and HPMP, the permission
+// checker. It is the layer replay-walk exercises, and it regresses without
+// recency-ordered cache sets and PMP entries decoded when written.
+func BenchmarkWalkMissAccess(b *testing.B) {
+	for _, mode := range walkMissModes {
+		b.Run(strings.ToUpper(string(mode)), func(b *testing.B) {
+			m, vas, now := walkMissRig(b, mode)
+			var res mmu.Result
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.Access(vas[i%walkMissPages], perm.Read, perm.U, now, &res); err != nil || res.Faulted() {
+					b.Fatalf("%+v %v", res, err)
+				}
+				now += res.Latency
+			}
+		})
+	}
+}
+
+// TestWalkMissAccessZeroAllocs pins BenchmarkWalkMissAccess's loop at zero
+// allocations per access under every mode, and checks that the loop does
+// what the benchmark claims: every access walks and fetches a PTE from
+// memory.
+func TestWalkMissAccessZeroAllocs(t *testing.T) {
+	for _, mode := range walkMissModes {
+		m, vas, now := walkMissRig(t, mode)
+		var res mmu.Result
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := m.Access(vas[i%walkMissPages], perm.Read, perm.U, now, &res); err != nil || res.Faulted() {
+				t.Fatalf("%+v %v", res, err)
+			}
+			if !res.Walked || res.Walk.PTRefs == 0 {
+				t.Fatalf("%s: access %d did not walk to memory: %+v", mode, i, res)
+			}
+			now += res.Latency
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: walk-miss access allocates %.1f times per op, want 0", mode, allocs)
 		}
 	}
 }

@@ -9,7 +9,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"unsafe"
 
 	"hpmp/internal/addr"
 	"hpmp/internal/dram"
@@ -44,39 +43,33 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one cache line, packed into 16 bytes: an 8-way set spans two host
-// cache lines, where a bool beside the tag and stamp would make it three.
-// meta holds the line's LRU stamp above the dirty bit,
+// line is one cache line in one word: the tag plus one, shifted above the
+// dirty bit,
 //
-//	meta = stamp<<lineStateBits | dirty
+//	line = (tag+1)<<1 | dirty
 //
-// and is 0 exactly when the line is invalid, since stamps start at 1.
-// Stamps are unique within a cache, so comparing meta orders lines by
-// recency.
-type line struct {
-	tag  uint64
-	meta uint64
-}
+// so 0 is an invalid line and a tag scan compares one word per way
+// (key(tag) against the line with its dirty bit masked off). Simulated
+// physical addresses are far below 2^62, so (tag+1)<<1 never overflows.
+//
+// A set keeps its ways in recency order, most recently used first: a hit
+// moves its line to way 0 and a fill shifts every way down by one and
+// writes way 0. No single line is ever invalidated, so the valid lines are
+// always a prefix of the set and the least recently used line, the victim,
+// is always the last way.
+type line uint64
 
-const (
-	lineDirty     uint64 = 1
-	lineStateBits        = 1
-)
+const lineDirty line = 1
 
-func (l *line) valid() bool { return l.meta != 0 }
+// key returns the line of tag, clean.
+func key(tag uint64) line { return line(tag+1) << 1 }
 
-// touch stamps l most recently used at tick, keeping its dirty bit.
-func (l *line) touch(tick uint64) {
-	l.meta = tick<<lineStateBits | l.meta&lineDirty
-}
-
-// chunkLines is the number of lines that fill one chunk: 4 KiB of host
-// memory.
-const chunkLines = 4096 / int(unsafe.Sizeof(line{}))
+// chunkLines is the number of lines in one chunk: 2 KiB of host memory.
+const chunkLines = 256
 
 // Cache is one level of the hierarchy. Its lines are stored in chunks of
 // consecutive sets, each chunk allocated the first time one of its sets is
-// probed: a machine boots about 290 KiB of lines over its three levels, and
+// probed: a machine boots about 145 KiB of lines over its three levels, and
 // a light job (one Table 2 probe, one daemon job) touches a few of them. A
 // chunk holds the sets whose lines fill chunkLines, rounded down to a power
 // of two, and at least one set; a level smaller than a chunk is one chunk.
@@ -88,7 +81,6 @@ type Cache struct {
 	setBits   uint     // log2(sets): Validate guarantees a power of two
 	chunkBits uint     // log2(sets per chunk)
 	chunks    [][]line // set s is ways (s mod sets per chunk)*ways on of chunks[s>>chunkBits]; nil until probed
-	tick      uint64   // LRU clock
 
 	// Hot-path counter handles, resolved once in New so per-access bumps
 	// pay neither a map lookup nor the cfg.Name+suffix concatenation.
@@ -146,72 +138,54 @@ func (c *Cache) set(s uint64) []line {
 	return ch[i : i+c.ways : i+c.ways]
 }
 
-// lookup returns the line of a set holding tag, or nil.
-func lookup(ways []line, tag uint64) *line {
-	for i := range ways {
-		if l := &ways[i]; l.tag == tag && l.valid() {
-			return l
-		}
-	}
-	return nil
-}
-
-// victim returns the way of a set a fill takes: the first invalid way, else
-// the least recently used way.
-func victim(ways []line) int {
-	w, oldest := 0, ^uint64(0)
-	for i := range ways {
-		l := &ways[i]
-		if !l.valid() {
+// lookup returns the way of a set holding the line k, or -1.
+func lookup(ways []line, k line) int {
+	for i, l := range ways {
+		if l&^lineDirty == k {
 			return i
 		}
-		if l.meta < oldest {
-			w, oldest = i, l.meta
-		}
 	}
-	return w
+	return -1
 }
 
 // probe is the fused lookup-or-fill, one call per level per access: a hit
-// refreshes the line's LRU stamp (and dirties it when write); a miss fills
-// the line into the way victim picks, dirty when fillDirty. It reports
-// whether the probe hit.
+// moves the line to the front of its set (and dirties it when write); a
+// miss evicts the last way and fills the line at the front, dirty when
+// fillDirty. It reports whether the probe hit.
 //
-// A hit costs one tight tag scan, and a miss adds one victim scan. Folding
-// the victim bookkeeping into the tag scan made the far more frequent hits
-// dearer and measured slower end to end on every hpmpbench workload.
+// A hit costs one tag scan and a shift of the ways in front of its line, a
+// miss one tag scan and a shift of the whole set: the recency order makes
+// the victim the last way, with no stamp to keep and no victim scan.
 func (c *Cache) probe(pa addr.PA, write, fillDirty bool) bool {
 	set, tag := c.index(pa)
 	ways := c.set(set)
-	if l := lookup(ways, tag); l != nil {
-		c.tick++
-		l.touch(c.tick)
+	k := key(tag)
+	if i := lookup(ways, k); i >= 0 {
+		l := ways[i]
 		if write {
-			l.meta |= lineDirty
+			l |= lineDirty
 		}
+		if i > 0 {
+			copy(ways[1:i+1], ways[:i])
+		}
+		ways[0] = l
 		*c.hHit++
 		return true
 	}
 	*c.hMiss++
-	c.fill(ways, victim(ways), tag, fillDirty)
-	return false
-}
-
-// fill places tag into way w of a set, counting the eviction (and its
-// write-back when dirty) of a valid occupant.
-func (c *Cache) fill(ways []line, w int, tag uint64, dirty bool) {
-	if v := &ways[w]; v.valid() {
-		if v.meta&lineDirty != 0 {
+	if v := ways[len(ways)-1]; v != 0 {
+		if v&lineDirty != 0 {
 			*c.hWriteback++
 		}
 		*c.hEvict++
 	}
-	c.tick++
-	ways[w] = line{tag: tag, meta: c.tick << lineStateBits}
-	if dirty {
-		ways[w].meta |= lineDirty
+	copy(ways[1:], ways)
+	if fillDirty {
+		k |= lineDirty
 	}
+	ways[0] = k
 	*c.hFill++
+	return false
 }
 
 // InvalidateAll flushes the cache (used to build cold-state test cases;

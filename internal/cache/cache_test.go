@@ -23,7 +23,7 @@ func (c *Cache) contains(pa addr.PA) bool {
 		return false
 	}
 	i := (set & (1<<c.chunkBits - 1)) * c.ways
-	return lookup(ch[i:i+c.ways], tag) != nil
+	return lookup(ch[i:i+c.ways], key(tag)) >= 0
 }
 
 // materialized returns the number of chunks of c that hold lines.

@@ -102,18 +102,21 @@ func (c *Checker) SetTableMode(i int, region addr.Range, rootBase addr.PA, mode 
 	if err != nil {
 		return err
 	}
-	c.PMP.Entries[i] = pmp.Entry{
-		Addr: enc,
-		Cfg:  pmp.MakeCfg(perm.None, pmp.NAPOT, false, true),
+	// Refuse a locked successor before writing entry i, so a refused call
+	// leaves both registers as they were.
+	if c.PMP.Entry(i + 1).Locked() {
+		return fmt.Errorf("hpmp: entry %d is locked", i+1)
 	}
-	c.PMP.Entries[i+1] = pmp.Entry{Addr: reg, Cfg: 0} // Off: holds the root pointer
-	return nil
+	if err := c.PMP.Set(i, pmp.Entry{Addr: enc, Cfg: pmp.MakeCfg(perm.None, pmp.NAPOT, false, true)}); err != nil {
+		return err
+	}
+	return c.PMP.Set(i+1, pmp.Entry{Addr: reg, Cfg: 0}) // Off: holds the root pointer
 }
 
 // Clear turns entry i off. Clearing a table-mode entry also clears its
 // successor (the root-pointer register).
 func (c *Checker) Clear(i int) error {
-	if i >= 0 && i < c.PMP.NumEntries() && c.PMP.Entries[i].Table() {
+	if i >= 0 && i < c.PMP.NumEntries() && c.PMP.Entry(i).Table() {
 		if err := c.PMP.Clear(i + 1); err != nil {
 			return err
 		}
@@ -128,14 +131,14 @@ func (c *Checker) TableInfo(i int) (region addr.Range, rootBase addr.PA, ok bool
 }
 
 func (c *Checker) tableInfoMode(i int) (region addr.Range, rootBase addr.PA, mode pmpt.TableMode, ok bool) {
-	if i < 0 || i >= c.PMP.NumEntries()-1 || !c.PMP.Entries[i].Table() {
+	if i < 0 || i >= c.PMP.NumEntries()-1 || !c.PMP.Entry(i).Table() {
 		return addr.Range{}, 0, 0, false
 	}
 	region, ok = c.PMP.EntryRegion(i)
 	if !ok {
 		return addr.Range{}, 0, 0, false
 	}
-	rootBase, mode = pmpt.DecodeAddrReg(c.PMP.Entries[i+1].Addr)
+	rootBase, mode = pmpt.DecodeAddrReg(c.PMP.Entry(i + 1).Addr)
 	return region, rootBase, mode, true
 }
 
@@ -188,7 +191,7 @@ func (c *Checker) checkInner(pa addr.PA, size uint64, k perm.Access, priv perm.P
 		*c.hDenyNoMatch++
 		return Result{Allowed: false, Entry: -1}, nil
 	}
-	e := c.PMP.Entries[i]
+	e := c.PMP.Entry(i)
 	region, _ := c.PMP.EntryRegion(i)
 	if !region.ContainsRange(addr.Range{Base: pa, Size: size}) {
 		*c.hDenyStraddle++

@@ -156,7 +156,7 @@ func TestSuccessorEntryDoesNotMatch(t *testing.T) {
 	}
 	// The root-pointer register (entry 1) must never match as a region,
 	// even for addresses that would decode into its raw addr value.
-	if got := e.chk.PMP.Entries[1].Mode(); got != pmp.Off {
+	if got := e.chk.PMP.Entry(1).Mode(); got != pmp.Off {
 		t.Errorf("successor entry mode = %v, want OFF", got)
 	}
 	if _, _, ok := e.chk.TableInfo(0); !ok {
@@ -172,7 +172,7 @@ func TestClearTableClearsSuccessor(t *testing.T) {
 	if err := e.chk.Clear(2); err != nil {
 		t.Fatal(err)
 	}
-	if e.chk.PMP.Entries[2].Cfg != 0 || e.chk.PMP.Entries[3].Addr != 0 {
+	if e.chk.PMP.Entry(2).Cfg != 0 || e.chk.PMP.Entry(3).Addr != 0 {
 		t.Error("Clear must wipe both the entry and its root pointer")
 	}
 	r, _ := e.chk.Check(region.Base, 8, perm.Read, perm.S, 0)

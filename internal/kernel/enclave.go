@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"hpmp/internal/addr"
 	"hpmp/internal/monitor"
@@ -84,21 +86,62 @@ func (k *Kernel) SpawnEnclave(img Image, memBytes uint64) (*Process, error) {
 }
 
 // carveEnclaveBlock takes a MiB-aligned block from the top of the user
-// region. Host frames grow upward from the bottom of the same region, so
-// the carve refuses to cross the host allocator's high-water mark (and is
-// unavailable with a scattered host pool, whose frames are everywhere).
+// region: the lowest free block given back by an exited enclave that is
+// large enough, else a new block below the carve frontier. Host frames grow
+// upward from the bottom of the same region, so the frontier refuses to
+// cross the host allocator's high-water mark (and carving is unavailable
+// with a scattered host pool, whose frames are everywhere).
 func (k *Kernel) carveEnclaveBlock(size uint64) (addr.Range, error) {
 	if k.cfg.ScatterFrames {
 		return addr.Range{}, fmt.Errorf("kernel: enclave blocks require a non-scattered user pool")
 	}
 	size = addr.AlignUp(size, addr.MiB)
-	top := addr.AlignDown(uint64(k.cfg.UserRegion.End())-k.enclaveCarved-size, addr.MiB)
-	if addr.PA(top) < k.userAlloc.HighWater() {
+	for i, f := range k.enclaveFree {
+		if f.Size < size {
+			continue
+		}
+		k.enclaveFree[i] = addr.Range{Base: f.Base + addr.PA(size), Size: f.Size - size}
+		if f.Size == size {
+			k.enclaveFree = slices.Delete(k.enclaveFree, i, i+1)
+		}
+		return addr.Range{Base: f.Base, Size: size}, nil
+	}
+	frontier := k.carveFrontier()
+	if uint64(frontier) < size || frontier-addr.PA(size) < k.userAlloc.HighWater() {
 		return addr.Range{}, fmt.Errorf("kernel: enclave pool would collide with host frames at %v",
 			k.userAlloc.HighWater())
 	}
-	k.enclaveCarved = uint64(k.cfg.UserRegion.End()) - top
-	return addr.Range{Base: addr.PA(top), Size: size}, nil
+	k.enclaveCarved += size
+	return addr.Range{Base: frontier - addr.PA(size), Size: size}, nil
+}
+
+// releaseEnclaveBlock gives an exited enclave's block back. It joins the
+// free list, merged with the free blocks it touches, and a free block that
+// reaches the carve frontier moves the frontier up instead: once every
+// enclave has exited, nothing is carved.
+func (k *Kernel) releaseEnclaveBlock(r addr.Range) {
+	i, _ := slices.BinarySearchFunc(k.enclaveFree, r.Base, func(f addr.Range, base addr.PA) int {
+		return cmp.Compare(f.Base, base)
+	})
+	k.enclaveFree = slices.Insert(k.enclaveFree, i, r)
+	if i+1 < len(k.enclaveFree) && r.End() == k.enclaveFree[i+1].Base {
+		k.enclaveFree[i].Size += k.enclaveFree[i+1].Size
+		k.enclaveFree = slices.Delete(k.enclaveFree, i+1, i+2)
+	}
+	if i > 0 && k.enclaveFree[i-1].End() == r.Base {
+		k.enclaveFree[i-1].Size += k.enclaveFree[i].Size
+		k.enclaveFree = slices.Delete(k.enclaveFree, i, i+1)
+	}
+	if f := k.enclaveFree[0]; f.Base == k.carveFrontier() {
+		k.enclaveCarved -= f.Size
+		k.enclaveFree = slices.Delete(k.enclaveFree, 0, 1)
+	}
+}
+
+// carveFrontier returns the lowest carved address: blocks are carved
+// downward from the user region's MiB-aligned end.
+func (k *Kernel) carveFrontier() addr.PA {
+	return addr.PA(addr.AlignDown(uint64(k.cfg.UserRegion.End()), addr.MiB) - k.enclaveCarved)
 }
 
 // Domain returns the process's enclave domain (HostDomain for ordinary

@@ -105,9 +105,12 @@ type Kernel struct {
 	// first; an absent entry means one owner (see releaseFrame).
 	shares map[addr.PA]int
 
-	// enclaveCarved tracks how much of the user-region tail has been
-	// handed to enclaves (see enclave.go).
+	// enclaveCarved is how much of the user-region tail, below its
+	// MiB-aligned end, has been carved for enclaves; enclaveFree holds the
+	// carved blocks that exited enclaves gave back, sorted by base and
+	// merged (see enclave.go).
 	enclaveCarved uint64
+	enclaveFree   []addr.Range
 
 	// Hot memory-range hints (the §9 hint ioctl).
 	hintRegion addr.Range

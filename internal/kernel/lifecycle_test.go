@@ -191,10 +191,9 @@ const (
 )
 
 const (
-	modelMaxProcs    = 6
-	modelMaxEnclaves = 12 // enclave blocks are carved for good
-	modelHeapPages   = 4
-	modelMMapPages   = 2
+	modelMaxProcs  = 6
+	modelHeapPages = 4
+	modelMMapPages = 2
 )
 
 // modelProc is the model's view of one live process.
@@ -206,11 +205,10 @@ type modelProc struct {
 }
 
 type lifecycleModel struct {
-	t        *testing.T
-	k        *Kernel
-	procs    map[PID]*modelProc
-	enclaves int
-	stores   uint64 // stores so far: each writes a value of its own
+	t      *testing.T
+	k      *Kernel
+	procs  map[PID]*modelProc
+	stores uint64 // stores so far: each writes a value of its own
 	// Post-boot allocated counts of the host, hint and PT pools.
 	host, hint, pt uint64
 	cov            lifecycleCoverage
@@ -269,7 +267,6 @@ func (m *lifecycleModel) spawn(enclave bool) {
 	var err error
 	if enclave {
 		p, err = m.k.SpawnEnclave(img, 4*addr.MiB)
-		m.enclaves++
 	} else {
 		p, err = m.k.Spawn(img)
 	}
@@ -291,7 +288,7 @@ func (m *lifecycleModel) step(op, a, b byte) {
 	switch op % numOps {
 	case opSpawn, opSpawnEnclave:
 		if len(pids) < modelMaxProcs {
-			m.spawn(op%numOps == opSpawnEnclave && m.enclaves < modelMaxEnclaves)
+			m.spawn(op%numOps == opSpawnEnclave)
 		}
 	case opFork:
 		switchTo(t, k, p.PID) // fork clones the running process
@@ -456,7 +453,7 @@ func (m *lifecycleModel) check() {
 
 // runLifecycle drives one model through prog, three bytes per operation,
 // then exits every process and checks the host, hint and PT pools are back
-// at their post-boot counts.
+// at their post-boot counts and no enclave block is left carved.
 func runLifecycle(t *testing.T, prog []byte) lifecycleCoverage {
 	m := newLifecycleModel(t)
 	for ; len(prog) >= 3; prog = prog[3:] {
@@ -469,6 +466,9 @@ func runLifecycle(t *testing.T, prog []byte) lifecycleCoverage {
 	m.check()
 	if len(m.k.shares) != 0 {
 		t.Fatalf("%d share counts left after every process exited", len(m.k.shares))
+	}
+	if m.k.enclaveCarved != 0 || len(m.k.enclaveFree) != 0 {
+		t.Fatalf("%d bytes carved and free blocks %v left after every process exited", m.k.enclaveCarved, m.k.enclaveFree)
 	}
 	return m.cov
 }

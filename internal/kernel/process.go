@@ -448,7 +448,7 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 
 // Exit tears a process down. A host process returns its frames and PT
 // pages to their pools; an enclave process leaves its enclave and destroys
-// it, which scrubs the whole donated block.
+// it, which scrubs the whole donated block, and gives the block back.
 func (k *Kernel) Exit(pid PID) error {
 	p, ok := k.procs[pid]
 	if !ok {
@@ -482,6 +482,7 @@ func (k *Kernel) Exit(pid PID) error {
 	if _, err := k.Mon.DestroyDomain(p.enclave.domain); err != nil {
 		return err
 	}
+	k.releaseEnclaveBlock(p.enclave.region)
 	k.Counters.Inc("kernel.exit_enclave")
 	return nil
 }

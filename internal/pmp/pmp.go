@@ -102,8 +102,20 @@ func MakeCfg(p perm.Perm, a AddrMode, locked, table bool) uint8 {
 // the HPMP checker, which layers table mode on top. Per the privileged
 // spec, M-mode accesses that match no entry succeed; S/U accesses that
 // match no entry fail.
+//
+// Every check matches against regions, the entries decoded when they were
+// written, rather than decoding every register again: Set is the one write
+// path, and it keeps regions current.
 type Unit struct {
-	Entries []Entry
+	entries []Entry
+	regions []region // regions[i] is entries[i] decoded
+}
+
+// region is one decoded entry: the physical range it covers, and whether it
+// matches at all (false for an Off entry and an empty TOR range).
+type region struct {
+	r  addr.Range
+	ok bool
 }
 
 // New returns a 16-entry PMP unit with all entries off and the standard
@@ -113,64 +125,66 @@ func New() *Unit { return NewSized(NumEntries) }
 // NewSized returns a PMP unit with n entries (16 for the base ISA, 64 for
 // ePMP).
 func NewSized(n int) *Unit {
-	return &Unit{Entries: make([]Entry, n)}
+	return &Unit{entries: make([]Entry, n), regions: make([]region, n)}
 }
 
 // NumEntries returns the bank size.
-func (u *Unit) NumEntries() int { return len(u.Entries) }
+func (u *Unit) NumEntries() int { return len(u.entries) }
+
+// Entry returns the raw registers of entry i.
+func (u *Unit) Entry(i int) Entry { return u.entries[i] }
+
+// Set writes entry i and decodes it again, together with entry i+1, whose
+// TOR range starts at entry i's address. It refuses an entry out of range
+// and a locked entry.
+func (u *Unit) Set(i int, e Entry) error {
+	if i < 0 || i >= len(u.entries) {
+		return fmt.Errorf("pmp: entry %d out of range", i)
+	}
+	if u.entries[i].Locked() {
+		return fmt.Errorf("pmp: entry %d is locked", i)
+	}
+	u.entries[i] = e
+	u.regions[i].r, u.regions[i].ok = u.decode(i)
+	if i+1 < len(u.entries) {
+		u.regions[i+1].r, u.regions[i+1].ok = u.decode(i + 1)
+	}
+	return nil
+}
 
 // SetSegment programs entry i as a NAPOT (or NA4) segment covering
 // [base, base+size) with permission p. size must be a power of two; base
 // must be size-aligned.
 func (u *Unit) SetSegment(i int, region addr.Range, p perm.Perm, locked bool) error {
-	if i < 0 || i >= len(u.Entries) {
-		return fmt.Errorf("pmp: entry %d out of range", i)
-	}
-	if u.Entries[i].Locked() {
-		return fmt.Errorf("pmp: entry %d is locked", i)
-	}
 	if region.Size == 4 {
-		u.Entries[i] = Entry{Addr: uint64(region.Base) >> 2, Cfg: MakeCfg(p, NA4, locked, false)}
-		return nil
+		return u.Set(i, Entry{Addr: uint64(region.Base) >> 2, Cfg: MakeCfg(p, NA4, locked, false)})
 	}
 	enc, err := addr.NAPOTEncode(uint64(region.Base), region.Size)
 	if err != nil {
 		return err
 	}
-	u.Entries[i] = Entry{Addr: enc, Cfg: MakeCfg(p, NAPOT, locked, false)}
-	return nil
+	return u.Set(i, Entry{Addr: enc, Cfg: MakeCfg(p, NAPOT, locked, false)})
 }
 
 // SetTOR programs entry i in top-of-range mode with the given top address;
 // the region's bottom is the previous entry's addr register (or 0 for entry
 // 0).
 func (u *Unit) SetTOR(i int, top addr.PA, p perm.Perm, locked bool) error {
-	if i < 0 || i >= len(u.Entries) {
-		return fmt.Errorf("pmp: entry %d out of range", i)
-	}
-	if u.Entries[i].Locked() {
-		return fmt.Errorf("pmp: entry %d is locked", i)
-	}
-	u.Entries[i] = Entry{Addr: uint64(top) >> 2, Cfg: MakeCfg(p, TOR, locked, false)}
-	return nil
+	return u.Set(i, Entry{Addr: uint64(top) >> 2, Cfg: MakeCfg(p, TOR, locked, false)})
 }
 
 // Clear turns entry i off.
-func (u *Unit) Clear(i int) error {
-	if i < 0 || i >= len(u.Entries) {
-		return fmt.Errorf("pmp: entry %d out of range", i)
-	}
-	if u.Entries[i].Locked() {
-		return fmt.Errorf("pmp: entry %d is locked", i)
-	}
-	u.Entries[i] = Entry{}
-	return nil
+func (u *Unit) Clear(i int) error { return u.Set(i, Entry{}) }
+
+// EntryRegion returns the physical region entry i covers. ok is false for
+// entries that are Off and for an empty TOR range.
+func (u *Unit) EntryRegion(i int) (addr.Range, bool) {
+	return u.regions[i].r, u.regions[i].ok
 }
 
-// EntryRegion decodes the physical region entry i covers. ok is false for
-// entries that are Off.
-func (u *Unit) EntryRegion(i int) (addr.Range, bool) {
-	e := u.Entries[i]
+// decode decodes the physical region entry i covers from the registers.
+func (u *Unit) decode(i int) (addr.Range, bool) {
+	e := u.entries[i]
 	switch e.Mode() {
 	case Off:
 		return addr.Range{}, false
@@ -182,7 +196,7 @@ func (u *Unit) EntryRegion(i int) (addr.Range, bool) {
 	case TOR:
 		var lo uint64
 		if i > 0 {
-			lo = u.Entries[i-1].Addr << 2
+			lo = u.entries[i-1].Addr << 2
 		}
 		hi := e.Addr << 2
 		if hi <= lo {
@@ -198,9 +212,8 @@ func (u *Unit) EntryRegion(i int) (addr.Range, bool) {
 // use (§4.2 "Permission checking and ordering").
 func (u *Unit) Match(pa addr.PA, size uint64) int {
 	acc := addr.Range{Base: pa, Size: size}
-	for i := 0; i < len(u.Entries); i++ {
-		r, ok := u.EntryRegion(i)
-		if ok && r.Overlaps(acc) {
+	for i := range u.regions {
+		if d := &u.regions[i]; d.ok && d.r.Overlaps(acc) {
 			return i
 		}
 	}
@@ -224,11 +237,10 @@ func (u *Unit) Check(pa addr.PA, size uint64, k perm.Access, priv perm.Priv) Res
 		}
 		return Result{Allowed: false, Entry: -1}
 	}
-	e := u.Entries[i]
+	e := u.entries[i]
 	// The access must fall entirely within the matching entry for a clean
 	// grant; partial matches fail per the spec.
-	r, _ := u.EntryRegion(i)
-	if !r.ContainsRange(addr.Range{Base: pa, Size: size}) {
+	if !u.regions[i].r.ContainsRange(addr.Range{Base: pa, Size: size}) {
 		return Result{Allowed: false, Entry: i}
 	}
 	if priv == perm.M && !e.Locked() {

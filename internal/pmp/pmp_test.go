@@ -86,8 +86,8 @@ func TestNA4(t *testing.T) {
 	if err := u.SetSegment(0, addr.Range{Base: 0x1000, Size: 4}, perm.R, false); err != nil {
 		t.Fatal(err)
 	}
-	if u.Entries[0].Mode() != NA4 {
-		t.Errorf("4-byte region should use NA4, got %v", u.Entries[0].Mode())
+	if u.Entry(0).Mode() != NA4 {
+		t.Errorf("4-byte region should use NA4, got %v", u.Entry(0).Mode())
 	}
 	if r := u.Check(0x1000, 4, perm.Read, perm.U); !r.Allowed {
 		t.Errorf("NA4 read: %+v", r)
@@ -113,7 +113,7 @@ func TestLock(t *testing.T) {
 	if err := u.SetSegment(0, region, perm.R, true); err != nil {
 		t.Fatal(err)
 	}
-	if !u.Entries[0].Locked() {
+	if !u.Entry(0).Locked() {
 		t.Fatal("entry should be locked")
 	}
 	// Locked entries bind M-mode too.
