@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-smoke bench-ab bench-full-ab eval eval-quick examples metrics-baseline metrics-diff clean
+.PHONY: all build vet fmt-check test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-smoke bench-ab bench-full-ab eval eval-quick examples artifacts metrics-baseline metrics-diff clean
 
 all: build vet fmt-check test race smoke fuzz
 

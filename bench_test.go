@@ -24,6 +24,7 @@ import (
 	"hpmp/internal/obs"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
+	"hpmp/internal/pmp"
 	"hpmp/internal/pmpt"
 	"hpmp/internal/pt"
 	"hpmp/internal/ptw"
@@ -396,7 +397,7 @@ func benchRig(b testing.TB) (*mmu.MMU, addr.VA) {
 		b.Fatal(err)
 	}
 	port := &memport.Timed{Hier: hier, Mem: mem}
-	checker := hpmp.New(&pmpt.Walker{Port: port})
+	checker := hpmp.NewSized(&pmpt.Walker{Port: port}, pmp.NumEntries)
 	if err := checker.SetSegment(0, addr.Range{Base: 0, Size: memSize}, perm.RWX, false); err != nil {
 		b.Fatal(err)
 	}
@@ -475,7 +476,8 @@ func ptwWalkRig(tb testing.TB) (*ptw.Walker, addr.PA, addr.VA) {
 		tb.Fatal(err)
 	}
 	w := ptw.New(addr.Sv39, &memport.Flat{Mem: mem, Latency: 10}, nil, 8)
-	if res, err := w.Walk(tbl.Root(), va, 0); err != nil || res.PageFault {
+	var res ptw.Result
+	if err := w.WalkInto(tbl.Root(), va, 0, &res); err != nil || res.PageFault {
 		tb.Fatalf("warm walk failed: %+v %v", res, err)
 	}
 	return w, tbl.Root(), va
@@ -489,8 +491,9 @@ func BenchmarkPTWWalkPWCHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	now := uint64(1000)
+	var res ptw.Result
 	for i := 0; i < b.N; i++ {
-		res, err := w.Walk(root, va, now)
+		err := w.WalkInto(root, va, now, &res)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -503,8 +506,9 @@ func BenchmarkPTWWalkPWCHit(b *testing.B) {
 func TestPTWWalkPWCHitZeroAllocs(t *testing.T) {
 	w, root, va := ptwWalkRig(t)
 	now := uint64(1000)
+	var res ptw.Result
 	allocs := testing.AllocsPerRun(1000, func() {
-		res, err := w.Walk(root, va, now)
+		err := w.WalkInto(root, va, now, &res)
 		if err != nil || res.PageFault {
 			t.Fatalf("%+v %v", res, err)
 		}
@@ -658,8 +662,9 @@ func TestPTWWalkPWCHitZeroAllocsWithTracer(t *testing.T) {
 	w, root, va := ptwWalkRig(t)
 	w.Trace = obs.NewTracer(obs.DefaultRing, 1)
 	now := uint64(1000)
+	var res ptw.Result
 	allocs := testing.AllocsPerRun(1000, func() {
-		res, err := w.Walk(root, va, now)
+		err := w.WalkInto(root, va, now, &res)
 		if err != nil || res.PageFault {
 			t.Fatalf("%+v %v", res, err)
 		}
@@ -677,7 +682,7 @@ func TestPTWWalkPWCHitZeroAllocsWithTracer(t *testing.T) {
 // the check-latency histogram attached: a T=0 match is a register compare
 // plus one in-place histogram bucket increment, and must not allocate.
 func TestHPMPCheckSegmentZeroAllocs(t *testing.T) {
-	checker := hpmp.New(&pmpt.Walker{Port: &memport.Flat{Mem: phys.New(64 * addr.MiB), Latency: 10}})
+	checker := hpmp.NewSized(&pmpt.Walker{Port: &memport.Flat{Mem: phys.New(64 * addr.MiB), Latency: 10}}, pmp.NumEntries)
 	if err := checker.SetSegment(0, addr.Range{Base: 0, Size: 64 * addr.MiB}, perm.RWX, false); err != nil {
 		t.Fatal(err)
 	}
@@ -696,7 +701,7 @@ func TestHPMPCheckSegmentZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("segment check allocates %.1f times per op, want 0", allocs)
 	}
-	if checker.Hist.Count() == 0 {
+	if checker.Hist.Snapshot().Count == 0 {
 		t.Error("check-latency histogram recorded nothing despite being attached")
 	}
 }
@@ -712,10 +717,10 @@ func TestHotPathHistogramsRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.LatHist.Count() == 0 {
+	if m.LatHist.Snapshot().Count == 0 {
 		t.Error("mmu.access_latency histogram is empty")
 	}
-	if m.Walker.Hist.Count() == 0 {
+	if m.Walker.Hist.Snapshot().Count == 0 {
 		t.Error("ptw.walk_latency histogram is empty")
 	}
 
@@ -723,7 +728,7 @@ func TestHotPathHistogramsRecord(t *testing.T) {
 	if _, err := w.Walk(root, region, pa, 100); err != nil {
 		t.Fatal(err)
 	}
-	if w.Hist().Count() == 0 {
+	if w.Hist().Snapshot().Count == 0 {
 		t.Error("pmptw.walk_latency histogram is empty")
 	}
 }

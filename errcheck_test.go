@@ -1,19 +1,12 @@
 package main_test
 
 import (
-	"bufio"
-	"bytes"
 	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -30,54 +23,21 @@ var errorChecked = []string{
 // errorChecked package. A simulated access that failed silently leaves a
 // workload computing on zeros and reporting a wrong checksum with a nil
 // error, so every error must be returned, recorded or handled.
-//
-// The packages are type-checked against the compiler's export data for
-// their imports (go list -export), which is much faster than type-checking
-// the imports from source.
 func TestNoDroppedErrors(t *testing.T) {
-	args := append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}\t{{.Dir}}\t{{join .GoFiles \" \"}}"}, errorChecked...)
-	out, err := exec.Command("go", args...).Output()
-	if err != nil {
-		t.Fatalf("go %s: %v", strings.Join(args, " "), err)
-	}
-	exports := map[string]string{} // import path -> export data file
-	dirs := map[string]string{}
-	files := map[string][]string{}
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	for sc.Scan() {
-		f := strings.Split(sc.Text(), "\t")
-		if len(f) != 4 {
-			t.Fatalf("go list: unexpected line %q", sc.Text())
-		}
-		exports[f[0]], dirs[f[0]], files[f[0]] = f[1], f[2], strings.Fields(f[3])
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})
+	fset, pkgs := typeCheckModule(t)
 	errType := types.Universe.Lookup("error").Type()
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var dropped []string
-	for _, pkg := range errorChecked {
-		var syntax []*ast.File
-		for _, name := range files[pkg] {
-			f, err := parser.ParseFile(fset, filepath.Join(dirs[pkg], name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			syntax = append(syntax, f)
+	checked := 0
+	for _, cp := range pkgs {
+		if !slices.Contains(errorChecked, cp.path) {
+			continue
 		}
-		if len(syntax) == 0 {
-			t.Fatalf("%s: no Go files", pkg)
-		}
-		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
-		conf := types.Config{Importer: imp}
-		if _, err := conf.Check(pkg, fset, syntax, info); err != nil {
-			t.Fatalf("type-checking %s: %v", pkg, err)
-		}
+		checked++
+		info := cp.info
 		// results returns the value types an expression yields.
 		results := func(e ast.Expr) []types.Type {
 			tv, ok := info.Types[e]
@@ -108,7 +68,7 @@ func TestNoDroppedErrors(t *testing.T) {
 			}
 			dropped = append(dropped, pos.String()+": "+what)
 		}
-		for _, f := range syntax {
+		for _, f := range cp.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch s := n.(type) {
 				case *ast.ExprStmt:
@@ -141,6 +101,9 @@ func TestNoDroppedErrors(t *testing.T) {
 				return true
 			})
 		}
+	}
+	if checked != len(errorChecked) {
+		t.Fatalf("type-checked %d of the %d errorChecked packages", checked, len(errorChecked))
 	}
 	sort.Strings(dropped)
 	for _, d := range dropped {

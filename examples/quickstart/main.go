@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hpmp/internal/addr"
 	"hpmp/internal/cpu"
@@ -20,6 +22,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run runs the example, writing its report to out.
+func run(out io.Writer) error {
 	const memSize = 512 * addr.MiB
 
 	for _, mode := range []monitor.Mode{monitor.ModePMP, monitor.ModePMPT, monitor.ModeHPMP} {
@@ -32,7 +41,7 @@ func main() {
 		//    HPMP entries (segments, tables, or both).
 		mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
 		if err != nil {
-			log.Fatalf("monitor boot: %v", err)
+			return fmt.Errorf("monitor boot: %w", err)
 		}
 
 		// 3. Start the OS kernel. It allocates all page-table pages from
@@ -40,22 +49,22 @@ func main() {
 		//    paper's ~700-line Linux change.
 		k, err := kernel.New(mach, mon, kernel.DefaultConfig(memSize))
 		if err != nil {
-			log.Fatalf("kernel boot: %v", err)
+			return fmt.Errorf("kernel boot: %w", err)
 		}
 
 		// 4. Spawn a process and touch one heap page so it is mapped.
 		p, err := k.Spawn(kernel.Image{Name: "demo", TextPages: 4, DataPages: 4})
 		if err != nil {
-			log.Fatalf("spawn: %v", err)
+			return fmt.Errorf("spawn: %w", err)
 		}
 		env, err := k.NewEnv(p)
 		if err != nil {
-			log.Fatalf("env: %v", err)
+			return fmt.Errorf("env: %w", err)
 		}
 		va := p.Heap()
 		env.Store64(va, 0x1234)
 		if err := env.Err(); err != nil {
-			log.Fatalf("store: %v", err)
+			return fmt.Errorf("store: %w", err)
 		}
 
 		// 5. Flush the TLB and measure a single load: the walk now shows
@@ -64,9 +73,9 @@ func main() {
 		var res mmu.Result
 		err = mach.MMU.Access(va, perm.Read, perm.U, mach.Core.Now, &res)
 		if err != nil || res.Faulted() {
-			log.Fatalf("access: %+v %v", res, err)
+			return fmt.Errorf("access: %+v %v", res, err)
 		}
-		fmt.Printf("%-5v cold load: %2d memory references "+
+		fmt.Fprintf(out, "%-5v cold load: %2d memory references "+
 			"(PT=%d, PT-checks=%d, data-checks=%d, data=%d), %4d cycles\n",
 			mode, res.TotalRefs(),
 			res.Walk.PTRefs, res.Walk.PTCheckRefs, res.DataCheckRefs, res.DataRefs,
@@ -75,7 +84,8 @@ func main() {
 		// A second access hits the TLB with the inlined permission: one
 		// reference under every mode.
 		_ = mach.MMU.Access(va, perm.Read, perm.U, mach.Core.Now, &res)
-		fmt.Printf("%-5v warm load: %2d memory reference  (TLB %s hit), %4d cycles\n\n",
+		fmt.Fprintf(out, "%-5v warm load: %2d memory reference  (TLB %s hit), %4d cycles\n\n",
 			mode, res.TotalRefs(), res.TLBHit, res.Latency)
 	}
+	return nil
 }

@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hpmp/internal/addr"
 	"hpmp/internal/cpu"
@@ -15,11 +17,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run runs the example, writing its report to out.
+func run(out io.Writer) error {
 	const memSize = 512 * addr.MiB
 	commands := []string{"GET", "SET", "LPUSH", "LRANGE_100", "SADD"}
 	const requests = 20
 
-	fmt.Printf("%-12s  %12s  %12s  %12s   (simulated RPS, higher is better)\n",
+	fmt.Fprintf(out, "%-12s  %12s  %12s  %12s   (simulated RPS, higher is better)\n",
 		"command", "Penglai-PMP", "Penglai-PMPT", "Penglai-HPMP")
 
 	results := map[string]map[monitor.Mode]float64{}
@@ -30,42 +39,43 @@ func main() {
 		mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 		mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		k, err := kernel.New(mach, mon, kernel.DefaultConfig(memSize))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		p, err := k.Spawn(kernel.Image{Name: "redis-server", TextPages: 64, DataPages: 64, HeapPages: 64 * 1024})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		env, err := k.NewEnv(p)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		srv, err := miniredis.NewServer(env, 32*addr.MiB, 4096)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		b := miniredis.NewBenchmark(srv, env)
 		if err := b.Prepare(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, cmd := range commands {
 			rps, err := b.RunCommand(cmd, requests)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			results[cmd][mode] = rps
 		}
 	}
 	for _, cmd := range commands {
-		fmt.Printf("%-12s  %12.0f  %12.0f  %12.0f\n", cmd,
+		fmt.Fprintf(out, "%-12s  %12.0f  %12.0f  %12.0f\n", cmd,
 			results[cmd][monitor.ModePMP],
 			results[cmd][monitor.ModePMPT],
 			results[cmd][monitor.ModeHPMP])
 	}
-	fmt.Println("\nExpect: PMPT loses the most RPS on pointer-chasing commands (LRANGE);")
-	fmt.Println("HPMP recovers most of the loss (paper Fig. 12-d/e).")
+	fmt.Fprintln(out, "\nExpect: PMPT loses the most RPS on pointer-chasing commands (LRANGE);")
+	fmt.Fprintln(out, "HPMP recovers most of the loss (paper Fig. 12-d/e).")
+	return nil
 }

@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hpmp/internal/addr"
 	"hpmp/internal/cpu"
@@ -15,6 +17,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run runs the example, writing its report to out.
+func run(out io.Writer) error {
 	const memSize = 512 * addr.MiB
 	functions := []workloads.Workload{
 		&workloads.Chameleon{Rows: 40, Cols: 8},
@@ -22,24 +31,24 @@ func main() {
 		&workloads.ImageFunc{Width: 48, Height: 48},
 	}
 
-	fmt.Printf("%-12s", "function")
+	fmt.Fprintf(out, "%-12s", "function")
 	for _, mode := range []monitor.Mode{monitor.ModePMP, monitor.ModePMPT, monitor.ModeHPMP} {
-		fmt.Printf("  %12s", "Penglai-"+map[monitor.Mode]string{
+		fmt.Fprintf(out, "  %12s", "Penglai-"+map[monitor.Mode]string{
 			monitor.ModePMP: "PMP", monitor.ModePMPT: "PMPT", monitor.ModeHPMP: "HPMP"}[mode])
 	}
-	fmt.Println("  (cycles per cold invocation)")
+	fmt.Fprintln(out, "  (cycles per cold invocation)")
 
 	for _, fn := range functions {
-		fmt.Printf("%-12s", fn.Name())
+		fmt.Fprintf(out, "%-12s", fn.Name())
 		for _, mode := range []monitor.Mode{monitor.ModePMP, monitor.ModePMPT, monitor.ModeHPMP} {
 			mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
 			mon, err := monitor.Boot(mach, monitor.DefaultConfig(mode))
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			k, err := kernel.New(mach, mon, kernel.DefaultConfig(memSize))
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 
 			// Each invocation is a fresh process: cold TLB, cold page
@@ -47,22 +56,23 @@ func main() {
 			start := mach.Core.Now
 			p, err := k.Spawn(kernel.Image{Name: fn.Name(), TextPages: 32, DataPages: 16, HeapPages: 64 * 1024})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			env, err := k.NewEnv(p)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			env.FetchAt(p.Code())
 			if _, err := fn.Run(env); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if err := k.Exit(p.PID); err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("  %12d", mach.Core.Now-start)
+			fmt.Fprintf(out, "  %12d", mach.Core.Now-start)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
-	fmt.Println("\nExpect: PMPT slowest (extra-dimensional walks), HPMP close to PMP.")
+	fmt.Fprintln(out, "\nExpect: PMPT slowest (extra-dimensional walks), HPMP close to PMP.")
+	return nil
 }

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hpmp/internal/addr"
 	"hpmp/internal/cpu"
@@ -19,6 +21,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run runs the example, writing its report to out.
+func run(out io.Writer) error {
 	const memSize = 512 * addr.MiB
 
 	type method struct {
@@ -35,7 +44,7 @@ func main() {
 		{"HPMP-GPT", []addr.Range{nptRegion, gptRegion}, true},
 	}
 
-	fmt.Printf("%-9s  %5s  %5s  %5s  %5s  %7s\n",
+	fmt.Fprintf(out, "%-9s  %5s  %5s  %5s  %5s  %7s\n",
 		"method", "NPT", "gPT", "check", "total", "cycles")
 	for _, m := range methods {
 		mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
@@ -49,35 +58,35 @@ func main() {
 
 		npt, err := pt.New(mach.Mem, nptAlloc, addr.Sv39x4)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		guest, err := virt.NewGuestTable(mach.Mem, npt, 0x4000_0000, 64, gptAlloc)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		all := addr.Range{Base: 0, Size: memSize}
 		entry := 0
 		for _, seg := range m.segments {
 			if err := mach.Checker.SetSegment(entry, seg, perm.RW, false); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			entry++
 		}
 		if m.useTable {
 			tbl, err := pmpt.NewTable(mach.Mem, tblAlloc, all)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if err := tbl.SetRangePermPaged(all, perm.RWX); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if err := mach.Checker.SetTable(entry, all, tbl.RootBase()); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		} else {
 			if err := mach.Checker.SetSegment(entry, all, perm.RWX, false); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 
@@ -87,19 +96,20 @@ func main() {
 		gva, gpa := addr.VA(0x1000_0000), addr.GPA(0x8000_0000)
 		dataPA, _ := dataAlloc.Alloc()
 		if err := npt.Map(addr.VA(gpa), dataPA, perm.RW, true); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := guest.Map(gva, addr.PA(gpa), perm.RW, true); err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		res, err := hyp.AccessGuest(gva, perm.Read, 0)
 		if err != nil || res.PageFault || res.AccessFault {
-			log.Fatalf("%s: %+v %v", m.name, res, err)
+			return fmt.Errorf("%s: %+v %v", m.name, res, err)
 		}
-		fmt.Printf("%-9s  %5d  %5d  %5d  %5d  %7d\n",
+		fmt.Fprintf(out, "%-9s  %5d  %5d  %5d  %5d  %7d\n",
 			m.name, res.NPTRefs, res.GPTRefs, res.CheckRefs, res.TotalRefs(), res.Latency)
 	}
-	fmt.Println("\nPaper §6: 16 base references; the permission table adds 32,")
-	fmt.Println("HPMP removes the 24 NPT checks, HPMP-GPT also the 6 guest-PT checks.")
+	fmt.Fprintln(out, "\nPaper §6: 16 base references; the permission table adds 32,")
+	fmt.Fprintln(out, "HPMP removes the 24 NPT checks, HPMP-GPT also the 6 guest-PT checks.")
+	return nil
 }

@@ -31,9 +31,6 @@ func NewArray(n int) Array {
 	return Array{keys: buf[:n:n], stamp: buf[n:]}
 }
 
-// Len returns the capacity.
-func (a *Array) Len() int { return len(a.keys) }
-
 // Lookup returns the slot holding key, refreshing its LRU stamp on a hit.
 func (a *Array) Lookup(key uint64) (int, bool) {
 	tag := key + 1
@@ -113,9 +110,6 @@ type Cache struct {
 func NewCache(n int) *Cache {
 	return &Cache{tags: NewArray(n), vals: make([]uint64, n)}
 }
-
-// Len returns the capacity.
-func (c *Cache) Len() int { return c.tags.Len() }
 
 // Lookup returns the word cached under key, refreshing its recency.
 func (c *Cache) Lookup(key uint64) (uint64, bool) {

@@ -166,7 +166,7 @@ func TestRunAllObservesCounters(t *testing.T) {
 	if o.Result.Wall <= 0 || o.Wall <= 0 {
 		t.Errorf("wall time not recorded: result=%v outcome=%v", o.Result.Wall, o.Wall)
 	}
-	if o.Result.Counters.Get("cpu.instructions") == 0 || o.Result.Counters.Get("kernel.spawn") == 0 {
+	if o.Result.Counters.Snapshot()["cpu.instructions"] == 0 || o.Result.Counters.Snapshot()["kernel.spawn"] == 0 {
 		t.Errorf("counters not snapshotted: %s", o.Result.Counters.String())
 	}
 	csv := CountersCSV(o.Result)
@@ -339,7 +339,7 @@ func TestObserverMergesSystemsInBootOrder(t *testing.T) {
 	if got.String() != want.String() {
 		t.Errorf("snapshot counters differ from the boot-order hand merge:\n got %s\nwant %s", got.String(), want.String())
 	}
-	if got.Get("kernel.spawn") != 2 || got.Get("monitor.boot") != 1 {
+	if s := got.Snapshot(); s["kernel.spawn"] != 2 || s["monitor.boot"] != 1 {
 		t.Errorf("snapshot missed a kernel or monitor: %s", got.String())
 	}
 

@@ -159,7 +159,7 @@ func TestHitAfterFill(t *testing.T) {
 	if c.probe(pa+64, false, false) {
 		t.Error("next line must miss")
 	}
-	if h, m, f := c.Counters.Get("l1.hit"), c.Counters.Get("l1.miss"), c.Counters.Get("l1.fill"); h != 2 || m != 2 || f != 2 {
+	if h, m, f := c.Counters.Snapshot()["l1.hit"], c.Counters.Snapshot()["l1.miss"], c.Counters.Snapshot()["l1.fill"]; h != 2 || m != 2 || f != 2 {
 		t.Errorf("hit/miss/fill = %d/%d/%d, want 2/2/2", h, m, f)
 	}
 }
@@ -197,15 +197,15 @@ func TestDirtyWriteback(t *testing.T) {
 	if c.contains(pa) || !c.contains(pa+128) {
 		t.Error("conflicting fill must replace the line")
 	}
-	if c.Counters.Get("c.evict") != 1 || c.Counters.Get("c.writeback") != 1 {
+	if c.Counters.Snapshot()["c.evict"] != 1 || c.Counters.Snapshot()["c.writeback"] != 1 {
 		t.Errorf("evict/writeback = %d/%d, want 1/1",
-			c.Counters.Get("c.evict"), c.Counters.Get("c.writeback"))
+			c.Counters.Snapshot()["c.evict"], c.Counters.Snapshot()["c.writeback"])
 	}
 	// The replacement was filled clean: evicting it writes nothing back.
 	c.probe(pa, false, false)
-	if c.Counters.Get("c.evict") != 2 || c.Counters.Get("c.writeback") != 1 {
+	if c.Counters.Snapshot()["c.evict"] != 2 || c.Counters.Snapshot()["c.writeback"] != 1 {
 		t.Errorf("evict/writeback = %d/%d, want 2/1",
-			c.Counters.Get("c.evict"), c.Counters.Get("c.writeback"))
+			c.Counters.Snapshot()["c.evict"], c.Counters.Snapshot()["c.writeback"])
 	}
 }
 
@@ -216,7 +216,7 @@ func TestWriteOnLookupMarksDirty(t *testing.T) {
 	c.probe(pa, false, false) // filled clean
 	c.probe(pa, true, false)  // store hit dirties the line
 	c.probe(pa+128, false, false)
-	if c.Counters.Get("c.writeback") != 1 {
+	if c.Counters.Snapshot()["c.writeback"] != 1 {
 		t.Error("store-hit line should write back")
 	}
 }
@@ -323,8 +323,8 @@ func TestFillRefreshInPlace(t *testing.T) {
 	if !c.probe(0x40, false, false) {
 		t.Fatal("second probe of a resident line must hit")
 	}
-	if c.Counters.Get("c.fill") != 1 {
-		t.Errorf("fill = %d, want 1", c.Counters.Get("c.fill"))
+	if c.Counters.Snapshot()["c.fill"] != 1 {
+		t.Errorf("fill = %d, want 1", c.Counters.Snapshot()["c.fill"])
 	}
 	// Three more lines fill the set; a fourth evicts 0x40, the LRU line,
 	// and writes it back exactly once.
@@ -334,7 +334,7 @@ func TestFillRefreshInPlace(t *testing.T) {
 	if c.contains(0x40) {
 		t.Error("LRU line must be evicted once the set overflows")
 	}
-	if wb := c.Counters.Get("c.writeback"); wb != 1 {
+	if wb := c.Counters.Snapshot()["c.writeback"]; wb != 1 {
 		t.Errorf("writeback = %d, want 1", wb)
 	}
 }

@@ -251,7 +251,7 @@ func probeMatchesReference(t *testing.T, cfgs [3]Config, pool []addr.PA, minChun
 				}
 			}
 			for _, name := range []string{"mem.l1_hit", "mem.l2_hit", "mem.llc_hit", "mem.dram_access"} {
-				if got, want := h.Counters.Get(name), ref.counters.Get(name); got != want {
+				if got, want := h.Counters.Snapshot()[name], ref.counters.Snapshot()[name]; got != want {
 					t.Fatalf("seed %d step %d after %s: %s = %d, reference %d", seed, step, op, name, got, want)
 				}
 			}
@@ -269,7 +269,7 @@ func probeMatchesReference(t *testing.T, cfgs [3]Config, pool []addr.PA, minChun
 		}
 		for i, c := range levels {
 			for j, name := range counters {
-				moved[i][j] += c.Counters.Get(c.cfg.Name + "." + name)
+				moved[i][j] += c.Counters.Snapshot()[c.cfg.Name+"."+name]
 			}
 			chunks[i] = max(chunks[i], c.materialized())
 		}

@@ -135,8 +135,3 @@ func (c *Core) exposedLatency(res *mmu.Result) uint64 {
 	}
 	return translation + data
 }
-
-// Seconds converts the accumulated cycles to seconds at the core clock.
-func (c *Core) Seconds() float64 {
-	return float64(c.Now) / (c.Cfg.ClockGHz * 1e9)
-}

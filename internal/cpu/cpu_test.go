@@ -122,7 +122,7 @@ func TestStorePath(t *testing.T) {
 	if err != nil || res.Faulted() {
 		t.Fatalf("store: %+v %v", res, err)
 	}
-	if m.Core.Counters.Get("cpu.mem_ops") != 1 {
+	if m.Core.Counters.Snapshot()["cpu.mem_ops"] != 1 {
 		t.Error("mem op not counted")
 	}
 }
@@ -168,16 +168,8 @@ func TestNoIsolationMachine(t *testing.T) {
 	}
 	// The walker's three PTE fetches skip the L1D, as on every other
 	// machine: only the data line fills it.
-	if fills := m.Hier.L1.Counters.Get("l1d.fill"); fills != 1 {
+	if fills := m.Hier.L1.Counters.Snapshot()["l1d.fill"]; fills != 1 {
 		t.Errorf("cold TLB-miss load filled %d L1D lines, want 1 (the data line)", fills)
-	}
-}
-
-func TestSecondsConversion(t *testing.T) {
-	m, _ := setup(t, BOOMPlatform())
-	m.Core.Now = 3_200_000_000 // 1 second at 3.2 GHz
-	if s := m.Core.Seconds(); s < 0.999 || s > 1.001 {
-		t.Errorf("Seconds = %v, want 1.0", s)
 	}
 }
 

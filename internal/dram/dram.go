@@ -73,9 +73,6 @@ func New(cfg Config) *DRAM {
 	return d
 }
 
-// Config returns the configuration the model was built with.
-func (d *DRAM) Config() Config { return d.cfg }
-
 // bankAndRow maps a physical address to (bank index, row id). Banks are
 // interleaved on row-buffer-sized chunks so that streaming accesses rotate
 // across banks, like real address mappings.

@@ -8,7 +8,7 @@ import (
 
 func TestRowHitFasterThanMiss(t *testing.T) {
 	d := New(Default())
-	cfg := d.Config()
+	cfg := d.cfg
 
 	// First access to a closed bank: RCD + CAS.
 	done1 := d.Access(0x1000, 0, false)
@@ -35,7 +35,7 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 		t.Errorf("row conflict latency = %d, want %d", done3-now, wantConf)
 	}
 
-	if d.Counters.Get("dram.row_hit") != 1 || d.Counters.Get("dram.row_conflict") != 1 {
+	if d.Counters.Snapshot()["dram.row_hit"] != 1 || d.Counters.Snapshot()["dram.row_conflict"] != 1 {
 		t.Errorf("counters wrong: %v", d.Counters.String())
 	}
 }
@@ -53,14 +53,14 @@ func TestBankBusySerializes(t *testing.T) {
 
 func TestDifferentBanksOverlap(t *testing.T) {
 	d := New(Default())
-	cfg := d.Config()
+	cfg := d.cfg
 	// Addresses one row-chunk apart map to different banks.
 	d1 := d.Access(0x0, 0, false)
 	d2 := d.Access(addr.PA(cfg.RowBytes), 0, false)
 	if d1 != d2 {
 		t.Errorf("independent banks should have equal first-access time: %d vs %d", d1, d2)
 	}
-	if d.Counters.Get("dram.bank_conflict") != 0 {
+	if d.Counters.Snapshot()["dram.bank_conflict"] != 0 {
 		t.Error("no bank conflict expected across banks")
 	}
 }
@@ -73,9 +73,9 @@ func TestQueueDepthStalls(t *testing.T) {
 	// the controller queue even though its bank is free.
 	d.Access(0x0, 0, false)
 	d.Access(addr.PA(cfg.RowBytes), 0, false)
-	before := d.Counters.Get("dram.queue_stall")
+	before := d.Counters.Snapshot()["dram.queue_stall"]
 	d.Access(addr.PA(2*cfg.RowBytes), 0, false)
-	if d.Counters.Get("dram.queue_stall") != before+1 {
+	if d.Counters.Snapshot()["dram.queue_stall"] != before+1 {
 		t.Error("third concurrent request should hit the queue-depth limit")
 	}
 }
@@ -85,19 +85,19 @@ func TestReset(t *testing.T) {
 	d.Access(0x1000, 0, false)
 	d.Reset()
 	// After reset, the same row must be an "empty" activation again, not a hit.
-	hitsBefore := d.Counters.Get("dram.row_hit")
+	hitsBefore := d.Counters.Snapshot()["dram.row_hit"]
 	d.Access(0x1000, 0, false)
-	if d.Counters.Get("dram.row_hit") != hitsBefore {
+	if d.Counters.Snapshot()["dram.row_hit"] != hitsBefore {
 		t.Error("Reset must close open rows")
 	}
-	if d.Counters.Get("dram.row_empty") != 2 {
-		t.Errorf("want 2 empty activations, got %d", d.Counters.Get("dram.row_empty"))
+	if d.Counters.Snapshot()["dram.row_empty"] != 2 {
+		t.Errorf("want 2 empty activations, got %d", d.Counters.Snapshot()["dram.row_empty"])
 	}
 }
 
 func TestStreamingRotatesBanks(t *testing.T) {
 	d := New(Default())
-	cfg := d.Config()
+	cfg := d.cfg
 	seen := make(map[int]bool)
 	for i := uint64(0); i < uint64(cfg.Ranks*cfg.BanksPerRank); i++ {
 		bank, _ := d.bankAndRow(addr.PA(i * cfg.RowBytes))
@@ -115,7 +115,7 @@ func TestStreamingRotatesBanks(t *testing.T) {
 // it, so every queue path runs.
 func TestAccessDoesNotAllocate(t *testing.T) {
 	d := New(Default())
-	cfg := d.Config()
+	cfg := d.cfg
 	var now uint64
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
@@ -128,7 +128,7 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Access allocates: %v allocations per 64-access burst, want 0", allocs)
 	}
-	if d.Counters.Get("dram.queue_stall") == 0 || d.Counters.Get("dram.row_conflict") == 0 {
+	if d.Counters.Snapshot()["dram.queue_stall"] == 0 || d.Counters.Snapshot()["dram.row_conflict"] == 0 {
 		t.Errorf("the bursts missed a path: %s", d.Counters.String())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hpmp/internal/memport"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
+	"hpmp/internal/pmp"
 	"hpmp/internal/pmpt"
 )
 
@@ -27,7 +28,7 @@ func TestDeepTableEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chk := New(&pmpt.Walker{Port: &memport.Flat{Mem: mem, Latency: 10}})
+	chk := NewSized(&pmpt.Walker{Port: &memport.Flat{Mem: mem, Latency: 10}}, pmp.NumEntries)
 	// Mode2Level must reject the oversized region...
 	if err := chk.SetTable(0, region, tbl.RootBase()); err == nil {
 		t.Fatal("32 GiB region must exceed the 2-level reach")

@@ -52,12 +52,6 @@ type Checker struct {
 	Counters stats.Counters
 }
 
-// New builds a checker around an empty 16-entry PMP bank and the given
-// table walker.
-func New(w *pmpt.Walker) *Checker {
-	return NewSized(w, pmp.NumEntries)
-}
-
 // NewSized builds a checker with n entries (64 for the ePMP variant).
 func NewSized(w *pmpt.Walker, n int) *Checker {
 	c := &Checker{PMP: pmp.NewSized(n), Walker: w, Hist: stats.DefaultLatencyHistogram()}

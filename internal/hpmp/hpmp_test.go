@@ -23,7 +23,7 @@ func newEnv(t *testing.T) *env {
 	mem := phys.New(512 * addr.MiB)
 	alloc := phys.NewFrameAllocator(addr.Range{Base: 0x10_0000, Size: 8 * addr.MiB}, false)
 	w := &pmpt.Walker{Port: &memport.Flat{Mem: mem, Latency: 10}}
-	return &env{mem: mem, alloc: alloc, chk: New(w)}
+	return &env{mem: mem, alloc: alloc, chk: NewSized(w, pmp.NumEntries)}
 }
 
 func (e *env) newTable(t *testing.T, region addr.Range) *pmpt.Table {

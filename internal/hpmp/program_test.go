@@ -106,7 +106,8 @@ func programStep(c *Checker, op, a, b byte) (string, error) {
 
 // runProgram applies steps (three bytes each) to a fresh n-entry checker
 // and, after every write, requires EntryRegion and Match to equal the
-// per-check decode for every entry and at every region boundary.
+// per-check decode for every entry and at every region boundary, and a
+// check that matches no table-mode entry to equal pmp.Unit.Check.
 func runProgram(t *testing.T, n int, steps []byte, cov *programCoverage) {
 	c := NewSized(nil, n)
 	u := c.PMP
@@ -147,11 +148,22 @@ func runProgram(t *testing.T, n int, steps []byte, cov *programCoverage) {
 		for pa := addr.PA(0); pa < programSpace; pa += 1024 {
 			probes = append(probes, pa+4)
 		}
-		for _, pa := range probes {
+		for pi, pa := range probes {
 			for _, size := range []uint64{1, 4, 8} {
-				if got, want := u.Match(pa, size), refMatch(u, pa, size); got != want {
+				m := u.Match(pa, size)
+				if want := refMatch(u, pa, size); m != want {
 					t.Fatalf("step %d %s (err %v): Match(%#x, %d) = %d, per-check decode %d",
-						s/3, desc, err, uint64(pa), size, got, want)
+						s/3, desc, err, uint64(pa), size, m, want)
+				}
+				// Outside table mode an HPMP check is a base PMP check.
+				if m >= 0 && u.Entry(m).Table() {
+					continue
+				}
+				k, priv := perm.Access(pi%3), []perm.Priv{perm.U, perm.S, perm.M}[pi/3%3]
+				got, cerr := c.Check(pa, size, k, priv, 0)
+				if want := u.Check(pa, size, k, priv); cerr != nil || got.Allowed != want.Allowed || got.Entry != want.Entry {
+					t.Fatalf("step %d %s (err %v): Check(%#x, %d, %v, %v) = %+v, %v; base PMP %+v",
+						s/3, desc, err, uint64(pa), size, k, priv, got, cerr, want)
 				}
 			}
 		}
@@ -179,7 +191,7 @@ func TestDecodedEntriesNeverStale(t *testing.T) {
 // TestWriteRedecodesTORSuccessor: a TOR entry's range starts at its
 // predecessor's address, so writing entry 0 must move entry 1's range.
 func TestWriteRedecodesTORSuccessor(t *testing.T) {
-	u := pmp.New()
+	u := pmp.NewSized(pmp.NumEntries)
 	if err := u.SetTOR(1, 0x3000, perm.RW, false); err != nil {
 		t.Fatal(err)
 	}

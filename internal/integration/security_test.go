@@ -9,7 +9,6 @@ import (
 	"hpmp/internal/addr"
 	"hpmp/internal/cpu"
 	"hpmp/internal/kernel"
-	"hpmp/internal/merkle"
 	"hpmp/internal/mmu"
 	"hpmp/internal/monitor"
 	"hpmp/internal/perm"
@@ -196,48 +195,5 @@ func TestMeasurementDetectsPreLaunchTampering(t *testing.T) {
 	dirty := build(true)
 	if clean == dirty {
 		t.Error("tampered image must measure differently")
-	}
-}
-
-// TestMerkleProtectsSwappedMemory: Penglai's mountable Merkle tree rejects
-// content modified while a subtree was unmounted (e.g., swapped to host
-// storage), end to end with real page content.
-func TestMerkleProtectsSwappedMemory(t *testing.T) {
-	mach, _, k := bootStack(t, monitor.ModeHPMP)
-	p, _ := k.Spawn(kernel.Image{Name: "swap", TextPages: 4, DataPages: 4})
-	e, _ := k.NewEnv(p)
-	va := e.P.Heap()
-	e.StoreBytes(va, []byte("enclave page content"))
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
-	pa, _ := mach.MMU.Translate(va)
-
-	tree, err := merkle.New(16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := make([]byte, merkle.BlockSize)
-	mach.Mem.Read(pa.PageBase(), page)
-	if err := tree.Update(0, page); err != nil {
-		t.Fatal(err)
-	}
-	saved := tree.LeafDigests(0)
-	if _, err := tree.Unmount(0); err != nil {
-		t.Fatal(err)
-	}
-	// Host tampers with the "swapped" page while unprotected.
-	mach.Mem.Write64(pa.PageBase(), 0xdead)
-	if err := tree.Mount(0, saved); err != nil {
-		t.Fatal(err) // digests themselves are intact
-	}
-	tampered := make([]byte, merkle.BlockSize)
-	mach.Mem.Read(pa.PageBase(), tampered)
-	ok, err := tree.Verify(0, tampered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("tampered page must fail verification on swap-in")
 	}
 }

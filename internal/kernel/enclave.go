@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -53,17 +54,29 @@ func (k *Kernel) SpawnEnclave(img Image, memBytes uint64) (*Process, error) {
 	ptRegion := addr.Range{Base: block.Base, Size: ptPool}
 	dataRegion := addr.Range{Base: block.Base + addr.PA(ptPool), Size: memBytes}
 
-	dom, _, err := k.Mon.CreateEnclave(img.Name)
-	if err != nil {
+	dom := monitor.HostDomain // no enclave domain yet
+	// fail undoes a spawn that failed after carving: it destroys the
+	// half-built domain, if any, and gives the block back. A block the
+	// monitor may still hold regions in stays carved.
+	fail := func(err error) (*Process, error) {
+		if dom != monitor.HostDomain {
+			if _, derr := k.Mon.DestroyDomain(dom); derr != nil {
+				return nil, errors.Join(err, derr)
+			}
+		}
+		k.releaseEnclaveBlock(block)
 		return nil, err
+	}
+	if dom, _, err = k.Mon.CreateEnclave(img.Name); err != nil {
+		return fail(err)
 	}
 	ptGMS, _, err := k.Mon.AddRegion(dom, ptRegion, perm.RW, monitor.LabelFast)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	dataGMS, _, err := k.Mon.AddRegion(dom, dataRegion, perm.RWX, monitor.LabelSlow)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 
 	enc := &enclaveInfo{
@@ -78,7 +91,7 @@ func (k *Kernel) SpawnEnclave(img Image, memBytes uint64) (*Process, error) {
 	// Build the process out of enclave memory.
 	p, err := k.newProcess(img.Name, userLayout(img, int(memBytes/addr.PageSize/2)), enc)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	k.Mach.Core.Compute(2500) // enclave loader: copy image, set up runtime
 	k.Counters.Inc("kernel.spawn_enclave")

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 
 	"hpmp/internal/addr"
@@ -189,10 +190,10 @@ func TestEnclaveProcessGuards(t *testing.T) {
 	if err := k.Exit(p.PID); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := k.Mon.Domain(p.Domain()); ok || k.Mon.NumDomains() != domains-1 {
+	if k.Mon.NumDomains() != domains-1 {
 		t.Error("Exit of an enclave process must destroy its domain")
 	}
-	if k.Counters.Get("kernel.exit_enclave") != 1 || k.Counters.Get("kernel.exit") != 0 {
+	if k.Counters.Snapshot()["kernel.exit_enclave"] != 1 || k.Counters.Snapshot()["kernel.exit"] != 0 {
 		t.Error("an enclave exit counts as kernel.exit_enclave only")
 	}
 }
@@ -225,6 +226,30 @@ func TestEnclaveCarveGuards(t *testing.T) {
 	}
 	if spawned == 0 || spawned >= 64 {
 		t.Errorf("enclave carving should succeed several times then exhaust, got %d", spawned)
+	}
+}
+
+// TestSpawnEnclaveFailureLeaksNothing: a spawn that fails after its block
+// is carved gives the block back and destroys the half-built domain. Under
+// PMP mode the monitor refuses a data region that is not NAPOT, so all but
+// the first of these spawns fail in AddRegion.
+func TestSpawnEnclaveFailureLeaksNothing(t *testing.T) {
+	k := bootKernel(t, monitor.ModePMP)
+	spawnEnv(t, k)
+	failed := 0
+	for _, mib := range []uint64{4, 5, 6, 4, 8} {
+		carved, free, domains := k.enclaveCarved, slices.Clone(k.enclaveFree), k.Mon.NumDomains()
+		if _, err := k.SpawnEnclave(Image{Name: "e", TextPages: 4, DataPages: 4}, mib*addr.MiB); err == nil {
+			continue
+		}
+		failed++
+		if k.enclaveCarved != carved || !slices.Equal(k.enclaveFree, free) || k.Mon.NumDomains() != domains {
+			t.Errorf("failed %d MiB spawn: %d bytes carved, free blocks %v, %d domains; want %d, %v, %d",
+				mib, k.enclaveCarved, k.enclaveFree, k.Mon.NumDomains(), carved, free, domains)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("every spawn succeeded: the failure path went untested")
 	}
 }
 

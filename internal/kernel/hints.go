@@ -16,10 +16,6 @@ import (
 // it into a segment entry and *data-page* permission checks for the hot
 // range become free, on top of the already-free PT-page checks.
 
-// HintRegion returns the contiguous physical window used for hinted pages
-// (NAPOT, so it can ride a segment entry).
-func (k *Kernel) HintRegion() addr.Range { return k.hintRegion }
-
 // initHints sets the hint machinery up on first use.
 func (k *Kernel) initHints() error {
 	if k.hintsReady {

@@ -43,8 +43,8 @@ func TestHintLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !k.HintRegion().Contains(pa) {
-		t.Errorf("hinted page at %v, outside hint window %v", pa, k.HintRegion())
+	if !k.hintRegion.Contains(pa) {
+		t.Errorf("hinted page at %v, outside hint window %v", pa, k.hintRegion)
 	}
 
 	// Under HPMP the hinted data page is now segment-checked: a cold-TLB
@@ -59,14 +59,14 @@ func TestHintLifecycle(t *testing.T) {
 	}
 
 	// Only the first hint relabels the window.
-	labels := k.Mon.Counters.Get("monitor.set_label")
+	labels := k.Mon.Counters.Snapshot()["monitor.set_label"]
 	if labels == 0 {
 		t.Fatal("the first hint did not relabel the window")
 	}
 	if err := k.IoctlCreateHint(e, e.Alloc(addr.PageSize), addr.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if got := k.Mon.Counters.Get("monitor.set_label"); got != labels {
+	if got := k.Mon.Counters.Snapshot()["monitor.set_label"]; got != labels {
 		t.Errorf("second hint relabelled the window: monitor.set_label %d -> %d", labels, got)
 	}
 }
@@ -84,7 +84,7 @@ func TestHintUnmappedRangeFaultsIn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !k.HintRegion().Contains(pa) {
+		if !k.hintRegion.Contains(pa) {
 			t.Errorf("page %d at %v outside window", i, pa)
 		}
 	}

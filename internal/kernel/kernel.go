@@ -216,12 +216,6 @@ func (k *Kernel) shareKernelHalf(root addr.PA) error {
 // Current returns the running process, or nil.
 func (k *Kernel) Current() *Process { return k.procs[k.current] }
 
-// Process returns a process by pid.
-func (k *Kernel) Process(pid PID) (*Process, bool) {
-	p, ok := k.procs[pid]
-	return p, ok
-}
-
 // NumProcesses returns the live process count.
 func (k *Kernel) NumProcesses() int { return len(k.procs) }
 

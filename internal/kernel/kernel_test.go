@@ -263,7 +263,7 @@ func TestForkCoW(t *testing.T) {
 	if err := e.Err(); err != nil {
 		t.Fatalf("parent CoW write: %v", err)
 	}
-	if k.Counters.Get("kernel.cow_fault") == 0 {
+	if k.Counters.Snapshot()["kernel.cow_fault"] == 0 {
 		t.Error("expected CoW faults")
 	}
 }

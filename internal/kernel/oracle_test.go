@@ -288,8 +288,8 @@ func runSettleDifferential(t *testing.T, plat cpu.Platform, mode monitor.Mode, s
 		var herr, rerr error
 		var hvals, rvals []uint64
 		var hout, rout []mmu.Result
-		faults0 := head.k.Counters.Get("kernel.page_fault")
-		cows0 := head.k.Counters.Get("kernel.cow_fault")
+		faults0 := head.k.Counters.Snapshot()["kernel.page_fault"]
+		cows0 := head.k.Counters.Snapshot()["kernel.cow_fault"]
 		compute := false
 		var denied *int // the coverage count a refused op on a CoW page adds to
 		switch op := rng.intn(20); {
@@ -426,10 +426,10 @@ func runSettleDifferential(t *testing.T, plat cpu.Platform, mode monitor.Mode, s
 		if !reflect.DeepEqual(hh, rh) {
 			t.Fatalf("%s: latency histograms differ", where)
 		}
-		if hout != nil && compute && head.k.Counters.Get("kernel.page_fault") > faults0 {
+		if hout != nil && compute && head.k.Counters.Snapshot()["kernel.page_fault"] > faults0 {
 			cov.blockFaults++
 		}
-		cov.cowFaults += int(head.k.Counters.Get("kernel.cow_fault") - cows0)
+		cov.cowFaults += int(head.k.Counters.Snapshot()["kernel.cow_fault"] - cows0)
 	}
 	if cov.blockFaults == 0 || cov.cowFaults == 0 || cov.textWriteErrs == 0 ||
 		cov.readDenied == 0 || cov.fetchDenied == 0 || cov.scalar == 0 {

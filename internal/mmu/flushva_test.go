@@ -10,6 +10,7 @@ import (
 	"hpmp/internal/memport"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
+	"hpmp/internal/pmp"
 	"hpmp/internal/pmpt"
 	"hpmp/internal/pt"
 )
@@ -51,7 +52,7 @@ func TestFlushVADoesNotScopePMPTWalkerCache(t *testing.T) {
 	}
 	wcache := pmpt.NewWalkerCache(16)
 	wcache.Enabled = true
-	checker := hpmp.New(&pmpt.Walker{Port: port, Cache: wcache})
+	checker := hpmp.NewSized(&pmpt.Walker{Port: port, Cache: wcache}, pmp.NumEntries)
 	if err := checker.SetTable(0, all, ptab.RootBase()); err != nil {
 		t.Fatal(err)
 	}

@@ -47,19 +47,19 @@ func TestFlushVACounter(t *testing.T) {
 	if _, err := r.access(va, perm.Read, perm.U, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.mmu.Counters.Get("mmu.tlb_flush_va"); got != 0 {
+	if got := r.mmu.Counters.Snapshot()["mmu.tlb_flush_va"]; got != 0 {
 		t.Fatalf("tlb_flush_va = %d before any flush", got)
 	}
 	r.mmu.FlushVA(va)
 	r.mmu.FlushVA(va + addr.PageSize)
-	if got := r.mmu.Counters.Get("mmu.tlb_flush_va"); got != 2 {
+	if got := r.mmu.Counters.Snapshot()["mmu.tlb_flush_va"]; got != 2 {
 		t.Errorf("tlb_flush_va = %d after 2 FlushVA calls, want 2", got)
 	}
 	r.mmu.FlushTLB()
-	if got := r.mmu.Counters.Get("mmu.tlb_flush"); got != 1 {
+	if got := r.mmu.Counters.Snapshot()["mmu.tlb_flush"]; got != 1 {
 		t.Errorf("tlb_flush = %d after 1 FlushTLB, want 1", got)
 	}
-	if got := r.mmu.Counters.Get("mmu.tlb_flush_va"); got != 2 {
+	if got := r.mmu.Counters.Snapshot()["mmu.tlb_flush_va"]; got != 2 {
 		t.Errorf("FlushTLB leaked into tlb_flush_va: %d", got)
 	}
 }
@@ -74,15 +74,15 @@ func TestTranslateSkipsWalkLatencyHistogram(t *testing.T) {
 	va := addr.VA(0x4000_0000)
 	r.mapPage(t, va, perm.RW, true)
 
-	histBefore := r.mmu.Walker.Hist.Count()
-	walksBefore := r.mmu.Walker.Counters.Get("ptw.walk_ok")
+	histBefore := r.mmu.Walker.Hist.Snapshot().Count
+	walksBefore := r.mmu.Walker.Counters.Snapshot()["ptw.walk_ok"]
 	if _, err := r.mmu.Translate(va); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.mmu.Walker.Hist.Count(); got != histBefore {
+	if got := r.mmu.Walker.Hist.Snapshot().Count; got != histBefore {
 		t.Errorf("Translate observed into walk-latency histogram: %d -> %d", histBefore, got)
 	}
-	if got := r.mmu.Walker.Counters.Get("ptw.walk_ok"); got != walksBefore+1 {
+	if got := r.mmu.Walker.Counters.Snapshot()["ptw.walk_ok"]; got != walksBefore+1 {
 		t.Errorf("Translate must still count its walk: %d -> %d", walksBefore, got)
 	}
 
@@ -90,7 +90,7 @@ func TestTranslateSkipsWalkLatencyHistogram(t *testing.T) {
 	if _, err := r.access(va, perm.Read, perm.U, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.mmu.Walker.Hist.Count(); got != histBefore+1 {
+	if got := r.mmu.Walker.Hist.Snapshot().Count; got != histBefore+1 {
 		t.Errorf("demand walk must observe into the histogram: %d -> %d", histBefore, got)
 	}
 }

@@ -123,9 +123,6 @@ func New(cfg Config, hier *cache.Hierarchy, mem *phys.Memory, checker ptw.Checke
 	return m
 }
 
-// Config returns the MMU's configuration.
-func (m *MMU) Config() Config { return m.cfg }
-
 // SetRoot points satp at a new root PT page (context switch). The TLBs are
 // not flushed automatically — call FlushTLB, as the kernel's sfence.vma
 // would.

@@ -11,6 +11,7 @@ import (
 	"hpmp/internal/obs"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
+	"hpmp/internal/pmp"
 	"hpmp/internal/pmpt"
 	"hpmp/internal/pt"
 )
@@ -69,13 +70,13 @@ func newRigL2(t *testing.T, mode isoMode, l2Entries int) *rig {
 	case isoNone:
 		checker = nil
 	case isoPMP:
-		checker = hpmp.New(&pmpt.Walker{Port: port})
+		checker = hpmp.NewSized(&pmpt.Walker{Port: port}, pmp.NumEntries)
 		// One segment covering all of memory RWX (non-secure baseline).
 		if err := checker.SetSegment(0, addr.Range{Base: 0, Size: memSize}, perm.RWX, false); err != nil {
 			t.Fatal(err)
 		}
 	case isoPMPT, isoHPMP:
-		checker = hpmp.New(&pmpt.Walker{Port: port})
+		checker = hpmp.NewSized(&pmpt.Walker{Port: port}, pmp.NumEntries)
 		all := addr.Range{Base: 0, Size: memSize}
 		ptab, err := pmpt.NewTable(mem, monAlloc, all)
 		if err != nil {

@@ -291,23 +291,8 @@ func Boot(mach *cpu.Machine, cfg Config) (*Monitor, error) {
 
 func (m *Monitor) tableMode() bool { return m.cfg.Mode != ModePMP }
 
-// Mode returns the isolation mode the monitor was booted with.
-func (m *Monitor) Mode() Mode { return m.cfg.Mode }
-
 // Current returns the running domain.
 func (m *Monitor) Current() DomainID { return m.current }
-
-// Domain returns a domain by id.
-func (m *Monitor) Domain(id DomainID) (*Domain, bool) {
-	d, ok := m.domains[id]
-	return d, ok
-}
-
-// GMS returns a segment by id.
-func (m *Monitor) GMS(id GMSID) (*GMS, bool) {
-	g, ok := m.gmss[id]
-	return g, ok
-}
 
 // NumDomains returns the live domain count (including the host).
 func (m *Monitor) NumDomains() int { return len(m.domains) }

@@ -280,7 +280,7 @@ func TestMeasurementAndAttest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, _ := mon.Domain(enc); d.Measurement != m1 {
+	if mon.domains[enc].Measurement != m1 {
 		t.Error("Measure must record the measurement on the domain")
 	}
 	// Tampering changes the measurement.
@@ -302,7 +302,7 @@ func TestDestroyDomain(t *testing.T) {
 	if _, err := mon.DestroyDomain(enc); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := mon.Domain(enc); ok {
+	if _, ok := mon.domains[enc]; ok {
 		t.Error("destroyed domain still present")
 	}
 	if !hostCheck(t, mon, region.Base, perm.Read) {

@@ -118,12 +118,8 @@ type region struct {
 	ok bool
 }
 
-// New returns a 16-entry PMP unit with all entries off and the standard
-// M-mode default-allow behaviour.
-func New() *Unit { return NewSized(NumEntries) }
-
-// NewSized returns a PMP unit with n entries (16 for the base ISA, 64 for
-// ePMP).
+// NewSized returns a PMP unit with n entries (NumEntries for the base ISA,
+// 64 for ePMP), all off, with the standard M-mode default-allow behaviour.
 func NewSized(n int) *Unit {
 	return &Unit{entries: make([]Entry, n), regions: make([]region, n)}
 }

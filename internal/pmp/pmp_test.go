@@ -9,7 +9,7 @@ import (
 )
 
 func TestSegmentGrant(t *testing.T) {
-	u := New()
+	u := NewSized(NumEntries)
 	region := addr.Range{Base: 0x8000_0000, Size: 1 * addr.MiB}
 	if err := u.SetSegment(0, region, perm.RW, false); err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestSegmentGrant(t *testing.T) {
 }
 
 func TestPriority(t *testing.T) {
-	u := New()
+	u := NewSized(NumEntries)
 	region := addr.Range{Base: 0x8000_0000, Size: 64 * addr.KiB}
 	// Entry 0 denies, entry 1 grants the same region: entry 0 must win.
 	if err := u.SetSegment(0, region, perm.None, false); err != nil {
@@ -53,7 +53,7 @@ func TestPriority(t *testing.T) {
 }
 
 func TestTOR(t *testing.T) {
-	u := New()
+	u := NewSized(NumEntries)
 	// Entry 0: TOR top = 0x1000 → [0, 0x1000). Entry 1: TOR top = 0x3000 →
 	// [0x1000, 0x3000).
 	if err := u.SetTOR(0, 0x1000, perm.R, false); err != nil {
@@ -82,7 +82,7 @@ func TestTOR(t *testing.T) {
 }
 
 func TestNA4(t *testing.T) {
-	u := New()
+	u := NewSized(NumEntries)
 	if err := u.SetSegment(0, addr.Range{Base: 0x1000, Size: 4}, perm.R, false); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestNA4(t *testing.T) {
 }
 
 func TestStraddlingAccessFails(t *testing.T) {
-	u := New()
+	u := NewSized(NumEntries)
 	u.SetSegment(0, addr.Range{Base: 0x1000, Size: 0x1000}, perm.RWX, false)
 	// 8-byte access straddling the segment end: matches (overlaps) but is
 	// not contained → fail.
@@ -108,7 +108,7 @@ func TestStraddlingAccessFails(t *testing.T) {
 }
 
 func TestLock(t *testing.T) {
-	u := New()
+	u := NewSized(NumEntries)
 	region := addr.Range{Base: 0x8000_0000, Size: 4 * addr.KiB}
 	if err := u.SetSegment(0, region, perm.R, true); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestLock(t *testing.T) {
 }
 
 func TestUnlockedEntryDoesNotBindM(t *testing.T) {
-	u := New()
+	u := NewSized(NumEntries)
 	u.SetSegment(0, addr.Range{Base: 0x1000, Size: 0x1000}, perm.None, false)
 	if r := u.Check(0x1000, 8, perm.Write, perm.M); !r.Allowed {
 		t.Errorf("unlocked entry must not constrain M-mode: %+v", r)
@@ -153,7 +153,7 @@ func TestCfgRoundTrip(t *testing.T) {
 }
 
 func TestEntryIndexValidation(t *testing.T) {
-	u := New()
+	u := NewSized(NumEntries)
 	if err := u.SetSegment(-1, addr.Range{Base: 0, Size: 4096}, perm.R, false); err == nil {
 		t.Error("negative index must fail")
 	}
@@ -172,7 +172,7 @@ func TestEntryIndexValidation(t *testing.T) {
 // check when the permission includes R, and every address outside all
 // entries fails for S-mode.
 func TestSegmentCoverageQuick(t *testing.T) {
-	u := New()
+	u := NewSized(NumEntries)
 	region := addr.Range{Base: 0x4000_0000, Size: 16 * addr.MiB}
 	if err := u.SetSegment(0, region, perm.R, false); err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestSegmentRegionRoundTripQuick(t *testing.T) {
 		shift := 12 + int(sizeShift%16) // 4 KiB .. 128 MiB
 		size := uint64(1) << shift
 		base := (uint64(baseSeed) << 12) &^ (size - 1)
-		u := New()
+		u := NewSized(NumEntries)
 		if err := u.SetSegment(3, addr.Range{Base: addr.PA(base), Size: size}, perm.RWX, false); err != nil {
 			return false
 		}

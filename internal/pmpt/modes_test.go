@@ -234,7 +234,7 @@ func TestRevokeSpanDenies(t *testing.T) {
 						t.Errorf("%s: walk(%v) = %+v, %v; want an invalid entry", before, pa, res, err)
 					}
 				}
-				if got := w.Counters.Get("pmptw.invalid"); got != uint64(len(probes)) {
+				if got := w.Counters.Snapshot()["pmptw.invalid"]; got != uint64(len(probes)) {
 					t.Errorf("%s: pmptw.invalid = %d, want %d", before, got, len(probes))
 				}
 				// The revoke frees every sub-table beneath the span, so the

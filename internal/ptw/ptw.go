@@ -40,9 +40,6 @@ type Result struct {
 	PWCHits     int    // PTE fetches served by the PWC
 }
 
-// TotalRefs returns all memory references the walk performed.
-func (r Result) TotalRefs() int { return r.PTRefs + r.PTCheckRefs }
-
 // Walker is the PTW attached to one hart.
 type Walker struct {
 	Mode    addr.Mode
@@ -131,18 +128,11 @@ func leafTranslation(e pt.PTE, va addr.VA, level int) pt.Translation {
 	}
 }
 
-// Walk translates va starting from the page table rooted at root, issuing
-// memory references at core-cycle now.
-func (w *Walker) Walk(root addr.PA, va addr.VA, now uint64) (Result, error) {
-	var res Result
-	err := w.WalkInto(root, va, now, &res)
-	return res, err
-}
-
-// WalkInto is Walk writing into a caller-provided Result. The MMU's access
-// path uses it to build the walk sub-result in place inside mmu.Result —
-// returning the 64-byte struct by value through Walk costs a duffcopy per
-// TLB miss that this form avoids. *out is reset before the walk.
+// WalkInto translates va starting from the page table rooted at root,
+// issuing memory references at core-cycle now, and writes the outcome to
+// *out, which it resets first. The MMU's access path builds the walk
+// sub-result in place inside mmu.Result this way: returning the 64-byte
+// struct by value would cost a duffcopy per TLB miss.
 func (w *Walker) WalkInto(root addr.PA, va addr.VA, now uint64, out *Result) error {
 	*out = Result{}
 	err := w.walk(root, va, now, out)

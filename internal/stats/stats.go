@@ -56,17 +56,6 @@ func (c *Counters) Add(name string, n uint64) { *c.Handle(name) += n }
 // Inc increments the named counter by one.
 func (c *Counters) Inc(name string) { *c.Handle(name)++ }
 
-// Get returns the counter's value (zero if it was never touched). It is a
-// cold-path lookup: it pays a map access per call, so readers that walk the
-// whole set should use Snapshot or String, and per-access hot paths must use
-// Handle.
-func (c *Counters) Get(name string) uint64 {
-	if p, ok := c.vals[name]; ok {
-		return *p
-	}
-	return 0
-}
-
 // Snapshot copies every counter into a fresh map. The map is independent of
 // the live counters, so it can cross goroutines freely — the export path
 // (metrics JSON, Prometheus text) is built on it.
@@ -76,13 +65,6 @@ func (c *Counters) Snapshot() map[string]uint64 {
 		out[name] = *c.vals[name]
 	}
 	return out
-}
-
-// Reset zeroes every counter but keeps the name order (and every handle).
-func (c *Counters) Reset() {
-	for _, p := range c.vals {
-		*p = 0
-	}
 }
 
 // Merge adds every counter of o into c.
@@ -153,12 +135,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.n++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
 // Mean returns the mean observation, or 0 with no observations.
 func (h *Histogram) Mean() float64 {
 	if h.n == 0 {
@@ -166,9 +142,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return float64(h.sum) / float64(h.n)
 }
-
-// Min returns the smallest observation (0 if empty).
-func (h *Histogram) Min() uint64 { return h.min }
 
 // Max returns the largest observation (0 if empty).
 func (h *Histogram) Max() uint64 { return h.max }

@@ -13,7 +13,7 @@ func TestCounters(t *testing.T) {
 	c.Inc("a")
 	c.Add("b", 5)
 	c.Inc("a")
-	if c.Get("a") != 2 || c.Get("b") != 5 || c.Get("missing") != 0 {
+	if s := c.Snapshot(); s["a"] != 2 || s["b"] != 5 || len(s) != 2 {
 		t.Errorf("counter values wrong: %v", c.String())
 	}
 	names := c.order
@@ -24,12 +24,8 @@ func TestCounters(t *testing.T) {
 	d.Add("b", 1)
 	d.Add("c", 3)
 	c.Merge(&d)
-	if c.Get("b") != 6 || c.Get("c") != 3 {
+	if s := c.Snapshot(); s["b"] != 6 || s["c"] != 3 {
 		t.Errorf("Merge wrong: %v", c.String())
-	}
-	c.Reset()
-	if c.Get("a") != 0 || len(c.order) != 3 {
-		t.Error("Reset must zero values but keep names")
 	}
 }
 
@@ -38,11 +34,8 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []uint64{1, 5, 10, 11, 99, 500, 5000} {
 		h.Observe(v)
 	}
-	if h.Count() != 7 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if h.Min() != 1 || h.Max() != 5000 {
-		t.Errorf("Min/Max = %d/%d", h.Min(), h.Max())
+	if s := h.Snapshot(); s.Count != 7 || s.Min != 1 || s.Max != 5000 {
+		t.Errorf("Count/Min/Max = %d/%d/%d", s.Count, s.Min, s.Max)
 	}
 	wantMean := float64(1+5+10+11+99+500+5000) / 7
 	if math.Abs(h.Mean()-wantMean) > 1e-9 {
@@ -102,7 +95,7 @@ func TestHistogramMeanBoundsQuick(t *testing.T) {
 		for _, v := range raw {
 			h.Observe(uint64(v))
 		}
-		return h.Mean() >= float64(h.Min()) && h.Mean() <= float64(h.Max())
+		return h.Mean() >= float64(h.Snapshot().Min) && h.Mean() <= float64(h.Max())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -112,7 +105,7 @@ func TestHistogramMeanBoundsQuick(t *testing.T) {
 func TestTableRender(t *testing.T) {
 	tb := NewTable("Demo", "Name", "Value")
 	tb.AddRow("alpha", "1")
-	tb.AddRow("beta", FormatFloat(2.5))
+	tb.AddRow("beta", "2.50")
 	out := tb.Render()
 	if !strings.Contains(out, "== Demo ==") {
 		t.Error("missing title")
@@ -145,7 +138,7 @@ func TestTableCSVEscaping(t *testing.T) {
 func TestCounterHandles(t *testing.T) {
 	var c Counters
 	h := c.Handle("hits")
-	if got := c.Get("hits"); got != 0 {
+	if got := c.Snapshot()["hits"]; got != 0 {
 		t.Errorf("fresh handle value = %d, want 0", got)
 	}
 	if names := c.order; len(names) != 1 || names[0] != "hits" {
@@ -153,7 +146,7 @@ func TestCounterHandles(t *testing.T) {
 	}
 	*h += 3
 	c.Inc("hits")
-	if got := c.Get("hits"); got != 4 {
+	if got := c.Snapshot()["hits"]; got != 4 {
 		t.Errorf("handle and string API must share storage: got %d, want 4", got)
 	}
 	if c.Handle("hits") != h {
@@ -163,41 +156,19 @@ func TestCounterHandles(t *testing.T) {
 		t.Errorf("String() = %q, want \"hits=4\"", got)
 	}
 
-	// The pointer survives Reset (zeroing) and Merge (growth of the map).
-	c.Reset()
-	if *h != 0 {
-		t.Errorf("Reset must zero through the handle: %d", *h)
-	}
+	// The pointer survives Merge (growth of the map).
 	var o Counters
 	for i := 0; i < 100; i++ {
 		o.Inc(fmt.Sprintf("other.%d", i))
 	}
 	o.Add("hits", 7)
 	c.Merge(&o)
-	if *h != 7 {
-		t.Errorf("handle stale after Merge: %d, want 7", *h)
+	if *h != 11 {
+		t.Errorf("handle stale after Merge: %d, want 11", *h)
 	}
 	*h++
-	if c.Get("hits") != 8 {
-		t.Errorf("post-merge handle writes lost: %d, want 8", c.Get("hits"))
-	}
-}
-
-// TestCountersMergeAfterReset: Reset keeps names at zero, and a following
-// Merge must land on the zeroed values, not resurrect pre-Reset ones.
-func TestCountersMergeAfterReset(t *testing.T) {
-	var c Counters
-	c.Add("x", 10)
-	c.Add("y", 20)
-	c.Reset()
-	var o Counters
-	o.Add("x", 1)
-	c.Merge(&o)
-	if c.Get("x") != 1 || c.Get("y") != 0 {
-		t.Errorf("Merge after Reset: %s", c.String())
-	}
-	if got := c.String(); got != "x=1 y=0" {
-		t.Errorf("name order must survive Reset+Merge: %q", got)
+	if got := c.Snapshot()["hits"]; got != 12 {
+		t.Errorf("post-merge handle writes lost: %d, want 12", got)
 	}
 }
 
@@ -211,7 +182,6 @@ func TestEmptyRendering(t *testing.T) {
 	if len(c.order) != 0 {
 		t.Errorf("empty Counters order = %v", c.order)
 	}
-	c.Reset()            // must not panic on nil map
 	c.Merge(&Counters{}) // merging empty into empty is a no-op
 
 	tb := NewTable("Empty", "col")
@@ -232,9 +202,9 @@ func TestEmptyRendering(t *testing.T) {
 // instead of dividing by its zero count.
 func TestZeroHistogram(t *testing.T) {
 	h := DefaultLatencyHistogram()
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 || h.Mean() != 0 || s.Min != 0 || s.Max != 0 {
 		t.Errorf("zero histogram stats: count=%d sum=%d mean=%v min=%d max=%d",
-			h.Count(), h.Sum(), h.Mean(), h.Min(), h.Max())
+			s.Count, s.Sum, h.Mean(), s.Min, s.Max)
 	}
 	if h.Quantile(0.5) != 0 || h.Quantile(0.99) != 0 {
 		t.Errorf("zero histogram quantiles: p50=%d p99=%d", h.Quantile(0.5), h.Quantile(0.99))
@@ -254,10 +224,10 @@ func TestHistogramMergeSnapshot(t *testing.T) {
 		b.Observe(v)
 	}
 	a.Merge(b)
-	if a.Count() != 4 || a.Sum() != 560 || a.Min() != 3 || a.Max() != 500 {
-		t.Errorf("merged stats: count=%d sum=%d min=%d max=%d", a.Count(), a.Sum(), a.Min(), a.Max())
-	}
 	s := a.Snapshot()
+	if s.Count != 4 || s.Sum != 560 || s.Min != 3 || s.Max != 500 {
+		t.Errorf("merged stats: count=%d sum=%d min=%d max=%d", s.Count, s.Sum, s.Min, s.Max)
+	}
 	if len(s.Edges) != 2 || len(s.Counts) != 3 {
 		t.Fatalf("snapshot shape: edges=%v counts=%v", s.Edges, s.Counts)
 	}

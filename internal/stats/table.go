@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -22,15 +21,6 @@ func NewTable(title string, header ...string) *Table {
 
 // AddRow appends a row; cells beyond the header width are kept as-is.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-// FormatFloat renders a float with two decimals, trimming trailing zeros for
-// whole numbers ≥ 100 for compactness.
-func FormatFloat(v float64) string {
-	if math.Abs(v-math.Round(v)) < 1e-9 && math.Abs(v) >= 100 {
-		return fmt.Sprintf("%.0f", v)
-	}
-	return fmt.Sprintf("%.2f", v)
-}
 
 // NumRows returns the number of data rows added so far.
 func (t *Table) NumRows() int { return len(t.rows) }

@@ -79,9 +79,6 @@ func (t *L1) FlushAll() { t.tags.FlushAll() }
 // FlushVPN invalidates the entry for one page (sfence.vma with an address).
 func (t *L1) FlushVPN(vpn uint64) { t.tags.Flush(vpn) }
 
-// Len returns the capacity.
-func (t *L1) Len() int { return t.tags.Len() }
-
 // L2 is a direct-mapped second-level TLB. Like assoc.Array it tags each
 // slot with VPN+1, 0 marking an empty slot.
 type L2 struct {

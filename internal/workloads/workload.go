@@ -93,9 +93,6 @@ func NewU32Array(e *kernel.Env, n int) *U32Array {
 	return &U32Array{e: e, base: e.Alloc(uint64(n) * 4), n: n}
 }
 
-// Len returns the element count.
-func (a *U32Array) Len() int { return a.n }
-
 func (a *U32Array) addr(i int) addr.VA {
 	checkIndex(i, a.n)
 	return a.base + addr.VA(i*4)

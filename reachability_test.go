@@ -2,119 +2,178 @@ package main_test
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
+	"go/types"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// keptUnreached lists exported functions and methods under internal/ that
-// no production file calls by name but that stay on purpose.
+// keptUnreached lists exported functions and methods under internal/,
+// keyed by package path, receiver type and name, that no non-test code
+// uses but that stay on purpose.
 var keptUnreached = map[string]string{
-	// Accessors tests inspect state through.
-	"Allocated":     "phys: live frames of an allocator",
-	"TouchedFrames": "phys: frames a run materialized",
-	"TablePages":    "pmpt: pages a permission table occupies",
-	"Translate":     "mmu: side-effect-free VA-to-PA lookup",
-	"MappedPages":   "kernel: pages a process materialized",
-	"NumProcesses":  "kernel: live process count",
-	"IsEnclave":     "kernel: whether a process runs in an enclave",
-	"NumDomains":    "monitor: live domain count",
-	"PTHostPages":   "virt: host frames behind the guest PT pages",
-	"HGet":          "miniredis: reads back HSET",
-	"LLen":          "miniredis: reads back RPUSH/LPUSH",
-	"SCard":         "miniredis: reads back SADD",
+	// Accessors that show tests state no live API shows.
+	"hpmp/internal/phys.FrameAllocator.Allocated": "live frames of an allocator",
+	"hpmp/internal/phys.FrameAllocator.Region":    "the range a pool draws from, which enclave frames must stay inside",
+	"hpmp/internal/phys.Memory.TouchedFrames":     "frames a run materialized",
+	"hpmp/internal/pmpt.Table.TablePages":         "pages a permission table occupies",
+	"hpmp/internal/mmu.MMU.Translate":             "side-effect-free VA-to-PA lookup",
+	"hpmp/internal/kernel.Process.MappedPages":    "pages a process materialized",
+	"hpmp/internal/kernel.Kernel.NumProcesses":    "live process count",
+	"hpmp/internal/kernel.Process.IsEnclave":      "whether a process runs in an enclave",
+	"hpmp/internal/monitor.Monitor.NumDomains":    "live domain count",
+	"hpmp/internal/virt.GuestTable.PTHostPages":   "host frames behind the guest PT pages",
+	"hpmp/internal/miniredis.Server.HGet":         "reads back HSET",
+	"hpmp/internal/miniredis.Server.LLen":         "reads back RPUSH/LPUSH",
+	"hpmp/internal/miniredis.Server.SCard":        "reads back SADD",
 
 	// Oracles and fixtures the tests check live code against.
-	"LookupSW":    "pmpt: software walk the hardware walker is checked against",
-	"Need":        "perm: the access-to-bit spec Perm.Allows is checked against",
-	"SplitOffset": "pmpt: Figure 6-e offset split the table tests index with",
-	"MapSuper":    "pt: builds superpage leaves for the walkers' superpage tests",
-	"SetTOR":      "pmp: TOR entries, part of the PMP matching the pmp tests cover",
-	"HashBlock":   "merkle: leaf hash the integrity tests recompute",
-	"Mounted":     "merkle: subtree mount state",
-	"NumBlocks":   "merkle: protected block count",
+	"hpmp/internal/pmpt.Table.LookupSW": "software walk the hardware walker is checked against",
+	"hpmp/internal/perm.Access.Need":    "the access-to-bit spec Perm.Allows is checked against",
+	"hpmp/internal/pmp.Unit.Check":      "base PMP check the HPMP segment path is checked against",
+	"hpmp/internal/pmpt.SplitOffset":    "Figure 6-e offset split the table tests index with",
+	"hpmp/internal/pt.Table.MapSuper":   "builds superpage leaves for the walkers' superpage tests",
+	"hpmp/internal/pmp.Unit.SetTOR":     "TOR entries, part of the PMP matching the pmp tests cover",
+	"hpmp/internal/obs.Tracer.Events":   "the retained ring as one slice, which tests compare and replay; production streams it with Each",
+}
 
-	// Called through an interface from outside the module.
-	"MarshalJSON":   "json.Marshaler",
-	"UnmarshalJSON": "json.Unmarshaler",
+// calledByStd names the standard-library interfaces whose methods the
+// standard library calls on values the module hands it: fmt and log
+// print errors and Stringers, encoding/json marshals and unmarshals.
+var calledByStd = []struct{ pkg, name string }{
+	{"", "error"},
+	{"fmt", "Stringer"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
 }
 
 // TestExportedAPIsAreReached fails on an exported function or method,
-// declared in a non-test file under internal/, whose name no non-test file
-// of the module or of cmd/hpmpbench mentions: production code nothing
-// reaches, kept alive only by its own tests.
+// declared in a non-test file under internal/, that no non-test code of
+// the module (examples included) or of cmd/hpmpbench uses: production code
+// nothing reaches, kept alive only by its own tests.
 //
-// The check matches on names only. A dead method that shares its name with
-// a live one (Lock, Touch) passes it, so deleting such a method still needs
-// a human reviewer.
+// Uses are resolved by type, so a dead method does not pass because a live
+// method of another type shares its name. A method counts as used when it
+// implements a method of an interface that is used, or of one in
+// calledByStd.
 func TestExportedAPIsAreReached(t *testing.T) {
-	fset := token.NewFileSet()
-	declared := map[string][]string{} // name -> "file:line" of each declaration
+	fset, pkgs := typeCheckModule(t)
 	used := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		decls := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
+	ifaceMethods := map[string][]*types.Interface{} // method name -> used interfaces declaring it
+	for _, cp := range pkgs {
+		for _, obj := range cp.info.Uses {
+			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
 			}
-			decls[fn.Name] = true
-			if fn.Name.IsExported() && strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-				declared[fn.Name.Name] = append(declared[fn.Name.Name], fset.Position(fn.Pos()).String())
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					ifaceMethods[fn.Name()] = append(ifaceMethods[fn.Name()], iface)
+					continue
+				}
+			}
+			used[funcKey(fn)] = true
+		}
+	}
+	for _, c := range calledByStd {
+		scope := types.Universe
+		if c.pkg != "" {
+			p, err := stdImporter.Import(c.pkg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope = p.Scope()
+		}
+		iface := scope.Lookup(c.name).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			name := iface.Method(i).Name()
+			ifaceMethods[name] = append(ifaceMethods[name], iface)
+		}
+	}
+	implements := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		typ := recv.Type()
+		if _, ok := typ.(*types.Pointer); !ok {
+			typ = types.NewPointer(typ) // *T has T's methods too
+		}
+		for _, iface := range ifaceMethods[fn.Name()] {
+			if types.Implements(typ, iface) {
+				return true
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !decls[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
+		return false
+	}
+
+	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(declared) == 0 {
-		t.Fatal("no exported functions found under internal/: run from the module root")
-	}
+	declared := map[string]bool{}
 	var dead []string
-	for name, sites := range declared {
-		if !used[name] && keptUnreached[name] == "" {
-			dead = append(dead, name+" ("+strings.Join(sites, ", ")+")")
+	for _, cp := range pkgs {
+		if !strings.HasPrefix(cp.path, "hpmp/internal/") {
+			continue
 		}
+		for _, f := range cp.files {
+			for _, d := range f.Decls {
+				decl, ok := d.(*ast.FuncDecl)
+				if !ok || !decl.Name.IsExported() {
+					continue
+				}
+				fn := cp.info.Defs[decl.Name].(*types.Func)
+				key := funcKey(fn)
+				declared[key] = true
+				if used[key] || implements(fn) {
+					if keptUnreached[key] != "" {
+						t.Errorf("allowlisted %s is now reached from production code: drop it from keptUnreached", key)
+					}
+					continue
+				}
+				if keptUnreached[key] == "" {
+					pos := fset.Position(decl.Pos())
+					if rel, err := filepath.Rel(wd, pos.Filename); err == nil {
+						pos.Filename = rel
+					}
+					dead = append(dead, key+" ("+pos.String()+")")
+				}
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("no exported functions found under internal/")
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
 		t.Errorf("exported but reached only from tests: %s", d)
 	}
-	for name := range keptUnreached {
-		if declared[name] == nil {
-			t.Errorf("allowlisted %s is no longer declared under internal/: drop it from keptUnreached", name)
-		} else if used[name] && len(declared[name]) == 1 {
-			// A name declared more than once is reached through
-			// any of its declarations; its entry speaks for the one its
-			// reason names.
-			t.Errorf("allowlisted %s is now reached from production code: drop it from keptUnreached", name)
+	for key := range keptUnreached {
+		if !declared[key] {
+			t.Errorf("allowlisted %s is no longer declared under internal/: drop it from keptUnreached", key)
 		}
 	}
+}
+
+// funcKey names a function or method by its package path, receiver type
+// (for a method) and name, e.g. "hpmp/internal/phys.FrameAllocator.Allocated".
+func funcKey(fn *types.Func) string {
+	fn = fn.Origin()
+	key := ""
+	if fn.Pkg() != nil {
+		key = fn.Pkg().Path() + "."
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		typ := recv.Type()
+		if p, ok := typ.(*types.Pointer); ok {
+			typ = p.Elem()
+		}
+		if named, ok := typ.(*types.Named); ok {
+			key += named.Obj().Name() + "."
+		}
+	}
+	return key + fn.Name()
 }
