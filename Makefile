@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-smoke bench-ab bench-full-ab eval eval-quick examples artifacts metrics-baseline metrics-diff clean
+.PHONY: all build vet fmt-check inline-check test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-smoke bench-ab bench-full-ab eval eval-quick examples artifacts metrics-baseline metrics-diff clean
 
 all: build vet fmt-check test race smoke fuzz
 
@@ -17,6 +17,20 @@ vet:
 # gofmt-clean.
 fmt-check:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt needed:"; echo "$$out"; exit 1; }
+
+# Inlining gate: the cache probe's helpers and the shared LRU array's
+# lookup must stay inlined into their callers; each lost inline adds a call
+# to every simulated memory reference. Fails naming the first call the
+# compiler (-gcflags=-m) no longer inlines.
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/cache ./internal/assoc 2>&1) || { echo "$$out"; exit 1; }; \
+	for want in 'internal/cache/cache.go:key' 'internal/cache/cache.go:lookup' \
+		'internal/cache/cache.go:(*Cache).set' 'internal/assoc/assoc.go:(*Array).Lookup'; do \
+		file=$${want%%:*}; call="inlining call to $${want#*:}"; \
+		echo "$$out" | awk -v f="$$file:" -v c="$$call" \
+			'index($$0, f) == 1 && substr($$0, length($$0) - length(c) + 1) == c { ok = 1 } END { exit !ok }' || \
+			{ echo "inline-check: $$file no longer inlines $${want#*:}"; exit 1; }; \
+	done
 
 test:
 	$(GO) test ./...

@@ -365,7 +365,7 @@ func TestWalkMissAccessZeroAllocs(t *testing.T) {
 			if err := m.Access(vas[i%walkMissPages], perm.Read, perm.U, now, &res); err != nil || res.Faulted() {
 				t.Fatalf("%+v %v", res, err)
 			}
-			if !res.Walked || res.Walk.PTRefs == 0 {
+			if res.TLBHit != obs.TLBMiss || res.Walk.PTRefs == 0 {
 				t.Fatalf("%s: access %d did not walk to memory: %+v", mode, i, res)
 			}
 			now += res.Latency
@@ -383,13 +383,11 @@ func TestWalkMissAccessZeroAllocs(t *testing.T) {
 func benchRig(b testing.TB) (*mmu.MMU, addr.VA) {
 	const memSize = 256 * addr.MiB
 	mem := phys.New(memSize)
-	hier := &cache.Hierarchy{
-		L1:         cache.New(cache.Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, LineSize: 64, Latency: 2}),
-		L2:         cache.New(cache.Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12}),
-		LLC:        cache.New(cache.Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26}),
-		Mem:        dram.New(dram.Default()),
-		ClockRatio: 1.0,
-	}
+	hier := cache.NewHierarchy(
+		cache.New(cache.Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, LineSize: 64, Latency: 2}),
+		cache.New(cache.Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12}),
+		cache.New(cache.Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26}),
+		dram.New(dram.Default()), 1.0)
 	ptRegion := addr.Range{Base: 0x40_0000, Size: 4 * addr.MiB}
 	ptAlloc := phys.NewFrameAllocator(ptRegion, false)
 	tbl, err := pt.New(mem, ptAlloc, addr.Sv39)
@@ -397,11 +395,11 @@ func benchRig(b testing.TB) (*mmu.MMU, addr.VA) {
 		b.Fatal(err)
 	}
 	port := &memport.Timed{Hier: hier, Mem: mem}
-	checker := hpmp.NewSized(&pmpt.Walker{Port: port}, pmp.NumEntries)
+	checker := hpmp.NewSized(pmpt.NewWalker(port, nil), pmp.NumEntries)
 	if err := checker.SetSegment(0, addr.Range{Base: 0, Size: memSize}, perm.RWX, false); err != nil {
 		b.Fatal(err)
 	}
-	m := mmu.New(mmu.DefaultConfig(addr.Sv39), hier, mem, checker, port)
+	m := mmu.New(mmu.DefaultConfig(addr.Sv39), hier, checker, port)
 	m.SetRoot(tbl.Root())
 	va := addr.VA(0x1000_0000)
 	if err := tbl.Map(va, 0x800_0000, perm.RW, true); err != nil {
@@ -536,7 +534,7 @@ func pmptWalkRig(tb testing.TB) (*pmpt.Walker, addr.PA, addr.Range, addr.PA) {
 	}
 	cache := pmpt.NewWalkerCache(8)
 	cache.Enabled = true
-	w := &pmpt.Walker{Port: &memport.Flat{Mem: mem, Latency: 10}, Cache: cache}
+	w := pmpt.NewWalker(&memport.Flat{Mem: mem, Latency: 10}, cache)
 	res, err := w.Walk(tbl.RootBase(), region, pa, 0)
 	if err != nil || !res.Valid {
 		tb.Fatalf("warm walk failed: %+v %v", res, err)
@@ -682,7 +680,7 @@ func TestPTWWalkPWCHitZeroAllocsWithTracer(t *testing.T) {
 // the check-latency histogram attached: a T=0 match is a register compare
 // plus one in-place histogram bucket increment, and must not allocate.
 func TestHPMPCheckSegmentZeroAllocs(t *testing.T) {
-	checker := hpmp.NewSized(&pmpt.Walker{Port: &memport.Flat{Mem: phys.New(64 * addr.MiB), Latency: 10}}, pmp.NumEntries)
+	checker := hpmp.NewSized(pmpt.NewWalker(&memport.Flat{Mem: phys.New(64 * addr.MiB), Latency: 10}, nil), pmp.NumEntries)
 	if err := checker.SetSegment(0, addr.Range{Base: 0, Size: 64 * addr.MiB}, perm.RWX, false); err != nil {
 		t.Fatal(err)
 	}
@@ -728,7 +726,7 @@ func TestHotPathHistogramsRecord(t *testing.T) {
 	if _, err := w.Walk(root, region, pa, 100); err != nil {
 		t.Fatal(err)
 	}
-	if w.Hist().Snapshot().Count == 0 {
+	if w.Hist.Snapshot().Count == 0 {
 		t.Error("pmptw.walk_latency histogram is empty")
 	}
 }

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -28,51 +29,62 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "run scaled-down experiment sizes")
-	width := flag.Int("width", 52, "max bar width in characters")
-	metrics := flag.String("metrics", "", "render a saved hpmp-metrics/v1 snapshot file instead of running an experiment")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable CLI entry point: it parses argv, renders to stdout,
+// and returns the process exit code (0 ok, 1 failure, 2 usage error).
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hpmpviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "run scaled-down experiment sizes")
+	width := fs.Int("width", 52, "max bar width in characters")
+	metrics := fs.String("metrics", "", "render a saved hpmp-metrics/v1 snapshot file instead of running an experiment")
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
 	if *metrics != "" {
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: hpmpviz -metrics <file> (no experiment id)")
-			os.Exit(2)
+		if fs.NArg() != 0 {
+			fmt.Fprintln(stderr, "usage: hpmpviz -metrics <file> (no experiment id)")
+			return 2
 		}
-		if err := renderMetricsFile(*metrics, *width); err != nil {
-			fmt.Fprintf(os.Stderr, "hpmpviz: %v\n", err)
-			os.Exit(1)
+		if err := renderMetricsFile(stdout, *metrics, *width); err != nil {
+			fmt.Fprintf(stderr, "hpmpviz: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: hpmpviz [-quick] <experiment-id> | hpmpviz -metrics <file>")
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: hpmpviz [-quick] <experiment-id> | hpmpviz -metrics <file>")
+		return 2
 	}
-	id := flag.Arg(0)
+	id := fs.Arg(0)
 	exp, ok := bench.ByID(id)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "hpmpviz: unknown experiment %q\n", id)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "hpmpviz: unknown experiment %q\n", id)
+		return 2
 	}
 	cfg := bench.DefaultConfig()
 	cfg.Quick = *quick
 	cfg.MemSize = 512 * addr.MiB
 	res, err := exp.Run(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hpmpviz: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "hpmpviz: %v\n", err)
+		return 1
 	}
-	fmt.Printf("%s — %s\n\n", res.ID, res.Title)
+	fmt.Fprintf(stdout, "%s — %s\n\n", res.ID, res.Title)
 	for _, t := range res.Tables {
-		renderBars(t.CSV(), *width)
+		renderBars(stdout, t.CSV(), *width)
 	}
 	for _, n := range res.Notes {
-		fmt.Println("note:", n)
+		fmt.Fprintln(stdout, "note:", n)
 	}
+	return 0
 }
 
 // renderMetricsFile loads one snapshot and draws its latency histograms
 // (one bar per bucket) and derived rates, no simulation involved.
-func renderMetricsFile(path string, width int) error {
+func renderMetricsFile(w io.Writer, path string, width int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -82,7 +94,7 @@ func renderMetricsFile(path string, width int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s — %s (status %s, quick=%v, wall %.2fs)\n\n",
+	fmt.Fprintf(w, "%s — %s (status %s, quick=%v, wall %.2fs)\n\n",
 		m.Experiment, orTitle(m.Title), m.Status, m.Quick, m.WallSeconds)
 
 	hists := make([]string, 0, len(m.Histograms))
@@ -91,7 +103,7 @@ func renderMetricsFile(path string, width int) error {
 	}
 	sort.Strings(hists)
 	for _, k := range hists {
-		renderHistogram(k, m.Histograms[k], width)
+		renderHistogram(w, k, m.Histograms[k], width)
 	}
 
 	derived := make([]string, 0, len(m.Derived))
@@ -100,24 +112,24 @@ func renderMetricsFile(path string, width int) error {
 	}
 	sort.Strings(derived)
 	if len(derived) > 0 {
-		fmt.Println("derived rates")
+		fmt.Fprintln(w, "derived rates")
 		for _, k := range derived {
 			v := m.Derived[k]
 			n := int(v * float64(width))
-			fmt.Printf("  %-28s |%s %.4f\n", k, strings.Repeat("#", n), v)
+			fmt.Fprintf(w, "  %-28s |%s %.4f\n", k, strings.Repeat("#", n), v)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
 // renderHistogram draws one latency histogram, one bar per bucket labelled
 // by its cycle range, scaled to the fullest bucket.
-func renderHistogram(name string, h stats.HistogramSnapshot, width int) {
-	fmt.Printf("%s (count %d, min %d, max %d cycles)\n", name, h.Count, h.Min, h.Max)
+func renderHistogram(w io.Writer, name string, h stats.HistogramSnapshot, width int) {
+	fmt.Fprintf(w, "%s (count %d, min %d, max %d cycles)\n", name, h.Count, h.Min, h.Max)
 	if h.Count == 0 {
-		fmt.Println("  (no observations)")
-		fmt.Println()
+		fmt.Fprintln(w, "  (no observations)")
+		fmt.Fprintln(w)
 		return
 	}
 	var maxC uint64
@@ -139,9 +151,9 @@ func renderHistogram(name string, h stats.HistogramSnapshot, width int) {
 			continue // empty buckets add noise, not information
 		}
 		n := int(float64(c) / float64(maxC) * float64(width))
-		fmt.Printf("  %-12s |%s %d\n", label, strings.Repeat("#", n), c)
+		fmt.Fprintf(w, "  %-12s |%s %d\n", label, strings.Repeat("#", n), c)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 func orTitle(s string) string {
@@ -153,7 +165,7 @@ func orTitle(s string) string {
 
 // renderBars turns each numeric cell of a CSV table into a labelled bar,
 // scaled to the table's maximum.
-func renderBars(csv string, width int) {
+func renderBars(w io.Writer, csv string, width int) {
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) < 2 {
 		return
@@ -189,7 +201,7 @@ func renderBars(csv string, width int) {
 	}
 	for _, b := range bars {
 		n := int(b.val / maxVal * float64(width))
-		fmt.Printf("%-*s |%s %.1f\n", labelW, b.label, strings.Repeat("#", n), b.val)
+		fmt.Fprintf(w, "%-*s |%s %.1f\n", labelW, b.label, strings.Repeat("#", n), b.val)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

@@ -33,7 +33,7 @@ func run(out io.Writer) error {
 	}
 
 	// 1. The host creates an enclave and donates memory to it.
-	enc, cycles, err := mon.CreateEnclave("keyvault")
+	enc, cycles, err := mon.CreateEnclave()
 	if err != nil {
 		return err
 	}
@@ -56,8 +56,13 @@ func run(out io.Writer) error {
 
 	// A remote verifier would compare the attested value against the
 	// expected build. Tampering is visible:
-	mach.Mem.Write8(region.Base, 'K')
-	m2, _ := mon.Measure(enc)
+	if err := mach.Mem.Write8(region.Base, 'K'); err != nil {
+		return err
+	}
+	m2, err := mon.Measure(enc)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "after tampering: %x...  (differs: %v)\n", m2[:8], m1 != m2)
 
 	// 3. Host ↔ enclave IPC through the monitor.
@@ -71,7 +76,10 @@ func run(out io.Writer) error {
 	fmt.Fprintf(out, "enclave received request: %q\n", req)
 
 	// 4. Two enclaves share a read-only buffer.
-	enc2, _, _ := mon.CreateEnclave("auditor")
+	enc2, _, err := mon.CreateEnclave()
+	if err != nil {
+		return err
+	}
 	shared := addr.Range{Base: 0x1800_0000, Size: 64 * addr.KiB}
 	gms, _, err := mon.AddRegion(enc, shared, perm.RW, monitor.LabelSlow)
 	if err != nil {
@@ -80,11 +88,21 @@ func run(out io.Writer) error {
 	if _, err := mon.ShareRegion(gms, enc2, perm.R); err != nil {
 		return err
 	}
-	mon.Switch(enc2)
-	r, _ := mach.Checker.Check(shared.Base, 8, perm.Read, perm.S, 0)
-	w, _ := mach.Checker.Check(shared.Base, 8, perm.Write, perm.S, 0)
+	if _, err := mon.Switch(enc2); err != nil {
+		return err
+	}
+	r, err := mach.Checker.Check(shared.Base, 8, perm.Read, perm.S, 0)
+	if err != nil {
+		return err
+	}
+	w, err := mach.Checker.Check(shared.Base, 8, perm.Write, perm.S, 0)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "auditor view of shared buffer: read=%v write=%v\n", r.Allowed, w.Allowed)
-	mon.Switch(monitor.HostDomain)
+	if _, err := mon.Switch(monitor.HostDomain); err != nil {
+		return err
+	}
 
 	// 5. Teardown scrubs the enclave's memory.
 	if _, err := mon.DestroyDomain(enc2); err != nil {
@@ -93,7 +111,10 @@ func run(out io.Writer) error {
 	if _, err := mon.DestroyDomain(enc); err != nil {
 		return err
 	}
-	v, _ := mach.Mem.Read64(region.Base)
+	v, err := mach.Mem.Read64(region.Base)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "after destroy, first word of enclave memory: %#x (scrubbed)\n", v)
 	return nil
 }

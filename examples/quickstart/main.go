@@ -83,7 +83,9 @@ func run(out io.Writer) error {
 
 		// A second access hits the TLB with the inlined permission: one
 		// reference under every mode.
-		_ = mach.MMU.Access(va, perm.Read, perm.U, mach.Core.Now, &res)
+		if err := mach.MMU.Access(va, perm.Read, perm.U, mach.Core.Now, &res); err != nil {
+			return fmt.Errorf("warm access: %w", err)
+		}
 		fmt.Fprintf(out, "%-5v warm load: %2d memory reference  (TLB %s hit), %4d cycles\n\n",
 			mode, res.TotalRefs(), res.TLBHit, res.Latency)
 	}

@@ -94,7 +94,10 @@ func run(out io.Writer) error {
 		hyp.DisableWalkCaches() // show raw ISA reference counts
 
 		gva, gpa := addr.VA(0x1000_0000), addr.GPA(0x8000_0000)
-		dataPA, _ := dataAlloc.Alloc()
+		dataPA, err := dataAlloc.Alloc()
+		if err != nil {
+			return err
+		}
 		if err := npt.Map(addr.VA(gpa), dataPA, perm.RW, true); err != nil {
 			return err
 		}

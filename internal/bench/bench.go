@@ -11,7 +11,6 @@ import (
 	"regexp"
 	"sort"
 	"sync"
-	"time"
 
 	"hpmp/internal/addr"
 	"hpmp/internal/cpu"
@@ -91,13 +90,9 @@ type Result struct {
 	// Notes records methodology details worth printing with the tables.
 	Notes []string
 
-	// Wall is the experiment's wall-clock duration, filled in by the
-	// runner. It is intentionally not part of Render(): wall times vary
-	// run to run, while the tables are deterministic.
-	Wall time.Duration
 	// Counters aggregates the cpu/mmu/kernel/monitor counters of every
 	// System the experiment booted under the runner — a per-experiment
-	// observability snapshot (see CountersCSV). Also excluded from
+	// observability snapshot (see CountersCSV). Excluded from
 	// Render(); counter *values* are deterministic but their first-use
 	// order is not.
 	Counters stats.Counters
@@ -220,7 +215,6 @@ type System struct {
 	Mach *cpu.Machine
 	Mon  *monitor.Monitor // nil for the Host-PMP (no TEE) baseline
 	Kern *kernel.Kernel
-	Mode monitor.Mode
 }
 
 // NewSystem boots a machine of the given platform under the given
@@ -241,7 +235,7 @@ func bootSystem(plat cpu.Platform, mcfg monitor.Config, kcfg *kernel.Config, cfg
 	if err != nil {
 		return nil, fmt.Errorf("bench: booting monitor: %w", err)
 	}
-	s := &System{Mach: mach, Mon: mon, Mode: mcfg.Mode}
+	s := &System{Mach: mach, Mon: mon}
 	if kcfg != nil {
 		if s.Kern, err = kernel.New(mach, mon, *kcfg); err != nil {
 			return nil, fmt.Errorf("bench: booting kernel: %w", err)
@@ -262,7 +256,7 @@ func NewHostSystem(plat cpu.Platform, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{Mach: mach, Kern: k, Mode: monitor.ModePMP}
+	s := &System{Mach: mach, Kern: k}
 	cfg.watch(s)
 	return s, nil
 }

@@ -49,8 +49,7 @@ type Outcome struct {
 	Result *Result
 	Err    error
 	Status Status
-	// Wall is the attempt's wall-clock duration (also copied into
-	// Result.Wall on success).
+	// Wall is the attempt's wall-clock duration.
 	Wall time.Duration
 	// Trace is the experiment's event tracer, non-nil only when tracing was
 	// requested (RunOptions.TraceEvery > 0) and Status is StatusOK. A
@@ -233,7 +232,6 @@ func runOne(ctx context.Context, cfg Config, exp Experiment, opts RunOptions) Ou
 		default:
 			out.Status = StatusOK
 			out.Result = r.res
-			r.res.Wall = out.Wall
 			r.res.Hists = make(map[string]*stats.Histogram)
 			ob.snapshot(&r.res.Counters, r.res.Hists)
 			out.Trace = cfg.tracer

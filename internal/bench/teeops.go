@@ -51,7 +51,7 @@ func bootMon(mode monitor.Mode, cfg Config) (*monitor.Monitor, error) {
 func buildDomains(mon *monitor.Monitor, n int) ([]monitor.DomainID, error) {
 	ids := []monitor.DomainID{monitor.HostDomain}
 	for i := 1; i < n; i++ {
-		id, _, err := mon.CreateEnclave(fmt.Sprintf("dom-%d", i))
+		id, _, err := mon.CreateEnclave()
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +126,7 @@ func runFig14bc(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		enc, _, err := mon.CreateEnclave("worker")
+		enc, _, err := mon.CreateEnclave()
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +192,7 @@ func runFig14d(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			mon := sys.Mon
-			enc, _, err := mon.CreateEnclave("sized")
+			enc, _, err := mon.CreateEnclave()
 			if err != nil {
 				return nil, err
 			}

@@ -1,9 +1,9 @@
 // Package cache implements the set-associative cache hierarchy of the
 // simulated SoCs (Table 1 of the paper): split L1 I/D caches, a unified L2,
-// and a last-level cache in front of DRAM. Caches are write-back,
-// write-allocate, with true-LRU replacement. Timing is additive: a request
-// pays each level's access latency until it hits, and a miss at the LLC pays
-// the DRAM model's latency.
+// and a last-level cache in front of DRAM. Caches are write-allocate, with
+// true-LRU replacement; write-backs are not timed, so a line has no dirty
+// bit. Timing is additive: a request pays each level's access latency until
+// it hits, and a miss at the LLC pays the DRAM model's latency.
 package cache
 
 import (
@@ -43,14 +43,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one cache line in one word: the tag plus one, shifted above the
-// dirty bit,
+// line is one cache line in one word: the tag plus one,
 //
-//	line = (tag+1)<<1 | dirty
+//	line = tag+1
 //
-// so 0 is an invalid line and a tag scan compares one word per way
-// (key(tag) against the line with its dirty bit masked off). Simulated
-// physical addresses are far below 2^62, so (tag+1)<<1 never overflows.
+// so 0 is an invalid line and a tag scan compares one word per way. A
+// line has no dirty bit: write-backs are not timed, so nothing would read
+// it. Simulated physical addresses are far below 2^64, so tag+1 never
+// overflows.
 //
 // A set keeps its ways in recency order, most recently used first: a hit
 // moves its line to way 0 and a fill shifts every way down by one and
@@ -59,10 +59,8 @@ func (c Config) Validate() error {
 // is always the last way.
 type line uint64
 
-const lineDirty line = 1
-
-// key returns the line of tag, clean.
-func key(tag uint64) line { return line(tag+1) << 1 }
+// key returns the line of tag.
+func key(tag uint64) line { return line(tag + 1) }
 
 // chunkLines is the number of lines in one chunk: 2 KiB of host memory.
 const chunkLines = 256
@@ -81,12 +79,6 @@ type Cache struct {
 	setBits   uint     // log2(sets): Validate guarantees a power of two
 	chunkBits uint     // log2(sets per chunk)
 	chunks    [][]line // set s is ways (s mod sets per chunk)*ways on of chunks[s>>chunkBits]; nil until probed
-
-	// Hot-path counter handles, resolved once in New so per-access bumps
-	// pay neither a map lookup nor the cfg.Name+suffix concatenation.
-	hHit, hMiss, hFill, hEvict, hWriteback *uint64
-
-	Counters stats.Counters
 }
 
 // New builds a cache level from cfg; invalid geometry panics (it is a
@@ -101,7 +93,7 @@ func New(cfg Config) *Cache {
 	sets := cfg.Size / cfg.LineSize / ways
 	perChunk := max(uint64(chunkLines)/ways, 1)
 	chunkBits := min(uint(bits.Len64(perChunk)-1), uint(bits.TrailingZeros64(sets)))
-	c := &Cache{
+	return &Cache{
 		cfg:       cfg,
 		sets:      sets,
 		ways:      ways,
@@ -110,12 +102,6 @@ func New(cfg Config) *Cache {
 		chunkBits: chunkBits,
 		chunks:    make([][]line, sets>>chunkBits),
 	}
-	c.hHit = c.Counters.Handle(cfg.Name + ".hit")
-	c.hMiss = c.Counters.Handle(cfg.Name + ".miss")
-	c.hFill = c.Counters.Handle(cfg.Name + ".fill")
-	c.hEvict = c.Counters.Handle(cfg.Name + ".evict")
-	c.hWriteback = c.Counters.Handle(cfg.Name + ".writeback")
-	return c
 }
 
 // index splits pa into set and tag with a mask and a shift rather than % and
@@ -141,7 +127,7 @@ func (c *Cache) set(s uint64) []line {
 // lookup returns the way of a set holding the line k, or -1.
 func lookup(ways []line, k line) int {
 	for i, l := range ways {
-		if l&^lineDirty == k {
+		if l == k {
 			return i
 		}
 	}
@@ -149,47 +135,29 @@ func lookup(ways []line, k line) int {
 }
 
 // probe is the fused lookup-or-fill, one call per level per access: a hit
-// moves the line to the front of its set (and dirties it when write); a
-// miss evicts the last way and fills the line at the front, dirty when
-// fillDirty. It reports whether the probe hit.
+// moves the line to the front of its set; a miss evicts the last way and
+// fills the line at the front. It reports whether the probe hit.
 //
 // A hit costs one tag scan and a shift of the ways in front of its line, a
 // miss one tag scan and a shift of the whole set: the recency order makes
 // the victim the last way, with no stamp to keep and no victim scan.
-func (c *Cache) probe(pa addr.PA, write, fillDirty bool) bool {
+func (c *Cache) probe(pa addr.PA) bool {
 	set, tag := c.index(pa)
 	ways := c.set(set)
 	k := key(tag)
 	if i := lookup(ways, k); i >= 0 {
-		l := ways[i]
-		if write {
-			l |= lineDirty
-		}
 		if i > 0 {
 			copy(ways[1:i+1], ways[:i])
 		}
-		ways[0] = l
-		*c.hHit++
+		ways[0] = k
 		return true
 	}
-	*c.hMiss++
-	if v := ways[len(ways)-1]; v != 0 {
-		if v&lineDirty != 0 {
-			*c.hWriteback++
-		}
-		*c.hEvict++
-	}
 	copy(ways[1:], ways)
-	if fillDirty {
-		k |= lineDirty
-	}
 	ways[0] = k
-	*c.hFill++
 	return false
 }
 
-// InvalidateAll flushes the cache (used to build cold-state test cases;
-// dirty data is discarded because experiment state is rebuilt afterwards).
+// InvalidateAll flushes the cache (used to build cold-state test cases).
 // Only chunks that exist hold lines, so only they are cleared.
 func (c *Cache) InvalidateAll() {
 	for _, ch := range c.chunks {
@@ -199,7 +167,7 @@ func (c *Cache) InvalidateAll() {
 
 // Hierarchy composes L1, L2, LLC and DRAM into a single access path.
 // Instruction fetches and data accesses share every level, the L1
-// included.
+// included. Build one with NewHierarchy.
 type Hierarchy struct {
 	L1  *Cache
 	L2  *Cache
@@ -209,37 +177,23 @@ type Hierarchy struct {
 	// BOOM at 3.2 GHz with a 1 GHz controller; 1.0 for Rocket).
 	ClockRatio float64
 
-	// hh holds the hierarchy's pre-resolved counter handles. Hierarchies
-	// are built with struct literals all over the tree, so the handles are
-	// resolved lazily on the first access instead of in a constructor.
-	hh hierHandles
+	// Pre-resolved handles into Counters for the per-access path.
+	l1Hit, l2Hit, llcHit, dramAccess *uint64
 
 	Counters stats.Counters
 }
 
-type hierHandles struct {
-	l1Hit, l2Hit, llcHit, dram *uint64
-}
-
-// handles returns the hierarchy's counter handles, resolving them on first
-// use. The check is kept apart from the resolution so it inlines into the
-// per-access path.
-func (h *Hierarchy) handles() *hierHandles {
-	if h.hh.l1Hit == nil {
-		h.resolveHandles()
-	}
-	return &h.hh
-}
-
-// resolveHandles resolves all four handles at once, so every snapshot of a
-// hierarchy that has run lists every mem.* counter.
-func (h *Hierarchy) resolveHandles() {
-	h.hh = hierHandles{
-		l1Hit:  h.Counters.Handle("mem.l1_hit"),
-		l2Hit:  h.Counters.Handle("mem.l2_hit"),
-		llcHit: h.Counters.Handle("mem.llc_hit"),
-		dram:   h.Counters.Handle("mem.dram_access"),
-	}
+// NewHierarchy composes the levels and the DRAM model into one access
+// path, clockRatio core cycles per memory-controller cycle. It resolves
+// every mem.* counter up front, so every snapshot of a hierarchy lists all
+// four.
+func NewHierarchy(l1, l2, llc *Cache, mem *dram.DRAM, clockRatio float64) *Hierarchy {
+	h := &Hierarchy{L1: l1, L2: l2, LLC: llc, Mem: mem, ClockRatio: clockRatio}
+	h.l1Hit = h.Counters.Handle("mem.l1_hit")
+	h.l2Hit = h.Counters.Handle("mem.l2_hit")
+	h.llcHit = h.Counters.Handle("mem.llc_hit")
+	h.dramAccess = h.Counters.Handle("mem.dram_access")
+	return h
 }
 
 // Level identifies the hierarchy level that satisfied a request. The values
@@ -297,26 +251,24 @@ func (h *Hierarchy) AccessNoL1(pa addr.PA, now uint64, write bool) AccessResult 
 }
 
 // access probes each level once, top down, until one hits. Every level
-// that misses fills the line in the same probe (inclusive fill); only the
-// L1 fill carries the store's dirty bit.
+// that misses fills the line in the same probe (inclusive fill).
 func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) AccessResult {
-	hh := h.handles()
 	var lat uint64
 	if !skipL1 {
 		lat = h.L1.cfg.Latency
-		if h.L1.probe(pa, write, write) {
-			*hh.l1Hit++
+		if h.L1.probe(pa) {
+			*h.l1Hit++
 			return AccessResult{Latency: lat, Level: LvlL1}
 		}
 	}
 	lat += h.L2.cfg.Latency
-	if h.L2.probe(pa, write, false) {
-		*hh.l2Hit++
+	if h.L2.probe(pa) {
+		*h.l2Hit++
 		return AccessResult{Latency: lat, Level: LvlL2}
 	}
 	lat += h.LLC.cfg.Latency
-	if h.LLC.probe(pa, write, false) {
-		*hh.llcHit++
+	if h.LLC.probe(pa) {
+		*h.llcHit++
 		return AccessResult{Latency: lat, Level: LvlLLC}
 	}
 	// DRAM: convert the core-cycle issue time into controller cycles, run
@@ -329,7 +281,7 @@ func (h *Hierarchy) access(pa addr.PA, now uint64, write bool, skipL1 bool) Acce
 		dramLat += uint64(16 * h.ClockRatio)
 	}
 	lat += dramLat
-	*hh.dram++
+	*h.dramAccess++
 	return AccessResult{Latency: lat, Level: LvlDRAM}
 }
 

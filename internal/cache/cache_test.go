@@ -2,6 +2,7 @@ package cache
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -68,7 +69,7 @@ func TestNewAllocatesNoLines(t *testing.T) {
 // and a probe of a set in another chunk allocates that chunk.
 func TestProbeMaterializesOneChunk(t *testing.T) {
 	c := New(rocketLLC)
-	c.probe(0, false, false)
+	c.probe(0)
 	if n := c.materialized(); n != 1 {
 		t.Fatalf("one probe materialized %d chunks, want 1", n)
 	}
@@ -76,10 +77,10 @@ func TestProbeMaterializesOneChunk(t *testing.T) {
 		t.Errorf("an 8-way chunk holds %d lines, want %d", got, chunkLines)
 	}
 	perChunk := uint64(1) << c.chunkBits
-	if b := allocBytes(10, func() { c.probe(addr.PA((perChunk-1)*64), false, false) }); b != 0 {
+	if b := allocBytes(10, func() { c.probe(addr.PA((perChunk - 1) * 64)) }); b != 0 {
 		t.Errorf("a probe inside a materialized chunk allocates %d bytes, want 0", b)
 	}
-	c.probe(addr.PA(perChunk*64), false, false)
+	c.probe(addr.PA(perChunk * 64))
 	if n := c.materialized(); n != 2 {
 		t.Errorf("a probe of the next chunk left %d chunks, want 2", n)
 	}
@@ -114,7 +115,7 @@ func TestChunkGeometry(t *testing.T) {
 	} {
 		c := New(Config{Name: "c", Size: g.ways * g.sets * 64, Ways: int(g.ways), LineSize: 64, Latency: 1})
 		for s := uint64(0); s < g.sets; s++ {
-			c.probe(addr.PA(s*64), false, false)
+			c.probe(addr.PA(s * 64))
 		}
 		if got := uint64(1) << c.chunkBits; got != g.setsPerChunk || len(c.chunks) != g.wantChunks || len(c.chunks[0]) != g.wantChunkLines {
 			t.Errorf("%d ways x %d sets: %d sets x %d chunks of %d lines, want %d x %d of %d",
@@ -144,23 +145,20 @@ func TestConfigValidate(t *testing.T) {
 func TestHitAfterFill(t *testing.T) {
 	c := New(smallCfg("l1", 4*addr.KiB, 4))
 	pa := addr.PA(0x1234_0040)
-	if c.probe(pa, false, false) {
+	if c.probe(pa) {
 		t.Fatal("cold cache must miss")
 	}
 	if !c.contains(pa) {
 		t.Fatal("a missing probe must fill the line")
 	}
-	if !c.probe(pa, false, false) {
+	if !c.probe(pa) {
 		t.Error("line just filled must hit")
 	}
-	if !c.probe(pa+32, false, false) {
+	if !c.probe(pa + 32) {
 		t.Error("same line, different offset must hit")
 	}
-	if c.probe(pa+64, false, false) {
+	if c.probe(pa + 64) {
 		t.Error("next line must miss")
-	}
-	if h, m, f := c.Counters.Snapshot()["l1.hit"], c.Counters.Snapshot()["l1.miss"], c.Counters.Snapshot()["l1.fill"]; h != 2 || m != 2 || f != 2 {
-		t.Errorf("hit/miss/fill = %d/%d/%d, want 2/2/2", h, m, f)
 	}
 }
 
@@ -172,10 +170,10 @@ func TestLRUEviction(t *testing.T) {
 	a := addr.PA(0)
 	b := addr.PA(setStride)
 	d := addr.PA(2 * setStride)
-	c.probe(a, false, false)
-	c.probe(b, false, false)
-	c.probe(a, false, false) // make a MRU
-	c.probe(d, false, false) // must evict b (LRU)
+	c.probe(a)
+	c.probe(b)
+	c.probe(a) // make a MRU
+	c.probe(d) // must evict b (LRU)
 	if !c.contains(a) {
 		t.Error("MRU line evicted")
 	}
@@ -187,43 +185,30 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestDirtyWriteback(t *testing.T) {
+func TestConflictReplacesLine(t *testing.T) {
 	cfg := Config{Name: "c", Size: 128, Ways: 1, LineSize: 64, Latency: 1}
 	c := New(cfg) // 2 sets, direct mapped
 	pa := addr.PA(0)
-	c.probe(pa, true, true) // filled dirty
+	c.probe(pa)
 	// Conflict: same set (stride = sets*line = 128).
-	c.probe(pa+128, false, false)
+	if c.probe(pa + 128) {
+		t.Error("a conflicting line must miss")
+	}
 	if c.contains(pa) || !c.contains(pa+128) {
 		t.Error("conflicting fill must replace the line")
 	}
-	if c.Counters.Snapshot()["c.evict"] != 1 || c.Counters.Snapshot()["c.writeback"] != 1 {
-		t.Errorf("evict/writeback = %d/%d, want 1/1",
-			c.Counters.Snapshot()["c.evict"], c.Counters.Snapshot()["c.writeback"])
+	// The replaced line misses again and replaces its replacement.
+	if c.probe(pa) {
+		t.Error("a replaced line must miss")
 	}
-	// The replacement was filled clean: evicting it writes nothing back.
-	c.probe(pa, false, false)
-	if c.Counters.Snapshot()["c.evict"] != 2 || c.Counters.Snapshot()["c.writeback"] != 1 {
-		t.Errorf("evict/writeback = %d/%d, want 2/1",
-			c.Counters.Snapshot()["c.evict"], c.Counters.Snapshot()["c.writeback"])
-	}
-}
-
-func TestWriteOnLookupMarksDirty(t *testing.T) {
-	cfg := Config{Name: "c", Size: 128, Ways: 1, LineSize: 64, Latency: 1}
-	c := New(cfg)
-	pa := addr.PA(64)
-	c.probe(pa, false, false) // filled clean
-	c.probe(pa, true, false)  // store hit dirties the line
-	c.probe(pa+128, false, false)
-	if c.Counters.Snapshot()["c.writeback"] != 1 {
-		t.Error("store-hit line should write back")
+	if !c.contains(pa) || c.contains(pa+128) {
+		t.Error("refilling the replaced line must evict its replacement")
 	}
 }
 
 func TestInvalidateAll(t *testing.T) {
 	c := New(smallCfg("c", 4*addr.KiB, 4))
-	c.probe(0x100, false, false)
+	c.probe(0x100)
 	c.InvalidateAll()
 	if c.contains(0x100) {
 		t.Error("InvalidateAll left a line")
@@ -236,12 +221,12 @@ func TestFillThenHitQuick(t *testing.T) {
 	c := New(smallCfg("c", 8*addr.KiB, 8))
 	f := func(raw uint32, off uint8) bool {
 		pa := addr.PA(raw)
-		c.probe(pa, false, false)
+		c.probe(pa)
 		if !c.contains(pa) {
 			return false
 		}
 		same := addr.PA(uint64(pa) &^ 63)
-		return c.probe(same+addr.PA(uint64(off)%64), false, false)
+		return c.probe(same + addr.PA(uint64(off)%64))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -249,13 +234,11 @@ func TestFillThenHitQuick(t *testing.T) {
 }
 
 func newHierarchy() *Hierarchy {
-	return &Hierarchy{
-		L1:         New(Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, LineSize: 64, Latency: 2}),
-		L2:         New(Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12}),
-		LLC:        New(Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26}),
-		Mem:        dram.New(dram.Default()),
-		ClockRatio: 1.0,
-	}
+	return NewHierarchy(
+		New(Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, LineSize: 64, Latency: 2}),
+		New(Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12}),
+		New(Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26}),
+		dram.New(dram.Default()), 1.0)
 }
 
 func TestHierarchyLatencyOrdering(t *testing.T) {
@@ -316,25 +299,20 @@ func TestClockRatioScalesDRAM(t *testing.T) {
 
 func TestFillRefreshInPlace(t *testing.T) {
 	cfg := Config{Name: "c", Size: 4 * 64, Ways: 4, LineSize: 64, Latency: 1}
-	c := New(cfg)             // one set of 4 ways
-	c.probe(0x40, true, true) // filled dirty
-	// A second probe of the same line hits in place: no second copy, and a
-	// clean access keeps the dirty bit.
-	if !c.probe(0x40, false, false) {
+	c := New(cfg) // one set of 4 ways
+	c.probe(0x40)
+	// A second probe of the same line hits in place: no second copy.
+	if !c.probe(0x40) {
 		t.Fatal("second probe of a resident line must hit")
 	}
-	if c.Counters.Snapshot()["c.fill"] != 1 {
-		t.Errorf("fill = %d, want 1", c.Counters.Snapshot()["c.fill"])
+	if valid := slices.IndexFunc(c.set(0), func(l line) bool { return l == 0 }); valid != 1 {
+		t.Errorf("set holds %d valid lines after a fill and a hit, want 1", valid)
 	}
-	// Three more lines fill the set; a fourth evicts 0x40, the LRU line,
-	// and writes it back exactly once.
+	// Three more lines fill the set; a fourth evicts 0x40, the LRU line.
 	for i := uint64(1); i <= 4; i++ {
-		c.probe(addr.PA(0x40+i*64), false, false)
+		c.probe(addr.PA(0x40 + i*64))
 	}
 	if c.contains(0x40) {
 		t.Error("LRU line must be evicted once the set overflows")
-	}
-	if wb := c.Counters.Snapshot()["c.writeback"]; wb != 1 {
-		t.Errorf("writeback = %d, want 1", wb)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hpmp/internal/addr"
+	"hpmp/internal/cache"
 	"hpmp/internal/mmu"
 	"hpmp/internal/obs"
 	"hpmp/internal/perm"
@@ -167,9 +168,18 @@ func TestNoIsolationMachine(t *testing.T) {
 		t.Errorf("no-isolation cold access = %d refs, want 4", res.TotalRefs())
 	}
 	// The walker's three PTE fetches skip the L1D, as on every other
-	// machine: only the data line fills it.
-	if fills := m.Hier.L1.Counters.Snapshot()["l1d.fill"]; fills != 1 {
-		t.Errorf("cold TLB-miss load filled %d L1D lines, want 1 (the data line)", fills)
+	// machine: only the data line fills it, and the PTE lines sit in the L2.
+	if lvl := m.Hier.Access(0x80_0000, m.Core.Now, false).Level; lvl != cache.LvlL1 {
+		t.Errorf("data line hit in the %s after a cold load, want L1", lvl)
+	}
+	ptes, err := tbl.WalkPath(va)
+	if err != nil || len(ptes) != 3 {
+		t.Fatalf("walk path %v, %v", ptes, err)
+	}
+	for _, pte := range ptes {
+		if lvl := m.Hier.Access(pte, m.Core.Now, false).Level; lvl != cache.LvlL2 {
+			t.Errorf("PTE line %v hit in the %s after a cold load, want L2", pte, lvl)
+		}
 	}
 }
 

@@ -102,13 +102,8 @@ type Machine struct {
 // permission-table walkers fetch through a port that skips the L1D.
 func NewMachine(plat Platform, memSize uint64, isolated bool) *Machine {
 	mem := phys.New(memSize)
-	hier := &cache.Hierarchy{
-		L1:         cache.New(plat.L1D),
-		L2:         cache.New(plat.L2),
-		LLC:        cache.New(plat.LLC),
-		Mem:        dram.New(plat.DRAM),
-		ClockRatio: plat.Core.MemClockRatio,
-	}
+	hier := cache.NewHierarchy(cache.New(plat.L1D), cache.New(plat.L2), cache.New(plat.LLC),
+		dram.New(plat.DRAM), plat.Core.MemClockRatio)
 	m := &Machine{Plat: plat, Mem: mem, Hier: hier, Port: &memport.Timed{Hier: hier, Mem: mem}}
 	walkerPort := &memport.Timed{Hier: hier, Mem: mem, SkipL1: true}
 	var checker ptw.Checker // a nil *hpmp.Checker must not reach the interface
@@ -118,10 +113,10 @@ func NewMachine(plat Platform, memSize uint64, isolated bool) *Machine {
 			nEntries = 16
 		}
 		m.PMPTWCache = pmpt.NewWalkerCache(plat.PMPTWCacheEntries)
-		m.Checker = hpmp.NewSized(&pmpt.Walker{Port: walkerPort, Cache: m.PMPTWCache}, nEntries)
+		m.Checker = hpmp.NewSized(pmpt.NewWalker(walkerPort, m.PMPTWCache), nEntries)
 		checker = m.Checker
 	}
-	m.MMU = mmu.New(plat.MMU, hier, mem, checker, walkerPort)
+	m.MMU = mmu.New(plat.MMU, hier, checker, walkerPort)
 	m.Core = NewCore(plat.Core, m.MMU)
 	return m
 }
@@ -156,7 +151,7 @@ func (m *Machine) MergeCounters(into *stats.Counters) {
 	into.Merge(&m.Hier.Counters)
 	if chk, ok := m.MMU.HPMPChecker(); ok {
 		into.Merge(&chk.Counters)
-		if chk.Walker != nil {
+		if chk.Walker != nil && chk.Walker.Fetched() {
 			into.Merge(&chk.Walker.Counters)
 		}
 	}
@@ -170,7 +165,7 @@ func (m *Machine) EachHistogram(fn func(family string, h *stats.Histogram)) {
 	if chk, ok := m.MMU.HPMPChecker(); ok {
 		fn("hpmp.check_latency", chk.Hist)
 		if chk.Walker != nil {
-			fn("pmptw.walk_latency", chk.Walker.Hist())
+			fn("pmptw.walk_latency", chk.Walker.Hist)
 		}
 	}
 }

@@ -8,10 +8,7 @@
 // configuration); the CPU models scale them to core cycles.
 package dram
 
-import (
-	"hpmp/internal/addr"
-	"hpmp/internal/stats"
-)
+import "hpmp/internal/addr"
 
 // Config describes the memory system geometry and timing.
 type Config struct {
@@ -52,10 +49,6 @@ type DRAM struct {
 	// controller queue), oldest first. It is compacted in place, so with a
 	// QueueDepth it never outgrows its first allocation.
 	queue []uint64
-
-	Counters stats.Counters
-	// Pre-resolved handles into Counters for the per-access path.
-	cQueueStall, cBankConflict, cRowHit, cRowEmpty, cRowConflict, cRead, cWrite *uint64
 }
 
 // New builds a DRAM model from cfg.
@@ -66,10 +59,6 @@ func New(cfg Config) *DRAM {
 	for i := range d.openRow {
 		d.openRow[i] = -1
 	}
-	c := &d.Counters
-	d.cQueueStall, d.cBankConflict = c.Handle("dram.queue_stall"), c.Handle("dram.bank_conflict")
-	d.cRowHit, d.cRowEmpty, d.cRowConflict = c.Handle("dram.row_hit"), c.Handle("dram.row_empty"), c.Handle("dram.row_conflict")
-	d.cRead, d.cWrite = c.Handle("dram.read"), c.Handle("dram.write")
 	return d
 }
 
@@ -85,9 +74,9 @@ func (d *DRAM) bankAndRow(pa addr.PA) (int, int64) {
 }
 
 // Access issues one line-sized read or write beginning at cycle `now` and
-// returns the cycle at which data is available. Write completions model the
-// write being accepted into the controller (posted), but still occupy the
-// bank.
+// returns the cycle at which data is available. A write is timed as a read:
+// its completion models the write being accepted into the controller
+// (posted), and it still occupies the bank.
 func (d *DRAM) Access(pa addr.PA, now uint64, write bool) (done uint64) {
 	bank, row := d.bankAndRow(pa)
 
@@ -99,7 +88,6 @@ func (d *DRAM) Access(pa addr.PA, now uint64, write bool) (done uint64) {
 		oldest := d.queue[0]
 		if oldest > start {
 			start = oldest
-			*d.cQueueStall++
 		}
 		d.dropQueued(1)
 	}
@@ -107,20 +95,16 @@ func (d *DRAM) Access(pa addr.PA, now uint64, write bool) (done uint64) {
 	// Bank availability.
 	if d.busy[bank] > start {
 		start = d.busy[bank]
-		*d.cBankConflict++
 	}
 
 	var lat uint64
 	switch {
 	case d.openRow[bank] == row:
 		lat = d.cfg.TCAS
-		*d.cRowHit++
 	case d.openRow[bank] == -1:
 		lat = d.cfg.TRCD + d.cfg.TCAS
-		*d.cRowEmpty++
 	default:
 		lat = d.cfg.TRP + d.cfg.TRCD + d.cfg.TCAS
-		*d.cRowConflict++
 	}
 	lat += d.cfg.TBurst + d.cfg.TController
 
@@ -128,11 +112,6 @@ func (d *DRAM) Access(pa addr.PA, now uint64, write bool) (done uint64) {
 	done = start + lat
 	d.busy[bank] = done
 	d.queue = append(d.queue, done)
-	if write {
-		*d.cWrite++
-	} else {
-		*d.cRead++
-	}
 	return done
 }
 

@@ -34,10 +34,6 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 	if done3-now != wantConf {
 		t.Errorf("row conflict latency = %d, want %d", done3-now, wantConf)
 	}
-
-	if d.Counters.Snapshot()["dram.row_hit"] != 1 || d.Counters.Snapshot()["dram.row_conflict"] != 1 {
-		t.Errorf("counters wrong: %v", d.Counters.String())
-	}
 }
 
 func TestBankBusySerializes(t *testing.T) {
@@ -60,9 +56,6 @@ func TestDifferentBanksOverlap(t *testing.T) {
 	if d1 != d2 {
 		t.Errorf("independent banks should have equal first-access time: %d vs %d", d1, d2)
 	}
-	if d.Counters.Snapshot()["dram.bank_conflict"] != 0 {
-		t.Error("no bank conflict expected across banks")
-	}
 }
 
 func TestQueueDepthStalls(t *testing.T) {
@@ -70,28 +63,24 @@ func TestQueueDepthStalls(t *testing.T) {
 	cfg.QueueDepth = 2
 	d := New(cfg)
 	// Issue 3 requests at cycle 0 to distinct banks; the third must stall on
-	// the controller queue even though its bank is free.
-	d.Access(0x0, 0, false)
+	// the controller queue even though its bank is free: it starts when the
+	// oldest request completes.
+	done1 := d.Access(0x0, 0, false)
 	d.Access(addr.PA(cfg.RowBytes), 0, false)
-	before := d.Counters.Snapshot()["dram.queue_stall"]
-	d.Access(addr.PA(2*cfg.RowBytes), 0, false)
-	if d.Counters.Snapshot()["dram.queue_stall"] != before+1 {
-		t.Error("third concurrent request should hit the queue-depth limit")
+	done3 := d.Access(addr.PA(2*cfg.RowBytes), 0, false)
+	if want := done1 + cfg.TRCD + cfg.TCAS + cfg.TBurst + cfg.TController; done3 != want {
+		t.Errorf("third concurrent request done at %d, want %d (queued behind the first)", done3, want)
 	}
 }
 
 func TestReset(t *testing.T) {
 	d := New(Default())
-	d.Access(0x1000, 0, false)
+	first := d.Access(0x1000, 0, false)
 	d.Reset()
-	// After reset, the same row must be an "empty" activation again, not a hit.
-	hitsBefore := d.Counters.Snapshot()["dram.row_hit"]
-	d.Access(0x1000, 0, false)
-	if d.Counters.Snapshot()["dram.row_hit"] != hitsBefore {
-		t.Error("Reset must close open rows")
-	}
-	if d.Counters.Snapshot()["dram.row_empty"] != 2 {
-		t.Errorf("want 2 empty activations, got %d", d.Counters.Snapshot()["dram.row_empty"])
+	// After reset, the same row must be an "empty" activation again at
+	// cycle 0, not a row hit or a wait for the bank.
+	if again := d.Access(0x1000, 0, false); again != first {
+		t.Errorf("access after Reset done at %d, want %d (a closed row, an idle bank)", again, first)
 	}
 }
 
@@ -109,17 +98,23 @@ func TestStreamingRotatesBanks(t *testing.T) {
 	}
 }
 
-// TestAccessDoesNotAllocate pins Access at zero allocations: its counters
-// are pre-resolved handles and the controller queue is compacted in place.
-// Each run is a burst that fills the queue, stalls on it and then drains
-// it, so every queue path runs.
+// TestAccessDoesNotAllocate pins Access at zero allocations: the
+// controller queue is compacted in place. Each run is a burst that fills
+// the queue, stalls on it and then drains it, so every queue path runs.
 func TestAccessDoesNotAllocate(t *testing.T) {
 	d := New(Default())
 	cfg := d.cfg
+	conflict := cfg.TRP + cfg.TRCD + cfg.TCAS + cfg.TBurst + cfg.TController
 	var now uint64
+	var waited, conflicts int
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
-			d.Access(addr.PA(uint64(i)*cfg.RowBytes*5), now, i%3 == 0)
+			switch lat := d.Access(addr.PA(uint64(i)*cfg.RowBytes*5), now, i%3 == 0) - now; {
+			case lat > conflict:
+				waited++
+			case lat == conflict:
+				conflicts++
+			}
 			if i%16 == 15 {
 				now += 500
 			}
@@ -128,7 +123,7 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Access allocates: %v allocations per 64-access burst, want 0", allocs)
 	}
-	if d.Counters.Snapshot()["dram.queue_stall"] == 0 || d.Counters.Snapshot()["dram.row_conflict"] == 0 {
-		t.Errorf("the bursts missed a path: %s", d.Counters.String())
+	if waited == 0 || conflicts == 0 {
+		t.Errorf("the bursts missed a path: %d accesses waited, %d row conflicts", waited, conflicts)
 	}
 }

@@ -28,7 +28,7 @@ func TestDeepTableEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chk := NewSized(&pmpt.Walker{Port: &memport.Flat{Mem: mem, Latency: 10}}, pmp.NumEntries)
+	chk := NewSized(pmpt.NewWalker(&memport.Flat{Mem: mem, Latency: 10}, nil), pmp.NumEntries)
 	// Mode2Level must reject the oversized region...
 	if err := chk.SetTable(0, region, tbl.RootBase()); err == nil {
 		t.Fatal("32 GiB region must exceed the 2-level reach")

@@ -31,7 +31,7 @@ func Example() {
 		panic(err)
 	}
 
-	chk := hpmp.NewSized(&pmpt.Walker{Port: &memport.Flat{Mem: mem, Latency: 10}}, pmp.NumEntries)
+	chk := hpmp.NewSized(pmpt.NewWalker(&memport.Flat{Mem: mem, Latency: 10}, nil), pmp.NumEntries)
 	ptPool := addr.Range{Base: 0x40_0000, Size: 4 * addr.MiB}
 	chk.SetSegment(0, ptPool, perm.RW, false) // fast: zero memory references
 	chk.SetTable(1, all, table.RootBase())    // fine-grained: 2 refs per check

@@ -142,7 +142,6 @@ type Result struct {
 	Entry     int    // matching entry index, or -1
 	TableMode bool   // whether the decision came from a PMP Table walk
 	MemRefs   int    // pmpte fetches that reached the memory system
-	CacheHits int    // pmpte fetches served by the PMPTW cache
 	Latency   uint64 // core cycles spent fetching pmptes
 	// PermFound is the full R/W/X permission the matching entry (or table)
 	// grants. The MMU inlines it into TLB entries ("TLB inlining", §2.2) so
@@ -218,7 +217,6 @@ func (c *Checker) checkInner(pa addr.PA, size uint64, k perm.Access, priv perm.P
 		Entry:     i,
 		TableMode: true,
 		MemRefs:   w.MemRefs,
-		CacheHits: w.Hits,
 		Latency:   w.Latency,
 	}
 	if !w.Valid {

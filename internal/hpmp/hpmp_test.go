@@ -22,7 +22,7 @@ func newEnv(t *testing.T) *env {
 	t.Helper()
 	mem := phys.New(512 * addr.MiB)
 	alloc := phys.NewFrameAllocator(addr.Range{Base: 0x10_0000, Size: 8 * addr.MiB}, false)
-	w := &pmpt.Walker{Port: &memport.Flat{Mem: mem, Latency: 10}}
+	w := pmpt.NewWalker(&memport.Flat{Mem: mem, Latency: 10}, nil)
 	return &env{mem: mem, alloc: alloc, chk: NewSized(w, pmp.NumEntries)}
 }
 
@@ -248,9 +248,10 @@ func TestFlushWalkerCache(t *testing.T) {
 	if r1.MemRefs != 2 {
 		t.Fatalf("cold: %+v", r1)
 	}
+	hits := e.chk.Walker.Counters.Snapshot()["pmptw.cache_hit"]
 	r2, _ := e.chk.Check(region.Base, 8, perm.Read, perm.S, 0)
-	if r2.CacheHits != 2 || r2.MemRefs != 0 {
-		t.Errorf("warm: %+v", r2)
+	if n := e.chk.Walker.Counters.Snapshot()["pmptw.cache_hit"] - hits; n != 2 || r2.MemRefs != 0 {
+		t.Errorf("warm: %d cache hits, %+v", n, r2)
 	}
 	// The flush the monitor issues on every HPMP edit: FlushAll on the
 	// machine's PMPTW cache, the cache this checker's walker holds.

@@ -28,11 +28,7 @@ func allCounters(mach *cpu.Machine, mon *monitor.Monitor, k *kernel.Kernel) stri
 		&mach.MMU.DTLB.Counters,
 		&mach.MMU.STLB.Counters,
 		&mach.MMU.Walker.Counters,
-		&mach.Hier.L1.Counters,
-		&mach.Hier.L2.Counters,
-		&mach.Hier.LLC.Counters,
 		&mach.Hier.Counters,
-		&mach.Hier.Mem.Counters,
 		&mach.Checker.Counters,
 		&mach.Checker.Walker.Counters,
 		&mon.Counters,

@@ -48,7 +48,7 @@ func TestDeepWalkerOracle(t *testing.T) {
 
 	cache := pmpt.NewWalkerCache(8)
 	cache.Enabled = true
-	w := &pmpt.Walker{Port: &memport.Flat{Mem: mem, Latency: 9}, Cache: cache}
+	w := pmpt.NewWalker(&memport.Flat{Mem: mem, Latency: 9}, cache)
 
 	probeBases := []addr.PA{
 		0x1000_0000,            // huge root span

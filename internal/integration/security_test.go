@@ -45,7 +45,7 @@ func mmuAccess(m *mmu.MMU, va addr.VA, k perm.Access, priv perm.Priv, now uint64
 func TestHostCannotMapEnclaveMemory(t *testing.T) {
 	for _, mode := range []monitor.Mode{monitor.ModePMPT, monitor.ModeHPMP} {
 		mach, mon, k := bootStack(t, mode)
-		enc, _, err := mon.CreateEnclave("victim")
+		enc, _, err := mon.CreateEnclave()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestHostCannotMapEnclaveMemory(t *testing.T) {
 // against the running enclave and even against forged mappings.
 func TestEnclaveCannotReachMonitor(t *testing.T) {
 	mach, mon, k := bootStack(t, monitor.ModeHPMP)
-	enc, _, _ := mon.CreateEnclave("curious")
+	enc, _, _ := mon.CreateEnclave()
 	region := addr.Range{Base: 0x1000_0000, Size: addr.MiB}
 	mon.AddRegion(enc, region, perm.RWX, monitor.LabelSlow)
 	mon.Switch(enc)
@@ -159,7 +159,7 @@ func TestInlinedPermRevokedByFlush(t *testing.T) {
 	}
 	// The monitor hands that very frame to a fresh enclave (revoking the
 	// host). AddRegion performs the mandatory flush internally.
-	enc, _, _ := mon.CreateEnclave("taker")
+	enc, _, _ := mon.CreateEnclave()
 	frame := addr.Range{Base: pa.PageBase(), Size: addr.PageSize}
 	if _, _, err := mon.AddRegion(enc, frame, perm.RWX, monitor.LabelSlow); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestInlinedPermRevokedByFlush(t *testing.T) {
 func TestMeasurementDetectsPreLaunchTampering(t *testing.T) {
 	_, mon, _ := bootStack(t, monitor.ModeHPMP)
 	build := func(tamper bool) [32]byte {
-		enc, _, _ := mon.CreateEnclave("measured")
+		enc, _, _ := mon.CreateEnclave()
 		region := addr.Range{Base: addr.PA(0x1000_0000 + int(enc)*0x10_0000), Size: 64 * addr.KiB}
 		mon.AddRegion(enc, region, perm.RWX, monitor.LabelSlow)
 		mon.Mach.Mem.Write64(region.Base, 0x60061e)

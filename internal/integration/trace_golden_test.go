@@ -62,7 +62,7 @@ func traceWorkload(t *testing.T) *obs.Tracer {
 	// A store into an enclave's region: translation succeeds if mapped, the
 	// permission check denies — but a host process has no mapping there, so
 	// this faults at the page level, exercising the fault path either way.
-	enc, _, err := mon.CreateEnclave("victim")
+	enc, _, err := mon.CreateEnclave()
 	if err != nil {
 		t.Fatal(err)
 	}

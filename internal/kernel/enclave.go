@@ -23,8 +23,6 @@ import (
 // enclaveInfo is the per-process enclave state.
 type enclaveInfo struct {
 	domain  monitor.DomainID
-	ptGMS   monitor.GMSID
-	dataGMS monitor.GMSID
 	ptAlloc *phys.FrameAllocator
 	// userAlloc overrides the kernel-wide frame pool.
 	userAlloc *phys.FrameAllocator
@@ -67,22 +65,18 @@ func (k *Kernel) SpawnEnclave(img Image, memBytes uint64) (*Process, error) {
 		k.releaseEnclaveBlock(block)
 		return nil, err
 	}
-	if dom, _, err = k.Mon.CreateEnclave(img.Name); err != nil {
+	if dom, _, err = k.Mon.CreateEnclave(); err != nil {
 		return fail(err)
 	}
-	ptGMS, _, err := k.Mon.AddRegion(dom, ptRegion, perm.RW, monitor.LabelFast)
-	if err != nil {
+	if _, _, err := k.Mon.AddRegion(dom, ptRegion, perm.RW, monitor.LabelFast); err != nil {
 		return fail(err)
 	}
-	dataGMS, _, err := k.Mon.AddRegion(dom, dataRegion, perm.RWX, monitor.LabelSlow)
-	if err != nil {
+	if _, _, err := k.Mon.AddRegion(dom, dataRegion, perm.RWX, monitor.LabelSlow); err != nil {
 		return fail(err)
 	}
 
 	enc := &enclaveInfo{
 		domain:    dom,
-		ptGMS:     ptGMS,
-		dataGMS:   dataGMS,
 		ptAlloc:   phys.NewFrameAllocator(ptRegion, false),
 		userAlloc: phys.NewFrameAllocator(dataRegion, false),
 		region:    block,

@@ -57,11 +57,14 @@ type Config struct {
 	// HintRegion is the contiguous, NAPOT physical window the TEE driver
 	// migrates hot application pages into (§9 hot/cold hint ioctls).
 	HintRegion addr.Range
-	// FaultTrapCycles is the fixed trap/handler cost of a page fault.
-	FaultTrapCycles uint64
-	// SyscallTrapCycles is the fixed user↔kernel crossing cost.
-	SyscallTrapCycles uint64
 }
+
+const (
+	// faultTrapCycles is the fixed trap/handler cost of a page fault.
+	faultTrapCycles = 700
+	// syscallTrapCycles is the fixed user↔kernel crossing cost.
+	syscallTrapCycles = 280
+)
 
 // DefaultConfig places the PT pool at 256 MiB and user memory above it;
 // machines smaller than 768 MiB get a compacted layout. memSize is the
@@ -72,12 +75,10 @@ func DefaultConfig(memSize uint64) Config {
 		ptBase, userBase, hintBase = 0x400_0000, 0x800_0000, 0x500_0000
 	}
 	return Config{
-		PTPoolRegion:      addr.Range{Base: addr.PA(ptBase), Size: 16 * addr.MiB},
-		HintRegion:        addr.Range{Base: addr.PA(hintBase), Size: 16 * addr.MiB},
-		UserRegion:        addr.Range{Base: addr.PA(userBase), Size: memSize - userBase},
-		ContiguousPT:      true,
-		FaultTrapCycles:   700,
-		SyscallTrapCycles: 280,
+		PTPoolRegion: addr.Range{Base: addr.PA(ptBase), Size: 16 * addr.MiB},
+		HintRegion:   addr.Range{Base: addr.PA(hintBase), Size: 16 * addr.MiB},
+		UserRegion:   addr.Range{Base: addr.PA(userBase), Size: memSize - userBase},
+		ContiguousPT: true,
 	}
 }
 

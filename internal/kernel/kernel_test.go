@@ -62,7 +62,7 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 		if err != nil || v != 0xfeedface {
 			t.Fatalf("%v: load = %#x, %v", mode, v, err)
 		}
-		if e.P.Faults == 0 {
+		if k.Counters.Snapshot()["kernel.page_fault"] == 0 {
 			t.Errorf("%v: first touch must demand-fault", mode)
 		}
 	}
@@ -94,6 +94,8 @@ func TestBytesAcrossPages(t *testing.T) {
 func TestDemandPagingCounts(t *testing.T) {
 	k := bootKernel(t, monitor.ModeHPMP)
 	e := spawnEnv(t, k)
+	faults := func() uint64 { return k.Counters.Snapshot()["kernel.page_fault"] }
+	start := faults()
 	va := e.Alloc(10 * addr.PageSize)
 	for i := 0; i < 10; i++ {
 		e.Store8(va+addr.VA(i*addr.PageSize), 1)
@@ -101,15 +103,15 @@ func TestDemandPagingCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.P.Faults != 10 {
-		t.Errorf("faults = %d, want 10", e.P.Faults)
+	if n := faults() - start; n != 10 {
+		t.Errorf("faults = %d, want 10", n)
 	}
 	// Second pass: no more faults.
-	before := e.P.Faults
+	before := faults()
 	for i := 0; i < 10; i++ {
 		e.Load8(va + addr.VA(i*addr.PageSize))
 	}
-	if e.P.Faults != before {
+	if faults() != before {
 		t.Error("re-touch must not fault")
 	}
 }

@@ -60,8 +60,6 @@ type Process struct {
 	pages map[addr.VA]*mapping
 	// mmapCursor is the next address returned by MMap.
 	mmapCursor addr.VA
-	// Faults counts demand-paging faults taken.
-	Faults uint64
 	// enclave is non-nil for enclave-hosted processes (see enclave.go).
 	enclave *enclaveInfo
 }
@@ -196,7 +194,7 @@ func (k *Kernel) movePage(p *Process, va addr.VA, mp *mapping, pool *phys.FrameA
 func (k *Kernel) storeLeafPTE(tbl *pt.Table, va addr.VA) {
 	steps, err := tbl.WalkPath(va)
 	if err == nil && len(steps) > 0 {
-		r := k.Mach.Hier.Access(steps[len(steps)-1].PTEAddr, k.Mach.Core.Now, true)
+		r := k.Mach.Hier.Access(steps[len(steps)-1], k.Mach.Core.Now, true)
 		k.Mach.Core.Stall(r.Latency)
 	}
 }
@@ -349,12 +347,11 @@ func (k *Kernel) HandleFault(p *Process, va addr.VA, kind perm.Access) error {
 		return err
 	}
 	p.pages[page] = &mapping{pa: pa}
-	p.Faults++
 	k.Counters.Inc("kernel.page_fault")
 
 	// Costs: trap + handler compute + the PTE store (timed through the
 	// hierarchy) + zeroing the new frame (streamed stores).
-	k.Mach.Core.Stall(k.cfg.FaultTrapCycles)
+	k.Mach.Core.Stall(faultTrapCycles)
 	k.storeLeafPTE(p.Table, page)
 	k.Mach.Core.Stall(180) // page zeroing with cache-bypassing stores
 	return nil
@@ -380,14 +377,14 @@ func (k *Kernel) handleCoW(p *Process, va addr.VA) (bool, error) {
 		if err := k.movePage(p, page, mp, k.dataPool(p), vma.Perm); err != nil {
 			return false, err
 		}
-		k.Mach.Core.Stall(k.cfg.FaultTrapCycles + 350) // trap + page copy
+		k.Mach.Core.Stall(faultTrapCycles + 350) // trap + page copy
 	} else {
 		// The last owner: writable again in place.
 		mp.cow = false
 		if err := p.Table.Map(page, mp.pa, vma.Perm, true); err != nil {
 			return false, err
 		}
-		k.Mach.Core.Stall(k.cfg.FaultTrapCycles)
+		k.Mach.Core.Stall(faultTrapCycles)
 	}
 	k.Mach.MMU.FlushVA(page)
 	k.Counters.Inc("kernel.cow_fault")

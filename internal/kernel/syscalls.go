@@ -17,11 +17,11 @@ import (
 // Every access names its own privilege, so the crossing changes no core
 // state.
 func (k *Kernel) enterSyscall() {
-	k.Mach.Core.Stall(k.cfg.SyscallTrapCycles)
+	k.Mach.Core.Stall(syscallTrapCycles)
 }
 
 func (k *Kernel) exitSyscall() {
-	k.Mach.Core.Stall(k.cfg.SyscallTrapCycles / 2)
+	k.Mach.Core.Stall(syscallTrapCycles / 2)
 }
 
 // SyscallNull is getppid(): trap in, read one scheduler field, trap out.

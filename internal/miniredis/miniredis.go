@@ -42,7 +42,6 @@ type Server struct {
 	e *kernel.Env
 
 	arenaBase addr.VA
-	arenaCap  uint64
 	// Page-grained scatter allocation: real allocators (jemalloc in Redis)
 	// spread objects across many pages, which is what makes Redis
 	// TLB-hungry. pageOff tracks the bump offset inside each arena page;
@@ -52,7 +51,6 @@ type Server struct {
 
 	buckets  addr.VA // bucket array: nBuckets × 8 bytes
 	nBuckets uint64
-	Keys     int
 }
 
 // NewServer creates a server with an arenaBytes-sized object arena and a
@@ -65,7 +63,6 @@ func NewServer(e *kernel.Env, arenaBytes uint64, nBuckets uint64) (*Server, erro
 	s := &Server{
 		e:         e,
 		arenaBase: e.Alloc(arenaBytes),
-		arenaCap:  arenaBytes,
 		pageOff:   make([]uint16, arenaBytes/addr.PageSize),
 		allocRNG:  0x6a09e667f3bcc909,
 		nBuckets:  nBuckets,
@@ -177,7 +174,6 @@ func (s *Server) createEntry(key string, typ uint64) (addr.VA, error) {
 	s.setWord(eva, entVal, 0)
 	s.e.StoreBytes(eva+addr.VA(entHeaderWords*8), []byte(key))
 	s.e.Store64(bva, uint64(eva))
-	s.Keys++
 	return eva, nil
 }
 

@@ -55,9 +55,21 @@ func TestSetGet(t *testing.T) {
 	if string(v) != "baz" {
 		t.Errorf("overwrite failed: %q", v)
 	}
-	if s.Keys != 1 {
-		t.Errorf("Keys = %d, want 1", s.Keys)
+	if n := s.countEntries(); n != 1 {
+		t.Errorf("dictionary holds %d entries, want 1", n)
 	}
+}
+
+// countEntries walks every bucket chain and counts the dictionary's
+// entries.
+func (s *Server) countEntries() int {
+	n := 0
+	for b := uint64(0); b < s.nBuckets; b++ {
+		for va := addr.VA(s.e.Load64(s.buckets + addr.VA(b*8))); va != 0; va = addr.VA(s.word(va, entNext)) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestIncr(t *testing.T) {

@@ -25,13 +25,11 @@ import (
 // monitor's fence pair makes the downgrade visible.
 func TestFlushVADoesNotScopePMPTWalkerCache(t *testing.T) {
 	mem := phys.New(memSize)
-	hier := &cache.Hierarchy{
-		L1:         cache.New(cache.Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, LineSize: 64, Latency: 2}),
-		L2:         cache.New(cache.Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12}),
-		LLC:        cache.New(cache.Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26}),
-		Mem:        dram.New(dram.Default()),
-		ClockRatio: 1.0,
-	}
+	hier := cache.NewHierarchy(
+		cache.New(cache.Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, LineSize: 64, Latency: 2}),
+		cache.New(cache.Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12}),
+		cache.New(cache.Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26}),
+		dram.New(dram.Default()), 1.0)
 	port := &memport.Timed{Hier: hier, Mem: mem}
 
 	ptRegion := addr.Range{Base: 0x40_0000, Size: 4 * addr.MiB}
@@ -52,12 +50,12 @@ func TestFlushVADoesNotScopePMPTWalkerCache(t *testing.T) {
 	}
 	wcache := pmpt.NewWalkerCache(16)
 	wcache.Enabled = true
-	checker := hpmp.NewSized(&pmpt.Walker{Port: port, Cache: wcache}, pmp.NumEntries)
+	checker := hpmp.NewSized(pmpt.NewWalker(port, wcache), pmp.NumEntries)
 	if err := checker.SetTable(0, all, ptab.RootBase()); err != nil {
 		t.Fatal(err)
 	}
 
-	m := New(DefaultConfig(addr.Sv39), hier, mem, checker, port)
+	m := New(DefaultConfig(addr.Sv39), hier, checker, port)
 	m.SetRoot(tbl.Root())
 
 	va := addr.VA(0x4000_0000)

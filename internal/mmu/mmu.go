@@ -20,7 +20,6 @@ import (
 	"hpmp/internal/memport"
 	"hpmp/internal/obs"
 	"hpmp/internal/perm"
-	"hpmp/internal/phys"
 	"hpmp/internal/ptw"
 	"hpmp/internal/stats"
 	"hpmp/internal/tlb"
@@ -29,10 +28,7 @@ import (
 // Config sizes the translation structures (defaults follow Table 1).
 type Config struct {
 	Mode         addr.Mode
-	ITLBEntries  int
-	DTLBEntries  int
 	L2TLBEntries int
-	L2TLBLatency uint64
 	PWCEntries   int
 	// WalkerBaseline: fixed cycles of walker state-machine overhead added
 	// per walk, independent of memory references.
@@ -48,13 +44,18 @@ type Config struct {
 func DefaultConfig(mode addr.Mode) Config {
 	return Config{
 		Mode:         mode,
-		ITLBEntries:  32,
-		DTLBEntries:  32,
 		L2TLBEntries: 64,
-		L2TLBLatency: 4,
 		PWCEntries:   8,
 	}
 }
+
+// The L1 TLBs' sizes and the L2 TLB's lookup latency are Table 1's; no
+// experiment varies them.
+const (
+	itlbEntries = 32
+	dtlbEntries = 32
+	stlbLatency = 4
+)
 
 // MMU is the per-hart translation and checking pipeline.
 type MMU struct {
@@ -68,7 +69,6 @@ type MMU struct {
 	Walker  *ptw.Walker
 	Checker ptw.Checker // nil → no physical memory isolation
 	Hier    *cache.Hierarchy
-	Mem     *phys.Memory
 
 	// Trace, when set, receives one obs.KindAccess event per completed
 	// access; it is the MMU's only per-access observation hook. Nil (the
@@ -94,20 +94,19 @@ type MMU struct {
 	Counters stats.Counters
 }
 
-// New builds an MMU whose data accesses go through hier and mem and whose
+// New builds an MMU whose data accesses go through hier and whose
 // page-table walker fetches PTEs through walkerPort (cpu.NewMachine's port
 // skips the L1D, as Rocket does). checker may be nil (no isolation, Fig.
 // 2-a).
-func New(cfg Config, hier *cache.Hierarchy, mem *phys.Memory, checker ptw.Checker, walkerPort memport.Port) *MMU {
+func New(cfg Config, hier *cache.Hierarchy, checker ptw.Checker, walkerPort memport.Port) *MMU {
 	m := &MMU{
 		cfg:     cfg,
-		ITLB:    tlb.NewL1("itlb", cfg.ITLBEntries),
-		DTLB:    tlb.NewL1("dtlb", cfg.DTLBEntries),
-		STLB:    tlb.NewL2("stlb", cfg.L2TLBEntries, cfg.L2TLBLatency),
+		ITLB:    tlb.NewL1("itlb", itlbEntries),
+		DTLB:    tlb.NewL1("dtlb", dtlbEntries),
+		STLB:    tlb.NewL2("stlb", cfg.L2TLBEntries, stlbLatency),
 		Walker:  ptw.New(cfg.Mode, walkerPort, checker, cfg.PWCEntries),
 		Checker: checker,
 		Hier:    hier,
-		Mem:     mem,
 		LatHist: stats.DefaultLatencyHistogram(),
 	}
 	for lvl := cache.Level(0); lvl < cache.NumLevels; lvl++ {
@@ -173,7 +172,6 @@ type Result struct {
 	// it, so the trace record carries it unchanged.
 	TLBHit    obs.TLBPath
 	Walk      ptw.Result
-	Walked    bool
 	PageFault bool
 	// ProtFault: the page mapping exists but the PTE permission or
 	// privilege check failed (kernel would signal the process).
@@ -321,7 +319,6 @@ func (m *MMU) accessInner(va addr.VA, k perm.Access, priv perm.Priv, now uint64,
 	res.TLBHit = obs.TLBMiss
 
 	// 3. Hardware walk.
-	res.Walked = true
 	res.Latency += m.cfg.WalkerBaseline
 	if err := m.Walker.WalkInto(m.Root, va, now+res.Latency, &res.Walk); err != nil {
 		return err

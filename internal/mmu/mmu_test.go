@@ -47,13 +47,11 @@ func newRig(t *testing.T, mode isoMode) *rig {
 func newRigL2(t *testing.T, mode isoMode, l2Entries int) *rig {
 	t.Helper()
 	mem := phys.New(memSize)
-	hier := &cache.Hierarchy{
-		L1:         cache.New(cache.Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, LineSize: 64, Latency: 2}),
-		L2:         cache.New(cache.Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12}),
-		LLC:        cache.New(cache.Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26}),
-		Mem:        dram.New(dram.Default()),
-		ClockRatio: 1.0,
-	}
+	hier := cache.NewHierarchy(
+		cache.New(cache.Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, LineSize: 64, Latency: 2}),
+		cache.New(cache.Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12}),
+		cache.New(cache.Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26}),
+		dram.New(dram.Default()), 1.0)
 	port := &memport.Timed{Hier: hier, Mem: mem}
 
 	ptRegion := addr.Range{Base: 0x40_0000, Size: 4 * addr.MiB}
@@ -70,13 +68,13 @@ func newRigL2(t *testing.T, mode isoMode, l2Entries int) *rig {
 	case isoNone:
 		checker = nil
 	case isoPMP:
-		checker = hpmp.NewSized(&pmpt.Walker{Port: port}, pmp.NumEntries)
+		checker = hpmp.NewSized(pmpt.NewWalker(port, nil), pmp.NumEntries)
 		// One segment covering all of memory RWX (non-secure baseline).
 		if err := checker.SetSegment(0, addr.Range{Base: 0, Size: memSize}, perm.RWX, false); err != nil {
 			t.Fatal(err)
 		}
 	case isoPMPT, isoHPMP:
-		checker = hpmp.NewSized(&pmpt.Walker{Port: port}, pmp.NumEntries)
+		checker = hpmp.NewSized(pmpt.NewWalker(port, nil), pmp.NumEntries)
 		all := addr.Range{Base: 0, Size: memSize}
 		ptab, err := pmpt.NewTable(mem, monAlloc, all)
 		if err != nil {
@@ -103,9 +101,9 @@ func newRigL2(t *testing.T, mode isoMode, l2Entries int) *rig {
 	cfg.L2TLBEntries = l2Entries
 	var m *MMU
 	if checker == nil {
-		m = New(cfg, hier, mem, nil, port) // typed nil must not reach the interface
+		m = New(cfg, hier, nil, port) // typed nil must not reach the interface
 	} else {
-		m = New(cfg, hier, mem, checker, port)
+		m = New(cfg, hier, checker, port)
 	}
 	m.SetRoot(tbl.Root())
 	return &rig{mem: mem, hier: hier, mmu: m, tbl: tbl, ptRegion: ptRegion, dataAlloc: dataAlloc}
@@ -281,7 +279,7 @@ func TestAccessFaultOnUnprotectedData(t *testing.T) {
 	_ = region
 	// Rebuild a walker-side view to edit: easiest is a direct pmpte write
 	// through a software table handle; emulate by clearing the leaf nibble.
-	w := &pmpt.Walker{Port: &memport.Flat{Mem: r.mem, Latency: 1}}
+	w := pmpt.NewWalker(&memport.Flat{Mem: r.mem, Latency: 1}, nil)
 	res0, err := w.Walk(rootBase, region, pa.PageBase(), 0)
 	if err != nil || !res0.Valid {
 		t.Fatalf("precondition: data page should be protected: %+v %v", res0, err)
@@ -396,7 +394,7 @@ func TestZeroCapacityPipelineRoundTrip(t *testing.T) {
 		if err != nil || res.Faulted() {
 			t.Fatalf("mode %v: cold access: %+v, %v", mode, res, err)
 		}
-		if !res.Walked {
+		if res.TLBHit != obs.TLBMiss || res.Walk.PTRefs == 0 {
 			t.Fatalf("mode %v: cold access must walk", mode)
 		}
 		res, err = r.access(va, perm.Read, perm.U, 0)
@@ -410,7 +408,7 @@ func TestZeroCapacityPipelineRoundTrip(t *testing.T) {
 		if err != nil || res.Faulted() {
 			t.Fatalf("mode %v: post-flush access: %+v, %v", mode, res, err)
 		}
-		if res.TLBHit != obs.TLBMiss || !res.Walked {
+		if res.TLBHit != obs.TLBMiss || res.Walk.PTRefs == 0 {
 			t.Fatalf("mode %v: post-flush access must miss and walk, got %+v", mode, res)
 		}
 	}

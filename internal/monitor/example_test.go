@@ -19,7 +19,7 @@ func Example() {
 		panic(err)
 	}
 
-	enc, _, err := mon.CreateEnclave("vault")
+	enc, _, err := mon.CreateEnclave()
 	if err != nil {
 		panic(err)
 	}

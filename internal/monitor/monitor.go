@@ -94,19 +94,9 @@ type GMS struct {
 	segEntry int
 }
 
-// DomainKind distinguishes the host from enclaves.
-type DomainKind int
-
-const (
-	KindHost DomainKind = iota
-	KindEnclave
-)
-
-// Domain is one isolated execution domain.
+// Domain is one isolated execution domain. The monitor keys it by its
+// DomainID; HostDomain is the host.
 type Domain struct {
-	ID   DomainID
-	Name string
-	Kind DomainKind
 	// tables hold the domain's permission view, one per 16 GiB chunk of
 	// physical memory (table modes only).
 	tables []*pmpt.Table
@@ -123,14 +113,6 @@ type Config struct {
 	// MonitorRegion is the monitor's private memory: locked off from S/U
 	// and the source of permission-table pages.
 	MonitorRegion addr.Range
-	// CSRWriteCycles is the cost of one HPMP/PMP register write.
-	CSRWriteCycles uint64
-	// TLBFlushCycles is the fixed cost of the mandatory TLB + PMPTW flush
-	// after an HPMP update (§5: supported by existing TEEs, no extra
-	// synchronization cost beyond the flush itself).
-	TLBFlushCycles uint64
-	// DomainSwitchBase is the fixed trap/save/restore cost of a switch.
-	DomainSwitchBase uint64
 	// FastEntries is how many segment slots ModeHPMP mirrors fast GMSs
 	// into. 0 picks the default: whatever entries remain after the monitor
 	// entry and the table pairs.
@@ -140,15 +122,23 @@ type Config struct {
 	HugeTableRanges bool
 }
 
+const (
+	// csrWriteCycles is the cost of one HPMP/PMP register write.
+	csrWriteCycles uint64 = 3
+	// tlbFlushCycles is the fixed cost of the mandatory TLB + PMPTW flush
+	// after an HPMP update (§5: supported by existing TEEs, no extra
+	// synchronization cost beyond the flush itself).
+	tlbFlushCycles uint64 = 48
+	// domainSwitchBase is the fixed trap/save/restore cost of a switch.
+	domainSwitchBase uint64 = 400
+)
+
 // DefaultConfig returns a standard monitor configuration for the given
 // mode.
 func DefaultConfig(mode Mode) Config {
 	return Config{
-		Mode:             mode,
-		MonitorRegion:    addr.Range{Base: 0, Size: 16 * addr.MiB},
-		CSRWriteCycles:   3,
-		TLBFlushCycles:   48,
-		DomainSwitchBase: 400,
+		Mode:          mode,
+		MonitorRegion: addr.Range{Base: 0, Size: 16 * addr.MiB},
 	}
 }
 
@@ -251,7 +241,7 @@ func Boot(mach *cpu.Machine, cfg Config) (*Monitor, error) {
 	}
 
 	// Create the Host domain owning all non-monitor memory.
-	host := &Domain{ID: HostDomain, Name: "host", Kind: KindHost, gmss: make(map[GMSID]*GMS)}
+	host := &Domain{gmss: make(map[GMSID]*GMS)}
 	m.domains[HostDomain] = host
 	m.nextDom = 1
 	if m.tableMode() {
@@ -409,7 +399,7 @@ func (m *Monitor) programTables(d *Domain) uint64 {
 			// Programming can only fail on layout bugs; surface loudly.
 			panic(fmt.Sprintf("monitor: programming table entry %d: %v", entry, err))
 		}
-		cycles += 2 * m.cfg.CSRWriteCycles // addr+cfg of the pair
+		cycles += 2 * csrWriteCycles // addr+cfg of the pair
 	}
 	return cycles
 }
@@ -422,5 +412,5 @@ func (m *Monitor) flushAfterUpdate() uint64 {
 		m.Mach.PMPTWCache.FlushAll()
 	}
 	m.Counters.Inc("monitor.flush")
-	return m.cfg.TLBFlushCycles
+	return tlbFlushCycles
 }

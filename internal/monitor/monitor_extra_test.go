@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"fmt"
 	"testing"
 
 	"hpmp/internal/addr"
@@ -112,7 +111,7 @@ func TestMultiChunkMemory(t *testing.T) {
 		t.Errorf("far memory must be table-checked host memory: %+v", r)
 	}
 	// An enclave can own far memory too.
-	enc, _, _ := mon.CreateEnclave("far")
+	enc, _, _ := mon.CreateEnclave()
 	region := addr.Range{Base: addr.PA(24 * addr.GiB), Size: 8 * addr.MiB}
 	if _, _, err := mon.AddRegion(enc, region, perm.RWX, LabelSlow); err != nil {
 		t.Fatal(err)
@@ -130,9 +129,9 @@ func TestPMPTSwitchCostFlat(t *testing.T) {
 	// Table-mode switching (PMPT and HPMP) is a root-pointer swap: cost
 	// must not grow with the enclaves' region counts.
 	mon := boot(t, ModePMPT)
-	e1, _, _ := mon.CreateEnclave("small")
+	e1, _, _ := mon.CreateEnclave()
 	mon.AddRegion(e1, addr.Range{Base: 0x1000_0000, Size: 64 * addr.KiB}, perm.RWX, LabelSlow)
-	e2, _, _ := mon.CreateEnclave("big")
+	e2, _, _ := mon.CreateEnclave()
 	for i := 0; i < 20; i++ {
 		region := addr.Range{Base: addr.PA(0x1100_0000 + i*addr.MiB), Size: 64 * addr.KiB}
 		if _, _, err := mon.AddRegion(e2, region, perm.RWX, LabelSlow); err != nil {
@@ -172,7 +171,7 @@ func TestManyEnclavesStress(t *testing.T) {
 	mon := boot(t, ModeHPMP)
 	var ids []DomainID
 	for i := 0; i < 60; i++ {
-		id, _, err := mon.CreateEnclave(fmt.Sprintf("e%d", i))
+		id, _, err := mon.CreateEnclave()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +219,7 @@ func TestScrubLeavesUntouchedFramesUnallocated(t *testing.T) {
 	for _, mode := range []Mode{ModePMP, ModePMPT, ModeHPMP} {
 		mon := boot(t, mode)
 		mem := mon.Mach.Mem
-		enc, _, err := mon.CreateEnclave("scrub")
+		enc, _, err := mon.CreateEnclave()
 		if err != nil {
 			t.Fatal(err)
 		}

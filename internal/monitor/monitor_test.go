@@ -53,7 +53,7 @@ func TestBootPostures(t *testing.T) {
 func TestEnclaveIsolation(t *testing.T) {
 	for _, mode := range []Mode{ModePMPT, ModeHPMP} {
 		mon := boot(t, mode)
-		enc, _, err := mon.CreateEnclave("redis")
+		enc, _, err := mon.CreateEnclave()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestSwitchCostFlatInDomainCount(t *testing.T) {
 		mon := boot(t, ModeHPMP)
 		ids := []DomainID{HostDomain}
 		for i := 1; i < n; i++ {
-			id, _, err := mon.CreateEnclave("d")
+			id, _, err := mon.CreateEnclave()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func TestSwitchCostFlatInDomainCount(t *testing.T) {
 
 func TestReleaseRegionScrubsAndRestores(t *testing.T) {
 	mon := boot(t, ModeHPMP)
-	enc, _, _ := mon.CreateEnclave("e")
+	enc, _, _ := mon.CreateEnclave()
 	region := addr.Range{Base: 0x1000_0000, Size: 128 * addr.KiB}
 	id, _, err := mon.AddRegion(enc, region, perm.RWX, LabelSlow)
 	if err != nil {
@@ -209,8 +209,8 @@ func TestReleaseRegionScrubsAndRestores(t *testing.T) {
 
 func TestOverlapRejected(t *testing.T) {
 	mon := boot(t, ModeHPMP)
-	e1, _, _ := mon.CreateEnclave("a")
-	e2, _, _ := mon.CreateEnclave("b")
+	e1, _, _ := mon.CreateEnclave()
+	e2, _, _ := mon.CreateEnclave()
 	r1 := addr.Range{Base: 0x1000_0000, Size: addr.MiB}
 	if _, _, err := mon.AddRegion(e1, r1, perm.RWX, LabelSlow); err != nil {
 		t.Fatal(err)
@@ -233,8 +233,8 @@ func TestOverlapRejected(t *testing.T) {
 
 func TestSharing(t *testing.T) {
 	mon := boot(t, ModeHPMP)
-	e1, _, _ := mon.CreateEnclave("producer")
-	e2, _, _ := mon.CreateEnclave("consumer")
+	e1, _, _ := mon.CreateEnclave()
+	e2, _, _ := mon.CreateEnclave()
 	region := addr.Range{Base: 0x1800_0000, Size: addr.MiB}
 	id, _, err := mon.AddRegion(e1, region, perm.RW, LabelSlow)
 	if err != nil {
@@ -254,7 +254,7 @@ func TestSharing(t *testing.T) {
 
 func TestIPC(t *testing.T) {
 	mon := boot(t, ModeHPMP)
-	enc, _, _ := mon.CreateEnclave("svc")
+	enc, _, _ := mon.CreateEnclave()
 	if _, err := mon.SendMessage(enc, []byte("hello enclave")); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestIPC(t *testing.T) {
 
 func TestMeasurementAndAttest(t *testing.T) {
 	mon := boot(t, ModeHPMP)
-	enc, _, _ := mon.CreateEnclave("e")
+	enc, _, _ := mon.CreateEnclave()
 	region := addr.Range{Base: 0x1000_0000, Size: 64 * addr.KiB}
 	mon.AddRegion(enc, region, perm.RWX, LabelSlow)
 	mon.Mach.Mem.Write64(region.Base, 0x1234)
@@ -293,7 +293,7 @@ func TestMeasurementAndAttest(t *testing.T) {
 
 func TestDestroyDomain(t *testing.T) {
 	mon := boot(t, ModeHPMP)
-	enc, _, _ := mon.CreateEnclave("e")
+	enc, _, _ := mon.CreateEnclave()
 	region := addr.Range{Base: 0x1000_0000, Size: 64 * addr.KiB}
 	mon.AddRegion(enc, region, perm.RWX, LabelSlow)
 	if _, err := mon.DestroyDomain(HostDomain); err == nil {
@@ -309,7 +309,7 @@ func TestDestroyDomain(t *testing.T) {
 		t.Error("host must regain destroyed enclave's memory")
 	}
 	// Cannot destroy the running domain.
-	e2, _, _ := mon.CreateEnclave("e2")
+	e2, _, _ := mon.CreateEnclave()
 	mon.Switch(e2)
 	if _, err := mon.DestroyDomain(e2); err == nil {
 		t.Error("running domain must not be destroyable")

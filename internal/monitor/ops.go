@@ -18,10 +18,10 @@ func (m *Monitor) charge(cycles uint64) uint64 {
 }
 
 // CreateEnclave creates a new (empty) enclave domain.
-func (m *Monitor) CreateEnclave(name string) (DomainID, uint64, error) {
+func (m *Monitor) CreateEnclave() (DomainID, uint64, error) {
 	id := m.nextDom
 	m.nextDom++
-	d := &Domain{ID: id, Name: name, Kind: KindEnclave, gmss: make(map[GMSID]*GMS)}
+	d := &Domain{gmss: make(map[GMSID]*GMS)}
 	var cycles uint64 = 600 // trap + metadata setup
 	if m.tableMode() {
 		if err := m.buildDomainTables(d); err != nil {
@@ -124,7 +124,7 @@ func (m *Monitor) AddRegion(owner DomainID, region addr.Range, p perm.Perm, labe
 			delete(m.pmpSlots, entry)
 			return 0, 0, err
 		}
-		cycles += 2 * m.cfg.CSRWriteCycles
+		cycles += 2 * csrWriteCycles
 	}
 	cycles += m.flushAfterUpdate()
 	d.gmss[id] = g
@@ -180,7 +180,7 @@ func (m *Monitor) ReleaseRegion(id GMSID) (uint64, error) {
 			return 0, err
 		}
 		delete(m.pmpSlots, g.segEntry)
-		cycles += m.cfg.CSRWriteCycles
+		cycles += csrWriteCycles
 	}
 	cycles += m.flushAfterUpdate()
 	delete(d.gmss, id)
@@ -241,7 +241,7 @@ func (m *Monitor) maybeInstallFast(g *GMS) uint64 {
 			m.fastSlots[slot] = g.ID
 			g.segEntry = entry
 			m.Counters.Inc("monitor.fast_install")
-			return 2 * m.cfg.CSRWriteCycles
+			return 2 * csrWriteCycles
 		}
 	}
 	m.Counters.Inc("monitor.fast_full")
@@ -261,7 +261,7 @@ func (m *Monitor) removeFast(g *GMS) uint64 {
 		g.segEntry = -1
 	}
 	m.Counters.Inc("monitor.fast_evict")
-	return m.cfg.CSRWriteCycles
+	return csrWriteCycles
 }
 
 // Switch transfers execution to another domain, reprogramming the isolation
@@ -275,7 +275,7 @@ func (m *Monitor) Switch(to DomainID) (uint64, error) {
 		return 0, nil
 	}
 	cur := m.domains[m.current]
-	cycles := m.cfg.DomainSwitchBase
+	cycles := domainSwitchBase
 
 	if m.tableMode() {
 		// Evict the outgoing domain's fast segments.
@@ -300,7 +300,7 @@ func (m *Monitor) Switch(to DomainID) (uint64, error) {
 				if err := m.Mach.Checker.SetSegment(g.segEntry, g.Region, perm.None, false); err != nil {
 					return 0, err
 				}
-				cycles += m.cfg.CSRWriteCycles
+				cycles += csrWriteCycles
 			}
 		}
 		m.current = to
@@ -309,7 +309,7 @@ func (m *Monitor) Switch(to DomainID) (uint64, error) {
 				if err := m.Mach.Checker.SetSegment(g.segEntry, g.Region, g.Perm, false); err != nil {
 					return 0, err
 				}
-				cycles += m.cfg.CSRWriteCycles
+				cycles += csrWriteCycles
 			}
 		}
 	}

@@ -115,7 +115,7 @@ func FuzzPMPTWalk(f *testing.F) {
 			sample = append(sample, region.Base+addr.PA(next(region.Size/8))*8)
 		}
 
-		w := &Walker{Port: &memport.Flat{Mem: mem, Latency: 3}}
+		w := NewWalker(&memport.Flat{Mem: mem, Latency: 3}, nil)
 		for _, pa := range sample {
 			want, err := tbl.LookupSW(pa)
 			if err != nil {

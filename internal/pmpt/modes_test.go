@@ -80,7 +80,7 @@ func TestDeepRejects(t *testing.T) {
 			t.Errorf("%s: region %v beyond the reach must be rejected", c.name, over)
 		}
 	}
-	w := &Walker{Port: &memport.Flat{Mem: mem, Latency: 1}}
+	w := NewWalker(&memport.Flat{Mem: mem, Latency: 1}, nil)
 	if _, err := w.WalkDeep(0, addr.Range{Base: 0, Size: addr.GiB}, TableMode(3), 0, 0); err == nil {
 		t.Error("walk with the reserved mode must fail")
 	}
@@ -91,7 +91,7 @@ func TestDeepSetAndWalk(t *testing.T) {
 	for _, c := range modeCases {
 		t.Run(c.name, func(t *testing.T) {
 			tbl, mem := newModeTable(t, c.mode, c.region)
-			w := &Walker{Port: &memport.Flat{Mem: mem, Latency: 10}}
+			w := NewWalker(&memport.Flat{Mem: mem, Latency: 10}, nil)
 			if err := tbl.SetPagePerm(c.far, perm.RW); err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestDeepHugeLevels(t *testing.T) {
 	for _, c := range modeCases {
 		t.Run(c.name, func(t *testing.T) {
 			tbl, mem := newModeTable(t, c.mode, c.region)
-			w := &Walker{Port: &memport.Flat{Mem: mem, Latency: 10}}
+			w := NewWalker(&memport.Flat{Mem: mem, Latency: 10}, nil)
 			levels := c.mode.Levels()
 			for level := levels - 1; level >= 1; level-- {
 				span := entrySpan(level)
@@ -162,7 +162,7 @@ func TestDeepOracleQuick(t *testing.T) {
 	for _, c := range modeCases {
 		t.Run(c.name, func(t *testing.T) {
 			tbl, mem := newModeTable(t, c.mode, c.region)
-			w := &Walker{Port: &memport.Flat{Mem: mem, Latency: 1}}
+			w := NewWalker(&memport.Flat{Mem: mem, Latency: 1}, nil)
 			f := func(pageIdx uint64, pbits uint8) bool {
 				pa := addr.PA(pageIdx % (c.region / addr.PageSize) * addr.PageSize)
 				p := perm.Perm(pbits & 0x7)
@@ -223,7 +223,7 @@ func TestRevokeSpanDenies(t *testing.T) {
 				if err := tbl.SetRangePerm(c.span, perm.None); err != nil {
 					t.Fatal(err)
 				}
-				w := &Walker{Port: &memport.Flat{Mem: mem, Latency: 1}}
+				w := NewWalker(&memport.Flat{Mem: mem, Latency: 1}, nil)
 				probes := []addr.PA{c.span.Base, c.span.Base + addr.PageSize, c.span.Base + addr.PA(c.span.Size/2), c.span.End() - 8}
 				for _, pa := range probes {
 					if got, err := tbl.LookupSW(pa); err != nil || got != perm.None {

@@ -541,11 +541,10 @@ type WalkResult struct {
 	Valid   bool   // V bit of the last non-leaf entry fetched
 	Latency uint64 // core cycles spent on pmpte memory references
 	MemRefs int    // pmpte fetches that went to the memory system
-	Hits    int    // pmpte fetches served by the PMPTW cache
 }
 
 // Walker is the PMPTW: the hardware state machine that traverses a PMP
-// Table. It owns the optional PMPTW-Cache (§8.9).
+// Table. It owns the optional PMPTW-Cache (§8.9). Build one with NewWalker.
 type Walker struct {
 	Port  memport.Port
 	Cache *WalkerCache
@@ -555,53 +554,35 @@ type Walker struct {
 	// lookup — the cache-hit zero-alloc pin covers it.
 	Trace *obs.Tracer
 
-	// hh holds pre-resolved counter handles. Walkers are built with struct
-	// literals throughout the tree, so resolution is lazy (first walk)
-	// rather than constructor-time.
-	hh walkerHandles
-
-	// latHist is the PMPT-walk latency histogram ("pmptw.walk_latency" in
+	// Hist is the PMPT-walk latency histogram ("pmptw.walk_latency" in
 	// metrics snapshots): one observation per completed walk of any
-	// depth. Like the counter handles it is lazily allocated on first use
-	// (walkers are struct literals), then written in place — the cache-hit
-	// zero-alloc pin covers the steady state.
-	latHist *stats.Histogram
+	// depth. Readers follow the stats ownership model: only after the
+	// goroutine driving the walker has finished.
+	Hist *stats.Histogram
+
+	// Pre-resolved handles into Counters for the per-fetch path.
+	invalid, huge, walks, cacheHit, memRef *uint64
 
 	Counters stats.Counters
 }
 
-type walkerHandles struct {
-	invalid, huge, walk, cacheHit, memRef *uint64
+// NewWalker builds a PMPTW that fetches pmptes through port, consulting
+// cache first when it is non-nil and enabled. It resolves every pmptw
+// counter up front, so every snapshot of a walker lists all five.
+func NewWalker(port memport.Port, cache *WalkerCache) *Walker {
+	w := &Walker{Port: port, Cache: cache, Hist: stats.DefaultLatencyHistogram()}
+	w.invalid = w.Counters.Handle("pmptw.invalid")
+	w.huge = w.Counters.Handle("pmptw.huge")
+	w.walks = w.Counters.Handle("pmptw.walk")
+	w.cacheHit = w.Counters.Handle("pmptw.cache_hit")
+	w.memRef = w.Counters.Handle("pmptw.mem_ref")
+	return w
 }
 
-// handles resolves the walker's counter handles on first use, all five at
-// once, so every snapshot of a walker that has run lists every pmptw
-// counter.
-func (w *Walker) handles() *walkerHandles {
-	if w.hh.invalid == nil {
-		w.hh = walkerHandles{
-			invalid:  w.Counters.Handle("pmptw.invalid"),
-			huge:     w.Counters.Handle("pmptw.huge"),
-			walk:     w.Counters.Handle("pmptw.walk"),
-			cacheHit: w.Counters.Handle("pmptw.cache_hit"),
-			memRef:   w.Counters.Handle("pmptw.mem_ref"),
-		}
-	}
-	return &w.hh
-}
-
-// hist lazily allocates the walk-latency histogram, mirroring handles().
-func (w *Walker) hist() *stats.Histogram {
-	if w.latHist == nil {
-		w.latHist = stats.DefaultLatencyHistogram()
-	}
-	return w.latHist
-}
-
-// Hist returns the walker's PMPT-walk latency histogram (allocating it if
-// no walk has run yet). Readers follow the stats ownership model: only
-// after the goroutine driving the walker has finished.
-func (w *Walker) Hist() *stats.Histogram { return w.hist() }
+// Fetched reports whether the walker has fetched a pmpte, from its cache
+// or from memory. A machine's snapshot lists the pmptw counters only once
+// it has: a checker that only ever matched segments shows no walker.
+func (w *Walker) Fetched() bool { return *w.cacheHit+*w.memRef > 0 }
 
 // Walk resolves the permission for pa against the 2-level table rooted at
 // rootBase protecting region, issuing pmpte fetches at core-cycle now.
@@ -614,7 +595,7 @@ func (w *Walker) Walk(rootBase addr.PA, region addr.Range, pa addr.PA, now uint6
 func (w *Walker) WalkDeep(rootBase addr.PA, region addr.Range, mode TableMode, pa addr.PA, now uint64) (WalkResult, error) {
 	res, err := w.walk(rootBase, region, mode, pa, now)
 	if err == nil {
-		w.hist().Observe(res.Latency)
+		w.Hist.Observe(res.Latency)
 	}
 	return res, err
 }
@@ -637,13 +618,13 @@ func (w *Walker) walk(rootBase addr.PA, region addr.Range, mode TableMode, pa ad
 		}
 		e := RootPTE(raw)
 		if !e.Valid() {
-			*w.handles().invalid++
+			*w.invalid++
 			return res, nil
 		}
 		if e.IsHuge() {
 			res.Valid = true
 			res.Perm = e.Perm()
-			*w.handles().huge++
+			*w.huge++
 			return res, nil
 		}
 		base = e.LeafBase()
@@ -654,7 +635,7 @@ func (w *Walker) walk(rootBase addr.PA, region addr.Range, mode TableMode, pa ad
 	}
 	res.Valid = true
 	res.Perm = LeafPTE(raw).PagePerm(pageIndex(off))
-	*w.handles().walk++
+	*w.walks++
 	return res, nil
 }
 
@@ -662,8 +643,7 @@ func (w *Walker) walk(rootBase addr.PA, region addr.Range, mode TableMode, pa ad
 func (w *Walker) fetch(pa addr.PA, now uint64, res *WalkResult) (uint64, error) {
 	if w.Cache != nil && w.Cache.Enabled {
 		if v, ok := w.Cache.Lookup(uint64(pa)); ok {
-			res.Hits++
-			*w.handles().cacheHit++
+			*w.cacheHit++
 			if w.Trace != nil {
 				w.Trace.Emit(obs.Event{Kind: obs.KindPMPTFetch, Access: perm.Read, PA: pa, Level: -1, Hit: true})
 			}
@@ -676,7 +656,7 @@ func (w *Walker) fetch(pa addr.PA, now uint64, res *WalkResult) (uint64, error) 
 	}
 	res.Latency += lat
 	res.MemRefs++
-	*w.handles().memRef++
+	*w.memRef++
 	if w.Trace != nil {
 		w.Trace.Emit(obs.Event{Kind: obs.KindPMPTFetch, Access: perm.Read, PA: pa, Level: -1, Refs: 1, ChkRefs: 1, Cycles: lat})
 	}

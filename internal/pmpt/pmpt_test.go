@@ -190,7 +190,7 @@ func TestWalkerMatchesSoftware(t *testing.T) {
 	tbl.SetPagePerm(base+addr.PageSize, perm.RW)
 	tbl.SetRangePerm(addr.Range{Base: base + addr.MiB, Size: 2 * addr.MiB}, perm.RX)
 
-	w := &Walker{Port: &memport.Flat{Mem: mem, Latency: 10}}
+	w := NewWalker(&memport.Flat{Mem: mem, Latency: 10}, nil)
 	for _, pa := range []addr.PA{base, base + addr.PageSize, base + addr.MiB, base + 2*addr.MiB, base + 10*addr.MiB} {
 		want, err := tbl.LookupSW(pa)
 		if err != nil {
@@ -210,7 +210,7 @@ func TestWalkerMatchesSoftware(t *testing.T) {
 // agrees with the software oracle.
 func TestWalkerOracleQuick(t *testing.T) {
 	tbl, mem := testTable(t, 64*addr.MiB)
-	w := &Walker{Port: &memport.Flat{Mem: mem, Latency: 1}}
+	w := NewWalker(&memport.Flat{Mem: mem, Latency: 1}, nil)
 	f := func(pageIdx uint16, pbits uint8) bool {
 		page := uint64(pageIdx) % (64 * addr.MiB / addr.PageSize)
 		pa := tbl.Region().Base + addr.PA(page*addr.PageSize)
@@ -234,7 +234,7 @@ func TestWalkRefCounts(t *testing.T) {
 	tbl, mem := testTable(t, 96*addr.MiB)
 	base := tbl.Region().Base
 	tbl.SetPagePerm(base, perm.RW)
-	w := &Walker{Port: &memport.Flat{Mem: mem, Latency: 7}}
+	w := NewWalker(&memport.Flat{Mem: mem, Latency: 7}, nil)
 
 	// Two-level walk: exactly 2 memory references (the paper's "2 more
 	// memory references per checked address").
@@ -274,15 +274,16 @@ func TestWalkerCache(t *testing.T) {
 	tbl.SetPagePerm(base, perm.RW)
 	c := NewWalkerCache(8)
 	c.Enabled = true
-	w := &Walker{Port: &memport.Flat{Mem: mem, Latency: 7}, Cache: c}
+	w := NewWalker(&memport.Flat{Mem: mem, Latency: 7}, c)
 
+	hits := func() uint64 { return w.Counters.Snapshot()["pmptw.cache_hit"] }
 	r1, _ := w.Walk(tbl.RootBase(), tbl.Region(), base, 0)
-	if r1.MemRefs != 2 || r1.Hits != 0 {
-		t.Fatalf("cold walk: refs=%d hits=%d", r1.MemRefs, r1.Hits)
+	if r1.MemRefs != 2 || hits() != 0 {
+		t.Fatalf("cold walk: refs=%d hits=%d", r1.MemRefs, hits())
 	}
 	r2, _ := w.Walk(tbl.RootBase(), tbl.Region(), base, 100)
-	if r2.MemRefs != 0 || r2.Hits != 2 {
-		t.Errorf("warm walk should be fully cached: refs=%d hits=%d", r2.MemRefs, r2.Hits)
+	if r2.MemRefs != 0 || hits() != 2 {
+		t.Errorf("warm walk should be fully cached: refs=%d hits=%d", r2.MemRefs, hits())
 	}
 	if r2.Latency != 0 {
 		t.Errorf("cached walk latency = %d, want 0", r2.Latency)
@@ -399,21 +400,21 @@ func TestWalkerCacheZeroCapacity(t *testing.T) {
 	tbl, mem := testTable(t, 64*addr.MiB)
 	base := tbl.Region().Base
 	tbl.SetPagePerm(base, perm.RW)
-	w := &Walker{Port: &memport.Flat{Mem: mem, Latency: 7}, Cache: c}
+	w := NewWalker(&memport.Flat{Mem: mem, Latency: 7}, c)
 	for i, now := range []uint64{0, 100} {
 		res, err := w.Walk(tbl.RootBase(), tbl.Region(), base, now)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.MemRefs != 2 || res.Hits != 0 || res.Perm != perm.RW {
-			t.Errorf("zero-capacity walk %d: refs=%d hits=%d perm=%v, want 2/0/RW", i, res.MemRefs, res.Hits, res.Perm)
+		if hits := w.Counters.Snapshot()["pmptw.cache_hit"]; res.MemRefs != 2 || hits != 0 || res.Perm != perm.RW {
+			t.Errorf("zero-capacity walk %d: refs=%d hits=%d perm=%v, want 2/0/RW", i, res.MemRefs, hits, res.Perm)
 		}
 	}
 }
 
 func TestWalkOutsideRegionFails(t *testing.T) {
 	tbl, mem := testTable(t, 64*addr.MiB)
-	w := &Walker{Port: &memport.Flat{Mem: mem, Latency: 1}}
+	w := NewWalker(&memport.Flat{Mem: mem, Latency: 1}, nil)
 	if _, err := w.Walk(tbl.RootBase(), tbl.Region(), 0x9999_0000, 0); err == nil {
 		t.Error("walk outside the region must error")
 	}

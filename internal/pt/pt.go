@@ -325,22 +325,16 @@ func (t *Table) TranslateSW(va addr.VA) (Translation, error) {
 	}, nil
 }
 
-// Step is one PT-page reference of a hardware walk.
-type Step struct {
-	Level   int     // table level (Levels-1 .. 0)
-	PTEAddr addr.PA // physical address of the PTE fetched
-	PTPage  addr.PA // the PT page containing it
-}
-
-// WalkPath returns, in order, the PTE addresses a hardware walker touches
-// to translate va. It does not require the mapping to exist — the path is
-// truncated at the first invalid entry, mirroring hardware behaviour.
-func (t *Table) WalkPath(va addr.VA) ([]Step, error) {
-	var steps []Step
+// WalkPath returns, in order, the physical addresses of the PTEs a
+// hardware walker fetches to translate va, root level first. It does not
+// require the mapping to exist — the path is truncated at the first
+// invalid entry, mirroring hardware behaviour.
+func (t *Table) WalkPath(va addr.VA) ([]addr.PA, error) {
+	var steps []addr.PA
 	base := t.root
 	for level := t.Mode.Levels() - 1; level >= 0; level-- {
 		ea := t.pteAddr(base, va, level)
-		steps = append(steps, Step{Level: level, PTEAddr: ea, PTPage: base})
+		steps = append(steps, ea)
 		raw, err := t.mem.Read64(ea)
 		if err != nil {
 			return steps, err

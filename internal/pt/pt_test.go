@@ -127,12 +127,18 @@ func TestWalkPathLengths(t *testing.T) {
 		if len(steps) != tc.levels {
 			t.Errorf("%v walk = %d steps, want %d", tc.mode, len(steps), tc.levels)
 		}
+		// The first PTE is in the root page, and each one is in a PT page
+		// of its own level: a new page per step.
+		if steps[0].PageBase() != tbl.Root() {
+			t.Errorf("%v first PTE %v not in the root page %v", tc.mode, steps[0], tbl.Root())
+		}
+		pages := tbl.PTPages()
 		for i, s := range steps {
-			if s.Level != tc.levels-1-i {
-				t.Errorf("%v step %d level = %d", tc.mode, i, s.Level)
+			if !slices.Contains(pages, s.PageBase()) {
+				t.Errorf("%v step %d: PTE %v not inside a PT page", tc.mode, i, s)
 			}
-			if s.PTEAddr.PageBase() != s.PTPage {
-				t.Errorf("PTEAddr %v not inside PTPage %v", s.PTEAddr, s.PTPage)
+			if i > 0 && s.PageBase() == steps[i-1].PageBase() {
+				t.Errorf("%v steps %d and %d share PT page %v", tc.mode, i-1, i, s.PageBase())
 			}
 		}
 	}
@@ -327,7 +333,7 @@ func TestSv39x4Root(t *testing.T) {
 		t.Fatal(err)
 	}
 	path, err := tbl.WalkPath(gpa)
-	if err != nil || len(path) != 3 || path[0].PTEAddr != 0x10000+600*8 {
+	if err != nil || len(path) != 3 || path[0] != 0x10000+600*8 {
 		t.Errorf("walk path %+v, %v", path, err)
 	}
 	if err := tbl.Map(1<<41, 0x900_0000, perm.RW, true); err == nil {

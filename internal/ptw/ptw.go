@@ -32,12 +32,10 @@ type Result struct {
 	Translation pt.Translation
 	PageFault   bool // invalid/missing mapping (kernel must handle)
 	AccessFault bool // a PT-page reference failed the physical checker
-	FaultLevel  int  // level at which the walk stopped
 
 	Latency     uint64 // total core cycles: PTE fetches + PT-page checks
 	PTRefs      int    // PTE fetches that reached the memory system
 	PTCheckRefs int    // permission-table references spent validating PT pages
-	PWCHits     int    // PTE fetches served by the PWC
 }
 
 // Walker is the PTW attached to one hart.
@@ -160,7 +158,6 @@ func (w *Walker) WalkBookkeeping(root addr.PA, va addr.VA, now uint64, out *Resu
 func (w *Walker) walk(root addr.PA, va addr.VA, now uint64, res *Result) error {
 	if !w.Mode.Canonical(va) {
 		res.PageFault = true
-		res.FaultLevel = w.Mode.Levels() - 1
 		*w.hPageFault++
 		return nil
 	}
@@ -176,14 +173,12 @@ func (w *Walker) walk(root addr.PA, va addr.VA, now uint64, res *Result) error {
 			w.traceFetch(va, pteAddr, level, hit, res, prevLat, prevPT, prevChk)
 		}
 		if !hit && res.AccessFault {
-			res.FaultLevel = level
 			*w.hAccessFault++
 			return nil
 		}
 		e := pt.PTE(raw)
 		if !e.Valid() {
 			res.PageFault = true
-			res.FaultLevel = level
 			*w.hPageFault++
 			return nil
 		}
@@ -195,7 +190,6 @@ func (w *Walker) walk(root addr.PA, va addr.VA, now uint64, res *Result) error {
 		if level == 0 {
 			// A pointer entry where only leaves are legal: malformed table.
 			res.PageFault = true
-			res.FaultLevel = 0
 			*w.hPageFault++
 			return nil
 		}
@@ -212,7 +206,6 @@ func (w *Walker) walk(root addr.PA, va addr.VA, now uint64, res *Result) error {
 func (w *Walker) FetchPTE(pteAddr addr.PA, now uint64, res *Result) (raw uint64, pwcHit bool, err error) {
 	if w.PWC != nil {
 		if v, ok := w.PWC.Lookup(uint64(pteAddr)); ok {
-			res.PWCHits++
 			*w.hPWCHit++
 			return v, true, nil
 		}

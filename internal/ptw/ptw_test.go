@@ -96,13 +96,25 @@ func TestPageFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.PageFault || res.FaultLevel != 2 {
-		t.Errorf("cold walk should fault at root: %+v", res)
+	if !res.PageFault || res.PTRefs != 1 {
+		t.Errorf("cold walk should fault at root, after one fetch: %+v", res)
 	}
 	// Non-canonical VA also faults.
 	res, _ = walk(w, e.tbl.Root(), addr.VA(0x40_0000_0000), 0)
 	if !res.PageFault {
 		t.Error("non-canonical VA must page fault")
+	}
+}
+
+// pwcHits returns a function that reports the PWC hits w has counted
+// since its previous call (the first call: since pwcHits).
+func pwcHits(w *Walker) func() uint64 {
+	last := w.Counters.Snapshot()["ptw.pwc_hit"]
+	return func() uint64 {
+		now := w.Counters.Snapshot()["ptw.pwc_hit"]
+		n := now - last
+		last = now
+		return n
 	}
 }
 
@@ -112,21 +124,22 @@ func TestPWCSkipsLevels(t *testing.T) {
 	e.tbl.Map(va, 0x800_0000, perm.RW, true)
 	e.tbl.Map(va+addr.PageSize, 0x801_0000, perm.RW, true)
 	w := New(addr.Sv39, e.port, nil, 8)
+	hits := pwcHits(w)
 
 	r1, _ := walk(w, e.tbl.Root(), va, 0)
-	if r1.PTRefs != 3 || r1.PWCHits != 0 {
-		t.Fatalf("cold walk: %+v", r1)
+	if n := hits(); r1.PTRefs != 3 || n != 0 {
+		t.Fatalf("cold walk: %d PWC hits, %+v", n, r1)
 	}
 	// Adjacent page (TC3-style): shares L2 and L1 PTEs → 2 PWC hits, 1
 	// fetch.
 	r2, _ := walk(w, e.tbl.Root(), va+addr.PageSize, 100)
-	if r2.PTRefs != 1 || r2.PWCHits != 2 {
-		t.Errorf("adjacent walk: refs=%d pwcHits=%d, want 1/2", r2.PTRefs, r2.PWCHits)
+	if n := hits(); r2.PTRefs != 1 || n != 2 {
+		t.Errorf("adjacent walk: refs=%d pwcHits=%d, want 1/2", r2.PTRefs, n)
 	}
 	// Exact same page: all three PTEs cached.
 	r3, _ := walk(w, e.tbl.Root(), va, 200)
-	if r3.PTRefs != 0 || r3.PWCHits != 3 {
-		t.Errorf("repeat walk: refs=%d pwcHits=%d, want 0/3", r3.PTRefs, r3.PWCHits)
+	if n := hits(); r3.PTRefs != 0 || n != 3 {
+		t.Errorf("repeat walk: refs=%d pwcHits=%d, want 0/3", r3.PTRefs, n)
 	}
 	w.FlushPWC()
 	r4, _ := walk(w, e.tbl.Root(), va, 300)
@@ -244,13 +257,14 @@ func TestPWCZeroCapacity(t *testing.T) {
 	e.tbl.Map(va, 0x800_0000, perm.RW, true)
 	w := New(addr.Sv39, e.port, nil, 0)
 	w.FlushPWC() // must not panic
+	hits := pwcHits(w)
 	for i, now := range []uint64{0, 100} {
 		res, err := walk(w, e.tbl.Root(), va, now)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.PTRefs != 3 || res.PWCHits != 0 {
-			t.Errorf("walk %d: refs=%d pwcHits=%d, want 3/0", i, res.PTRefs, res.PWCHits)
+		if n := hits(); res.PTRefs != 3 || n != 0 {
+			t.Errorf("walk %d: refs=%d pwcHits=%d, want 3/0", i, res.PTRefs, n)
 		}
 	}
 }
@@ -263,7 +277,7 @@ func buildChecker(t *testing.T, e *env, region addr.Range) (*hpmp.Checker, *pmpt
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk := hpmp.NewSized(&pmpt.Walker{Port: e.port}, pmp.NumEntries)
+	chk := hpmp.NewSized(pmpt.NewWalker(e.port, nil), pmp.NumEntries)
 	if err := chk.SetTable(1, region, ptbl.RootBase()); err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +348,8 @@ func TestAccessFaultWhenPTPageDenied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.AccessFault || res.FaultLevel != 2 {
-		t.Errorf("want access fault at level 2: %+v", res)
+	if !res.AccessFault || res.PTCheckRefs == 0 {
+		t.Errorf("want access fault on the root PT page's check: %+v", res)
 	}
 	if res.PTRefs != 0 {
 		t.Error("denied PTE fetch must not read memory")
@@ -381,8 +395,8 @@ func TestPageFaultCounterNonCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.PageFault || res.FaultLevel != 2 {
-		t.Fatalf("non-canonical VA must fault at the root level: %+v", res)
+	if !res.PageFault || res.PTRefs != 0 {
+		t.Fatalf("non-canonical VA must fault before any fetch: %+v", res)
 	}
 	if got := w.Counters.Snapshot()["ptw.page_fault"]; got != 1 {
 		t.Errorf("ptw.page_fault = %d, want 1", got)
@@ -410,8 +424,8 @@ func TestPageFaultCounterPointerAtLevel0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.PageFault || res.FaultLevel != 0 {
-		t.Fatalf("pointer at level 0 must page-fault at level 0: %+v", res)
+	if !res.PageFault || res.PTRefs != 3 {
+		t.Fatalf("pointer at level 0 must page-fault after all three fetches: %+v", res)
 	}
 	if got := w.Counters.Snapshot()["ptw.page_fault"]; got != 1 {
 		t.Errorf("ptw.page_fault = %d, want 1", got)
@@ -551,8 +565,8 @@ func TestTraceIsInert(t *testing.T) {
 	// sequence really covers the shapes it names.
 	wantLevels := []int{3, 3, 3, 0, 3, 1, 1}
 	r := traced
-	if r[1].PWCHits != 3 || r[2].PWCHits != 2 || !r[3].PageFault || !r[4].PageFault || r[4].FaultLevel != 0 ||
-		!r[5].AccessFault || r[5].FaultLevel != 2 || !r[6].PageFault {
+	if r[1].PTRefs != 0 || r[2].PTRefs != 1 || !r[3].PageFault || !r[4].PageFault || r[4].PTRefs != 3 ||
+		!r[5].AccessFault || r[5].PTRefs != 0 || !r[6].PageFault {
 		t.Fatalf("walk sequence lost a case: %+v", r)
 	}
 	evs := tr.Events()

@@ -78,8 +78,7 @@ type Job struct {
 	machine simcfg.Machine
 	// exps is the resolved experiment list (run jobs).
 	exps []bench.Experiment
-	// header/events are the parsed input trace (replay jobs).
-	header obs.Header
+	// events are the parsed input trace (replay jobs).
 	events []obs.Event
 
 	state    JobState
@@ -193,11 +192,11 @@ func (j *Job) resolve() error {
 		if req.TraceJSONL == "" {
 			return fmt.Errorf("serve: replay job needs trace_jsonl (inline hpmp-trace/v1)")
 		}
-		h, events, err := obs.ReadTrace(strings.NewReader(req.TraceJSONL))
+		_, events, err := obs.ReadTrace(strings.NewReader(req.TraceJSONL))
 		if err != nil {
 			return fmt.Errorf("serve: parsing trace_jsonl: %w", err)
 		}
-		j.header, j.events = h, events
+		j.events = events
 		return nil
 	default:
 		return fmt.Errorf("serve: kind must be \"run\" or \"replay\" (got %q)", req.Kind)

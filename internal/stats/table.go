@@ -8,10 +8,9 @@ import (
 // Table accumulates rows of strings and renders them with aligned columns,
 // in the style of the paper's result tables.
 type Table struct {
-	Title   string
-	header  []string
-	rows    [][]string
-	aligned bool
+	Title  string
+	header []string
+	rows   [][]string
 }
 
 // NewTable creates a table with the given title and column headers.

@@ -426,13 +426,11 @@ func (h *refHypervisor) nptWalk(gpa addr.GPA, now uint64, res *Result) (addr.PA,
 func (h *refHypervisor) AccessGuest(gva addr.VA, k perm.Access, now uint64) (Result, error) {
 	var res Result
 	if e, ok := h.GTLB.Lookup(gva.Frame()); ok {
-		res.TLBHit = true
 		if !e.PhysPerm.Allows(k) {
 			res.AccessFault = true
 			return res, nil
 		}
-		res.PA = addr.PA(e.PFN<<addr.PageShift) + addr.PA(gva.Offset())
-		r := h.Mach.Hier.Access(res.PA, now, k == perm.Write)
+		r := h.Mach.Hier.Access(addr.PA(e.PFN<<addr.PageShift)+addr.PA(gva.Offset()), now, k == perm.Write)
 		res.Latency += r.Latency
 		res.DataRefs = 1
 		return res, nil
@@ -489,7 +487,6 @@ func (h *refHypervisor) AccessGuest(gva addr.VA, k perm.Access, now uint64) (Res
 	h.GTLB.Insert(gva.Frame(), tlb.Entry{
 		PFN: dataPA.Frame(), Perm: leaf.Perm(), PhysPerm: physPerm, User: true,
 	})
-	res.PA = dataPA
 	r := h.Mach.Hier.Access(dataPA, now+res.Latency, k == perm.Write)
 	res.Latency += r.Latency
 	res.DataRefs = 1
@@ -609,7 +606,7 @@ func (tw *twin) access(op int, gva addr.VA, k perm.Access) {
 	switch {
 	case got.PageFault || got.AccessFault:
 		tw.faults++
-	case got.TLBHit:
+	case gtlbHit(got):
 		tw.hits++
 	default:
 		tw.walks++

@@ -174,9 +174,7 @@ func (h *Hypervisor) HFenceGVMA() {
 
 // Result describes one guest access (hlv.d-style).
 type Result struct {
-	PA          addr.PA
 	Latency     uint64
-	TLBHit      bool
 	NPTRefs     int // nested PTE fetches
 	GPTRefs     int // guest PTE fetches
 	CheckRefs   int // permission-table references (all categories)
@@ -248,7 +246,6 @@ func (h *Hypervisor) translateGPA(gpa addr.GPA, k perm.Access, now uint64, res *
 
 // dataAccess performs the data reference at pa.
 func (h *Hypervisor) dataAccess(res *Result, pa addr.PA, k perm.Access, now uint64) {
-	res.PA = pa
 	r := h.Mach.Hier.Access(pa, now+res.Latency, k == perm.Write)
 	res.Latency += r.Latency
 	res.DataRefs = 1
@@ -260,7 +257,6 @@ func (h *Hypervisor) dataAccess(res *Result, pa addr.PA, k perm.Access, now uint
 func (h *Hypervisor) AccessGuest(gva addr.VA, k perm.Access, now uint64) (Result, error) {
 	var res Result
 	if e, ok := h.GTLB.Lookup(gva.Frame()); ok {
-		res.TLBHit = true
 		switch {
 		case !e.Perm.Allows(k):
 			res.PageFault = true

@@ -36,7 +36,7 @@ func TestGuestWritePath(t *testing.T) {
 	}
 	// Write through the warm GTLB (inlined physical permission).
 	res, err = r.hyp.AccessGuest(r.gva, perm.Write, 1000)
-	if err != nil || !res.TLBHit {
+	if err != nil || !gtlbHit(res) {
 		t.Fatalf("warm guest write: %+v %v", res, err)
 	}
 }

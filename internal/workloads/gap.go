@@ -15,7 +15,6 @@ import (
 // Graph is a CSR graph in simulated memory.
 type Graph struct {
 	N      int
-	M      int
 	rowPtr *U32Array // N+1
 	colIdx *U32Array // M
 }
@@ -71,7 +70,7 @@ func GenKronecker(e *kernel.Env, scale, edgeFactor int, seed uint64) *Graph {
 		cursor[ed.u]++
 	}
 
-	g := &Graph{N: n, M: len(edges)}
+	g := &Graph{N: n}
 	g.rowPtr = NewU32Array(e, n+1)
 	g.colIdx = NewU32Array(e, len(edges))
 	g.rowPtr.SetRange(0, rowHost)

@@ -15,8 +15,8 @@ func extractCSR(t *testing.T, g *Graph) (row []uint32, col []uint32) {
 	for i := 0; i <= g.N; i++ {
 		row[i] = g.rowPtr.Get(i)
 	}
-	col = make([]uint32, g.M)
-	for i := 0; i < g.M; i++ {
+	col = make([]uint32, g.colIdx.n)
+	for i := range col {
 		col[i] = g.colIdx.Get(i)
 	}
 	if err := g.rowPtr.e.Err(); err != nil {

@@ -34,7 +34,9 @@ func TestShortFramePoolFails(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			footprint := bootFrames + int(e.P.Faults)
+			// The workload's process is the only one, so the kernel's
+			// page faults are its demand-paged frames.
+			footprint := bootFrames + int(e.K.Counters.Snapshot()["kernel.page_fault"])
 			for short := 0; short <= 3 && footprint-short >= bootFrames; short++ {
 				e, err := bootEnv(monitor.ModeHPMP, footprint-short)
 				if err != nil {

@@ -160,10 +160,10 @@ func TestKroneckerGraphWellFormed(t *testing.T) {
 		prev = v
 	}
 	last := g.rowPtr.Get(g.N)
-	if int(last) != g.M {
-		t.Errorf("rowPtr[N] = %d, M = %d", last, g.M)
+	if int(last) != g.colIdx.n {
+		t.Errorf("rowPtr[N] = %d, %d edges", last, g.colIdx.n)
 	}
-	for i := 0; i < g.M; i += 7 {
+	for i := 0; i < g.colIdx.n; i += 7 {
 		v := g.colIdx.Get(i)
 		if int(v) >= g.N {
 			t.Fatalf("colIdx[%d] = %d out of range", i, v)

@@ -2,6 +2,7 @@ package main_test
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -176,4 +177,244 @@ func funcKey(fn *types.Func) string {
 		}
 	}
 	return key + fn.Name()
+}
+
+// keptUnread lists fields under internal/, keyed by package path, type and
+// field name, or by package path and type for every field of the type,
+// that no non-test code reads but that stay on purpose.
+var keptUnread = map[string]string{
+	"hpmp/internal/pmp.Result": "result of pmp.Unit.Check, the oracle kept in keptUnreached",
+}
+
+// TestStructFieldsAreRead fails on a field, declared in a non-test file
+// under internal/, that no non-test code of the module (examples included)
+// or of cmd/hpmpbench reads: state every access pays to keep and no output
+// shows.
+//
+// An assignment's left side, an increment or decrement, and a composite
+// literal's key write a field; every other use reads it. Fields of a
+// generic type are resolved to the generic declaration. Three kinds of
+// field count as read without a use: embedded fields, read through what
+// they promote; fields with a struct tag, read by encoding/json; and the
+// fields of a struct used as a map key, read by every lookup.
+func TestStructFieldsAreRead(t *testing.T) {
+	fset, pkgs := typeCheckModule(t)
+	read := map[*types.Var]bool{}
+	var readAll func(typ types.Type)
+	readAll = func(typ types.Type) {
+		st, ok := typ.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i).Origin(); !read[f] {
+				read[f] = true
+				readAll(f.Type())
+			}
+		}
+	}
+	for _, cp := range pkgs {
+		written := map[*ast.Ident]bool{}
+		lhs := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				written[sel.Sel] = true
+			}
+		}
+		for _, f := range cp.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						lhs(l)
+					}
+				case *ast.IncDecStmt:
+					lhs(n.X)
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								written[id] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range cp.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+				read[v.Origin()] = true
+			}
+		}
+		for _, tv := range cp.info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				readAll(m.Key())
+			}
+		}
+	}
+
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	var unread []string
+	for _, cp := range pkgs {
+		if !strings.HasPrefix(cp.path, "hpmp/internal/") {
+			continue
+		}
+		for _, f := range cp.files {
+			owners := map[*ast.StructType]string{} // struct type -> key prefix
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						owners[st] = cp.path + "." + n.Name.Name
+					}
+				case *ast.StructType:
+					owner, ok := owners[n]
+					if !ok {
+						owner = cp.path + ".struct{…}"
+					}
+					declared[owner] = true
+					for _, fld := range n.Fields.List {
+						for _, name := range fld.Names {
+							ast.Inspect(fld.Type, func(m ast.Node) bool {
+								if st, ok := m.(*ast.StructType); ok {
+									owners[st] = owner + "." + name.Name
+								}
+								return true
+							})
+							key := owner + "." + name.Name
+							declared[key] = true
+							if name.Name == "_" || fld.Tag != nil {
+								continue
+							}
+							isRead := read[cp.info.Defs[name].(*types.Var)]
+							kept := keptUnread[key] != "" || keptUnread[owner] != ""
+							switch {
+							case isRead && keptUnread[key] != "":
+								t.Errorf("allowlisted %s is now read by production code: drop it from keptUnread", key)
+							case !isRead && !kept:
+								pos := fset.Position(name.Pos())
+								if rel, err := filepath.Rel(wd, pos.Filename); err == nil {
+									pos.Filename = rel
+								}
+								unread = append(unread, key+" ("+pos.String()+")")
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("no struct fields found under internal/")
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("field written but read only by tests: %s", u)
+	}
+	for key := range keptUnread {
+		if !declared[key] {
+			t.Errorf("allowlisted %s is no longer declared under internal/: drop it from keptUnread", key)
+		}
+	}
+}
+
+// TestCountersReachASnapshot fails on a stats.Counters field, declared in a
+// non-test file under internal/, that non-test code neither passes to
+// Merge nor calls Snapshot on: counters that are bumped on every access
+// and that no metrics file, table or trace ever shows.
+func TestCountersReachASnapshot(t *testing.T) {
+	_, pkgs := typeCheckModule(t)
+	var counters types.Type
+	owners := map[*types.Var]string{} // field -> its struct type's package path and name
+	for _, cp := range pkgs {
+		for _, obj := range cp.info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.Parent() != tn.Pkg().Scope() {
+				continue
+			}
+			if cp.path == "hpmp/internal/stats" && tn.Name() == "Counters" {
+				counters = tn.Type()
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					owners[st.Field(i)] = cp.path + "." + tn.Name()
+				}
+			}
+		}
+	}
+	if counters == nil {
+		t.Fatal("stats.Counters not found")
+	}
+	// field returns the stats.Counters field e selects, if it selects one.
+	field := func(info *types.Info, e ast.Expr) *types.Var {
+		e = ast.Unparen(e)
+		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			e = ast.Unparen(u.X)
+		}
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		v, ok := info.Uses[sel.Sel].(*types.Var)
+		if !ok || !v.IsField() || !types.Identical(v.Type(), counters) {
+			return nil
+		}
+		return v.Origin()
+	}
+	reached := map[*types.Var]bool{}
+	for _, cp := range pkgs {
+		for _, f := range cp.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				switch fn, _ := cp.info.Uses[sel.Sel].(*types.Func); {
+				case fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "hpmp/internal/stats":
+				case fn.Name() == "Snapshot":
+					if v := field(cp.info, sel.X); v != nil {
+						reached[v] = true
+					}
+				case fn.Name() == "Merge" && len(call.Args) == 1:
+					if v := field(cp.info, call.Args[0]); v != nil {
+						reached[v] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	var silent []string
+	checked := 0
+	for _, cp := range pkgs {
+		if !strings.HasPrefix(cp.path, "hpmp/internal/") {
+			continue
+		}
+		for _, obj := range cp.info.Defs {
+			v, ok := obj.(*types.Var)
+			if !ok || !v.IsField() || !types.Identical(v.Type(), counters) {
+				continue
+			}
+			checked++
+			if !reached[v] {
+				silent = append(silent, owners[v]+"."+v.Name())
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no stats.Counters fields found under internal/")
+	}
+	sort.Strings(silent)
+	for _, s := range silent {
+		t.Errorf("counters never merged into a snapshot: %s", s)
+	}
 }
