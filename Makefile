@@ -18,14 +18,19 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
-# Inlining gate: the cache probe's helpers and the shared LRU array's
-# lookup must stay inlined into their callers; each lost inline adds a call
-# to every simulated memory reference. Fails naming the first call the
-# compiler (-gcflags=-m) no longer inlines.
+# Inlining gate: the cache probe's helpers, the shared LRU array's lookup
+# and the latency histogram's Observe (at the MMU access, the native walk,
+# the HPMP check and the PMPT walk) must stay inlined into their callers;
+# each lost inline adds a call to every simulated memory reference or
+# access. Fails naming the first call the compiler (-gcflags=-m) no longer
+# inlines.
 inline-check:
-	@out=$$($(GO) build -gcflags=-m ./internal/cache ./internal/assoc 2>&1) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) build -gcflags=-m ./internal/cache ./internal/assoc \
+		./internal/mmu ./internal/ptw ./internal/hpmp ./internal/pmpt 2>&1) || { echo "$$out"; exit 1; }; \
 	for want in 'internal/cache/cache.go:key' 'internal/cache/cache.go:lookup' \
-		'internal/cache/cache.go:(*Cache).set' 'internal/assoc/assoc.go:(*Array).Lookup'; do \
+		'internal/cache/cache.go:(*Cache).set' 'internal/assoc/assoc.go:(*Array).Lookup' \
+		'internal/mmu/mmu.go:stats.(*Histogram).Observe' 'internal/ptw/ptw.go:stats.(*Histogram).Observe' \
+		'internal/hpmp/hpmp.go:stats.(*Histogram).Observe' 'internal/pmpt/pmpt.go:stats.(*Histogram).Observe'; do \
 		file=$${want%%:*}; call="inlining call to $${want#*:}"; \
 		echo "$$out" | awk -v f="$$file:" -v c="$$call" \
 			'index($$0, f) == 1 && substr($$0, length($$0) - length(c) + 1) == c { ok = 1 } END { exit !ok }' || \

@@ -159,7 +159,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "workload %s under Penglai-%s on %s\n", w.Name(), mode, plat.Core.Name)
 	fmt.Fprintf(stdout, "result checksum %#x, %d cycles (%.3f ms simulated)\n\n",
 		sum, cycles, float64(cycles)/(plat.Core.ClockGHz*1e6))
-	writeSummary(stdout, tr.Tally(), mach.MMU.LatHist)
+	writeSummary(stdout, tr.Tally(), &mach.MMU.LatHist)
 
 	if *csvPath != "" {
 		var b bytes.Buffer

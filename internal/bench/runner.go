@@ -310,15 +310,11 @@ func (f *frozen) mergeInto(into *stats.Counters, hists map[string]*stats.Histogr
 }
 
 // mergeHist folds one machine's latency histogram into the experiment-wide
-// family map, creating the family on first sight. Nil sources (a machine
-// assembled without the structure) are skipped.
+// family map, creating the family on first sight.
 func mergeHist(into map[string]*stats.Histogram, name string, src *stats.Histogram) {
-	if src == nil {
-		return
-	}
 	dst, ok := into[name]
 	if !ok {
-		dst = stats.DefaultLatencyHistogram()
+		dst = new(stats.Histogram)
 		into[name] = dst
 	}
 	dst.Merge(src)

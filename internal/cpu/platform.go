@@ -160,12 +160,12 @@ func (m *Machine) MergeCounters(into *stats.Counters) {
 // EachHistogram calls fn with every cycle-latency histogram of the machine
 // and the metrics family it belongs to.
 func (m *Machine) EachHistogram(fn func(family string, h *stats.Histogram)) {
-	fn("mmu.access_latency", m.MMU.LatHist)
-	fn("ptw.walk_latency", m.MMU.Walker.Hist)
+	fn("mmu.access_latency", &m.MMU.LatHist)
+	fn("ptw.walk_latency", &m.MMU.Walker.Hist)
 	if chk, ok := m.MMU.HPMPChecker(); ok {
-		fn("hpmp.check_latency", chk.Hist)
+		fn("hpmp.check_latency", &chk.Hist)
 		if chk.Walker != nil {
-			fn("pmptw.walk_latency", chk.Walker.Hist)
+			fn("pmptw.walk_latency", &chk.Walker.Hist)
 		}
 	}
 }

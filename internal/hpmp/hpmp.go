@@ -44,17 +44,17 @@ type Checker struct {
 	// Hist is the permission-check latency histogram ("hpmp.check_latency"
 	// in metrics snapshots): one observation per completed check. Segment
 	// checks land in the first bucket (zero memory references); table
-	// checks carry their pmpte-fetch cycles. Allocated once in NewSized and
-	// written in place, so recording stays allocation-free
+	// checks carry their pmpte-fetch cycles. Embedded by value and written
+	// in place, so recording stays allocation-free
 	// (TestHPMPCheckSegmentZeroAllocs pins it).
-	Hist *stats.Histogram
+	Hist stats.Histogram
 
 	Counters stats.Counters
 }
 
 // NewSized builds a checker with n entries (64 for the ePMP variant).
 func NewSized(w *pmpt.Walker, n int) *Checker {
-	c := &Checker{PMP: pmp.NewSized(n), Walker: w, Hist: stats.DefaultLatencyHistogram()}
+	c := &Checker{PMP: pmp.NewSized(n), Walker: w}
 	c.hDenyNoMatch = c.Counters.Handle("hpmp.deny_nomatch")
 	c.hDenyStraddle = c.Counters.Handle("hpmp.deny_straddle")
 	c.hSegmentCheck = c.Counters.Handle("hpmp.segment_check")

@@ -86,10 +86,10 @@ type MMU struct {
 
 	// LatHist is the end-to-end access-latency histogram ("mmu.access_latency"
 	// in metrics snapshots): one observation per completed Access, faulted or
-	// not, covering translation plus the data reference. Allocated once in
-	// New and written in place, so recording stays allocation-free
+	// not, covering translation plus the data reference. Embedded by value
+	// and written in place, so recording stays allocation-free
 	// (TestTLBHitAccessZeroAllocs pins it).
-	LatHist *stats.Histogram
+	LatHist stats.Histogram
 
 	Counters stats.Counters
 }
@@ -107,7 +107,6 @@ func New(cfg Config, hier *cache.Hierarchy, checker ptw.Checker, walkerPort memp
 		Walker:  ptw.New(cfg.Mode, walkerPort, checker, cfg.PWCEntries),
 		Checker: checker,
 		Hier:    hier,
-		LatHist: stats.DefaultLatencyHistogram(),
 	}
 	for lvl := cache.Level(0); lvl < cache.NumLevels; lvl++ {
 		m.hData[lvl] = m.Counters.Handle("mmu.data_" + lvl.String())

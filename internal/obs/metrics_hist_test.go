@@ -11,7 +11,7 @@ import (
 // histSnap builds a snapshot by observing each value into a fresh
 // default-latency histogram.
 func histSnap(values ...uint64) stats.HistogramSnapshot {
-	h := stats.DefaultLatencyHistogram()
+	var h stats.Histogram
 	for _, v := range values {
 		h.Observe(v)
 	}

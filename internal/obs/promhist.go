@@ -21,21 +21,12 @@ type SecondsHistogram struct {
 	n      uint64
 }
 
-// DefaultSecondsBuckets are the daemon histogram bucket upper bounds, in
-// seconds: 1 ms resolution at the fast end (an HTTP status poll), a
-// minute at the slow end (a full-size experiment job).
-func DefaultSecondsBuckets() []float64 {
-	return []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
-}
-
-// NewSecondsHistogram builds a histogram over the given ascending bucket
-// upper bounds (nil selects DefaultSecondsBuckets).
-func NewSecondsHistogram(edges []float64) *SecondsHistogram {
-	if len(edges) == 0 {
-		edges = DefaultSecondsBuckets()
-	}
-	cp := append([]float64(nil), edges...)
-	return &SecondsHistogram{edges: cp, counts: make([]uint64, len(cp)+1)}
+// NewSecondsHistogram builds an empty histogram over the daemon's one
+// bucket set, upper bounds in seconds: 1 ms resolution at the fast end (an
+// HTTP status poll), a minute at the slow end (a full-size experiment job).
+func NewSecondsHistogram() *SecondsHistogram {
+	edges := []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
+	return &SecondsHistogram{edges: edges, counts: make([]uint64, len(edges)+1)}
 }
 
 // Observe records one value.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -218,19 +219,18 @@ func TestStreamTracerReconciliation(t *testing.T) {
 }
 
 func TestSecondsHistogram(t *testing.T) {
-	h := NewSecondsHistogram([]float64{0.01, 0.1, 1})
-	for _, v := range []float64{0.005, 0.02, 0.02, 0.5, 5} {
+	h := NewSecondsHistogram()
+	// An edge value lands in its own bucket; 100 s overflows past 60.
+	for _, v := range []float64{0.0005, 0.002, 0.0025, 0.5, 100} {
 		h.Observe(v)
 	}
 	s := h.Snapshot()
-	if s.Count != 5 {
-		t.Fatalf("count = %d", s.Count)
+	if s.Count != 5 || len(s.Edges) != 15 || s.Edges[0] != 0.001 || s.Edges[14] != 60 {
+		t.Fatalf("count = %d, edges = %v", s.Count, s.Edges)
 	}
-	want := []uint64{1, 2, 1, 1}
-	for i, c := range want {
-		if s.Counts[i] != c {
-			t.Fatalf("bucket %d = %d, want %d (%v)", i, s.Counts[i], c, s.Counts)
-		}
+	want := []uint64{1, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1}
+	if !reflect.DeepEqual(s.Counts, want) {
+		t.Fatalf("buckets = %v, want %v", s.Counts, want)
 	}
 
 	var b strings.Builder
@@ -239,7 +239,8 @@ func TestSecondsHistogram(t *testing.T) {
 	got := b.String()
 	for _, want := range []string{
 		"# TYPE x_seconds histogram\n",
-		`x_seconds_bucket{route="GET /x",code="200",le="0.01"} 1` + "\n",
+		`x_seconds_bucket{route="GET /x",code="200",le="0.001"} 1` + "\n",
+		`x_seconds_bucket{route="GET /x",code="200",le="0.0025"} 3` + "\n",
 		`x_seconds_bucket{route="GET /x",code="200",le="+Inf"} 5` + "\n",
 		`x_seconds_count{route="GET /x",code="200"} 5` + "\n",
 	} {

@@ -558,7 +558,7 @@ type Walker struct {
 	// metrics snapshots): one observation per completed walk of any
 	// depth. Readers follow the stats ownership model: only after the
 	// goroutine driving the walker has finished.
-	Hist *stats.Histogram
+	Hist stats.Histogram
 
 	// Pre-resolved handles into Counters for the per-fetch path.
 	invalid, huge, walks, cacheHit, memRef *uint64
@@ -570,7 +570,7 @@ type Walker struct {
 // cache first when it is non-nil and enabled. It resolves every pmptw
 // counter up front, so every snapshot of a walker lists all five.
 func NewWalker(port memport.Port, cache *WalkerCache) *Walker {
-	w := &Walker{Port: port, Cache: cache, Hist: stats.DefaultLatencyHistogram()}
+	w := &Walker{Port: port, Cache: cache}
 	w.invalid = w.Counters.Handle("pmptw.invalid")
 	w.huge = w.Counters.Handle("pmptw.huge")
 	w.walks = w.Counters.Handle("pmptw.walk")

@@ -61,9 +61,9 @@ type Walker struct {
 
 	// Hist is the native-walk latency histogram ("ptw.walk_latency" in
 	// metrics snapshots): one observation per completed walk, faulted or
-	// not. Allocated once in New and written in place, so recording stays
+	// not. Embedded by value and written in place, so recording stays
 	// allocation-free (TestPTWWalkPWCHitZeroAllocs pins it).
-	Hist *stats.Histogram
+	Hist stats.Histogram
 
 	Counters stats.Counters
 }
@@ -71,8 +71,7 @@ type Walker struct {
 // New builds a walker for the given translation mode with an n-entry PWC
 // (n=0 disables the PWC).
 func New(mode addr.Mode, port memport.Port, checker Checker, pwcEntries int) *Walker {
-	w := &Walker{Mode: mode, Port: port, Checker: checker, Priv: perm.S,
-		Hist: stats.DefaultLatencyHistogram()}
+	w := &Walker{Mode: mode, Port: port, Checker: checker, Priv: perm.S}
 	if pwcEntries > 0 {
 		w.PWC = assoc.NewCache(pwcEntries)
 	}
@@ -134,7 +133,7 @@ func leafTranslation(e pt.PTE, va addr.VA, level int) pt.Translation {
 func (w *Walker) WalkInto(root addr.PA, va addr.VA, now uint64, out *Result) error {
 	*out = Result{}
 	err := w.walk(root, va, now, out)
-	if err == nil && w.Hist != nil {
+	if err == nil {
 		w.Hist.Observe(out.Latency)
 	}
 	return err

@@ -19,7 +19,7 @@ func (rh *routeHist) observe(code int, secs float64) {
 	rh.mu.Lock()
 	h := rh.byCode[code]
 	if h == nil {
-		h = obs.NewSecondsHistogram(nil)
+		h = obs.NewSecondsHistogram()
 		rh.byCode[code] = h
 	}
 	rh.mu.Unlock()

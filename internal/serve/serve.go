@@ -137,8 +137,8 @@ func New(opts Options) *Server {
 		cancelAll:  cancel,
 		queue:      make(chan *Job, opts.QueueDepth),
 		jobs:       map[string]*Job{},
-		hQueueWait: obs.NewSecondsHistogram(nil),
-		hRunSecs:   obs.NewSecondsHistogram(nil),
+		hQueueWait: obs.NewSecondsHistogram(),
+		hRunSecs:   obs.NewSecondsHistogram(),
 		httpHist:   map[string]*routeHist{},
 	}
 	s.exec = func(ctx context.Context, j *Job) error { return j.execute(ctx) }

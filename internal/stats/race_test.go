@@ -20,7 +20,7 @@ func TestOwnershipConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := &Counters{}
-			h := DefaultLatencyHistogram()
+			var h Histogram
 			tb := NewTable("t", "a", "b")
 			for i := 0; i < 1000; i++ {
 				c.Add("ops", 1)

@@ -1,7 +1,7 @@
-// Package stats provides the counters, histograms, and table-rendering
-// helpers that every experiment in the benchmark harness shares. All state is
-// deterministic — no wall-clock time is consulted — so experiment output is
-// reproducible run to run.
+// Package stats provides the counters, the fixed log2 cycle-latency
+// histogram, and the table-rendering helpers that every experiment in the
+// benchmark harness shares. All state is deterministic — no wall-clock time
+// is consulted — so experiment output is reproducible run to run.
 //
 // Concurrency: the package keeps no package-level mutable state, and the
 // individual types (Counters, Histogram, Table) are not internally
@@ -14,7 +14,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 )
 
@@ -86,114 +86,76 @@ func (c *Counters) String() string {
 	return b.String()
 }
 
-// Histogram is a fixed-bucket latency histogram with power-of-two-ish bucket
-// edges, used for cycle-latency distributions.
+// histBuckets is the number of Histogram buckets: the twelve upper edges
+// 2, 4, …, 4096 cycles, then the overflow bucket.
+const histBuckets = 13
+
+// Histogram is a cycle-latency histogram with fixed log2 buckets: bucket i
+// counts values in (2^i, 2^(i+1)] (bucket 0 also takes 0 to 2), and the
+// last bucket counts everything above 4096. The zero value is ready to use,
+// so the simulator embeds histograms by value.
 type Histogram struct {
-	edges  []uint64
-	counts []uint64
+	counts [histBuckets]uint64
 	sum    uint64
-	n      uint64
 	max    uint64
-	min    uint64
-}
-
-// NewHistogram builds a histogram with the given ascending bucket upper
-// edges; values above the last edge land in an implicit overflow bucket.
-func NewHistogram(edges ...uint64) *Histogram {
-	if !sort.SliceIsSorted(edges, func(i, j int) bool { return edges[i] < edges[j] }) {
-		panic("stats: histogram edges must be ascending")
-	}
-	return &Histogram{edges: edges, counts: make([]uint64, len(edges)+1)}
-}
-
-// DefaultLatencyHistogram covers 1 cycle to ~4K cycles, which spans every
-// latency the simulator produces.
-func DefaultLatencyHistogram() *Histogram {
-	return NewHistogram(2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+	notMin uint64 // ^min: a running max, so the zero value needs no empty check
 }
 
 // Observe records one value. It sits on the simulator's per-access hot
-// paths, so it is a plain loop over the (dozen-entry) edge slice rather
-// than sort.Search — no closure, no allocation; TestHistogramObserveZeroAllocs
-// pins that.
+// paths and inlines into them (make inline-check); it does not allocate
+// (TestHistogramObserveZeroAllocs).
 func (h *Histogram) Observe(v uint64) {
-	i := len(h.edges)
-	for j, e := range h.edges {
-		if v <= e {
-			i = j
-			break
-		}
+	i := 0
+	if v > 1 {
+		i = bits.Len64((v - 1) >> 1)
+	}
+	if i > histBuckets-1 {
+		i = histBuckets - 1
 	}
 	h.counts[i]++
 	h.sum += v
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
-	h.n++
+	if ^v > h.notMin {
+		h.notMin = ^v
+	}
+}
+
+func (h *Histogram) count() uint64 {
+	var n uint64
+	for _, c := range h.counts {
+		n += c
+	}
+	return n
 }
 
 // Mean returns the mean observation, or 0 with no observations.
 func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
+	n := h.count()
+	if n == 0 {
 		return 0
 	}
-	return float64(h.sum) / float64(h.n)
+	return float64(h.sum) / float64(n)
 }
 
 // Max returns the largest observation (0 if empty).
 func (h *Histogram) Max() uint64 { return h.max }
 
-// Edges returns a copy of the bucket upper edges.
-func (h *Histogram) Edges() []uint64 {
-	out := make([]uint64, len(h.edges))
-	copy(out, h.edges)
-	return out
-}
-
-// Counts returns a copy of the per-bucket counts; the extra final element
-// is the overflow bucket (values above the last edge).
-func (h *Histogram) Counts() []uint64 {
-	out := make([]uint64, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
-// Merge adds every observation of o into h. The histograms must share the
-// same bucket edges — merging differently shaped histograms is a
-// programming error, caught by panic like a mismatched Counters handle
-// would be.
+// Merge adds every observation of o into h.
 func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	if len(h.edges) != len(o.edges) {
-		panic("stats: merging histograms with different edges")
-	}
-	for i, e := range h.edges {
-		if o.edges[i] != e {
-			panic("stats: merging histograms with different edges")
-		}
-	}
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}
 	h.sum += o.sum
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.n += o.n
+	h.max = max(h.max, o.max)
+	h.notMin = max(h.notMin, o.notMin)
 }
 
-// HistogramSnapshot is the exportable view of a Histogram: independent
-// copies of the edges and counts plus the scalar summaries, in the shape
-// the hpmp-metrics/v1 JSON schema carries under "histograms". Counts has
-// one more element than Edges — the overflow bucket.
+// HistogramSnapshot is the exportable view of a Histogram: the bucket upper
+// edges, independent copies of the counts, and the scalar summaries, in the
+// shape the hpmp-metrics/v1 JSON schema carries under "histograms". Counts
+// has one more element than Edges — the overflow bucket.
 type HistogramSnapshot struct {
 	Edges  []uint64 `json:"edges"`
 	Counts []uint64 `json:"counts"`
@@ -207,31 +169,36 @@ type HistogramSnapshot struct {
 // of the live histogram (safe to cross goroutines after the owning
 // goroutine has finished, like Counters.Snapshot).
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	return HistogramSnapshot{
-		Edges:  h.Edges(),
-		Counts: h.Counts(),
-		Count:  h.n,
+	s := HistogramSnapshot{
+		Edges:  make([]uint64, histBuckets-1),
+		Counts: append([]uint64(nil), h.counts[:]...),
+		Count:  h.count(),
 		Sum:    h.sum,
-		Min:    h.min,
 		Max:    h.max,
 	}
+	for i := range s.Edges {
+		s.Edges[i] = 2 << i
+	}
+	if s.Count > 0 {
+		s.Min = ^h.notMin
+	}
+	return s
 }
 
-// Quantile returns an approximation of the q-quantile (0 ≤ q ≤ 1) using the
-// bucket upper edges.
+// Quantile returns an approximation of the q-quantile (0 ≤ q ≤ 1): the
+// upper edge of the bucket holding it, or the maximum in the overflow
+// bucket.
 func (h *Histogram) Quantile(q float64) uint64 {
-	if h.n == 0 {
+	n := h.count()
+	if n == 0 {
 		return 0
 	}
-	target := uint64(q * float64(h.n))
+	target := uint64(q * float64(n))
 	var cum uint64
-	for i, c := range h.counts {
+	for i, c := range h.counts[:histBuckets-1] {
 		cum += c
 		if cum > target {
-			if i < len(h.edges) {
-				return h.edges[i]
-			}
-			return h.max
+			return 2 << i
 		}
 	}
 	return h.max

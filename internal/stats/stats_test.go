@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,29 +31,56 @@ func TestCounters(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 100, 1000)
-	for _, v := range []uint64{1, 5, 10, 11, 99, 500, 5000} {
+	var h Histogram
+	for _, v := range []uint64{1, 5, 16, 17, 99, 500, 5000} {
 		h.Observe(v)
 	}
 	if s := h.Snapshot(); s.Count != 7 || s.Min != 1 || s.Max != 5000 {
 		t.Errorf("Count/Min/Max = %d/%d/%d", s.Count, s.Min, s.Max)
 	}
-	wantMean := float64(1+5+10+11+99+500+5000) / 7
+	wantMean := float64(1+5+16+17+99+500+5000) / 7
 	if math.Abs(h.Mean()-wantMean) > 1e-9 {
 		t.Errorf("Mean = %v, want %v", h.Mean(), wantMean)
 	}
-	if q := h.Quantile(0.5); q != 100 {
-		t.Errorf("median bucket edge = %d, want 100", q)
+	if q := h.Quantile(0.5); q != 32 {
+		t.Errorf("median bucket edge = %d, want 32", q)
+	}
+	if q := h.Quantile(0.99); q != 5000 {
+		t.Errorf("p99 in the overflow bucket = %d, want the max 5000", q)
 	}
 }
 
-func TestHistogramPanicsOnUnsortedEdges(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for unsorted edges")
+// refBucket is the bucket the histogram's original edge scan chose: the
+// first of the upper edges 2, 4, …, 4096 that v does not exceed, else the
+// overflow bucket.
+func refBucket(v uint64) int {
+	edges := []uint64{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
+	for j, e := range edges {
+		if v <= e {
+			return j
 		}
-	}()
-	NewHistogram(10, 5)
+	}
+	return len(edges)
+}
+
+// TestHistogramBucketsMatchEdgeScan: Observe's log2 bucket is the one the
+// edge scan picks for every value across all edges and their neighbours,
+// and for the values whose arithmetic could wrap.
+func TestHistogramBucketsMatchEdgeScan(t *testing.T) {
+	vals := []uint64{1 << 40, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	for v := uint64(0); v <= 8193; v++ {
+		vals = append(vals, v)
+	}
+	for _, v := range vals {
+		var h Histogram
+		h.Observe(v)
+		want := refBucket(v)
+		for i, c := range h.Snapshot().Counts {
+			if (i == want) != (c == 1) {
+				t.Fatalf("Observe(%d) filled buckets %v, want only bucket %d", v, h.Snapshot().Counts, want)
+			}
+		}
+	}
 }
 
 func TestRatios(t *testing.T) {
@@ -91,7 +119,7 @@ func TestHistogramMeanBoundsQuick(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		h := DefaultLatencyHistogram()
+		var h Histogram
 		for _, v := range raw {
 			h.Observe(uint64(v))
 		}
@@ -201,10 +229,13 @@ func TestEmptyRendering(t *testing.T) {
 // TestZeroHistogram: an untouched histogram reports zeros everywhere
 // instead of dividing by its zero count.
 func TestZeroHistogram(t *testing.T) {
-	h := DefaultLatencyHistogram()
-	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 || h.Mean() != 0 || s.Min != 0 || s.Max != 0 {
-		t.Errorf("zero histogram stats: count=%d sum=%d mean=%v min=%d max=%d",
-			s.Count, s.Sum, h.Mean(), s.Min, s.Max)
+	var h Histogram
+	want := HistogramSnapshot{
+		Edges:  []uint64{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096},
+		Counts: make([]uint64, 13),
+	}
+	if s := h.Snapshot(); !reflect.DeepEqual(s, want) || h.Mean() != 0 {
+		t.Errorf("zero histogram: snapshot %+v mean %v, want %+v mean 0", s, h.Mean(), want)
 	}
 	if h.Quantile(0.5) != 0 || h.Quantile(0.99) != 0 {
 		t.Errorf("zero histogram quantiles: p50=%d p99=%d", h.Quantile(0.5), h.Quantile(0.99))
@@ -215,64 +246,50 @@ func TestZeroHistogram(t *testing.T) {
 // bucket-by-bucket (with min/max/sum/count), and Snapshot round-trips the
 // state as plain slices without aliasing the live histogram.
 func TestHistogramMergeSnapshot(t *testing.T) {
-	a := NewHistogram(10, 100)
-	b := NewHistogram(10, 100)
+	var a, b Histogram
 	for _, v := range []uint64{3, 50} {
 		a.Observe(v)
 	}
-	for _, v := range []uint64{7, 500} {
+	for _, v := range []uint64{4, 5000} {
 		b.Observe(v)
 	}
-	a.Merge(b)
+	a.Merge(&b)
 	s := a.Snapshot()
-	if s.Count != 4 || s.Sum != 560 || s.Min != 3 || s.Max != 500 {
+	if s.Count != 4 || s.Sum != 5057 || s.Min != 3 || s.Max != 5000 {
 		t.Errorf("merged stats: count=%d sum=%d min=%d max=%d", s.Count, s.Sum, s.Min, s.Max)
 	}
-	if len(s.Edges) != 2 || len(s.Counts) != 3 {
+	if len(s.Edges) != 12 || len(s.Counts) != 13 {
 		t.Fatalf("snapshot shape: edges=%v counts=%v", s.Edges, s.Counts)
 	}
-	if s.Counts[0] != 2 || s.Counts[1] != 1 || s.Counts[2] != 1 {
-		t.Errorf("snapshot counts = %v, want [2 1 1]", s.Counts)
-	}
-	if s.Count != 4 || s.Sum != 560 || s.Min != 3 || s.Max != 500 {
-		t.Errorf("snapshot scalars: %+v", s)
+	if want := []uint64{0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1}; !reflect.DeepEqual(s.Counts, want) {
+		t.Errorf("snapshot counts = %v, want %v", s.Counts, want)
 	}
 	// Mutating the snapshot must not touch the histogram.
-	s.Counts[0] = 999
+	s.Counts[1] = 999
 	s.Edges[0] = 999
-	if a.Counts()[0] != 2 || a.Edges()[0] != 10 {
-		t.Error("Snapshot aliased the histogram's internal slices")
+	if s2 := a.Snapshot(); s2.Counts[1] != 2 || s2.Edges[0] != 2 {
+		t.Error("Snapshot aliased the histogram's state")
 	}
 
-	// Merging an empty or nil histogram is a no-op, including min.
+	// Merging an empty histogram is a no-op, including min.
 	before := a.Snapshot()
-	a.Merge(NewHistogram(10, 100))
-	a.Merge(nil)
-	after := a.Snapshot()
-	if before.Count != after.Count || before.Min != after.Min {
+	a.Merge(new(Histogram))
+	if after := a.Snapshot(); !reflect.DeepEqual(before, after) {
 		t.Errorf("empty merge changed state: %+v -> %+v", before, after)
 	}
-}
-
-// TestHistogramMergePanicsOnMismatchedEdges: folding histograms with
-// different bucket layouts is a programming error, not a silent skew.
-func TestHistogramMergePanicsOnMismatchedEdges(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for mismatched edges")
-		}
-	}()
-	a := NewHistogram(10, 100)
-	b := NewHistogram(10, 200)
-	b.Observe(1)
-	a.Merge(b)
+	// Merging into an empty histogram takes the source's min, not zero.
+	var c Histogram
+	c.Merge(&a)
+	if got := c.Snapshot(); !reflect.DeepEqual(got, before) {
+		t.Errorf("merge into empty: %+v, want %+v", got, before)
+	}
 }
 
 // TestHistogramObserveZeroAllocs pins the per-observation cost of the
 // latency histograms now attached to every translation-path hot loop:
 // Observe must be a pure in-place bucket increment.
 func TestHistogramObserveZeroAllocs(t *testing.T) {
-	h := DefaultLatencyHistogram()
+	var h Histogram
 	var v uint64
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(v)

@@ -422,10 +422,15 @@ func (h *refHypervisor) nptWalk(gpa addr.GPA, now uint64, res *Result) (addr.PA,
 }
 
 // AccessGuest performs one guest data access at gva (the experiment's
-// hlv.d), returning the full 3-D walk accounting.
+// hlv.d), returning the full 3-D walk accounting. A guest-TLB hit checks
+// the cached guest permission before the physical one.
 func (h *refHypervisor) AccessGuest(gva addr.VA, k perm.Access, now uint64) (Result, error) {
 	var res Result
 	if e, ok := h.GTLB.Lookup(gva.Frame()); ok {
+		if !e.Perm.Allows(k) {
+			res.PageFault = true
+			return res, nil
+		}
 		if !e.PhysPerm.Allows(k) {
 			res.AccessFault = true
 			return res, nil
@@ -559,9 +564,10 @@ func newTwin(t *testing.T, mode vmode, depth int, caches bool) *twin {
 	return tw
 }
 
-// mapPage maps gva read-write on both sides to the next guest data page;
-// every fourth GPA lies past Sv39's reach, behind an extended root index.
-func (tw *twin) mapPage(gva addr.VA) {
+// mapPage maps gva with guest permission p on both sides to the next
+// guest data page, which the NPT maps read-write; every fourth GPA lies
+// past Sv39's reach, behind an extended root index.
+func (tw *twin) mapPage(gva addr.VA, p perm.Perm) {
 	t := tw.t
 	t.Helper()
 	gpa := addr.GPA(0x8000_0000 + tw.dataPages*addr.PageSize)
@@ -577,13 +583,13 @@ func (tw *twin) mapPage(gva addr.VA) {
 	if err := tw.ref.NPT.Map(gpa, refPA, perm.RW); err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.ref.Guest.Map(gva, gpa, perm.RW); err != nil {
+	if err := tw.ref.Guest.Map(gva, gpa, p); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.hyp.NPT.Map(addr.VA(gpa), hypPA, perm.RW, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.hyp.Guest.Map(gva, addr.PA(gpa), perm.RW, true); err != nil {
+	if err := tw.hyp.Guest.Map(gva, addr.PA(gpa), p, true); err != nil {
 		t.Fatal(err)
 	}
 	tw.mapped = append(tw.mapped, gva)
@@ -659,6 +665,8 @@ func randomGVA(rng *rand.Rand) addr.VA {
 // mappings on the reference model and the production hypervisor, for every
 // isolation method, permission-table depth 2/3/4 and with and without walk
 // caches, comparing every Result field and the core clock after each op.
+// One guest page is read-only: a write through its cached guest-TLB entry
+// must page-fault.
 func TestOracleDifferential(t *testing.T) {
 	type config struct {
 		mode   vmode
@@ -686,12 +694,20 @@ func TestOracleDifferential(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1 + i)))
 			tw := newTwin(t, c.mode, c.depth, c.caches)
+			// Beside randomGVA's dense run, so it shares its table pages.
+			readOnly := addr.VA(0x1000_0000 + 64*addr.PageSize)
+			tw.mapPage(readOnly, perm.R)
 			for len(tw.mapped) < 8 {
 				if gva := randomGVA(rng); !tw.isMapped[gva] {
-					tw.mapPage(gva)
+					tw.mapPage(gva, perm.RW)
 				}
 			}
 			tw.checkPTPages()
+			tw.access(-2, readOnly, perm.Read)  // walks, caching the guest permission
+			tw.access(-1, readOnly, perm.Write) // hits that entry, and faults
+			if tw.walks != 1 || tw.faults != 1 {
+				t.Fatalf("read-only page: %d walks, %d faults, want 1 and 1", tw.walks, tw.faults)
+			}
 			for op := 0; op < ops; op++ {
 				gva := tw.mapped[rng.Intn(len(tw.mapped))] + addr.VA(rng.Intn(addr.PageSize/8)*8)
 				switch r := rng.Intn(100); {
@@ -712,7 +728,7 @@ func TestOracleDifferential(t *testing.T) {
 					tw.hyp.GTLB.FlushVPN(gva.Frame())
 				default:
 					if gva := randomGVA(rng); !tw.isMapped[gva] {
-						tw.mapPage(gva)
+						tw.mapPage(gva, perm.RW)
 					}
 				}
 			}
