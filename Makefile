@@ -18,19 +18,20 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
-# Inlining gate: the cache probe's helpers, the shared LRU array's lookup
-# and the latency histogram's Observe (at the MMU access, the native walk,
-# the HPMP check and the PMPT walk) must stay inlined into their callers;
-# each lost inline adds a call to every simulated memory reference or
-# access. Fails naming the first call the compiler (-gcflags=-m) no longer
-# inlines.
+# Inlining gate: the cache probe's helpers, the shared LRU array's lookup,
+# the latency histogram's Observe (at the MMU access, the native walk,
+# the HPMP check and the PMPT walk) and physical memory's sector lookup
+# must stay inlined into their callers; each lost inline adds a call to
+# every simulated memory reference or access. Fails naming the first call
+# the compiler (-gcflags=-m) no longer inlines.
 inline-check:
-	@out=$$($(GO) build -gcflags=-m ./internal/cache ./internal/assoc \
+	@out=$$($(GO) build -gcflags=-m ./internal/cache ./internal/assoc ./internal/phys \
 		./internal/mmu ./internal/ptw ./internal/hpmp ./internal/pmpt 2>&1) || { echo "$$out"; exit 1; }; \
 	for want in 'internal/cache/cache.go:key' 'internal/cache/cache.go:lookup' \
 		'internal/cache/cache.go:(*Cache).set' 'internal/assoc/assoc.go:(*Array).Lookup' \
 		'internal/mmu/mmu.go:stats.(*Histogram).Observe' 'internal/ptw/ptw.go:stats.(*Histogram).Observe' \
-		'internal/hpmp/hpmp.go:stats.(*Histogram).Observe' 'internal/pmpt/pmpt.go:stats.(*Histogram).Observe'; do \
+		'internal/hpmp/hpmp.go:stats.(*Histogram).Observe' 'internal/pmpt/pmpt.go:stats.(*Histogram).Observe' \
+		'internal/phys/phys.go:(*Memory).peek'; do \
 		file=$${want%%:*}; call="inlining call to $${want#*:}"; \
 		echo "$$out" | awk -v f="$$file:" -v c="$$call" \
 			'index($$0, f) == 1 && substr($$0, length($$0) - length(c) + 1) == c { ok = 1 } END { exit !ok }' || \
@@ -113,9 +114,9 @@ daemon-smoke:
 # entries against the per-check decode, the PMPTW walker-vs-oracle
 # cross-check, the leaf-table-at-a-time table builder
 # against its page-by-page reference, the trace reader, the shared LRU
-# array against its reference scan and the kernel's process lifecycle
-# against its value-and-pool model (go test -fuzz takes one target at a
-# time).
+# array against its reference scan, the kernel's process lifecycle
+# against its value-and-pool model and the sectored physical memory
+# against a flat byte slice (go test -fuzz takes one target at a time).
 # The weekly fuzz workflow overrides FUZZTIME for a longer soak.
 FUZZTIME ?= 30s
 fuzz:
@@ -126,6 +127,7 @@ fuzz:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/assoc -run '^$$' -fuzz FuzzCache -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kernel -run '^$$' -fuzz FuzzProcessLifecycle -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/phys -run '^$$' -fuzz FuzzMemory -fuzztime $(FUZZTIME)
 
 # Refresh the committed cross-commit metrics baseline (quick sizes, JSON
 # only — the Prometheus text is derived output). Run this when an
@@ -163,7 +165,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Interleaved A/B of the end-to-end benchmark (cmd/hpmpbench) against a base
-# revision: builds hpmpbench at BASE, checked out with git worktree, and at
+# revision: builds hpmpbench at BASE, exported with git archive, and at
 # the working tree into .bench_build/, then runs `compare` over 10 pairs of
 # 20 s runs per workload, alternating which side runs first. That is about
 # 25 minutes; keep the machine otherwise idle. Exit 1 means a metric
@@ -176,11 +178,15 @@ bench-ab:
 	.bench_build/head.bin compare -base .bench_build/base.bin -head .bench_build/head.bin -pairs 10 -seconds 20
 
 # Interleaved A/B of the full-size evaluation's wall time against a base
-# revision: builds hpmpsim at BASE (same temporary worktree as bench-ab) and
+# revision: builds hpmpsim at BASE (same temporary export as bench-ab) and
 # at the working tree, runs `hpmpsim -parallel 1 run all` PAIRS times per
-# side, alternating which side runs first, and prints every wall time and
-# each side's median. About 25 s per pair on a 2-vCPU host; keep the
-# machine otherwise idle. It reports whether the two sides' stdout matched,
+# side, alternating which side runs first, and prints every wall time, each
+# side's median and quartiles (as hpmpbench compare computes them) and the
+# pairs the head won. It calls the head faster or slower only as `compare`
+# would call a gain: one side wins at least 9 in 10 pairs and the medians
+# differ by more than the base's interquartile range; otherwise it prints
+# "within noise". About 10 s per pair on a 2-vCPU host; keep the machine
+# otherwise idle. It reports whether the two sides' stdout matched,
 # and it proves they simulate the same machines at full size, which the
 # committed metrics baseline (quick size) does not cover: every run writes
 # -metrics-dir (each side keeps its last run's), and `hpmpsim diff` between
@@ -201,26 +207,36 @@ bench-full-ab:
 			start=$$(date +%s.%N); \
 			.bench_build/hpmpsim-$$side -parallel 1 -metrics-dir .bench_build/full-metrics-$$side run all > .bench_build/full-$$side.out 2>/dev/null || exit 1; \
 			wall=$$(awk -v s=$$start -v e=$$(date +%s.%N) 'BEGIN { printf "%.2f", e - s }'); \
-			echo "pair $$i $$side $$wall s"; echo "$$side $$wall" >> .bench_build/full-walls.txt; \
+			echo "pair $$i $$side $$wall s"; echo "$$i $$side $$wall" >> .bench_build/full-walls.txt; \
 		done; \
 	done; \
-	for side in base head; do \
-		grep "^$$side " .bench_build/full-walls.txt | sort -n -k2 | \
-			awk -v side=$$side '{ w[NR] = $$2 } END { m = NR % 2 ? w[(NR + 1) / 2] : (w[NR / 2] + w[NR / 2 + 1]) / 2; printf "%s median %.2f s over %d runs\n", side, m, NR }'; \
-	done; \
+	awk 'function quart(s, n, i,  m, j, d) { m = n + 1; j = int(i * m / 4); if (j < 1) j = 1; else if (j > n - 1) j = n - 1; \
+			d = i * m - j * 4; return (s[j] * (4 - d) + s[j + 1] * d) / 4 } \
+		{ w[$$2, $$1] = $$3; if ($$1 > np) np = $$1 } \
+		END { for (k = 0; k < 2; k++) { side = k ? "head" : "base"; \
+				for (p = 1; p <= np; p++) { v = w[side, p]; for (j = p - 1; j > 0 && s[j] > v; j--) s[j + 1] = s[j]; s[j + 1] = v } \
+				q1[side] = quart(s, np, 1); q2[side] = quart(s, np, 2); q3[side] = quart(s, np, 3); \
+				printf "%s median %.2f s [q1 %.2f, q3 %.2f] over %d runs\n", side, q2[side], q1[side], q3[side], np } \
+			for (p = 1; p <= np; p++) { if (w["head", p] < w["base", p]) won++; if (w["base", p] < w["head", p]) lost++ } \
+			d = q2["head"] - q2["base"]; iqr = q3["base"] - q1["base"]; verdict = "within noise"; \
+			if (won * 10 >= 9 * np && -d > iqr) verdict = "head faster"; \
+			if (lost * 10 >= 9 * np && d > iqr) verdict = "head slower"; \
+			printf "head faster in %d/%d pairs, slower in %d; median %+.2f s against a base interquartile range of %.2f s: %s\n", won, np, lost, d, iqr, verdict }' \
+		.bench_build/full-walls.txt; \
 	if cmp -s .bench_build/full-base.out .bench_build/full-head.out; then echo "stdout: identical"; else echo "stdout: differs"; fi; \
 	.bench_build/hpmpsim-head diff .bench_build/full-metrics-base .bench_build/full-metrics-head > .bench_build/full-metrics-diff.txt; \
 	status=$$?; head -1 .bench_build/full-metrics-diff.txt; \
 	[ $$status -eq 0 ] || { cat .bench_build/full-metrics-diff.txt; exit 1; }
 
-# base-build checks BASE out into a temporary git worktree, runs $(1) at its
-# root, and removes the worktree again (bench-ab, bench-full-ab).
+# base-build exports BASE's committed tree into a temporary directory with
+# git archive, runs $(1) at its root, and removes the directory again
+# (bench-ab, bench-full-ab).
 define base-build
 	rm -rf .bench_build/base-src
-	git worktree prune
-	git worktree add --detach .bench_build/base-src $(BASE)
+	mkdir -p .bench_build/base-src
+	git archive $(BASE) | tar -x -C .bench_build/base-src
 	cd .bench_build/base-src && $(1)
-	git worktree remove --force .bench_build/base-src
+	rm -rf .bench_build/base-src
 endef
 
 # The full evaluation: every table and figure at full size.

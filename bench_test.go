@@ -196,18 +196,22 @@ func allocBytes(runs int, f func()) uint64 {
 }
 
 // TestNewSystemBytes pins the heap bytes one quick Rocket boot allocates
-// under each mode. Cache lines are allocated a 2 KiB chunk at a time on
-// first probe, so a boot pays only for the lines its table builds touch;
-// allocating every level whole costs ~300 KiB more per boot.
+// under each mode, beside TestNewSystemAllocs's object counts: physical
+// memory is allocated in 512-byte sectors, which makes more and smaller
+// objects, so the object count alone no longer follows the bytes. Cache
+// lines are allocated a 2 KiB chunk at a time on first probe, so a boot
+// pays only for the lines its table builds touch; allocating every level
+// whole costs ~300 KiB more per boot. A boot allocates ~51 KiB under PMP
+// and ~123 KiB under PMPT and HPMP.
 func TestNewSystemBytes(t *testing.T) {
 	cfg := bootConfig()
 	for _, c := range []struct {
 		mode monitor.Mode
 		max  uint64
 	}{
-		{monitor.ModePMP, 64 * addr.KiB},
-		{monitor.ModePMPT, 160 * addr.KiB},
-		{monitor.ModeHPMP, 160 * addr.KiB},
+		{monitor.ModePMP, 56 * addr.KiB},
+		{monitor.ModePMPT, 136 * addr.KiB},
+		{monitor.ModeHPMP, 136 * addr.KiB},
 	} {
 		b := allocBytes(10, func() {
 			if _, err := bench.NewSystem(cpu.RocketPlatform(), c.mode, cfg); err != nil {
@@ -374,6 +378,69 @@ func TestWalkMissAccessZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: walk-miss access allocates %.1f times per op, want 0", mode, allocs)
 		}
+	}
+}
+
+// physReadWords is how many words physReadRig writes, one per page; a
+// power of two, so a benchmark indexes them with a mask.
+const physReadWords = 4096
+
+// physReadRig returns a 64 MiB memory with one word written into every
+// other page of its first 32 MiB, and the words' addresses in a scattered
+// order: sparse pages, as the key-value store leaves them, read word by
+// word, as the walkers read tables.
+func physReadRig(tb testing.TB) (*phys.Memory, []addr.PA) {
+	m := phys.New(64 * addr.MiB)
+	pas := make([]addr.PA, physReadWords)
+	for i := range pas {
+		j := i * 1237 % physReadWords // odd stride: a permutation
+		pas[i] = addr.PA(j)*2*addr.PageSize + addr.PA(j*520%addr.PageSize)
+		if err := m.Write64(pas[i], uint64(j)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return m, pas
+}
+
+// BenchmarkPhysRead64 measures physical memory's own cost of one 64-bit
+// read, the operation behind every PTE and pmpte fetch: the layer
+// benchmark of internal/phys.
+func BenchmarkPhysRead64(b *testing.B) {
+	m, pas := physReadRig(b)
+	var sum uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := m.Read64(pas[i&(physReadWords-1)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		sum += v
+	}
+	physSink = sum
+}
+
+// physSink keeps BenchmarkPhysRead64's reads live.
+var physSink uint64
+
+// TestPhysRead64ZeroAllocs pins BenchmarkPhysRead64's loop, and a read of a
+// page never written, at zero allocations, and checks that every word
+// reads back.
+func TestPhysRead64ZeroAllocs(t *testing.T) {
+	m, pas := physReadRig(t)
+	i := 0
+	allocs := testing.AllocsPerRun(physReadWords, func() {
+		v, err := m.Read64(pas[i])
+		if want := uint64(i * 1237 % physReadWords); err != nil || v != want {
+			t.Fatalf("word %d reads %d, %v; want %d", i, v, err, want)
+		}
+		if v, err := m.Read64(pas[i] + addr.PageSize); err != nil || v != 0 {
+			t.Fatalf("an untouched page reads %d, %v; want 0", v, err)
+		}
+		i = (i + 1) % physReadWords
+	})
+	if allocs != 0 {
+		t.Errorf("Read64 allocates %.1f times per op, want 0", allocs)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package phys implements the simulated physical memory: a sparse store of
-// 4 KiB frames allocated on first write. Page tables, permission tables, and
-// all workload data live here, so a "memory reference" in the simulator is a
-// read or write of this store (timed separately by the cache/DRAM models).
+// 512-byte sectors allocated on first write. Page tables, permission tables,
+// and all workload data live here, so a "memory reference" in the simulator
+// is a read or write of this store (timed separately by the cache/DRAM
+// models).
 package phys
 
 import (
@@ -12,27 +13,39 @@ import (
 	"hpmp/internal/addr"
 )
 
-// leafBits is log2 of the frames one leaf of the frame table covers: 512
-// frames, 2 MiB of memory, so a leaf is itself one 4 KiB array of pointers.
+// The store allocates memory a sector at a time: writes scattered over many
+// pages (the key-value store's small objects, one PTE in a fresh table
+// page) leave most of each 4 KiB frame zero, and an untouched sector costs
+// only a nil pointer. A leaf of the sector table is 512 pointers, so it
+// covers 256 KiB of memory and is itself one 4 KiB array.
 const (
-	leafBits   = 9
-	leafFrames = 1 << leafBits
+	sectorBits   = 9
+	sectorSize   = 1 << sectorBits
+	sectorMask   = sectorSize - 1
+	frameSectors = addr.PageSize / sectorSize
+	leafBits     = 9
+	leafSectors  = 1 << leafBits
 )
 
-// frameLeaf maps the frames of one 2 MiB span to their contents (nil until
-// first written).
-type frameLeaf [leafFrames]*[addr.PageSize]byte
+// sector holds 512 bytes of memory contents.
+type sector [sectorSize]byte
+
+// sectorLeaf maps the sectors of one 256 KiB span to their contents (nil
+// until first written). A frame's sectors are consecutive slots of one leaf.
+type sectorLeaf [leafSectors]*sector
 
 // Memory is a sparse simulated physical memory. The zero value is not usable;
 // call New.
 type Memory struct {
 	size uint64
-	// dir is the root of a two-level radix frame table indexed by frame
-	// number: dir[fn>>leafBits][fn%leafFrames]. Leaves and frames are both
-	// allocated on first write, so untouched memory costs one nil pointer
-	// per 2 MiB, and a lookup is two indexed loads with no hashing.
-	dir []*frameLeaf
-	// Touched counts frames materialized so far (for footprint reporting).
+	// dir is the root of a two-level radix sector table indexed by sector
+	// number: dir[sn>>leafBits][sn%leafSectors]. Leaves and sectors are
+	// both allocated on first write, so untouched memory costs one nil
+	// pointer per 256 KiB, and a lookup is two indexed loads with no
+	// hashing.
+	dir []*sectorLeaf
+	// touched counts frames with at least one sector (for footprint
+	// reporting).
 	touched uint64
 }
 
@@ -40,19 +53,20 @@ type Memory struct {
 // Accesses beyond the size fault.
 func New(size uint64) *Memory {
 	size = addr.AlignUp(size, addr.PageSize)
-	frames := size >> addr.PageShift
+	sectors := size >> sectorBits
 	return &Memory{
 		size: size,
-		dir:  make([]*frameLeaf, (frames+leafFrames-1)>>leafBits),
+		dir:  make([]*sectorLeaf, (sectors+leafSectors-1)>>leafBits),
 	}
 }
 
 // Size returns the memory size in bytes.
 func (m *Memory) Size() uint64 { return m.size }
 
-// TouchedFrames returns how many distinct frames have been materialized.
-// Only writes materialize a frame: reads and ZeroPage of an untouched frame
-// leave it untouched.
+// TouchedFrames returns how many distinct 4 KiB frames have been
+// materialized: a frame counts once its first sector is. Only writes
+// materialize memory: reads and ZeroPage of an untouched frame leave it
+// untouched.
 func (m *Memory) TouchedFrames() uint64 { return m.touched }
 
 // InBounds reports whether the n-byte access at pa stays inside memory.
@@ -60,37 +74,73 @@ func (m *Memory) InBounds(pa addr.PA, n uint64) bool {
 	return uint64(pa) < m.size && uint64(pa)+n <= m.size
 }
 
-// frame returns the frame holding pa for writing, materializing it and its
-// leaf on first write. pa must be in bounds.
-func (m *Memory) frame(pa addr.PA) *[addr.PageSize]byte {
-	fn := pa.Frame()
-	leaf := m.dir[fn>>leafBits]
+// frameSlots returns the leaf slots of the 8 sectors of the frame holding
+// pa, materializing the leaf on first write. pa must be in bounds.
+func (m *Memory) frameSlots(pa addr.PA) []*sector {
+	sn := uint64(pa) >> sectorBits
+	leaf := m.dir[sn>>leafBits]
 	if leaf == nil {
-		leaf = new(frameLeaf)
-		m.dir[fn>>leafBits] = leaf
+		leaf = new(sectorLeaf)
+		m.dir[sn>>leafBits] = leaf
 	}
-	s := &leaf[fn&(leafFrames-1)]
+	first := sn & (leafSectors - 1) &^ (frameSectors - 1)
+	return leaf[first : first+frameSectors]
+}
+
+// sec returns the sector holding pa for writing, materializing it and its
+// leaf on first write. pa must be in bounds.
+func (m *Memory) sec(pa addr.PA) *sector {
+	slots := m.frameSlots(pa)
+	s := &slots[uint64(pa)>>sectorBits&(frameSectors-1)]
 	if *s == nil {
-		*s = new([addr.PageSize]byte)
-		m.touched++
+		if !hasSector(slots) {
+			m.touched++
+		}
+		*s = new(sector)
 	}
 	return *s
 }
 
-// zeroFrame is what every untouched frame reads as. Nothing writes it.
-var zeroFrame [addr.PageSize]byte
-
-// peek returns the frame holding pa for reading: the frame itself, or the
-// shared zero frame while it is untouched. It allocates neither the frame
-// nor its leaf. pa must be in bounds.
-func (m *Memory) peek(pa addr.PA) *[addr.PageSize]byte {
-	fn := pa.Frame()
-	if leaf := m.dir[fn>>leafBits]; leaf != nil {
-		if f := leaf[fn&(leafFrames-1)]; f != nil {
-			return f
+// hasSector reports whether any of a frame's sector slots is materialized.
+func hasSector(slots []*sector) bool {
+	for _, s := range slots {
+		if s != nil {
+			return true
 		}
 	}
-	return &zeroFrame
+	return false
+}
+
+// wholeFrame prepares a write that covers the whole frame at the
+// page-aligned pa: a frame with no sector yet gets all eight in one
+// allocation (a permission-table leaf fill, a page copy), which is one heap
+// object where sector-at-a-time would make eight. pa must be in bounds.
+func (m *Memory) wholeFrame(pa addr.PA) {
+	slots := m.frameSlots(pa)
+	if hasSector(slots) {
+		return
+	}
+	block := new([frameSectors]sector)
+	for i := range slots {
+		slots[i] = &block[i]
+	}
+	m.touched++
+}
+
+// zeroSector is what every untouched sector reads as. Nothing writes it.
+var zeroSector sector
+
+// peek returns the sector holding pa for reading: the sector itself, or the
+// shared zero sector while it is untouched. It allocates neither the sector
+// nor its leaf. pa must be in bounds.
+func (m *Memory) peek(pa addr.PA) *sector {
+	sn := uint64(pa) >> sectorBits
+	if leaf := m.dir[sn>>leafBits]; leaf != nil {
+		if s := leaf[sn&(leafSectors-1)]; s != nil {
+			return s
+		}
+	}
+	return &zeroSector
 }
 
 // ErrBounds is returned for accesses outside the physical address space.
@@ -109,9 +159,7 @@ func (m *Memory) Read(pa addr.PA, dst []byte) error {
 		return &ErrBounds{PA: pa, N: uint64(len(dst))}
 	}
 	for len(dst) > 0 {
-		f := m.peek(pa)
-		off := pa.Offset()
-		n := copy(dst, f[off:])
+		n := copy(dst, m.peek(pa)[pa&sectorMask:])
 		dst = dst[n:]
 		pa += addr.PA(n)
 	}
@@ -124,9 +172,10 @@ func (m *Memory) Write(pa addr.PA, src []byte) error {
 		return &ErrBounds{PA: pa, N: uint64(len(src))}
 	}
 	for len(src) > 0 {
-		f := m.frame(pa)
-		off := pa.Offset()
-		n := copy(f[off:], src)
+		if pa.Offset() == 0 && len(src) >= addr.PageSize {
+			m.wholeFrame(pa)
+		}
+		n := copy(m.sec(pa)[pa&sectorMask:], src)
 		src = src[n:]
 		pa += addr.PA(n)
 	}
@@ -142,9 +191,9 @@ func (m *Memory) Read64(pa addr.PA) (uint64, error) {
 	if !m.InBounds(pa, 8) {
 		return 0, &ErrBounds{PA: pa, N: 8}
 	}
-	f := m.peek(pa)
-	off := pa.Offset()
-	return binary.LittleEndian.Uint64(f[off : off+8]), nil
+	s := m.peek(pa)
+	off := pa & sectorMask
+	return binary.LittleEndian.Uint64(s[off : off+8]), nil
 }
 
 // Write64 stores a little-endian 64-bit word at an 8-byte-aligned address.
@@ -155,16 +204,15 @@ func (m *Memory) Write64(pa addr.PA, v uint64) error {
 	if !m.InBounds(pa, 8) {
 		return &ErrBounds{PA: pa, N: 8}
 	}
-	f := m.frame(pa)
-	off := pa.Offset()
-	binary.LittleEndian.PutUint64(f[off:off+8], v)
+	s := m.sec(pa)
+	off := pa & sectorMask
+	binary.LittleEndian.PutUint64(s[off:off+8], v)
 	return nil
 }
 
 // Fill64 stores v into n consecutive little-endian 64-bit words starting
-// at an 8-byte-aligned pa. The words must lie in one 4 KiB frame, which is
-// looked up once; table builders use it to write a run of identical
-// entries.
+// at an 8-byte-aligned pa. The words must lie in one 4 KiB frame; table
+// builders use it to write a run of identical entries.
 func (m *Memory) Fill64(pa addr.PA, v uint64, n int) error {
 	if !addr.IsAligned(uint64(pa), 8) {
 		return fmt.Errorf("phys: misaligned 8-byte fill at %v", pa)
@@ -176,12 +224,17 @@ func (m *Memory) Fill64(pa addr.PA, v uint64, n int) error {
 	if !m.InBounds(pa, size) {
 		return &ErrBounds{PA: pa, N: size}
 	}
-	if n == 0 {
-		return nil
+	if size == addr.PageSize {
+		m.wholeFrame(pa)
 	}
-	w := m.frame(pa)[pa.Offset() : pa.Offset()+size]
-	for i := 0; i < len(w); i += 8 {
-		binary.LittleEndian.PutUint64(w[i:], v)
+	for size > 0 {
+		off := uint64(pa & sectorMask)
+		w := m.sec(pa)[off:min(off+size, sectorSize)]
+		for i := 0; i < len(w); i += 8 {
+			binary.LittleEndian.PutUint64(w[i:], v)
+		}
+		size -= uint64(len(w))
+		pa += addr.PA(len(w))
 	}
 	return nil
 }
@@ -194,9 +247,9 @@ func (m *Memory) Read32(pa addr.PA) (uint32, error) {
 	if !m.InBounds(pa, 4) {
 		return 0, &ErrBounds{PA: pa, N: 4}
 	}
-	f := m.peek(pa)
-	off := pa.Offset()
-	return binary.LittleEndian.Uint32(f[off : off+4]), nil
+	s := m.peek(pa)
+	off := pa & sectorMask
+	return binary.LittleEndian.Uint32(s[off : off+4]), nil
 }
 
 // Write32 stores a little-endian 32-bit word (4-byte aligned).
@@ -207,9 +260,9 @@ func (m *Memory) Write32(pa addr.PA, v uint32) error {
 	if !m.InBounds(pa, 4) {
 		return &ErrBounds{PA: pa, N: 4}
 	}
-	f := m.frame(pa)
-	off := pa.Offset()
-	binary.LittleEndian.PutUint32(f[off:off+4], v)
+	s := m.sec(pa)
+	off := pa & sectorMask
+	binary.LittleEndian.PutUint32(s[off:off+4], v)
 	return nil
 }
 
@@ -218,7 +271,7 @@ func (m *Memory) Read8(pa addr.PA) (byte, error) {
 	if !m.InBounds(pa, 1) {
 		return 0, &ErrBounds{PA: pa, N: 1}
 	}
-	return m.peek(pa)[pa.Offset()], nil
+	return m.peek(pa)[pa&sectorMask], nil
 }
 
 // Write8 stores one byte.
@@ -226,14 +279,15 @@ func (m *Memory) Write8(pa addr.PA, v byte) error {
 	if !m.InBounds(pa, 1) {
 		return &ErrBounds{PA: pa, N: 1}
 	}
-	m.frame(pa)[pa.Offset()] = v
+	m.sec(pa)[pa&sectorMask] = v
 	return nil
 }
 
 // ZeroPage clears the 4 KiB page containing pa (pa must be page aligned).
 // The kernel model uses it when handing out fresh frames, and the monitor
-// when it scrubs a released region. An untouched frame already reads as
-// zero, so it stays untouched.
+// when it scrubs a released region. An untouched sector already reads as
+// zero, so only the sectors that exist are cleared, and an untouched frame
+// stays untouched.
 func (m *Memory) ZeroPage(pa addr.PA) error {
 	if !addr.IsAligned(uint64(pa), addr.PageSize) {
 		return fmt.Errorf("phys: ZeroPage at unaligned %v", pa)
@@ -241,8 +295,10 @@ func (m *Memory) ZeroPage(pa addr.PA) error {
 	if !m.InBounds(pa, addr.PageSize) {
 		return &ErrBounds{PA: pa, N: addr.PageSize}
 	}
-	if f := m.peek(pa); f != &zeroFrame {
-		*f = [addr.PageSize]byte{}
+	for off := addr.PA(0); off < addr.PageSize; off += sectorSize {
+		if s := m.peek(pa + off); s != &zeroSector {
+			*s = sector{}
+		}
 	}
 	return nil
 }

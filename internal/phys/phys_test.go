@@ -3,6 +3,7 @@ package phys
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -144,6 +145,31 @@ func TestTouchedFrames(t *testing.T) {
 	}
 }
 
+// A word written into a page that holds nothing else materializes one
+// 512-byte sector, not the whole 4 KiB frame: the key-value store scatters
+// small objects over many pages, and a frame per object made most of what
+// an evaluation allocated. The bytes include the sector table's leaves.
+func TestScatteredWordsAllocateSectors(t *testing.T) {
+	const words = 1024
+	m := New(64 * addr.MiB)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < words; i++ {
+		if err := m.Write64(addr.PA(i)*8*addr.PageSize+0x128, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / words
+	t.Logf("%d bytes allocated per scattered word", per)
+	if per > 1536 {
+		t.Errorf("a word written into an untouched page allocates %d bytes, want at most 1536", per)
+	}
+	if got := m.TouchedFrames(); got != words {
+		t.Errorf("TouchedFrames = %d, want %d", got, words)
+	}
+}
+
 // A fresh frame already reads as zero, so ZeroPage leaves it untouched; a
 // ZeroPage of a frame already holding data clears it without counting it
 // again.
@@ -179,14 +205,14 @@ func TestZeroPageFreshFrame(t *testing.T) {
 	}
 }
 
-// The frame table's leaves each cover 2 MiB. Memory sizes that are not a
+// The sector table's leaves each cover 256 KiB. Memory sizes that are not a
 // multiple of that end in a partial leaf; the last page, accesses straddling
 // a leaf boundary, and the bounds at and past Size must all behave as in a
 // flat memory.
 func TestFrameTableEdges(t *testing.T) {
 	for _, size := range []uint64{
 		addr.PageSize,                   // one page, one partial leaf
-		2*addr.MiB + addr.PageSize,      // one full leaf plus one page
+		2*addr.MiB + addr.PageSize,      // full leaves plus one page
 		5*addr.MiB + 3*addr.PageSize,    // partial last leaf
 		4*addr.MiB - addr.PageSize + 10, // rounded up to a page by New
 	} {
@@ -226,7 +252,7 @@ func TestFrameTableEdges(t *testing.T) {
 		}
 	}
 
-	// A read and a write straddling the 2 MiB leaf boundary.
+	// A read and a write straddling the leaf boundary at 2 MiB.
 	m := New(5 * addr.MiB)
 	data := make([]byte, 3*addr.PageSize)
 	for i := range data {
@@ -244,7 +270,7 @@ func TestFrameTableEdges(t *testing.T) {
 		t.Error("read across the leaf boundary differs from the write")
 	}
 	if b, _ := m.Read8(2 * addr.MiB); b != data[addr.PageSize+100] {
-		t.Errorf("first byte of the second leaf = %#x, want %#x", b, data[addr.PageSize+100])
+		t.Errorf("first byte of the leaf at 2 MiB = %#x, want %#x", b, data[addr.PageSize+100])
 	}
 	if n := m.TouchedFrames(); n != 4 {
 		t.Errorf("TouchedFrames = %d, want 4 (the write spans four frames)", n)

@@ -272,26 +272,47 @@ func (t *Table) Protect(va addr.VA, p perm.Perm) error {
 
 // leafPTE finds the leaf PTE for va.
 func (t *Table) leafPTE(va addr.VA) (addr.PA, PTE, bool, error) {
+	ea, e, level, err := t.walk(va)
+	switch {
+	case err != nil:
+		return 0, 0, false, err
+	case !e.Valid():
+		return 0, 0, false, &FaultError{VA: va, Level: level}
+	case level != 0:
+		return 0, 0, false, fmt.Errorf("pt: %v maps a level-%d superpage", va, level)
+	}
+	return ea, e, e.User(), nil
+}
+
+// walk descends from the root toward va's leaf and returns the address,
+// value and level of the first PTE that is invalid or a leaf. It allocates
+// nothing unless a read fails.
+func (t *Table) walk(va addr.VA) (addr.PA, PTE, int, error) {
 	base := t.root
 	for level := t.Mode.Levels() - 1; level >= 0; level-- {
 		ea := t.pteAddr(base, va, level)
 		raw, err := t.mem.Read64(ea)
 		if err != nil {
-			return 0, 0, false, err
+			return 0, 0, 0, err
 		}
 		e := PTE(raw)
-		if !e.Valid() {
-			return 0, 0, false, &FaultError{VA: va, Level: level}
-		}
-		if e.Leaf() {
-			if level != 0 {
-				return 0, 0, false, fmt.Errorf("pt: %v maps a level-%d superpage", va, level)
-			}
-			return ea, e, e.User(), nil
+		if !e.Valid() || e.Leaf() {
+			return ea, e, level, nil
 		}
 		base = e.Target()
 	}
-	return 0, 0, false, fmt.Errorf("pt: walk fell through for %v", va)
+	return 0, 0, 0, fmt.Errorf("pt: walk fell through for %v", va)
+}
+
+// Lookup returns the valid 4 KiB leaf PTE that maps va, and false when va
+// is non-canonical or unmapped, or lies under a superpage. Unlike
+// TranslateSW it allocates nothing for an unmapped va.
+func (t *Table) Lookup(va addr.VA) (PTE, bool) {
+	if !t.Mode.Canonical(va) {
+		return 0, false
+	}
+	_, e, level, err := t.walk(va)
+	return e, err == nil && e.Valid() && level == 0
 }
 
 // FaultError is a page fault discovered during a software walk.

@@ -101,6 +101,45 @@ func TestUnmapAndProtect(t *testing.T) {
 	}
 }
 
+// Lookup reports a 4 KiB leaf exactly while one maps the page, whatever the
+// offset, and allocates nothing, also for a page that was never mapped:
+// the replay engine asks it once per event.
+func TestLookup(t *testing.T) {
+	tbl, _, _ := newEnv(t, addr.Sv39)
+	va, pa := addr.VA(0x7000_0000), addr.PA(0x90_0000)
+	if err := tbl.Map(va, pa, perm.RW, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.MapSuper(addr.VA(0x4000_0000), 0x800_0000, 1, perm.R, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		va     addr.VA
+		mapped bool
+	}{
+		{va, true},
+		{va + 0xff8, true},
+		{va + addr.PageSize, false},      // same leaf table, empty PTE
+		{addr.VA(0x1_0000_0000), false},  // no intermediate table
+		{addr.VA(0x4000_1000), false},    // under a 2 MiB superpage
+		{addr.VA(0x80_7000_0000), false}, // non-canonical, same low 39 bits as va
+	} {
+		e, ok := tbl.Lookup(c.va)
+		if ok != c.mapped || ok && (e.Target() != pa || e.Perm() != perm.RW || !e.User()) {
+			t.Errorf("Lookup(%v) = %v, %v; want mapped=%v to %v", c.va, e, ok, c.mapped, pa)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tbl.Lookup(addr.VA(0x1_0000_0000)) }); allocs != 0 {
+		t.Errorf("Lookup of an unmapped page allocates %.0f objects, want 0", allocs)
+	}
+	if _, err := tbl.Unmap(va); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tbl.Lookup(va); ok {
+		t.Error("Lookup finds a leaf after Unmap")
+	}
+}
+
 func TestNonCanonicalRejected(t *testing.T) {
 	tbl, _, _ := newEnv(t, addr.Sv39)
 	if err := tbl.Map(addr.VA(0x40_0000_0000), 0x1000, perm.R, false); err == nil {

@@ -6,14 +6,16 @@
 // PTE fetches, pmpte fetches, permission checks — are *consequences* of an
 // access on a given machine, so replay regenerates them instead of
 // re-executing them). From the access stream it derives the minimal
-// page-table state machine needed to make the recorded sequence executable:
+// page-table state needed to make the recorded sequence executable, and it
+// reads that state back from the page table it installs (pt.Table.Lookup),
+// keeping no second copy:
 //
 //   - a FaultNone event with a physical address is a proof that va→pa was
 //     mapped when the event fired, so the engine lazily installs (or, when
-//     the trace shows the page moved, reinstalls + sfence.vma's) that
+//     its table maps the page elsewhere, reinstalls + sfence.vma's) that
 //     mapping;
 //   - a FaultPage event is a proof the page was unmapped, so the engine
-//     unmaps it first if a previous event had mapped it;
+//     unmaps it first if its table still maps it;
 //   - FaultProt and FaultAccess events depend on privilege and isolation
 //     state the trace does not record, so they are skipped and counted
 //     (Stats.SkippedProt / SkippedAccessFault) — DESIGN.md §8 documents the
@@ -105,10 +107,9 @@ func (s *Stats) Skipped() uint64 {
 type Engine struct {
 	cfg  simcfg.Machine
 	mach *cpu.Machine
-	tbl  *pt.Table
-
-	// mapping is the engine's view of the installed page table: vpn → pfn.
-	mapping map[uint64]uint64
+	// tbl is the installed page table, and the engine's only record of
+	// which pages it has mapped where.
+	tbl *pt.Table
 
 	// Pending batch: reqs/out are the preallocated AccessBatch buffers,
 	// expPA/expFault the recorded outcome each slot must reproduce.
@@ -151,9 +152,8 @@ func New(cfg simcfg.Machine) (*Engine, error) {
 	pmptRegion := addr.Range{Base: addr.PA(cfg.MemSize - poolSize), Size: poolSize}
 
 	e := &Engine{
-		cfg:     cfg,
-		mach:    mach,
-		mapping: make(map[uint64]uint64),
+		cfg:  cfg,
+		mach: mach,
 	}
 
 	ptAlloc := phys.NewFrameAllocator(ptRegion, false)
@@ -255,18 +255,16 @@ func (e *Engine) Step(ev obs.Event) error {
 		e.Stats.SkippedAccessFault++
 		return nil
 	case obs.FaultPage:
-		vpn := ev.VA.Frame()
-		if _, mapped := e.mapping[vpn]; mapped {
+		if _, mapped := e.tbl.Lookup(ev.VA); mapped {
 			// The trace says the page was gone by this point: unmap and
 			// sfence.vma, draining the queue first so earlier accesses are
 			// not timed against the flushed TLB/PWC.
 			if err := e.Flush(); err != nil {
 				return err
 			}
-			if _, err := e.tbl.Unmap(pageVA(vpn)); err != nil {
+			if _, err := e.tbl.Unmap(ev.VA); err != nil {
 				return fmt.Errorf("replay: unmap %v: %w", ev.VA, err)
 			}
-			delete(e.mapping, vpn)
 			e.mach.MMU.FlushVA(ev.VA)
 			e.Stats.Unmaps++
 		}
@@ -282,8 +280,7 @@ func (e *Engine) Step(ev obs.Event) error {
 		e.Stats.SkippedOutOfRange++
 		return nil
 	}
-	vpn, pfn := ev.VA.Frame(), ev.PA.Frame()
-	cur, mapped := e.mapping[vpn]
+	pte, mapped := e.tbl.Lookup(ev.VA)
 	switch {
 	case !mapped:
 		// First sight of this page. A fresh Map flushes nothing, so queued
@@ -295,32 +292,27 @@ func (e *Engine) Step(ev obs.Event) error {
 				return err
 			}
 		}
-		if err := e.tbl.Map(pageVA(vpn), ev.PA.PageBase(), perm.RWX, true); err != nil {
+		if err := e.tbl.Map(ev.VA, ev.PA.PageBase(), perm.RWX, true); err != nil {
 			e.Stats.SkippedUnmappable++
 			return nil
 		}
-		e.mapping[vpn] = pfn
 		e.Stats.Maps++
-	case cur != pfn:
+	case pte.Target() != ev.PA.PageBase():
 		// The trace shows the kernel moved the page: reinstall + sfence.vma
 		// (drain first — the flush empties the PWC for every queued walk).
 		if err := e.Flush(); err != nil {
 			return err
 		}
-		if err := e.tbl.Map(pageVA(vpn), ev.PA.PageBase(), perm.RWX, true); err != nil {
+		if err := e.tbl.Map(ev.VA, ev.PA.PageBase(), perm.RWX, true); err != nil {
 			e.Stats.SkippedUnmappable++
 			return nil
 		}
-		e.mapping[vpn] = pfn
 		e.mach.MMU.FlushVA(ev.VA)
 		e.Stats.Remaps++
 	}
 	e.enqueue(ev, false)
 	return nil
 }
-
-// pageVA rebuilds the canonical page-base VA for a vpn.
-func pageVA(vpn uint64) addr.VA { return addr.VA(vpn << addr.PageShift) }
 
 // enqueue adds one access to the pending batch, flushing when full.
 func (e *Engine) enqueue(ev obs.Event, expectFault bool) {

@@ -6,7 +6,7 @@ import (
 	"hpmp/internal/obs"
 )
 
-// steadyEngine returns an engine whose mapping already covers the synthetic
+// steadyEngine returns an engine whose page table already maps the synthetic
 // trace's first-touch round, plus a full replay block (BlockMax events) of
 // steady-state re-touches over those pages.
 func steadyEngine(tb testing.TB) (*Engine, []obs.Event) {
