@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check inline-check test test-short race smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-smoke bench-ab bench-full-ab eval eval-quick examples artifacts metrics-baseline metrics-diff clean
+.PHONY: all build vet fmt-check inline-check test test-short race memo-pool smoke obs-smoke replay-smoke daemon-smoke fuzz bench bench-smoke bench-ab bench-full-ab eval eval-quick examples artifacts metrics-baseline metrics-diff clean
 
 all: build vet fmt-check test race smoke fuzz
 
@@ -48,6 +48,14 @@ test-short:
 # concurrent; this keeps it honest).
 race:
 	$(GO) test -race ./...
+
+# Run-memo pool gate: the memo and sharedUnits tests at GOMAXPROCS 1 and 4,
+# so the bounded unit pool (max(2, GOMAXPROCS) workers) is exercised at
+# its floor and above it: the bound and collector start order, unit
+# overlap at one CPU, cancellation of queued units, and memo-on runs
+# matching memo-off ones.
+memo-pool:
+	$(GO) test -cpu 1,4 -run 'TestSharedUnits|TestMemo' ./internal/bench/
 
 # End-to-end smoke: the full quick evaluation through the CLI.
 smoke:

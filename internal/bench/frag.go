@@ -129,63 +129,95 @@ func fragPages(cfg Config) int {
 	return 32
 }
 
-func runFig15(cfg Config) (*Result, error) {
-	res := &Result{ID: "fig15", Title: "Fragmentation: total latency of touching pages (cycles, Rocket)"}
+// fragCell is one fragProbe measurement, on its own freshly booted system.
+type fragCell struct {
+	mode                       monitor.Mode
+	fragVA, fragPA, pmptwCache bool
+}
+
+// fragLatencies measures every cell, one run-memo unit per cell. The key
+// names the probe's parameters, so fig15 and fig16 share the cells they
+// both measure (fragmented PA, no PMPTW-Cache).
+func fragLatencies(cfg Config, cells []fragCell) ([]uint64, error) {
 	n := fragPages(cfg)
-	for _, pa := range []struct {
+	units := make([]unit[uint64], len(cells))
+	for i, c := range cells {
+		label := fmt.Sprintf("%s/va=%t/pa=%t/cache=%t", ModeNames[c.mode], c.fragVA, c.fragPA, c.pmptwCache)
+		units[i] = unit[uint64]{memoKey{collector: "frag", plat: cpu.RocketPlatform(), label: label},
+			func(cfg Config) (uint64, error) { return fragProbe(c.mode, c.fragVA, c.fragPA, c.pmptwCache, n, cfg) }}
+	}
+	return sharedUnits(cfg, units)
+}
+
+// fragLayouts is the VA axis of Figs. 15 and 16.
+var fragLayouts = []struct {
+	frag bool
+	name string
+}{{false, "Contiguous-VA"}, {true, "Fragmented-VA"}}
+
+func runFig15(cfg Config) (*Result, error) {
+	pas := []struct {
 		frag  bool
 		title string
-	}{{false, "Fig 15-a: contiguous physical pages"}, {true, "Fig 15-b: fragmented physical pages"}} {
-		t := stats.NewTable(pa.title, "VA layout", "PMP", "PMPT", "HPMP")
-		for _, va := range []struct {
-			frag bool
-			name string
-		}{{false, "Contiguous-VA"}, {true, "Fragmented-VA"}} {
-			row := []string{va.name}
+	}{{false, "Fig 15-a: contiguous physical pages"}, {true, "Fig 15-b: fragmented physical pages"}}
+	var cells []fragCell
+	for _, pa := range pas {
+		for _, va := range fragLayouts {
 			for _, mode := range AllModes {
-				lat, err := fragProbe(mode, va.frag, pa.frag, false, n, cfg)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%d", lat))
+				cells = append(cells, fragCell{mode: mode, fragVA: va.frag, fragPA: pa.frag})
+			}
+		}
+	}
+	lats, err := fragLatencies(cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{ID: "fig15", Title: "Fragmentation: total latency of touching pages (cycles, Rocket)"}
+	for _, pa := range pas {
+		t := stats.NewTable(pa.title, "VA layout", "PMP", "PMPT", "HPMP")
+		for _, va := range fragLayouts {
+			row := []string{va.name}
+			for range AllModes {
+				row = append(row, fmt.Sprintf("%d", lats[0]))
+				lats = lats[1:]
 			}
 			t.AddRow(row...)
 		}
 		res.Tables = append(res.Tables, t)
 	}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("%d pages touched after a TLB/PWC flush; caches warm (paper §8.8 methodology).", n),
+		fmt.Sprintf("%d pages touched after a TLB/PWC flush; caches warm (paper §8.8 methodology).", fragPages(cfg)),
 		"Paper: fragmentation hurts everywhere; HPMP < PMPT in all four quadrants.")
 	return res, nil
 }
 
 func runFig16(cfg Config) (*Result, error) {
+	cols := []fragCell{
+		{mode: monitor.ModePMPT},
+		{mode: monitor.ModePMPT, pmptwCache: true},
+		{mode: monitor.ModeHPMP},
+		{mode: monitor.ModeHPMP, pmptwCache: true},
+		{mode: monitor.ModePMP},
+	}
+	var cells []fragCell
+	for _, va := range fragLayouts {
+		for _, c := range cols {
+			c.fragVA, c.fragPA = va.frag, true
+			cells = append(cells, c)
+		}
+	}
+	lats, err := fragLatencies(cfg, cells)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{ID: "fig16", Title: "PMPTW-Cache impact (cycles, Rocket; fragmented physical pages)"}
-	n := fragPages(cfg)
 	t := stats.NewTable("Fig 16", "VA layout",
 		"PMPT", "PMPT-Cache", "HPMP", "HPMP-Cache", "PMP")
-	for _, va := range []struct {
-		frag bool
-		name string
-	}{{false, "Contiguous-VA"}, {true, "Fragmented-VA"}} {
-		type cell struct {
-			mode  monitor.Mode
-			cache bool
-		}
-		cells := []cell{
-			{monitor.ModePMPT, false},
-			{monitor.ModePMPT, true},
-			{monitor.ModeHPMP, false},
-			{monitor.ModeHPMP, true},
-			{monitor.ModePMP, false},
-		}
+	for _, va := range fragLayouts {
 		row := []string{va.name}
-		for _, c := range cells {
-			lat, err := fragProbe(c.mode, va.frag, true, c.cache, n, cfg)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%d", lat))
+		for range cols {
+			row = append(row, fmt.Sprintf("%d", lats[0]))
+			lats = lats[1:]
 		}
 		t.AddRow(row...)
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
 	"sync"
@@ -21,8 +22,11 @@ import (
 // and every consumer reads the same result. The memo lives for one RunAll
 // call — one CLI run or one daemon job — and is never shared across runs.
 
-// memoKey identifies one shared unit: the systems one collector boots for
-// one platform and one isolation label, at one experiment size. Every
+// memoKey identifies one unit: what one collector simulates for one
+// platform and one label, at one experiment size. The medium and heavy
+// experiments make each freshly booted system its own unit, so the label
+// names everything that system's run depends on beyond the platform (an
+// isolation label, and the workload, size or variant it runs). Every
 // field is comparable, so the key is its own map key; the platform is the
 // effective one, after any override, so fig17's explicit 8-entry PWC lands
 // on fig12ab's default-platform key.
@@ -86,19 +90,23 @@ type unit[T any] struct {
 
 // sharedUnits returns the values of a collector's units, in order,
 // computing each unit at most once per run. Under the memo lock it claims
-// the units no other caller has claimed yet; it computes all but the last
-// of those on goroutines of their own and the last on the caller's, each
-// under a fresh observer and a memo=<key> pprof label. Units another caller
-// claimed are that caller's to compute. It then waits for the units in
-// collector order, merging each unit's frozen snapshot into the caller's
-// observer where its systems would have registered and stopping at the
-// first unit that failed. So the values, the counters (values and
-// first-use order), the histograms and the error are the ones the
-// collector would get computing its units one after another. Callers must
-// treat the values as read-only. A unit's goroutine ends with its
-// computation, which the entry's waiters wait for; like a timed-out
-// experiment's goroutine, it is abandoned, not interrupted, when the run is
-// canceled.
+// the units no other caller has claimed yet and computes them on a bounded
+// pool: min(claims, max(2, GOMAXPROCS)) workers, the caller one of them,
+// pull the claims in collector order and compute each under a fresh
+// observer and a memo=<key> pprof label. Units another caller claimed are
+// that caller's to compute. It then waits for the units in collector
+// order, merging each unit's frozen snapshot into the caller's observer
+// where its systems would have registered and stopping at the first unit
+// that failed. So the values, the counters (values and first-use order),
+// the histograms and the error are the ones the collector would get
+// computing its units one after another. Callers must treat the values as
+// read-only.
+//
+// A worker checks the run's context before it starts each unit: once the
+// run is canceled, every unit not yet started records the context's error
+// instead of computing. A unit already computing runs to its end, which
+// the entry's waiters wait for; like a timed-out experiment's goroutine,
+// it is abandoned, not interrupted.
 //
 // A traced run, and a run without a memo, computes the units in place and
 // in order: an experiment's trace must hold its own accesses, in the order
@@ -132,15 +140,22 @@ func sharedUnits[T any](cfg Config, units []unit[T]) ([]T, error) {
 	}
 	m.mu.Unlock()
 
-	for n, i := range claimed {
-		u, e := units[i], entries[i]
-		fill := func() { e.fill(cfg, u.key, func(c Config) (any, error) { return u.compute(c) }) }
-		if n < len(claimed)-1 {
-			go fill()
-		} else {
-			fill()
+	var next atomic.Int64
+	work := func() {
+		for n := next.Add(1) - 1; n < int64(len(claimed)); n = next.Add(1) - 1 {
+			u, e := units[claimed[n]], entries[claimed[n]]
+			if err := cfg.ctx.Err(); err != nil {
+				e.err = err
+				close(e.done)
+				continue
+			}
+			e.fill(cfg, u.key, func(c Config) (any, error) { return u.compute(c) })
 		}
 	}
+	for w := 1; w < min(len(claimed), max(2, runtime.GOMAXPROCS(0))); w++ {
+		go work()
+	}
+	work()
 	for i, e := range entries {
 		select {
 		case <-e.done:

@@ -112,15 +112,20 @@ func measureLMBench(mode monitor.Mode, cfg Config) (map[string]float64, error) {
 	return out, nil
 }
 
-// CollectTable3 measures all three modes.
+// CollectTable3 measures all three modes, one run-memo unit per mode.
 func CollectTable3(cfg Config) (map[monitor.Mode]map[string]float64, error) {
-	out := map[monitor.Mode]map[string]float64{}
+	var units []unit[map[string]float64]
 	for _, mode := range AllModes {
-		m, err := measureLMBench(mode, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[mode] = m
+		units = append(units, unit[map[string]float64]{memoKey{collector: "lmbench", plat: cpu.BOOMPlatform(), label: ModeNames[mode]},
+			func(cfg Config) (map[string]float64, error) { return measureLMBench(mode, cfg) }})
+	}
+	vals, err := sharedUnits(cfg, units)
+	if err != nil {
+		return nil, err
+	}
+	out := map[monitor.Mode]map[string]float64{}
+	for i, mode := range AllModes {
+		out[mode] = vals[i]
 	}
 	return out, nil
 }

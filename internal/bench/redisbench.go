@@ -37,32 +37,48 @@ func redisRequests(cfg Config) int {
 	return simcfg.Or(cfg.Workload.RedisRequests, 30)
 }
 
-// collectRedis runs the full command sweep on one platform/label and
-// returns rps[command][label]. Each label's system is one run-memo unit:
-// fig3d's three PL systems are fig12de's BOOM ones.
-func collectRedis(plat cpu.Platform, cfg Config, withHost bool) (map[string]map[string]float64, error) {
-	out := map[string]map[string]float64{}
-	for _, cmd := range miniredis.Commands {
-		out[cmd] = map[string]float64{}
-	}
+// redisSide is one platform a Redis experiment measures, and whether it
+// adds the non-secure Host-PMP baseline.
+type redisSide struct {
+	plat     cpu.Platform
+	withHost bool
+}
+
+// collectRedis runs the full command sweep on every side and returns
+// rps[side][command][label]. Each label's system is one run-memo unit:
+// fig3d's three PL systems are fig12de's BOOM ones. All sides' units go to
+// one sharedUnits call, so no side waits for another's.
+func collectRedis(cfg Config, sides ...redisSide) ([]map[string]map[string]float64, error) {
 	var units []unit[map[string]float64]
-	add := func(label string, boot func(Config) (*System, error)) {
-		units = append(units, unit[map[string]float64]{memoKey{collector: "redis", plat: plat, label: label},
-			func(cfg Config) (map[string]float64, error) { return redisSweep(label, boot, cfg) }})
-	}
-	if withHost {
-		add("Host-PMP", func(cfg Config) (*System, error) { return NewHostSystem(plat, cfg) })
-	}
-	for _, mode := range AllModes {
-		add("PL-"+ModeNames[mode], func(cfg Config) (*System, error) { return NewSystem(plat, mode, cfg) })
+	var side []int // side[i] is the side unit i measures
+	for i, sd := range sides {
+		plat := sd.plat
+		add := func(label string, boot func(Config) (*System, error)) {
+			units = append(units, unit[map[string]float64]{memoKey{collector: "redis", plat: plat, label: label},
+				func(cfg Config) (map[string]float64, error) { return redisSweep(label, boot, cfg) }})
+			side = append(side, i)
+		}
+		if sd.withHost {
+			add("Host-PMP", func(cfg Config) (*System, error) { return NewHostSystem(plat, cfg) })
+		}
+		for _, mode := range AllModes {
+			add("PL-"+ModeNames[mode], func(cfg Config) (*System, error) { return NewSystem(plat, mode, cfg) })
+		}
 	}
 	rps, err := sharedUnits(cfg, units)
 	if err != nil {
 		return nil, err
 	}
+	out := make([]map[string]map[string]float64, len(sides))
+	for i := range out {
+		out[i] = map[string]map[string]float64{}
+		for _, cmd := range miniredis.Commands {
+			out[i][cmd] = map[string]float64{}
+		}
+	}
 	for i, u := range units {
 		for cmd, v := range rps[i] {
-			out[cmd][u.key.label] = v
+			out[side[i]][cmd][u.key.label] = v
 		}
 	}
 	return out, nil
@@ -103,21 +119,19 @@ func redisSweep(label string, boot func(Config) (*System, error), cfg Config) (m
 }
 
 func runFig12de(cfg Config) (*Result, error) {
+	sides := []redisSide{{cpu.RocketPlatform(), false}, {cpu.BOOMPlatform(), true}}
+	perSide, err := collectRedis(cfg, sides...)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{ID: "fig12de", Title: "Redis RPS normalized to Penglai-PMP (higher is better)"}
-	for _, p := range []struct {
-		name     string
-		plat     cpu.Platform
-		withHost bool
-	}{{"Rocket", cpu.RocketPlatform(), false}, {"BOOM", cpu.BOOMPlatform(), true}} {
-		data, err := collectRedis(p.plat, cfg, p.withHost)
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range []string{"Rocket", "BOOM"} {
+		data := perSide[i]
 		cols := []string{"PL-PMP", "PL-PMPT", "PL-HPMP"}
-		if p.withHost {
+		if sides[i].withHost {
 			cols = append([]string{"Host-PMP"}, cols...)
 		}
-		t := stats.NewTable(fmt.Sprintf("Redis (%s), RPS %% of PL-PMP", p.name),
+		t := stats.NewTable(fmt.Sprintf("Redis (%s), RPS %% of PL-PMP", name),
 			append([]string{"Command"}, cols...)...)
 		var pmptLoss, hpmpLoss []float64
 		for _, cmd := range miniredis.Commands {
@@ -134,7 +148,7 @@ func runFig12de(cfg Config) (*Result, error) {
 		lo, hi := stats.MinMax(pmptLoss)
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%s: PMPT throughput loss %.1f%%–%.1f%% (avg %.1f%%); HPMP avg %.1f%%.",
-			p.name, lo, hi, stats.Mean(pmptLoss), stats.Mean(hpmpLoss)))
+			name, lo, hi, stats.Mean(pmptLoss), stats.Mean(hpmpLoss)))
 	}
 	res.Notes = append(res.Notes,
 		"Paper: PMPT loses 5.9–18% Rocket (avg 10.5%), 10.8–31.8% BOOM (avg 16.0%); HPMP avg 3.3%/4.5%.")
@@ -142,10 +156,11 @@ func runFig12de(cfg Config) (*Result, error) {
 }
 
 func runFig3d(cfg Config) (*Result, error) {
-	data, err := collectRedis(cpu.BOOMPlatform(), cfg, false)
+	perSide, err := collectRedis(cfg, redisSide{plat: cpu.BOOMPlatform()})
 	if err != nil {
 		return nil, err
 	}
+	data := perSide[0]
 	var ratios []float64
 	for _, cmd := range miniredis.Commands {
 		ratios = append(ratios, stats.Ratio(data[cmd]["PL-PMPT"], data[cmd]["PL-PMP"]))

@@ -66,8 +66,8 @@ type RunOptions struct {
 	// Parallel is the worker count, that is how many experiments run at
 	// once; <= 0 means runtime.NumCPU(). Parallel == 1 starts experiments
 	// one after another in input order. It does not make the run
-	// single-threaded: an experiment still computes its run-memo units
-	// concurrently (see sharedUnits), and GOMAXPROCS bounds the CPU used.
+	// single-threaded: an experiment still computes its run-memo units on
+	// a pool of max(2, GOMAXPROCS) workers (see sharedUnits).
 	Parallel int
 	// Timeout bounds each experiment's wall time; 0 means no limit. The
 	// simulator is not preemptible, so a timed-out experiment's goroutine

@@ -86,38 +86,56 @@ func runServerless(sys *System, w workloads.Workload) (uint64, error) {
 	return sys.Mach.Core.Now - start, nil
 }
 
-// collectServerless measures all functions under the given platform for
-// the three TEE modes plus the non-secure Host-PMP baseline. Each label's
+// serverlessSide is one machine family a serverless experiment measures:
+// a platform and its PWC override (0 keeps the platform's own).
+type serverlessSide struct {
+	plat       cpu.Platform
+	pwcEntries int
+}
+
+// collectServerless measures all functions on every side for the three
+// TEE modes plus the non-secure Host-PMP baseline, returning
+// cycles[side][function][label] and the function names. Each label's
 // system is one run-memo unit, keyed by the effective platform: fig12ab,
-// fig3c and fig17's 8-entry-PWC half share them.
-func collectServerless(plat cpu.Platform, cfg Config, pwcEntries int) (map[string]map[string]uint64, []string, error) {
-	if pwcEntries > 0 {
-		plat.MMU.PWCEntries = pwcEntries
-	}
+// fig3c and fig17's 8-entry-PWC half share them. All sides' units go to
+// one sharedUnits call, so no side waits for another's.
+func collectServerless(cfg Config, sides ...serverlessSide) ([]map[string]map[string]uint64, []string, error) {
 	suite := funcBenchForConfig(cfg)
-	out := map[string]map[string]uint64{}
 	var names []string
 	for _, w := range suite {
 		names = append(names, w.Name())
-		out[w.Name()] = map[string]uint64{}
 	}
-
 	var units []unit[map[string]uint64]
-	add := func(label string, boot func(Config) (*System, error)) {
-		units = append(units, unit[map[string]uint64]{memoKey{collector: "serverless", plat: plat, label: label},
-			func(cfg Config) (map[string]uint64, error) { return invokeSuite(label, boot, suite, cfg) }})
-	}
-	add("Host-PMP", func(cfg Config) (*System, error) { return NewHostSystem(plat, cfg) })
-	for _, mode := range AllModes {
-		add("PL-"+ModeNames[mode], func(cfg Config) (*System, error) { return NewSystem(plat, mode, cfg) })
+	var side []int // side[i] is the side unit i measures
+	for i, sd := range sides {
+		plat := sd.plat
+		if sd.pwcEntries > 0 {
+			plat.MMU.PWCEntries = sd.pwcEntries
+		}
+		add := func(label string, boot func(Config) (*System, error)) {
+			units = append(units, unit[map[string]uint64]{memoKey{collector: "serverless", plat: plat, label: label},
+				func(cfg Config) (map[string]uint64, error) { return invokeSuite(label, boot, suite, cfg) }})
+			side = append(side, i)
+		}
+		add("Host-PMP", func(cfg Config) (*System, error) { return NewHostSystem(plat, cfg) })
+		for _, mode := range AllModes {
+			add("PL-"+ModeNames[mode], func(cfg Config) (*System, error) { return NewSystem(plat, mode, cfg) })
+		}
 	}
 	cycles, err := sharedUnits(cfg, units)
 	if err != nil {
 		return nil, nil, err
 	}
+	out := make([]map[string]map[string]uint64, len(sides))
+	for i := range out {
+		out[i] = map[string]map[string]uint64{}
+		for _, n := range names {
+			out[i][n] = map[string]uint64{}
+		}
+	}
 	for i, u := range units {
 		for name, c := range cycles[i] {
-			out[name][u.key.label] = c
+			out[side[i]][name][u.key.label] = c
 		}
 	}
 	return out, names, nil
@@ -155,12 +173,17 @@ func invokeSuite(label string, boot func(Config) (*System, error), suite []workl
 }
 
 func runFig12ab(cfg Config) (*Result, error) {
-	res := &Result{ID: "fig12ab", Title: "FunctionBench latency normalized to Penglai-PMP"}
+	var sides []serverlessSide
 	for _, p := range paperPlatforms {
-		data, names, err := collectServerless(p.plat, cfg, 0)
-		if err != nil {
-			return nil, err
-		}
+		sides = append(sides, serverlessSide{plat: p.plat})
+	}
+	perSide, names, err := collectServerless(cfg, sides...)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{ID: "fig12ab", Title: "FunctionBench latency normalized to Penglai-PMP"}
+	for i, p := range paperPlatforms {
+		data := perSide[i]
 		cols := []string{"Host-PMP", "PL-PMP", "PL-PMPT", "PL-HPMP"}
 		t := stats.NewTable(fmt.Sprintf("FunctionBench (%s)", p.name),
 			append([]string{"Function"}, cols...)...)
@@ -187,10 +210,27 @@ func runFig12ab(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runChain executes the 4-function image chain: each stage is a fresh
-// process; the payload moves through monitor IPC (or plain copy on the
-// Host system).
-func runChain(sys *System, size int) (uint64, error) {
+// runChain boots one system under mode, with a warm gateway process, and
+// returns the cycles of the 4-function image chain on it.
+func runChain(plat cpu.Platform, mode monitor.Mode, size int, cfg Config) (uint64, error) {
+	sys, err := NewSystem(plat, mode, cfg)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := sys.NewEnv("gateway", 1024); err != nil {
+		return 0, err
+	}
+	c, err := chainCycles(sys, size)
+	if err != nil {
+		return 0, fmt.Errorf("size %d mode %v: %w", size, mode, err)
+	}
+	return c, nil
+}
+
+// chainCycles executes the image chain on sys: each stage is a fresh
+// process; the payload moves through monitor IPC (or plain copy on a
+// system without a monitor).
+func chainCycles(sys *System, size int) (uint64, error) {
 	chain := &workloads.ImageChain{Size: size}
 	start := sys.Mach.Core.Now
 	var payload []byte
@@ -230,24 +270,26 @@ func runFig12c(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		sizes = []int{32, 64}
 	}
+	// One run-memo unit per (size, mode): each boots its own system.
+	plat := cpu.RocketPlatform()
+	var units []unit[uint64]
+	for _, size := range sizes {
+		for _, mode := range AllModes {
+			units = append(units, unit[uint64]{memoKey{collector: "imgchain", plat: plat, label: fmt.Sprintf("%d/%s", size, ModeNames[mode])},
+				func(cfg Config) (uint64, error) { return runChain(plat, mode, size, cfg) }})
+		}
+	}
+	lats, err := sharedUnits(cfg, units)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{ID: "fig12c", Title: "Image-processing chain, normalized latency vs image size"}
 	t := stats.NewTable("Fig 12-c (Rocket)", "Size", "PL-PMP", "PL-PMPT", "PL-HPMP",
 		"PL-PMP Mcyc")
-	for _, size := range sizes {
+	for i, size := range sizes {
 		lat := map[monitor.Mode]uint64{}
-		for _, mode := range AllModes {
-			sys, err := NewSystem(cpu.RocketPlatform(), mode, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := sys.NewEnv("gateway", 1024); err != nil {
-				return nil, err
-			}
-			c, err := runChain(sys, size)
-			if err != nil {
-				return nil, fmt.Errorf("size %d mode %v: %w", size, mode, err)
-			}
-			lat[mode] = c
+		for m, mode := range AllModes {
+			lat[mode] = lats[i*len(AllModes)+m]
 		}
 		base := float64(lat[monitor.ModePMP])
 		t.AddRow(fmt.Sprintf("%dx%d", size, size),
@@ -264,14 +306,13 @@ func runFig12c(cfg Config) (*Result, error) {
 
 func runFig17(cfg Config) (*Result, error) {
 	res := &Result{ID: "fig17", Title: "FunctionBench with different PWC sizes (Rocket)"}
-	data8, names, err := collectServerless(cpu.RocketPlatform(), cfg, 8)
+	perPWC, names, err := collectServerless(cfg,
+		serverlessSide{plat: cpu.RocketPlatform(), pwcEntries: 8},
+		serverlessSide{plat: cpu.RocketPlatform(), pwcEntries: 32})
 	if err != nil {
 		return nil, err
 	}
-	data32, _, err := collectServerless(cpu.RocketPlatform(), cfg, 32)
-	if err != nil {
-		return nil, err
-	}
+	data8, data32 := perPWC[0], perPWC[1]
 	t := stats.NewTable("Fig 17", "Function",
 		"PMP(8)", "PMP(32)", "PMPT(8)", "PMPT(32)", "HPMP(8)", "HPMP(32)")
 	for _, n := range names {
@@ -291,10 +332,11 @@ func runFig17(cfg Config) (*Result, error) {
 }
 
 func runFig3c(cfg Config) (*Result, error) {
-	data, names, err := collectServerless(cpu.BOOMPlatform(), cfg, 0)
+	perSide, names, err := collectServerless(cfg, serverlessSide{plat: cpu.BOOMPlatform()})
 	if err != nil {
 		return nil, err
 	}
+	data := perSide[0]
 	var ratios []float64
 	for _, n := range names {
 		ratios = append(ratios, stats.Ratio(float64(data[n]["PL-PMPT"]), float64(data[n]["PL-PMP"])))

@@ -36,40 +36,52 @@ func init() {
 	})
 }
 
-// runSuite executes each workload in a fresh long-lived process on each
-// mode and returns cycles[mode][workload]. Long-lived means one process
-// per (mode, workload): the suite benchmarks run warm, unlike serverless.
-func runSuite(plat cpu.Platform, suite []workloads.Workload, cfg Config) (map[monitor.Mode]map[string]uint64, error) {
-	out := map[monitor.Mode]map[string]uint64{}
+// suiteUnits declares one run-memo unit per (mode, workload), modes
+// outer: each runs one workload in a fresh long-lived process on a freshly
+// booted system and returns its cycles. Long-lived means one process per
+// (mode, workload): the suite benchmarks run warm, unlike serverless.
+// Every mode's unit runs the same workload value, so a workload's Run
+// keeps its per-run state off the receiver.
+func suiteUnits(collector string, plat cpu.Platform, suite []workloads.Workload) []unit[uint64] {
+	var units []unit[uint64]
 	for _, mode := range AllModes {
-		cycles, err := runSuiteMode(plat, mode, suite, cfg)
-		if err != nil {
-			return nil, err
+		for _, w := range suite {
+			units = append(units, unit[uint64]{memoKey{collector: collector, plat: plat, label: ModeNames[mode] + "/" + w.Name()},
+				func(cfg Config) (uint64, error) { return runSuiteWorkload(plat, mode, w, cfg) }})
 		}
-		out[mode] = cycles
 	}
-	return out, nil
+	return units
 }
 
-// runSuiteMode is runSuite under one mode: cycles[workload].
-func runSuiteMode(plat cpu.Platform, mode monitor.Mode, suite []workloads.Workload, cfg Config) (map[string]uint64, error) {
-	out := map[string]uint64{}
-	for _, w := range suite {
-		sys, err := NewSystem(plat, mode, cfg)
-		if err != nil {
-			return nil, err
+// suiteCycles is the inverse of suiteUnits' order: cycles[mode][workload]
+// from the values of one suite's units.
+func suiteCycles(suite []workloads.Workload, vals []uint64) map[monitor.Mode]map[string]uint64 {
+	out := map[monitor.Mode]map[string]uint64{}
+	for m, mode := range AllModes {
+		out[mode] = map[string]uint64{}
+		for j, w := range suite {
+			out[mode][w.Name()] = vals[m*len(suite)+j]
 		}
-		e, err := sys.NewEnv(w.Name(), 96*1024)
-		if err != nil {
-			return nil, err
-		}
-		start := sys.Mach.Core.Now
-		if _, err := w.Run(e); err != nil {
-			return nil, fmt.Errorf("%s under %v: %w", w.Name(), mode, err)
-		}
-		out[w.Name()] = sys.Mach.Core.Now - start
 	}
-	return out, nil
+	return out
+}
+
+// runSuiteWorkload boots one system under mode and runs w in a fresh
+// process on it, returning the run's cycles.
+func runSuiteWorkload(plat cpu.Platform, mode monitor.Mode, w workloads.Workload, cfg Config) (uint64, error) {
+	sys, err := NewSystem(plat, mode, cfg)
+	if err != nil {
+		return 0, err
+	}
+	e, err := sys.NewEnv(w.Name(), 96*1024)
+	if err != nil {
+		return 0, err
+	}
+	start := sys.Mach.Core.Now
+	if _, err := w.Run(e); err != nil {
+		return 0, fmt.Errorf("%s under %v: %w", w.Name(), mode, err)
+	}
+	return sys.Mach.Core.Now - start, nil
 }
 
 func rv8ForConfig(cfg Config) []workloads.Workload {
@@ -99,15 +111,17 @@ func gapScale(cfg Config) int {
 }
 
 func runFig11a(cfg Config) (*Result, error) {
-	data, err := runSuite(cpu.RocketPlatform(), rv8ForConfig(cfg), cfg)
+	suite := rv8ForConfig(cfg)
+	vals, err := sharedUnits(cfg, suiteUnits("rv8", cpu.RocketPlatform(), suite))
 	if err != nil {
 		return nil, err
 	}
+	data := suiteCycles(suite, vals)
 	res := &Result{ID: "fig11a", Title: "RV8 on Rocket"}
 	t := stats.NewTable("RV8 (Rocket)", "Benchmark",
 		"Penglai-PMP (Mcyc)", "Penglai-PMPT (Mcyc)", "Penglai-HPMP (Mcyc)",
 		"PMPT ovh", "HPMP ovh")
-	for _, w := range rv8ForConfig(cfg) {
+	for _, w := range suite {
 		pmp := float64(data[monitor.ModePMP][w.Name()])
 		pmpt := float64(data[monitor.ModePMPT][w.Name()])
 		hpmp := float64(data[monitor.ModeHPMP][w.Name()])
@@ -125,23 +139,22 @@ func runFig11a(cfg Config) (*Result, error) {
 }
 
 // CollectGAP runs the GAP suite on one platform, returning normalized
-// latencies (% of PMP). Each mode's run is one run-memo unit, shared by
-// fig11bc and fig3b.
+// latencies (% of PMP). Each (mode, kernel) run is one run-memo unit,
+// shared by fig11bc and fig3b.
 func CollectGAP(plat cpu.Platform, cfg Config) (map[string]map[monitor.Mode]float64, []string, error) {
 	suite := workloads.GAPSuite(gapScale(cfg))
-	var units []unit[map[string]uint64]
-	for _, mode := range AllModes {
-		units = append(units, unit[map[string]uint64]{memoKey{collector: "gap", plat: plat, label: ModeNames[mode]},
-			func(cfg Config) (map[string]uint64, error) { return runSuiteMode(plat, mode, suite, cfg) }})
-	}
-	cycles, err := sharedUnits(cfg, units)
+	vals, err := sharedUnits(cfg, suiteUnits("gap", plat, suite))
 	if err != nil {
 		return nil, nil, err
 	}
-	data := map[monitor.Mode]map[string]uint64{}
-	for i, mode := range AllModes {
-		data[mode] = cycles[i]
-	}
+	norm, names := normalizeGAP(suite, vals)
+	return norm, names, nil
+}
+
+// normalizeGAP turns one platform's GAP unit values into latencies
+// normalized to PMP, keyed by kernel, and the kernel names in suite order.
+func normalizeGAP(suite []workloads.Workload, vals []uint64) (map[string]map[monitor.Mode]float64, []string) {
+	data := suiteCycles(suite, vals)
 	out := map[string]map[monitor.Mode]float64{}
 	var names []string
 	for _, w := range suite {
@@ -153,16 +166,25 @@ func CollectGAP(plat cpu.Platform, cfg Config) (map[string]map[monitor.Mode]floa
 			monitor.ModeHPMP: stats.Ratio(float64(data[monitor.ModeHPMP][w.Name()]), pmp),
 		}
 	}
-	return out, names, nil
+	return out, names
 }
 
+// runFig11bc hands both platforms' GAP units to one sharedUnits call, so
+// the BOOM half does not wait for the Rocket half.
 func runFig11bc(cfg Config) (*Result, error) {
-	res := &Result{ID: "fig11bc", Title: "GAP normalized latency (PMP = 100%)"}
+	suite := workloads.GAPSuite(gapScale(cfg))
+	var units []unit[uint64]
 	for _, p := range paperPlatforms {
-		norm, names, err := CollectGAP(p.plat, cfg)
-		if err != nil {
-			return nil, err
-		}
+		units = append(units, suiteUnits("gap", p.plat, suite)...)
+	}
+	vals, err := sharedUnits(cfg, units)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{ID: "fig11bc", Title: "GAP normalized latency (PMP = 100%)"}
+	per := len(vals) / len(paperPlatforms)
+	for i, p := range paperPlatforms {
+		norm, names := normalizeGAP(suite, vals[i*per:(i+1)*per])
 		t := stats.NewTable(fmt.Sprintf("GAP (%s)", p.name),
 			"Kernel", "Penglai-PMP", "Penglai-PMPT", "Penglai-HPMP")
 		for _, n := range names {

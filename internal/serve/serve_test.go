@@ -161,6 +161,7 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 		{"no-experiments", `{"kind":"run"}`},
 		{"unknown-experiment", `{"kind":"run","experiments":["fig99"]}`},
 		{"bad-machine-mem", `{"kind":"run","experiments":["fig10"],"machine":{"mem_mib":8}}`},
+		{"huge-machine-mem", `{"kind":"run","experiments":["fig10"],"machine":{"mem_mib":1048576}}`},
 		{"bad-machine-mode", `{"kind":"run","experiments":["fig10"],"machine":{"mode":"sgx"}}`},
 		{"bad-machine-depth", `{"kind":"run","experiments":["fig10"],"machine":{"mode":"pmp","table_depth":3}}`},
 		{"unknown-field", `{"kind":"run","experiments":["fig10"],"machne":{}}`},

@@ -75,6 +75,13 @@ func (m Mode) MonitorMode() (monitor.Mode, bool) {
 // frames to boot with (TestMinMemSizeBoots).
 const MinMemSize = 160 * addr.MiB
 
+// MaxMemSize is the largest simulated DRAM size any entry point accepts:
+// the reach of the base 2-level permission table (pmpt.Mode2Level), which
+// the monitor's table modes cover DRAM with. It is a bound, not a knob:
+// above it a boot would size physical memory's radix root for DRAM no
+// experiment can protect with the paper's table.
+const MaxMemSize = 16 * addr.GiB
+
 // PoolAlign is the DRAM-size granularity: the replay engine carves two
 // 16 MiB NAPOT pools off the top of memory, so every machine size is kept
 // replay-capable by construction.
@@ -140,6 +147,10 @@ func (m Machine) Validate() error {
 	if m.MemSize < MinMemSize {
 		return fmt.Errorf("simcfg: mem size %d MiB is below the %d MiB minimum",
 			m.MemSize/addr.MiB, MinMemSize/addr.MiB)
+	}
+	if m.MemSize > MaxMemSize {
+		return fmt.Errorf("simcfg: mem size %d MiB is above the %d MiB maximum",
+			m.MemSize/addr.MiB, MaxMemSize/addr.MiB)
 	}
 	if m.MemSize%PoolAlign != 0 {
 		return fmt.Errorf("simcfg: mem size must be a multiple of %d MiB", PoolAlign/addr.MiB)

@@ -40,6 +40,7 @@ func TestValidateRejects(t *testing.T) {
 		{"mem-zero", func(m *Machine) { m.MemSize = 0 }, "minimum"},
 		{"mem-small", func(m *Machine) { m.MemSize = 16 * addr.MiB }, "minimum"},
 		{"mem-unaligned", func(m *Machine) { m.MemSize = 192*addr.MiB + 4096 }, "multiple"},
+		{"mem-large", func(m *Machine) { m.MemSize = MaxMemSize + PoolAlign }, "16384 MiB maximum"},
 		{"depth", func(m *Machine) { m.TableDepth = 5 }, "depth"},
 		{"depth-mode", func(m *Machine) { m.Mode = ModePMP; m.TableDepth = 3 }, "permission-table mode"},
 	}
@@ -151,38 +152,52 @@ func TestWorkloadScaleValidate(t *testing.T) {
 func TestMinMemSizeBoots(t *testing.T) {
 	for _, plat := range []string{"rocket", "boom"} {
 		for _, mode := range Modes {
-			m := Machine{Platform: plat, Mode: mode, MemSize: MinMemSize}
-			if err := m.Validate(); err != nil {
-				t.Fatalf("%s/%s: %v", plat, mode, err)
-			}
-			mach := m.Assemble()
-			var mon *monitor.Monitor
-			if mm, ok := mode.MonitorMode(); ok {
-				var err error
-				if mon, err = monitor.Boot(mach, monitor.DefaultConfig(mm)); err != nil {
-					t.Fatalf("%s/%s: monitor boot: %v", plat, mode, err)
-				}
-			}
-			k, err := kernel.New(mach, mon, kernel.DefaultConfig(m.MemSize))
-			if err != nil {
-				t.Fatalf("%s/%s: kernel boot: %v", plat, mode, err)
-			}
-			p, err := k.Spawn(kernel.Image{Name: "floor", TextPages: 8, DataPages: 8, HeapPages: 64})
-			if err != nil {
-				t.Fatalf("%s/%s: spawn: %v", plat, mode, err)
-			}
-			env, err := k.NewEnv(p)
-			if err != nil {
-				t.Fatalf("%s/%s: env: %v", plat, mode, err)
-			}
-			env.Store64(p.Heap(), 0x5eed)
-			if err := env.Err(); err != nil {
-				t.Fatalf("%s/%s: store: %v", plat, mode, err)
-			}
-			if v, err := env.Load64(p.Heap()), env.Err(); err != nil || v != 0x5eed {
-				t.Fatalf("%s/%s: load = %#x, %v; want 0x5eed", plat, mode, v, err)
-			}
+			bootAndStore(t, Machine{Platform: plat, Mode: mode, MemSize: MinMemSize})
 		}
+	}
+}
+
+// TestMaxMemSizeBoots pins the ceiling the same way: a machine at exactly
+// MaxMemSize boots under a segment mode and a table mode.
+func TestMaxMemSizeBoots(t *testing.T) {
+	for _, mode := range []Mode{ModePMP, ModeHPMP} {
+		bootAndStore(t, Machine{Platform: "rocket", Mode: mode, MemSize: MaxMemSize})
+	}
+}
+
+// bootAndStore validates and assembles m, boots its monitor (if any) and
+// kernel, and checks a process can store to and load from its heap.
+func bootAndStore(t *testing.T, m Machine) {
+	t.Helper()
+	if err := m.Validate(); err != nil {
+		t.Fatalf("%s: %v", m, err)
+	}
+	mach := m.Assemble()
+	var mon *monitor.Monitor
+	if mm, ok := m.Mode.MonitorMode(); ok {
+		var err error
+		if mon, err = monitor.Boot(mach, monitor.DefaultConfig(mm)); err != nil {
+			t.Fatalf("%s: monitor boot: %v", m, err)
+		}
+	}
+	k, err := kernel.New(mach, mon, kernel.DefaultConfig(m.MemSize))
+	if err != nil {
+		t.Fatalf("%s: kernel boot: %v", m, err)
+	}
+	p, err := k.Spawn(kernel.Image{Name: "floor", TextPages: 8, DataPages: 8, HeapPages: 64})
+	if err != nil {
+		t.Fatalf("%s: spawn: %v", m, err)
+	}
+	env, err := k.NewEnv(p)
+	if err != nil {
+		t.Fatalf("%s: env: %v", m, err)
+	}
+	env.Store64(p.Heap(), 0x5eed)
+	if err := env.Err(); err != nil {
+		t.Fatalf("%s: store: %v", m, err)
+	}
+	if v, err := env.Load64(p.Heap()), env.Err(); err != nil || v != 0x5eed {
+		t.Fatalf("%s: load = %#x, %v; want 0x5eed", m, v, err)
 	}
 }
 
