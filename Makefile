@@ -18,17 +18,20 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
-# Inlining gate: the cache probe's helpers, the shared LRU array's lookup,
+# Inlining gate: the cache probe's helpers (its set index shifts by the
+# constant line size), the DRAM bank mapping (it divides by the constant
+# row size and bank count), the shared LRU array's lookup,
 # the latency histogram's Observe (at the MMU access, the native walk,
 # the HPMP check and the PMPT walk) and physical memory's sector lookup
 # must stay inlined into their callers; each lost inline adds a call to
 # every simulated memory reference or access. Fails naming the first call
 # the compiler (-gcflags=-m) no longer inlines.
 inline-check:
-	@out=$$($(GO) build -gcflags=-m ./internal/cache ./internal/assoc ./internal/phys \
+	@out=$$($(GO) build -gcflags=-m ./internal/cache ./internal/dram ./internal/assoc ./internal/phys \
 		./internal/mmu ./internal/ptw ./internal/hpmp ./internal/pmpt 2>&1) || { echo "$$out"; exit 1; }; \
 	for want in 'internal/cache/cache.go:key' 'internal/cache/cache.go:lookup' \
-		'internal/cache/cache.go:(*Cache).set' 'internal/assoc/assoc.go:(*Array).Lookup' \
+		'internal/cache/cache.go:(*Cache).set' 'internal/cache/cache.go:(*Cache).index' \
+		'internal/dram/dram.go:(*DRAM).bankAndRow' 'internal/assoc/assoc.go:(*Array).Lookup' \
 		'internal/mmu/mmu.go:stats.(*Histogram).Observe' 'internal/ptw/ptw.go:stats.(*Histogram).Observe' \
 		'internal/hpmp/hpmp.go:stats.(*Histogram).Observe' 'internal/pmpt/pmpt.go:stats.(*Histogram).Observe' \
 		'internal/phys/phys.go:(*Memory).peek'; do \

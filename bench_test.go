@@ -444,6 +444,100 @@ func TestPhysRead64ZeroAllocs(t *testing.T) {
 	}
 }
 
+// hierarchyStream drives a Rocket cache hierarchy, advancing its clock by
+// each reference's latency as an in-order core would.
+type hierarchyStream struct {
+	h   *cache.Hierarchy
+	pa  addr.PA
+	now uint64
+}
+
+// The miss stream strides hierarchyMissStride through hierarchyMissSpan, 64
+// times the Rocket LLC: a line comes back a million references later, long
+// after every level evicted it. The stride is an odd number of lines, so
+// one pass of 1<<16 references probes every set of every level.
+const (
+	hierarchyMissSpan   = 64 * addr.MiB
+	hierarchyMissStride = 17 * cache.LineSize
+)
+
+// hierarchyRig returns a fresh Rocket hierarchy (the three cache levels and
+// the DRAM model of cpu.NewMachine) with the line at 0 loaded, and a miss
+// stream over another one whose every set has been probed.
+func hierarchyRig() (hit, miss *hierarchyStream) {
+	newHier := func() *cache.Hierarchy {
+		plat := cpu.RocketPlatform()
+		return cache.NewHierarchy(cache.New(plat.L1D), cache.New(plat.L2), cache.New(plat.LLC),
+			dram.New(), plat.Core.MemClockRatio)
+	}
+	hit, miss = &hierarchyStream{h: newHier()}, &hierarchyStream{h: newHier()}
+	hit.access()
+	for range 1 << 16 {
+		miss.next()
+	}
+	return hit, miss
+}
+
+// access makes one read of the stream's current line.
+func (s *hierarchyStream) access() cache.Level {
+	r := s.h.Access(s.pa, s.now, false)
+	s.now += r.Latency
+	return r.Level
+}
+
+// next makes one read and moves the stream on to its next line.
+func (s *hierarchyStream) next() cache.Level {
+	lvl := s.access()
+	s.pa = (s.pa + hierarchyMissStride) % hierarchyMissSpan
+	return lvl
+}
+
+// BenchmarkHierarchyAccess measures the cache hierarchy's own cost of one
+// line-sized reference on the Rocket geometry: an L1 hit, and a miss in
+// every level that goes on to the DRAM model. It is the layer benchmark of
+// internal/cache and internal/dram, and it regresses if the set index or
+// the DRAM bank mapping divide by a runtime value again.
+func BenchmarkHierarchyAccess(b *testing.B) {
+	hit, miss := hierarchyRig()
+	for _, c := range []struct {
+		name string
+		step func() cache.Level
+	}{{"L1Hit", hit.access}, {"DRAMMiss", miss.next}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.step()
+			}
+		})
+	}
+}
+
+// TestHierarchyAccessZeroAllocs pins both of BenchmarkHierarchyAccess's
+// loops at zero allocations per reference, and checks that each does what
+// the benchmark claims: the hit loop hits the L1, the miss loop reaches
+// DRAM.
+func TestHierarchyAccessZeroAllocs(t *testing.T) {
+	hit, miss := hierarchyRig()
+	for _, c := range []struct {
+		name string
+		want cache.Level
+		step func() cache.Level
+	}{{"L1 hit", cache.LvlL1, hit.access}, {"DRAM miss", cache.LvlDRAM, miss.next}} {
+		wrong := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			if c.step() != c.want {
+				wrong++
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a reference allocates %.1f times, want 0", c.name, allocs)
+		}
+		if wrong != 0 {
+			t.Errorf("%s: %d of 1001 references were not satisfied at %v", c.name, wrong, c.want)
+		}
+	}
+}
+
 // benchRig builds a minimal one-hart stack (cache hierarchy + HPMP checker
 // + MMU) and returns an MMU with one user page mapped, so a benchmark can
 // drive the steady-state TLB-hit path directly.
@@ -451,10 +545,10 @@ func benchRig(b testing.TB) (*mmu.MMU, addr.VA) {
 	const memSize = 256 * addr.MiB
 	mem := phys.New(memSize)
 	hier := cache.NewHierarchy(
-		cache.New(cache.Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, LineSize: 64, Latency: 2}),
-		cache.New(cache.Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12}),
-		cache.New(cache.Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26}),
-		dram.New(dram.Default()), 1.0)
+		cache.New(cache.Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, Latency: 2}),
+		cache.New(cache.Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, Latency: 12}),
+		cache.New(cache.Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, Latency: 26}),
+		dram.New(), 1.0)
 	ptRegion := addr.Range{Base: 0x40_0000, Size: 4 * addr.MiB}
 	ptAlloc := phys.NewFrameAllocator(ptRegion, false)
 	tbl, err := pt.New(mem, ptAlloc, addr.Sv39)

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"hpmp/internal/cpu"
-	"hpmp/internal/simcfg"
 	"hpmp/internal/stats"
 )
 
@@ -23,7 +22,9 @@ import (
 // call — one CLI run or one daemon job — and is never shared across runs.
 
 // memoKey identifies one unit: what one collector simulates for one
-// platform and one label, at one experiment size. The medium and heavy
+// platform and one label. The run's Config fixes the experiment size,
+// memory size and workload scale for the memo's whole life, so the key
+// leaves them out. The medium and heavy
 // experiments make each freshly booted system its own unit, so the label
 // names everything that system's run depends on beyond the platform (an
 // isolation label, and the workload, size or variant it runs). Every
@@ -34,9 +35,6 @@ type memoKey struct {
 	collector string
 	plat      cpu.Platform
 	label     string
-	quick     bool
-	memSize   uint64
-	workload  simcfg.WorkloadScale
 }
 
 // String names the unit in host profiles (the memo pprof label).
@@ -128,12 +126,10 @@ func sharedUnits[T any](cfg Config, units []unit[T]) ([]T, error) {
 	var claimed []int
 	m.mu.Lock()
 	for i, u := range units {
-		key := u.key
-		key.quick, key.memSize, key.workload = cfg.Quick, cfg.MemSize, cfg.Workload
-		e, found := m.entries[key]
+		e, found := m.entries[u.key]
 		if !found {
 			e = &memoEntry{done: make(chan struct{})}
-			m.entries[key] = e
+			m.entries[u.key] = e
 			claimed = append(claimed, i)
 		}
 		entries[i] = e

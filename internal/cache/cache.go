@@ -15,24 +15,27 @@ import (
 	"hpmp/internal/stats"
 )
 
+// LineSize is the bytes per line of every cache level of both SoCs
+// (Table 1), and so the granule of one timed memory reference.
+const LineSize = 1 << lineBits
+
+// lineBits is log2(LineSize).
+const lineBits = 6
+
 // Config describes one cache level.
 type Config struct {
-	Name     string
-	Size     uint64 // total bytes
-	Ways     int    // associativity (1 = direct mapped)
-	LineSize uint64 // bytes per line
-	Latency  uint64 // access latency in cycles (hit or lookup-on-miss)
+	Name    string
+	Size    uint64 // total bytes
+	Ways    int    // associativity (1 = direct mapped)
+	Latency uint64 // access latency in cycles (hit or lookup-on-miss)
 }
 
 // Validate checks the geometry is realizable.
 func (c Config) Validate() error {
-	if c.LineSize == 0 || !addr.IsPow2(c.LineSize) {
-		return fmt.Errorf("cache %s: line size %d must be a power of two", c.Name, c.LineSize)
-	}
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache %s: ways must be positive", c.Name)
 	}
-	lines := c.Size / c.LineSize
+	lines := c.Size / LineSize
 	if lines == 0 || lines%uint64(c.Ways) != 0 {
 		return fmt.Errorf("cache %s: %d lines not divisible into %d ways", c.Name, lines, c.Ways)
 	}
@@ -75,7 +78,6 @@ type Cache struct {
 	cfg       Config
 	sets      uint64
 	ways      uint64
-	lineBits  uint
 	setBits   uint     // log2(sets): Validate guarantees a power of two
 	chunkBits uint     // log2(sets per chunk)
 	chunks    [][]line // set s is ways (s mod sets per chunk)*ways on of chunks[s>>chunkBits]; nil until probed
@@ -90,14 +92,13 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	ways := uint64(cfg.Ways)
-	sets := cfg.Size / cfg.LineSize / ways
+	sets := cfg.Size / LineSize / ways
 	perChunk := max(uint64(chunkLines)/ways, 1)
 	chunkBits := min(uint(bits.Len64(perChunk)-1), uint(bits.TrailingZeros64(sets)))
 	return &Cache{
 		cfg:       cfg,
 		sets:      sets,
 		ways:      ways,
-		lineBits:  uint(bits.TrailingZeros64(cfg.LineSize)),
 		setBits:   uint(bits.TrailingZeros64(sets)),
 		chunkBits: chunkBits,
 		chunks:    make([][]line, sets>>chunkBits),
@@ -108,7 +109,7 @@ func New(cfg Config) *Cache {
 // / by c.sets: a 64-bit divide by a runtime value was the largest single cost
 // of a cache probe, and every simulated reference makes at least one.
 func (c *Cache) index(pa addr.PA) (set, tag uint64) {
-	lineAddr := uint64(pa) >> c.lineBits
+	lineAddr := uint64(pa) >> lineBits
 	return lineAddr & (c.sets - 1), lineAddr >> c.setBits
 }
 

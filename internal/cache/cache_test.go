@@ -11,7 +11,7 @@ import (
 )
 
 func smallCfg(name string, size uint64, ways int) Config {
-	return Config{Name: name, Size: size, Ways: ways, LineSize: 64, Latency: 2}
+	return Config{Name: name, Size: size, Ways: ways, Latency: 2}
 }
 
 // contains reports whether pa's line is present without touching LRU,
@@ -54,7 +54,7 @@ func allocBytes(runs int, f func()) uint64 {
 
 // rocketLLC is the largest level a machine boots: 1 MiB, 8-way, 16384
 // lines.
-var rocketLLC = Config{Name: "llc", Size: addr.MiB, Ways: 8, LineSize: 64, Latency: 26}
+var rocketLLC = Config{Name: "llc", Size: addr.MiB, Ways: 8, Latency: 26}
 
 // TestNewAllocatesNoLines pins the lazy layout: building the largest level
 // allocates its chunk table and no lines.
@@ -113,7 +113,7 @@ func TestChunkGeometry(t *testing.T) {
 		{ways: 3, sets: 512, setsPerChunk: 64, wantChunks: 8, wantChunkLines: 192},
 		{ways: 512, sets: 4, setsPerChunk: 1, wantChunks: 4, wantChunkLines: 512}, // a set larger than a chunk
 	} {
-		c := New(Config{Name: "c", Size: g.ways * g.sets * 64, Ways: int(g.ways), LineSize: 64, Latency: 1})
+		c := New(Config{Name: "c", Size: g.ways * g.sets * 64, Ways: int(g.ways), Latency: 1})
 		for s := uint64(0); s < g.sets; s++ {
 			c.probe(addr.PA(s * 64))
 		}
@@ -130,10 +130,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("valid config rejected: %v", err)
 	}
 	bad := []Config{
-		{Name: "x", Size: 4096, Ways: 4, LineSize: 48, Latency: 1},     // non-pow2 line
-		{Name: "x", Size: 4096, Ways: 0, LineSize: 64, Latency: 1},     // zero ways
-		{Name: "x", Size: 4096, Ways: 3, LineSize: 64, Latency: 1},     // 64 lines % 3 != 0... actually 64%3!=0
-		{Name: "x", Size: 64 * 48, Ways: 16, LineSize: 64, Latency: 1}, // sets=3 not pow2
+		{Name: "x", Size: 4096, Ways: 0, Latency: 1},     // zero ways
+		{Name: "x", Size: 4096, Ways: 3, Latency: 1},     // 64 lines % 3 != 0
+		{Name: "x", Size: 64 * 48, Ways: 16, Latency: 1}, // sets=3 not pow2
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -164,7 +163,7 @@ func TestHitAfterFill(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	// Direct-mapped-ish scenario: 2 ways, force 3 lines into one set.
-	cfg := Config{Name: "c", Size: 2 * 64 * 4, Ways: 2, LineSize: 64, Latency: 1}
+	cfg := Config{Name: "c", Size: 2 * 64 * 4, Ways: 2, Latency: 1}
 	c := New(cfg) // 4 sets... sets = 512/64/2 = 4
 	setStride := uint64(4 * 64)
 	a := addr.PA(0)
@@ -186,7 +185,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestConflictReplacesLine(t *testing.T) {
-	cfg := Config{Name: "c", Size: 128, Ways: 1, LineSize: 64, Latency: 1}
+	cfg := Config{Name: "c", Size: 128, Ways: 1, Latency: 1}
 	c := New(cfg) // 2 sets, direct mapped
 	pa := addr.PA(0)
 	c.probe(pa)
@@ -235,10 +234,10 @@ func TestFillThenHitQuick(t *testing.T) {
 
 func newHierarchy() *Hierarchy {
 	return NewHierarchy(
-		New(Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, LineSize: 64, Latency: 2}),
-		New(Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12}),
-		New(Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26}),
-		dram.New(dram.Default()), 1.0)
+		New(Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, Latency: 2}),
+		New(Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, Latency: 12}),
+		New(Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, Latency: 26}),
+		dram.New(), 1.0)
 }
 
 func TestHierarchyLatencyOrdering(t *testing.T) {
@@ -298,7 +297,7 @@ func TestClockRatioScalesDRAM(t *testing.T) {
 }
 
 func TestFillRefreshInPlace(t *testing.T) {
-	cfg := Config{Name: "c", Size: 4 * 64, Ways: 4, LineSize: 64, Latency: 1}
+	cfg := Config{Name: "c", Size: 4 * 64, Ways: 4, Latency: 1}
 	c := New(cfg) // one set of 4 ways
 	c.probe(0x40)
 	// A second probe of the same line hits in place: no second copy.

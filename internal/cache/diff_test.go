@@ -24,18 +24,14 @@ type refLine struct {
 type refCache struct {
 	latency               uint64
 	sets                  uint64
-	lineBits              uint
 	data                  [][]refLine
 	tick                  uint64
 	hits, misses, evicted uint64
 }
 
 func newRefCache(cfg Config) *refCache {
-	sets := cfg.Size / cfg.LineSize / uint64(cfg.Ways)
+	sets := cfg.Size / LineSize / uint64(cfg.Ways)
 	r := &refCache{latency: cfg.Latency, sets: sets, data: make([][]refLine, sets)}
-	for cfg.LineSize>>(r.lineBits+1) > 0 {
-		r.lineBits++
-	}
 	for i := range r.data {
 		r.data[i] = make([]refLine, cfg.Ways)
 	}
@@ -43,7 +39,7 @@ func newRefCache(cfg Config) *refCache {
 }
 
 func (r *refCache) index(pa addr.PA) (set, tag uint64) {
-	la := uint64(pa) >> r.lineBits
+	la := uint64(pa) / LineSize
 	return la % r.sets, la / r.sets
 }
 
@@ -183,14 +179,14 @@ func TestProbeMatchesTwoScanReference(t *testing.T) {
 		chunks int // chunks every level must reach
 	}{
 		{"within-one-chunk", [3]Config{
-			{Name: "l1d", Size: 4 * 64 * 2, Ways: 2, LineSize: 64, Latency: 2},
-			{Name: "l2", Size: 8 * 64 * 3, Ways: 3, LineSize: 64, Latency: 12},
-			{Name: "llc", Size: 8 * 64 * 4, Ways: 4, LineSize: 64, Latency: 26},
+			{Name: "l1d", Size: 4 * 64 * 2, Ways: 2, Latency: 2},
+			{Name: "l2", Size: 8 * 64 * 3, Ways: 3, Latency: 12},
+			{Name: "llc", Size: 8 * 64 * 4, Ways: 4, Latency: 26},
 		}, oneChunk, 1},
 		{"many-chunks", [3]Config{
-			{Name: "l1d", Size: 256 * 64 * 2, Ways: 2, LineSize: 64, Latency: 2},
-			{Name: "l2", Size: 512 * 64 * 3, Ways: 3, LineSize: 64, Latency: 12},
-			{Name: "llc", Size: 1024 * 64 * 4, Ways: 4, LineSize: 64, Latency: 26},
+			{Name: "l1d", Size: 256 * 64 * 2, Ways: 2, Latency: 2},
+			{Name: "l2", Size: 512 * 64 * 3, Ways: 3, Latency: 12},
+			{Name: "llc", Size: 1024 * 64 * 4, Ways: 4, Latency: 26},
 		}, manyChunks, 2},
 	} {
 		t.Run(g.name, func(t *testing.T) { probeMatchesReference(t, g.cfgs, g.pool, g.chunks) })
@@ -202,9 +198,9 @@ func probeMatchesReference(t *testing.T, cfgs [3]Config, pool []addr.PA, minChun
 	chunks := [3]int{}
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		h := NewHierarchy(New(cfgs[0]), New(cfgs[1]), New(cfgs[2]), dram.New(dram.Default()), 3.2)
+		h := NewHierarchy(New(cfgs[0]), New(cfgs[1]), New(cfgs[2]), dram.New(), 3.2)
 		ref := &refHierarchy{l1: newRefCache(cfgs[0]), l2: newRefCache(cfgs[1]), llc: newRefCache(cfgs[2]),
-			mem: dram.New(dram.Default()), ratio: 3.2}
+			mem: dram.New(), ratio: 3.2}
 		levels := []*Cache{h.L1, h.L2, h.LLC}
 		refLevels := []*refCache{ref.l1, ref.l2, ref.llc}
 		var now uint64
@@ -276,7 +272,7 @@ func probeMatchesReference(t *testing.T, cfgs [3]Config, pool []addr.PA, minChun
 // the same number of allocations whatever its set count.
 func TestNewAllocsIndependentOfSets(t *testing.T) {
 	allocs := func(size uint64) float64 {
-		cfg := Config{Name: "c", Size: size, Ways: 8, LineSize: 64, Latency: 1}
+		cfg := Config{Name: "c", Size: size, Ways: 8, Latency: 1}
 		return testing.AllocsPerRun(20, func() { New(cfg) })
 	}
 	small, large := allocs(8*64), allocs(2048*8*64)

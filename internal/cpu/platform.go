@@ -10,7 +10,6 @@ import (
 	"hpmp/internal/obs"
 	"hpmp/internal/phys"
 	"hpmp/internal/pmpt"
-	"hpmp/internal/ptw"
 	"hpmp/internal/stats"
 )
 
@@ -19,11 +18,10 @@ import (
 type Platform struct {
 	Core Config
 	// L1D is the one L1: instruction fetches and data share it.
-	L1D  cache.Config
-	L2   cache.Config
-	LLC  cache.Config
-	DRAM dram.Config
-	MMU  mmu.Config
+	L1D cache.Config
+	L2  cache.Config
+	LLC cache.Config
+	MMU mmu.Config
 	// PMPTWCacheEntries sizes the PMPTW cache; it is built disabled, as in
 	// the paper's default methodology (§7), and experiments enable it.
 	PMPTWCacheEntries int
@@ -41,10 +39,9 @@ type Platform struct {
 func RocketPlatform() Platform {
 	return Platform{
 		Core: Rocket(),
-		L1D:  cache.Config{Name: "l1d", Size: 8 * addr.KiB, Ways: 4, LineSize: 64, Latency: 2},
-		L2:   cache.Config{Name: "l2", Size: 128 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12},
-		LLC:  cache.Config{Name: "llc", Size: 1 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26},
-		DRAM: dram.Default(),
+		L1D:  cache.Config{Name: "l1d", Size: 8 * addr.KiB, Ways: 4, Latency: 2},
+		L2:   cache.Config{Name: "l2", Size: 128 * addr.KiB, Ways: 8, Latency: 12},
+		LLC:  cache.Config{Name: "llc", Size: 1 * addr.MiB, Ways: 8, Latency: 26},
 		MMU:  rocketMMU(),
 
 		PMPTWCacheEntries: 8,
@@ -68,10 +65,9 @@ func boomMMU() mmu.Config {
 func BOOMPlatform() Platform {
 	return Platform{
 		Core: BOOM(),
-		L1D:  cache.Config{Name: "l1d", Size: 16 * addr.KiB, Ways: 8, LineSize: 64, Latency: 4},
-		L2:   cache.Config{Name: "l2", Size: 128 * addr.KiB, Ways: 8, LineSize: 64, Latency: 21},
-		LLC:  cache.Config{Name: "llc", Size: 1 * addr.MiB, Ways: 8, LineSize: 64, Latency: 42},
-		DRAM: dram.Default(),
+		L1D:  cache.Config{Name: "l1d", Size: 16 * addr.KiB, Ways: 8, Latency: 4},
+		L2:   cache.Config{Name: "l2", Size: 128 * addr.KiB, Ways: 8, Latency: 21},
+		LLC:  cache.Config{Name: "llc", Size: 1 * addr.MiB, Ways: 8, Latency: 42},
 		MMU:  boomMMU(),
 
 		PMPTWCacheEntries: 8,
@@ -103,10 +99,9 @@ type Machine struct {
 func NewMachine(plat Platform, memSize uint64, isolated bool) *Machine {
 	mem := phys.New(memSize)
 	hier := cache.NewHierarchy(cache.New(plat.L1D), cache.New(plat.L2), cache.New(plat.LLC),
-		dram.New(plat.DRAM), plat.Core.MemClockRatio)
+		dram.New(), plat.Core.MemClockRatio)
 	m := &Machine{Plat: plat, Mem: mem, Hier: hier, Port: &memport.Timed{Hier: hier, Mem: mem}}
 	walkerPort := &memport.Timed{Hier: hier, Mem: mem, SkipL1: true}
-	var checker ptw.Checker // a nil *hpmp.Checker must not reach the interface
 	if isolated {
 		nEntries := plat.PMPEntries
 		if nEntries == 0 {
@@ -114,9 +109,8 @@ func NewMachine(plat Platform, memSize uint64, isolated bool) *Machine {
 		}
 		m.PMPTWCache = pmpt.NewWalkerCache(plat.PMPTWCacheEntries)
 		m.Checker = hpmp.NewSized(pmpt.NewWalker(walkerPort, m.PMPTWCache), nEntries)
-		checker = m.Checker
 	}
-	m.MMU = mmu.New(plat.MMU, hier, checker, walkerPort)
+	m.MMU = mmu.New(plat.MMU, hier, m.Checker, walkerPort)
 	m.Core = NewCore(plat.Core, m.MMU)
 	return m
 }

@@ -10,52 +10,36 @@ package dram
 
 import "hpmp/internal/addr"
 
-// Config describes the memory system geometry and timing.
-type Config struct {
-	Ranks        int    // DIMM ranks
-	BanksPerRank int    // banks per rank
-	RowBytes     uint64 // bytes per row (row-buffer size)
-	TCAS         uint64 // column access (read to data), cycles
-	TRCD         uint64 // row activate to column access, cycles
-	TRP          uint64 // precharge, cycles
-	TBurst       uint64 // data burst transfer time, cycles
-	TController  uint64 // fixed controller + PHY overhead, cycles
-	QueueDepth   int    // requests the controller accepts before stalling
-}
-
-// Default returns the paper's Table 1 memory configuration: 16 GB DDR3
-// FR-FCFS quad-rank, 14-14-14 at 1 GHz, queue depth 8.
-func Default() Config {
-	return Config{
-		Ranks:        4,
-		BanksPerRank: 8,
-		RowBytes:     8 * addr.KiB,
-		TCAS:         14,
-		TRCD:         14,
-		TRP:          14,
-		TBurst:       4,
-		TController:  10,
-		QueueDepth:   8,
-	}
-}
+// The paper's Table 1 memory system: 16 GB DDR3 FR-FCFS quad-rank,
+// 14-14-14 at 1 GHz, queue depth 8. Both SoCs share it and no experiment
+// varies it.
+const (
+	ranks               = 4 // DIMM ranks
+	banksPerRank        = 8 // banks per rank
+	banks               = ranks * banksPerRank
+	rowBytes            = 8 * addr.KiB // bytes per row (row-buffer size)
+	tCAS         uint64 = 14           // column access (read to data), cycles
+	tRCD         uint64 = 14           // row activate to column access, cycles
+	tRP          uint64 = 14           // precharge, cycles
+	tBurst       uint64 = 4            // data burst transfer time, cycles
+	tController  uint64 = 10           // fixed controller + PHY overhead, cycles
+	queueDepth          = 8            // requests the controller accepts before stalling
+)
 
 // DRAM is the timing model. It is single-channel, matching the simulated
 // SoCs. Not safe for concurrent use.
 type DRAM struct {
-	cfg     Config
-	openRow []int64  // per bank: open row id, -1 if closed
-	busy    []uint64 // per bank: cycle at which the bank becomes free
+	openRow [banks]int64  // per bank: open row id, -1 if closed
+	busy    [banks]uint64 // per bank: cycle at which the bank becomes free
 	// queue holds the completion times of in-flight requests (the
-	// controller queue), oldest first. It is compacted in place, so with a
-	// QueueDepth it never outgrows its first allocation.
+	// controller queue), oldest first. It is compacted in place, so it
+	// never outgrows its first allocation of queueDepth.
 	queue []uint64
 }
 
-// New builds a DRAM model from cfg.
-func New(cfg Config) *DRAM {
-	n := cfg.Ranks * cfg.BanksPerRank
-	d := &DRAM{cfg: cfg, openRow: make([]int64, n), busy: make([]uint64, n),
-		queue: make([]uint64, 0, cfg.QueueDepth)}
+// New builds a DRAM model with every row closed and every bank idle.
+func New() *DRAM {
+	d := &DRAM{queue: make([]uint64, 0, queueDepth)}
 	for i := range d.openRow {
 		d.openRow[i] = -1
 	}
@@ -66,11 +50,8 @@ func New(cfg Config) *DRAM {
 // interleaved on row-buffer-sized chunks so that streaming accesses rotate
 // across banks, like real address mappings.
 func (d *DRAM) bankAndRow(pa addr.PA) (int, int64) {
-	chunk := uint64(pa) / d.cfg.RowBytes
-	nBanks := uint64(len(d.openRow))
-	bank := int(chunk % nBanks)
-	row := int64(chunk / nBanks)
-	return bank, row
+	chunk := uint64(pa) / rowBytes
+	return int(chunk % banks), int64(chunk / banks)
 }
 
 // Access issues one line-sized read or write beginning at cycle `now` and
@@ -80,11 +61,11 @@ func (d *DRAM) bankAndRow(pa addr.PA) (int, int64) {
 func (d *DRAM) Access(pa addr.PA, now uint64, write bool) (done uint64) {
 	bank, row := d.bankAndRow(pa)
 
-	// Controller queue: if QueueDepth requests are still in flight, the new
+	// Controller queue: if queueDepth requests are still in flight, the new
 	// one waits for the oldest to drain.
 	d.compactQueue(now)
 	start := now
-	if d.cfg.QueueDepth > 0 && len(d.queue) >= d.cfg.QueueDepth {
+	if len(d.queue) >= queueDepth {
 		oldest := d.queue[0]
 		if oldest > start {
 			start = oldest
@@ -100,13 +81,13 @@ func (d *DRAM) Access(pa addr.PA, now uint64, write bool) (done uint64) {
 	var lat uint64
 	switch {
 	case d.openRow[bank] == row:
-		lat = d.cfg.TCAS
+		lat = tCAS
 	case d.openRow[bank] == -1:
-		lat = d.cfg.TRCD + d.cfg.TCAS
+		lat = tRCD + tCAS
 	default:
-		lat = d.cfg.TRP + d.cfg.TRCD + d.cfg.TCAS
+		lat = tRP + tRCD + tCAS
 	}
-	lat += d.cfg.TBurst + d.cfg.TController
+	lat += tBurst + tController
 
 	d.openRow[bank] = row
 	done = start + lat

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hpmp/internal/addr"
+	"hpmp/internal/cache"
 	"hpmp/internal/cpu"
 	"hpmp/internal/mmu"
 	"hpmp/internal/perm"
@@ -173,7 +174,6 @@ func (e *Env) Store8(va addr.VA, v byte) {
 // copies after the block's timed accesses is indistinguishable from
 // interleaving them. It stops at the first failure.
 func (e *Env) chunks(va addr.VA, n uint64, kind perm.Access, f func(pa addr.PA, off, size uint64) error) {
-	const line = 64
 	var sizes [BlockMax]uint64
 	var done uint64
 	for n > 0 {
@@ -181,7 +181,7 @@ func (e *Env) chunks(va addr.VA, n uint64, kind perm.Access, f func(pa addr.PA, 
 		nOps := 0
 		pieceVA, rem := va, n
 		for rem > 0 && nOps < BlockMax {
-			pieceEnd := (uint64(pieceVA)/line + 1) * line
+			pieceEnd := (uint64(pieceVA)/cache.LineSize + 1) * cache.LineSize
 			size := pieceEnd - uint64(pieceVA)
 			if size > rem {
 				size = rem

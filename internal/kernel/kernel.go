@@ -8,9 +8,9 @@
 // single contiguous pool*, registered with the secure monitor as one GMS
 // labelled "fast". Under Penglai-HPMP that GMS is mirrored into a segment
 // entry, so every PT-page reference during hardware walks is validated for
-// free. A kernel without the change (ContiguousPT=false) draws PT pages
-// from the general allocator, scattering them across memory where only the
-// permission table can cover them.
+// free. The kernel always runs with the change: the comparison the paper
+// draws is between isolation modes, and PMP and PMPT machines run the same
+// kernel, whose pool label they accept but have no fast path for.
 package kernel
 
 import (
@@ -44,13 +44,10 @@ const (
 // Config tunes the kernel model.
 type Config struct {
 	// PTPoolRegion is the contiguous physical region PT pages come from
-	// when ContiguousPT is set. It must be NAPOT for the fast segment.
+	// (the paper's OS change). It must be NAPOT for the fast segment.
 	PTPoolRegion addr.Range
 	// UserRegion is the physical pool for user/kernel data frames.
 	UserRegion addr.Range
-	// ContiguousPT enables the paper's OS change. When false, PT pages are
-	// drawn from the (possibly scattered) user allocator.
-	ContiguousPT bool
 	// ScatterFrames hands out user frames in a deterministic shuffle,
 	// modelling a fragmented physical layout (§8.8).
 	ScatterFrames bool
@@ -78,7 +75,6 @@ func DefaultConfig(memSize uint64) Config {
 		PTPoolRegion: addr.Range{Base: addr.PA(ptBase), Size: 16 * addr.MiB},
 		HintRegion:   addr.Range{Base: addr.PA(hintBase), Size: 16 * addr.MiB},
 		UserRegion:   addr.Range{Base: addr.PA(userBase), Size: memSize - userBase},
-		ContiguousPT: true,
 	}
 }
 
@@ -136,20 +132,13 @@ func New(mach *cpu.Machine, mon *monitor.Monitor, cfg Config) (*Kernel, error) {
 		shares:  make(map[addr.PA]int),
 		current: -1,
 		rng:     0x243f6a8885a308d3,
-	}
-	if cfg.ContiguousPT {
-		k.ptAlloc = phys.NewFrameAllocator(cfg.PTPoolRegion, false)
-	}
-	k.hintRegion = cfg.HintRegion
-	if k.hintRegion.Size > 0 {
-		k.hintAlloc = phys.NewFrameAllocator(k.hintRegion, false)
-	}
-	k.userAlloc = phys.NewFrameAllocator(cfg.UserRegion, cfg.ScatterFrames)
-	if !cfg.ContiguousPT {
-		k.ptAlloc = k.userAlloc
-	}
 
-	if mon != nil && cfg.ContiguousPT {
+		ptAlloc:    phys.NewFrameAllocator(cfg.PTPoolRegion, false),
+		userAlloc:  phys.NewFrameAllocator(cfg.UserRegion, cfg.ScatterFrames),
+		hintRegion: cfg.HintRegion,
+		hintAlloc:  phys.NewFrameAllocator(cfg.HintRegion, false),
+	}
+	if mon != nil {
 		// Register the PT pool as a fast GMS — the hint Penglai-HPMP turns
 		// into a segment entry. Under PMP/PMPT modes the label is accepted
 		// but has no fast path.

@@ -355,34 +355,6 @@ func TestNullCheapestStatExpensive(t *testing.T) {
 	}
 }
 
-func TestScatteredVsContiguousPT(t *testing.T) {
-	// The non-HPMP-aware kernel (ContiguousPT=false) spreads PT pages
-	// around; with a fast segment over the pool region they would not be
-	// covered. Verify the layout difference materializes.
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
-	mon, _ := monitor.Boot(mach, monitor.DefaultConfig(monitor.ModeHPMP))
-	cfg := DefaultConfig(memSize)
-	cfg.ContiguousPT = false
-	cfg.ScatterFrames = true
-	k, err := New(mach, mon, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := k.Spawn(Image{Name: "x", TextPages: 4, DataPages: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inPool := 0
-	for _, pp := range p.Table.PTPages() {
-		if cfg.PTPoolRegion.Contains(pp) {
-			inPool++
-		}
-	}
-	if inPool != 0 {
-		t.Errorf("scattered kernel put %d PT pages in the pool region", inPool)
-	}
-}
-
 func TestMUnmap(t *testing.T) {
 	k := bootKernel(t, monitor.ModeHPMP)
 	e := spawnEnv(t, k)

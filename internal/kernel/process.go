@@ -149,7 +149,7 @@ func (k *Kernel) releaseFrame(p *Process, pa addr.PA) {
 		k.shares[pa] = n - 1
 	case n == 1:
 		delete(k.shares, pa)
-	case k.hintAlloc != nil && k.hintRegion.Contains(pa):
+	case k.hintRegion.Contains(pa):
 		k.hintAlloc.Free(pa)
 	default:
 		k.dataPool(p).Free(pa)

@@ -14,10 +14,10 @@ const l1Latency, l2Latency = 2, 12
 
 func newHier() *cache.Hierarchy {
 	return cache.NewHierarchy(
-		cache.New(cache.Config{Name: "l1", Size: 8 * addr.KiB, Ways: 4, LineSize: 64, Latency: l1Latency}),
-		cache.New(cache.Config{Name: "l2", Size: 64 * addr.KiB, Ways: 8, LineSize: 64, Latency: l2Latency}),
-		cache.New(cache.Config{Name: "llc", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 26}),
-		dram.New(dram.Default()), 1.0)
+		cache.New(cache.Config{Name: "l1", Size: 8 * addr.KiB, Ways: 4, Latency: l1Latency}),
+		cache.New(cache.Config{Name: "l2", Size: 64 * addr.KiB, Ways: 8, Latency: l2Latency}),
+		cache.New(cache.Config{Name: "llc", Size: 512 * addr.KiB, Ways: 8, Latency: 26}),
+		dram.New(), 1.0)
 }
 
 func TestTimedRoundTrip(t *testing.T) {

@@ -26,10 +26,10 @@ import (
 func TestFlushVADoesNotScopePMPTWalkerCache(t *testing.T) {
 	mem := phys.New(memSize)
 	hier := cache.NewHierarchy(
-		cache.New(cache.Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, LineSize: 64, Latency: 2}),
-		cache.New(cache.Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, LineSize: 64, Latency: 12}),
-		cache.New(cache.Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, LineSize: 64, Latency: 26}),
-		dram.New(dram.Default()), 1.0)
+		cache.New(cache.Config{Name: "l1d", Size: 32 * addr.KiB, Ways: 8, Latency: 2}),
+		cache.New(cache.Config{Name: "l2", Size: 512 * addr.KiB, Ways: 8, Latency: 12}),
+		cache.New(cache.Config{Name: "llc", Size: 4 * addr.MiB, Ways: 8, Latency: 26}),
+		dram.New(), 1.0)
 	port := &memport.Timed{Hier: hier, Mem: mem}
 
 	ptRegion := addr.Range{Base: 0x40_0000, Size: 4 * addr.MiB}

@@ -67,7 +67,7 @@ type MMU struct {
 	STLB *tlb.L2
 
 	Walker  *ptw.Walker
-	Checker ptw.Checker // nil → no physical memory isolation
+	Checker *hpmp.Checker // nil → no physical memory isolation
 	Hier    *cache.Hierarchy
 
 	// Trace, when set, receives one obs.KindAccess event per completed
@@ -98,12 +98,12 @@ type MMU struct {
 // page-table walker fetches PTEs through walkerPort (cpu.NewMachine's port
 // skips the L1D, as Rocket does). checker may be nil (no isolation, Fig.
 // 2-a).
-func New(cfg Config, hier *cache.Hierarchy, checker ptw.Checker, walkerPort memport.Port) *MMU {
+func New(cfg Config, hier *cache.Hierarchy, checker *hpmp.Checker, walkerPort memport.Port) *MMU {
 	m := &MMU{
 		cfg:     cfg,
 		ITLB:    tlb.NewL1("itlb", itlbEntries),
 		DTLB:    tlb.NewL1("dtlb", dtlbEntries),
-		STLB:    tlb.NewL2("stlb", cfg.L2TLBEntries, stlbLatency),
+		STLB:    tlb.NewL2("stlb", cfg.L2TLBEntries),
 		Walker:  ptw.New(cfg.Mode, walkerPort, checker, cfg.PWCEntries),
 		Checker: checker,
 		Hier:    hier,
@@ -308,7 +308,7 @@ func (m *MMU) accessInner(va addr.VA, k perm.Access, priv perm.Priv, now uint64,
 	// 2. L2 TLB. An absent L2 (zero capacity) performs no probe and charges
 	// no latency — there is no structure to consult.
 	if m.STLB.Len() > 0 {
-		res.Latency += m.STLB.Latency
+		res.Latency += stlbLatency
 		if e, ok := m.STLB.Lookup(vpn); ok {
 			res.TLBHit = obs.TLBL2
 			l1.Insert(vpn, *e)
@@ -440,9 +440,7 @@ func (m *MMU) Translate(va addr.VA) (addr.PA, error) {
 	return walk.Translation.PA, nil
 }
 
-// HPMPChecker returns the checker as *hpmp.Checker when it is one (the
-// monitor needs the concrete type to program entries).
+// HPMPChecker returns the checker and whether the MMU has one.
 func (m *MMU) HPMPChecker() (*hpmp.Checker, bool) {
-	c, ok := m.Checker.(*hpmp.Checker)
-	return c, ok
+	return m.Checker, m.Checker != nil
 }

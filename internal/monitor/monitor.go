@@ -110,13 +110,6 @@ type Domain struct {
 // Config tunes the monitor.
 type Config struct {
 	Mode Mode
-	// MonitorRegion is the monitor's private memory: locked off from S/U
-	// and the source of permission-table pages.
-	MonitorRegion addr.Range
-	// FastEntries is how many segment slots ModeHPMP mirrors fast GMSs
-	// into. 0 picks the default: whatever entries remain after the monitor
-	// entry and the table pairs.
-	FastEntries int
 	// HugeTableRanges enables the 32 MiB huge-entry optimization for
 	// region permissions (§8.7); per-domain data stays paged.
 	HugeTableRanges bool
@@ -133,13 +126,15 @@ const (
 	domainSwitchBase uint64 = 400
 )
 
+// monitorRegion is the monitor's private memory: locked off from S/U and
+// the source of permission-table pages. It is NAPOT, as entry 0's segment
+// needs. Nothing writes it.
+var monitorRegion = addr.Range{Base: 0, Size: 16 * addr.MiB}
+
 // DefaultConfig returns a standard monitor configuration for the given
 // mode.
 func DefaultConfig(mode Mode) Config {
-	return Config{
-		Mode:          mode,
-		MonitorRegion: addr.Range{Base: 0, Size: 16 * addr.MiB},
-	}
+	return Config{Mode: mode}
 }
 
 // Monitor is the Penglai-HPMP secure monitor instance for one machine.
@@ -180,15 +175,12 @@ func Boot(mach *cpu.Machine, cfg Config) (*Monitor, error) {
 	if mach.Checker == nil {
 		return nil, fmt.Errorf("monitor: machine has no HPMP checker")
 	}
-	if !addr.IsPow2(cfg.MonitorRegion.Size) || !addr.IsAligned(uint64(cfg.MonitorRegion.Base), cfg.MonitorRegion.Size) {
-		return nil, fmt.Errorf("monitor: monitor region must be NAPOT: %v", cfg.MonitorRegion)
-	}
 	m := &Monitor{
 		Mach:     mach,
 		cfg:      cfg,
 		domains:  make(map[DomainID]*Domain),
 		gmss:     make(map[GMSID]*GMS),
-		tblAlloc: phys.NewFrameAllocator(cfg.MonitorRegion, false),
+		tblAlloc: phys.NewFrameAllocator(monitorRegion, false),
 		pmpSlots: make(map[int]GMSID),
 	}
 	// Reserve the first frames of the monitor region for monitor
@@ -198,7 +190,7 @@ func Boot(mach *cpu.Machine, cfg Config) (*Monitor, error) {
 	}
 
 	// Entry 0: the monitor's own memory, locked, no S/U permission.
-	if err := mach.Checker.SetSegment(m.monitorEntry, cfg.MonitorRegion, perm.None, true); err != nil {
+	if err := mach.Checker.SetSegment(m.monitorEntry, monitorRegion, perm.None, true); err != nil {
 		return nil, fmt.Errorf("monitor: locking monitor region: %w", err)
 	}
 
@@ -222,13 +214,9 @@ func Boot(mach *cpu.Machine, cfg Config) (*Monitor, error) {
 		m.fastBase, m.fastCount = 1, 0
 		m.tableBase = 1
 	case ModeHPMP:
-		m.tableBase = 1
-		if cfg.FastEntries > 0 {
-			m.fastCount = cfg.FastEntries
-		} else {
-			m.fastCount = nEntries - 1 - 2*len(m.chunks)
-		}
-		m.fastBase = 1
+		// Fast segments take whatever entries remain after the monitor
+		// entry and the table pairs.
+		m.fastBase, m.fastCount = 1, nEntries-1-2*len(m.chunks)
 		m.tableBase = m.fastBase + m.fastCount
 	}
 	if m.tableBase+2*len(m.chunks) > nEntries && cfg.Mode != ModePMP {
@@ -304,7 +292,7 @@ func (m *Monitor) buildDomainTables(d *Domain) error {
 // the host's tables.
 func (m *Monitor) grantHostAll(host *Domain) error {
 	memSize := m.Mach.Mem.Size()
-	ranges := splitAround(addr.Range{Base: 0, Size: memSize}, m.cfg.MonitorRegion)
+	ranges := splitAround(addr.Range{Base: 0, Size: memSize}, monitorRegion)
 	for _, r := range ranges {
 		// Always paged: the host's view is edited at page granularity every
 		// time an enclave takes or returns memory, so huge entries here

@@ -9,12 +9,6 @@ import (
 )
 
 func TestBootValidation(t *testing.T) {
-	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
-	cfg := DefaultConfig(ModeHPMP)
-	cfg.MonitorRegion = addr.Range{Base: 0x1000, Size: 3 * addr.MiB} // not NAPOT
-	if _, err := Boot(mach, cfg); err == nil {
-		t.Error("non-NAPOT monitor region must be rejected")
-	}
 	// A machine without a checker (no-isolation build) cannot host a
 	// monitor.
 	bare := cpu.NewMachine(cpu.RocketPlatform(), memSize, false)
@@ -25,14 +19,14 @@ func TestBootValidation(t *testing.T) {
 
 func TestFastSlotExhaustion(t *testing.T) {
 	mach := cpu.NewMachine(cpu.RocketPlatform(), memSize, true)
-	cfg := DefaultConfig(ModeHPMP)
-	cfg.FastEntries = 2 // only two fast slots
-	mon, err := Boot(mach, cfg)
+	mon, err := Boot(mach, DefaultConfig(ModeHPMP))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Fill every fast slot, then label two more GMSs fast.
+	fast := mon.fastCount
 	var ids []GMSID
-	for i := 0; i < 4; i++ {
+	for i := 0; i < fast+2; i++ {
 		region := addr.Range{Base: addr.PA(0x1000_0000 + i*4*addr.MiB), Size: 4 * addr.MiB}
 		id, _, err := mon.AddRegion(HostDomain, region, perm.RW, LabelFast)
 		if err != nil {
@@ -40,7 +34,7 @@ func TestFastSlotExhaustion(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	// First two fast GMSs ride segments; the overflow ones stay table-only
+	// The first fast GMSs ride segments; the overflow ones stay table-only
 	// (a cache miss that does not evict, §5) — and still enforce access.
 	segCount := 0
 	for i, id := range ids {
@@ -56,20 +50,21 @@ func TestFastSlotExhaustion(t *testing.T) {
 			segCount++
 		}
 	}
-	if segCount != 2 {
-		t.Errorf("%d GMSs in segments, want exactly 2 (FastEntries)", segCount)
+	if segCount != fast {
+		t.Errorf("%d GMSs in segments, want exactly %d (the fast slots)", segCount, fast)
 	}
 	// Releasing a fast GMS frees its slot for the next fast label.
 	if _, err := mon.ReleaseRegion(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mon.SetLabel(ids[2], LabelSlow); err != nil {
+	overflow := ids[fast]
+	if _, err := mon.SetLabel(overflow, LabelSlow); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mon.SetLabel(ids[2], LabelFast); err != nil {
+	if _, err := mon.SetLabel(overflow, LabelFast); err != nil {
 		t.Fatal(err)
 	}
-	g := mon.gmss[ids[2]]
+	g := mon.gmss[overflow]
 	r, _ := mach.Checker.Check(g.Region.Base, 8, perm.Read, perm.S, 0)
 	if r.TableMode {
 		t.Error("relabelled GMS should claim the freed fast slot")

@@ -37,7 +37,7 @@ func TestBootPostures(t *testing.T) {
 	for _, mode := range []Mode{ModePMP, ModePMPT, ModeHPMP} {
 		mon := boot(t, mode)
 		// Monitor memory is off-limits to S/U in every mode.
-		if hostCheck(t, mon, mon.cfg.MonitorRegion.Base+0x1000, perm.Read) {
+		if hostCheck(t, mon, monitorRegion.Base+0x1000, perm.Read) {
 			t.Errorf("%v: host can read monitor memory", mode)
 		}
 		// Ordinary memory is host-accessible after boot.

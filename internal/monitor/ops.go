@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hpmp/internal/addr"
+	"hpmp/internal/cache"
 	"hpmp/internal/perm"
 )
 
@@ -76,7 +77,7 @@ func (m *Monitor) AddRegion(owner DomainID, region addr.Range, p perm.Perm, labe
 	if region.End() > addr.PA(m.Mach.Mem.Size()) {
 		return 0, 0, fmt.Errorf("monitor: region %v beyond DRAM", region)
 	}
-	if region.Overlaps(m.cfg.MonitorRegion) {
+	if region.Overlaps(monitorRegion) {
 		return 0, 0, fmt.Errorf("monitor: region %v overlaps monitor memory", region)
 	}
 	for _, g := range m.gmss {
@@ -352,7 +353,7 @@ func (m *Monitor) SendMessage(to DomainID, payload []byte) (uint64, error) {
 	msg := make([]byte, len(payload))
 	copy(msg, payload)
 	d.mailbox = append(d.mailbox, msg)
-	lines := uint64(len(payload)+63) / 64
+	lines := uint64(len(payload)+cache.LineSize-1) / cache.LineSize
 	cycles := 300 + lines*8
 	m.Counters.Inc("monitor.ipc_send")
 	return m.charge(cycles), nil
@@ -369,7 +370,7 @@ func (m *Monitor) ReceiveMessage(id DomainID) ([]byte, uint64, error) {
 	}
 	msg := d.mailbox[0]
 	d.mailbox = d.mailbox[1:]
-	lines := uint64(len(msg)+63) / 64
+	lines := uint64(len(msg)+cache.LineSize-1) / cache.LineSize
 	m.Counters.Inc("monitor.ipc_recv")
 	return msg, m.charge(300 + lines*8), nil
 }

@@ -47,6 +47,10 @@ func (t *Tally) add(ev *Event) {
 // DefaultRing is the ring capacity the CLI tools default to.
 const DefaultRing = 4096
 
+// MaxRing is the largest ring capacity a daemon job may request: sixteen
+// times the default. NewTracer allocates the whole ring up front.
+const MaxRing = 16 * DefaultRing
+
 // NewTracer builds a tracer that keeps the last `keep` of every `every`-th
 // event (every ≤ 1 records all events; keep ≤ 0 falls back to DefaultRing).
 func NewTracer(keep, every int) *Tracer {

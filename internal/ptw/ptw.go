@@ -21,12 +21,6 @@ import (
 	"hpmp/internal/stats"
 )
 
-// Checker validates physical addresses; *hpmp.Checker implements it. A nil
-// checker means physical memory isolation is disabled (Fig. 2-a).
-type Checker interface {
-	Check(pa addr.PA, size uint64, k perm.Access, priv perm.Priv, now uint64) (hpmp.Result, error)
-}
-
 // Result reports one hardware walk.
 type Result struct {
 	Translation pt.Translation
@@ -40,16 +34,15 @@ type Result struct {
 
 // Walker is the PTW attached to one hart.
 type Walker struct {
-	Mode    addr.Mode
-	Port    memport.Port
-	Checker Checker // may be nil
+	Mode addr.Mode
+	Port memport.Port
+	// Checker validates PT-page addresses; nil means physical memory
+	// isolation is disabled (Fig. 2-a).
+	Checker *hpmp.Checker
 	// PWC is the page walk cache: PTE words keyed by PTE physical address,
 	// true LRU. Table 1's "PTECache" is 8 entries; Fig. 17 grows it to 32.
 	// Nil when the walker has none.
 	PWC *assoc.Cache
-	// Priv is the privilege the walker's own PT accesses are checked at.
-	// Page tables are kernel data structures, so S.
-	Priv perm.Priv
 
 	// Trace, when set, receives one obs.KindPTEFetch event per PTE lookup
 	// (walk level, PWC outcome, fetch cost). Nil costs one pointer compare
@@ -70,8 +63,8 @@ type Walker struct {
 
 // New builds a walker for the given translation mode with an n-entry PWC
 // (n=0 disables the PWC).
-func New(mode addr.Mode, port memport.Port, checker Checker, pwcEntries int) *Walker {
-	w := &Walker{Mode: mode, Port: port, Checker: checker, Priv: perm.S}
+func New(mode addr.Mode, port memport.Port, checker *hpmp.Checker, pwcEntries int) *Walker {
+	w := &Walker{Mode: mode, Port: port, Checker: checker}
 	if pwcEntries > 0 {
 		w.PWC = assoc.NewCache(pwcEntries)
 	}
@@ -200,7 +193,8 @@ func (w *Walker) walk(root addr.PA, va addr.VA, now uint64, res *Result) error {
 // FetchPTE returns the PTE word at pteAddr. PWC hits cost nothing and skip
 // the physical check (the entry was validated at fill time). On a PWC miss
 // the PT-page address is validated through the checker before the fetch;
-// res.AccessFault is set when the check denies. Besides the walk loop, the
+// res.AccessFault is set when the check denies. Page tables are kernel data
+// structures, so the check is at S. Besides the walk loop, the
 // hypervisor's guest-dimension loop fetches each guest PTE through it.
 func (w *Walker) FetchPTE(pteAddr addr.PA, now uint64, res *Result) (raw uint64, pwcHit bool, err error) {
 	if w.PWC != nil {
@@ -210,7 +204,7 @@ func (w *Walker) FetchPTE(pteAddr addr.PA, now uint64, res *Result) (raw uint64,
 		}
 	}
 	if w.Checker != nil {
-		chk, err := w.Checker.Check(pteAddr, 8, perm.Read, w.Priv, now+res.Latency)
+		chk, err := w.Checker.Check(pteAddr, 8, perm.Read, perm.S, now+res.Latency)
 		if err != nil {
 			return 0, false, err
 		}

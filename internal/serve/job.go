@@ -167,6 +167,9 @@ func (j *Job) resolve() error {
 	if req.TraceEvery < 0 || req.TraceKeep < 0 {
 		return fmt.Errorf("serve: trace_every and trace_keep must be >= 0")
 	}
+	if req.TraceKeep > obs.MaxRing {
+		return fmt.Errorf("serve: trace_keep %d is above the %d-event maximum", req.TraceKeep, obs.MaxRing)
+	}
 
 	switch req.Kind {
 	case "run":

@@ -169,6 +169,7 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 		{"negative-workload", `{"kind":"run","experiments":["fig10"],"workload":{"redis_keyspace":-1}}`},
 		{"replay-no-trace", `{"kind":"replay"}`},
 		{"replay-bad-trace", `{"kind":"replay","trace_jsonl":"not json"}`},
+		{"replay-l2tlb-not-pow2", replayJob(t, `{"l2tlb":3}`)},
 		{"not-json", `kind=run`},
 	}
 	for _, tc := range cases {
@@ -202,26 +203,54 @@ func TestRunJobRejectsIgnoredMachineFields(t *testing.T) {
 	}
 }
 
+// replayJob returns the body of a replay job on the given machine config
+// whose trace is one access.
+func replayJob(t *testing.T, machine string) string {
+	t.Helper()
+	tr := obs.NewTracer(4, 1)
+	tr.Emit(obs.Event{Kind: obs.KindAccess, VA: 0x1000_0000, PA: 0x80_0000})
+	var trace bytes.Buffer
+	if err := obs.WriteTrace(&trace, "replay", tr); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{"kind": "replay", "trace_jsonl": trace.String(),
+		"machine": json.RawMessage(machine)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// A requested trace ring above obs.MaxRing is refused before any job is
+// queued: the ring is allocated in full when the job starts.
+func TestResolveBoundsTraceKeep(t *testing.T) {
+	for _, kind := range []string{"run", "replay"} {
+		req := Request{Kind: kind, Experiments: []string{"fig10"}, Trace: true, TraceKeep: obs.MaxRing}
+		if kind == "replay" {
+			if err := json.Unmarshal([]byte(replayJob(t, `{}`)), &req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := (&Job{Request: req}).resolve(); err != nil {
+			t.Errorf("%s job keeping obs.MaxRing events rejected: %v", kind, err)
+		}
+		req.TraceKeep = obs.MaxRing + 1
+		err := (&Job{Request: req}).resolve()
+		if err == nil || !strings.Contains(err.Error(), "trace_keep") {
+			t.Errorf("%s job keeping obs.MaxRing+1 events: error %v, want a trace_keep bound", kind, err)
+		}
+	}
+}
+
 // The scalar replay drain is gone: a machine config that still asks for it
 // is an unknown field, rejected at submit time like any other, while the
 // same replay job without it is accepted.
 func TestReplayJobRejectsScalar(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1, QueueDepth: 2})
-	tr := obs.NewTracer(4, 1)
-	tr.Emit(obs.Event{Kind: obs.KindAccess, VA: 0x1000_0000, PA: 0x80_0000})
-	var trace bytes.Buffer
-	if err := obs.WriteTrace(&trace, "scalar", tr); err != nil {
-		t.Fatal(err)
-	}
-	job := func(machine string) string {
-		body, _ := json.Marshal(map[string]any{"kind": "replay", "trace_jsonl": trace.String(),
-			"machine": json.RawMessage(machine)})
-		return string(body)
-	}
-	if _, resp := postJob(t, ts, job(`{"mode":"pmp","scalar":true}`)); resp.StatusCode != http.StatusBadRequest {
+	if _, resp := postJob(t, ts, replayJob(t, `{"mode":"pmp","scalar":true}`)); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("replay job with machine.scalar: HTTP %d, want 400", resp.StatusCode)
 	}
-	st, resp := postJob(t, ts, job(`{"mode":"pmp"}`))
+	st, resp := postJob(t, ts, replayJob(t, `{"mode":"pmp"}`))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("replay job without machine.scalar: HTTP %d, want 202", resp.StatusCode)
 	}

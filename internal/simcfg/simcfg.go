@@ -87,6 +87,13 @@ const MaxMemSize = 16 * addr.GiB
 // replay-capable by construction.
 const PoolAlign = 32 * addr.MiB
 
+// MaxEntries is the largest entry count Validate accepts for a requested
+// L2 TLB, PWC or PMPTW cache: four times Table 1's 1024-entry L2 TLB, the
+// largest of the three. It is a bound, not a knob: the structures are
+// allocated in full at boot, so without it one request could size them
+// past the host's memory.
+const MaxEntries = 4096
+
 // Machine is the unified machine configuration. The zero value is not a
 // valid machine; start from Default (or call WithDefaults on a partially
 // filled value, as the JSON decoder path does).
@@ -154,6 +161,17 @@ func (m Machine) Validate() error {
 	}
 	if m.MemSize%PoolAlign != 0 {
 		return fmt.Errorf("simcfg: mem size must be a multiple of %d MiB", PoolAlign/addr.MiB)
+	}
+	for _, g := range []struct {
+		name string
+		n    int
+	}{{"l2tlb", m.L2TLBEntries}, {"pwc", m.PWCEntries}, {"pmptw_cache", m.PMPTWCache}} {
+		if g.n > MaxEntries {
+			return fmt.Errorf("simcfg: %s of %d entries is above the %d-entry maximum", g.name, g.n, MaxEntries)
+		}
+	}
+	if m.L2TLBEntries > 0 && !addr.IsPow2(uint64(m.L2TLBEntries)) {
+		return fmt.Errorf("simcfg: l2tlb of %d entries is not a power of two (the L2 TLB is direct-mapped)", m.L2TLBEntries)
 	}
 	switch m.TableDepth {
 	case 0, 2, 3, 4:

@@ -43,6 +43,10 @@ func TestValidateRejects(t *testing.T) {
 		{"mem-large", func(m *Machine) { m.MemSize = MaxMemSize + PoolAlign }, "16384 MiB maximum"},
 		{"depth", func(m *Machine) { m.TableDepth = 5 }, "depth"},
 		{"depth-mode", func(m *Machine) { m.Mode = ModePMP; m.TableDepth = 3 }, "permission-table mode"},
+		{"l2tlb-not-pow2", func(m *Machine) { m.L2TLBEntries = 3 }, "power of two"},
+		{"l2tlb-large", func(m *Machine) { m.L2TLBEntries = 2 * MaxEntries }, "l2tlb of 8192 entries is above the 4096-entry maximum"},
+		{"pwc-large", func(m *Machine) { m.PWCEntries = MaxEntries + 1 }, "pwc of 4097 entries is above"},
+		{"pmptw-cache-large", func(m *Machine) { m.PMPTWCache = 1 << 40 }, "pmptw_cache"},
 	}
 	for _, tc := range cases {
 		m := Default()

@@ -84,7 +84,6 @@ func (t *L1) FlushVPN(vpn uint64) { t.tags.Flush(vpn) }
 type L2 struct {
 	tags    []uint64
 	entries []Entry
-	Latency uint64 // extra cycles to consult the L2 TLB
 
 	hHit, hMiss *uint64
 
@@ -92,14 +91,14 @@ type L2 struct {
 }
 
 // NewL2 builds a direct-mapped TLB with n entries (n must be a power of
-// two) and the given access latency. n = 0 is legal and models a machine
-// without a second TLB level: the structure stores nothing, and the MMU
-// skips the probe (and its latency charge) entirely.
-func NewL2(name string, n int, latency uint64) *L2 {
+// two). n = 0 is legal and models a machine without a second TLB level:
+// the structure stores nothing, and the MMU skips the probe (and its
+// latency charge) entirely.
+func NewL2(name string, n int) *L2 {
 	if n != 0 && !addr.IsPow2(uint64(n)) {
 		panic("tlb: L2 size must be a power of two")
 	}
-	t := &L2{tags: make([]uint64, n), entries: make([]Entry, n), Latency: latency}
+	t := &L2{tags: make([]uint64, n), entries: make([]Entry, n)}
 	t.hHit = t.Counters.Handle(name + ".hit")
 	t.hMiss = t.Counters.Handle(name + ".miss")
 	return t

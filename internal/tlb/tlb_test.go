@@ -84,7 +84,7 @@ func TestL1ZeroCapacity(t *testing.T) {
 }
 
 func TestL2DirectMapped(t *testing.T) {
-	l := NewL2("stlb", 16, 3)
+	l := NewL2("stlb", 16)
 	l.Insert(5, Entry{PFN: 50})
 	if e, ok := l.Lookup(5); !ok || e.PFN != 50 {
 		t.Errorf("L2 lookup: %+v %v", e, ok)
@@ -109,7 +109,7 @@ func TestL2SizeMustBePow2(t *testing.T) {
 			t.Error("non-power-of-two L2 must panic")
 		}
 	}()
-	NewL2("x", 100, 1)
+	NewL2("x", 100)
 }
 
 // Property: after Insert(vpn, e), Lookup(vpn) returns e until an eviction or

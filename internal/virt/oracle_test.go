@@ -14,10 +14,10 @@ import (
 	"hpmp/internal/addr"
 	"hpmp/internal/assoc"
 	"hpmp/internal/cpu"
+	"hpmp/internal/hpmp"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
 	"hpmp/internal/pt"
-	"hpmp/internal/ptw"
 	"hpmp/internal/stats"
 	"hpmp/internal/tlb"
 )
@@ -284,7 +284,7 @@ func (g *refGuestTable) Map(gva addr.VA, target addr.GPA, p perm.Perm) error {
 // and the NPT-translation cache.
 type refHypervisor struct {
 	Mach    *cpu.Machine
-	Checker ptw.Checker // physical-memory checker, nil = none
+	Checker *hpmp.Checker // physical-memory checker, nil = none
 	NPT     *refNestedTable
 	Guest   *refGuestTable
 
@@ -308,7 +308,7 @@ func (h *refHypervisor) DisableWalkCaches() {
 }
 
 // newRefHypervisor wires a hypervisor for a guest on a machine.
-func newRefHypervisor(mach *cpu.Machine, checker ptw.Checker, npt *refNestedTable, guest *refGuestTable) *refHypervisor {
+func newRefHypervisor(mach *cpu.Machine, checker *hpmp.Checker, npt *refNestedTable, guest *refGuestTable) *refHypervisor {
 	return &refHypervisor{
 		Mach:    mach,
 		Checker: checker,

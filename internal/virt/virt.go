@@ -19,6 +19,7 @@ import (
 
 	"hpmp/internal/addr"
 	"hpmp/internal/cpu"
+	"hpmp/internal/hpmp"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
 	"hpmp/internal/pt"
@@ -137,7 +138,7 @@ type Hypervisor struct {
 
 // NewHypervisor wires a hypervisor for a guest on a machine. checker
 // validates host physical addresses; nil disables isolation.
-func NewHypervisor(mach *cpu.Machine, checker ptw.Checker, npt *pt.Table, guest *GuestTable) *Hypervisor {
+func NewHypervisor(mach *cpu.Machine, checker *hpmp.Checker, npt *pt.Table, guest *GuestTable) *Hypervisor {
 	return &Hypervisor{
 		Mach:   mach,
 		NPT:    npt,

@@ -6,11 +6,11 @@ import (
 	"hpmp/internal/addr"
 	"hpmp/internal/cache"
 	"hpmp/internal/cpu"
+	"hpmp/internal/hpmp"
 	"hpmp/internal/perm"
 	"hpmp/internal/phys"
 	"hpmp/internal/pmpt"
 	"hpmp/internal/pt"
-	"hpmp/internal/ptw"
 )
 
 type vmode int
@@ -98,9 +98,8 @@ func newMachine(t testing.TB, mode vmode, depth int) *cpu.Machine {
 	return mach
 }
 
-// checkerFor is the checker a hypervisor under mode gets: none (a nil
-// interface, not a nil *hpmp.Checker) for vNone.
-func checkerFor(mach *cpu.Machine, mode vmode) ptw.Checker {
+// checkerFor is the checker a hypervisor under mode gets: none for vNone.
+func checkerFor(mach *cpu.Machine, mode vmode) *hpmp.Checker {
 	if mode == vNone {
 		return nil
 	}
