@@ -23,7 +23,7 @@ fmt-check:
 # row size and bank count), the shared LRU array's lookup,
 # the latency histogram's Observe (at the MMU access, the native walk,
 # the HPMP check and the PMPT walk) and physical memory's sector lookup
-# must stay inlined into their callers; each lost inline adds a call to
+# and its directory-page step must stay inlined into their callers; each lost inline adds a call to
 # every simulated memory reference or access. Fails naming the first call
 # the compiler (-gcflags=-m) no longer inlines.
 inline-check:
@@ -34,7 +34,7 @@ inline-check:
 		'internal/dram/dram.go:(*DRAM).bankAndRow' 'internal/assoc/assoc.go:(*Array).Lookup' \
 		'internal/mmu/mmu.go:stats.(*Histogram).Observe' 'internal/ptw/ptw.go:stats.(*Histogram).Observe' \
 		'internal/hpmp/hpmp.go:stats.(*Histogram).Observe' 'internal/pmpt/pmpt.go:stats.(*Histogram).Observe' \
-		'internal/phys/phys.go:(*Memory).peek'; do \
+		'internal/phys/phys.go:(*Memory).leaf' 'internal/phys/phys.go:(*Memory).peek'; do \
 		file=$${want%%:*}; call="inlining call to $${want#*:}"; \
 		echo "$$out" | awk -v f="$$file:" -v c="$$call" \
 			'index($$0, f) == 1 && substr($$0, length($$0) - length(c) + 1) == c { ok = 1 } END { exit !ok }' || \

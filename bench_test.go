@@ -138,8 +138,10 @@ func bootConfig() bench.Config {
 // Table 2 latency probe boots a fresh system, so boot is most of the
 // daemon-mix job time. It regresses without the leaf-table-at-a-time
 // builders (pmpt.Table.SetRangePermPaged's one fill per leaf table,
-// pt.Table.MapRange's one descent per 2 MiB) and without cache levels that
-// allocate their lines a chunk at a time on first probe.
+// pt.Table.MapRange's one descent per 2 MiB), without cache levels that
+// allocate their lines a chunk at a time on first probe, and without
+// physical memory's shared pattern frames (the host's all-DRAM grant
+// fills 16 permission-table leaf frames with one word each).
 func BenchmarkNewSystem(b *testing.B) {
 	cfg := bootConfig()
 	for _, mode := range bench.AllModes {
@@ -164,9 +166,9 @@ func TestNewSystemAllocs(t *testing.T) {
 		mode monitor.Mode
 		max  float64
 	}{
-		{monitor.ModePMP, 240},
-		{monitor.ModePMPT, 279},
-		{monitor.ModeHPMP, 281},
+		{monitor.ModePMP, 195},
+		{monitor.ModePMPT, 215},
+		{monitor.ModeHPMP, 217},
 	} {
 		allocs := testing.AllocsPerRun(10, func() {
 			if _, err := bench.NewSystem(cpu.RocketPlatform(), c.mode, cfg); err != nil {
@@ -201,17 +203,19 @@ func allocBytes(runs int, f func()) uint64 {
 // objects, so the object count alone no longer follows the bytes. Cache
 // lines are allocated a 2 KiB chunk at a time on first probe, so a boot
 // pays only for the lines its table builds touch; allocating every level
-// whole costs ~300 KiB more per boot. A boot allocates ~51 KiB under PMP
-// and ~123 KiB under PMPT and HPMP.
+// whole costs ~300 KiB more per boot. The sector directory is allocated a
+// 16 MiB page at a time, and a permission-table frame filled with one
+// word shares one 512-byte pattern sector. A boot allocates ~33 KiB under
+// PMP and ~51 KiB under PMPT and HPMP.
 func TestNewSystemBytes(t *testing.T) {
 	cfg := bootConfig()
 	for _, c := range []struct {
 		mode monitor.Mode
 		max  uint64
 	}{
-		{monitor.ModePMP, 56 * addr.KiB},
-		{monitor.ModePMPT, 136 * addr.KiB},
-		{monitor.ModeHPMP, 136 * addr.KiB},
+		{monitor.ModePMP, 36 * addr.KiB},
+		{monitor.ModePMPT, 56 * addr.KiB},
+		{monitor.ModeHPMP, 56 * addr.KiB},
 	} {
 		b := allocBytes(10, func() {
 			if _, err := bench.NewSystem(cpu.RocketPlatform(), c.mode, cfg); err != nil {
@@ -222,6 +226,21 @@ func TestNewSystemBytes(t *testing.T) {
 		if b > c.max {
 			t.Errorf("%s boot allocates %d bytes, want at most %d", bench.ModeNames[c.mode], b, c.max)
 		}
+	}
+}
+
+// memSink keeps TestNewMemoryBytesAtMaxSize's memories on the heap.
+var memSink *phys.Memory
+
+// TestNewMemoryBytesAtMaxSize pins what an empty memory of the largest
+// DRAM a machine may have costs: its sector directory holds one pointer
+// per 16 MiB, 8 KiB at simcfg.MaxMemSize, where one pointer per 256 KiB
+// leaf was 512 KiB that every boot allocated and the GC scanned.
+func TestNewMemoryBytesAtMaxSize(t *testing.T) {
+	b := allocBytes(10, func() { memSink = phys.New(simcfg.MaxMemSize) })
+	t.Logf("phys.New(%d): %d bytes", uint64(simcfg.MaxMemSize), b)
+	if b > 16*addr.KiB {
+		t.Errorf("phys.New(simcfg.MaxMemSize) allocates %d bytes, want at most %d", b, 16*addr.KiB)
 	}
 }
 

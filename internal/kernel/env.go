@@ -168,19 +168,22 @@ func (e *Env) Store8(va addr.VA, v byte) {
 
 // chunks iterates [va, va+n) in cache-line-bounded pieces, issuing one
 // timed access per line and calling f with the translated PA and the offset
-// and size of each piece. Pieces are submitted in BlockMax-sized batched
-// blocks: the timed accesses of a block run first, then f is applied to
+// and size of each piece. Pieces are submitted in batched blocks of at most
+// BlockMax: the timed accesses of a block run first, then f is applied to
 // each piece in order. Pieces are disjoint, so applying the functional
 // copies after the block's timed accesses is indistinguishable from
-// interleaving them. It stops at the first failure.
+// interleaving them. It stops at the first failure. A block asks the Env's
+// scratch for only the lines left to copy, so a short copy does not grow it
+// to BlockMax.
 func (e *Env) chunks(va addr.VA, n uint64, kind perm.Access, f func(pa addr.PA, off, size uint64) error) {
 	var sizes [BlockMax]uint64
 	var done uint64
 	for n > 0 {
-		ops, out := e.Block(BlockMax)
+		lines := (uint64(va)+n-1)/cache.LineSize - uint64(va)/cache.LineSize + 1
+		ops, out := e.Block(int(min(lines, BlockMax)))
 		nOps := 0
 		pieceVA, rem := va, n
-		for rem > 0 && nOps < BlockMax {
+		for rem > 0 && nOps < len(ops) {
 			pieceEnd := (uint64(pieceVA)/cache.LineSize + 1) * cache.LineSize
 			size := pieceEnd - uint64(pieceVA)
 			if size > rem {

@@ -89,6 +89,11 @@ func TestBytesAcrossPages(t *testing.T) {
 			t.Fatalf("byte %d = %d, want %d", i, got[i], byte(i))
 		}
 	}
+	// The copies span six cache lines, so the block scratch holds six
+	// ops, not BlockMax.
+	if n := cap(e.blockOps); n != 6 {
+		t.Errorf("block scratch holds %d ops after 300-byte copies over six lines, want 6", n)
+	}
 }
 
 func TestDemandPagingCounts(t *testing.T) {

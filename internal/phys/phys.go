@@ -17,7 +17,8 @@ import (
 // pages (the key-value store's small objects, one PTE in a fresh table
 // page) leave most of each 4 KiB frame zero, and an untouched sector costs
 // only a nil pointer. A leaf of the sector table is 512 pointers, so it
-// covers 256 KiB of memory and is itself one 4 KiB array.
+// covers 256 KiB of memory and is itself one 4 KiB array. A directory page
+// is 64 leaf pointers, covering 16 MiB.
 const (
 	sectorBits   = 9
 	sectorSize   = 1 << sectorBits
@@ -25,6 +26,8 @@ const (
 	frameSectors = addr.PageSize / sectorSize
 	leafBits     = 9
 	leafSectors  = 1 << leafBits
+	pageBits     = 6
+	pageLeaves   = 1 << pageBits
 )
 
 // sector holds 512 bytes of memory contents.
@@ -34,16 +37,27 @@ type sector [sectorSize]byte
 // until first written). A frame's sectors are consecutive slots of one leaf.
 type sectorLeaf [leafSectors]*sector
 
+// dirPage maps the leaves of one 16 MiB span (nil until first written).
+type dirPage [pageLeaves]*sectorLeaf
+
 // Memory is a sparse simulated physical memory. The zero value is not usable;
 // call New.
 type Memory struct {
 	size uint64
-	// dir is the root of a two-level radix sector table indexed by sector
-	// number: dir[sn>>leafBits][sn%leafSectors]. Leaves and sectors are
-	// both allocated on first write, so untouched memory costs one nil
-	// pointer per 256 KiB, and a lookup is two indexed loads with no
-	// hashing.
-	dir []*sectorLeaf
+	// dir is the root of a three-level radix sector table indexed by
+	// sector number: dir[sn>>15][sn>>9%64][sn%512]. Pages, leaves and
+	// sectors are all allocated on first write, so untouched memory costs
+	// one nil pointer per 16 MiB, and a lookup is three indexed loads with
+	// no hashing.
+	dir []*dirPage
+	// patterns interns the pattern sectors of this memory by the word they
+	// repeat. A whole-frame Fill64 points all eight slots of its frame at
+	// one pattern sector, so a frame is shared exactly when its first two
+	// slots hold the same pointer: a frame's own sectors are distinct
+	// objects. Nothing writes a pattern sector after it is built; a write
+	// into a shared frame first gives the frame its own copy (unshare).
+	// Patterns are per Memory because machines run concurrently.
+	patterns map[uint64]*sector
 	// touched counts frames with at least one sector (for footprint
 	// reporting).
 	touched uint64
@@ -53,10 +67,10 @@ type Memory struct {
 // Accesses beyond the size fault.
 func New(size uint64) *Memory {
 	size = addr.AlignUp(size, addr.PageSize)
-	sectors := size >> sectorBits
+	span := uint64(sectorSize) << (leafBits + pageBits)
 	return &Memory{
 		size: size,
-		dir:  make([]*sectorLeaf, (sectors+leafSectors-1)>>leafBits),
+		dir:  make([]*dirPage, (size+span-1)/span),
 	}
 }
 
@@ -64,9 +78,9 @@ func New(size uint64) *Memory {
 func (m *Memory) Size() uint64 { return m.size }
 
 // TouchedFrames returns how many distinct 4 KiB frames have been
-// materialized: a frame counts once its first sector is. Only writes
-// materialize memory: reads and ZeroPage of an untouched frame leave it
-// untouched.
+// materialized: a frame counts once its first sector is, and a shared
+// frame counts once. Only writes materialize memory: reads and ZeroPage of
+// an untouched frame leave it untouched.
 func (m *Memory) TouchedFrames() uint64 { return m.touched }
 
 // InBounds reports whether the n-byte access at pa stays inside memory.
@@ -74,21 +88,37 @@ func (m *Memory) InBounds(pa addr.PA, n uint64) bool {
 	return uint64(pa) < m.size && uint64(pa)+n <= m.size
 }
 
-// frameSlots returns the leaf slots of the 8 sectors of the frame holding
-// pa, materializing the leaf on first write. pa must be in bounds.
-func (m *Memory) frameSlots(pa addr.PA) []*sector {
-	sn := uint64(pa) >> sectorBits
-	leaf := m.dir[sn>>leafBits]
-	if leaf == nil {
-		leaf = new(sectorLeaf)
-		m.dir[sn>>leafBits] = leaf
+// leaf returns the leaf holding sector sn, or nil while nothing in it has
+// been written.
+func (m *Memory) leaf(sn uint64) *sectorLeaf {
+	if pg := m.dir[sn>>(leafBits+pageBits)]; pg != nil {
+		return pg[sn>>leafBits&(pageLeaves-1)]
 	}
-	first := sn & (leafSectors - 1) &^ (frameSectors - 1)
-	return leaf[first : first+frameSectors]
+	return nil
 }
 
-// sec returns the sector holding pa for writing, materializing it and its
-// leaf on first write. pa must be in bounds.
+// frameSlots returns the leaf slots of the 8 sectors of the frame holding
+// pa, materializing the directory page and the leaf on first write. pa
+// must be in bounds.
+func (m *Memory) frameSlots(pa addr.PA) *[frameSectors]*sector {
+	sn := uint64(pa) >> sectorBits
+	pg := m.dir[sn>>(leafBits+pageBits)]
+	if pg == nil {
+		pg = new(dirPage)
+		m.dir[sn>>(leafBits+pageBits)] = pg
+	}
+	leaf := pg[sn>>leafBits&(pageLeaves-1)]
+	if leaf == nil {
+		leaf = new(sectorLeaf)
+		pg[sn>>leafBits&(pageLeaves-1)] = leaf
+	}
+	first := sn & (leafSectors - 1) &^ (frameSectors - 1)
+	return (*[frameSectors]*sector)(leaf[first : first+frameSectors])
+}
+
+// sec returns the sector holding pa for writing, materializing it, its
+// leaf and its directory page on first write, and unsharing its frame. pa
+// must be in bounds.
 func (m *Memory) sec(pa addr.PA) *sector {
 	slots := m.frameSlots(pa)
 	s := &slots[uint64(pa)>>sectorBits&(frameSectors-1)]
@@ -97,12 +127,14 @@ func (m *Memory) sec(pa addr.PA) *sector {
 			m.touched++
 		}
 		*s = new(sector)
+	} else if shared(slots) {
+		unshare(slots)
 	}
 	return *s
 }
 
 // hasSector reports whether any of a frame's sector slots is materialized.
-func hasSector(slots []*sector) bool {
+func hasSector(slots *[frameSectors]*sector) bool {
 	for _, s := range slots {
 		if s != nil {
 			return true
@@ -111,10 +143,25 @@ func hasSector(slots []*sector) bool {
 	return false
 }
 
+// shared reports whether a frame's slots all point at one pattern sector.
+func shared(slots *[frameSectors]*sector) bool {
+	return slots[0] != nil && slots[0] == slots[1]
+}
+
+// unshare gives a shared frame eight sectors of its own, in one allocation,
+// holding the pattern it shared.
+func unshare(slots *[frameSectors]*sector) {
+	block := new([frameSectors]sector)
+	for i := range slots {
+		block[i] = *slots[i]
+		slots[i] = &block[i]
+	}
+}
+
 // wholeFrame prepares a write that covers the whole frame at the
 // page-aligned pa: a frame with no sector yet gets all eight in one
-// allocation (a permission-table leaf fill, a page copy), which is one heap
-// object where sector-at-a-time would make eight. pa must be in bounds.
+// allocation (a page copy), which is one heap object where
+// sector-at-a-time would make eight. pa must be in bounds.
 func (m *Memory) wholeFrame(pa addr.PA) {
 	slots := m.frameSlots(pa)
 	if hasSector(slots) {
@@ -127,6 +174,30 @@ func (m *Memory) wholeFrame(pa addr.PA) {
 	m.touched++
 }
 
+// share points every slot of the frame at the page-aligned pa at the
+// pattern sector repeating v, dropping any sectors of its own. pa must be
+// in bounds.
+func (m *Memory) share(pa addr.PA, v uint64) {
+	p := m.patterns[v]
+	if p == nil {
+		p = new(sector)
+		for i := 0; i < sectorSize; i += 8 {
+			binary.LittleEndian.PutUint64(p[i:], v)
+		}
+		if m.patterns == nil {
+			m.patterns = make(map[uint64]*sector)
+		}
+		m.patterns[v] = p
+	}
+	slots := m.frameSlots(pa)
+	if !hasSector(slots) {
+		m.touched++
+	}
+	for i := range slots {
+		slots[i] = p
+	}
+}
+
 // zeroSector is what every untouched sector reads as. Nothing writes it.
 var zeroSector sector
 
@@ -135,7 +206,7 @@ var zeroSector sector
 // nor its leaf. pa must be in bounds.
 func (m *Memory) peek(pa addr.PA) *sector {
 	sn := uint64(pa) >> sectorBits
-	if leaf := m.dir[sn>>leafBits]; leaf != nil {
+	if leaf := m.leaf(sn); leaf != nil {
 		if s := leaf[sn&(leafSectors-1)]; s != nil {
 			return s
 		}
@@ -212,7 +283,9 @@ func (m *Memory) Write64(pa addr.PA, v uint64) error {
 
 // Fill64 stores v into n consecutive little-endian 64-bit words starting
 // at an 8-byte-aligned pa. The words must lie in one 4 KiB frame; table
-// builders use it to write a run of identical entries.
+// builders use it to write a run of identical entries. A fill of a whole
+// frame allocates nothing past the first frame filled with v: the frame
+// shares v's pattern sector until it is next written.
 func (m *Memory) Fill64(pa addr.PA, v uint64, n int) error {
 	if !addr.IsAligned(uint64(pa), 8) {
 		return fmt.Errorf("phys: misaligned 8-byte fill at %v", pa)
@@ -225,7 +298,8 @@ func (m *Memory) Fill64(pa addr.PA, v uint64, n int) error {
 		return &ErrBounds{PA: pa, N: size}
 	}
 	if size == addr.PageSize {
-		m.wholeFrame(pa)
+		m.share(pa, v)
+		return nil
 	}
 	for size > 0 {
 		off := uint64(pa & sectorMask)
@@ -287,13 +361,18 @@ func (m *Memory) Write8(pa addr.PA, v byte) error {
 // The kernel model uses it when handing out fresh frames, and the monitor
 // when it scrubs a released region. An untouched sector already reads as
 // zero, so only the sectors that exist are cleared, and an untouched frame
-// stays untouched.
+// stays untouched. A shared frame is pointed at the zero pattern instead:
+// clearing the sector it shares would clear every frame sharing it.
 func (m *Memory) ZeroPage(pa addr.PA) error {
 	if !addr.IsAligned(uint64(pa), addr.PageSize) {
 		return fmt.Errorf("phys: ZeroPage at unaligned %v", pa)
 	}
 	if !m.InBounds(pa, addr.PageSize) {
 		return &ErrBounds{PA: pa, N: addr.PageSize}
+	}
+	if s := m.peek(pa); s != &zeroSector && s == m.peek(pa+sectorSize) {
+		m.share(pa, 0)
+		return nil
 	}
 	for off := addr.PA(0); off < addr.PageSize; off += sectorSize {
 		if s := m.peek(pa + off); s != &zeroSector {

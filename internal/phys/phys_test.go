@@ -170,6 +170,37 @@ func TestScatteredWordsAllocateSectors(t *testing.T) {
 	}
 }
 
+// Whole frames filled with one word share one pattern sector, as the
+// monitor's all-DRAM grant fills its permission-table leaves: past the
+// first frame, a whole-frame fill allocates nothing, and every frame still
+// counts as touched and reads the word.
+func TestUniformFillsShareOneSector(t *testing.T) {
+	const frames = 64 // one leaf
+	m := New(4 * addr.MiB)
+	if err := m.Fill64(0, 7, addr.PageSize/8); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for f := addr.PA(1); f < frames; f++ {
+		if err := m.Fill64(f*addr.PageSize, 7, addr.PageSize/8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Errorf("%d more whole-frame fills of one word made %d allocations, want 0", frames-1, got)
+	}
+	if got := m.TouchedFrames(); got != frames {
+		t.Errorf("TouchedFrames = %d, want %d", got, frames)
+	}
+	for _, pa := range []addr.PA{0, 5*addr.PageSize + 8, frames*addr.PageSize - 8} {
+		if v, err := m.Read64(pa); err != nil || v != 7 {
+			t.Errorf("%v reads %d, %v; want 7", pa, v, err)
+		}
+	}
+}
+
 // A fresh frame already reads as zero, so ZeroPage leaves it untouched; a
 // ZeroPage of a frame already holding data clears it without counting it
 // again.

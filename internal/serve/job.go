@@ -41,7 +41,10 @@ type Request struct {
 	Trace bool `json:"trace,omitempty"`
 	// TraceEvery samples every Nth translation event (default 1).
 	TraceEvery int `json:"trace_every,omitempty"`
-	// TraceKeep bounds the per-experiment ring (default obs.DefaultRing).
+	// TraceKeep bounds the per-experiment ring (default obs.DefaultRing;
+	// a replay job's default is 16 events per trace event plus
+	// obs.DefaultRing, capped at obs.MaxRing). A full ring keeps the
+	// newest events.
 	TraceKeep int `json:"trace_keep,omitempty"`
 	// ID names the replay metrics source (default "replay"), mirroring
 	// the CLI's -id flag.
@@ -282,7 +285,7 @@ func (j *Job) executeReplay(ctx context.Context) error {
 	if j.Request.Trace {
 		keep := j.Request.TraceKeep
 		if keep <= 0 {
-			keep = 16*len(j.events) + 4096
+			keep = min(16*len(j.events)+4096, obs.MaxRing)
 		}
 		every := j.Request.TraceEvery
 		if every <= 0 {

@@ -242,6 +242,38 @@ func TestResolveBoundsTraceKeep(t *testing.T) {
 	}
 }
 
+// A traced replay job that leaves trace_keep at 0 sizes its ring from the
+// trace's length, but never past obs.MaxRing: the ring is allocated in
+// full before the replay, and a request near the body cap would otherwise
+// ask for hundreds of megabytes. A full ring keeps the newest events.
+func TestReplayDefaultRingIsBounded(t *testing.T) {
+	const n = 10000 // each replayed access emits several events
+	tr := obs.NewTracer(n, 1)
+	for i := 0; i < n; i++ {
+		tr.Emit(obs.Event{Kind: obs.KindAccess, VA: addr.VA(0x1000_0000 + i*addr.PageSize), PA: addr.PA(0x80_0000 + i*addr.PageSize)})
+	}
+	var trace bytes.Buffer
+	if err := obs.WriteTrace(&trace, "replay", tr); err != nil {
+		t.Fatal(err)
+	}
+	j := &Job{Request: Request{Kind: "replay", Trace: true, TraceJSONL: trace.String()}}
+	j.initEvents(8, time.Now)
+	if err := j.resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.executeReplay(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got := j.traces["replay"]
+	t.Logf("%d events seen, %d kept", got.Seen(), got.Kept())
+	if got.Seen() <= obs.MaxRing {
+		t.Fatalf("the replay emitted %d events, want more than obs.MaxRing (%d) for the bound to matter", got.Seen(), obs.MaxRing)
+	}
+	if got.Kept() > obs.MaxRing {
+		t.Errorf("a replay job with the default trace_keep kept %d events, want at most obs.MaxRing (%d)", got.Kept(), obs.MaxRing)
+	}
+}
+
 // The scalar replay drain is gone: a machine config that still asks for it
 // is an unknown field, rejected at submit time like any other, while the
 // same replay job without it is accepted.
