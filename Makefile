@@ -24,17 +24,22 @@ fmt-check:
 # the latency histogram's Observe (at the MMU access, the native walk,
 # the HPMP check and the PMPT walk) and physical memory's sector lookup
 # and its directory-page step must stay inlined into their callers; each lost inline adds a call to
-# every simulated memory reference or access. Fails naming the first call
-# the compiler (-gcflags=-m) no longer inlines.
+# every simulated memory reference or access. So must the workload-facing
+# Env.Compute (into the workloads' arrays) and the core's Compute (into
+# Env.Compute), so that its lockstep peer loop costs a run without peers
+# nothing. Fails naming the first call the compiler (-gcflags=-m) no
+# longer inlines.
 inline-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/cache ./internal/dram ./internal/assoc ./internal/phys \
-		./internal/mmu ./internal/ptw ./internal/hpmp ./internal/pmpt 2>&1) || { echo "$$out"; exit 1; }; \
+		./internal/mmu ./internal/ptw ./internal/hpmp ./internal/pmpt \
+		./internal/kernel ./internal/workloads 2>&1) || { echo "$$out"; exit 1; }; \
 	for want in 'internal/cache/cache.go:key' 'internal/cache/cache.go:lookup' \
 		'internal/cache/cache.go:(*Cache).set' 'internal/cache/cache.go:(*Cache).index' \
 		'internal/dram/dram.go:(*DRAM).bankAndRow' 'internal/assoc/assoc.go:(*Array).Lookup' \
 		'internal/mmu/mmu.go:stats.(*Histogram).Observe' 'internal/ptw/ptw.go:stats.(*Histogram).Observe' \
 		'internal/hpmp/hpmp.go:stats.(*Histogram).Observe' 'internal/pmpt/pmpt.go:stats.(*Histogram).Observe' \
-		'internal/phys/phys.go:(*Memory).leaf' 'internal/phys/phys.go:(*Memory).peek'; do \
+		'internal/phys/phys.go:(*Memory).leaf' 'internal/phys/phys.go:(*Memory).peek' \
+		'internal/workloads/workload.go:kernel.(*Env).Compute' 'internal/kernel/env.go:cpu.(*Core).Compute'; do \
 		file=$${want%%:*}; call="inlining call to $${want#*:}"; \
 		echo "$$out" | awk -v f="$$file:" -v c="$$call" \
 			'index($$0, f) == 1 && substr($$0, length($$0) - length(c) + 1) == c { ok = 1 } END { exit !ok }' || \
@@ -126,8 +131,9 @@ daemon-smoke:
 # cross-check, the leaf-table-at-a-time table builder
 # against its page-by-page reference, the trace reader, the shared LRU
 # array against its reference scan, the kernel's process lifecycle
-# against its value-and-pool model and the sectored physical memory
-# against a flat byte slice (go test -fuzz takes one target at a time).
+# against its value-and-pool model, the sectored physical memory
+# against a flat byte slice and the daemon's strict job decoder (every
+# body it accepts must validate; go test -fuzz takes one target at a time).
 # The weekly fuzz workflow overrides FUZZTIME for a longer soak.
 FUZZTIME ?= 30s
 fuzz:
@@ -139,6 +145,7 @@ fuzz:
 	$(GO) test ./internal/assoc -run '^$$' -fuzz FuzzCache -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kernel -run '^$$' -fuzz FuzzProcessLifecycle -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/phys -run '^$$' -fuzz FuzzMemory -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzJobRequest -fuzztime $(FUZZTIME)
 
 # Refresh the committed cross-commit metrics baseline (quick sizes, JSON
 # only — the Prometheus text is derived output). Run this when an

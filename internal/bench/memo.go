@@ -27,7 +27,9 @@ import (
 // leaves them out. The medium and heavy
 // experiments make each freshly booted system its own unit, so the label
 // names everything that system's run depends on beyond the platform (an
-// isolation label, and the workload, size or variant it runs). Every
+// isolation label, and the workload, size or variant it runs). A GAP or
+// RV8 unit is the exception: it runs one workload on the PMP, PMPT and
+// HPMP systems in lockstep, so its label is the workload alone. Every
 // field is comparable, so the key is its own map key; the platform is the
 // effective one, after any override, so fig17's explicit 8-entry PWC lands
 // on fig12ab's default-platform key.

@@ -290,7 +290,7 @@ func TestSuiteValuesAreShareable(t *testing.T) {
 	runMode := func(mode monitor.Mode, suite []workloads.Workload) (map[string]uint64, error) {
 		out := map[string]uint64{}
 		for _, w := range suite {
-			c, err := runSuiteWorkload(plat, mode, w, cfg)
+			c, _, err := runAlone(plat, mode, w, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hpmp/internal/cpu"
+	"hpmp/internal/kernel"
 	"hpmp/internal/monitor"
 	"hpmp/internal/stats"
 	"hpmp/internal/workloads"
@@ -36,52 +37,63 @@ func init() {
 	})
 }
 
-// suiteUnits declares one run-memo unit per (mode, workload), modes
-// outer: each runs one workload in a fresh long-lived process on a freshly
-// booted system and returns its cycles. Long-lived means one process per
+// suiteUnits declares one run-memo unit per workload. A unit boots the
+// PMP, PMPT and HPMP systems and runs the workload once, in a fresh
+// long-lived process on the PMP system, with the same process on the other
+// two systems as its lockstep peers (kernel.Env.Lockstep): the isolation
+// mode changes timing, never the program, so one functional run times all
+// three machines. The unit returns the three runs' cycles in AllModes
+// order. Each system is watched on its own, so the counters and histograms
+// are those of three separate runs. Long-lived means one process per
 // (mode, workload): the suite benchmarks run warm, unlike serverless.
-// Every mode's unit runs the same workload value, so a workload's Run
+// Units run concurrently on the same workload value, so a workload's Run
 // keeps its per-run state off the receiver.
-func suiteUnits(collector string, plat cpu.Platform, suite []workloads.Workload) []unit[uint64] {
-	var units []unit[uint64]
-	for _, mode := range AllModes {
-		for _, w := range suite {
-			units = append(units, unit[uint64]{memoKey{collector: collector, plat: plat, label: ModeNames[mode] + "/" + w.Name()},
-				func(cfg Config) (uint64, error) { return runSuiteWorkload(plat, mode, w, cfg) }})
-		}
+func suiteUnits(collector string, plat cpu.Platform, suite []workloads.Workload) []unit[[]uint64] {
+	var units []unit[[]uint64]
+	for _, w := range suite {
+		units = append(units, unit[[]uint64]{memoKey{collector: collector, plat: plat, label: w.Name()},
+			func(cfg Config) ([]uint64, error) { return runLockstep(plat, w, cfg) }})
 	}
 	return units
 }
 
-// suiteCycles is the inverse of suiteUnits' order: cycles[mode][workload]
-// from the values of one suite's units.
-func suiteCycles(suite []workloads.Workload, vals []uint64) map[monitor.Mode]map[string]uint64 {
+// suiteCycles turns one suite's unit values into cycles[mode][workload].
+func suiteCycles(suite []workloads.Workload, vals [][]uint64) map[monitor.Mode]map[string]uint64 {
 	out := map[monitor.Mode]map[string]uint64{}
 	for m, mode := range AllModes {
 		out[mode] = map[string]uint64{}
 		for j, w := range suite {
-			out[mode][w.Name()] = vals[m*len(suite)+j]
+			out[mode][w.Name()] = vals[j][m]
 		}
 	}
 	return out
 }
 
-// runSuiteWorkload boots one system under mode and runs w in a fresh
-// process on it, returning the run's cycles.
-func runSuiteWorkload(plat cpu.Platform, mode monitor.Mode, w workloads.Workload, cfg Config) (uint64, error) {
-	sys, err := NewSystem(plat, mode, cfg)
-	if err != nil {
-		return 0, err
+// runLockstep boots one system per isolation mode, in AllModes order, and
+// runs w once in a fresh process on the first, with the others' processes
+// as its lockstep peers. It returns each system's cycles for the run.
+func runLockstep(plat cpu.Platform, w workloads.Workload, cfg Config) ([]uint64, error) {
+	envs := make([]*kernel.Env, len(AllModes))
+	start := make([]uint64, len(AllModes))
+	for i, mode := range AllModes {
+		sys, err := NewSystem(plat, mode, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if envs[i], err = sys.NewEnv(w.Name(), 96*1024); err != nil {
+			return nil, err
+		}
+		start[i] = envs[i].Now()
 	}
-	e, err := sys.NewEnv(w.Name(), 96*1024)
-	if err != nil {
-		return 0, err
+	envs[0].Lockstep(envs[1:]...)
+	if _, err := w.Run(envs[0]); err != nil {
+		return nil, fmt.Errorf("%s under %v with lockstep peers: %w", w.Name(), AllModes[0], err)
 	}
-	start := sys.Mach.Core.Now
-	if _, err := w.Run(e); err != nil {
-		return 0, fmt.Errorf("%s under %v: %w", w.Name(), mode, err)
+	cycles := make([]uint64, len(envs))
+	for i, e := range envs {
+		cycles[i] = e.Now() - start[i]
 	}
-	return sys.Mach.Core.Now - start, nil
+	return cycles, nil
 }
 
 func rv8ForConfig(cfg Config) []workloads.Workload {
@@ -139,8 +151,8 @@ func runFig11a(cfg Config) (*Result, error) {
 }
 
 // CollectGAP runs the GAP suite on one platform, returning normalized
-// latencies (% of PMP). Each (mode, kernel) run is one run-memo unit,
-// shared by fig11bc and fig3b.
+// latencies (% of PMP). Each kernel's lockstep run of the three modes is
+// one run-memo unit, shared by fig11bc and fig3b.
 func CollectGAP(plat cpu.Platform, cfg Config) (map[string]map[monitor.Mode]float64, []string, error) {
 	suite := workloads.GAPSuite(gapScale(cfg))
 	vals, err := sharedUnits(cfg, suiteUnits("gap", plat, suite))
@@ -153,7 +165,7 @@ func CollectGAP(plat cpu.Platform, cfg Config) (map[string]map[monitor.Mode]floa
 
 // normalizeGAP turns one platform's GAP unit values into latencies
 // normalized to PMP, keyed by kernel, and the kernel names in suite order.
-func normalizeGAP(suite []workloads.Workload, vals []uint64) (map[string]map[monitor.Mode]float64, []string) {
+func normalizeGAP(suite []workloads.Workload, vals [][]uint64) (map[string]map[monitor.Mode]float64, []string) {
 	data := suiteCycles(suite, vals)
 	out := map[string]map[monitor.Mode]float64{}
 	var names []string
@@ -173,7 +185,7 @@ func normalizeGAP(suite []workloads.Workload, vals []uint64) (map[string]map[mon
 // the BOOM half does not wait for the Rocket half.
 func runFig11bc(cfg Config) (*Result, error) {
 	suite := workloads.GAPSuite(gapScale(cfg))
-	var units []unit[uint64]
+	var units []unit[[]uint64]
 	for _, p := range paperPlatforms {
 		units = append(units, suiteUnits("gap", p.plat, suite)...)
 	}

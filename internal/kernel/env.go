@@ -23,11 +23,22 @@ type Env struct {
 	// err is the first failed access (see Err).
 	err error
 
-	// Reusable scratch for batched block runs (Block/RunBlock): allocated
-	// once per Env and recycled, so converted workload loops stay
-	// allocation-light no matter how many blocks they submit.
-	blockOps []cpu.BlockRef
-	blockRes []mmu.Result
+	// peers are the environments driven in lockstep with this one (see
+	// Lockstep).
+	peers []*Env
+
+	// block is the reusable scratch for batched block runs
+	// (Block/RunBlock): allocated on the first Block and recycled, so
+	// converted workload loops stay allocation-light no matter how many
+	// blocks they submit. It sits behind a pointer so that an Env that runs
+	// no block, such as a short syscall child's, stays small.
+	block *blockScratch
+}
+
+// blockScratch is an Env's block scratch: ops and their results.
+type blockScratch struct {
+	ops []cpu.BlockRef
+	res []mmu.Result
 }
 
 // BlockMax is the largest block Env's batched helpers submit at once; it
@@ -39,22 +50,43 @@ const BlockMax = 256
 // calls — the previous block's contents are overwritten). Callers fill the
 // ops and hand both slices to RunBlock.
 func (e *Env) Block(n int) ([]cpu.BlockRef, []mmu.Result) {
-	if cap(e.blockOps) < n {
-		e.blockOps = make([]cpu.BlockRef, n)
-		e.blockRes = make([]mmu.Result, n)
+	if e.block == nil || cap(e.block.ops) < n {
+		e.block = &blockScratch{ops: make([]cpu.BlockRef, n), res: make([]mmu.Result, n)}
 	}
-	return e.blockOps[:n], e.blockRes[:n]
+	return e.block.ops[:n], e.block.res[:n]
 }
 
 // RunBlock executes ops as one batched block at user privilege with the
 // same demand-paging fault handling as the scalar Load/Store helpers,
 // writing per-op results into out, and returns Err(). out is valid only
-// when that is nil; once an access has failed, a block runs nothing. Ops
-// within a block must touch disjoint locations (see Kernel.accessBlock);
-// the converted loops in internal/workloads all do.
+// when that is nil; once an access has failed, a block runs nothing. An
+// op's Compute instructions retire once, then its access settles exactly
+// as a scalar access does; then the op runs on each peer.
+//
+// Ordering caveat: the caller applies each op's functional effect after the
+// block returns, so ops inside one block must not depend on memory written
+// by an earlier op of the same block. The converted loops in
+// internal/workloads (array fills, line chunk copies) all touch disjoint
+// locations per op.
 func (e *Env) RunBlock(ops []cpu.BlockRef, out []mmu.Result) error {
-	if e.err == nil {
-		e.Fail(e.K.accessBlock(ops, out, perm.U))
+	var res mmu.Result
+	for i := 0; i < len(ops) && e.err == nil; i++ {
+		op := &ops[i]
+		if op.Compute > 0 {
+			e.K.Mach.Core.Compute(op.Compute)
+		}
+		if e.Fail(e.K.settle(op.VA, op.Kind, perm.U, &out[i])) {
+			break
+		}
+		for _, p := range e.peers {
+			if op.Compute > 0 {
+				p.K.Mach.Core.Compute(op.Compute)
+			}
+			if err := p.K.settle(op.VA, op.Kind, perm.U, &res); err != nil {
+				e.failPeer(p, err)
+				break
+			}
+		}
 	}
 	return e.err
 }
@@ -69,8 +101,32 @@ func (k *Kernel) NewEnv(p *Process) (*Env, error) {
 	return &Env{K: k, P: p}, nil
 }
 
+// Lockstep makes e drive peers: every timed access, block, Compute, Alloc,
+// Touch and PrefaultQuiet on e also runs on each peer's kernel right after
+// it runs on e's, one access at a time. So one functional run of a program
+// times it on several machines, for instance the same workload under
+// several isolation modes, whose programs are identical. Data lives in e's
+// memory only: a peer translates and times each access but never reads or
+// writes the data, so its frames hold zeros. Each peer must be a fresh
+// process whose address space matches e's (same image, same kernel
+// configuration); Alloc checks that every peer maps the leader's VA. A
+// peer's failure fails e and names the peer's isolation mode. Only these
+// Env methods fan out: kernel calls that take an Env (syscalls, hints)
+// act on e's kernel alone.
+func (e *Env) Lockstep(peers ...*Env) { e.peers = peers }
+
+// failPeer records peer p's failure as e's, naming p's isolation mode.
+func (e *Env) failPeer(p *Env, err error) {
+	e.Fail(fmt.Errorf("kernel: %s peer: %w", p.K.modeName(), err))
+}
+
 // Compute retires n user instructions.
-func (e *Env) Compute(n uint64) { e.K.Mach.Core.Compute(n) }
+func (e *Env) Compute(n uint64) {
+	e.K.Mach.Core.Compute(n)
+	for _, p := range e.peers {
+		p.K.Mach.Core.Compute(n)
+	}
+}
 
 // Now returns the current core cycle.
 func (e *Env) Now() uint64 { return e.K.Mach.Core.Now }
@@ -109,7 +165,22 @@ func (e *Env) access(va addr.VA, kind perm.Access) (pa addr.PA, ok bool) {
 		return 0, false
 	}
 	pa, err := e.K.access(va, kind, perm.U)
-	return pa, !e.Fail(err)
+	if e.Fail(err) || len(e.peers) > 0 && !e.accessPeers(va, kind) {
+		return 0, false
+	}
+	return pa, true
+}
+
+// accessPeers runs access's user access on every peer, in order, and
+// reports whether all of them settled.
+func (e *Env) accessPeers(va addr.VA, kind perm.Access) bool {
+	for _, p := range e.peers {
+		if _, err := p.K.access(va, kind, perm.U); err != nil {
+			e.failPeer(p, err)
+			return false
+		}
+	}
+	return true
 }
 
 // Load64 reads an 8-byte word at va.
@@ -234,37 +305,64 @@ func (e *Env) FetchAt(va addr.VA) { e.access(va, perm.Fetch) }
 // malloc backed by mmap). Memory is demand-faulted on first touch.
 func (e *Env) Alloc(bytes uint64) addr.VA {
 	pages := int(addr.AlignUp(bytes, addr.PageSize) / addr.PageSize)
-	return e.P.MMap(pages, perm.RW)
+	va := e.P.MMap(pages, perm.RW)
+	for _, p := range e.peers {
+		if got := p.P.MMap(pages, perm.RW); got != va {
+			e.failPeer(p, fmt.Errorf("alloc mapped %v, leader %v", got, va))
+		}
+	}
+	return va
 }
 
 // PrefaultQuiet maps a range without charging any cycles — the state a
 // snapshot-restored (or forked-from-template) serverless runtime starts
 // with: memory present, translations cold. Only page-table state is
-// created; the core clock does not advance.
+// created; no core clock advances.
 func (e *Env) PrefaultQuiet(va addr.VA, bytes uint64) error {
-	before := e.K.Mach.Core.Now
+	before := e.Now()
+	peersBefore := make([]uint64, len(e.peers))
+	for i, p := range e.peers {
+		peersBefore[i] = p.Now()
+	}
 	if err := e.Touch(va, bytes); err != nil {
 		return err
 	}
 	e.K.Mach.Core.Now = before
+	for i, p := range e.peers {
+		p.K.Mach.Core.Now = peersBefore[i]
+	}
 	return nil
 }
 
-// Touch pre-faults a range without timing (experiment setup). A failure
-// is recorded like a failed access's, and after one Touch does nothing.
+// Touch pre-faults a range without timing (experiment setup), page by
+// page on e and then on each peer. A failure is recorded like a failed
+// access's, and after one Touch does nothing.
 func (e *Env) Touch(va addr.VA, bytes uint64) error {
 	if e.err != nil {
 		return e.err
 	}
 	for off := uint64(0); off < bytes; off += addr.PageSize {
 		page := (va + addr.VA(off)).PageBase()
-		if _, ok := e.P.pages[page]; ok {
-			continue
-		}
-		if err := e.K.HandleFault(e.P, page, perm.Write); err != nil {
-			e.Fail(fmt.Errorf("touch %v: %w", page, err))
+		if e.Fail(e.touchPage(page)) {
 			return e.err
 		}
+		for _, p := range e.peers {
+			if err := p.touchPage(page); err != nil {
+				e.failPeer(p, err)
+				return e.err
+			}
+		}
+	}
+	return nil
+}
+
+// touchPage faults in one page of e's process unless it is mapped.
+func (e *Env) touchPage(page addr.VA) error {
+	if _, ok := e.P.pages[page]; ok {
+		return nil
+	}
+	if err := e.K.HandleFault(e.P, page, perm.Write); err != nil {
+		return fmt.Errorf("touch %v: %w", page, err)
 	}
 	return nil
 }

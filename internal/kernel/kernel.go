@@ -235,27 +235,13 @@ func (k *Kernel) access(va addr.VA, kind perm.Access, priv perm.Priv) (addr.PA, 
 	return res.PA, nil
 }
 
-// accessBlock runs ops back to back at the given privilege, writing each
-// op's settled result into out (len(out) must be >= len(ops)): an op's
-// Compute instructions retire once, then its access settles exactly as a
-// scalar access does.
-//
-// Ordering caveat (why this stays internal plus the Env wrappers): the
-// functional effect of each op is applied by the caller after the block
-// returns, so ops inside one block must not depend on memory written by an
-// earlier op of the same block. Every converted loop (array fills, line
-// chunk copies) touches disjoint locations per op.
-func (k *Kernel) accessBlock(ops []cpu.BlockRef, out []mmu.Result, priv perm.Priv) error {
-	for i := range ops {
-		op := &ops[i]
-		if op.Compute > 0 {
-			k.Mach.Core.Compute(op.Compute)
-		}
-		if err := k.settle(op.VA, op.Kind, priv, &out[i]); err != nil {
-			return err
-		}
+// modeName names the kernel's isolation mode: the monitor's, or Host-PMP
+// when no monitor is deployed.
+func (k *Kernel) modeName() string {
+	if k.Mon == nil {
+		return "Host-PMP"
 	}
-	return nil
+	return k.Mon.Mode().String()
 }
 
 // settle is the one demand-paging step behind every simulated access: it

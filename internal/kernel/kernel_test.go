@@ -91,7 +91,7 @@ func TestBytesAcrossPages(t *testing.T) {
 	}
 	// The copies span six cache lines, so the block scratch holds six
 	// ops, not BlockMax.
-	if n := cap(e.blockOps); n != 6 {
+	if n := cap(e.block.ops); n != 6 {
 		t.Errorf("block scratch holds %d ops after 300-byte copies over six lines, want 6", n)
 	}
 }
@@ -415,5 +415,54 @@ func TestMUnmapSharedCoWFrames(t *testing.T) {
 	v, err := ce.Load64(base), ce.Err()
 	if err != nil || v != 0x11 {
 		t.Errorf("child lost its CoW frame: %#x %v", v, err)
+	}
+}
+
+// TestLockstepPeers: a leader Env drives its peers' kernels through every
+// access while the data stays in the leader's memory, and a peer's
+// failure fails the leader, naming the peer's mode.
+func TestLockstepPeers(t *testing.T) {
+	lockstep := func() (*Env, []*Env) {
+		e := spawnEnv(t, bootKernel(t, monitor.ModePMP))
+		peers := []*Env{spawnEnv(t, bootKernel(t, monitor.ModePMPT)), spawnEnv(t, bootKernel(t, monitor.ModeHPMP))}
+		e.Lockstep(peers...)
+		return e, peers
+	}
+
+	e, peers := lockstep()
+	start := []uint64{peers[0].Now(), peers[1].Now()}
+	va := e.Alloc(addr.PageSize)
+	e.Compute(10)
+	e.Store64(va, 0xfeedface)
+	if v := e.Load64(va); v != 0xfeedface || e.Err() != nil {
+		t.Fatalf("leader load = %#x, err %v", v, e.Err())
+	}
+	for i, p := range peers {
+		m, ok := p.P.pages[va]
+		if !ok {
+			t.Fatalf("peer %d never faulted in the leader's page", i)
+		}
+		if v, err := p.K.Mach.Mem.Read64(m.pa); err != nil || v != 0 {
+			t.Errorf("peer %d holds %#x (err %v), want the data in the leader only", i, v, err)
+		}
+		if p.Now() <= start[i] {
+			t.Errorf("peer %d clock did not advance", i)
+		}
+	}
+
+	// A VMA only the leader has: the leader's access works, the PMPT
+	// peer's segfaults.
+	lonely := e.P.MMap(1, perm.RW)
+	e.Store64(lonely, 1)
+	if err := e.Err(); err == nil || !strings.Contains(err.Error(), "PMPT peer") || !strings.Contains(err.Error(), "segfault") {
+		t.Errorf("Err() = %v, want the PMPT peer's segfault", err)
+	}
+
+	// A peer whose mmap cursor has moved maps Alloc elsewhere.
+	e, peers = lockstep()
+	peers[1].P.MMap(1, perm.RW)
+	e.Alloc(addr.PageSize)
+	if err := e.Err(); err == nil || !strings.Contains(err.Error(), "HPMP peer") {
+		t.Errorf("Err() = %v, want the HPMP peer's alloc mismatch", err)
 	}
 }

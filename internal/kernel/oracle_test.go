@@ -7,7 +7,7 @@ package kernel
 // until an op faulted (refRunBlock), handled the fault, and resumed at the
 // faulted op with its Compute count zeroed. TestSettleDifferential drives
 // twin booted systems through the same seeded sequences, one through settle
-// (access, accessBlock) and one through the reference, and compares the
+// (access, RunBlock) and one through the reference, and compares the
 // two after every op.
 
 import (

@@ -269,6 +269,9 @@ func Boot(mach *cpu.Machine, cfg Config) (*Monitor, error) {
 
 func (m *Monitor) tableMode() bool { return m.cfg.Mode != ModePMP }
 
+// Mode returns the isolation mode the monitor was booted with.
+func (m *Monitor) Mode() Mode { return m.cfg.Mode }
+
 // Current returns the running domain.
 func (m *Monitor) Current() DomainID { return m.current }
 

@@ -292,16 +292,26 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJob is the admission check of every submitted job: it decodes the
+// body strictly (an unknown field is an error) and resolves the request.
+// A body it refuses is a 400 and never queued.
+func decodeJob(body io.Reader) (*Job, error) {
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "serve: parsing job: %v", err)
-		return
+		return nil, fmt.Errorf("serve: parsing job: %w", err)
 	}
 	j := &Job{Request: req, done: make(chan struct{})}
 	if err := j.resolve(); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	j, err := decodeJob(http.MaxBytesReader(w, r.Body, 64<<20))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -329,7 +339,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.nextID-- // rejected submissions don't consume IDs
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", "1")
-		s.log.Warn("queue full, job rejected", "kind", req.Kind, "depth", cap(s.queue))
+		s.log.Warn("queue full, job rejected", "kind", j.Request.Kind, "depth", cap(s.queue))
 		httpError(w, http.StatusServiceUnavailable,
 			"serve: queue full (%d deep); retry later", cap(s.queue))
 		return

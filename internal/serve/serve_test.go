@@ -19,6 +19,7 @@ import (
 	"hpmp/internal/addr"
 	"hpmp/internal/bench"
 	"hpmp/internal/obs"
+	"hpmp/internal/simcfg"
 )
 
 // testServer boots a daemon with its HTTP front end and registers
@@ -152,11 +153,10 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
-func TestSubmitRejectsInvalid(t *testing.T) {
-	_, ts := testServer(t, Options{Workers: 1, QueueDepth: 2})
-	cases := []struct {
-		name, body string
-	}{
+// invalidJobs is one request body per way a submission can be refused
+// with 400, including each workload knob one above its ceiling.
+func invalidJobs(t testing.TB) []struct{ name, body string } {
+	cases := []struct{ name, body string }{
 		{"bad-kind", `{"kind":"benchmark"}`},
 		{"no-experiments", `{"kind":"run"}`},
 		{"unknown-experiment", `{"kind":"run","experiments":["fig99"]}`},
@@ -172,7 +172,15 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 		{"replay-l2tlb-not-pow2", replayJob(t, `{"l2tlb":3}`)},
 		{"not-json", `kind=run`},
 	}
-	for _, tc := range cases {
+	for _, c := range workloadCeilings {
+		cases = append(cases, struct{ name, body string }{"over-ceiling-" + c.knob, workloadJob(c.knob, c.max+1)})
+	}
+	return cases
+}
+
+func TestSubmitRejectsInvalid(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1, QueueDepth: 2})
+	for _, tc := range invalidJobs(t) {
 		_, resp := postJob(t, ts, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", tc.name, resp.StatusCode)
@@ -183,6 +191,22 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted || st.ID != "job-1" {
 		t.Fatalf("first valid job got %q (HTTP %d), want job-1", st.ID, resp.StatusCode)
 	}
+}
+
+// workloadCeilings is each WorkloadScale knob's JSON name and ceiling.
+var workloadCeilings = []struct {
+	knob string
+	max  int
+}{
+	{"redis_keyspace", simcfg.MaxRedisKeyspace},
+	{"redis_requests", simcfg.MaxRedisRequests},
+	{"serverless_reps", simcfg.MaxServerlessReps},
+	{"cold_starts", simcfg.MaxColdStarts},
+}
+
+// workloadJob is a run job body setting one workload knob.
+func workloadJob(knob string, v int) string {
+	return fmt.Sprintf(`{"kind":"run","experiments":["fig10"],"workload":{%q:%d}}`, knob, v)
 }
 
 // A run job's experiments pick their own platform, mode and geometry, so a
@@ -205,7 +229,7 @@ func TestRunJobRejectsIgnoredMachineFields(t *testing.T) {
 
 // replayJob returns the body of a replay job on the given machine config
 // whose trace is one access.
-func replayJob(t *testing.T, machine string) string {
+func replayJob(t testing.TB, machine string) string {
 	t.Helper()
 	tr := obs.NewTracer(4, 1)
 	tr.Emit(obs.Event{Kind: obs.KindAccess, VA: 0x1000_0000, PA: 0x80_0000})

@@ -145,6 +145,19 @@ func TestWorkloadScaleValidate(t *testing.T) {
 	if err := (WorkloadScale{RedisKeyspace: -1}).Validate(); err == nil {
 		t.Fatal("negative scale must be rejected")
 	}
+	top := WorkloadScale{RedisKeyspace: MaxRedisKeyspace, RedisRequests: MaxRedisRequests,
+		ServerlessReps: MaxServerlessReps, ColdStarts: MaxColdStarts}
+	if err := top.Validate(); err != nil {
+		t.Fatalf("every knob at its ceiling must validate: %v", err)
+	}
+	for _, over := range []WorkloadScale{
+		{RedisKeyspace: MaxRedisKeyspace + 1}, {RedisRequests: MaxRedisRequests + 1},
+		{ServerlessReps: MaxServerlessReps + 1}, {ColdStarts: MaxColdStarts + 1},
+	} {
+		if err := over.Validate(); err == nil {
+			t.Errorf("%+v above its ceiling must be rejected", over)
+		}
+	}
 	if Or(0, 7) != 7 || Or(3, 7) != 3 {
 		t.Fatal("Or override semantics wrong")
 	}

@@ -23,19 +23,32 @@ type WorkloadScale struct {
 	ColdStarts int `json:"cold_starts,omitempty"`
 }
 
-// Validate rejects negative scales.
+// The largest value each WorkloadScale knob accepts. A daemon tenant sets
+// them, and an experiment's simulated work grows with each knob except the
+// keyspace, which only widens the keys' range; the ceilings keep one job
+// within minutes while admitting every size the repo runs (the tier
+// defaults, the daemon walkthrough's 100 requests and a million-key
+// keyspace).
+const (
+	MaxRedisKeyspace  = 1 << 20
+	MaxRedisRequests  = 1000
+	MaxServerlessReps = 64
+	MaxColdStarts     = 1024
+)
+
+// Validate rejects negative scales and scales above their ceilings.
 func (w WorkloadScale) Validate() error {
 	for _, f := range []struct {
-		name string
-		v    int
+		name   string
+		v, max int
 	}{
-		{"redis_keyspace", w.RedisKeyspace},
-		{"redis_requests", w.RedisRequests},
-		{"serverless_reps", w.ServerlessReps},
-		{"cold_starts", w.ColdStarts},
+		{"redis_keyspace", w.RedisKeyspace, MaxRedisKeyspace},
+		{"redis_requests", w.RedisRequests, MaxRedisRequests},
+		{"serverless_reps", w.ServerlessReps, MaxServerlessReps},
+		{"cold_starts", w.ColdStarts, MaxColdStarts},
 	} {
-		if f.v < 0 {
-			return fmt.Errorf("simcfg: workload scale %s must be >= 0 (got %d)", f.name, f.v)
+		if f.v < 0 || f.v > f.max {
+			return fmt.Errorf("simcfg: workload scale %s must be in [0, %d] (got %d)", f.name, f.max, f.v)
 		}
 	}
 	return nil
