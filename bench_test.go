@@ -713,7 +713,6 @@ func pmptWalkRig(tb testing.TB) (*pmpt.Walker, addr.PA, addr.Range, addr.PA) {
 		tb.Fatal(err)
 	}
 	cache := pmpt.NewWalkerCache(8)
-	cache.Enabled = true
 	w := pmpt.NewWalker(&memport.Flat{Mem: mem, Latency: 10}, cache)
 	res, err := w.Walk(tbl.RootBase(), region, pa, 0)
 	if err != nil || !res.Valid {

@@ -31,6 +31,10 @@ func init() {
 	})
 }
 
+// fig16CacheEntries is the PMPTW-Cache size of Fig. 16: the paper's
+// prototype has 8 entries (§8.9).
+const fig16CacheEntries = 8
+
 // fragProbe measures the total latency of touching nPages pages under a
 // VA/PA layout combination, after pre-faulting them (so the measurement is
 // pure translation + data, no page-fault handling).
@@ -38,7 +42,8 @@ func init() {
 //   - fragVA: consecutive accesses jump 8 GiB + 4 KiB apart (the paper's
 //     Fragmented-VA recipe) instead of walking adjacent pages.
 //   - fragPA: the kernel's frame allocator hands out scattered frames.
-//   - pmptwCache: enables the PMPTW-Cache (Fig. 16).
+//   - pmptwCache: attaches a fig16CacheEntries-entry PMPTW-Cache after
+//     boot (Fig. 16).
 func fragProbe(mode monitor.Mode, fragVA, fragPA, pmptwCache bool, nPages int, cfg Config) (uint64, error) {
 	kcfg := kernel.DefaultConfig(cfg.MemSize)
 	kcfg.ScatterFrames = fragPA
@@ -55,7 +60,9 @@ func fragProbe(mode monitor.Mode, fragVA, fragPA, pmptwCache bool, nPages int, c
 	if err != nil {
 		return 0, err
 	}
-	mach.PMPTWCache.Enabled = pmptwCache
+	if pmptwCache {
+		mach.AttachPMPTWCache(fig16CacheEntries)
+	}
 
 	// Build the VA list.
 	vas := make([]addr.VA, nPages)

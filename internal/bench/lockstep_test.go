@@ -30,6 +30,27 @@ func runAlone(plat cpu.Platform, mode monitor.Mode, w workloads.Workload, cfg Co
 	return sys.Mach.Core.Now - start, sys, nil
 }
 
+// checkFig8Shape checks Figure 8's shape on one workload's lockstep
+// systems, whose counter snapshots snaps are in AllModes order (PMP, PMPT,
+// HPMP): every mode fetches the same PTEs, PMP fetches no pmpte, and HPMP
+// makes at most PMPT's pmpte fetches and permission-table checks.
+func checkFig8Shape(t *testing.T, snaps []map[string]uint64) {
+	t.Helper()
+	pmp, pmpt, hp := snaps[0], snaps[1], snaps[2]
+	if pte := pmp["ptw.pte_fetch"]; pte == 0 || pmpt["ptw.pte_fetch"] != pte || hp["ptw.pte_fetch"] != pte {
+		t.Errorf("ptw.pte_fetch %d/%d/%d (PMP/PMPT/HPMP), want equal and nonzero",
+			pte, pmpt["ptw.pte_fetch"], hp["ptw.pte_fetch"])
+	}
+	if n := pmp["pmptw.mem_ref"]; n != 0 {
+		t.Errorf("PMP: pmptw.mem_ref = %d, want 0", n)
+	}
+	for _, name := range []string{"pmptw.mem_ref", "hpmp.table_check"} {
+		if hp[name] > pmpt[name] {
+			t.Errorf("%s: HPMP %d > PMPT %d", name, hp[name], pmpt[name])
+		}
+	}
+}
+
 // systemSnapshot is one system's counters (values and first-use order,
 // as Counters.String renders them) and latency histograms.
 func systemSnapshot(s *System) (string, map[string]*stats.Histogram) {
@@ -43,8 +64,9 @@ func systemSnapshot(s *System) (string, map[string]*stats.Histogram) {
 // exactly as a system running the workload alone does. For every quick GAP
 // and RV8 workload on both platforms, each mode's cycles, whole counter
 // snapshot and histograms must equal those of runAlone. An Env method that
-// did not fan out to the peers (Touch, Compute, Alloc, a block or an
-// access) would leave a peer's machine behind the leader's.
+// did not fan out to the peers (Touch, Compute, Alloc or an access) would
+// leave a peer's machine behind the leader's. The lockstep systems must
+// also show Figure 8's shape (checkFig8Shape).
 func TestLockstepMatchesSeparateRuns(t *testing.T) {
 	cfg := quickConfig()
 	suites := []struct {
@@ -68,7 +90,11 @@ func TestLockstepMatchesSeparateRuns(t *testing.T) {
 					if len(cycles) != len(AllModes) || len(ob.parts) != len(AllModes) {
 						t.Fatalf("%d cycle counts and %d systems, want %d each", len(cycles), len(ob.parts), len(AllModes))
 					}
+					snaps := make([]map[string]uint64, len(AllModes))
 					for i, mode := range AllModes {
+						var c stats.Counters
+						ob.parts[i].(*System).mergeInto(&c, map[string]*stats.Histogram{})
+						snaps[i] = c.Snapshot()
 						want, ref, err := runAlone(p.plat, mode, w, cfg)
 						if err != nil {
 							t.Fatal(err)
@@ -85,6 +111,7 @@ func TestLockstepMatchesSeparateRuns(t *testing.T) {
 							t.Errorf("%v: histograms differ between lockstep and a run alone", mode)
 						}
 					}
+					checkFig8Shape(t, snaps)
 				})
 			}
 		}

@@ -112,11 +112,9 @@ func (c *Core) Access(va addr.VA, k perm.Access, priv perm.Priv, out *mmu.Result
 	return nil
 }
 
-// BlockRef is one operation of a batched block (kernel.Env.RunBlock): an
-// optional run of ALU instructions retired before one memory access. The Compute field lets a
-// converted workload loop keep its exact per-element instruction stream
-// (e.g. U64Array.Set retires 2 instructions before each store), so cycle
-// accounting is bit-identical to the scalar path.
+// BlockRef is one operation of a kernel.Env.RunBlock block: Compute ALU
+// instructions retired before one memory access, exactly as an Env.Compute
+// call followed by a scalar Env access retires them.
 type BlockRef struct {
 	VA      addr.VA
 	Kind    perm.Access

@@ -22,9 +22,6 @@ type Platform struct {
 	L2  cache.Config
 	LLC cache.Config
 	MMU mmu.Config
-	// PMPTWCacheEntries sizes the PMPTW cache; it is built disabled, as in
-	// the paper's default methodology (§7), and experiments enable it.
-	PMPTWCacheEntries int
 	// PMPEntries sizes the PMP/HPMP bank (0 → the base 16; 64 models the
 	// ePMP extension of §4.3).
 	PMPEntries int
@@ -43,8 +40,6 @@ func RocketPlatform() Platform {
 		L2:   cache.Config{Name: "l2", Size: 128 * addr.KiB, Ways: 8, Latency: 12},
 		LLC:  cache.Config{Name: "llc", Size: 1 * addr.MiB, Ways: 8, Latency: 26},
 		MMU:  rocketMMU(),
-
-		PMPTWCacheEntries: 8,
 	}
 }
 
@@ -69,8 +64,6 @@ func BOOMPlatform() Platform {
 		L2:   cache.Config{Name: "l2", Size: 128 * addr.KiB, Ways: 8, Latency: 21},
 		LLC:  cache.Config{Name: "llc", Size: 1 * addr.MiB, Ways: 8, Latency: 42},
 		MMU:  boomMMU(),
-
-		PMPTWCacheEntries: 8,
 	}
 }
 
@@ -85,8 +78,8 @@ type Machine struct {
 	Checker *hpmp.Checker
 	MMU     *mmu.MMU
 	Core    *Core
-	// PMPTWCache is the walker cache instance (disabled by default; nil
-	// without isolation).
+	// PMPTWCache is the permission-table walker's cache: nil until
+	// AttachPMPTWCache, as in the paper's default methodology (§7).
 	PMPTWCache *pmpt.WalkerCache
 }
 
@@ -94,8 +87,9 @@ type Machine struct {
 // An isolated machine has an HPMP checker that starts with every entry
 // off: until the monitor programs it, S/U accesses are denied — exactly
 // the secure-boot posture. A machine that is not isolated has no checker
-// and no PMPTW cache (Fig. 2-a). Either way the page-table and
-// permission-table walkers fetch through a port that skips the L1D.
+// (Fig. 2-a). No machine has a PMPTW cache until AttachPMPTWCache. Either
+// way the page-table and permission-table walkers fetch through a port that
+// skips the L1D.
 func NewMachine(plat Platform, memSize uint64, isolated bool) *Machine {
 	mem := phys.New(memSize)
 	hier := cache.NewHierarchy(cache.New(plat.L1D), cache.New(plat.L2), cache.New(plat.LLC),
@@ -107,12 +101,22 @@ func NewMachine(plat Platform, memSize uint64, isolated bool) *Machine {
 		if nEntries == 0 {
 			nEntries = 16
 		}
-		m.PMPTWCache = pmpt.NewWalkerCache(plat.PMPTWCacheEntries)
-		m.Checker = hpmp.NewSized(pmpt.NewWalker(walkerPort, m.PMPTWCache), nEntries)
+		m.Checker = hpmp.NewSized(pmpt.NewWalker(walkerPort, nil), nEntries)
 	}
 	m.MMU = mmu.New(plat.MMU, hier, m.Checker, walkerPort)
 	m.Core = NewCore(plat.Core, m.MMU)
 	return m
+}
+
+// AttachPMPTWCache gives the machine's permission-table walker a fresh
+// PMPTW cache of entries entries (§8.9). A machine without isolation has no
+// walker and keeps no cache.
+func (m *Machine) AttachPMPTWCache(entries int) {
+	if m.Checker == nil {
+		return
+	}
+	m.PMPTWCache = pmpt.NewWalkerCache(entries)
+	m.Checker.Walker.Cache = m.PMPTWCache
 }
 
 // SetTracer attaches (or, with nil, detaches) an observability tracer to

@@ -237,7 +237,6 @@ func TestModeSwitchSameEntry(t *testing.T) {
 func TestFlushWalkerCache(t *testing.T) {
 	e := newEnv(t)
 	cache := pmpt.NewWalkerCache(8)
-	cache.Enabled = true
 	e.chk.Walker.Cache = cache
 	region := addr.Range{Base: 0x1000_0000, Size: 32 * addr.MiB}
 	tbl := e.newTable(t, region)

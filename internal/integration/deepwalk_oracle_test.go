@@ -47,7 +47,6 @@ func TestDeepWalkerOracle(t *testing.T) {
 	}
 
 	cache := pmpt.NewWalkerCache(8)
-	cache.Enabled = true
 	w := pmpt.NewWalker(&memport.Flat{Mem: mem, Latency: 9}, cache)
 
 	probeBases := []addr.PA{

@@ -67,12 +67,11 @@ func matrixVariants() []simcfg.Machine {
 		}
 	}
 	// Degenerate geometry: every cache structure absent (no L2 TLB, no PWC,
-	// zero-capacity PMPTW cache) on a table-walking mode.
+	// no PMPTW cache) on a table-walking mode.
 	deg := base
 	deg.Mode = simcfg.ModePMPT
 	deg.L2TLBEntries = -1
 	deg.PWCEntries = -1
-	deg.PMPTWCache = -1
 	out = append(out, deg)
 	// PMPTW cache enabled (the §7 sensitivity config).
 	wc := base

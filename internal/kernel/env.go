@@ -26,67 +26,20 @@ type Env struct {
 	// peers are the environments driven in lockstep with this one (see
 	// Lockstep).
 	peers []*Env
-
-	// block is the reusable scratch for batched block runs
-	// (Block/RunBlock): allocated on the first Block and recycled, so
-	// converted workload loops stay allocation-light no matter how many
-	// blocks they submit. It sits behind a pointer so that an Env that runs
-	// no block, such as a short syscall child's, stays small.
-	block *blockScratch
 }
 
-// blockScratch is an Env's block scratch: ops and their results.
-type blockScratch struct {
-	ops []cpu.BlockRef
-	res []mmu.Result
-}
-
-// BlockMax is the largest block Env's batched helpers submit at once; it
-// bounds the scratch footprint while still amortizing per-call overhead
-// across hundreds of references.
-const BlockMax = 256
-
-// Block returns scratch ops/results slices of length n (reused across
-// calls — the previous block's contents are overwritten). Callers fill the
-// ops and hand both slices to RunBlock.
-func (e *Env) Block(n int) ([]cpu.BlockRef, []mmu.Result) {
-	if e.block == nil || cap(e.block.ops) < n {
-		e.block = &blockScratch{ops: make([]cpu.BlockRef, n), res: make([]mmu.Result, n)}
-	}
-	return e.block.ops[:n], e.block.res[:n]
-}
-
-// RunBlock executes ops as one batched block at user privilege with the
-// same demand-paging fault handling as the scalar Load/Store helpers,
-// writing per-op results into out, and returns Err(). out is valid only
-// when that is nil; once an access has failed, a block runs nothing. An
-// op's Compute instructions retire once, then its access settles exactly
-// as a scalar access does; then the op runs on each peer.
-//
-// Ordering caveat: the caller applies each op's functional effect after the
-// block returns, so ops inside one block must not depend on memory written
-// by an earlier op of the same block. The converted loops in
-// internal/workloads (array fills, line chunk copies) all touch disjoint
-// locations per op.
+// RunBlock runs ops in order at user privilege, writing each op's result
+// into out, and returns Err(). An op retires its Compute instructions, then
+// takes the same timed step as a scalar access. out is valid only when Err()
+// is nil; once an access has failed, a block runs nothing. No workload
+// submits blocks: RunBlock stays for cmd/hpmpbench's cpu.runblock_ns_per_op
+// probe.
 func (e *Env) RunBlock(ops []cpu.BlockRef, out []mmu.Result) error {
-	var res mmu.Result
 	for i := 0; i < len(ops) && e.err == nil; i++ {
-		op := &ops[i]
-		if op.Compute > 0 {
-			e.K.Mach.Core.Compute(op.Compute)
+		if ops[i].Compute > 0 {
+			e.Compute(ops[i].Compute)
 		}
-		if e.Fail(e.K.settle(op.VA, op.Kind, perm.U, &out[i])) {
-			break
-		}
-		for _, p := range e.peers {
-			if op.Compute > 0 {
-				p.K.Mach.Core.Compute(op.Compute)
-			}
-			if err := p.K.settle(op.VA, op.Kind, perm.U, &res); err != nil {
-				e.failPeer(p, err)
-				break
-			}
-		}
+		e.access(ops[i].VA, ops[i].Kind, &out[i])
 	}
 	return e.err
 }
@@ -101,7 +54,7 @@ func (k *Kernel) NewEnv(p *Process) (*Env, error) {
 	return &Env{K: k, P: p}, nil
 }
 
-// Lockstep makes e drive peers: every timed access, block, Compute, Alloc,
+// Lockstep makes e drive peers: every timed access, Compute, Alloc,
 // Touch and PrefaultQuiet on e also runs on each peer's kernel right after
 // it runs on e's, one access at a time. So one functional run of a program
 // times it on several machines, for instance the same workload under
@@ -158,24 +111,16 @@ func (e *Env) Fail(err error) bool {
 	return e.err != nil
 }
 
-// access runs one timed user access at va and returns its PA; ok is false
-// once the environment has failed.
-func (e *Env) access(va addr.VA, kind perm.Access) (pa addr.PA, ok bool) {
-	if e.err != nil {
-		return 0, false
+// access is the one timed-access step: it settles a user access at va on
+// e's kernel into *res, then runs the same access on each peer, and reports
+// whether all of them settled. It does nothing once e has failed.
+func (e *Env) access(va addr.VA, kind perm.Access, res *mmu.Result) bool {
+	if e.err != nil || e.Fail(e.K.settle(va, kind, perm.U, res)) {
+		return false
 	}
-	pa, err := e.K.access(va, kind, perm.U)
-	if e.Fail(err) || len(e.peers) > 0 && !e.accessPeers(va, kind) {
-		return 0, false
-	}
-	return pa, true
-}
-
-// accessPeers runs access's user access on every peer, in order, and
-// reports whether all of them settled.
-func (e *Env) accessPeers(va addr.VA, kind perm.Access) bool {
 	for _, p := range e.peers {
-		if _, err := p.K.access(va, kind, perm.U); err != nil {
+		var peer mmu.Result
+		if err := p.K.settle(va, kind, perm.U, &peer); err != nil {
 			e.failPeer(p, err)
 			return false
 		}
@@ -185,97 +130,74 @@ func (e *Env) accessPeers(va addr.VA, kind perm.Access) bool {
 
 // Load64 reads an 8-byte word at va.
 func (e *Env) Load64(va addr.VA) uint64 {
-	pa, ok := e.access(va, perm.Read)
-	if !ok {
+	var res mmu.Result
+	if !e.access(va, perm.Read, &res) {
 		return 0
 	}
-	v, err := e.K.Mach.Mem.Read64(pa)
+	v, err := e.K.Mach.Mem.Read64(res.PA)
 	e.Fail(err)
 	return v
 }
 
 // Store64 writes an 8-byte word at va.
 func (e *Env) Store64(va addr.VA, v uint64) {
-	if pa, ok := e.access(va, perm.Write); ok {
-		e.Fail(e.K.Mach.Mem.Write64(pa, v))
+	var res mmu.Result
+	if e.access(va, perm.Write, &res) {
+		e.Fail(e.K.Mach.Mem.Write64(res.PA, v))
 	}
 }
 
 // Load32 reads a 4-byte word at va.
 func (e *Env) Load32(va addr.VA) uint32 {
-	pa, ok := e.access(va, perm.Read)
-	if !ok {
+	var res mmu.Result
+	if !e.access(va, perm.Read, &res) {
 		return 0
 	}
-	v, err := e.K.Mach.Mem.Read32(pa)
+	v, err := e.K.Mach.Mem.Read32(res.PA)
 	e.Fail(err)
 	return v
 }
 
 // Store32 writes a 4-byte word at va.
 func (e *Env) Store32(va addr.VA, v uint32) {
-	if pa, ok := e.access(va, perm.Write); ok {
-		e.Fail(e.K.Mach.Mem.Write32(pa, v))
+	var res mmu.Result
+	if e.access(va, perm.Write, &res) {
+		e.Fail(e.K.Mach.Mem.Write32(res.PA, v))
 	}
 }
 
 // Load8 reads one byte.
 func (e *Env) Load8(va addr.VA) byte {
-	pa, ok := e.access(va, perm.Read)
-	if !ok {
+	var res mmu.Result
+	if !e.access(va, perm.Read, &res) {
 		return 0
 	}
-	v, err := e.K.Mach.Mem.Read8(pa)
+	v, err := e.K.Mach.Mem.Read8(res.PA)
 	e.Fail(err)
 	return v
 }
 
 // Store8 writes one byte.
 func (e *Env) Store8(va addr.VA, v byte) {
-	if pa, ok := e.access(va, perm.Write); ok {
-		e.Fail(e.K.Mach.Mem.Write8(pa, v))
+	var res mmu.Result
+	if e.access(va, perm.Write, &res) {
+		e.Fail(e.K.Mach.Mem.Write8(res.PA, v))
 	}
 }
 
-// chunks iterates [va, va+n) in cache-line-bounded pieces, issuing one
-// timed access per line and calling f with the translated PA and the offset
-// and size of each piece. Pieces are submitted in batched blocks of at most
-// BlockMax: the timed accesses of a block run first, then f is applied to
-// each piece in order. Pieces are disjoint, so applying the functional
-// copies after the block's timed accesses is indistinguishable from
-// interleaving them. It stops at the first failure. A block asks the Env's
-// scratch for only the lines left to copy, so a short copy does not grow it
-// to BlockMax.
+// chunks iterates [va, va+n) in cache-line-bounded pieces: for each piece
+// it takes one timed access, then calls f with the translated PA and the
+// piece's offset and size. It stops at the first failure, so the pieces
+// before it have been applied and the rest have not.
 func (e *Env) chunks(va addr.VA, n uint64, kind perm.Access, f func(pa addr.PA, off, size uint64) error) {
-	var sizes [BlockMax]uint64
-	var done uint64
-	for n > 0 {
-		lines := (uint64(va)+n-1)/cache.LineSize - uint64(va)/cache.LineSize + 1
-		ops, out := e.Block(int(min(lines, BlockMax)))
-		nOps := 0
-		pieceVA, rem := va, n
-		for rem > 0 && nOps < len(ops) {
-			pieceEnd := (uint64(pieceVA)/cache.LineSize + 1) * cache.LineSize
-			size := pieceEnd - uint64(pieceVA)
-			if size > rem {
-				size = rem
-			}
-			ops[nOps] = cpu.BlockRef{VA: pieceVA, Kind: kind}
-			sizes[nOps] = size
-			nOps++
-			pieceVA += addr.VA(size)
-			rem -= size
-		}
-		if e.RunBlock(ops[:nOps], out[:nOps]) != nil {
+	var res mmu.Result
+	for off := uint64(0); off < n; {
+		size := min(cache.LineSize-uint64(va)%cache.LineSize, n-off)
+		if !e.access(va, kind, &res) || e.Fail(f(res.PA, off, size)) {
 			return
 		}
-		for i := 0; i < nOps; i++ {
-			if e.Fail(f(out[i].PA, done, sizes[i])) {
-				return
-			}
-			done += sizes[i]
-		}
-		va, n = pieceVA, rem
+		off += size
+		va += addr.VA(size)
 	}
 }
 
@@ -299,7 +221,10 @@ func (e *Env) StoreBytes(va addr.VA, data []byte) {
 
 // FetchAt models executing code on the page containing va (one instruction
 // fetch reference).
-func (e *Env) FetchAt(va addr.VA) { e.access(va, perm.Fetch) }
+func (e *Env) FetchAt(va addr.VA) {
+	var res mmu.Result
+	e.access(va, perm.Fetch, &res)
+}
 
 // Alloc maps pages of fresh anonymous memory and returns its base (like
 // malloc backed by mmap). Memory is demand-faulted on first touch.

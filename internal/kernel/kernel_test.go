@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -89,10 +90,36 @@ func TestBytesAcrossPages(t *testing.T) {
 			t.Fatalf("byte %d = %d, want %d", i, got[i], byte(i))
 		}
 	}
-	// The copies span six cache lines, so the block scratch holds six
-	// ops, not BlockMax.
-	if n := cap(e.block.ops); n != 6 {
-		t.Errorf("block scratch holds %d ops after 300-byte copies over six lines, want 6", n)
+}
+
+// TestLoadBytesFailsMidCopy: a copy that runs off the end of a mapping
+// keeps the lines before the failed one. The last 128 bytes of a one-page
+// mapping come back intact, the bytes past it in unmapped VA read zero, and
+// the failure is kept.
+func TestLoadBytesFailsMidCopy(t *testing.T) {
+	k := bootKernel(t, monitor.ModeHPMP)
+	e := spawnEnv(t, k)
+	end := e.Alloc(addr.PageSize) + addr.PageSize
+	if _, ok := e.P.vmaFor(end); ok {
+		t.Fatalf("%v is mapped; the copy must run into unmapped VA", end)
+	}
+	data := make([]byte, 128)
+	for i := range data {
+		data[i] = byte(0x80 | i)
+	}
+	e.StoreBytes(end-128, data)
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	got := e.LoadBytes(end-128, 256)
+	if e.Err() == nil {
+		t.Fatal("a copy past the mapping must fail")
+	}
+	if !bytes.Equal(got[:128], data) {
+		t.Errorf("mapped bytes = %x, want %x", got[:128], data)
+	}
+	if !bytes.Equal(got[128:], make([]byte, 128)) {
+		t.Errorf("unmapped bytes = %x, want zeros", got[128:])
 	}
 }
 
@@ -158,10 +185,8 @@ func TestFailedAccessIsSticky(t *testing.T) {
 		t.Errorf("LoadBytes after the failure = %q", got[:8])
 	}
 	e.FetchAt(e.P.Code())
-	ops, out := e.Block(2)
-	ops[0] = cpu.BlockRef{VA: heap, Kind: perm.Read, Compute: 5}
-	ops[1] = cpu.BlockRef{VA: heap + 8, Kind: perm.Write}
-	if err := e.RunBlock(ops, out); err != segv {
+	ops := []cpu.BlockRef{{VA: heap, Kind: perm.Read, Compute: 5}, {VA: heap + 8, Kind: perm.Write}}
+	if err := e.RunBlock(ops, make([]mmu.Result, len(ops))); err != segv {
 		t.Errorf("RunBlock = %v, want the recorded %v", err, segv)
 	}
 	if err := e.Touch(heap+addr.PageSize, addr.PageSize); err != segv {

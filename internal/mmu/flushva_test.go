@@ -49,7 +49,6 @@ func TestFlushVADoesNotScopePMPTWalkerCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	wcache := pmpt.NewWalkerCache(16)
-	wcache.Enabled = true
 	checker := hpmp.NewSized(pmpt.NewWalker(port, wcache), pmp.NumEntries)
 	if err := checker.SetTable(0, all, ptab.RootBase()); err != nil {
 		t.Fatal(err)

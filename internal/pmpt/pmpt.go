@@ -567,7 +567,7 @@ type Walker struct {
 }
 
 // NewWalker builds a PMPTW that fetches pmptes through port, consulting
-// cache first when it is non-nil and enabled. It resolves every pmptw
+// cache first when it is non-nil. It resolves every pmptw
 // counter up front, so every snapshot of a walker lists all five.
 func NewWalker(port memport.Port, cache *WalkerCache) *Walker {
 	w := &Walker{Port: port, Cache: cache}
@@ -641,7 +641,7 @@ func (w *Walker) walk(rootBase addr.PA, region addr.Range, mode TableMode, pa ad
 
 // fetch reads one pmpte, consulting the PMPTW cache first.
 func (w *Walker) fetch(pa addr.PA, now uint64, res *WalkResult) (uint64, error) {
-	if w.Cache != nil && w.Cache.Enabled {
+	if w.Cache != nil {
 		if v, ok := w.Cache.Lookup(uint64(pa)); ok {
 			*w.cacheHit++
 			if w.Trace != nil {
@@ -660,7 +660,7 @@ func (w *Walker) fetch(pa addr.PA, now uint64, res *WalkResult) (uint64, error) 
 	if w.Trace != nil {
 		w.Trace.Emit(obs.Event{Kind: obs.KindPMPTFetch, Access: perm.Read, PA: pa, Level: -1, Refs: 1, ChkRefs: 1, Cycles: lat})
 	}
-	if w.Cache != nil && w.Cache.Enabled {
+	if w.Cache != nil {
 		w.Cache.Insert(uint64(pa), v)
 	}
 	return v, nil
@@ -668,16 +668,14 @@ func (w *Walker) fetch(pa addr.PA, now uint64, res *WalkResult) (uint64, error) 
 
 // WalkerCache is the PMPTW-Cache: a small fully-associative true-LRU cache
 // of pmpte words keyed by physical address, the same structure as the PWC.
-// The paper's prototype uses 8 entries and disables it by default (§7);
-// fig16 enables it after boot. A zero-capacity cache is legal and stores
+// The paper's prototype uses 8 entries and leaves it out by default (§7);
+// fig16 attaches one after boot. A zero-capacity cache is legal and stores
 // nothing.
 type WalkerCache struct {
-	Enabled bool
 	assoc.Cache
 }
 
-// NewWalkerCache builds a cache with n entries (disabled until Enabled is
-// set).
+// NewWalkerCache builds a cache with n entries.
 func NewWalkerCache(n int) *WalkerCache {
 	return &WalkerCache{Cache: *assoc.NewCache(n)}
 }

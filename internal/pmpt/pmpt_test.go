@@ -273,7 +273,6 @@ func TestWalkerCache(t *testing.T) {
 	base := tbl.Region().Base
 	tbl.SetPagePerm(base, perm.RW)
 	c := NewWalkerCache(8)
-	c.Enabled = true
 	w := NewWalker(&memport.Flat{Mem: mem, Latency: 7}, c)
 
 	hits := func() uint64 { return w.Counters.Snapshot()["pmptw.cache_hit"] }
@@ -300,7 +299,6 @@ func TestWalkerCache(t *testing.T) {
 
 func TestWalkerCacheLRU(t *testing.T) {
 	c := NewWalkerCache(2)
-	c.Enabled = true
 	c.Insert(0x100, 1)
 	c.Insert(0x200, 2)
 	c.Lookup(0x100)    // 0x100 MRU
@@ -322,7 +320,6 @@ func TestWalkerCacheLRU(t *testing.T) {
 // known order, and asserts successive inserts evict exactly in LRU order.
 func TestWalkerCacheEvictionOrder(t *testing.T) {
 	c := NewWalkerCache(3)
-	c.Enabled = true
 	c.Insert(0x100, 1)
 	c.Insert(0x200, 2)
 	c.Insert(0x300, 3)
@@ -347,7 +344,6 @@ func TestWalkerCacheEvictionOrder(t *testing.T) {
 // shadow copy.
 func TestWalkerCacheDuplicateInsertRefreshes(t *testing.T) {
 	c := NewWalkerCache(2)
-	c.Enabled = true
 	c.Insert(0x100, 1)
 	c.Insert(0x200, 2)
 	c.Insert(0x100, 11) // refresh: 0x200 becomes LRU
@@ -369,7 +365,6 @@ func TestWalkerCacheDuplicateInsertRefreshes(t *testing.T) {
 // FlushAll must not survive it, and its slot must be reusable.
 func TestWalkerCacheInvalidateClearsMemo(t *testing.T) {
 	c := NewWalkerCache(4)
-	c.Enabled = true
 	c.Insert(0x100, 1)
 	if _, ok := c.Lookup(0x100); !ok {
 		t.Fatal("prime lookup should hit")
@@ -384,18 +379,17 @@ func TestWalkerCacheInvalidateClearsMemo(t *testing.T) {
 	}
 }
 
-// TestWalkerCacheZeroCapacity: NewWalkerCache(plat.PMPTWCacheEntries) makes
-// 0 reachable from platform configuration; Insert/Lookup must no-op rather
-// than panic.
+// TestWalkerCacheZeroCapacity: a zero-capacity cache is legal
+// (NewWalkerCache takes any count); Insert/Lookup must no-op rather than
+// panic.
 func TestWalkerCacheZeroCapacity(t *testing.T) {
 	c := NewWalkerCache(0)
-	c.Enabled = true
 	c.Insert(0x100, 1) // must not panic
 	if _, ok := c.Lookup(0x100); ok {
 		t.Error("zero-capacity cache must never hit")
 	}
 	c.FlushAll() // must not panic
-	// A walker over a zero-capacity (but enabled) cache still walks
+	// A walker over a zero-capacity (but attached) cache still walks
 	// correctly — every fetch just goes to memory.
 	tbl, mem := testTable(t, 64*addr.MiB)
 	base := tbl.Region().Base

@@ -57,9 +57,8 @@ import (
 // multiple of the two pools combined.
 const poolSize = simcfg.PoolAlign / 2
 
-// BlockMax is the replay batch size — one mmu.AccessBatch submission —
-// matching kernel.BlockMax so replay and live workloads stress the batched
-// entry point at the same granularity.
+// BlockMax is the replay batch size: the events of one mmu.AccessBatch
+// submission.
 const BlockMax = 256
 
 // Stats counts what the engine did with a trace. All fields are replay

@@ -162,7 +162,6 @@ func TestReplayAllModes(t *testing.T) {
 			c.Mode = simcfg.ModePMPT
 			c.L2TLBEntries = -1
 			c.PWCEntries = -1
-			c.PMPTWCache = -1
 		}, []string{"ptw.walk_ok", "hpmp.table_check"}},
 	}
 	evs := syntheticTrace()

@@ -12,7 +12,7 @@ import (
 // convention for cache geometry — 0 = the structure is absent, < 0 =
 // platform default — which Machine() remaps onto the tri-state internal
 // encoding (and leaves -pmptw-cache raw: its flag and internal encodings
-// coincide, 0 meaning the disabled paper default).
+// coincide, 0 meaning no cache, the paper default).
 type Flags struct {
 	Platform   *string
 	Mode       *string
@@ -34,7 +34,7 @@ func AddFlags(fs *flag.FlagSet, prefix string) *Flags {
 		MemMiB:     fs.Uint64("mem", 512, "simulated DRAM size in MiB"),
 		L2TLB:      fs.Int("l2tlb", -1, prefix+"L2 TLB entries (0 = no L2 TLB, <0 = platform default)"),
 		PWC:        fs.Int("pwc", -1, prefix+"page-walk cache entries (0 = no PWC, <0 = platform default)"),
-		PMPTWCache: fs.Int("pmptw-cache", 0, prefix+"PMPT walker cache entries (0 = disabled, the paper default)"),
+		PMPTWCache: fs.Int("pmptw-cache", 0, prefix+"PMPT walker cache entries (0 = none, the paper default)"),
 		Depth:      fs.Int("depth", 0, prefix+"permission-table depth (0 = default, 2, 3, or 4)"),
 	}
 }

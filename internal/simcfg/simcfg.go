@@ -14,12 +14,12 @@
 //	  0  keep the platform default
 //	< 0  the structure is absent (zero capacity)
 //
-// except PMPTWCache, where the platform builds the cache disabled (the
-// paper's default methodology), so:
+// except PMPTWCache, which has no platform default (the paper's default
+// methodology leaves the cache out), so:
 //
-//	> 0  enable the cache with that many entries
-//	  0  platform default structure, built but disabled
-//	< 0  zero-capacity cache (structurally absent)
+//	> 0  attach a cache with that many entries
+//	  0  no cache
+//	< 0  invalid
 //
 // The CLI flag surface uses the historical PR 8 convention instead
 // (0 = absent, < 0 = platform default); Flags.Machine performs the
@@ -109,8 +109,8 @@ type Machine struct {
 	// (tri-state, see the package comment).
 	L2TLBEntries int
 	PWCEntries   int
-	// PMPTWCache sizes/enables the permission-table walker cache
-	// (tri-state with the enablement twist, see the package comment).
+	// PMPTWCache sizes the permission-table walker cache; 0 means none
+	// (see the package comment).
 	PMPTWCache int
 	// TableDepth is the permission-table depth for ModePMPT/ModeHPMP:
 	// 0 or 2 = the base 2-level table, 3/4 = the §4.3 Mode-field extension.
@@ -170,6 +170,9 @@ func (m Machine) Validate() error {
 			return fmt.Errorf("simcfg: %s of %d entries is above the %d-entry maximum", g.name, g.n, MaxEntries)
 		}
 	}
+	if m.PMPTWCache < 0 {
+		return fmt.Errorf("simcfg: pmptw_cache of %d entries is negative (0 means no cache)", m.PMPTWCache)
+	}
 	if m.L2TLBEntries > 0 && !addr.IsPow2(uint64(m.L2TLBEntries)) {
 		return fmt.Errorf("simcfg: l2tlb of %d entries is not a power of two (the L2 TLB is direct-mapped)", m.L2TLBEntries)
 	}
@@ -205,7 +208,7 @@ func (m Machine) String() string {
 
 // Assemble builds the machine this config describes: named platform,
 // tri-state cache-geometry overrides, checker presence (ModeNone machines
-// carry no isolation hardware), and PMPTW-cache enablement. Isolation
+// carry no isolation hardware), and the PMPTW cache. Isolation
 // *state* (segments, permission tables) is the caller's job — the monitor
 // programs it on live systems, the replay engine on replays.
 func (m Machine) Assemble() *cpu.Machine {
@@ -223,14 +226,9 @@ func (m Machine) Assemble() *cpu.Machine {
 	} else if m.PWCEntries < 0 {
 		plat.MMU.PWCEntries = 0
 	}
-	if m.PMPTWCache > 0 {
-		plat.PMPTWCacheEntries = m.PMPTWCache
-	} else if m.PMPTWCache < 0 {
-		plat.PMPTWCacheEntries = 0
-	}
 	mach := cpu.NewMachine(plat, m.MemSize, m.Mode != ModeNone)
-	if m.PMPTWCache > 0 && mach.PMPTWCache != nil {
-		mach.PMPTWCache.Enabled = true
+	if m.PMPTWCache > 0 {
+		mach.AttachPMPTWCache(m.PMPTWCache)
 	}
 	return mach
 }

@@ -47,6 +47,7 @@ func TestValidateRejects(t *testing.T) {
 		{"l2tlb-large", func(m *Machine) { m.L2TLBEntries = 2 * MaxEntries }, "l2tlb of 8192 entries is above the 4096-entry maximum"},
 		{"pwc-large", func(m *Machine) { m.PWCEntries = MaxEntries + 1 }, "pwc of 4097 entries is above"},
 		{"pmptw-cache-large", func(m *Machine) { m.PMPTWCache = 1 << 40 }, "pmptw_cache"},
+		{"pmptw-cache-negative", func(m *Machine) { m.PMPTWCache = -1 }, "pmptw_cache of -1 entries is negative"},
 	}
 	for _, tc := range cases {
 		m := Default()
@@ -220,19 +221,28 @@ func bootAndStore(t *testing.T, m Machine) {
 
 func TestAssembleGeometry(t *testing.T) {
 	// Absent structures really come out zero-capacity; overrides stick;
-	// PMPTW cache enablement follows the tri-state.
+	// a positive PMPTWCache attaches a walker cache of that size.
 	m := Machine{Platform: "rocket", Mode: ModeHPMP, MemSize: MinMemSize,
 		L2TLBEntries: -1, PWCEntries: 3, PMPTWCache: 16}
 	mach := m.Assemble()
-	if plat := mach.Plat; plat.MMU.L2TLBEntries != 0 || plat.MMU.PWCEntries != 3 || plat.PMPTWCacheEntries != 16 {
+	if plat := mach.Plat; plat.MMU.L2TLBEntries != 0 || plat.MMU.PWCEntries != 3 {
 		t.Fatalf("geometry overrides not applied: %+v", plat)
 	}
-	if mach.PMPTWCache == nil || !mach.PMPTWCache.Enabled {
-		t.Fatal("PMPTWCache > 0 must enable the walker cache")
+	c := mach.PMPTWCache
+	if c == nil || mach.Checker.Walker.Cache != c {
+		t.Fatal("PMPTWCache > 0 must attach a walker cache")
+	}
+	for k := uint64(1); k <= 17; k++ {
+		c.Insert(k, k)
+	}
+	_, first := c.Lookup(1)
+	_, second := c.Lookup(2)
+	if first || !second {
+		t.Fatalf("17 inserts: first key cached %v, second %v; want a 16-entry cache", first, second)
 	}
 	mach = Machine{Platform: "rocket", Mode: ModeHPMP, MemSize: MinMemSize}.Assemble()
-	if mach.PMPTWCache != nil && mach.PMPTWCache.Enabled {
-		t.Fatal("default PMPTW cache must stay disabled (paper methodology)")
+	if mach.PMPTWCache != nil || mach.Checker.Walker.Cache != nil {
+		t.Fatal("default machine must have no PMPTW cache (paper methodology)")
 	}
 	none := Machine{Platform: "rocket", Mode: ModeNone, MemSize: MinMemSize}.Assemble()
 	if none.Checker != nil {

@@ -15,9 +15,7 @@ import (
 	"fmt"
 
 	"hpmp/internal/addr"
-	"hpmp/internal/cpu"
 	"hpmp/internal/kernel"
-	"hpmp/internal/perm"
 )
 
 // Workload is one runnable benchmark program.
@@ -66,19 +64,19 @@ func (a *U64Array) Set(i int, v uint64) {
 	a.e.Store64(a.addr(i), v)
 }
 
-// SetRange stores vals into elements [lo, lo+len(vals)) as batched blocks
-// (see storeEach).
+// SetRange stores vals into elements [lo, lo+len(vals)), in index order,
+// each one a Set.
 func (a *U64Array) SetRange(lo int, vals []uint64) {
-	storeEach(a.e, a.addr, lo, len(vals), func(i int, pa addr.PA) error {
-		return a.e.K.Mach.Mem.Write64(pa, vals[i-lo])
-	})
+	for i, v := range vals {
+		a.Set(lo+i, v)
+	}
 }
 
-// Fill stores v into every element, in index order, via batched blocks.
+// Fill stores v into every element, in index order, each one a Set.
 func (a *U64Array) Fill(v uint64) {
-	storeEach(a.e, a.addr, 0, a.n, func(_ int, pa addr.PA) error {
-		return a.e.K.Mach.Mem.Write64(pa, v)
-	})
+	for i := range a.n {
+		a.Set(i, v)
+	}
 }
 
 // U32Array is a uint32 array in simulated memory.
@@ -110,46 +108,18 @@ func (a *U32Array) Set(i int, v uint32) {
 	a.e.Store32(a.addr(i), v)
 }
 
-// SetRange stores vals into elements [lo, lo+len(vals)) as batched blocks
-// (see storeEach).
+// SetRange stores vals into elements [lo, lo+len(vals)), in index order,
+// each one a Set.
 func (a *U32Array) SetRange(lo int, vals []uint32) {
-	storeEach(a.e, a.addr, lo, len(vals), func(i int, pa addr.PA) error {
-		return a.e.K.Mach.Mem.Write32(pa, vals[i-lo])
-	})
+	for i, v := range vals {
+		a.Set(lo+i, v)
+	}
 }
 
-// Fill stores v into every element, in index order, via batched blocks.
+// Fill stores v into every element, in index order, each one a Set.
 func (a *U32Array) Fill(v uint32) {
-	storeEach(a.e, a.addr, 0, a.n, func(_ int, pa addr.PA) error {
-		return a.e.K.Mach.Mem.Write32(pa, v)
-	})
-}
-
-// storeEach stores elements [lo, lo+n) in index order as batched blocks of
-// timed stores: elem gives element i's VA and put writes element i's value
-// at its translated PA. Each element costs exactly what Set charges (2
-// compute instructions plus one timed store, in the same order), so the
-// batch is observably identical to the scalar loop — it only amortizes
-// simulator dispatch. Elements are disjoint, satisfying the block-ordering
-// contract of kernel.Env.RunBlock. It stops at the environment's first
-// failure.
-func storeEach(e *kernel.Env, elem func(i int) addr.VA, lo, n int, put func(i int, pa addr.PA) error) {
-	for n > 0 {
-		m := min(n, kernel.BlockMax)
-		ops, out := e.Block(m)
-		for j := range ops {
-			ops[j] = cpu.BlockRef{VA: elem(lo + j), Kind: perm.Write, Compute: 2}
-		}
-		if e.RunBlock(ops, out) != nil {
-			return
-		}
-		for j := range out {
-			if e.Fail(put(lo+j, out[j].PA)) {
-				return
-			}
-		}
-		lo += m
-		n -= m
+	for i := range a.n {
+		a.Set(i, v)
 	}
 }
 
