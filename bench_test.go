@@ -6,6 +6,7 @@
 package main_test
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -908,4 +909,41 @@ func TestHotPathHistogramsRecord(t *testing.T) {
 	if w.Hist.Snapshot().Count == 0 {
 		t.Error("pmptw.walk_latency histogram is empty")
 	}
+}
+
+// BenchmarkReadTrace measures decoding a full default-ring trace: 4096
+// events of every kind, in the form the trace writer emits. The daemon
+// parses every replay job's uploaded trace this way inside the job's
+// submit→done window.
+func BenchmarkReadTrace(b *testing.B) {
+	tr := obs.NewTracer(obs.DefaultRing, 1)
+	for i := 0; i < obs.DefaultRing; i++ {
+		va := addr.VA(0x4000_0000 + uint64(i)*0x1040)
+		pa := addr.PA(0x8000_0000 + uint64(i)*0x1040)
+		switch i % 4 {
+		case 0:
+			tr.Emit(obs.Event{Kind: obs.KindAccess, Access: perm.Access(i / 4 % 3), TLB: obs.TLBPath(1 + i/4%3),
+				Level: -1, VA: va, PA: pa, Refs: uint16(i % 7), ChkRefs: uint16(i % 3), Cycles: uint64(4 + i%90)})
+		case 1:
+			tr.Emit(obs.Event{Kind: obs.KindPTEFetch, Level: int8(i / 4 % 3), Hit: i%3 == 0, PA: pa &^ 7, Refs: 1, Cycles: 20})
+		case 2:
+			tr.Emit(obs.Event{Kind: obs.KindPMPTFetch, Level: -1, Hit: i%5 == 0, PA: pa &^ 7, Refs: 1, ChkRefs: 1, Cycles: 20})
+		default:
+			tr.Emit(obs.Event{Kind: obs.KindCheck, Access: perm.Read, Level: 2, Hit: true, PA: pa, Refs: 2, ChkRefs: 2, Cycles: 40})
+		}
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteTrace(&buf, "bench", tr); err != nil {
+		b.Fatal(err)
+	}
+	raw := buf.Bytes()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, events, err := obs.ReadTrace(bytes.NewReader(raw)); err != nil || len(events) != obs.DefaultRing {
+			b.Fatalf("read %d events, err %v", len(events), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*obs.DefaultRing), "ns/event")
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -143,5 +145,19 @@ func TestFlagValidation(t *testing.T) {
 	}
 	if code, _, stderr := runCLI(t, "-mem", "0", "run", "all"); code != 2 || !strings.Contains(stderr, "minimum") {
 		t.Errorf("-mem 0 must fail with a clear message, got exit %d: %s", code, stderr)
+	}
+}
+
+// TestReplayValidatesMachineFirst: replay checks the machine flags before
+// it reads the trace, so a bad flag is reported as such even when the
+// trace file is empty too.
+func TestReplayValidatesMachineFirst(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.trace.jsonl")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := runCLI(t, "-pmptw-cache", "-1", "replay", empty)
+	if code != 2 || !strings.Contains(stderr, "simcfg: pmptw_cache") {
+		t.Errorf("exit %d, stderr %q; want exit 2 with the simcfg error", code, stderr)
 	}
 }

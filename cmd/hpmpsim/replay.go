@@ -19,6 +19,13 @@ import (
 // other replay of the same trace. Exit 0 on a faithful replay, 1 when the
 // replayed machine diverged from the recording, 2 on usage or I/O errors.
 func runReplay(tracePath string, cfg simcfg.Machine, id, metricsDir, outTrace string, stdout, stderr io.Writer) int {
+	// Build the machine first, so a bad machine flag is reported as such
+	// whatever the trace file holds.
+	eng, err := replay.New(cfg)
+	if err != nil {
+		fmt.Fprintf(stderr, "hpmpsim: replay: %v\n", err)
+		return 2
+	}
 	f, err := os.Open(tracePath)
 	if err != nil {
 		fmt.Fprintf(stderr, "hpmpsim: replay: %v\n", err)
@@ -31,11 +38,6 @@ func runReplay(tracePath string, cfg simcfg.Machine, id, metricsDir, outTrace st
 		return 2
 	}
 
-	eng, err := replay.New(cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "hpmpsim: replay: %v\n", err)
-		return 2
-	}
 	var tr *obs.Tracer
 	if outTrace != "" {
 		tr = obs.NewTracer(16*len(events)+4096, 1)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -81,15 +82,8 @@ func fromJSON(ej eventJSON) (Event, error) {
 	if !ok {
 		return Event{}, fmt.Errorf("obs: unknown fault kind %q", ej.Fault)
 	}
-	var access perm.Access
-	switch ej.Access {
-	case perm.Read.String():
-		access = perm.Read
-	case perm.Write.String():
-		access = perm.Write
-	case perm.Fetch.String():
-		access = perm.Fetch
-	default:
+	access, ok := accessFromString(ej.Access)
+	if !ok {
 		return Event{}, fmt.Errorf("obs: unknown access kind %q", ej.Access)
 	}
 	va, err := strconv.ParseUint(ej.VA, 0, 64)
@@ -114,6 +108,19 @@ func fromJSON(ej eventJSON) (Event, error) {
 		ChkRefs: ej.ChkRefs,
 		Cycles:  ej.Cycles,
 	}, nil
+}
+
+// accessFromString inverts perm.Access.String.
+func accessFromString(s string) (perm.Access, bool) {
+	switch s {
+	case perm.Read.String():
+		return perm.Read, true
+	case perm.Write.String():
+		return perm.Write, true
+	case perm.Fetch.String():
+		return perm.Fetch, true
+	}
+	return 0, false
 }
 
 // header builds the trace-file header for this tracer's current state.
@@ -271,7 +278,9 @@ func WriteTraceStream(w io.Writer, source string, t *Tracer, flushEvery int, onF
 // increasing sequence numbers (the writer emits the retained window oldest
 // first), and a stream that ends before header.kept events — a partial
 // download, a truncated copy — is an explicit truncation error rather than
-// a silent partial success.
+// a silent partial success. Event lines in the writer's own form decode
+// without reflection (decodeEventLine); every other JSON spelling goes
+// through encoding/json.
 func ReadTrace(r io.Reader) (Header, []Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -291,21 +300,27 @@ func ReadTrace(r io.Reader) (Header, []Event, error) {
 	if h.Kept < 0 {
 		return Header{}, nil, fmt.Errorf("obs: bad trace header: negative kept count %d", h.Kept)
 	}
-	var events []Event
+	// kept is outside input: past DefaultRing the slice grows by append,
+	// so a lying header cannot make the reader allocate for it.
+	events := make([]Event, 0, min(h.Kept, DefaultRing))
 	line := 1
 	lastSeq := uint64(0)
 	for sc.Scan() {
 		line++
-		if len(strings.TrimSpace(string(sc.Bytes()))) == 0 {
+		b := sc.Bytes()
+		if len(bytes.TrimSpace(b)) == 0 {
 			continue
 		}
-		var ej eventJSON
-		if err := json.Unmarshal(sc.Bytes(), &ej); err != nil {
-			return Header{}, nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		ev, err := fromJSON(ej)
-		if err != nil {
-			return Header{}, nil, fmt.Errorf("obs: trace line %d: %w", line, err)
+		ev, ok := decodeEventLine(b)
+		if !ok {
+			var ej eventJSON
+			if err := json.Unmarshal(b, &ej); err != nil {
+				return Header{}, nil, fmt.Errorf("obs: trace line %d: %w", line, err)
+			}
+			var err error
+			if ev, err = fromJSON(ej); err != nil {
+				return Header{}, nil, fmt.Errorf("obs: trace line %d: %w", line, err)
+			}
 		}
 		if len(events) > 0 && ev.Seq <= lastSeq {
 			return Header{}, nil, fmt.Errorf("obs: trace line %d: event seq %d not after %d (corrupt or reordered stream)",
